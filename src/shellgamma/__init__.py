@@ -18,7 +18,8 @@ from .geometry import (NodeFrame, SurfacePatch, SurfaceQuadrature, ThicknessPair
                        offset_jacobian, shape_operator_fd, shape_operator_in_frame,
                        surface_quadrature, validate_patch, validate_thickness)
 from .kinematics import (IsometryField, StrainField, bending_expansion_residual,
-                         bending_tensor, build_isometry, isometry_residual,
+                         bending_matrix, bending_tensor, build_isometry,
+                         isometry_residual,
                          midsurface_strain_deficit, stretching_expansion_residual,
                          stretching_tensor)
 from .limit2d import LimitEnergyBreakdown, eval_I, eval_I_tilde, eval_J
@@ -29,9 +30,10 @@ from .loads import (ExampleMaximizerSet, LoadField, RotationActionResult,
 from .material import (QuadForm2, QuadForm3, StoredEnergy, as_q3,
                        isotropic_q2_closed_form, make_isotropic, q3_from_energy,
                        reduce_q2, relax_q2_brute_force)
-from .recovery3d import (RecoveryDeformation, ShellEnergyValue,
+from .recovery3d import (RecoveryData, RecoveryDeformation, ShellEnergyValue,
                          averaged_displacement, averaged_displacement_sym_grad,
                          build_d_fields, build_recovery, discrete_l2_distance,
-                         eval_shell_energy, shell_energy_tangential_lower_bound)
+                         eval_shell_energy, recovery_data,
+                         shell_energy_tangential_lower_bound)
 
 __version__ = "0.1.0"

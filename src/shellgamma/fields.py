@@ -58,16 +58,6 @@ class ScalarField:
     d: Callable[[np.ndarray], np.ndarray]  # (2,) partials wrt u1, u2
     domain: tuple
 
-    @staticmethod
-    def from_callable(value, domain, d=None, rel_step=DEFAULT_FD_REL_STEP):
-        if d is None:
-            steps = rel_step * domain_widths(domain)
-
-            def d(u, _v=value, _dom=domain, _s=steps):
-                return np.array([fd_partial(_v, u, ax, _s[ax], _dom) for ax in (0, 1)])
-
-        return ScalarField(value=value, d=d, domain=domain)
-
 
 @dataclass(frozen=True)
 class VectorField:

@@ -42,11 +42,6 @@ class NodeFrame:
         T = np.column_stack([self.t1, self.t2])
         return T.T @ M @ T
 
-    def embed_tangential(self, F22):
-        """Ambient 3x3 matrix with given tangential minor and zero normal couplings."""
-        T = np.column_stack([self.t1, self.t2])
-        return T @ F22 @ T.T
-
     def grad3(self, chart_partials):
         """Ambient surface gradient from chart partials.
 
@@ -72,10 +67,6 @@ class SurfacePatch:
     domain: tuple
     name: str = ""
     principal_curvatures: Callable[[np.ndarray], np.ndarray] | None = None
-
-    def metric(self, u):
-        J = self.chart_jacobian(u)
-        return J.T @ J
 
     def frame(self, u):
         u = np.asarray(u, dtype=float)

@@ -3,7 +3,7 @@
 The skew field A of an isometry V is assembled pointwise from the chart
 derivatives of V: A t_a = d_{t_a} V on the orthonormal tangent frame, the
 normal column is fixed by skewness, and the result is projected onto skew
-matrices.  Chart derivatives of assembled fields (A, An, and the composite
+matrices.  Chart derivatives of assembled fields (A n and the composite
 fields downstream) are taken by 4th-order central differences.
 """
 
@@ -57,13 +57,6 @@ class IsometryField:
     def An_at(self, u):
         fr = self.patch.frame(u)
         return self.A_at(u) @ fr.n
-
-    def A_partials(self, u):
-        """Chart partials of the assembled A field, shape (3, 3, 2)."""
-        steps = self._fd_steps()
-        cols = [fd_partial(self.A_at, u, ax, steps[ax], self.patch.domain)
-                for ax in (0, 1)]
-        return np.stack(cols, axis=-1)
 
     def An_partials(self, u):
         """Chart partials of the field u -> A(u) n(u), shape (3, 2)."""
@@ -148,12 +141,16 @@ def grad3_gamma_n(frame, thick):
     return frame.grad3(partials)
 
 
+def bending_matrix(iso, frame):
+    """The ambient 3x3 matrix grad(A n) - A Pi at one frame."""
+    return iso.grad3_An(frame) - iso.A_at(frame.u) @ frame.shape_op
+
+
 def bending_tensor(iso, patch):
     """Tangential minor of grad(A n) - A Pi, symmetrized; frame -> 2x2."""
 
     def tensor(fr):
-        M = iso.grad3_An(fr) - iso.A_at(fr.u) @ fr.shape_op
-        Mt = fr.tan2(M)
+        Mt = fr.tan2(bending_matrix(iso, fr))
         return 0.5 * (Mt + Mt.T)
 
     return tensor

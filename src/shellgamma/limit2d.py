@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import surface_quadrature
-from .kinematics import bending_tensor, stretching_tensor
+from .kinematics import StrainField, bending_tensor, stretching_tensor
 from .material import as_q3, reduce_q2
 
 
@@ -60,17 +60,8 @@ def eval_I(patch, thick, material, iso, strain, kappa, quad=None):
 
 def eval_I_tilde(patch, thick, material, iso, quad=None):
     """Bending-only energy for approximately robust surfaces; equals eval_I().bending."""
-    if quad is None:
-        quad = surface_quadrature(patch)
-    q3 = as_q3(material)
-    b_tensor = bending_tensor(iso, patch)
-    bending = 0.0
-    for node in quad.nodes:
-        fr = node.frame
-        q2 = _node_q2(q3, fr)
-        bending += node.weight * thick.total(fr.u) ** 3 / 24.0 \
-            * q2.apply_tangential(b_tensor(fr))
-    return bending
+    return eval_I(patch, thick, material, iso, StrainField.zero(patch.domain), 0.0,
+                  quad).bending
 
 
 def check_rotation(Q, tol=1e-10):

@@ -117,7 +117,7 @@ def wahba_maximize(N, tie_tol=PROCRUSTES_TIE_TOL):
     return Q, float(value), True, sv
 
 
-def moment_matrix(patch, load, thick, h, e_h, squad):
+def moment_matrix(load, thick, h, e_h, squad):
     """N = (1/h) int_{S^h} z (f^h)^T dz via the exact transversal reduction.
 
     The extension weight cancels the volume element, leaving
@@ -134,9 +134,9 @@ def moment_matrix(patch, load, thick, h, e_h, squad):
     return N
 
 
-def maximize_action(patch, load, thick, h, e_h, squad, trule=None):
+def maximize_action(load, thick, h, e_h, squad):
     """The maximized action m^h of f^h over all rotations of the shell."""
-    N = moment_matrix(patch, load, thick, h, e_h, squad)
+    N = moment_matrix(load, thick, h, e_h, squad)
     Q, value, non_unique, sv = wahba_maximize(N)
     return RotationActionResult(moment_matrix=N, optimal_rotation=Q,
                                 m_h=float(value), non_unique=non_unique,
@@ -198,16 +198,15 @@ def example_maximizer_set(patch, load, thick, squad, tol=1e-8):
                                singular_values=sv)
 
 
-def eval_J_h(rec, material, load, patch, thick, squad, trule):
+def eval_J_h(rec, E_h, load, squad, trule):
     """Total shell energy J^h = E^h + m^h - (1/h) int_{S^h} f^h . u^h.
 
-    The load integral uses the exact transversal cancellation of the
-    extension weight: (1/h) int f^h u^h = int_S f^h(x) . int_t y^h dt dS.
+    E_h is the shell energy of rec (`eval_shell_energy(...).E_h`).  The load
+    integral uses the exact transversal cancellation of the extension weight:
+    (1/h) int f^h u^h = int_S f^h(x) . int_t y^h dt dS.
     """
-    from .recovery3d import eval_shell_energy
-
-    energy = eval_shell_energy(rec, material, squad, trule)
-    action = maximize_action(patch, load, thick, rec.h, rec.e_h, squad, trule)
+    thick = rec.thick
+    action = maximize_action(load, thick, rec.h, rec.e_h, squad)
     fac = load.factor(rec.h, rec.e_h)
     work = 0.0
     for node in squad.nodes:
@@ -219,7 +218,7 @@ def eval_J_h(rec, material, load, patch, thick, squad, trule):
             y_avg += wt * rec.evaluate(fr.u, t)
         fh = fac * np.asarray(load.f(fr), dtype=float)
         work += node.weight * float(fh @ y_avg)
-    return energy.E_h + action.m_h - work
+    return E_h + action.m_h - work
 
 
 def random_rotations(rng, count):

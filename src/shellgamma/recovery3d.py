@@ -2,12 +2,14 @@
 
 The deformation is transcribed literally from its defining display: the
 transversal coordinate t lives in (-g1(x), g2(x)), every t-dependent term is
-centered at t - (g2-g1)/2, and the physical offset is h*t.  The full 3D
+centered at t - (g2-g1)/2, and the physical offset is h*t.  Its ingredients
+(V, w, A n, the normal part xi of grad w, d0, d1 and their chart partials)
+do not depend on h, so `recovery_data` builds them once per scene and
+`build_recovery` only combines them with the powers of h and t.  The full 3D
 gradient is assembled by the chain rule through the chart, pairing the chart
 partials with the frame {(Id + h t Pi) tau_1, (Id + h t Pi) tau_2, n}.
-Chart derivatives of the composite ingredient fields (d0, d1, the normal
-rotation, and the normal part of grad w) are taken by finite differences of
-the assembled fields.
+Chart derivatives of d0, d1 and xi are taken here by finite differences of
+the assembled fields; those of A n come from `IsometryField.An_partials`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .errors import EnergyBlowupError, ParameterError
 from .fields import VectorField, domain_widths, fd_partial
 from .geometry import offset_jacobian
-from .kinematics import bending_tensor, grad3_gamma_n, stretching_tensor
+from .kinematics import bending_matrix, grad3_gamma_n, stretching_tensor
 from .material import StoredEnergy, as_q3, reduce_q2
 
 COMPOSITE_FD_REL_STEP = 1e-3
@@ -36,7 +38,6 @@ def build_d_fields(patch, material, iso, strain, thick, kappa):
     """
     q3 = as_q3(material)
     s_tensor = stretching_tensor(iso, strain, thick, kappa, patch)
-    b_tensor = bending_tensor(iso, patch)
 
     def d0_value(u):
         fr = patch.frame(u)
@@ -51,9 +52,9 @@ def build_d_fields(patch, material, iso, strain, thick, kappa):
     def d1_value(u):
         fr = patch.frame(u)
         q2 = reduce_q2(q3, fr.n, fr.t1, fr.t2)
-        out = 2.0 * q2.minimizer(b_tensor(fr))
-        APi = iso.A_at(u) @ fr.shape_op
-        return out + APi.T @ fr.n - iso.grad3_An(fr).T @ fr.n
+        M = bending_matrix(iso, fr)
+        Mt = fr.tan2(M)
+        return 2.0 * q2.minimizer(0.5 * (Mt + Mt.T)) - M.T @ fr.n
 
     d0 = VectorField.from_callables(d0_value, patch.domain, name="d0",
                                     rel_step=COMPOSITE_FD_REL_STEP)
@@ -63,16 +64,24 @@ def build_d_fields(patch, material, iso, strain, thick, kappa):
 
 
 @dataclass(frozen=True)
+class RecoveryData:
+    """The h-independent ingredients of the recovery deformation of one scene.
+
+    at(u) returns the frame at u and the values and chart partials of
+    (g2-g1), V, w, A n, xi, d0 and d1 there, memoized per chart point.
+    """
+
+    patch: object
+    thick: object
+    at: Callable  # u -> dict of h-independent fields at u
+
+
+@dataclass(frozen=True)
 class RecoveryDeformation:
     h: float
     e_h: float
-    kappa: float
     patch: object
     thick: object
-    iso: object
-    strain: object
-    d0: VectorField
-    d1: VectorField
     evaluate: Callable  # (u, t) -> R^3, t in (-g1(u), g2(u))
     gradient: Callable  # (u, t) -> 3x3 deformation gradient on the physical shell
 
@@ -83,61 +92,44 @@ class ShellEnergyValue:
     normalized: float  # E_h / e_h
 
 
-def build_recovery(patch, material, iso, strain, thick, h, e_h, kappa):
-    """Assemble the recovery deformation y^h for (V, B_tan = sym grad w).
+def recovery_data(patch, material, iso, strain, thick, kappa):
+    """Build the fields of the recovery deformation that do not depend on h.
 
-    Requires a generator-backed strain (the formula needs w itself) and h
-    small enough that Id + h t Pi stays orientation-preserving through the
-    thickness.
+    Requires a generator-backed strain (the formula needs w itself).  The
+    result serves `build_recovery` for every h of a schedule.
     """
-    if not (0.0 < h < 1.0):
-        raise ParameterError(f"h must lie in (0, 1), got {h}")
-    if e_h <= 0.0:
-        raise ParameterError("e_h must be positive")
     if strain.generator is None:
         raise ParameterError(
             "recovery needs a generator-backed strain (B_tan = sym grad w)")
-    _check_thin_shell(patch, thick, h)
-
     V = iso.displacement
     w = strain.generator
     d0, d1 = build_d_fields(patch, material, iso, strain, thick, kappa)
-    sq = float(np.sqrt(e_h))
     steps = COMPOSITE_FD_REL_STEP * domain_widths(patch.domain)
-
-    def normal_rotation(u):
-        # Pi V_tan - grad(V . n): the first-order rotation of the normal
-        fr = patch.frame(u)
-        v = V.value(fr.u)
-        v_tan = v - float(v @ fr.n) * fr.n
-        DV = V.d1(fr.u)
-        dn = fr.shape_op @ fr.jac  # chart partials of the normal
-        d_vn = DV.T @ fr.n + dn.T @ v  # chart partials of the scalar V . n
-        return fr.shape_op @ v_tan - fr.grad3(d_vn)
 
     def normal_part_grad_w(u):
         # tangent vector xi with xi . tau = n . d_tau w
         fr = patch.frame(u)
         return fr.grad3(w.d1(fr.u).T @ fr.n)
 
-    prep_cache = {}
+    cache = {}
 
-    def prep(u):
+    def at(u):
         key = np.asarray(u, dtype=float).tobytes()
-        hit = prep_cache.get(key)
+        hit = cache.get(key)
         if hit is not None:
             return hit
         fr = patch.frame(u)
-        data = {
+        fields = {
             "fr": fr,
+            "dn": fr.shape_op @ fr.jac,  # chart partials of the normal
             "gamma": thick.gamma(fr.u),
             "dgamma": thick.gamma_d(fr.u),
             "V": V.value(fr.u),
             "DV": V.d1(fr.u),
             "w": w.value(fr.u),
             "Dw": w.d1(fr.u),
-            "p": normal_rotation(u),
-            "Dp": _fd_columns(normal_rotation, u, steps, patch.domain),
+            "p": iso.An_at(fr.u),  # first-order rotation of the normal
+            "Dp": iso.An_partials(fr.u),
             "xi": normal_part_grad_w(u),
             "Dxi": _fd_columns(normal_part_grad_w, u, steps, patch.domain),
             "d0": d0.value(u),
@@ -145,11 +137,28 @@ def build_recovery(patch, material, iso, strain, thick, h, e_h, kappa):
             "d1": d1.value(u),
             "Dd1": d1.d1(u),
         }
-        prep_cache[key] = data
-        return data
+        cache[key] = fields
+        return fields
+
+    return RecoveryData(patch=patch, thick=thick, at=at)
+
+
+def build_recovery(data, h, e_h):
+    """Assemble the recovery deformation y^h from the scene's RecoveryData.
+
+    Requires h small enough that Id + h t Pi stays orientation-preserving
+    through the thickness.
+    """
+    if not (0.0 < h < 1.0):
+        raise ParameterError(f"h must lie in (0, 1), got {h}")
+    if e_h <= 0.0:
+        raise ParameterError("e_h must be positive")
+    patch = data.patch
+    _check_thin_shell(patch, data.thick, h)
+    sq = float(np.sqrt(e_h))
 
     def evaluate(u, t):
-        pd = prep(u)
+        pd = data.at(u)
         fr = pd["fr"]
         s = t - 0.5 * pd["gamma"]
         return (fr.x + 0.5 * h * pd["gamma"] * fr.n
@@ -161,10 +170,10 @@ def build_recovery(patch, material, iso, strain, thick, h, e_h, kappa):
                 + 0.5 * s * s * h * sq * pd["d1"])
 
     def gradient(u, t):
-        pd = prep(u)
+        pd = data.at(u)
         fr = pd["fr"]
         s = t - 0.5 * pd["gamma"]
-        dn = fr.shape_op @ fr.jac
+        dn = pd["dn"]
         cols = []
         for i in (0, 1):
             ds = -0.5 * pd["dgamma"][i]
@@ -184,9 +193,9 @@ def build_recovery(patch, material, iso, strain, thick, h, e_h, kappa):
         Y = np.column_stack([cols[0], cols[1], dt / h])
         return Y @ np.linalg.inv(frame_mat)
 
-    return RecoveryDeformation(h=float(h), e_h=float(e_h), kappa=float(kappa),
-                               patch=patch, thick=thick, iso=iso, strain=strain,
-                               d0=d0, d1=d1, evaluate=evaluate, gradient=gradient)
+    return RecoveryDeformation(h=float(h), e_h=float(e_h), patch=patch,
+                               thick=data.thick, evaluate=evaluate,
+                               gradient=gradient)
 
 
 def _fd_columns(f, u, steps, domain):
@@ -253,12 +262,10 @@ def shell_energy_tangential_lower_bound(rec, material, squad, trule):
     return total / rec.e_h
 
 
-def averaged_displacement(rec, patch, thick, squad, trule):
+def averaged_displacement(rec, patch, thick, trule):
     """The scaled transversal average (h/sqrt(e_h)) avg_t [y^h(x+tn) - (x+htn)].
 
-    Returns a chart function u -> R^3, evaluable anywhere on the patch (the
-    surface quadrature argument only fixes conventions; averaging uses the
-    transversal rule).
+    Returns a chart function u -> R^3, evaluable anywhere on the patch.
     """
     scale = rec.h / np.sqrt(rec.e_h)
 
@@ -278,8 +285,7 @@ def averaged_displacement(rec, patch, thick, squad, trule):
 def averaged_displacement_sym_grad(rec, patch, thick, trule, frame,
                                    rel_step=COMPOSITE_FD_REL_STEP):
     """(1/h) sym tangential gradient of the averaged displacement at one frame."""
-    squad = None  # averaging needs only the transversal rule
-    vh = averaged_displacement(rec, patch, thick, squad, trule)
+    vh = averaged_displacement(rec, patch, thick, trule)
     steps = rel_step * domain_widths(patch.domain)
     D = _fd_columns(vh, frame.u, steps, patch.domain)
     M = frame.tan2(frame.grad3(D))

@@ -30,7 +30,7 @@ from .loads import (LoadField, eval_J_h, example_maximizer_set,
                     rotation_actions, wahba_maximize)
 from .material import (QuadForm3, as_q3, isotropic_q2_closed_form, make_isotropic,
                        reduce_q2, relax_q2_brute_force)
-from .recovery3d import build_recovery, eval_shell_energy
+from .recovery3d import build_recovery, eval_shell_energy, recovery_data
 
 STUDY_KINDS = ("gamma-limit", "expansion-order", "q2-check", "load-align")
 
@@ -590,17 +590,17 @@ def _run_gamma(cfg):
         J_value = eval_J(patch, thick, material, iso, strain, cfg.kappa,
                          load.f, np.eye(3), 0.0, quad=squad).total
 
+    data = recovery_data(patch, material, iso, strain, thick, cfg.kappa)
     rows = []
     failing_h = None
     J_gap = None
     for h in cfg.h_schedule:
         e_h = cfg.e_of_h(h)
         try:
-            rec = build_recovery(patch, material, iso, strain, thick,
-                                 h=h, e_h=e_h, kappa=cfg.kappa)
+            rec = build_recovery(data, h=h, e_h=e_h)
             ev = eval_shell_energy(rec, material, squad, trule)
             if load is not None:
-                J_h = eval_J_h(rec, material, load, patch, thick, squad, trule)
+                J_h = eval_J_h(rec, ev.E_h, load, squad, trule)
                 J_gap = abs(J_h / e_h - J_value) / max(1e-300, abs(J_value))
         except ShellGammaError as exc:
             failing_h = (h, str(exc))

@@ -54,6 +54,23 @@ def test_plate_normal_column_of_A():
     assert np.allclose(iso.An_at(u), [-dv[0], -dv[1], 0.0], atol=1e-12)
 
 
+def test_An_matches_the_normal_rotation_formula():
+    # independent route to A n from V and the frame alone: Pi V_tan - grad(V . n)
+    plate = sg.make_builtin_patch("plate")
+    cases = [(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain))]
+    cases += [(patch, sg.rigid_field(patch, (0.3, -0.2, 0.4), (0.1, 0.2, -0.3)))
+              for patch in curved_patches()]
+    for patch, V in cases:
+        quad = sg.surface_quadrature(patch, 4)
+        iso = sg.build_isometry(patch, V, quad=quad)
+        for node in quad.nodes:
+            fr = node.frame
+            v = V.value(fr.u)
+            d_vn = V.d1(fr.u).T @ fr.n + (fr.shape_op @ fr.jac).T @ v
+            expected = fr.shape_op @ (v - float(v @ fr.n) * fr.n) - fr.grad3(d_vn)
+            assert np.linalg.norm(iso.An_at(fr.u) - expected) <= 1e-13
+
+
 def test_in_plane_stretch_is_rejected_with_worst_node():
     plate = sg.make_builtin_patch("plate")
     stretch = VectorField.from_callables(

@@ -90,7 +90,7 @@ def test_moment_matrix_against_hand_integral():
     squad = sg.surface_quadrature(plate, 8)
     load = sg.LoadField(f=lambda fr: np.array([0.0, 0.0, 1.0]))
     h, e_h = 0.125, 0.125 ** 4
-    N = sg.moment_matrix(plate, load, thick, h, e_h, squad)
+    N = sg.moment_matrix(load, thick, h, e_h, squad)
     fac = h * np.sqrt(e_h)
     expected = np.zeros((3, 3))
     expected[0, 2] = fac * 0.5   # int u1 du
@@ -103,7 +103,7 @@ def test_maximize_action_result_invariants():
     thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
     squad = sg.surface_quadrature(plate, 6)
     load = sg.LoadField(f=lambda fr: np.array([0.3, 0.1, 1.0]))
-    res = sg.maximize_action(plate, load, thick, 0.125, 0.125 ** 4, squad)
+    res = sg.maximize_action(load, thick, 0.125, 0.125 ** 4, squad)
     Q = res.optimal_rotation
     assert np.linalg.norm(Q.T @ Q - np.eye(3)) <= 1e-12
     assert np.linalg.det(Q) == pytest.approx(1.0, abs=1e-12)
@@ -185,18 +185,21 @@ def test_J_h_reduces_to_energy_without_load():
     plate, thick, W, quad, trule, V, iso, strain, _ = plate_load_scene()
     zero_load = sg.LoadField(f=lambda fr: np.zeros(3))
     h = 2.0 ** -4
-    rec = sg.build_recovery(plate, W, iso, strain, thick, h=h, e_h=h ** 4, kappa=1.0)
-    Jh = sg.eval_J_h(rec, W, zero_load, plate, thick, quad, trule)
+    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0)
+    rec = sg.build_recovery(data, h=h, e_h=h ** 4)
     Eh = sg.eval_shell_energy(rec, W, quad, trule).E_h
+    Jh = sg.eval_J_h(rec, Eh, zero_load, quad, trule)
     assert Jh == pytest.approx(Eh, rel=1e-12)
 
 
 def test_J_h_nonnegative_for_identity_deformation():
     plate, thick, W, quad, trule, V, iso, strain, load = plate_load_scene()
     iso0 = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
-    rec0 = sg.build_recovery(plate, W, iso0, sg.StrainField.zero(plate.domain),
-                             thick, h=0.125, e_h=0.125 ** 4, kappa=1.0)
-    Jh = sg.eval_J_h(rec0, W, load, plate, thick, quad, trule)
+    data0 = sg.recovery_data(plate, W, iso0, sg.StrainField.zero(plate.domain),
+                             thick, kappa=1.0)
+    rec0 = sg.build_recovery(data0, h=0.125, e_h=0.125 ** 4)
+    Eh = sg.eval_shell_energy(rec0, W, quad, trule).E_h
+    Jh = sg.eval_J_h(rec0, Eh, load, quad, trule)
     assert Jh >= -1e-12
 
 
@@ -204,12 +207,13 @@ def test_J_h_converges_to_limit_total_energy():
     plate, thick, W, quad, trule, V, iso, strain, load = plate_load_scene()
     J_limit = sg.eval_J(plate, thick, W, iso, strain, 1.0, load.f, np.eye(3),
                         0.0, quad=quad).total
+    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0)
     gaps = []
     for k in (3, 5):
         h = 2.0 ** -k
-        rec = sg.build_recovery(plate, W, iso, strain, thick, h=h, e_h=h ** 4,
-                                kappa=1.0)
-        Jh = sg.eval_J_h(rec, W, load, plate, thick, quad, trule)
+        rec = sg.build_recovery(data, h=h, e_h=h ** 4)
+        Eh = sg.eval_shell_energy(rec, W, quad, trule).E_h
+        Jh = sg.eval_J_h(rec, Eh, load, quad, trule)
         gaps.append(abs(Jh / rec.e_h - J_limit) / abs(J_limit))
     assert gaps[1] < gaps[0]
     assert gaps[1] <= 0.05

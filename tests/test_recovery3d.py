@@ -23,8 +23,9 @@ def plate_scene(order=6):
 def test_trivial_recovery_is_the_identity():
     plate, thick, W, quad, trule = plate_scene()
     iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
-    rec = sg.build_recovery(plate, W, iso, sg.StrainField.zero(plate.domain),
-                            thick, h=0.125, e_h=0.125 ** 4, kappa=1.0)
+    data = sg.recovery_data(plate, W, iso, sg.StrainField.zero(plate.domain),
+                            thick, kappa=1.0)
+    rec = sg.build_recovery(data, h=0.125, e_h=0.125 ** 4)
     rng = np.random.default_rng(0)
     for _ in range(10):
         u = rng.uniform(0.1, 0.9, size=2)
@@ -85,7 +86,7 @@ def test_recovery_requires_generator_strain():
     iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
     direct = sg.StrainField.from_tensor(lambda fr: np.zeros((2, 2)))
     with pytest.raises(ParameterError):
-        sg.build_recovery(plate, W, iso, direct, thick, h=0.1, e_h=1e-4, kappa=1.0)
+        sg.recovery_data(plate, W, iso, direct, thick, kappa=1.0)
 
 
 def test_recovery_rejects_too_thick_shells():
@@ -94,9 +95,10 @@ def test_recovery_rejects_too_thick_shells():
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(cyl, 4)
     iso = sg.build_isometry(cyl, sg.zero_vector_field(cyl.domain), quad=quad)
+    data = sg.recovery_data(cyl, W, iso, sg.StrainField.zero(cyl.domain), thick,
+                            kappa=1.0)
     with pytest.raises(ThicknessError):
-        sg.build_recovery(cyl, W, iso, sg.StrainField.zero(cyl.domain), thick,
-                          h=0.5, e_h=0.5 ** 4, kappa=1.0)
+        sg.build_recovery(data, h=0.5, e_h=0.5 ** 4)
 
 
 def test_gradient_matches_finite_differences():
@@ -112,7 +114,8 @@ def test_gradient_matches_finite_differences():
     iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quad)
     strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, cap.domain))
     h = 2.0 ** -4
-    rec = sg.build_recovery(cap, W, iso, strain, thick, h=h, e_h=h ** 4, kappa=1.0)
+    rec = sg.build_recovery(sg.recovery_data(cap, W, iso, strain, thick, kappa=1.0),
+                            h=h, e_h=h ** 4)
 
     rng = np.random.default_rng(3)
     d = 1e-5
@@ -133,17 +136,54 @@ def test_gradient_matches_finite_differences():
         assert np.linalg.norm(Y_asm - Y_fd) <= 1e-6 * np.linalg.norm(Y_fd)
 
 
+def test_one_recovery_data_serves_every_h(monkeypatch):
+    cap = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 3)
+    from shellgamma.fields import affine_scalar, constant_scalar
+    thick = sg.ThicknessPair(g1=constant_scalar(0.4, cap.domain),
+                             g2=affine_scalar(0.55, [0.04, 0.01], cap.domain),
+                             lipschitz_bound=1.0)
+    W = sg.make_isotropic(1.0, 1.0)
+    quad = sg.surface_quadrature(cap, 3)
+    trule = sg.TransversalRule.make(2)
+    iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quad)
+    strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, cap.domain))
+    scene = (cap, W, iso, strain, thick, 1.0)
+    data = sg.recovery_data(*scene)
+    h0, h1 = 2.0 ** -3, 2.0 ** -5
+    sg.eval_shell_energy(sg.build_recovery(data, h0, h0 ** 4), W, quad, trule)
+
+    shared = sg.build_recovery(data, h1, h1 ** 4)
+    fresh = sg.build_recovery(sg.recovery_data(*scene), h1, h1 ** 4)
+    for node in quad.nodes:
+        u = node.frame.u
+        for t in (-0.3, 0.0, 0.45):
+            assert np.array_equal(shared.evaluate(u, t), fresh.evaluate(u, t))
+            assert np.array_equal(shared.gradient(u, t), fresh.gradient(u, t))
+
+    calls = []
+    frame = sg.SurfacePatch.frame
+
+    def counting_frame(self, u):
+        calls.append(u)
+        return frame(self, u)
+
+    monkeypatch.setattr(sg.SurfacePatch, "frame", counting_frame)
+    h2 = 2.0 ** -4
+    sg.eval_shell_energy(sg.build_recovery(data, h2, h2 ** 4), W, quad, trule)
+    assert calls == []
+
+
 def test_gradient_stays_near_identity():
     plate, thick, W, quad, trule = plate_scene(order=4)
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
     strain = sg.StrainField.zero(plate.domain)
+    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0)
     ratios = []
     sups = []
     for k in range(3, 9):
         h = 2.0 ** -k
-        rec = sg.build_recovery(plate, W, iso, strain, thick, h=h, e_h=h ** 4,
-                                kappa=1.0)
+        rec = sg.build_recovery(data, h=h, e_h=h ** 4)
         sup = 0.0
         for node in quad.nodes[::3]:
             for t in (-0.4, 0.0, 0.4):
@@ -160,7 +200,8 @@ def test_energy_frame_indifference():
                             quad=quad)
     strain = sg.StrainField.zero(plate.domain)
     h = 2.0 ** -4
-    rec = sg.build_recovery(plate, W, iso, strain, thick, h=h, e_h=h ** 4, kappa=1.0)
+    rec = sg.build_recovery(sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0),
+                            h=h, e_h=h ** 4)
     base = sg.eval_shell_energy(rec, W, quad, trule)
 
     from shellgamma.loads import random_rotations
@@ -179,8 +220,8 @@ def test_energy_blowup_reports_worst_node():
                             quad=quad)
     strain = sg.StrainField.zero(plate.domain)
     # e_h chosen so sqrt(e_h)/h is order one: far outside the small-strain regime
-    rec = sg.build_recovery(plate, W, iso, strain, thick, h=0.25, e_h=0.5,
-                            kappa=1.0)
+    rec = sg.build_recovery(sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0),
+                            h=0.25, e_h=0.5)
     with pytest.raises(EnergyBlowupError) as err:
         sg.eval_shell_energy(rec, W, quad, trule)
     assert err.value.u is not None and err.value.t is not None
@@ -189,8 +230,9 @@ def test_energy_blowup_reports_worst_node():
 def test_shell_energy_requires_stored_energy():
     plate, thick, W, quad, trule = plate_scene(order=4)
     iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
-    rec = sg.build_recovery(plate, W, iso, sg.StrainField.zero(plate.domain),
-                            thick, h=0.1, e_h=1e-4, kappa=1.0)
+    data = sg.recovery_data(plate, W, iso, sg.StrainField.zero(plate.domain),
+                            thick, kappa=1.0)
+    rec = sg.build_recovery(data, h=0.1, e_h=1e-4)
     q3 = sg.as_q3(W)
     with pytest.raises(ParameterError):
         sg.eval_shell_energy(rec, q3, quad, trule)
@@ -202,11 +244,11 @@ def test_energy_converges_to_limit_quickly():
                             quad=quad)
     strain = sg.StrainField.zero(plate.domain)
     I_val = sg.eval_I(plate, thick, W, iso, strain, 1.0, quad=quad).total
+    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0)
     gaps = []
     for k in (3, 5):
         h = 2.0 ** -k
-        rec = sg.build_recovery(plate, W, iso, strain, thick, h=h, e_h=h ** 4,
-                                kappa=1.0)
+        rec = sg.build_recovery(data, h=h, e_h=h ** 4)
         ev = sg.eval_shell_energy(rec, W, quad, trule)
         gaps.append(abs(ev.normalized - I_val) / I_val)
         assert ev.E_h <= 3.0 * I_val * rec.e_h  # uniform energy-scaling bound
@@ -218,11 +260,11 @@ def test_tangential_lower_bound_below_energy_and_tightening():
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
     strain = sg.StrainField.zero(plate.domain)
+    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0)
     deltas = []
     for k in (3, 4, 5):
         h = 2.0 ** -k
-        rec = sg.build_recovery(plate, W, iso, strain, thick, h=h, e_h=h ** 4,
-                                kappa=1.0)
+        rec = sg.build_recovery(data, h=h, e_h=h ** 4)
         ev = sg.eval_shell_energy(rec, W, quad, trule)
         lb = sg.shell_energy_tangential_lower_bound(rec, W, quad, trule)
         assert lb <= ev.normalized + 1e-12
@@ -233,21 +275,22 @@ def test_tangential_lower_bound_below_energy_and_tightening():
 def test_averaged_displacement_trivial_and_convergent():
     plate, thick, W, quad, trule = plate_scene(order=4)
     iso0 = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
-    rec0 = sg.build_recovery(plate, W, iso0, sg.StrainField.zero(plate.domain),
-                             thick, h=0.125, e_h=0.125 ** 4, kappa=1.0)
-    vh0 = sg.averaged_displacement(rec0, plate, thick, quad, trule)
+    data0 = sg.recovery_data(plate, W, iso0, sg.StrainField.zero(plate.domain),
+                             thick, kappa=1.0)
+    rec0 = sg.build_recovery(data0, h=0.125, e_h=0.125 ** 4)
+    vh0 = sg.averaged_displacement(rec0, plate, thick, trule)
     assert np.allclose(vh0(np.array([0.3, 0.6])), 0.0, atol=1e-14)
 
     V = sg.plate_sine_field(1.0, 1, 1, plate.domain)
     iso = sg.build_isometry(plate, V, quad=quad)
     w = sg.trig_vector_field(GENERIC_W, plate.domain)
     strain = sg.StrainField.from_generator(w)
+    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0)
     dists = []
     for k in (3, 4, 5, 6):
         h = 2.0 ** -k
-        rec = sg.build_recovery(plate, W, iso, strain, thick, h=h, e_h=h ** 4,
-                                kappa=1.0)
-        vh = sg.averaged_displacement(rec, plate, thick, quad, trule)
+        rec = sg.build_recovery(data, h=h, e_h=h ** 4)
+        vh = sg.averaged_displacement(rec, plate, thick, trule)
         dists.append(sg.discrete_l2_distance(vh, lambda u: V.value(u), quad))
     from shellgamma.studies import fit_order
     slope, _ = fit_order(list(zip([2.0 ** -k for k in (3, 4, 5, 6)], dists)))
@@ -266,10 +309,10 @@ def test_averaged_displacement_sym_grad_tracks_strain():
     w = sg.trig_vector_field(GENERIC_W, plate.domain)
     strain = sg.StrainField.from_generator(w)
     probes = [quad.nodes[3].frame, quad.nodes[7].frame]
+    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0)
     for k in (3, 5):
         h = 2.0 ** -k
-        rec = sg.build_recovery(plate, W, iso, strain, thick, h=h, e_h=h ** 4,
-                                kappa=1.0)
+        rec = sg.build_recovery(data, h=h, e_h=h ** 4)
         for fr in probes:
             S = sg.averaged_displacement_sym_grad(rec, plate, thick, trule, fr)
             assert np.linalg.norm(S - strain(fr)) <= 1e-9
