@@ -1,9 +1,12 @@
 """Scalar and vector fields on a chart rectangle, with derivatives.
 
-Fields are functions of the chart parameter u = (u1, u2).  Analytic
-derivatives are used when a family provides them; otherwise derivatives
-fall back to 4th-order central finite differences with a step that is
-shrunk near the chart boundary so stencils never leave the rectangle.
+Fields are functions of the chart parameter u = (u1, u2).  Every function
+here broadcasts over leading batch axes: u has shape (..., 2), and a field
+returns its value with the same leading axes, so a single point of shape
+(2,) is the unbatched case of the same code.  Analytic derivatives are used
+when a family provides them; otherwise derivatives fall back to 4th-order
+central finite differences with a step that is shrunk, point by point, near
+the chart boundary so stencils never leave the rectangle.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 from .errors import DomainError
 
 DEFAULT_FD_REL_STEP = 1e-3
+_STENCIL = np.array([-2.0, -1.0, 1.0, 2.0])
 
 
 def domain_widths(domain):
@@ -28,25 +32,62 @@ def chart_diameter(domain):
     return float(np.hypot(w[0], w[1]))
 
 
+def batch_vector(entries):
+    """(..., k) array from k entries of a common batch shape."""
+    a = np.array(entries, dtype=float)
+    return a.transpose(tuple(range(1, a.ndim)) + (0,))
+
+
+def batch_matrix(rows):
+    """(..., r, c) array from r rows of c entries of a common batch shape."""
+    a = np.array(rows, dtype=float)
+    return a.transpose(tuple(range(2, a.ndim)) + (0, 1))
+
+
+def matvec(M, v):
+    """M v over leading batch axes: (..., r, c) times (..., c)."""
+    return (M @ v[..., None])[..., 0]
+
+
+def transpose(M):
+    """Swap the two trailing (matrix) axes of an array."""
+    return M.swapaxes(-1, -2)
+
+
+def outer(a, b):
+    """a b^T over leading batch axes: (..., r) and (..., c) give (..., r, c)."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def first_point(u, bad):
+    """The first chart point of u (in C order) where the mask `bad` holds."""
+    return tuple(np.reshape(u, (-1, 2))[np.flatnonzero(bad)[0]].tolist())
+
+
 def _clamped_step(domain, u, axis, step):
     # stencil reaches u +- 2*step; keep it strictly inside the rectangle
     lo, hi = domain[axis]
-    margin = min(u[axis] - lo, hi - u[axis])
-    if margin <= 0.0:
-        raise DomainError(f"point {tuple(u)} outside chart axis {axis} range ({lo}, {hi})")
-    return min(step, margin / 3.0)
+    margin = np.minimum(u[..., axis] - lo, hi - u[..., axis])
+    outside = margin <= 0.0
+    if outside.any():
+        raise DomainError(f"point {first_point(u, outside)} outside chart axis "
+                          f"{axis} range ({lo}, {hi})")
+    return np.minimum(step, margin / 3.0)
 
 
 def fd_partial(f, u, axis, step, domain):
-    """4th-order central difference of f along one chart axis."""
+    """4th-order central difference of f along one chart axis, at every point of u.
+
+    The four stencil points of every point are stacked ahead of u's batch
+    axes and passed to f in one call; each point uses its own clamped step.
+    """
     u = np.asarray(u, dtype=float)
     d = _clamped_step(domain, u, axis, step)
     e = np.zeros(2)
     e[axis] = 1.0
-    fm2 = np.asarray(f(u - 2 * d * e))
-    fm1 = np.asarray(f(u - d * e))
-    fp1 = np.asarray(f(u + d * e))
-    fp2 = np.asarray(f(u + 2 * d * e))
+    offsets = _STENCIL.reshape((4,) + (1,) * d.ndim) * d
+    fm2, fm1, fp1, fp2 = np.asarray(f(u + offsets[..., None] * e))
+    d = d.reshape(d.shape + (1,) * (fm2.ndim - d.ndim))
     return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * d)
 
 
@@ -54,8 +95,8 @@ def fd_partial(f, u, axis, step, domain):
 class ScalarField:
     """Scalar function of the chart parameter with its chart partials."""
 
-    value: Callable[[np.ndarray], float]
-    d: Callable[[np.ndarray], np.ndarray]  # (2,) partials wrt u1, u2
+    value: Callable[[np.ndarray], np.ndarray]  # (...,) at u of shape (..., 2)
+    d: Callable[[np.ndarray], np.ndarray]      # (..., 2) partials wrt u1, u2
     domain: tuple
 
 
@@ -63,15 +104,17 @@ class ScalarField:
 class VectorField:
     """R^3-valued function of the chart parameter with chart partials up to order 2."""
 
-    value: Callable[[np.ndarray], np.ndarray]      # (3,)
-    d1: Callable[[np.ndarray], np.ndarray]         # (3, 2)
-    d2: Callable[[np.ndarray], np.ndarray]         # (3, 2, 2)
+    value: Callable[[np.ndarray], np.ndarray]      # (..., 3)
+    d1: Callable[[np.ndarray], np.ndarray]         # (..., 3, 2)
+    d2: Callable[[np.ndarray], np.ndarray]         # (..., 3, 2, 2)
     domain: tuple
     name: str = ""
 
     @staticmethod
     def from_callables(value, domain, d1=None, d2=None, name="",
                        rel_step=DEFAULT_FD_REL_STEP):
+        """Field from callables over (..., 2) chart points; a missing derivative
+        is the finite difference of the one below it."""
         steps = rel_step * domain_widths(domain)
         if d1 is None:
             def d1(u, _v=value, _dom=domain, _s=steps):
@@ -81,10 +124,14 @@ class VectorField:
         if d2 is None:
             def d2(u, _d1=d1, _dom=domain, _s=steps):
                 blocks = [fd_partial(_d1, u, ax, _s[ax], _dom) for ax in (0, 1)]
-                # blocks[ax][:, j] = d^2 value / du_ax du_j
+                # blocks[ax][..., :, j] = d^2 value / du_ax du_j
                 return np.stack(blocks, axis=-1)
 
         return VectorField(value=value, d1=d1, d2=d2, domain=domain, name=name)
+
+
+def _batch_shape(u):
+    return np.shape(u)[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +140,16 @@ class VectorField:
 
 def constant_scalar(c, domain):
     c = float(c)
-    return ScalarField(value=lambda u: c,
-                       d=lambda u: np.zeros(2),
+    return ScalarField(value=lambda u: np.full(_batch_shape(u), c),
+                       d=lambda u: np.zeros(np.shape(u)),
                        domain=domain)
 
 
 def affine_scalar(base, slope, domain):
     base = float(base)
     slope = np.asarray(slope, dtype=float)
-    return ScalarField(value=lambda u: base + slope @ np.asarray(u, float),
-                       d=lambda u: slope.copy(),
+    return ScalarField(value=lambda u: base + np.asarray(u, float) @ slope,
+                       d=lambda u: np.broadcast_to(slope, np.shape(u)).copy(),
                        domain=domain)
 
 
@@ -112,12 +159,12 @@ def sine_scalar(base, amplitude, freq, phase, domain):
     p1, p2 = (float(p) for p in phase)
 
     def value(u):
-        return base + amp * np.sin(f1 * u[0] + p1) * np.sin(f2 * u[1] + p2)
+        return base + amp * np.sin(f1 * u[..., 0] + p1) * np.sin(f2 * u[..., 1] + p2)
 
     def d(u):
-        return np.array([
-            amp * f1 * np.cos(f1 * u[0] + p1) * np.sin(f2 * u[1] + p2),
-            amp * f2 * np.sin(f1 * u[0] + p1) * np.cos(f2 * u[1] + p2),
+        return batch_vector([
+            amp * f1 * np.cos(f1 * u[..., 0] + p1) * np.sin(f2 * u[..., 1] + p2),
+            amp * f2 * np.sin(f1 * u[..., 0] + p1) * np.cos(f2 * u[..., 1] + p2),
         ])
 
     return ScalarField(value=value, d=d, domain=domain)
@@ -128,11 +175,10 @@ def sine_scalar(base, amplitude, freq, phase, domain):
 # ---------------------------------------------------------------------------
 
 def zero_vector_field(domain):
-    z3 = np.zeros(3)
-    z32 = np.zeros((3, 2))
-    z322 = np.zeros((3, 2, 2))
-    return VectorField(value=lambda u: z3.copy(), d1=lambda u: z32.copy(),
-                       d2=lambda u: z322.copy(), domain=domain, name="zero")
+    return VectorField(value=lambda u: np.zeros(_batch_shape(u) + (3,)),
+                       d1=lambda u: np.zeros(_batch_shape(u) + (3, 2)),
+                       d2=lambda u: np.zeros(_batch_shape(u) + (3, 2, 2)),
+                       domain=domain, name="zero")
 
 
 def skew_matrix(omega):
@@ -149,7 +195,7 @@ def rigid_field(patch, omega, b=(0.0, 0.0, 0.0)):
     b = np.asarray(b, dtype=float)
 
     def value(u):
-        return W @ patch.chart(u) + b
+        return matvec(W, patch.chart(u)) + b
 
     def d1(u):
         return W @ patch.chart_jacobian(u)
@@ -164,24 +210,26 @@ def plate_sine_field(amplitude, m, n, domain):
     km, kn = m * np.pi, n * np.pi
 
     def value(u):
-        return np.array([0.0, 0.0, a * np.sin(km * u[0]) * np.sin(kn * u[1])])
+        out = np.zeros(_batch_shape(u) + (3,))
+        out[..., 2] = a * np.sin(km * u[..., 0]) * np.sin(kn * u[..., 1])
+        return out
 
     def d1(u):
-        s1, c1 = np.sin(km * u[0]), np.cos(km * u[0])
-        s2, c2 = np.sin(kn * u[1]), np.cos(kn * u[1])
-        out = np.zeros((3, 2))
-        out[2, 0] = a * km * c1 * s2
-        out[2, 1] = a * kn * s1 * c2
+        s1, c1 = np.sin(km * u[..., 0]), np.cos(km * u[..., 0])
+        s2, c2 = np.sin(kn * u[..., 1]), np.cos(kn * u[..., 1])
+        out = np.zeros(_batch_shape(u) + (3, 2))
+        out[..., 2, 0] = a * km * c1 * s2
+        out[..., 2, 1] = a * kn * s1 * c2
         return out
 
     def d2(u):
-        s1, c1 = np.sin(km * u[0]), np.cos(km * u[0])
-        s2, c2 = np.sin(kn * u[1]), np.cos(kn * u[1])
-        out = np.zeros((3, 2, 2))
-        out[2, 0, 0] = -a * km * km * s1 * s2
-        out[2, 0, 1] = a * km * kn * c1 * c2
-        out[2, 1, 0] = out[2, 0, 1]
-        out[2, 1, 1] = -a * kn * kn * s1 * s2
+        s1, c1 = np.sin(km * u[..., 0]), np.cos(km * u[..., 0])
+        s2, c2 = np.sin(kn * u[..., 1]), np.cos(kn * u[..., 1])
+        out = np.zeros(_batch_shape(u) + (3, 2, 2))
+        out[..., 2, 0, 0] = -a * km * km * s1 * s2
+        out[..., 2, 0, 1] = a * km * kn * c1 * c2
+        out[..., 2, 1, 0] = out[..., 2, 0, 1]
+        out[..., 2, 1, 1] = -a * kn * kn * s1 * s2
         return out
 
     return VectorField(value=value, d1=d1, d2=d2, domain=domain, name="plate_sine")
@@ -195,30 +243,26 @@ def trig_vector_field(components, domain):
     comps = [tuple(float(x) for x in c) for c in components]
     if len(comps) != 3:
         raise ValueError("trig_vector_field needs exactly three components")
+    a, f1, p1, f2, p2 = np.array(comps).T  # each (3,), one entry per component
+
+    def phases(u):
+        x1 = f1 * u[..., 0, None] + p1
+        x2 = f2 * u[..., 1, None] + p2
+        return np.sin(x1), np.cos(x1), np.sin(x2), np.cos(x2)
 
     def value(u):
-        return np.array([a * np.sin(f1 * u[0] + p1) * np.sin(f2 * u[1] + p2)
-                         for (a, f1, p1, f2, p2) in comps])
+        s1, _, s2, _ = phases(u)
+        return a * s1 * s2
 
     def d1(u):
-        out = np.zeros((3, 2))
-        for k, (a, f1, p1, f2, p2) in enumerate(comps):
-            s1, c1 = np.sin(f1 * u[0] + p1), np.cos(f1 * u[0] + p1)
-            s2, c2 = np.sin(f2 * u[1] + p2), np.cos(f2 * u[1] + p2)
-            out[k, 0] = a * f1 * c1 * s2
-            out[k, 1] = a * f2 * s1 * c2
-        return out
+        s1, c1, s2, c2 = phases(u)
+        return np.stack([a * f1 * c1 * s2, a * f2 * s1 * c2], axis=-1)
 
     def d2(u):
-        out = np.zeros((3, 2, 2))
-        for k, (a, f1, p1, f2, p2) in enumerate(comps):
-            s1, c1 = np.sin(f1 * u[0] + p1), np.cos(f1 * u[0] + p1)
-            s2, c2 = np.sin(f2 * u[1] + p2), np.cos(f2 * u[1] + p2)
-            out[k, 0, 0] = -a * f1 * f1 * s1 * s2
-            out[k, 0, 1] = a * f1 * f2 * c1 * c2
-            out[k, 1, 0] = out[k, 0, 1]
-            out[k, 1, 1] = -a * f2 * f2 * s1 * s2
-        return out
+        s1, c1, s2, c2 = phases(u)
+        mixed = a * f1 * f2 * c1 * c2
+        return batch_matrix([[-a * f1 * f1 * s1 * s2, mixed],
+                             [mixed, -a * f2 * f2 * s1 * s2]])
 
     return VectorField(value=value, d1=d1, d2=d2, domain=domain, name="trig")
 

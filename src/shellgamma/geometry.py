@@ -3,62 +3,89 @@
 A patch is a single chart over an open parameter rectangle.  The shape
 operator follows the convention Pi = grad(n) with the patch's declared
 normal orientation, represented as an ambient 3x3 matrix that maps
-tangent vectors to tangent vectors and annihilates the normal.
+tangent vectors to tangent vectors and annihilates the normal.  Patches,
+frames and offsets broadcast over leading batch axes of the chart
+parameter: u of shape (..., 2) gives a NodeFrame whose fields carry the
+same leading axes, and a single point of shape (2,) is the unbatched case.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, List
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ParameterError, ThicknessError
-from .fields import ScalarField, chart_diameter, constant_scalar
+from .fields import (ScalarField, batch_matrix, batch_vector, chart_diameter,
+                     constant_scalar, first_point, matvec, outer, transpose)
 
 DEFAULT_SURFACE_ORDER = 10
 DEFAULT_TRANSVERSAL_ORDER = 4
 DEFAULT_FD_REL_STEP = 1e-4  # times chart diameter, for shape_operator_fd
 
 
+_I3 = np.eye(3)
+_ADJ2_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
 @dataclass(frozen=True)
 class NodeFrame:
-    """Everything the downstream formulas need at one chart point."""
+    """Everything the downstream formulas need at a batch of chart points.
+
+    Every field carries the batch axes of u ahead of the shapes below.
+    """
 
     u: np.ndarray            # (2,) chart parameter
     x: np.ndarray            # (3,) surface point
     jac: np.ndarray          # (3, 2) chart jacobian, columns d(chart)/du_i
     metric: np.ndarray       # (2, 2) first fundamental form J^T J
     metric_inv: np.ndarray   # (2, 2)
-    sqrt_det_metric: float
+    sqrt_det_metric: np.ndarray  # ()
     t1: np.ndarray           # orthonormal tangent frame (Gram-Schmidt of jac)
     t2: np.ndarray
     n: np.ndarray            # (3,) unit normal
     shape_op: np.ndarray     # (3, 3) ambient Pi = grad(n); Pi @ n == 0
 
+    def __getitem__(self, index):
+        """The frame at a subset of the batch (index applies to the batch axes)."""
+        return NodeFrame(**{f.name: getattr(self, f.name)[index]
+                            for f in dataclasses.fields(self)})
+
+    def tangents(self):
+        """The (3, 2) matrix with columns t1, t2."""
+        return np.stack([self.t1, self.t2], axis=-1)
+
     def tan2(self, M):
         """Tangential 2x2 minor of an ambient 3x3 matrix in the (t1, t2) frame."""
-        T = np.column_stack([self.t1, self.t2])
-        return T.T @ M @ T
+        T = self.tangents()
+        return transpose(T) @ M @ T
 
     def grad3(self, chart_partials):
         """Ambient surface gradient from chart partials.
 
-        chart_partials has shape (2,) for scalars (returns a (3,) tangent
-        vector) or (3, 2) for vector fields (returns a 3x3 matrix that maps
-        tangent vectors to the field's directional derivatives and kills n).
+        chart_partials has shape (..., 2) for scalars (returns a (..., 3)
+        tangent vector) or (..., 3, 2) for vector fields (returns a 3x3 matrix
+        that maps tangent vectors to the field's directional derivatives and
+        kills n).  Scalars are told apart by having the frame's ndim.
         """
         P = np.asarray(chart_partials, dtype=float)
-        back = self.metric_inv @ self.jac.T  # (2, 3): ambient tangent -> chart coeffs
-        if P.ndim == 1:
-            return self.jac @ (self.metric_inv @ P)
+        if P.ndim == self.u.ndim:
+            return matvec(self.jac, matvec(self.metric_inv, P))
+        back = self.metric_inv @ transpose(self.jac)  # ambient tangent -> chart coeffs
         return P @ back
 
 
 @dataclass(frozen=True)
 class SurfacePatch:
-    """Chart-based smooth surface with analytic normal and shape operator."""
+    """Chart-based smooth surface with analytic normal and shape operator.
+
+    The callables take u of shape (..., 2) and return (..., 3) points and
+    normals, (..., 3, 2) jacobians and (..., 3, 3) shape operators.
+    """
 
     chart: Callable[[np.ndarray], np.ndarray]
     chart_jacobian: Callable[[np.ndarray], np.ndarray]
@@ -71,30 +98,41 @@ class SurfacePatch:
     def frame(self, u):
         u = np.asarray(u, dtype=float)
         self._check_inside(u)
-        x = np.asarray(self.chart(u), dtype=float)
         J = np.asarray(self.chart_jacobian(u), dtype=float)
-        g = J.T @ J
-        det_g = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        if det_g <= 0.0:
-            raise EvaluationError(f"degenerate metric at u={tuple(u)}")
-        g_inv = np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) / det_g
-        t1 = J[:, 0] / np.linalg.norm(J[:, 0])
-        t2 = J[:, 1] - (J[:, 1] @ t1) * t1
-        t2 = t2 / np.linalg.norm(t2)
-        return NodeFrame(u=u, x=x, jac=J, metric=g, metric_inv=g_inv,
-                         sqrt_det_metric=math.sqrt(det_g), t1=t1, t2=t2,
+        g = transpose(J) @ J
+        det_g = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+        degenerate = det_g <= 0.0
+        if np.count_nonzero(degenerate):
+            raise EvaluationError(f"degenerate metric at u={first_point(u, degenerate)}")
+        # adjugate [[g11, -g01], [-g10, g00]] over the determinant
+        g_inv = transpose(g[..., ::-1, ::-1]) * _ADJ2_SIGN / det_g[..., None, None]
+        # Gram-Schmidt of the jacobian columns, with the norms read off the metric
+        len1 = np.sqrt(g[..., 0, 0])
+        sqrt_det = np.sqrt(det_g)
+        t1 = J[..., 0] / len1[..., None]
+        t2 = J[..., 1] - (g[..., 0, 1] / len1)[..., None] * t1
+        t2 = t2 * (len1 / sqrt_det)[..., None]
+        return NodeFrame(u=u, x=np.asarray(self.chart(u), dtype=float), jac=J,
+                         metric=g, metric_inv=g_inv, sqrt_det_metric=sqrt_det,
+                         t1=t1, t2=t2,
                          n=np.asarray(self.normal(u), dtype=float),
                          shape_op=np.asarray(self.shape_operator(u), dtype=float))
 
     def diameter(self):
         return chart_diameter(self.domain)
 
+    @cached_property
+    def _bounds(self):
+        return np.array(self.domain, dtype=float).T  # rows: lower, upper corner
+
     def _check_inside(self, u):
-        for ax in (0, 1):
-            lo, hi = self.domain[ax]
-            if not (lo <= u[ax] <= hi):
-                raise DomainError(
-                    f"u={tuple(u)} outside chart rectangle axis {ax}: ({lo}, {hi})")
+        lo, hi = self._bounds
+        inside = (lo <= u) & (u <= hi)
+        if np.count_nonzero(inside) != inside.size:
+            point = first_point(u, ~inside.all(axis=-1))
+            ax = 1 if lo[0] <= point[0] <= hi[0] else 0
+            raise DomainError(f"u={point} outside chart rectangle axis {ax}: "
+                              f"{self.domain[ax]}")
 
 
 @dataclass(frozen=True)
@@ -131,14 +169,17 @@ def _plate(extent):
     J = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     n = np.array([0.0, 0.0, 1.0])
 
+    def chart(u):
+        return np.concatenate([u, np.zeros(u.shape[:-1] + (1,))], axis=-1)
+
     return SurfacePatch(
-        chart=lambda u: np.array([u[0], u[1], 0.0]),
-        chart_jacobian=lambda u: J.copy(),
-        normal=lambda u: n.copy(),
-        shape_operator=lambda u: np.zeros((3, 3)),
+        chart=chart,
+        chart_jacobian=lambda u: np.zeros(u.shape[:-1] + (3, 2)) + J,
+        normal=lambda u: np.zeros(u.shape[:-1] + (3,)) + n,
+        shape_operator=lambda u: np.zeros(u.shape[:-1] + (3, 3)),
         domain=((a1, b1), (a2, b2)),
         name="plate",
-        principal_curvatures=lambda u: np.zeros(2),
+        principal_curvatures=lambda u: np.zeros(u.shape),
     )
 
 
@@ -146,87 +187,91 @@ def _sphere_chart(radius, theta_range, phi_range, name):
     R = float(radius)
 
     def chart(u):
-        th, ph = u
+        th, ph = u[..., 0], u[..., 1]
         st, ct = np.sin(th), np.cos(th)
-        return R * np.array([st * np.cos(ph), st * np.sin(ph), ct])
+        return R * batch_vector([st * np.cos(ph), st * np.sin(ph), ct])
 
     def jac(u):
-        th, ph = u
+        th, ph = u[..., 0], u[..., 1]
         st, ct = np.sin(th), np.cos(th)
         sp, cp = np.sin(ph), np.cos(ph)
-        return R * np.array([[ct * cp, -st * sp],
-                             [ct * sp, st * cp],
-                             [-st, 0.0]])
+        return R * batch_matrix([[ct * cp, -st * sp],
+                                 [ct * sp, st * cp],
+                                 [-st, np.zeros(u.shape[:-1])]])
 
     def normal(u):
         return chart(u) / R
 
     def shape_operator(u):
         nv = normal(u)
-        return (np.eye(3) - np.outer(nv, nv)) / R  # outward normal: Pi = Id/R on T_xS
+        return (_I3 - outer(nv, nv)) / R  # outward normal: Pi = Id/R on T_xS
 
     return SurfacePatch(chart=chart, chart_jacobian=jac, normal=normal,
                         shape_operator=shape_operator,
                         domain=(tuple(theta_range), tuple(phi_range)),
                         name=name,
-                        principal_curvatures=lambda u: np.array([1.0 / R, 1.0 / R]))
+                        principal_curvatures=lambda u: np.full(u.shape, 1.0 / R))
 
 
 def _cylinder(radius, height, angle_range):
     R = float(radius)
     e3 = np.array([0.0, 0.0, 1.0])
+    P = _I3 - np.outer(e3, e3)  # projection off the axis
 
     def chart(u):
-        return np.array([R * np.cos(u[0]), R * np.sin(u[0]), u[1]])
+        return batch_vector([R * np.cos(u[..., 0]), R * np.sin(u[..., 0]), u[..., 1]])
 
     def jac(u):
-        return np.array([[-R * np.sin(u[0]), 0.0],
-                         [R * np.cos(u[0]), 0.0],
-                         [0.0, 1.0]])
+        zero = np.zeros(u.shape[:-1])
+        return batch_matrix([[-R * np.sin(u[..., 0]), zero],
+                             [R * np.cos(u[..., 0]), zero],
+                             [zero, zero + 1.0]])
 
     def normal(u):
-        return np.array([np.cos(u[0]), np.sin(u[0]), 0.0])
+        return batch_vector([np.cos(u[..., 0]), np.sin(u[..., 0]), np.zeros(u.shape[:-1])])
 
     def shape_operator(u):
         nv = normal(u)
-        return (np.eye(3) - np.outer(nv, nv) - np.outer(e3, e3)) / R
+        return (P - outer(nv, nv)) / R
 
     return SurfacePatch(chart=chart, chart_jacobian=jac, normal=normal,
                         shape_operator=shape_operator,
                         domain=(tuple(angle_range), (0.0, float(height))),
                         name="cylinder",
-                        principal_curvatures=lambda u: np.array([1.0 / R, 0.0]))
+                        principal_curvatures=lambda u: np.broadcast_to(
+                            np.array([1.0 / R, 0.0]), u.shape))
 
 
 def _torus_patch(major_radius, minor_radius, u1_range, u2_range):
     R, r = float(major_radius), float(minor_radius)
 
     def chart(u):
-        a, b = u  # a: angle around the axis, b: angle around the tube
+        a, b = u[..., 0], u[..., 1]  # a: angle around the axis, b: angle around the tube
         w = R + r * np.cos(b)
-        return np.array([w * np.cos(a), w * np.sin(a), r * np.sin(b)])
+        return batch_vector([w * np.cos(a), w * np.sin(a), r * np.sin(b)])
 
     def jac(u):
-        a, b = u
+        a, b = u[..., 0], u[..., 1]
         w = R + r * np.cos(b)
-        return np.array([[-w * np.sin(a), -r * np.sin(b) * np.cos(a)],
-                         [w * np.cos(a), -r * np.sin(b) * np.sin(a)],
-                         [0.0, r * np.cos(b)]])
+        return batch_matrix([[-w * np.sin(a), -r * np.sin(b) * np.cos(a)],
+                             [w * np.cos(a), -r * np.sin(b) * np.sin(a)],
+                             [np.zeros(u.shape[:-1]), r * np.cos(b)]])
 
     def normal(u):
-        a, b = u
-        return np.array([np.cos(b) * np.cos(a), np.cos(b) * np.sin(a), np.sin(b)])
+        a, b = u[..., 0], u[..., 1]
+        return batch_vector([np.cos(b) * np.cos(a), np.cos(b) * np.sin(a), np.sin(b)])
 
     def curvatures(u):
-        b = u[1]
-        return np.array([np.cos(b) / (R + r * np.cos(b)), 1.0 / r])
+        b = u[..., 1]
+        return batch_vector([np.cos(b) / (R + r * np.cos(b)), np.full(b.shape, 1.0 / r)])
 
     def shape_operator(u):
-        a, b = u
-        k1, k2 = curvatures(u)
-        e_ring = np.array([-np.sin(a), np.cos(a), 0.0])
-        e_tube = np.array([-np.sin(b) * np.cos(a), -np.sin(b) * np.sin(a), np.cos(b)])
-        return k1 * np.outer(e_ring, e_ring) + k2 * np.outer(e_tube, e_tube)
+        a, b = u[..., 0], u[..., 1]
+        k = curvatures(u)
+        e_ring = batch_vector([-np.sin(a), np.cos(a), np.zeros(u.shape[:-1])])
+        e_tube = batch_vector([-np.sin(b) * np.cos(a), -np.sin(b) * np.sin(a), np.cos(b)])
+        return (k[..., 0, None, None] * outer(e_ring, e_ring)
+                + k[..., 1, None, None] * outer(e_tube, e_tube))
 
     return SurfacePatch(chart=chart, chart_jacobian=jac, normal=normal,
                         shape_operator=shape_operator,
@@ -319,8 +364,17 @@ class SurfNode:
 
 @dataclass(frozen=True)
 class SurfaceQuadrature:
-    nodes: List[SurfNode]
+    """Tensor rule on the chart: one batched frame over its (N,) nodes and the weights."""
+
+    frame: NodeFrame      # batch shape (N,)
+    weights: np.ndarray   # (N,) gauss weight times sqrt(det metric)
     order: int
+
+    @cached_property
+    def nodes(self):
+        """Per-node views of the node arrays."""
+        return [SurfNode(frame=self.frame[i], weight=self.weights[i])
+                for i in range(len(self.weights))]
 
 
 def gauss_legendre(order, lo, hi):
@@ -336,12 +390,11 @@ def surface_quadrature(patch, order=DEFAULT_SURFACE_ORDER):
         raise ParameterError("quadrature order must be >= 1")
     x1, w1 = gauss_legendre(order, *patch.domain[0])
     x2, w2 = gauss_legendre(order, *patch.domain[1])
-    nodes = []
-    for a, wa in zip(x1, w1):
-        for b, wb in zip(x2, w2):
-            fr = patch.frame(np.array([a, b]))
-            nodes.append(SurfNode(frame=fr, weight=wa * wb * fr.sqrt_det_metric))
-    return SurfaceQuadrature(nodes=nodes, order=int(order))
+    u = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1).reshape(-1, 2)
+    frame = patch.frame(u)
+    return SurfaceQuadrature(frame=frame,
+                             weights=np.outer(w1, w2).ravel() * frame.sqrt_det_metric,
+                             order=int(order))
 
 
 @dataclass(frozen=True)
@@ -360,10 +413,22 @@ class TransversalRule:
         return TransversalRule(order=int(order), ref_nodes=x, ref_weights=w)
 
     def nodes_at(self, g1_value, g2_value):
-        if g1_value <= 0.0 or g2_value <= 0.0:
+        """Nodes and weights through the thickness, shape (order,) + shape of g1, g2.
+
+        The transversal axis leads, so the result broadcasts against arrays
+        over the surface nodes.
+        """
+        g1_value = np.asarray(g1_value, dtype=float)
+        g2_value = np.asarray(g2_value, dtype=float)
+        if np.any(g1_value <= 0.0) or np.any(g2_value <= 0.0):
             raise ParameterError("thickness profiles must be positive")
         length = g1_value + g2_value
-        return -g1_value + length * self.ref_nodes, length * self.ref_weights
+        return (-g1_value + np.multiply.outer(self.ref_nodes, length),
+                np.multiply.outer(self.ref_weights, length))
+
+    def across(self, thick, u):
+        """Nodes and weights through the thickness profile at chart points u."""
+        return self.nodes_at(thick.g1.value(u), thick.g2.value(u))
 
 
 def integrate_surface(patch, quad, f):
@@ -383,17 +448,23 @@ def integrate_surface(patch, quad, f):
 # ---------------------------------------------------------------------------
 
 def offset_jacobian(patch, u, t):
-    """Id + t*Pi (identity on the normal) and its determinant at chart point u.
+    """Id + t*Pi (identity on the normal) and its determinant at chart points u.
 
-    t is the physical normal offset.  Raises ThicknessError when the offset
-    leaves the thin-shell regime det(Id + t*Pi) <= 0.
+    t is the physical normal offset; u (..., 2) and t broadcast against each
+    other.  Raises ThicknessError, naming the point of smallest determinant,
+    when the offset leaves the thin-shell regime det(Id + t*Pi) <= 0.
     """
+    u = np.asarray(u, dtype=float)
+    t = np.asarray(t, dtype=float)
     Pi = np.asarray(patch.shape_operator(u), dtype=float)
-    M = np.eye(3) + t * Pi
-    det = float(np.linalg.det(M))
-    if det <= 0.0:
+    M = _I3 + t[..., None, None] * Pi
+    det = np.linalg.det(M)
+    if np.any(det <= 0.0):
+        k = np.argmin(det)
+        uk = np.broadcast_to(u, det.shape + (2,)).reshape(-1, 2)[k]
+        tk = np.broadcast_to(t, det.shape).ravel()[k]
         raise ThicknessError(
-            f"det(Id + t*Pi) = {det:.3e} <= 0 at u={tuple(np.asarray(u))}, t={t}")
+            f"det(Id + t*Pi) = {det.ravel()[k]:.3e} <= 0 at u={tuple(uk.tolist())}, t={tk}")
     return M, det
 
 

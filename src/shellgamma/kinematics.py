@@ -4,7 +4,10 @@ The skew field A of an isometry V is assembled pointwise from the chart
 derivatives of V: A t_a = d_{t_a} V on the orthonormal tangent frame, the
 normal column is fixed by skewness, and the result is projected onto skew
 matrices.  Chart derivatives of assembled fields (A n and the composite
-fields downstream) are taken by 4th-order central differences.
+fields downstream) are taken by 4th-order central differences.  The fields
+and tensors broadcast over leading batch axes of the chart parameter (or of
+the frame they are given); the expansion residuals and `build_isometry`
+check node by node.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EvaluationError, NotAnIsometryError
-from .fields import VectorField, domain_widths, fd_partial
+from .fields import VectorField, domain_widths, fd_partial, matvec, outer, transpose
 from .geometry import SurfacePatch, surface_quadrature
 
 DEFAULT_ISOMETRY_TOL = 1e-8
@@ -26,7 +29,7 @@ def tangential_strain(frame, d1_value):
     """sym of the tangential 2x2 minor of the surface gradient of a vector field."""
     G = frame.grad3(d1_value)
     M = frame.tan2(G)
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + transpose(M))
 
 
 @dataclass(frozen=True)
@@ -45,18 +48,16 @@ class IsometryField:
         """The 3x3 skew matrix with A tau = d_tau V on the tangent plane."""
         fr = self.patch.frame(u)
         DV = self.displacement.d1(fr.u)
-        cols = []
-        for t in (fr.t1, fr.t2):
-            coeff = fr.metric_inv @ (fr.jac.T @ t)
-            cols.append(DV @ coeff)  # directional derivative of V along t
-        an = -(cols[0] @ fr.n) * fr.t1 - (cols[1] @ fr.n) * fr.t2
-        R = np.column_stack([fr.t1, fr.t2, fr.n])
-        A_raw = np.column_stack([cols[0], cols[1], an]) @ R.T
-        return 0.5 * (A_raw - A_raw.T)
+        T = fr.tangents()
+        coeff = fr.metric_inv @ (transpose(fr.jac) @ T)
+        cols = DV @ coeff  # directional derivatives of V along t1, t2
+        an = -matvec(T, matvec(transpose(cols), fr.n))
+        R = np.concatenate([T, fr.n[..., None]], axis=-1)
+        A_raw = np.concatenate([cols, an[..., None]], axis=-1) @ transpose(R)
+        return 0.5 * (A_raw - transpose(A_raw))
 
     def An_at(self, u):
-        fr = self.patch.frame(u)
-        return self.A_at(u) @ fr.n
+        return matvec(self.A_at(u), np.asarray(self.patch.normal(u), dtype=float))
 
     def An_partials(self, u):
         """Chart partials of the field u -> A(u) n(u), shape (3, 2)."""
@@ -104,12 +105,12 @@ def build_isometry(patch, V, tol=DEFAULT_ISOMETRY_TOL, quad=None):
 class StrainField:
     """A finite-strain input B_tan, usually generated as sym grad of a field w."""
 
-    b_tan: Callable  # frame -> symmetric 2x2 in the (t1, t2) frame
+    b_tan: Callable  # frame -> (..., 2, 2) symmetric, in the (t1, t2) frame of each point
     generator: Optional[VectorField] = None
 
     def __call__(self, frame):
         B = np.asarray(self.b_tan(frame), dtype=float)
-        return 0.5 * (B + B.T)
+        return 0.5 * (B + transpose(B))
 
     @staticmethod
     def from_generator(w):
@@ -137,12 +138,12 @@ def grad3_gamma_n(frame, thick):
     gamma = thick.gamma(frame.u)
     dgamma = thick.gamma_d(frame.u)
     Dn = frame.shape_op @ frame.jac                 # chart partials of the normal
-    partials = np.outer(frame.n, dgamma) + gamma * Dn
+    partials = outer(frame.n, dgamma) + gamma[..., None, None] * Dn
     return frame.grad3(partials)
 
 
 def bending_matrix(iso, frame):
-    """The ambient 3x3 matrix grad(A n) - A Pi at one frame."""
+    """The ambient 3x3 matrix grad(A n) - A Pi at a frame."""
     return iso.grad3_An(frame) - iso.A_at(frame.u) @ frame.shape_op
 
 
@@ -151,7 +152,7 @@ def bending_tensor(iso, patch):
 
     def tensor(fr):
         Mt = fr.tan2(bending_matrix(iso, fr))
-        return 0.5 * (Mt + Mt.T)
+        return 0.5 * (Mt + transpose(Mt))
 
     return tensor
 
@@ -163,16 +164,17 @@ def stretching_tensor(iso, strain, thick, kappa, patch):
 
     def tensor(fr):
         out = np.array(strain(fr), dtype=float)
-        if kappa != 0.0:
-            A = iso.A_at(fr.u)
-            out = out - 0.5 * kappa * fr.tan2(A @ A)
         gamma = thick.gamma(fr.u)
         dgamma = thick.gamma_d(fr.u)
-        if gamma != 0.0 or np.any(dgamma != 0.0):
-            AG = iso.A_at(fr.u) @ grad3_gamma_n(fr, thick)
-            T = fr.tan2(AG)
-            out = out - 0.25 * (T + T.T)
-        return 0.5 * (out + out.T)
+        thickness_term = np.any(gamma != 0.0) or np.any(dgamma != 0.0)
+        if kappa != 0.0 or thickness_term:
+            A = iso.A_at(fr.u)
+        if kappa != 0.0:
+            out = out - 0.5 * kappa * fr.tan2(A @ A)
+        if thickness_term:
+            T = fr.tan2(A @ grad3_gamma_n(fr, thick))
+            out = out - 0.25 * (T + transpose(T))
+        return 0.5 * (out + transpose(out))
 
     return tensor
 

@@ -2,9 +2,10 @@
 
 The stretching term integrates (g1+g2) Q2 of the stretching tensor, the
 bending term integrates (g1+g2)^3/12 Q2 of the bending tensor, both with a
-per-node Q2 built from the node's tangent frame.  The total-energy variant
-subtracts the dead-load action against a fixed rotation and adds the
-relaxation value supplied by the loads module.
+per-node Q2 built from the node's tangent frame; both integrands are
+evaluated in one batched pass over the quadrature nodes.  The total-energy
+variant adds to a computed limit energy the dead-load action against a fixed
+rotation and the relaxation value supplied by the loads module.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ class LimitEnergyBreakdown:
         return self.stretching + self.bending - self.load_term + self.relaxation_term
 
 
-def _node_q2(q3, frame):
-    return reduce_q2(q3, frame.n, frame.t1, frame.t2)
-
-
 def eval_I(patch, thick, material, iso, strain, kappa, quad=None):
     """The variable-thickness von Karman energy of (V, B_tan).
 
@@ -43,18 +40,14 @@ def eval_I(patch, thick, material, iso, strain, kappa, quad=None):
     """
     if quad is None:
         quad = surface_quadrature(patch)
-    q3 = as_q3(material)
+    fr, weights = quad.frame, quad.weights
+    q2 = reduce_q2(as_q3(material), fr.n, fr.t1, fr.t2)
+    mu_t = thick.total(fr.u)
     s_tensor = stretching_tensor(iso, strain, thick, kappa, patch)
     b_tensor = bending_tensor(iso, patch)
-    stretching = 0.0
-    bending = 0.0
-    for node in quad.nodes:
-        fr = node.frame
-        q2 = _node_q2(q3, fr)
-        mu_t = thick.total(fr.u)
-        stretching += 0.5 * node.weight * mu_t * q2.apply_tangential(s_tensor(fr))
-        bending += node.weight * mu_t ** 3 / 24.0 * q2.apply_tangential(b_tensor(fr))
-    return LimitEnergyBreakdown(stretching=stretching, bending=bending,
+    stretching = np.sum(0.5 * weights * mu_t * q2.apply_tangential(s_tensor(fr)))
+    bending = np.sum(weights * mu_t ** 3 / 24.0 * q2.apply_tangential(b_tensor(fr)))
+    return LimitEnergyBreakdown(stretching=float(stretching), bending=float(bending),
                                 load_term=0.0, relaxation_term=0.0)
 
 
@@ -75,21 +68,22 @@ def check_rotation(Q, tol=1e-10):
     return Q
 
 
-def eval_J(patch, thick, material, iso, strain, kappa, f, Qbar, r_value, quad=None):
+def eval_J(limit, patch, thick, iso, f, Qbar, r_value, quad=None):
     """Total limit energy J = I - integral (g1+g2) f . (Qbar V) + r_value.
 
-    f is the limit surface load (frame -> R^3); r_value is the relaxation
-    penalty of Qbar, supplied externally (zero in the maximizer-set example).
+    limit is the LimitEnergyBreakdown of I (`eval_I(...)`) for the same
+    scene; f is the limit surface load (frame -> R^3, called per node);
+    r_value is the relaxation penalty of Qbar, supplied externally (zero in
+    the maximizer-set example).
     """
     Qbar = check_rotation(Qbar)
     if quad is None:
         quad = surface_quadrature(patch)
-    base = eval_I(patch, thick, material, iso, strain, kappa, quad=quad)
     V = iso.displacement
     load = 0.0
     for node in quad.nodes:
         fr = node.frame
         load += node.weight * thick.total(fr.u) * float(
             np.asarray(f(fr), dtype=float) @ (Qbar @ V.value(fr.u)))
-    return LimitEnergyBreakdown(stretching=base.stretching, bending=base.bending,
+    return LimitEnergyBreakdown(stretching=limit.stretching, bending=limit.bending,
                                 load_term=load, relaxation_term=float(r_value))

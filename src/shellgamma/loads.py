@@ -203,21 +203,17 @@ def eval_J_h(rec, E_h, load, squad, trule):
 
     E_h is the shell energy of rec (`eval_shell_energy(...).E_h`).  The load
     integral uses the exact transversal cancellation of the extension weight:
-    (1/h) int f^h u^h = int_S f^h(x) . int_t y^h dt dS.
+    (1/h) int f^h u^h = int_S f^h(x) . int_t y^h dt dS, with y^h read once
+    over the (T, N) grid of transversal and surface nodes.
     """
     thick = rec.thick
     action = maximize_action(load, thick, rec.h, rec.e_h, squad)
     fac = load.factor(rec.h, rec.e_h)
-    work = 0.0
-    for node in squad.nodes:
-        fr = node.frame
-        t_nodes, t_weights = trule.nodes_at(thick.g1.value(fr.u),
-                                            thick.g2.value(fr.u))
-        y_avg = np.zeros(3)
-        for t, wt in zip(t_nodes, t_weights):
-            y_avg += wt * rec.evaluate(fr.u, t)
-        fh = fac * np.asarray(load.f(fr), dtype=float)
-        work += node.weight * float(fh @ y_avg)
+    u = squad.frame.u
+    t, wt = trule.across(thick, u)
+    y_int = np.sum(wt[..., None] * rec.evaluate(u, t), axis=0)
+    fh = fac * np.array([load.f(node.frame) for node in squad.nodes], dtype=float)
+    work = float(np.sum(squad.weights * (fh * y_int).sum(axis=-1)))
     return E_h + action.m_h - work
 
 

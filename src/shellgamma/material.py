@@ -3,7 +3,10 @@
 Q3 is the second derivative of W at the identity, kept as a symmetric 6x6
 matrix over an orthonormal basis of symmetric 3x3 matrices.  Q2 relaxes Q3
 over normal corrections c (x) n + n (x) c; the minimizing c is a linear map
-of the tangential input and feeds the recovery deformation.
+of the tangential input and feeds the recovery deformation.  Densities,
+forms and the reduction broadcast over leading batch axes (a stack of
+frames gives a stack of Q2 forms, with one batched Cholesky factorization);
+the brute-force minimizer and the closed form stay single-matrix oracles.
 """
 
 from __future__ import annotations
@@ -14,21 +17,30 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateMaterialError, DifferentiationError, ParameterError
+from .fields import matvec, transpose
 
 # Orthonormal basis of Sym(3): diagonal units, then (e_i e_j^T + e_j e_i^T)/sqrt(2)
 _SQRT2 = np.sqrt(2.0)
 _OFFDIAG = [(0, 1), (0, 2), (1, 2)]
+_VEC6_ROWS = np.array([0, 1, 2, 0, 0, 1])
+_VEC6_COLS = np.array([0, 1, 2, 1, 2, 2])
+_VEC6_SCALE = np.array([1.0, 1.0, 1.0, _SQRT2, _SQRT2, _SQRT2])
+_I3 = np.eye(3)
 
 
 def sym(F):
     F = np.asarray(F, dtype=float)
-    return 0.5 * (F + F.T)
+    return 0.5 * (F + transpose(F))
 
 
 def vec6(S):
-    """Coordinates of a symmetric 3x3 matrix in the orthonormal Sym(3) basis."""
-    return np.array([S[0, 0], S[1, 1], S[2, 2],
-                     _SQRT2 * S[0, 1], _SQRT2 * S[0, 2], _SQRT2 * S[1, 2]])
+    """Coordinates of symmetric 3x3 matrices in the orthonormal Sym(3) basis."""
+    return S[..., _VEC6_ROWS, _VEC6_COLS] * _VEC6_SCALE
+
+
+def _quadratic(x, M, y):
+    """x^T M y over leading batch axes of x and y."""
+    return ((x @ M)[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def basis_sym3():
@@ -68,8 +80,9 @@ def make_isotropic(mu, lam):
 
     def evaluate(F):
         F = np.asarray(F, dtype=float)
-        E = 0.5 * (F.T @ F - np.eye(3))
-        return mu * float(np.sum(E * E)) + 0.5 * lam * float(np.trace(E)) ** 2
+        E = 0.5 * (transpose(F) @ F - _I3)
+        trace = E[..., 0, 0] + E[..., 1, 1] + E[..., 2, 2]
+        return mu * (E * E).sum(axis=(-2, -1)) + 0.5 * lam * trace ** 2
 
     v = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
     H = 2.0 * mu * np.eye(6) + lam * np.outer(v, v)
@@ -87,10 +100,10 @@ class QuadForm3:
 
     def apply(self, F):
         s = vec6(sym(F))
-        return float(s @ self.matrix6 @ s)
+        return _quadratic(s, self.matrix6, s)
 
     def bilinear(self, F, G):
-        return float(vec6(sym(F)) @ self.matrix6 @ vec6(sym(G)))
+        return _quadratic(vec6(sym(F)), self.matrix6, vec6(sym(G)))
 
     def min_eigenvalue(self):
         return float(np.linalg.eigvalsh(self.matrix6)[0])
@@ -164,73 +177,81 @@ def q3_from_energy(W, step=1e-4):
 
 @dataclass(frozen=True)
 class QuadForm2:
-    """Tangential relaxation of Q3 at one surface frame, with its minimizer map.
+    """Tangential relaxation of Q3 at a batch of surface frames, with its minimizer map.
 
     Q2(F_tan) = min over c in R^3 of Q3(F_hat + c (x) n + n (x) c), where
     F_hat embeds the 2x2 tangential input in the (t1, t2) frame.  The solve
-    is a 3x3 SPD system; c is linear in F_tan and returned in ambient
-    coordinates.
+    is a 3x3 SPD system per frame; c is linear in F_tan and returned in
+    ambient coordinates.  n, t1, t2 carry the batch axes; inputs broadcast
+    against them.
     """
 
     base: QuadForm3
     n: np.ndarray
     t1: np.ndarray
     t2: np.ndarray
-    _chol: np.ndarray        # Cholesky factor of the coupling matrix K
-    _L_mats: tuple           # the three coupling directions e_i (x) n + n (x) e_i
+    _chol: np.ndarray        # (..., 3, 3) Cholesky factor of the coupling matrix K
+    _coupling: np.ndarray    # (..., 3, 6) vec6 of the directions e_i (x) n + n (x) e_i
 
     def _embed(self, F22):
         F22 = np.asarray(F22, dtype=float)
-        T = np.column_stack([self.t1, self.t2])
-        return T @ F22 @ T.T
+        T = np.stack([self.t1, self.t2], axis=-1)
+        return T @ F22 @ transpose(T)
 
     def _rhs(self, F_hat):
-        return np.array([self.base.bilinear(F_hat, L) for L in self._L_mats])
+        return matvec(self._coupling, vec6(sym(F_hat)) @ self.base.matrix6)
+
+    def _solve(self, b):
+        y = np.linalg.solve(self._chol, -b[..., None])
+        return np.linalg.solve(transpose(self._chol), y)[..., 0]
 
     def minimizer(self, F22):
         """The unique c attaining the minimum, as an ambient 3-vector."""
-        b = self._rhs(self._embed(F22))
-        y = np.linalg.solve(self._chol, -b)
-        return np.linalg.solve(self._chol.T, y)
+        return self._solve(self._rhs(self._embed(F22)))
 
     def apply_tangential(self, F22):
         F_hat = self._embed(F22)
         b = self._rhs(F_hat)
-        y = np.linalg.solve(self._chol, -b)
-        c = np.linalg.solve(self._chol.T, y)
+        c = self._solve(b)
         # at the optimum the quadratic collapses to Q3(F_hat) + b . c
-        return self.base.apply(F_hat) + float(b @ c)
+        return self.base.apply(F_hat) + (b * c).sum(axis=-1)
 
 
 def reduce_q2(q3, n, t1=None, t2=None):
-    """Relax q3 over normal corrections at the frame (t1, t2, n).
+    """Relax q3 over normal corrections at the frames (t1, t2, n).
 
-    When the tangent frame is omitted a deterministic orthonormal completion
-    of n is used (isotropic materials are insensitive to this choice).
+    n, t1, t2 have shape (..., 3).  When the tangent frame is omitted a
+    deterministic orthonormal completion of n is used (isotropic materials
+    are insensitive to this choice).  One Cholesky factorization covers the
+    whole batch; a singular coupling block anywhere raises.
     """
     n = np.asarray(n, dtype=float)
-    nn = np.linalg.norm(n)
-    if abs(nn - 1.0) > 1e-10:
-        raise ParameterError(f"normal must be a unit vector, |n| = {nn}")
+    nn = np.sqrt((n * n).sum(axis=-1))
+    off = np.abs(nn - 1.0)
+    if np.any(off > 1e-10):
+        raise ParameterError(
+            f"normal must be a unit vector, |n| = {nn.ravel()[np.argmax(off)]}")
     if t1 is None or t2 is None:
         t1, t2 = _complete_frame(n)
     else:
         t1 = np.asarray(t1, dtype=float)
         t2 = np.asarray(t2, dtype=float)
-    L_mats = tuple(np.outer(e, n) + np.outer(n, e) for e in np.eye(3))
-    K = np.array([[q3.bilinear(Li, Lj) for Lj in L_mats] for Li in L_mats])
+    # L[..., i, :, :] = e_i (x) n + n (x) e_i
+    L = _I3[:, :, None] * n[..., None, None, :] + n[..., None, :, None] * _I3[:, None, :]
+    coupling = vec6(L)
+    K = coupling @ q3.matrix6 @ transpose(coupling)
     try:
         chol = np.linalg.cholesky(K)
     except np.linalg.LinAlgError as exc:
         raise DegenerateMaterialError(
             "normal-coupling block of Q3 is not positive definite") from exc
-    return QuadForm2(base=q3, n=n, t1=t1, t2=t2, _chol=chol, _L_mats=L_mats)
+    return QuadForm2(base=q3, n=n, t1=t1, t2=t2, _chol=chol, _coupling=coupling)
 
 
 def _complete_frame(n):
-    ref = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    t1 = ref - (ref @ n) * n
-    t1 /= np.linalg.norm(t1)
+    ref = np.where(np.abs(n[..., :1]) < 0.9, _I3[0], _I3[1])
+    t1 = ref - (ref * n).sum(axis=-1)[..., None] * n
+    t1 /= np.sqrt((t1 * t1).sum(axis=-1))[..., None]
     t2 = np.cross(n, t1)
     return t1, t2
 

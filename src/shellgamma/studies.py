@@ -587,10 +587,10 @@ def _run_gamma(cfg):
                 f"load violates the compatibility condition: |int (g1+g2) f| = "
                 f"{resid:.3e} vs L1 mass {mass:.3e}", key_path="load")
         # maximizer-set example semantics: Qbar = Id, r = 0
-        J_value = eval_J(patch, thick, material, iso, strain, cfg.kappa,
-                         load.f, np.eye(3), 0.0, quad=squad).total
+        J_value = eval_J(limit, patch, thick, iso, load.f, np.eye(3), 0.0,
+                         quad=squad).total
 
-    data = recovery_data(patch, material, iso, strain, thick, cfg.kappa)
+    data = recovery_data(patch, material, iso, strain, thick, cfg.kappa, squad)
     rows = []
     failing_h = None
     J_gap = None

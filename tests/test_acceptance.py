@@ -99,7 +99,7 @@ def test_criterion_4_averaged_displacement_diagnostics():
     dists = []
     grad_errs = []
     probes = [quad.nodes[i].frame for i in range(0, len(quad.nodes), 17)]
-    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0)
+    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0, quad=quad)
     for h in hs:
         rec = sg.build_recovery(data, h=h, e_h=h ** 4)
         vh = sg.averaged_displacement(rec, plate, thick, trule)
@@ -185,8 +185,8 @@ def test_criterion_7_degenerate_and_trivial_suite():
 
     iso0 = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
     strain0 = sg.StrainField.zero(plate.domain)
-    rec0 = sg.build_recovery(sg.recovery_data(plate, W, iso0, strain0, thick, kappa=1.0),
-                             h=0.125, e_h=0.125 ** 4)
+    data0 = sg.recovery_data(plate, W, iso0, strain0, thick, kappa=1.0, quad=quad)
+    rec0 = sg.build_recovery(data0, h=0.125, e_h=0.125 ** 4)
     identity_energy = sg.eval_shell_energy(rec0, W, quad, trule).E_h
 
     I0 = sg.eval_I(plate, thick, W, iso0, strain0, 1.0, quad=quad).total

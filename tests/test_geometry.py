@@ -110,6 +110,15 @@ def test_offset_jacobian_thickness_too_large():
         sg.offset_jacobian(cyl, np.array([0.5, 0.5]), -1.5)
 
 
+def test_offset_jacobian_names_the_smallest_determinant():
+    # det = 1 + t on the unit cylinder: the batch fails worst at t = -1.8
+    cyl = sg.make_builtin_patch("cylinder", radius=1.0, height=1.0)
+    u = np.array([[0.5, 0.5], [0.7, 0.2], [1.1, 0.4], [2.0, 0.9]])
+    t = np.array([-1.2, 0.3, -1.8, -1.5])
+    with pytest.raises(ThicknessError, match=r"u=\(1\.1, 0\.4\), t=-1\.8"):
+        sg.offset_jacobian(cyl, u, t)
+
+
 def test_integrate_constant_one_on_plate():
     plate = sg.make_builtin_patch("plate")
     quad = sg.surface_quadrature(plate, 8)

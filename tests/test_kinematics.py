@@ -277,3 +277,38 @@ def test_strain_field_matches_generator_gradient():
         assert np.allclose(B, B.T, atol=1e-14)
         Dw = w.d1(fr.u)[:2, :]  # plate frame: tangential gradient is the 2x2 block
         assert np.allclose(B, 0.5 * (Dw + Dw.T), atol=1e-12)
+
+
+def isometry_cases():
+    plate = sg.make_builtin_patch("plate")
+    cases = [(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain))]
+    cases += [(patch, sg.rigid_field(patch, (0.3, -0.2, 0.4), (0.1, 0.2, -0.3)))
+              for patch in curved_patches()]
+    return cases
+
+
+@pytest.mark.parametrize("case", range(4), ids=["plate", "sphere_cap", "cylinder",
+                                                "torus_patch"])
+def test_batched_isometry_fields_equal_stacked_points(case):
+    patch, V = isometry_cases()[case]
+    quad = sg.surface_quadrature(patch, 4)
+    iso = sg.build_isometry(patch, V, quad=quad)
+    thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4, patch.domain),
+                             g2=sg.affine_scalar(0.55, [0.04, 0.01], patch.domain),
+                             lipschitz_bound=1.0)
+    strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, patch.domain))
+    u = quad.frame.u
+    checks = [
+        (iso.A_at(u), [iso.A_at(p) for p in u]),
+        (iso.An_at(u), [iso.An_at(p) for p in u]),
+        (iso.An_partials(u), [iso.An_partials(p) for p in u]),
+        (sg.bending_tensor(iso, patch)(quad.frame),
+         [sg.bending_tensor(iso, patch)(node.frame) for node in quad.nodes]),
+        (sg.stretching_tensor(iso, strain, thick, 1.0, patch)(quad.frame),
+         [sg.stretching_tensor(iso, strain, thick, 1.0, patch)(node.frame)
+          for node in quad.nodes]),
+    ]
+    for batched, singles in checks:
+        stacked = np.stack(singles)
+        assert batched.shape == stacked.shape
+        assert np.max(np.abs(batched - stacked)) <= 1e-14 * np.max(np.abs(stacked))

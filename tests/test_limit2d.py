@@ -162,34 +162,38 @@ def test_eval_J_reductions_and_load_term():
     base = sg.eval_I(plate, thick, W, iso, strain, 1.0, quad=quad)
 
     # f = 0: J = I
-    J0 = sg.eval_J(plate, thick, W, iso, strain, 1.0,
-                   lambda fr: np.zeros(3), np.eye(3), 0.0, quad=quad)
+    J0 = sg.eval_J(base, plate, thick, iso, lambda fr: np.zeros(3), np.eye(3), 0.0,
+                   quad=quad)
     assert J0.total == pytest.approx(base.total, rel=1e-13)
     assert J0.load_term == 0.0
 
     # V = 0: load term vanishes, relaxation passes through
     iso0 = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
-    Jz = sg.eval_J(plate, thick, W, iso0, strain, 1.0,
-                   lambda fr: np.array([0.0, 0.0, 1.0]), np.eye(3), 0.25, quad=quad)
+    base0 = sg.eval_I(plate, thick, W, iso0, strain, 1.0, quad=quad)
+    Jz = sg.eval_J(base0, plate, thick, iso0, lambda fr: np.array([0.0, 0.0, 1.0]),
+                   np.eye(3), 0.25, quad=quad)
     assert Jz.load_term == pytest.approx(0.0, abs=1e-14)
     assert Jz.relaxation_term == 0.25
     assert Jz.total == pytest.approx(Jz.stretching + Jz.bending + 0.25, rel=1e-13)
 
     # vertical unit load against the sine isometry: integral of the deflection
-    Jv = sg.eval_J(plate, thick, W, iso, strain, 1.0,
-                   lambda fr: np.array([0.0, 0.0, 1.0]), np.eye(3), 0.0, quad=quad)
+    Jv = sg.eval_J(base, plate, thick, iso, lambda fr: np.array([0.0, 0.0, 1.0]),
+                   np.eye(3), 0.0, quad=quad)
     assert Jv.load_term == pytest.approx(4.0 / np.pi ** 2, rel=1e-10)
     assert Jv.total == pytest.approx(base.total - 4.0 / np.pi ** 2, rel=1e-12)
+    # J reuses the caller's I exactly
+    assert (Jv.stretching, Jv.bending) == (base.stretching, base.bending)
 
 
 def test_eval_J_rejects_non_rotations():
     plate, thick, W, quad, V, iso = plate_scene()
     strain = sg.StrainField.zero(plate.domain)
+    base = sg.eval_I(plate, thick, W, iso, strain, 1.0, quad=quad)
     with pytest.raises(ParameterError):
-        sg.eval_J(plate, thick, W, iso, strain, 1.0, lambda fr: np.zeros(3),
+        sg.eval_J(base, plate, thick, iso, lambda fr: np.zeros(3),
                   2.0 * np.eye(3), 0.0, quad=quad)
     with pytest.raises(ParameterError):
-        sg.eval_J(plate, thick, W, iso, strain, 1.0, lambda fr: np.zeros(3),
+        sg.eval_J(base, plate, thick, iso, lambda fr: np.zeros(3),
                   np.diag([1.0, 1.0, -1.0]), 0.0, quad=quad)
 
 

@@ -185,7 +185,7 @@ def test_J_h_reduces_to_energy_without_load():
     plate, thick, W, quad, trule, V, iso, strain, _ = plate_load_scene()
     zero_load = sg.LoadField(f=lambda fr: np.zeros(3))
     h = 2.0 ** -4
-    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0)
+    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0, quad=quad)
     rec = sg.build_recovery(data, h=h, e_h=h ** 4)
     Eh = sg.eval_shell_energy(rec, W, quad, trule).E_h
     Jh = sg.eval_J_h(rec, Eh, zero_load, quad, trule)
@@ -196,7 +196,7 @@ def test_J_h_nonnegative_for_identity_deformation():
     plate, thick, W, quad, trule, V, iso, strain, load = plate_load_scene()
     iso0 = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
     data0 = sg.recovery_data(plate, W, iso0, sg.StrainField.zero(plate.domain),
-                             thick, kappa=1.0)
+                             thick, kappa=1.0, quad=quad)
     rec0 = sg.build_recovery(data0, h=0.125, e_h=0.125 ** 4)
     Eh = sg.eval_shell_energy(rec0, W, quad, trule).E_h
     Jh = sg.eval_J_h(rec0, Eh, load, quad, trule)
@@ -205,9 +205,10 @@ def test_J_h_nonnegative_for_identity_deformation():
 
 def test_J_h_converges_to_limit_total_energy():
     plate, thick, W, quad, trule, V, iso, strain, load = plate_load_scene()
-    J_limit = sg.eval_J(plate, thick, W, iso, strain, 1.0, load.f, np.eye(3),
+    limit = sg.eval_I(plate, thick, W, iso, strain, 1.0, quad=quad)
+    J_limit = sg.eval_J(limit, plate, thick, iso, load.f, np.eye(3),
                         0.0, quad=quad).total
-    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0)
+    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0, quad=quad)
     gaps = []
     for k in (3, 5):
         h = 2.0 ** -k

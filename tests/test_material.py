@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import shellgamma as sg
 from shellgamma.errors import DegenerateMaterialError, ParameterError
@@ -204,6 +207,68 @@ def test_degenerate_material_raises():
     q3 = sg.QuadForm3.from_matrix(M, require_positive_definite=False)
     with pytest.raises(DegenerateMaterialError):
         sg.reduce_q2(q3, np.array([0.0, 0.0, 1.0]))
+
+
+def test_batch_with_one_degenerate_node_raises():
+    # Q3 blind to S02 and S12: regular for an oblique normal, singular for e3
+    q3 = sg.QuadForm3.from_matrix(np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]),
+                                  require_positive_definite=False)
+    oblique = np.full(3, 1.0 / np.sqrt(3.0))
+    sg.reduce_q2(q3, np.stack([oblique, oblique]))
+    with pytest.raises(DegenerateMaterialError):
+        sg.reduce_q2(q3, np.stack([oblique, np.array([0.0, 0.0, 1.0]), oblique]))
+
+
+def random_frames(rng, count):
+    n = rng.normal(size=(count, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    t1 = np.cross(n, rng.normal(size=(count, 3)))
+    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    return n, t1, np.cross(n, t1)
+
+
+def test_batched_reduction_equals_stacked_frames():
+    rng = np.random.default_rng(19)
+    A = rng.normal(size=(6, 6))
+    for q3 in (sg.as_q3(sg.make_isotropic(1.0, 1.0)),
+               sg.QuadForm3.from_matrix(A @ A.T + 6.0 * np.eye(6))):
+        n, t1, t2 = random_frames(rng, 8)
+        F = rng.normal(size=(8, 2, 2))
+        q2 = sg.reduce_q2(q3, n, t1, t2)
+        singles = [sg.reduce_q2(q3, n[i], t1[i], t2[i]) for i in range(8)]
+        for batched, stacked in (
+                (q2.minimizer(F), [s.minimizer(F[i]) for i, s in enumerate(singles)]),
+                (q2.apply_tangential(F),
+                 [s.apply_tangential(F[i]) for i, s in enumerate(singles)])):
+            stacked = np.stack(stacked)
+            assert batched.shape == stacked.shape
+            assert np.max(np.abs(batched - stacked)) <= 1e-14 * np.max(np.abs(stacked))
+
+
+@settings(max_examples=60, deadline=None)
+@given(normals=arrays(np.float64, (4, 3), elements=st.floats(-1.0, 1.0)),
+       factor=arrays(np.float64, (6, 6), elements=st.floats(-1.0, 1.0)),
+       F=arrays(np.float64, (4, 2, 2), elements=st.floats(-2.0, 2.0)),
+       c=arrays(np.float64, (4, 3), elements=st.floats(-2.0, 2.0)))
+def test_relaxation_property_on_random_normals_and_materials(normals, factor, F, c):
+    # Q2(F) <= Q3(F_hat + c (x) n + n (x) c) for every c, with equality at the
+    # batched minimizer, for any unit normal and positive-definite Q3
+    lengths = np.linalg.norm(normals, axis=1)
+    normals = np.where(lengths[:, None] > 1e-3, normals, [0.0, 0.0, 1.0])
+    n = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+    q3 = sg.QuadForm3.from_matrix(factor @ factor.T + 0.5 * np.eye(6))
+    q2 = sg.reduce_q2(q3, n)
+    T = np.stack([q2.t1, q2.t2], axis=-1)
+    F_hat = T @ F @ np.swapaxes(T, -1, -2)
+    val = q2.apply_tangential(F)
+    scale = 1.0 + q3.apply(F_hat)
+    for i in range(4):
+        C = np.outer(c[i], n[i])
+        assert val[i] <= q3.apply(F_hat[i] + C + C.T) + 1e-10 * scale[i]
+    c_star = q2.minimizer(F)
+    C_star = c_star[:, :, None] * n[:, None, :]
+    at_min = q3.apply(F_hat + C_star + np.swapaxes(C_star, -1, -2))
+    assert np.all(np.abs(val - at_min) <= 1e-10 * scale)
 
 
 def test_brute_force_relaxation_matches_solver():

@@ -24,7 +24,7 @@ def test_trivial_recovery_is_the_identity():
     plate, thick, W, quad, trule = plate_scene()
     iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
     data = sg.recovery_data(plate, W, iso, sg.StrainField.zero(plate.domain),
-                            thick, kappa=1.0)
+                            thick, kappa=1.0, quad=quad)
     rec = sg.build_recovery(data, h=0.125, e_h=0.125 ** 4)
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -86,7 +86,7 @@ def test_recovery_requires_generator_strain():
     iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
     direct = sg.StrainField.from_tensor(lambda fr: np.zeros((2, 2)))
     with pytest.raises(ParameterError):
-        sg.recovery_data(plate, W, iso, direct, thick, kappa=1.0)
+        sg.recovery_data(plate, W, iso, direct, thick, kappa=1.0, quad=quad)
 
 
 def test_recovery_rejects_too_thick_shells():
@@ -96,7 +96,7 @@ def test_recovery_rejects_too_thick_shells():
     quad = sg.surface_quadrature(cyl, 4)
     iso = sg.build_isometry(cyl, sg.zero_vector_field(cyl.domain), quad=quad)
     data = sg.recovery_data(cyl, W, iso, sg.StrainField.zero(cyl.domain), thick,
-                            kappa=1.0)
+                            kappa=1.0, quad=quad)
     with pytest.raises(ThicknessError):
         sg.build_recovery(data, h=0.5, e_h=0.5 ** 4)
 
@@ -114,7 +114,7 @@ def test_gradient_matches_finite_differences():
     iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quad)
     strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, cap.domain))
     h = 2.0 ** -4
-    rec = sg.build_recovery(sg.recovery_data(cap, W, iso, strain, thick, kappa=1.0),
+    rec = sg.build_recovery(sg.recovery_data(cap, W, iso, strain, thick, kappa=1.0, quad=quad),
                             h=h, e_h=h ** 4)
 
     rng = np.random.default_rng(3)
@@ -147,18 +147,17 @@ def test_one_recovery_data_serves_every_h(monkeypatch):
     trule = sg.TransversalRule.make(2)
     iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quad)
     strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, cap.domain))
-    scene = (cap, W, iso, strain, thick, 1.0)
+    scene = (cap, W, iso, strain, thick, 1.0, quad)
     data = sg.recovery_data(*scene)
     h0, h1 = 2.0 ** -3, 2.0 ** -5
     sg.eval_shell_energy(sg.build_recovery(data, h0, h0 ** 4), W, quad, trule)
 
     shared = sg.build_recovery(data, h1, h1 ** 4)
     fresh = sg.build_recovery(sg.recovery_data(*scene), h1, h1 ** 4)
-    for node in quad.nodes:
-        u = node.frame.u
-        for t in (-0.3, 0.0, 0.45):
-            assert np.array_equal(shared.evaluate(u, t), fresh.evaluate(u, t))
-            assert np.array_equal(shared.gradient(u, t), fresh.gradient(u, t))
+    u = quad.frame.u
+    t = np.array([-0.3, 0.0, 0.45])[:, None] + np.zeros(len(u))
+    assert np.array_equal(shared.evaluate(u, t), fresh.evaluate(u, t))
+    assert np.array_equal(shared.gradient(u, t), fresh.gradient(u, t))
 
     calls = []
     frame = sg.SurfacePatch.frame
@@ -178,7 +177,7 @@ def test_gradient_stays_near_identity():
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
     strain = sg.StrainField.zero(plate.domain)
-    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0)
+    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0, quad=quad)
     ratios = []
     sups = []
     for k in range(3, 9):
@@ -200,7 +199,7 @@ def test_energy_frame_indifference():
                             quad=quad)
     strain = sg.StrainField.zero(plate.domain)
     h = 2.0 ** -4
-    rec = sg.build_recovery(sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0),
+    rec = sg.build_recovery(sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0, quad=quad),
                             h=h, e_h=h ** 4)
     base = sg.eval_shell_energy(rec, W, quad, trule)
 
@@ -220,18 +219,31 @@ def test_energy_blowup_reports_worst_node():
                             quad=quad)
     strain = sg.StrainField.zero(plate.domain)
     # e_h chosen so sqrt(e_h)/h is order one: far outside the small-strain regime
-    rec = sg.build_recovery(sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0),
+    rec = sg.build_recovery(sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0,
+                                             quad=quad),
                             h=0.25, e_h=0.5)
     with pytest.raises(EnergyBlowupError) as err:
         sg.eval_shell_energy(rec, W, quad, trule)
-    assert err.value.u is not None and err.value.t is not None
+    # the worst (u, t) found point by point, through the single-point path
+    worst, worst_ut = -1.0, None
+    for node in quad.nodes:
+        u = node.frame.u
+        t_nodes, _ = trule.nodes_at(thick.g1.value(u), thick.g2.value(u))
+        for t in t_nodes:
+            sv = np.linalg.svd(rec.gradient(u, t), compute_uv=False)
+            dist = np.linalg.norm(sv - 1.0)
+            if dist > worst:
+                worst, worst_ut = dist, (u, t)
+    assert np.array_equal(err.value.u, worst_ut[0])
+    assert err.value.t == worst_ut[1]
+    assert f"{worst:.3e}" in str(err.value)
 
 
 def test_shell_energy_requires_stored_energy():
     plate, thick, W, quad, trule = plate_scene(order=4)
     iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
     data = sg.recovery_data(plate, W, iso, sg.StrainField.zero(plate.domain),
-                            thick, kappa=1.0)
+                            thick, kappa=1.0, quad=quad)
     rec = sg.build_recovery(data, h=0.1, e_h=1e-4)
     q3 = sg.as_q3(W)
     with pytest.raises(ParameterError):
@@ -244,7 +256,7 @@ def test_energy_converges_to_limit_quickly():
                             quad=quad)
     strain = sg.StrainField.zero(plate.domain)
     I_val = sg.eval_I(plate, thick, W, iso, strain, 1.0, quad=quad).total
-    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0)
+    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0, quad=quad)
     gaps = []
     for k in (3, 5):
         h = 2.0 ** -k
@@ -260,7 +272,7 @@ def test_tangential_lower_bound_below_energy_and_tightening():
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
     strain = sg.StrainField.zero(plate.domain)
-    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0)
+    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0, quad=quad)
     deltas = []
     for k in (3, 4, 5):
         h = 2.0 ** -k
@@ -276,7 +288,7 @@ def test_averaged_displacement_trivial_and_convergent():
     plate, thick, W, quad, trule = plate_scene(order=4)
     iso0 = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
     data0 = sg.recovery_data(plate, W, iso0, sg.StrainField.zero(plate.domain),
-                             thick, kappa=1.0)
+                             thick, kappa=1.0, quad=quad)
     rec0 = sg.build_recovery(data0, h=0.125, e_h=0.125 ** 4)
     vh0 = sg.averaged_displacement(rec0, plate, thick, trule)
     assert np.allclose(vh0(np.array([0.3, 0.6])), 0.0, atol=1e-14)
@@ -285,7 +297,7 @@ def test_averaged_displacement_trivial_and_convergent():
     iso = sg.build_isometry(plate, V, quad=quad)
     w = sg.trig_vector_field(GENERIC_W, plate.domain)
     strain = sg.StrainField.from_generator(w)
-    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0)
+    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0, quad=quad)
     dists = []
     for k in (3, 4, 5, 6):
         h = 2.0 ** -k
@@ -299,6 +311,60 @@ def test_averaged_displacement_trivial_and_convergent():
         assert b < a
 
 
+def test_batched_recovery_equals_stacked_points():
+    # at the stored node array and at other chart points alike, a batched
+    # (u, t) grid gives the single-point results
+    cap = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 3)
+    from shellgamma.fields import affine_scalar, constant_scalar
+    thick = sg.ThicknessPair(g1=constant_scalar(0.4, cap.domain),
+                             g2=affine_scalar(0.55, [0.04, 0.01], cap.domain),
+                             lipschitz_bound=1.0)
+    W = sg.make_isotropic(1.0, 1.0)
+    quad = sg.surface_quadrature(cap, 2)
+    iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quad)
+    strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, cap.domain))
+    h = 2.0 ** -4
+    rec = sg.build_recovery(sg.recovery_data(cap, W, iso, strain, thick, 1.0, quad),
+                            h=h, e_h=h ** 4)
+    rng = np.random.default_rng(4)
+    off_nodes = np.column_stack([rng.uniform(0.2, 0.9, 3), rng.uniform(0.5, 5.5, 3)])
+    for u in (quad.frame.u, off_nodes):
+        t = rng.uniform(-0.35, 0.45, size=(2, len(u)))
+        for f in (rec.evaluate, rec.gradient):
+            batched = f(u, t)
+            stacked = np.stack([np.stack([f(u[i], t[k, i]) for i in range(len(u))])
+                                for k in range(2)])
+            assert batched.shape == stacked.shape
+            assert np.max(np.abs(batched - stacked)) <= 1e-12 * np.max(np.abs(stacked))
+
+
+def test_off_node_probe_computes_values_only(monkeypatch):
+    # one averaged_displacement_sym_grad probe evaluates y^h at 8 chart points
+    # off the quadrature nodes: values only, nothing stored between probes
+    plate, thick, W, quad, trule = plate_scene(order=4)
+    iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
+                            quad=quad)
+    strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, plate.domain))
+    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0, quad=quad)
+    rec = sg.build_recovery(data, h=2.0 ** -4, e_h=2.0 ** -16)
+    probe = quad.nodes[5].frame
+
+    points = []
+    frame = sg.SurfacePatch.frame
+
+    def counting_frame(self, u):
+        points.append(int(np.prod(np.shape(u)[:-1])))
+        return frame(self, u)
+
+    monkeypatch.setattr(sg.SurfacePatch, "frame", counting_frame)
+    sg.averaged_displacement_sym_grad(rec, plate, thick, trule, probe)
+    first = sum(points)
+    assert 0 < first <= 300
+    points.clear()
+    sg.averaged_displacement_sym_grad(rec, plate, thick, trule, probe)
+    assert sum(points) == first
+
+
 def test_averaged_displacement_sym_grad_tracks_strain():
     # the transversal averaging cancels every term of the recovery except
     # V + h w + h^2 (moment) d1; on the plate d1 is vertical, so the scaled
@@ -309,7 +375,7 @@ def test_averaged_displacement_sym_grad_tracks_strain():
     w = sg.trig_vector_field(GENERIC_W, plate.domain)
     strain = sg.StrainField.from_generator(w)
     probes = [quad.nodes[3].frame, quad.nodes[7].frame]
-    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0)
+    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0, quad=quad)
     for k in (3, 5):
         h = 2.0 ** -k
         rec = sg.build_recovery(data, h=h, e_h=h ** 4)

@@ -184,12 +184,24 @@ def test_run_study_error_is_reported_not_raised():
     assert report.error is not None
 
 
-def test_gamma_study_with_load_reports_total_energy():
+def test_gamma_study_with_load_reports_total_energy(monkeypatch):
+    import shellgamma.limit2d as limit2d
+    import shellgamma.studies as studies
+    calls = []
+    eval_I = limit2d.eval_I
+
+    def counting_eval_I(*args, **kwargs):
+        calls.append(1)
+        return eval_I(*args, **kwargs)
+
+    monkeypatch.setattr(studies, "eval_I", counting_eval_I)
+    monkeypatch.setattr(limit2d, "eval_I", counting_eval_I)
     doc = {**MINIMAL_GAMMA,
            "load": {"family": "plate_sine_balanced", "amplitude": 1.0},
            "quadrature": {"surface_order": 6, "transversal_order": 4},
            "h_schedule": [2.0 ** -3, 2.0 ** -4, 2.0 ** -5, 2.0 ** -6]}
     report = run_study(validate_config(doc))
+    assert calls == [1]  # J reuses the study's I
     assert report.passed
     assert "J_limit" in report.summary
     assert report.summary["J_rel_gap_at_smallest_h"] <= 0.05
