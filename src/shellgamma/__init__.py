@@ -19,7 +19,6 @@ from .geometry import (NodeFrame, SurfacePatch, SurfaceQuadrature, ThicknessPair
                        surface_quadrature, validate_patch, validate_thickness)
 from .kinematics import (IsometryField, StrainField, bending_expansion_residual,
                          bending_matrix, bending_tensor, build_isometry,
-                         isometry_residual,
                          midsurface_strain_deficit, stretching_expansion_residual,
                          stretching_tensor)
 from .limit2d import LimitEnergyBreakdown, eval_I, eval_I_tilde, eval_J

@@ -12,7 +12,6 @@ same leading axes, and a single point of shape (2,) is the unbatched case.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -357,24 +356,12 @@ def _reject_unknown(kind, params):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SurfNode:
-    frame: NodeFrame
-    weight: float  # gauss weight times sqrt(det metric)
-
-
-@dataclass(frozen=True)
 class SurfaceQuadrature:
     """Tensor rule on the chart: one batched frame over its (N,) nodes and the weights."""
 
     frame: NodeFrame      # batch shape (N,)
     weights: np.ndarray   # (N,) gauss weight times sqrt(det metric)
     order: int
-
-    @cached_property
-    def nodes(self):
-        """Per-node views of the node arrays."""
-        return [SurfNode(frame=self.frame[i], weight=self.weights[i])
-                for i in range(len(self.weights))]
 
 
 def gauss_legendre(order, lo, hi):
@@ -431,16 +418,21 @@ class TransversalRule:
         return self.nodes_at(thick.g1.value(u), thick.g2.value(u))
 
 
-def integrate_surface(patch, quad, f):
-    """Gauss quadrature of a scalar field over the patch, f called with each NodeFrame."""
-    total = 0.0
-    for node in quad.nodes:
-        v = float(f(node.frame))
-        if not math.isfinite(v):
-            raise EvaluationError(
-                f"non-finite integrand value at u={tuple(node.frame.u)}")
-        total += node.weight * v
-    return total
+def values_on(f, frame, shape):
+    """f(frame) as a float array of the frame's batch shape followed by `shape`.
+
+    User callables (loads, integrands) are called once with the batched
+    frame; a result that does not depend on the point broadcasts.
+    """
+    return np.broadcast_to(np.asarray(f(frame), dtype=float), frame.u.shape[:-1] + shape)
+
+
+def integrate_surface(quad, f):
+    """Gauss quadrature of a scalar field over the patch, f called with the batched frame."""
+    values = values_on(f, quad.frame, ())
+    _raise_first_failure(EvaluationError, quad.frame.u,
+                         [(~np.isfinite(values), values, "non-finite integrand value {}")])
+    return float(np.sum(quad.weights * values))
 
 
 # ---------------------------------------------------------------------------
@@ -499,45 +491,57 @@ def shape_operator_in_frame(patch, u):
     return fr.tan2(fr.shape_op)
 
 
+def _raise_first_failure(error, u, checks):
+    """Raise `error` naming the first node (C order) that fails one of `checks`.
+
+    checks lists (bad, values, message) triples over the (N,) nodes; the
+    message is formatted with the node's value, and at a node failing
+    several checks the first listed wins.
+    """
+    bad = np.array([b for b, _, _ in checks])
+    if bad.any():
+        i = np.argmax(bad.any(axis=0))
+        _, values, message = checks[np.argmax(bad[:, i])]
+        raise error(f"{message.format(values[i])} at u={tuple(u[i].tolist())}")
+
+
 def validate_patch(patch, quad, normal_tol=1e-12, orth_tol=1e-10,
                    metric_tol=1e-10, selfadj_tol=1e-8):
     """Check the SurfacePatch invariants at every quadrature node.
 
-    Raises EvaluationError on the first violation; returns the worst residuals.
+    Raises EvaluationError naming the first violating node; returns the
+    worst residuals.
     """
-    worst = {"normal_norm": 0.0, "normal_orth": 0.0, "metric": 0.0, "selfadj": 0.0}
-    for node in quad.nodes:
-        fr = node.frame
-        r = abs(np.linalg.norm(fr.n) - 1.0)
-        worst["normal_norm"] = max(worst["normal_norm"], r)
-        if r > normal_tol:
-            raise EvaluationError(f"normal not unit at u={tuple(fr.u)}: {r:.2e}")
-        r = max(abs(fr.n @ fr.jac[:, 0]), abs(fr.n @ fr.jac[:, 1]))
-        worst["normal_orth"] = max(worst["normal_orth"], r)
-        if r > orth_tol:
-            raise EvaluationError(f"normal not orthogonal to tangents at u={tuple(fr.u)}")
-        g_ref = fr.jac.T @ fr.jac
-        r = np.linalg.norm(fr.metric - g_ref) / max(1.0, np.linalg.norm(g_ref))
-        worst["metric"] = max(worst["metric"], r)
-        if r > metric_tol:
-            raise EvaluationError(f"metric != J^T J at u={tuple(fr.u)}")
-        S = fr.tan2(fr.shape_op)
-        r = abs(S[0, 1] - S[1, 0])
-        worst["selfadj"] = max(worst["selfadj"], r)
-        if r > selfadj_tol:
-            raise EvaluationError(f"shape operator not self-adjoint at u={tuple(fr.u)}")
-    return worst
+    fr = quad.frame
+    g_ref = transpose(fr.jac) @ fr.jac
+    S = fr.tan2(fr.shape_op)
+    resid = {
+        "normal_norm": np.abs(np.linalg.norm(fr.n, axis=-1) - 1.0),
+        "normal_orth": np.abs(matvec(transpose(fr.jac), fr.n)).max(axis=-1),
+        "metric": (np.linalg.norm(fr.metric - g_ref, axis=(-2, -1))
+                   / np.maximum(1.0, np.linalg.norm(g_ref, axis=(-2, -1)))),
+        "selfadj": np.abs(S[..., 0, 1] - S[..., 1, 0]),
+    }
+    tols = (normal_tol, orth_tol, metric_tol, selfadj_tol)
+    what = ("normal not unit", "normal not orthogonal to tangents",
+            "metric != J^T J", "shape operator not self-adjoint")
+    _raise_first_failure(EvaluationError, fr.u, [
+        (r > tol, r, message + ": {:.2e}")
+        for r, tol, message in zip(resid.values(), tols, what)])
+    return {name: float(np.max(r)) for name, r in resid.items()}
 
 
 def validate_thickness(thick, quad):
-    """Positivity and Lipschitz bound of the thickness profiles at the nodes."""
-    for node in quad.nodes:
-        fr = node.frame
-        for name, g in (("g1", thick.g1), ("g2", thick.g2)):
-            val = g.value(fr.u)
-            if val <= 0.0:
-                raise ParameterError(f"{name} = {val} <= 0 at u={tuple(fr.u)}")
-            grad = fr.grad3(g.d(fr.u))
-            if np.linalg.norm(grad) > thick.lipschitz_bound + 1e-12:
-                raise ParameterError(
-                    f"surface gradient of {name} exceeds lipschitz_bound at u={tuple(fr.u)}")
+    """Positivity and Lipschitz bound of the thickness profiles at the nodes.
+
+    Raises ParameterError naming the first violating node.
+    """
+    fr = quad.frame
+    checks = []
+    for name, g in (("g1", thick.g1), ("g2", thick.g2)):
+        val = g.value(fr.u)
+        slope = np.linalg.norm(fr.grad3(g.d(fr.u)), axis=-1)
+        checks += [(val <= 0.0, val, name + " = {} <= 0"),
+                   (slope > thick.lipschitz_bound + 1e-12, slope,
+                    "surface gradient of " + name + " = {:.3e} exceeds lipschitz_bound")]
+    _raise_first_failure(ParameterError, fr.u, checks)

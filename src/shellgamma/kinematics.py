@@ -6,8 +6,8 @@ normal column is fixed by skewness, and the result is projected onto skew
 matrices.  Chart derivatives of assembled fields (A n and the composite
 fields downstream) are taken by 4th-order central differences.  The fields
 and tensors broadcast over leading batch axes of the chart parameter (or of
-the frame they are given); the expansion residuals and `build_isometry`
-check node by node.
+the frame they are given), so `build_isometry` and the expansion residuals
+are array expressions over the quadrature nodes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EvaluationError, NotAnIsometryError
-from .fields import VectorField, domain_widths, fd_partial, matvec, outer, transpose
+from .fields import (VectorField, domain_widths, fd_partial, first_point, matvec,
+                     outer, transpose)
 from .geometry import SurfacePatch, surface_quadrature
 
 DEFAULT_ISOMETRY_TOL = 1e-8
@@ -71,13 +72,6 @@ class IsometryField:
         return frame.grad3(self.An_partials(frame.u))
 
 
-def isometry_residual(patch, V, u):
-    """Norm of the symmetric tangential strain of V at one chart point."""
-    fr = patch.frame(u)
-    S = tangential_strain(fr, V.d1(fr.u))
-    return float(np.linalg.norm(S))
-
-
 def build_isometry(patch, V, tol=DEFAULT_ISOMETRY_TOL, quad=None):
     """Check that V is an infinitesimal isometry and wrap it with its A field.
 
@@ -86,18 +80,16 @@ def build_isometry(patch, V, tol=DEFAULT_ISOMETRY_TOL, quad=None):
     """
     if quad is None:
         quad = surface_quadrature(patch)
-    worst_u, worst_r = None, 0.0
-    for node in quad.nodes:
-        r = isometry_residual(patch, V, node.frame.u)
-        if not np.isfinite(r):
-            raise EvaluationError(
-                f"displacement field not finite at u={tuple(node.frame.u)}")
-        if r > worst_r:
-            worst_u, worst_r = node.frame.u, r
-    if worst_r > tol:
+    fr = quad.frame
+    r = np.linalg.norm(tangential_strain(fr, V.d1(fr.u)), axis=(-2, -1))
+    bad = ~np.isfinite(r)
+    if np.any(bad):
+        raise EvaluationError(f"displacement field not finite at u={first_point(fr.u, bad)}")
+    i = np.argmax(r)
+    if r[i] > tol:
         raise NotAnIsometryError(
-            f"sym tangential gradient of V reaches {worst_r:.3e} > tol={tol:.1e} "
-            f"at u={tuple(worst_u)}", u=worst_u, residual=worst_r)
+            f"sym tangential gradient of V reaches {r[i]:.3e} > tol={tol:.1e} "
+            f"at u={tuple(fr.u[i].tolist())}", u=fr.u[i], residual=float(r[i]))
     return IsometryField(patch=patch, displacement=V, tol=tol)
 
 
@@ -133,13 +125,16 @@ class StrainField:
 # the two tensors entering the limit functional
 # ---------------------------------------------------------------------------
 
+def _gamma_n_partials(frame, thick):
+    """Chart partials of the field (g2 - g1) n, shape (..., 3, 2)."""
+    gamma = thick.gamma(frame.u)
+    Dn = frame.shape_op @ frame.jac                 # chart partials of the normal
+    return outer(frame.n, thick.gamma_d(frame.u)) + gamma[..., None, None] * Dn
+
+
 def grad3_gamma_n(frame, thick):
     """Ambient surface gradient of the field (g2 - g1) n."""
-    gamma = thick.gamma(frame.u)
-    dgamma = thick.gamma_d(frame.u)
-    Dn = frame.shape_op @ frame.jac                 # chart partials of the normal
-    partials = outer(frame.n, dgamma) + gamma[..., None, None] * Dn
-    return frame.grad3(partials)
+    return frame.grad3(_gamma_n_partials(frame, thick))
 
 
 def bending_matrix(iso, frame):
@@ -183,12 +178,14 @@ def stretching_tensor(iso, strain, thick, kappa, patch):
 # numerical verification of the expansion identities
 # ---------------------------------------------------------------------------
 
-def _phi_tilde_partial(fr, thick, h, i):
-    """d/du_i of the geometric mid-surface map id + (h/2)(g2-g1) n."""
-    gamma = thick.gamma(fr.u)
-    dgamma = thick.gamma_d(fr.u)
-    dn = fr.shape_op @ fr.jac[:, i]
-    return fr.jac[:, i] + 0.5 * h * (dgamma[i] * fr.n + gamma * dn)
+def _phi_tilde_partials(frame, thick, h):
+    """Chart partials of the geometric mid-surface map id + (h/2)(g2-g1) n, (..., 3, 2)."""
+    return frame.jac + 0.5 * h * _gamma_n_partials(frame, thick)
+
+
+def _tangent_quadratic(frame, M):
+    """tau_i^T M tau_i for the two chart tangents tau_i, shape (..., 2)."""
+    return (frame.jac * (M @ frame.jac)).sum(axis=-2)
 
 
 def stretching_expansion_residual(patch, iso, w, thick, h, quad=None):
@@ -200,52 +197,34 @@ def stretching_expansion_residual(patch, iso, w, thick, h, quad=None):
     """
     if quad is None:
         quad = surface_quadrature(patch)
-    V = iso.displacement
-    worst = 0.0
-    for node in quad.nodes:
-        fr = node.frame
-        A = iso.A_at(fr.u)
-        Gw = fr.grad3(w.d1(fr.u))
-        AG = A @ grad3_gamma_n(fr, thick)
-        M = 0.5 * (Gw + Gw.T) - 0.5 * (A @ A) - 0.25 * (AG + AG.T)
-        DV = V.d1(fr.u)
-        Dw = w.d1(fr.u)
-        for i in (0, 1):
-            tau = fr.jac[:, i]
-            dpt = _phi_tilde_partial(fr, thick, h, i)
-            dp = dpt + h * DV[:, i] + h * h * Dw[:, i]
-            lhs = float(dp @ dp - dpt @ dpt)
-            rhs = 2.0 * h * h * float(tau @ M @ tau)
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    fr = quad.frame
+    A = iso.A_at(fr.u)
+    Dw = w.d1(fr.u)
+    Gw = fr.grad3(Dw)
+    AG = A @ grad3_gamma_n(fr, thick)
+    M = 0.5 * (Gw + transpose(Gw)) - 0.5 * (A @ A) - 0.25 * (AG + transpose(AG))
+    dpt = _phi_tilde_partials(fr, thick, h)
+    dp = dpt + h * iso.displacement.d1(fr.u) + h * h * Dw
+    lhs = (dp * dp).sum(axis=-2) - (dpt * dpt).sum(axis=-2)
+    rhs = 2.0 * h * h * _tangent_quadratic(fr, M)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
-def _deformed_chart_shape_coeffs(patch, partials_fn, u, fd_step, orient_n):
-    """Coefficient matrix C of the shape operator of a deformed chart.
+def _deformed_chart_shape_coeffs(P, P_stencil, fd_step, orient_n):
+    """Coefficient matrices C of the shape operator of a deformed chart.
 
-    partials_fn(u) returns the (3, 2) chart partials of the deformed chart;
-    the deformed normal is the normalized column cross product, oriented to
-    orient_n, and differentiated by central differences with step fd_step.
-    C satisfies Pi (d_i Y) = sum_j C[j, i] (d_j Y).
+    P holds the (..., 3, 2) chart partials of the deformed chart at the
+    points, P_stencil the same at the points shifted by +fd_step and
+    -fd_step along each chart axis, stacked as (sign, axis, ...).  The
+    deformed normal is the normalized column cross product, oriented to
+    orient_n, and differentiated by central differences.  C satisfies
+    Pi (d_i Y) = sum_j C[..., j, i] (d_j Y).
     """
-
-    def normal_at(v):
-        P = partials_fn(v)
-        nrm = np.cross(P[:, 0], P[:, 1])
-        nrm /= np.linalg.norm(nrm)
-        if nrm @ orient_n < 0.0:
-            nrm = -nrm
-        return nrm
-
-    cols = []
-    for ax in (0, 1):
-        e = np.zeros(2)
-        e[ax] = fd_step
-        cols.append((normal_at(u + e) - normal_at(u - e)) / (2.0 * fd_step))
-    Dn = np.stack(cols, axis=-1)
-    P = partials_fn(u)
-    G = P.T @ P
-    return np.linalg.solve(G, P.T @ Dn)
+    nrm = np.cross(P_stencil[..., 0], P_stencil[..., 1])
+    nrm = nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
+    nrm = np.where(((nrm * orient_n).sum(axis=-1) < 0.0)[..., None], -nrm, nrm)
+    Dn = np.moveaxis((nrm[0] - nrm[1]) / (2.0 * fd_step), 0, -1)
+    return np.linalg.solve(transpose(P) @ P, transpose(P) @ Dn)
 
 
 def bending_expansion_residual(patch, iso, thick, h, quad=None, fd_step=1e-5):
@@ -258,31 +237,17 @@ def bending_expansion_residual(patch, iso, thick, h, quad=None, fd_step=1e-5):
     if quad is None:
         quad = surface_quadrature(patch)
     V = iso.displacement
-    worst = 0.0
-    for node in quad.nodes:
-        fr = node.frame
-
-        def tilde_partials(v):
-            f2 = patch.frame(v)
-            return np.stack([_phi_tilde_partial(f2, thick, h, i) for i in (0, 1)],
-                            axis=-1)
-
-        def full_partials(v):
-            f2 = patch.frame(v)
-            DV = V.d1(f2.u)
-            return np.stack(
-                [_phi_tilde_partial(f2, thick, h, i) + h * DV[:, i] for i in (0, 1)],
-                axis=-1)
-
-        C_full = _deformed_chart_shape_coeffs(patch, full_partials, fr.u, fd_step, fr.n)
-        C_tilde = _deformed_chart_shape_coeffs(patch, tilde_partials, fr.u, fd_step, fr.n)
-        dAn = iso.An_partials(fr.u)
-        A = iso.A_at(fr.u)
-        for i in (0, 1):
-            lhs = fr.jac @ (C_full - C_tilde)[:, i]
-            rhs = h * (dAn[:, i] - A @ (fr.shape_op @ fr.jac[:, i]))
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+    fr = quad.frame
+    shifts = np.array([1.0, -1.0])[:, None, None] * (fd_step * np.eye(2))
+    stencil = fr.u + shifts[..., None, :]            # (sign, axis, N, 2)
+    tilde_st = _phi_tilde_partials(patch.frame(stencil), thick, h)
+    tilde = _phi_tilde_partials(fr, thick, h)
+    C_full = _deformed_chart_shape_coeffs(tilde + h * V.d1(fr.u),
+                                          tilde_st + h * V.d1(stencil), fd_step, fr.n)
+    C_tilde = _deformed_chart_shape_coeffs(tilde, tilde_st, fd_step, fr.n)
+    lhs = fr.jac @ (C_full - C_tilde)
+    rhs = h * (iso.An_partials(fr.u) - iso.A_at(fr.u) @ (fr.shape_op @ fr.jac))
+    return float(np.max(np.linalg.norm(lhs - rhs, axis=-2)))
 
 
 def midsurface_strain_deficit(patch, iso, thick, h, quad=None):
@@ -293,16 +258,7 @@ def midsurface_strain_deficit(patch, iso, thick, h, quad=None):
     """
     if quad is None:
         quad = surface_quadrature(patch)
-    V = iso.displacement
-    worst = 0.0
-    for node in quad.nodes:
-        fr = node.frame
-        A = iso.A_at(fr.u)
-        AG = A @ grad3_gamma_n(fr, thick)
-        DV = V.d1(fr.u)
-        for i in (0, 1):
-            tau = fr.jac[:, i]
-            dpt = _phi_tilde_partial(fr, thick, h, i)
-            lhs = float(DV[:, i] @ dpt)
-            worst = max(worst, abs(lhs + 0.5 * h * float(tau @ AG @ tau)))
-    return worst
+    fr = quad.frame
+    AG = iso.A_at(fr.u) @ grad3_gamma_n(fr, thick)
+    lhs = (iso.displacement.d1(fr.u) * _phi_tilde_partials(fr, thick, h)).sum(axis=-2)
+    return float(np.max(np.abs(lhs + 0.5 * h * _tangent_quadratic(fr, AG))))

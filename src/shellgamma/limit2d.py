@@ -2,10 +2,11 @@
 
 The stretching term integrates (g1+g2) Q2 of the stretching tensor, the
 bending term integrates (g1+g2)^3/12 Q2 of the bending tensor, both with a
-per-node Q2 built from the node's tangent frame; both integrands are
-evaluated in one batched pass over the quadrature nodes.  The total-energy
-variant adds to a computed limit energy the dead-load action against a fixed
-rotation and the relaxation value supplied by the loads module.
+per-node Q2 built from the node's tangent frame; every integrand, the
+load term included, is evaluated in one batched pass over the quadrature
+nodes.  The total-energy variant adds to a computed limit energy the
+dead-load action against a fixed rotation and the relaxation value
+supplied by the loads module.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import surface_quadrature
+from .geometry import surface_quadrature, values_on
 from .kinematics import StrainField, bending_tensor, stretching_tensor
 from .material import as_q3, reduce_q2
 
@@ -72,18 +73,17 @@ def eval_J(limit, patch, thick, iso, f, Qbar, r_value, quad=None):
     """Total limit energy J = I - integral (g1+g2) f . (Qbar V) + r_value.
 
     limit is the LimitEnergyBreakdown of I (`eval_I(...)`) for the same
-    scene; f is the limit surface load (frame -> R^3, called per node);
-    r_value is the relaxation penalty of Qbar, supplied externally (zero in
-    the maximizer-set example).
+    scene; f is the limit surface load (frame -> R^3, called once with the
+    batched frame; a constant (3,) result broadcasts); r_value is the
+    relaxation penalty of Qbar, supplied externally (zero in the
+    maximizer-set example).
     """
     Qbar = check_rotation(Qbar)
     if quad is None:
         quad = surface_quadrature(patch)
-    V = iso.displacement
-    load = 0.0
-    for node in quad.nodes:
-        fr = node.frame
-        load += node.weight * thick.total(fr.u) * float(
-            np.asarray(f(fr), dtype=float) @ (Qbar @ V.value(fr.u)))
+    fr = quad.frame
+    QV = iso.displacement.value(fr.u) @ Qbar.T
+    density = thick.total(fr.u) * (values_on(f, fr, (3,)) * QV).sum(axis=-1)
     return LimitEnergyBreakdown(stretching=limit.stretching, bending=limit.bending,
-                                load_term=load, relaxation_term=float(r_value))
+                                load_term=float(np.sum(quad.weights * density)),
+                                relaxation_term=float(r_value))

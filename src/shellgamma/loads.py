@@ -3,7 +3,10 @@
 Loads are declared on the mid-surface and extended through the thickness
 with the det(Id + t Pi)^{-1} weight, which makes transversal integrals of
 the extension collapse exactly; moment matrices are therefore assembled
-from the closed-form transversal reduction.
+from the closed-form transversal reduction.  A load f(frame) is called
+once with the batched frame of the quadrature nodes and returns (..., 3)
+values; a constant (3,) result broadcasts over the nodes.  Every load
+integral is an array sum over the nodes.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError, UnsupportedCaseError
-from .geometry import offset_jacobian
+from .fields import first_point
+from .geometry import offset_jacobian, values_on
 
 PROCRUSTES_TIE_TOL = 1e-10
 
@@ -41,20 +45,17 @@ class LoadField:
         raise ParameterError(f"unknown load scaling {self.scaling!r}")
 
 
-def load_compatibility_residual(patch, thick, load, squad):
+def load_compatibility_residual(thick, load, squad):
     """Norm of int (g1+g2) f dS relative to the field's L1 mass.
 
     The compatibility condition requires this to vanish at quadrature
     accuracy (<= 1e-8 of the mass); the scaling factor cancels.
     """
-    total = np.zeros(3)
-    mass = 0.0
-    for node in squad.nodes:
-        fr = node.frame
-        val = np.asarray(load.f(fr), dtype=float)
-        mu_t = thick.total(fr.u)
-        total += node.weight * mu_t * val
-        mass += node.weight * mu_t * float(np.linalg.norm(val))
+    fr = squad.frame
+    val = values_on(load.f, fr, (3,))
+    wmu = squad.weights * thick.total(fr.u)
+    total = (wmu[:, None] * val).sum(axis=0)
+    mass = float(np.sum(wmu * np.linalg.norm(val, axis=-1)))
     return float(np.linalg.norm(total)), mass
 
 
@@ -62,7 +63,7 @@ def extend_load(patch, f_surface, u, t):
     """Thickness extension f^h(x + t n) = det(Id + t Pi)^{-1} f^h(x); t physical."""
     _, det = offset_jacobian(patch, u, t)
     fr = patch.frame(u)
-    return np.asarray(f_surface(fr), dtype=float) / det
+    return np.asarray(f_surface(fr), dtype=float) / det[..., None]
 
 
 @dataclass(frozen=True)
@@ -123,15 +124,12 @@ def moment_matrix(load, thick, h, e_h, squad):
     The extension weight cancels the volume element, leaving
     int_S (g1+g2) x (f^h)^T + (h/2) int_S (g2^2 - g1^2) n (f^h)^T.
     """
-    fac = load.factor(h, e_h)
-    N = np.zeros((3, 3))
-    for node in squad.nodes:
-        fr = node.frame
-        fh = fac * np.asarray(load.f(fr), dtype=float)
-        g1v, g2v = thick.g1.value(fr.u), thick.g2.value(fr.u)
-        N += node.weight * ((g1v + g2v) * np.outer(fr.x, fh)
-                            + 0.5 * h * (g2v ** 2 - g1v ** 2) * np.outer(fr.n, fh))
-    return N
+    fr = squad.frame
+    fh = load.factor(h, e_h) * values_on(load.f, fr, (3,))
+    g1v, g2v = thick.g1.value(fr.u), thick.g2.value(fr.u)
+    z = ((g1v + g2v)[:, None] * fr.x
+         + (0.5 * h * (g2v ** 2 - g1v ** 2))[:, None] * fr.n)  # transversal moment
+    return (squad.weights[:, None] * z).T @ fh
 
 
 def maximize_action(load, thick, h, e_h, squad):
@@ -155,7 +153,7 @@ class ExampleMaximizerSet:
     singular_values: np.ndarray
 
 
-def example_maximizer_set(patch, load, thick, squad, tol=1e-8):
+def example_maximizer_set(load, thick, squad, tol=1e-8):
     """Maximizer set and relaxation value under the special scaling f^h = h sqrt(e_h) f.
 
     Refuses other scalings or g1 != g2: outside this case only one inclusion
@@ -166,18 +164,17 @@ def example_maximizer_set(patch, load, thick, squad, tol=1e-8):
     if load.scaling != "h_sqrt_eh":
         raise UnsupportedCaseError(
             "maximizer-set classification requires the scaling f^h = h sqrt(e_h) f")
-    for node in squad.nodes:
-        if abs(thick.gamma(node.frame.u)) > 1e-12:
-            raise UnsupportedCaseError(
-                f"maximizer-set classification requires g1 = g2; "
-                f"g2 - g1 = {thick.gamma(node.frame.u):.3e} at u={tuple(node.frame.u)}")
-    N0 = np.zeros((3, 3))
-    mass = 0.0
-    for node in squad.nodes:
-        fr = node.frame
-        fv = np.asarray(load.f(fr), dtype=float)
-        N0 += node.weight * np.outer(fr.x, fv)
-        mass += node.weight * float(np.linalg.norm(fr.x) * np.linalg.norm(fv))
+    fr = squad.frame
+    gamma = thick.gamma(fr.u)
+    uneven = np.abs(gamma) > 1e-12
+    if np.any(uneven):
+        raise UnsupportedCaseError(
+            f"maximizer-set classification requires g1 = g2; "
+            f"g2 - g1 = {gamma[np.argmax(uneven)]:.3e} at u={first_point(fr.u, uneven)}")
+    fv = values_on(load.f, fr, (3,))
+    N0 = (squad.weights[:, None] * fr.x).T @ fv
+    mass = float(np.sum(squad.weights * np.linalg.norm(fr.x, axis=-1)
+                        * np.linalg.norm(fv, axis=-1)))
     U, sv, Vt = np.linalg.svd(N0)
     s0 = float(np.sign(np.linalg.det(Vt.T @ U.T))) or 1.0
     Q, value, _, _ = wahba_maximize(N0)
@@ -212,7 +209,7 @@ def eval_J_h(rec, E_h, load, squad, trule):
     u = squad.frame.u
     t, wt = trule.across(thick, u)
     y_int = np.sum(wt[..., None] * rec.evaluate(u, t), axis=0)
-    fh = fac * np.array([load.f(node.frame) for node in squad.nodes], dtype=float)
+    fh = fac * values_on(load.f, squad.frame, (3,))
     work = float(np.sum(squad.weights * (fh * y_int).sum(axis=-1)))
     return E_h + action.m_h - work
 

@@ -268,7 +268,8 @@ def relax_q2_brute_force(q3, n, F22, t1=None, t2=None, grid_radius=None,
     """Independent minimization of Q3 over c: coarse grid + exact-line-search descent.
 
     Uses only evaluations of Q3 (central differences of a quadratic are exact),
-    so it shares no code path with the linear solve in reduce_q2.
+    so it shares no code path with the linear solve in reduce_q2.  The grid
+    is evaluated in one batched Q3 call; the descent is scalar.
     """
     n = np.asarray(n, dtype=float)
     if t1 is None or t2 is None:
@@ -283,14 +284,13 @@ def relax_q2_brute_force(q3, n, F22, t1=None, t2=None, grid_radius=None,
     if grid_radius is None:
         grid_radius = 2.0 * (1.0 + float(np.max(np.abs(F22))))
     axis = np.linspace(-grid_radius, grid_radius, grid_points)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    C = grid[:, :, None] * n  # outer(c, n) at every grid point, in a, b, d loop order
+    values = q3.apply(F_hat + C + transpose(C))
     best_c, best_v = np.zeros(3), q(np.zeros(3))
-    for a in axis:
-        for b in axis:
-            for d in axis:
-                c = np.array([a, b, d])
-                v = q(c)
-                if v < best_v:
-                    best_c, best_v = c, v
+    k = np.argmin(values)  # the first minimum; it replaces c = 0 only if strictly lower
+    if values[k] < best_v:
+        best_c, best_v = grid[k], values[k]
 
     delta = 1e-3 * (1.0 + grid_radius)
     c = best_c

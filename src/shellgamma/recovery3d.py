@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EnergyBlowupError, ParameterError
+from .errors import EnergyBlowupError, ParameterError, ThicknessError
 from .fields import (VectorField, domain_widths, fd_partial, matvec, outer,
                      transpose)
 from .geometry import offset_jacobian
@@ -76,13 +76,14 @@ class RecoveryData:
 
     values_at(u) returns the frame at u with the values of (g2-g1), V, w,
     A n, xi, d0 and d1 there; partials_at(u) adds their chart partials.
-    Both are built once at the node array of the scene's quadrature and
-    returned from there when u is that array; at any other chart points
-    they are computed afresh and nothing is stored.
+    Both are built once at `nodes`, the node array of the scene's
+    quadrature, and returned from there when u is that array; at any other
+    chart points they are computed afresh and nothing is stored.
     """
 
     patch: object
     thick: object
+    nodes: np.ndarray      # (N, 2) chart points of the quadrature nodes
     values_at: Callable    # u -> dict of values at u
     partials_at: Callable  # u -> dict of values and chart partials at u
 
@@ -161,7 +162,8 @@ def recovery_data(patch, material, iso, strain, thick, kappa, quad):
             return compute(u)
         return at
 
-    return RecoveryData(patch=patch, thick=thick, values_at=stored_or(values),
+    return RecoveryData(patch=patch, thick=thick, nodes=nodes,
+                        values_at=stored_or(values),
                         partials_at=stored_or(with_partials))
 
 
@@ -177,7 +179,7 @@ def build_recovery(data, h, e_h):
     if e_h <= 0.0:
         raise ParameterError("e_h must be positive")
     patch = data.patch
-    _check_thin_shell(patch, data.thick, h)
+    _check_thin_shell(data, h)
     sq = float(np.sqrt(e_h))
 
     def evaluate(u, t):
@@ -229,13 +231,22 @@ def _fd_columns(f, u, steps, domain):
     return np.stack(cols, axis=-1)
 
 
-def _check_thin_shell(patch, thick, h, grid=5):
-    (a1, b1), (a2, b2) = patch.domain
-    x1 = np.linspace(a1, b1, grid + 2)[1:-1]
-    x2 = np.linspace(a2, b2, grid + 2)[1:-1]
-    u = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1).reshape(-1, 2)
-    t = np.stack([-thick.g1.value(u), thick.g2.value(u)])
-    offset_jacobian(patch, u, h * t)  # raises ThicknessError if det <= 0
+def _check_thin_shell(data, h):
+    """Raise ThicknessError unless every principal factor 1 + h t k of
+    Id + h t Pi is positive for t in [-g1, g2] at every quadrature node.
+
+    Each factor is affine in t, so its ends cover the segment; their
+    product det(Id + h t Pi) could be positive with both factors negative.
+    """
+    fr = data.values_at(data.nodes)["fr"]
+    k = np.linalg.eigvalsh(fr.tan2(fr.shape_op))              # (N, 2)
+    t = np.stack([-data.thick.g1.value(fr.u), data.thick.g2.value(fr.u)])
+    factors = 1.0 + h * t[..., None] * k                       # (2, N, 2)
+    if np.any(factors <= 0.0):
+        e, i, _ = np.unravel_index(np.argmin(factors), factors.shape)
+        raise ThicknessError(
+            f"principal factor 1 + h t k = {factors.min():.3e} <= 0 at "
+            f"u={tuple(fr.u[i].tolist())}, t={t[e, i]}")
 
 
 def eval_shell_energy(rec, material, squad, trule, blowup_distance=BLOWUP_DISTANCE):

@@ -243,8 +243,7 @@ def _validate_load(spec, path="load"):
 
 
 _DEFAULT_TOLERANCES = {
-    "gamma-limit": {"raw_rel_gap": 0.05, "extrapolated_rel_gap": 0.02,
-                    "richardson_order": 1},
+    "gamma-limit": {"raw_rel_gap": 0.05, "extrapolated_rel_gap": 0.02},
     "expansion-order": {"stretch_slope_min": 2.9, "bend_slope_min": 1.9,
                         "r2_min": 0.99},
     "q2-check": {"closed_form_rel_tol": 1e-10, "brute_force_tol": 1e-8,
@@ -400,7 +399,7 @@ def _build_vector_field(spec, patch):
     return fieldlib.trig_vector_field(spec["components"], patch.domain)
 
 
-def _build_load(spec, patch):
+def _build_load(spec):
     if spec is None:
         return None
     family = spec["family"]
@@ -416,9 +415,10 @@ def _build_load(spec, patch):
         mean = 4.0 / math.pi ** 2
 
         def f(fr, _a=amp, _m=mean):
-            return np.array([0.0, 0.0,
-                             _a * (math.sin(math.pi * fr.u[0])
-                                   * math.sin(math.pi * fr.u[1]) - _m)])
+            u = fr.u
+            out = np.zeros(u.shape[:-1] + (3,))
+            out[..., 2] = _a * (np.sin(math.pi * u[..., 0]) * np.sin(math.pi * u[..., 1]) - _m)
+            return out
     return LoadField(f=f, scaling=spec["scaling"])
 
 
@@ -449,10 +449,18 @@ def fit_order(pairs):
 
 
 def richardson_extrapolate(h_coarse, v_coarse, h_fine, v_fine, order=1):
-    """Eliminate the leading O(h^order) term from two values on a ratio pair."""
+    """Eliminate the leading O(h^order) term from two values on a ratio pair.
+
+    order = +inf (an exact fit, no gap left) gives v_fine, the limit of the
+    formula; an order that is not positive eliminates nothing and gives nan.
+    """
     rho = h_coarse / h_fine
     if rho <= 1.0:
         raise ShellGammaError("richardson needs h_coarse > h_fine")
+    if order == math.inf:
+        return v_fine
+    if not order > 0.0:
+        return math.nan
     w = rho ** order
     return (w * v_fine - v_coarse) / (w - 1.0)
 
@@ -578,10 +586,10 @@ def _run_gamma(cfg):
     limit = eval_I(patch, thick, material, iso, strain, cfg.kappa, quad=squad)
     I_value = limit.total
 
-    load = _build_load(cfg.load, patch)
+    load = _build_load(cfg.load)
     J_value = None
     if load is not None:
-        resid, mass = load_compatibility_residual(patch, thick, load, squad)
+        resid, mass = load_compatibility_residual(thick, load, squad)
         if resid > 1e-8 * max(mass, 1e-300):
             raise ConfigError(
                 f"load violates the compatibility condition: |int (g1+g2) f| = "
@@ -615,8 +623,7 @@ def _run_gamma(cfg):
                "I_stretching": limit.stretching,
                "I_bending": limit.bending,
                "raw_rel_gap_tolerance": tol["raw_rel_gap"],
-               "extrapolated_rel_gap_tolerance": tol["extrapolated_rel_gap"],
-               "richardson_order": int(tol["richardson_order"])}
+               "extrapolated_rel_gap_tolerance": tol["extrapolated_rel_gap"]}
     if J_value is not None:
         summary["J_limit"] = J_value
         if J_gap is not None:
@@ -628,8 +635,7 @@ def _run_gamma(cfg):
     slope, r2 = fit_order([(r.h, abs(r.normalized - I_value)) for r in rows])
     coarse, fine = rows[-2], rows[-1]
     extrapolated = richardson_extrapolate(coarse.h, coarse.normalized,
-                                          fine.h, fine.normalized,
-                                          order=int(tol["richardson_order"]))
+                                          fine.h, fine.normalized, order=slope)
     extr_gap = abs(extrapolated - I_value) / abs(I_value) if I_value != 0.0 \
         else abs(extrapolated)
     raw_ok = rows[-1].rel_gap <= tol["raw_rel_gap"]
@@ -730,8 +736,8 @@ def _run_load_align(cfg):
     thick = ThicknessPair.constant(0.5, 0.5, sphere.domain)
     const_load = LoadField(f=lambda fr: np.array([0.3, -0.1, 0.2]))
     radial_load = LoadField(f=lambda fr: fr.x.copy())
-    cls_const = example_maximizer_set(sphere, const_load, thick, squad)
-    cls_radial = example_maximizer_set(sphere, radial_load, thick, squad)
+    cls_const = example_maximizer_set(const_load, thick, squad)
+    cls_radial = example_maximizer_set(radial_load, thick, squad)
     examples_ok = (cls_const.classification == "all_SO3"
                    and cls_radial.classification == "unique"
                    and bool(np.allclose(cls_radial.optimal_rotation, np.eye(3),

@@ -1,9 +1,13 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 import shellgamma as sg
 from shellgamma.errors import (DomainError, EvaluationError, ParameterError,
                                ThicknessError)
+from shellgamma.geometry import gauss_legendre
 from shellgamma.studies import fit_order
 
 
@@ -25,6 +29,24 @@ def test_patch_invariants_hold_on_all_builtins():
         assert worst["normal_orth"] <= 1e-10
         assert worst["metric"] <= 1e-10
         assert worst["selfadj"] <= 1e-8
+
+
+def test_validate_patch_names_the_first_bad_node():
+    # normals tilted off the plate for u1 > 0.3 and, in addition, not unit
+    # for u1 > 0.6: the first failing node in C order (u1 major) is a tilted
+    # one, although the unit-norm check is listed first
+    def normal(u):
+        tilt = np.where(u[..., 0] > 0.3, 1e-3, 0.0)
+        n = np.stack([tilt, np.zeros_like(tilt), np.ones_like(tilt)], axis=-1)
+        n /= np.linalg.norm(n, axis=-1, keepdims=True)
+        return n * np.where(u[..., 0] > 0.6, 1.0 + 1e-6, 1.0)[..., None]
+
+    bent = dataclasses.replace(sg.make_builtin_patch("plate"), normal=normal)
+    x, _ = gauss_legendre(4, 0.0, 1.0)  # node coordinates on either axis
+    first = (float(x[x > 0.3][0]), float(x[0]))
+    with pytest.raises(EvaluationError, match=re.escape(
+            f"normal not orthogonal to tangents: 1.00e-03 at u={first}")):
+        sg.validate_patch(bent, sg.surface_quadrature(bent, 4))
 
 
 def test_plate_shape_operator_is_zero():
@@ -122,20 +144,20 @@ def test_offset_jacobian_names_the_smallest_determinant():
 def test_integrate_constant_one_on_plate():
     plate = sg.make_builtin_patch("plate")
     quad = sg.surface_quadrature(plate, 8)
-    assert sg.integrate_surface(plate, quad, lambda fr: 1.0) == pytest.approx(1.0, rel=1e-13)
+    assert sg.integrate_surface(quad, lambda fr: 1.0) == pytest.approx(1.0, rel=1e-13)
 
 
 def test_integrate_cylinder_area():
     cyl = sg.make_builtin_patch("cylinder", radius=1.0, height=1.0)
     quad = sg.surface_quadrature(cyl, 8)
-    area = sg.integrate_surface(cyl, quad, lambda fr: 1.0)
+    area = sg.integrate_surface(quad, lambda fr: 1.0)
     assert area == pytest.approx(2.0 * np.pi, rel=1e-12)
 
 
 def test_integrate_height_over_hemisphere():
     cap = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 2)
     quad = sg.surface_quadrature(cap, 8)
-    val = sg.integrate_surface(cap, quad, lambda fr: fr.x[2])
+    val = sg.integrate_surface(quad, lambda fr: fr.x[..., 2])
     assert val == pytest.approx(np.pi, rel=1e-10)
 
 
@@ -146,18 +168,18 @@ def test_quadrature_error_decreases_with_order():
         (a1, b1), (a2, b2) = patch.domain
 
         def integrand(fr):
-            s1 = (fr.u[0] - a1) / (b1 - a1)
-            s2 = (fr.u[1] - a2) / (b2 - a2)
+            s1 = (fr.u[..., 0] - a1) / (b1 - a1)
+            s2 = (fr.u[..., 1] - a2) / (b2 - a2)
             return 1.0 / (1.0 + 2.0 * np.sin(s1 + 0.3) ** 2 + s2 ** 2)
 
         return integrand
 
     for patch in all_builtin_patches():
         integrand = make_integrand(patch)
-        ref = sg.integrate_surface(patch, sg.surface_quadrature(patch, 30), integrand)
+        ref = sg.integrate_surface(sg.surface_quadrature(patch, 30), integrand)
         errs = []
         for order in (2, 3, 4, 5, 6):
-            val = sg.integrate_surface(patch, sg.surface_quadrature(patch, order), integrand)
+            val = sg.integrate_surface(sg.surface_quadrature(patch, order), integrand)
             errs.append(abs(val - ref))
         for a, b in zip(errs, errs[1:]):
             assert b <= a * 1.0001 + 1e-15, (patch.name, errs)
@@ -168,13 +190,18 @@ def test_integrate_rejects_non_finite_values():
     plate = sg.make_builtin_patch("plate")
     quad = sg.surface_quadrature(plate, 4)
     with pytest.raises(EvaluationError):
-        sg.integrate_surface(plate, quad, lambda fr: np.inf)
+        sg.integrate_surface(quad, lambda fr: np.inf)
+    # the first node in C order (u1 major) with u1 > 0.5 is named
+    x, _ = gauss_legendre(4, 0.0, 1.0)  # node coordinates on either axis
+    first = (float(x[x > 0.5][0]), float(x[0]))
+    with pytest.raises(EvaluationError, match=re.escape(f"u={first}")):
+        sg.integrate_surface(quad, lambda fr: np.where(fr.u[..., 0] > 0.5, np.nan, 1.0))
 
 
 def test_surface_quadrature_weights_positive():
     for patch in all_builtin_patches():
         quad = sg.surface_quadrature(patch, 5)
-        assert all(node.weight > 0.0 for node in quad.nodes)
+        assert np.all(quad.weights > 0.0)
 
 
 def test_transversal_rule_reproduces_interval_length():
@@ -221,6 +248,26 @@ def test_thickness_validation():
                                 lipschitz_bound=1.0)
     with pytest.raises(ParameterError):
         sg.validate_thickness(negative, quad)
+
+
+def test_thickness_validation_names_the_first_bad_node():
+    # g1 = 0.05 - 0.5 u1 is negative from the second node row (u1 major) on;
+    # a bound below its slope fails already at the first node
+    plate = sg.make_builtin_patch("plate")
+    quad = sg.surface_quadrature(plate, 4)
+    x, _ = gauss_legendre(4, 0.0, 1.0)  # node coordinates on either axis
+    from shellgamma.fields import affine_scalar, constant_scalar
+    g1 = affine_scalar(0.05, [-0.5, 0.0], plate.domain)
+    g2 = constant_scalar(0.5, plate.domain)
+    negative = sg.ThicknessPair(g1=g1, g2=g2, lipschitz_bound=1.0)
+    with pytest.raises(ParameterError, match=re.escape(
+            f"g1 = {0.05 - 0.5 * x[1]} <= 0 at u={(float(x[1]), float(x[0]))}")):
+        sg.validate_thickness(negative, quad)
+    steep = sg.ThicknessPair(g1=g1, g2=g2, lipschitz_bound=0.3)
+    with pytest.raises(ParameterError, match=re.escape(
+            f"surface gradient of g1 = 5.000e-01 exceeds lipschitz_bound at "
+            f"u={(float(x[0]), float(x[0]))}")):
+        sg.validate_thickness(steep, quad)
 
 
 def test_frame_grad3_consistency():

@@ -3,7 +3,8 @@ import pytest
 
 import shellgamma as sg
 from shellgamma.errors import NotAnIsometryError
-from shellgamma.fields import VectorField
+from shellgamma.fields import VectorField, transpose
+from shellgamma.geometry import gauss_legendre
 from shellgamma.studies import fit_order
 
 GENERIC_W = [(0.4, 1.3, 0.2, 0.9, 0.5),
@@ -26,8 +27,7 @@ def test_rigid_field_has_constant_skew_gradient():
         quad = sg.surface_quadrature(patch, 4)
         iso = sg.build_isometry(patch, sg.rigid_field(patch, omega, (0.1, 0.2, -0.3)),
                                 quad=quad)
-        for node in quad.nodes[::5]:
-            assert np.allclose(iso.A_at(node.frame.u), W, atol=1e-12)
+        assert np.allclose(iso.A_at(quad.frame.u[::5]), W, atol=1e-12)
 
 
 def test_isometry_invariants_at_nodes():
@@ -35,13 +35,10 @@ def test_isometry_invariants_at_nodes():
     V = sg.plate_sine_field(1.0, 1, 1, plate.domain)
     quad = sg.surface_quadrature(plate, 6)
     iso = sg.build_isometry(plate, V, quad=quad)
-    for node in quad.nodes[::7]:
-        fr = node.frame
-        A = iso.A_at(fr.u)
-        assert np.linalg.norm(A + A.T) <= 1e-12
-        DV = V.d1(fr.u)
-        for i in (0, 1):
-            assert np.linalg.norm(A @ fr.jac[:, i] - DV[:, i]) <= iso.tol
+    fr = quad.frame[::7]
+    A = iso.A_at(fr.u)
+    assert np.max(np.linalg.norm(A + transpose(A), axis=(-2, -1))) <= 1e-12
+    assert np.max(np.linalg.norm(A @ fr.jac - V.d1(fr.u), axis=-2)) <= iso.tol
 
 
 def test_plate_normal_column_of_A():
@@ -63,8 +60,8 @@ def test_An_matches_the_normal_rotation_formula():
     for patch, V in cases:
         quad = sg.surface_quadrature(patch, 4)
         iso = sg.build_isometry(patch, V, quad=quad)
-        for node in quad.nodes:
-            fr = node.frame
+        for i in range(len(quad.weights)):
+            fr = quad.frame[i]
             v = V.value(fr.u)
             d_vn = V.d1(fr.u).T @ fr.n + (fr.shape_op @ fr.jac).T @ v
             expected = fr.shape_op @ (v - float(v @ fr.n) * fr.n) - fr.grad3(d_vn)
@@ -72,14 +69,25 @@ def test_An_matches_the_normal_rotation_formula():
 
 
 def test_in_plane_stretch_is_rejected_with_worst_node():
+    # V = (u1^2, 0, 0): the strain 2 u1 peaks on the last node row (u1 major),
+    # where every node ties; the first of them in C order is named
     plate = sg.make_builtin_patch("plate")
+
+    def d1(u):
+        out = np.zeros(u.shape[:-1] + (3, 2))
+        out[..., 0, 0] = 2.0 * u[..., 0]
+        return out
+
     stretch = VectorField.from_callables(
-        lambda u: np.array([u[0], 0.0, 0.0]), plate.domain,
-        d1=lambda u: np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+        lambda u: np.stack([u[..., 0] ** 2, 0.0 * u[..., 0], 0.0 * u[..., 0]], axis=-1),
+        plate.domain, d1=d1)
     with pytest.raises(NotAnIsometryError) as err:
         sg.build_isometry(plate, stretch, quad=sg.surface_quadrature(plate, 4))
-    assert err.value.u is not None
-    assert err.value.residual > 0.1
+    x, _ = gauss_legendre(4, 0.0, 1.0)
+    worst = (float(x[-1]), float(x[0]))
+    assert tuple(err.value.u.tolist()) == worst
+    assert err.value.residual == pytest.approx(2.0 * x[-1], rel=1e-14)
+    assert f"at u={worst}" in str(err.value)
 
 
 def test_non_finite_displacement_is_rejected():
@@ -87,7 +95,7 @@ def test_non_finite_displacement_is_rejected():
     plate = sg.make_builtin_patch("plate")
     broken = VectorField.from_callables(
         lambda u: np.array([0.0, 0.0, np.nan]), plate.domain,
-        d1=lambda u: np.full((3, 2), np.nan))
+        d1=lambda u: np.full(np.shape(u)[:-1] + (3, 2), np.nan))
     with pytest.raises(EvaluationError):
         sg.build_isometry(plate, broken, quad=sg.surface_quadrature(plate, 3))
 
@@ -112,7 +120,7 @@ def test_bending_tensor_vanishes_for_rigid_motions():
         iso = sg.build_isometry(patch, sg.rigid_field(patch, (0.3, -0.2, 0.4)),
                                 quad=quad)
         tensor = sg.bending_tensor(iso, patch)
-        worst = max(np.linalg.norm(tensor(node.frame)) for node in quad.nodes)
+        worst = np.max(np.linalg.norm(tensor(quad.frame), axis=(-2, -1)))
         assert worst <= 1e-8, patch.name
 
 
@@ -122,10 +130,9 @@ def test_bending_tensor_on_plate_is_minus_hessian():
     quad = sg.surface_quadrature(plate, 4)
     iso = sg.build_isometry(plate, V, quad=quad)
     tensor = sg.bending_tensor(iso, plate)
-    for node in quad.nodes[::6]:
-        fr = node.frame
-        hess = V.d2(fr.u)[2]  # 2x2 hessian of the vertical component
-        assert np.allclose(tensor(fr), -hess, atol=1e-9)
+    fr = quad.frame[::6]
+    hess = V.d2(fr.u)[..., 2, :, :]  # 2x2 hessian of the vertical component
+    assert np.allclose(tensor(fr), -hess, atol=1e-9)
 
 
 def test_stretching_tensor_reduces_to_strain_bitwise():
@@ -136,9 +143,8 @@ def test_stretching_tensor_reduces_to_strain_bitwise():
                             quad=quad)
     strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, plate.domain))
     tensor = sg.stretching_tensor(iso, strain, thick, kappa=0.0, patch=plate)
-    for node in quad.nodes[::6]:
-        fr = node.frame
-        assert np.array_equal(tensor(fr), strain(fr))
+    fr = quad.frame[::6]
+    assert np.array_equal(tensor(fr), strain(fr))
 
 
 def test_stretching_tensor_plate_vortex_term():
@@ -149,11 +155,10 @@ def test_stretching_tensor_plate_vortex_term():
     iso = sg.build_isometry(plate, V, quad=quad)
     strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, plate.domain))
     tensor = sg.stretching_tensor(iso, strain, thick, kappa=1.0, patch=plate)
-    for node in quad.nodes[::6]:
-        fr = node.frame
-        grad_v = V.d1(fr.u)[2]
-        expected = strain(fr) + 0.5 * np.outer(grad_v, grad_v)
-        assert np.allclose(tensor(fr), expected, atol=1e-12)
+    fr = quad.frame[::6]
+    grad_v = V.d1(fr.u)[..., 2, :]
+    expected = strain(fr) + 0.5 * grad_v[..., :, None] * grad_v[..., None, :]
+    assert np.allclose(tensor(fr), expected, atol=1e-12)
 
 
 def test_stretching_tensor_zero_for_zero_fields():
@@ -166,8 +171,7 @@ def test_stretching_tensor_zero_for_zero_fields():
     iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
     strain = sg.StrainField.zero(plate.domain)
     tensor = sg.stretching_tensor(iso, strain, thick, kappa=1.0, patch=plate)
-    for node in quad.nodes[::6]:
-        assert np.allclose(tensor(node.frame), 0.0, atol=1e-14)
+    assert np.allclose(tensor(quad.frame[::6]), 0.0, atol=1e-14)
 
 
 def test_stretching_expansion_trivial_and_bounded():
@@ -271,12 +275,11 @@ def test_strain_field_matches_generator_gradient():
     w = sg.trig_vector_field(GENERIC_W, plate.domain)
     strain = sg.StrainField.from_generator(w)
     quad = sg.surface_quadrature(plate, 4)
-    for node in quad.nodes[::5]:
-        fr = node.frame
-        B = strain(fr)
-        assert np.allclose(B, B.T, atol=1e-14)
-        Dw = w.d1(fr.u)[:2, :]  # plate frame: tangential gradient is the 2x2 block
-        assert np.allclose(B, 0.5 * (Dw + Dw.T), atol=1e-12)
+    fr = quad.frame[::5]
+    B = strain(fr)
+    assert np.allclose(B, transpose(B), atol=1e-14)
+    Dw = w.d1(fr.u)[..., :2, :]  # plate frame: tangential gradient is the 2x2 block
+    assert np.allclose(B, 0.5 * (Dw + transpose(Dw)), atol=1e-12)
 
 
 def isometry_cases():
@@ -303,12 +306,45 @@ def test_batched_isometry_fields_equal_stacked_points(case):
         (iso.An_at(u), [iso.An_at(p) for p in u]),
         (iso.An_partials(u), [iso.An_partials(p) for p in u]),
         (sg.bending_tensor(iso, patch)(quad.frame),
-         [sg.bending_tensor(iso, patch)(node.frame) for node in quad.nodes]),
+         [sg.bending_tensor(iso, patch)(quad.frame[i]) for i in range(len(u))]),
         (sg.stretching_tensor(iso, strain, thick, 1.0, patch)(quad.frame),
-         [sg.stretching_tensor(iso, strain, thick, 1.0, patch)(node.frame)
-          for node in quad.nodes]),
+         [sg.stretching_tensor(iso, strain, thick, 1.0, patch)(quad.frame[i])
+          for i in range(len(u))]),
     ]
     for batched, singles in checks:
         stacked = np.stack(singles)
         assert batched.shape == stacked.shape
         assert np.max(np.abs(batched - stacked)) <= 1e-14 * np.max(np.abs(stacked))
+
+
+def test_isometry_check_and_residuals_make_few_frame_calls(monkeypatch):
+    # build_isometry reads the quadrature's batched frame; each expansion
+    # residual makes a fixed number of frame calls per h, whatever the node count
+    cap = curved_patches()[0]
+    thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4, cap.domain),
+                             g2=sg.affine_scalar(0.55, [0.04, 0.01], cap.domain),
+                             lipschitz_bound=1.0)
+    w = sg.trig_vector_field(GENERIC_W, cap.domain)
+    quads = {order: sg.surface_quadrature(cap, order) for order in (4, 10)}
+    calls = []
+    frame = sg.SurfacePatch.frame
+
+    def counting_frame(self, u):
+        calls.append(np.shape(u))
+        return frame(self, u)
+
+    monkeypatch.setattr(sg.SurfacePatch, "frame", counting_frame)
+    iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quads[10])
+    assert calls == []
+    residuals = [
+        lambda quad: sg.stretching_expansion_residual(cap, iso, w, thick, 0.1, quad),
+        lambda quad: sg.bending_expansion_residual(cap, iso, thick, 0.1, quad),
+        lambda quad: sg.midsurface_strain_deficit(cap, iso, thick, 0.1, quad),
+    ]
+    for residual in residuals:
+        counts = []
+        for order in (4, 10):
+            calls.clear()
+            residual(quads[order])
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 4, counts

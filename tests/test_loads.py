@@ -118,12 +118,12 @@ def test_example_maximizer_set_classifications():
     thick = sg.ThicknessPair.constant(0.5, 0.5, sph.domain)
 
     const = sg.example_maximizer_set(
-        sph, sg.LoadField(f=lambda fr: np.array([0.3, -0.1, 0.2])), thick, squad)
+        sg.LoadField(f=lambda fr: np.array([0.3, -0.1, 0.2])), thick, squad)
     assert const.classification == "all_SO3"
     assert const.r_value == 0.0
 
     radial = sg.example_maximizer_set(
-        sph, sg.LoadField(f=lambda fr: fr.x.copy()), thick, squad)
+        sg.LoadField(f=lambda fr: fr.x.copy()), thick, squad)
     assert radial.classification == "unique"
     assert np.allclose(radial.optimal_rotation, np.eye(3), atol=1e-10)
     # action tr(Q) * area / 3, maximal at Q = Id, value = area
@@ -133,7 +133,7 @@ def test_example_maximizer_set_classifications():
     cap_quad = sg.surface_quadrature(cap, 10)
     cap_thick = sg.ThicknessPair.constant(0.5, 0.5, cap.domain)
     vertical = sg.example_maximizer_set(
-        cap, sg.LoadField(f=lambda fr: np.array([0.0, 0.0, 1.0])), cap_thick, cap_quad)
+        sg.LoadField(f=lambda fr: np.array([0.0, 0.0, 1.0])), cap_thick, cap_quad)
     assert vertical.classification == "one_parameter_family"
 
 
@@ -143,26 +143,32 @@ def test_example_maximizer_set_preconditions():
     asym = sg.ThicknessPair.constant(0.4, 0.6, sph.domain)
     load = sg.LoadField(f=lambda fr: fr.x.copy())
     with pytest.raises(UnsupportedCaseError):
-        sg.example_maximizer_set(sph, load, asym, squad)
+        sg.example_maximizer_set(load, asym, squad)
     sched = sg.LoadField(f=lambda fr: fr.x.copy(), scaling="schedule",
                          schedule=lambda h, e: h)
     ok_thick = sg.ThicknessPair.constant(0.5, 0.5, sph.domain)
     with pytest.raises(UnsupportedCaseError):
-        sg.example_maximizer_set(sph, sched, ok_thick, squad)
+        sg.example_maximizer_set(sched, ok_thick, squad)
+
+
+def balanced_sine(fr):
+    """Vertical plate load sin(pi u1) sin(pi u2) with its mean removed."""
+    out = np.zeros(fr.u.shape[:-1] + (3,))
+    out[..., 2] = (np.sin(np.pi * fr.u[..., 0]) * np.sin(np.pi * fr.u[..., 1])
+                   - 4.0 / np.pi ** 2)
+    return out
 
 
 def test_load_compatibility_residual():
     plate = sg.make_builtin_patch("plate")
     thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
     squad = sg.surface_quadrature(plate, 8)
-    c0 = 4.0 / np.pi ** 2
-    balanced = sg.LoadField(f=lambda fr: np.array(
-        [0.0, 0.0, np.sin(np.pi * fr.u[0]) * np.sin(np.pi * fr.u[1]) - c0]))
-    resid, mass = sg.load_compatibility_residual(plate, thick, balanced, squad)
+    balanced = sg.LoadField(f=balanced_sine)
+    resid, mass = sg.load_compatibility_residual(thick, balanced, squad)
     assert resid <= 1e-8 * mass
 
     unbalanced = sg.LoadField(f=lambda fr: np.array([0.0, 0.0, 1.0]))
-    resid, mass = sg.load_compatibility_residual(plate, thick, unbalanced, squad)
+    resid, mass = sg.load_compatibility_residual(thick, unbalanced, squad)
     assert resid > 0.1 * mass
 
 
@@ -175,9 +181,7 @@ def plate_load_scene(order=6):
     V = sg.plate_sine_field(1.0, 1, 1, plate.domain)
     iso = sg.build_isometry(plate, V, quad=quad)
     strain = sg.StrainField.zero(plate.domain)
-    c0 = 4.0 / np.pi ** 2
-    load = sg.LoadField(f=lambda fr: np.array(
-        [0.0, 0.0, np.sin(np.pi * fr.u[0]) * np.sin(np.pi * fr.u[1]) - c0]))
+    load = sg.LoadField(f=balanced_sine)
     return plate, thick, W, quad, trule, V, iso, strain, load
 
 

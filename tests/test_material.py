@@ -284,6 +284,31 @@ def test_brute_force_relaxation_matches_solver():
             assert np.linalg.norm(c - q2.minimizer(F)) <= 1e-6
 
 
+def test_brute_force_grid_matches_the_loop_over_grid_points():
+    # with no descent step the oracle returns its grid start: the first
+    # strict minimum in a, b, d loop order, and c = 0 unless strictly beaten
+    rng = np.random.default_rng(19)
+    n, t1, t2 = adapted_frame()
+    A = rng.normal(size=(6, 6))
+    for q3 in (sg.as_q3(sg.make_isotropic(1.0, 1.0)),
+               sg.QuadForm3.from_matrix(A @ A.T + np.eye(6))):
+        for F in [np.zeros((2, 2))] + [rng.normal(size=(2, 2)) for _ in range(10)]:
+            _, c = sg.relax_q2_brute_force(q3, n, F, t1=t1, t2=t2, iterations=0)
+            T = np.column_stack([t1, t2])
+            F_hat = T @ F @ T.T
+            radius = 2.0 * (1.0 + float(np.max(np.abs(F))))
+            axis = np.linspace(-radius, radius, 7)
+            best_c, best_v = np.zeros(3), q3.apply(F_hat)
+            for a in axis:
+                for b in axis:
+                    for d in axis:
+                        C = np.outer([a, b, d], n)
+                        v = q3.apply(F_hat + C + C.T)
+                        if v < best_v:
+                            best_c, best_v = np.array([a, b, d]), v
+            assert np.array_equal(c, best_c)
+
+
 def test_vec6_is_isometric():
     rng = np.random.default_rng(18)
     for _ in range(10):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -42,9 +43,9 @@ def test_d_fields_vanish_for_zero_data():
     iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
     d0, d1 = sg.build_d_fields(plate, W, iso, sg.StrainField.zero(plate.domain),
                                thick, kappa=1.0)
-    for node in quad.nodes[::5]:
-        assert np.allclose(d0.value(node.frame.u), 0.0, atol=1e-13)
-        assert np.allclose(d1.value(node.frame.u), 0.0, atol=1e-13)
+    u = quad.frame.u[::5]
+    assert np.allclose(d0.value(u), 0.0, atol=1e-13)
+    assert np.allclose(d1.value(u), 0.0, atol=1e-13)
 
 
 def test_d_fields_sphere_rigid_with_compensating_strain():
@@ -61,12 +62,11 @@ def test_d_fields_sphere_rigid_with_compensating_strain():
         lambda fr: 0.5 * kappa * fr.tan2(Wmat @ Wmat))
     W = sg.make_isotropic(1.0, 1.0)
     d0, d1 = sg.build_d_fields(cap, W, iso, strain, thick, kappa=kappa)
-    for node in quad.nodes[::6]:
-        fr = node.frame
-        assert np.allclose(d1.value(fr.u), 0.0, atol=1e-8)
-        W2n = Wmat @ (Wmat @ fr.n)
-        expected = kappa * W2n - 0.5 * kappa * float(fr.n @ W2n) * fr.n
-        assert np.allclose(d0.value(fr.u), expected, atol=1e-10)
+    fr = quad.frame[::6]
+    assert np.allclose(d1.value(fr.u), 0.0, atol=1e-8)
+    W2n = fr.n @ (Wmat @ Wmat).T
+    expected = kappa * W2n - 0.5 * kappa * (fr.n * W2n).sum(axis=-1)[:, None] * fr.n
+    assert np.allclose(d0.value(fr.u), expected, atol=1e-10)
 
 
 def test_d1_vanishes_for_zero_lambda_on_plate():
@@ -77,8 +77,7 @@ def test_d1_vanishes_for_zero_lambda_on_plate():
                             quad=quad)
     _, d1 = sg.build_d_fields(plate, W, iso, sg.StrainField.zero(plate.domain),
                               thick, kappa=1.0)
-    for node in quad.nodes[::7]:
-        assert np.allclose(d1.value(node.frame.u), 0.0, atol=1e-10)
+    assert np.allclose(d1.value(quad.frame.u[::7]), 0.0, atol=1e-10)
 
 
 def test_recovery_requires_generator_strain():
@@ -99,6 +98,41 @@ def test_recovery_rejects_too_thick_shells():
                             kappa=1.0, quad=quad)
     with pytest.raises(ThicknessError):
         sg.build_recovery(data, h=0.5, e_h=0.5 ** 4)
+
+
+def test_thin_shell_guard_checks_the_quadrature_nodes():
+    # g1 = 1.15 (u1/2pi + u2) on the unit cylinder: at h = 1/2 the inner
+    # offset folds the shell only at the corner node (u1, u2 largest), which
+    # lies beyond every point of an evenly spaced 5x5 interior grid
+    cyl = sg.make_builtin_patch("cylinder", radius=1.0, height=1.0)
+    thick = sg.ThicknessPair(
+        g1=sg.affine_scalar(0.0, [1.15 / (2 * np.pi), 1.15], cyl.domain),
+        g2=sg.constant_scalar(0.5, cyl.domain), lipschitz_bound=2.0)
+    W = sg.make_isotropic(1.0, 1.0)
+    quad = sg.surface_quadrature(cyl, 4)
+    iso = sg.build_isometry(cyl, sg.zero_vector_field(cyl.domain), quad=quad)
+    data = sg.recovery_data(cyl, W, iso, sg.StrainField.zero(cyl.domain), thick,
+                            kappa=1.0, quad=quad)
+    s = np.linspace(0.0, 1.0, 7)[1:-1]
+    grid = np.stack(np.meshgrid(2 * np.pi * s, s, indexing="ij"), axis=-1)
+    assert np.all(1.0 - 0.5 * thick.g1.value(grid) > 0.0)
+    corner = tuple(quad.frame.u[-1].tolist())
+    with pytest.raises(ThicknessError, match=re.escape(f"u={corner}")):
+        sg.build_recovery(data, h=0.5, e_h=0.5 ** 4)
+    sg.build_recovery(data, h=0.4, e_h=0.4 ** 4)
+
+    # past the center of a sphere both principal factors are negative and
+    # det(Id + h t Pi) is positive again; the guard still refuses
+    cap = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 3)
+    deep = sg.ThicknessPair.constant(2.5, 0.5, cap.domain)
+    cap_quad = sg.surface_quadrature(cap, 3)
+    _, det = sg.offset_jacobian(cap, cap_quad.frame.u, -0.9 * 2.5)
+    assert np.all(det > 0.0)
+    iso_c = sg.build_isometry(cap, sg.zero_vector_field(cap.domain), quad=cap_quad)
+    data_c = sg.recovery_data(cap, W, iso_c, sg.StrainField.zero(cap.domain), deep,
+                              kappa=1.0, quad=cap_quad)
+    with pytest.raises(ThicknessError):
+        sg.build_recovery(data_c, h=0.9, e_h=0.9 ** 4)
 
 
 def test_gradient_matches_finite_differences():
@@ -183,10 +217,9 @@ def test_gradient_stays_near_identity():
     for k in range(3, 9):
         h = 2.0 ** -k
         rec = sg.build_recovery(data, h=h, e_h=h ** 4)
-        sup = 0.0
-        for node in quad.nodes[::3]:
-            for t in (-0.4, 0.0, 0.4):
-                sup = max(sup, np.linalg.norm(rec.gradient(node.frame.u, t) - np.eye(3)))
+        u = quad.frame.u[::3]
+        sup = max(np.max(np.linalg.norm(rec.gradient(u, t) - np.eye(3), axis=(-2, -1)))
+                  for t in (-0.4, 0.0, 0.4))
         sups.append(sup)
         ratios.append(sup / (np.sqrt(rec.e_h) / h))
     assert max(ratios) <= 2.0 * min(ratios)  # C = sup / (sqrt(e_h)/h) stable
@@ -226,8 +259,7 @@ def test_energy_blowup_reports_worst_node():
         sg.eval_shell_energy(rec, W, quad, trule)
     # the worst (u, t) found point by point, through the single-point path
     worst, worst_ut = -1.0, None
-    for node in quad.nodes:
-        u = node.frame.u
+    for u in quad.frame.u:
         t_nodes, _ = trule.nodes_at(thick.g1.value(u), thick.g2.value(u))
         for t in t_nodes:
             sv = np.linalg.svd(rec.gradient(u, t), compute_uv=False)
@@ -347,7 +379,7 @@ def test_off_node_probe_computes_values_only(monkeypatch):
     strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, plate.domain))
     data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0, quad=quad)
     rec = sg.build_recovery(data, h=2.0 ** -4, e_h=2.0 ** -16)
-    probe = quad.nodes[5].frame
+    probe = quad.frame[5]
 
     points = []
     frame = sg.SurfacePatch.frame
@@ -374,7 +406,7 @@ def test_averaged_displacement_sym_grad_tracks_strain():
     iso = sg.build_isometry(plate, V, quad=quad)
     w = sg.trig_vector_field(GENERIC_W, plate.domain)
     strain = sg.StrainField.from_generator(w)
-    probes = [quad.nodes[3].frame, quad.nodes[7].frame]
+    probes = [quad.frame[3], quad.frame[7]]
     data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0, quad=quad)
     for k in (3, 5):
         h = 2.0 ** -k

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 import shellgamma.cli as cli
+from shellgamma import recovery3d, studies
 from shellgamma.errors import ConfigError
+from shellgamma.kinematics import build_isometry
 from shellgamma.studies import (CSV_HEADER, StudyReport, StudyRow,
                                 builtin_scenario_config, fit_order, parse_config,
                                 read_report_rows, richardson_extrapolate,
@@ -114,6 +117,58 @@ def test_richardson_extrapolation():
     assert richardson_extrapolate(0.2, f(0.2), 0.1, f(0.1), order=1) == pytest.approx(7.0)
     g = lambda h: 7.0 + 3.0 * h ** 2
     assert richardson_extrapolate(0.2, g(0.2), 0.1, g(0.1), order=2) == pytest.approx(7.0)
+
+
+def test_richardson_with_exact_or_non_positive_order():
+    # an exact fit leaves no gap to eliminate; a non-positive order eliminates nothing
+    assert richardson_extrapolate(0.2, 7.5, 0.1, 7.25, order=math.inf) == 7.25
+    for order in (0.0, -1.0, math.nan):
+        assert math.isnan(richardson_extrapolate(0.2, 7.5, 0.1, 7.25, order=order))
+
+
+def test_gamma_study_extrapolates_with_the_fitted_order(monkeypatch):
+    cfg = validate_config({**MINIMAL_GAMMA,
+                           "quadrature": {"surface_order": 4, "transversal_order": 3}})
+    report = run_study(cfg)
+    rows, summary = report.rows, report.summary
+    assert "richardson_order" not in summary
+    assert summary["extrapolated_limit"] == richardson_extrapolate(
+        rows[-2].h, rows[-2].normalized, rows[-1].h, rows[-1].normalized,
+        order=summary["fitted_gap_order"])
+    # the gap is O(h^2): extrapolating with the fitted order beats the raw value
+    assert summary["extrapolated_rel_gap"] < summary["raw_rel_gap_at_smallest_h"]
+
+    monkeypatch.setattr(studies, "fit_order", lambda pairs: (math.inf, 1.0))
+    exact = run_study(cfg)
+    assert exact.summary["extrapolated_limit"] == exact.rows[-1].normalized
+    monkeypatch.setattr(studies, "fit_order", lambda pairs: (-0.5, 0.9))
+    diverging = run_study(cfg)
+    assert math.isnan(diverging.summary["extrapolated_rel_gap"])
+    assert not diverging.passed
+
+
+def test_richardson_order_key_is_rejected_with_its_path():
+    doc = {**MINIMAL_GAMMA, "tolerances": {"richardson_order": 2}}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert err.value.key_path == "tolerances"
+    assert "richardson_order" in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["plate-gamma", "sphere-gamma"])
+def test_gamma_gap_does_not_depend_on_the_fd_step(name, monkeypatch):
+    # the composite finite-difference steps of the recovery fields and of A n
+    gaps = []
+    for step in (1e-3, 1e-4, 1e-5):
+        monkeypatch.setattr(recovery3d, "COMPOSITE_FD_REL_STEP", step)
+        monkeypatch.setattr(
+            studies, "build_isometry",
+            lambda *args, _step=step, **kwargs: dataclasses.replace(
+                build_isometry(*args, **kwargs), fd_rel_step=_step))
+        report = run_study(builtin_scenario_config(name))
+        assert report.passed
+        gaps.append(report.summary["raw_rel_gap_at_smallest_h"])
+    assert max(abs(g - gaps[0]) for g in gaps) <= 1e-5 * gaps[0], gaps
 
 
 def test_write_report_empty_schedule(tmp_path):
@@ -276,7 +331,8 @@ def test_summary_matches_recomputation_from_rows(tmp_path):
 
     # recompute the pass verdict from the CSV alone
     raw_ok = rows[-1].rel_gap <= float(summary["raw_rel_gap_tolerance"])
-    order = int(summary["richardson_order"])
+    order, _ = fit_order([(r.h, abs(r.normalized - r.I_limit)) for r in rows])
+    assert float(summary["fitted_gap_order"]) == pytest.approx(order, rel=1e-12)
     extrap = richardson_extrapolate(rows[-2].h, rows[-2].normalized,
                                     rows[-1].h, rows[-1].normalized, order=order)
     I_val = rows[-1].I_limit
