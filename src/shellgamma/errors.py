@@ -14,7 +14,7 @@ class DomainError(ShellGammaError):
 
 
 class ThicknessError(ShellGammaError):
-    """The normal offset leaves the thin-shell regime: det(Id + t*Pi) <= 0."""
+    """The normal offset leaves the thin-shell regime: a principal factor of Id + t*Pi <= 0."""
 
 
 class EvaluationError(ShellGammaError):

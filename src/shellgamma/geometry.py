@@ -443,20 +443,26 @@ def offset_jacobian(patch, u, t):
     """Id + t*Pi (identity on the normal) and its determinant at chart points u.
 
     t is the physical normal offset; u (..., 2) and t broadcast against each
-    other.  Raises ThicknessError, naming the point of smallest determinant,
-    when the offset leaves the thin-shell regime det(Id + t*Pi) <= 0.
+    other.  Raises ThicknessError, naming the point of smallest principal
+    factor 1 + t k, when the offset leaves the thin-shell regime: a factor
+    that is not positive.  Pi is self-adjoint with Pi n = 0, so the two
+    factors have the product det(Id + t*Pi) and the sum tr(Id + t*Pi) - 1,
+    and both are positive exactly when these two are.
     """
     u = np.asarray(u, dtype=float)
     t = np.asarray(t, dtype=float)
     Pi = np.asarray(patch.shape_operator(u), dtype=float)
     M = _I3 + t[..., None, None] * Pi
     det = np.linalg.det(M)
-    if np.any(det <= 0.0):
-        k = np.argmin(det)
+    s = np.trace(M, axis1=-2, axis2=-1) - 1.0
+    if np.any((det <= 0.0) | (s <= 0.0)):
+        factor = 0.5 * s - np.sqrt(np.maximum(0.25 * s * s - det, 0.0))
+        k = np.argmin(factor)
         uk = np.broadcast_to(u, det.shape + (2,)).reshape(-1, 2)[k]
         tk = np.broadcast_to(t, det.shape).ravel()[k]
         raise ThicknessError(
-            f"det(Id + t*Pi) = {det.ravel()[k]:.3e} <= 0 at u={tuple(uk.tolist())}, t={tk}")
+            f"principal factor of Id + t*Pi = {factor.ravel()[k]:.3e} <= 0 at "
+            f"u={tuple(uk.tolist())}, t={tk}")
     return M, det
 
 

@@ -5,8 +5,9 @@ matrix over an orthonormal basis of symmetric 3x3 matrices.  Q2 relaxes Q3
 over normal corrections c (x) n + n (x) c; the minimizing c is a linear map
 of the tangential input and feeds the recovery deformation.  Densities,
 forms and the reduction broadcast over leading batch axes (a stack of
-frames gives a stack of Q2 forms, with one batched Cholesky factorization);
-the brute-force minimizer and the closed form stay single-matrix oracles.
+frames gives a stack of Q2 forms, with one batched Cholesky factorization).
+The brute-force minimizer and the closed form stay independent oracles,
+batched over samples: the minimizer uses only Q3 evaluations.
 """
 
 from __future__ import annotations
@@ -257,10 +258,11 @@ def _complete_frame(n):
 
 
 def isotropic_q2_closed_form(mu, lam, F22):
-    """2 mu |sym F|^2 + (2 mu lam / (2 mu + lam)) (tr F)^2 for tangential inputs."""
-    S = 0.5 * (np.asarray(F22, float) + np.asarray(F22, float).T)
-    return (2.0 * mu * float(np.sum(S * S))
-            + (2.0 * mu * lam / (2.0 * mu + lam)) * float(np.trace(S)) ** 2)
+    """2 mu |sym F|^2 + (2 mu lam / (2 mu + lam)) (tr F)^2 for tangential inputs (..., 2, 2)."""
+    S = sym(F22)
+    trace = S[..., 0, 0] + S[..., 1, 1]
+    return (2.0 * mu * (S * S).sum(axis=(-2, -1))
+            + (2.0 * mu * lam / (2.0 * mu + lam)) * trace ** 2)
 
 
 def relax_q2_brute_force(q3, n, F22, t1=None, t2=None, grid_radius=None,
@@ -268,42 +270,60 @@ def relax_q2_brute_force(q3, n, F22, t1=None, t2=None, grid_radius=None,
     """Independent minimization of Q3 over c: coarse grid + exact-line-search descent.
 
     Uses only evaluations of Q3 (central differences of a quadratic are exact),
-    so it shares no code path with the linear solve in reduce_q2.  The grid
-    is evaluated in one batched Q3 call; the descent is scalar.
+    so it shares no code path with the linear solve in reduce_q2.  F22 has
+    shape (..., 2, 2) and broadcasts against n, t1, t2 (..., 3): every sample
+    runs the grid and the descent at once, with its own radius, step and
+    stopping rule.  The grid takes one Q3 call per value of its first
+    coordinate; each descent step one call for the gradient probes and one
+    for the curvature probes.
     """
     n = np.asarray(n, dtype=float)
     if t1 is None or t2 is None:
         t1, t2 = _complete_frame(n)
-    T = np.column_stack([t1, t2])
-    F_hat = T @ np.asarray(F22, dtype=float) @ T.T
+    T = np.stack([t1, t2], axis=-1)
+    F22 = np.asarray(F22, dtype=float)
+    F_hat = T @ F22 @ transpose(T)
+    batch = F_hat.shape[:-2]
 
     def q(c):
-        C = np.outer(c, n)
-        return q3.apply(F_hat + C + C.T)
+        C = c[..., :, None] * n[..., None, :]
+        return q3.apply(F_hat + C + transpose(C))
 
     if grid_radius is None:
-        grid_radius = 2.0 * (1.0 + float(np.max(np.abs(F22))))
-    axis = np.linspace(-grid_radius, grid_radius, grid_points)
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    C = grid[:, :, None] * n  # outer(c, n) at every grid point, in a, b, d loop order
-    values = q3.apply(F_hat + C + transpose(C))
-    best_c, best_v = np.zeros(3), q(np.zeros(3))
-    k = np.argmin(values)  # the first minimum; it replaces c = 0 only if strictly lower
-    if values[k] < best_v:
-        best_c, best_v = grid[k], values[k]
+        grid_radius = 2.0 * (1.0 + np.max(np.abs(F22), axis=(-2, -1)))
+    radius = np.broadcast_to(np.asarray(grid_radius, dtype=float), batch)
+    axis = np.linspace(-radius, radius, grid_points, axis=-1)       # (..., P)
+    j, k = np.divmod(np.arange(grid_points ** 2), grid_points)
+    best_c = np.zeros(batch + (3,))
+    best_v = q(best_c)
+    for i in range(grid_points):
+        # the (b, d) plane at the i-th a, in loop order; the first strict minimum wins
+        plane = np.stack([axis[..., np.full_like(j, i)], axis[..., j], axis[..., k]], axis=-1)
+        grid = np.moveaxis(plane, -2, 0)                              # (P*P, ..., 3)
+        values = q(grid)
+        first = np.argmin(values, axis=0)
+        low = values.min(axis=0)
+        better = low < best_v
+        best_c = np.where(better[..., None],
+                          np.take_along_axis(grid, first[None, ..., None], axis=0)[0], best_c)
+        best_v = np.where(better, low, best_v)
 
-    delta = 1e-3 * (1.0 + grid_radius)
+    delta = 1e-3 * (1.0 + radius)
+    shifts = delta[..., None, None] * np.concatenate([np.eye(3), -np.eye(3)])  # (..., 6, 3)
     c = best_c
+    moving = np.ones(batch, dtype=bool)
     for _ in range(iterations):
-        g = np.array([(q(c + delta * e) - q(c - delta * e)) / (2.0 * delta)
-                      for e in np.eye(3)])
-        gn = np.linalg.norm(g)
-        if gn < 1e-14:
+        v = q(np.moveaxis(c[..., None, :] + shifts, -2, 0))
+        g = np.moveaxis((v[:3] - v[3:]) / (2.0 * delta), 0, -1)
+        gn = np.sqrt((g * g).sum(axis=-1))
+        moving &= gn >= 1e-14
+        d = -g / np.where(moving, gn, 1.0)[..., None]
+        dd = delta[..., None] * d
+        v = q(np.stack([c + dd, c, c - dd]))
+        curv = (v[0] - 2.0 * v[1] + v[2]) / delta ** 2
+        moving &= curv > 0.0
+        step = gn / np.where(moving, curv, 1.0)
+        c = np.where(moving[..., None], c + step[..., None] * d, c)
+        if not moving.any():
             break
-        d = -g / gn
-        curv = (q(c + delta * d) - 2.0 * q(c) + q(c - delta * d)) / delta ** 2
-        if curv <= 0.0:
-            break
-        step = gn / curv
-        c = c + step * d
     return q(c), c

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EnergyBlowupError, ParameterError, ThicknessError
+from .errors import EnergyBlowupError, ParameterError
 from .fields import (VectorField, domain_widths, fd_partial, matvec, outer,
                      transpose)
 from .geometry import offset_jacobian
@@ -235,18 +235,12 @@ def _check_thin_shell(data, h):
     """Raise ThicknessError unless every principal factor 1 + h t k of
     Id + h t Pi is positive for t in [-g1, g2] at every quadrature node.
 
-    Each factor is affine in t, so its ends cover the segment; their
-    product det(Id + h t Pi) could be positive with both factors negative.
+    Each factor is affine in t, so its ends cover the segment;
+    offset_jacobian checks both factors, not only their product.
     """
-    fr = data.values_at(data.nodes)["fr"]
-    k = np.linalg.eigvalsh(fr.tan2(fr.shape_op))              # (N, 2)
-    t = np.stack([-data.thick.g1.value(fr.u), data.thick.g2.value(fr.u)])
-    factors = 1.0 + h * t[..., None] * k                       # (2, N, 2)
-    if np.any(factors <= 0.0):
-        e, i, _ = np.unravel_index(np.argmin(factors), factors.shape)
-        raise ThicknessError(
-            f"principal factor 1 + h t k = {factors.min():.3e} <= 0 at "
-            f"u={tuple(fr.u[i].tolist())}, t={t[e, i]}")
+    u = data.nodes
+    offset_jacobian(data.patch, u,
+                    h * np.stack([-data.thick.g1.value(u), data.thick.g2.value(u)]))
 
 
 def eval_shell_energy(rec, material, squad, trule, blowup_distance=BLOWUP_DISTANCE):

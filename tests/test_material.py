@@ -286,13 +286,16 @@ def test_brute_force_relaxation_matches_solver():
 
 def test_brute_force_grid_matches_the_loop_over_grid_points():
     # with no descent step the oracle returns its grid start: the first
-    # strict minimum in a, b, d loop order, and c = 0 unless strictly beaten
+    # strict minimum in a, b, d loop order, and c = 0 unless strictly beaten;
+    # one call on the stacked samples returns every sample's grid start
     rng = np.random.default_rng(19)
     n, t1, t2 = adapted_frame()
     A = rng.normal(size=(6, 6))
     for q3 in (sg.as_q3(sg.make_isotropic(1.0, 1.0)),
                sg.QuadForm3.from_matrix(A @ A.T + np.eye(6))):
-        for F in [np.zeros((2, 2))] + [rng.normal(size=(2, 2)) for _ in range(10)]:
+        Fs = np.stack([np.zeros((2, 2))] + [rng.normal(size=(2, 2)) for _ in range(10)])
+        _, batched = sg.relax_q2_brute_force(q3, n, Fs, t1=t1, t2=t2, iterations=0)
+        for F, c_batched in zip(Fs, batched):
             _, c = sg.relax_q2_brute_force(q3, n, F, t1=t1, t2=t2, iterations=0)
             T = np.column_stack([t1, t2])
             F_hat = T @ F @ T.T
@@ -307,6 +310,27 @@ def test_brute_force_grid_matches_the_loop_over_grid_points():
                         if v < best_v:
                             best_c, best_v = np.array([a, b, d]), v
             assert np.array_equal(c, best_c)
+            assert np.array_equal(c_batched, best_c)
+
+
+def test_batched_brute_force_equals_stacked_single_calls():
+    # zero inputs stop at once on |g| < 1e-14 with c = 0; the random ones run
+    # the full descent, each with its own radius, step and stopping rule
+    rng = np.random.default_rng(23)
+    n, t1, t2 = adapted_frame()
+    A = rng.normal(size=(6, 6))
+    for q3 in (sg.as_q3(sg.make_isotropic(1.0, 1.0)),
+               sg.QuadForm3.from_matrix(A @ A.T + np.eye(6))):
+        F = rng.normal(size=(12, 2, 2))
+        F[[0, 5]] = 0.0
+        val, c = sg.relax_q2_brute_force(q3, n, F, t1=t1, t2=t2)
+        singles = [sg.relax_q2_brute_force(q3, n, f, t1=t1, t2=t2) for f in F]
+        assert val.shape == (12,) and c.shape == (12, 3)
+        assert np.all(np.isfinite(val)) and np.all(np.isfinite(c))
+        assert np.all(c[[0, 5]] == 0.0) and np.all(val[[0, 5]] == 0.0)
+        for batched, stacked in ((val, np.stack([s[0] for s in singles])),
+                                 (c, np.stack([s[1] for s in singles]))):
+            assert np.max(np.abs(batched - stacked)) <= 1e-13 * np.max(np.abs(stacked))
 
 
 def test_vec6_is_isometric():

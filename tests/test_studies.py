@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shellgamma.cli as cli
 from shellgamma import recovery3d, studies
@@ -89,6 +91,113 @@ def test_config_round_trip():
         assert parse_config(serialize_config(cfg)) == cfg
 
 
+def _numbers(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+def _vector(length):
+    return st.lists(_numbers(min_value=-10.0, max_value=10.0),
+                    min_size=length, max_size=length)
+
+
+_POSITIVE = _numbers(min_value=1e-3, max_value=1e3)
+
+_PATCHES = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("plate")},
+                          optional={"extent": st.tuples(_vector(2), _vector(2))}),
+    st.fixed_dictionaries({"kind": st.just("sphere_cap")},
+                          optional={"radius": _POSITIVE,
+                                    "cap_angle": _numbers(min_value=1e-3,
+                                                          max_value=math.pi / 2),
+                                    "azimuth_range": _vector(2)}),
+    st.fixed_dictionaries({"kind": st.just("sphere")}, optional={"radius": _POSITIVE}),
+    st.fixed_dictionaries({"kind": st.just("cylinder")},
+                          optional={"radius": _POSITIVE, "height": _POSITIVE,
+                                    "angle_range": _vector(2)}),
+    st.fixed_dictionaries({"kind": st.just("torus_patch")},
+                          optional={"major_radius": _POSITIVE, "minor_radius": _POSITIVE,
+                                    "u1_range": _vector(2), "u2_range": _vector(2)}))
+
+_SCALARS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("constant"), "value": _POSITIVE}),
+    st.fixed_dictionaries({"kind": st.just("affine"), "base": _POSITIVE},
+                          optional={"slope": _vector(2)}),
+    st.fixed_dictionaries({"kind": st.just("sine"), "base": _POSITIVE},
+                          optional={"amplitude": _numbers(min_value=-1.0, max_value=1.0),
+                                    "freq": _vector(2), "phase": _vector(2)}))
+
+_FIELDS = st.one_of(
+    st.just({"family": "zero"}),
+    st.fixed_dictionaries({"family": st.just("rigid"), "omega": _vector(3)},
+                          optional={"offset": _vector(3)}),
+    st.fixed_dictionaries({"family": st.just("plate_sine")},
+                          optional={"amplitude": _numbers(min_value=-10.0, max_value=10.0),
+                                    "m": st.integers(1, 9), "n": st.integers(1, 9)}),
+    st.fixed_dictionaries({"family": st.just("trig"),
+                           "components": st.lists(_vector(5), min_size=3, max_size=3)}))
+
+_LOADS = st.one_of(
+    st.none(),
+    st.fixed_dictionaries({"family": st.just("constant"), "vector": _vector(3)}),
+    st.fixed_dictionaries({"family": st.sampled_from(["radial", "normal"])},
+                          optional={"scaling": st.just("h_sqrt_eh")}),
+    st.fixed_dictionaries({"family": st.just("plate_sine_balanced")},
+                          optional={"amplitude": _numbers(min_value=-10.0, max_value=10.0)}))
+
+_SCHEDULES = st.lists(_numbers(min_value=1e-6, max_value=0.999), min_size=4, max_size=8,
+                      unique=True).map(lambda hs: sorted(hs, reverse=True))
+
+_TOLERANCES = {
+    "gamma-limit": st.fixed_dictionaries(
+        {}, optional={"raw_rel_gap": _POSITIVE, "extrapolated_rel_gap": _POSITIVE}),
+    "expansion-order": st.fixed_dictionaries(
+        {}, optional={"stretch_slope_min": _POSITIVE, "bend_slope_min": _POSITIVE,
+                      "r2_min": _numbers(min_value=0.0, max_value=1.0)}),
+    "q2-check": st.fixed_dictionaries(
+        {}, optional={"closed_form_rel_tol": _POSITIVE, "brute_force_tol": _POSITIVE,
+                      "samples": st.integers(0, 1000)}),
+}
+
+
+@st.composite
+def _study_documents(draw):
+    study = draw(st.sampled_from(sorted(_TOLERANCES)))
+    materials = [st.fixed_dictionaries({"type": st.just("isotropic"), "mu": _POSITIVE,
+                                        "lambda": _numbers(min_value=0.0, max_value=1e3)})]
+    if study != "gamma-limit":
+        materials.append(st.fixed_dictionaries({"type": st.just("q3"),
+                                                "matrix": _vector(21)}))
+    e_h = draw(st.one_of(st.just({"mode": "kappa_h4"}),
+                         st.fixed_dictionaries({"mode": st.just("h_alpha")},
+                                               optional={"alpha": _numbers(
+                                                   min_value=4.001, max_value=10.0)})))
+    kappa = (draw(_POSITIVE) if e_h["mode"] == "kappa_h4"
+             else draw(_numbers(min_value=0.0, max_value=1e3)))
+    return {"study": study,
+            "patch": draw(_PATCHES),
+            "thickness": draw(st.fixed_dictionaries(
+                {"g1": _SCALARS, "g2": _SCALARS},
+                optional={"lipschitz_bound": _numbers(min_value=0.0, max_value=10.0)})),
+            "material": draw(st.one_of(materials)),
+            "fields": {"V": draw(_FIELDS), "w": draw(_FIELDS)},
+            "kappa": kappa,
+            "e_h": e_h,
+            "h_schedule": draw(_SCHEDULES),
+            "load": draw(_LOADS),
+            "quadrature": {"surface_order": draw(st.integers(1, 20)),
+                           "transversal_order": draw(st.integers(1, 10))},
+            "tolerances": draw(_TOLERANCES[study]),
+            "seed": draw(st.integers(0, 2 ** 32)),
+            "output": draw(st.text(min_size=1, max_size=20))}
+
+
+@settings(max_examples=50)
+@given(_study_documents())
+def test_config_round_trip_on_random_documents(doc):
+    cfg = validate_config(doc)
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
 def test_fit_order_reference_cases():
     hs = [2.0 ** -k for k in range(3, 9)]
     slope, r2 = fit_order([(h, 2.7 * h ** 3) for h in hs])
@@ -169,6 +278,23 @@ def test_gamma_gap_does_not_depend_on_the_fd_step(name, monkeypatch):
         assert report.passed
         gaps.append(report.summary["raw_rel_gap_at_smallest_h"])
     assert max(abs(g - gaps[0]) for g in gaps) <= 1e-5 * gaps[0], gaps
+
+
+@pytest.mark.parametrize("name", ["plate-gamma", "sphere-gamma"])
+def test_gamma_gap_does_not_depend_on_the_quadrature_order(name):
+    # surface and transversal Gauss orders around the builtin 10/4; surface
+    # order 6 is already off by about 4e-4 on the plate
+    cfg = builtin_scenario_config(name)
+    reference = run_study(cfg).summary["raw_rel_gap_at_smallest_h"]
+    for surface_order in (8, 10, 12):
+        for transversal_order in (3, 4, 5):
+            report = run_study(dataclasses.replace(
+                cfg, quadrature={"surface_order": surface_order,
+                                 "transversal_order": transversal_order}))
+            assert report.passed
+            gap = report.summary["raw_rel_gap_at_smallest_h"]
+            assert abs(gap - reference) <= 1e-4 * reference, (
+                surface_order, transversal_order, gap, reference)
 
 
 def test_write_report_empty_schedule(tmp_path):
