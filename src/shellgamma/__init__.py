@@ -23,9 +23,10 @@ from .kinematics import (IsometryField, StrainField, bending_expansion_residual,
                          stretching_tensor)
 from .limit2d import LimitEnergyBreakdown, eval_I, eval_I_tilde, eval_J
 from .loads import (ExampleMaximizerSet, LoadField, RotationActionResult,
-                    eval_J_h, example_maximizer_set, extend_load,
+                    davenport_matrix, eval_J_h, example_maximizer_set, extend_load,
                     load_compatibility_residual, maximize_action, moment_matrix,
-                    random_rotations, rotation_actions, wahba_maximize)
+                    random_rotations, rotation_actions, rotation_matrices,
+                    wahba_maximize)
 from .material import (QuadForm2, QuadForm3, StoredEnergy, as_q3,
                        isotropic_q2_closed_form, make_isotropic, q3_from_energy,
                        reduce_q2, relax_q2_brute_force)

@@ -215,23 +215,46 @@ def eval_J_h(rec, E_h, load, squad, trule):
 
 
 def random_rotations(rng, count):
-    """Uniform rotations from normalized quaternions, as an (n, 3, 3) array."""
-    q = rng.normal(size=(count, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    R = np.empty((count, 3, 3))
-    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    R[:, 0, 1] = 2 * (x * y - z * w)
-    R[:, 0, 2] = 2 * (x * z + y * w)
-    R[:, 1, 0] = 2 * (x * y + z * w)
-    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    R[:, 1, 2] = 2 * (y * z - x * w)
-    R[:, 2, 0] = 2 * (x * z - y * w)
-    R[:, 2, 1] = 2 * (y * z + x * w)
-    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    """Uniform random rotations as (count, 4) Gaussian quaternions (w, x, y, z).
+
+    They are not normalized: R(q) depends only on the direction of q.
+    """
+    return rng.standard_normal((count, 4))
+
+
+def rotation_matrices(q):
+    """R(q) of quaternions (w, x, y, z), any nonzero norm, as an (..., 3, 3) array."""
+    q = np.asarray(q, dtype=float)
+    q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    R = np.empty(q.shape[:-1] + (3, 3))
+    R[..., 0, 0] = 1 - 2 * (y * y + z * z)
+    R[..., 0, 1] = 2 * (x * y - z * w)
+    R[..., 0, 2] = 2 * (x * z + y * w)
+    R[..., 1, 0] = 2 * (x * y + z * w)
+    R[..., 1, 1] = 1 - 2 * (x * x + z * z)
+    R[..., 1, 2] = 2 * (y * z - x * w)
+    R[..., 2, 0] = 2 * (x * z - y * w)
+    R[..., 2, 1] = 2 * (y * z + x * w)
+    R[..., 2, 2] = 1 - 2 * (x * x + y * y)
     return R
 
 
-def rotation_actions(N, rotations):
-    """tr(Q N) for a batch of rotations."""
-    return np.einsum("kij,ji->k", rotations, np.asarray(N, dtype=float))
+def davenport_matrix(N):
+    """Davenport's 4x4 K(N) with tr(R(q) N) = q^T K q / |q|^2 (the q-method).
+
+    The largest eigenvalue of K is the maximum of tr(Q N) over SO(3).
+    """
+    N = np.asarray(N, dtype=float)
+    tr = np.trace(N)
+    K = np.empty((4, 4))
+    K[0, 0] = tr
+    K[0, 1:] = K[1:, 0] = (N[1, 2] - N[2, 1], N[2, 0] - N[0, 2], N[0, 1] - N[1, 0])
+    K[1:, 1:] = N + N.T - tr * np.eye(3)
+    return K
+
+
+def rotation_actions(N, q):
+    """tr(R(q) N) for a batch of quaternions, one quadratic form each."""
+    q = np.asarray(q, dtype=float)
+    return np.einsum("ki,ki->k", q @ davenport_matrix(N), q) / np.einsum("ki,ki->k", q, q)

@@ -103,9 +103,6 @@ class QuadForm3:
         s = vec6(sym(F))
         return _quadratic(s, self.matrix6, s)
 
-    def bilinear(self, F, G):
-        return _quadratic(vec6(sym(F)), self.matrix6, vec6(sym(G)))
-
     def min_eigenvalue(self):
         return float(np.linalg.eigvalsh(self.matrix6)[0])
 

@@ -25,7 +25,7 @@ from .geometry import (ThicknessPair, TransversalRule, make_builtin_patch,
 from .kinematics import (StrainField, bending_expansion_residual, build_isometry,
                          stretching_expansion_residual)
 from .limit2d import eval_I, eval_J
-from .loads import (LoadField, eval_J_h, example_maximizer_set,
+from .loads import (LoadField, davenport_matrix, eval_J_h, example_maximizer_set,
                     load_compatibility_residual, random_rotations,
                     rotation_actions, wahba_maximize)
 from .material import (QuadForm3, as_q3, isotropic_q2_closed_form, make_isotropic,
@@ -243,7 +243,8 @@ def _validate_load(spec, path="load"):
 
 
 _DEFAULT_TOLERANCES = {
-    "gamma-limit": {"raw_rel_gap": 0.05, "extrapolated_rel_gap": 0.02},
+    "gamma-limit": {"raw_rel_gap": 0.05, "extrapolated_rel_gap": 0.02,
+                    "gap_r2_min": 0.98},
     "expansion-order": {"stretch_slope_min": 2.9, "bend_slope_min": 1.9,
                         "r2_min": 0.99},
     "q2-check": {"closed_form_rel_tol": 1e-10, "brute_force_tol": 1e-8,
@@ -623,7 +624,8 @@ def _run_gamma(cfg):
                "I_stretching": limit.stretching,
                "I_bending": limit.bending,
                "raw_rel_gap_tolerance": tol["raw_rel_gap"],
-               "extrapolated_rel_gap_tolerance": tol["extrapolated_rel_gap"]}
+               "extrapolated_rel_gap_tolerance": tol["extrapolated_rel_gap"],
+               "gap_r2_min": tol["gap_r2_min"]}
     if J_value is not None:
         summary["J_limit"] = J_value
         if J_gap is not None:
@@ -640,13 +642,16 @@ def _run_gamma(cfg):
         else abs(extrapolated)
     raw_ok = rows[-1].rel_gap <= tol["raw_rel_gap"]
     extr_ok = extr_gap <= tol["extrapolated_rel_gap"]
+    # a wrong recovery can sit inside the gap tolerances at these h while
+    # its gap no longer decays as a power of h
+    fit_ok = r2 >= tol["gap_r2_min"]
     rows[-1].status = "pass" if raw_ok else "fail"
     summary.update({"fitted_gap_order": slope, "fitted_gap_r2": r2,
                     "extrapolated_limit": extrapolated,
                     "extrapolated_rel_gap": extr_gap,
                     "raw_rel_gap_at_smallest_h": rows[-1].rel_gap})
     return StudyReport(kind=cfg.study, rows=rows, summary=summary,
-                       passed=bool(raw_ok and extr_ok))
+                       passed=bool(raw_ok and extr_ok and fit_ok))
 
 
 def _run_expansion(cfg):
@@ -718,15 +723,20 @@ def _run_load_align(cfg):
     rng = np.random.default_rng(cfg.seed)
     rows = []
     worst_margin = -math.inf
+    worst_davenport = 0.0
     all_ok = True
     for _ in range(int(tol["matrices"])):
         N = rng.normal(size=(3, 3))
         _, m_val, _, _ = wahba_maximize(N)
         samples = rotation_actions(N, random_rotations(rng, int(tol["rotation_samples"])))
         margin = float(samples.max() - m_val)
-        ok = margin <= tol["margin_rel_tol"] * max(1.0, abs(m_val))
+        # third route to m_h: the largest eigenvalue of Davenport's K(N)
+        davenport_dev = abs(float(np.linalg.eigvalsh(davenport_matrix(N))[-1]) - m_val)
+        gate = tol["margin_rel_tol"] * max(1.0, abs(m_val))
+        ok = margin <= gate and davenport_dev <= gate
         all_ok = all_ok and ok
         worst_margin = max(worst_margin, margin)
+        worst_davenport = max(worst_davenport, davenport_dev)
         rows.append(StudyRow(residual_stretch=margin,
                              status="pass" if ok else "fail"))
 
@@ -743,6 +753,7 @@ def _run_load_align(cfg):
                                         atol=1e-8)))
     passed = bool(all_ok and examples_ok)
     summary = {"worst_margin": worst_margin,
+               "davenport_max_dev": worst_davenport,
                "margin_rel_tol": tol["margin_rel_tol"],
                "matrices": int(tol["matrices"]),
                "rotation_samples": int(tol["rotation_samples"]),

@@ -41,7 +41,7 @@ def test_wahba_identity_and_orthogonal_invariance():
     assert not non_unique
 
     rng = np.random.default_rng(21)
-    R0 = sg.random_rotations(rng, 1)[0]
+    R0 = sg.rotation_matrices(sg.random_rotations(rng, 1))[0]
     Q, m, _, _ = sg.wahba_maximize(R0.T)
     assert np.allclose(Q, R0, atol=1e-12)
     assert m == pytest.approx(3.0, rel=1e-12)
@@ -57,6 +57,31 @@ def test_wahba_beats_random_sampling():
         samples = sg.rotation_actions(N, sg.random_rotations(rng, 20000))
         assert samples.max() <= m + 1e-9 * max(1.0, abs(m))
         assert np.trace(Q @ N) == pytest.approx(m, rel=1e-12)
+
+
+def test_rotation_actions_match_matrix_route_per_sample():
+    # a flipped sign of K's off-diagonal vector gives the conjugate rotation:
+    # the same largest eigenvalue, but per-sample values off by O(1)
+    rng = np.random.default_rng(25)
+    q = sg.random_rotations(rng, 2000)
+    R = sg.rotation_matrices(q)
+    assert R.shape == (2000, 3, 3)
+    assert np.max(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(3))) <= 1e-14
+    assert np.max(np.abs(np.linalg.det(R) - 1.0)) <= 1e-14
+    specials = [np.eye(3), np.diag([2.0, 0.0, 0.0]), np.diag([1.0, 1.0, -1.0]),
+                np.zeros((3, 3))]
+    for N in [rng.normal(size=(3, 3)) for _ in range(50)] + specials:
+        via_matrices = np.einsum("kij,ji->k", R, N)
+        assert np.max(np.abs(sg.rotation_actions(N, q) - via_matrices)) <= 1e-14
+
+
+def test_davenport_largest_eigenvalue_is_the_maximized_action():
+    rng = np.random.default_rng(26)
+    for N in [rng.normal(size=(3, 3)) for _ in range(20)] + [np.diag([1.0, 1.0, -1.0])]:
+        K = sg.davenport_matrix(N)
+        _, m, _, _ = sg.wahba_maximize(N)
+        assert np.array_equal(K, K.T)
+        assert np.linalg.eigvalsh(K)[-1] == pytest.approx(m, abs=1e-12)
 
 
 def test_wahba_rank_one_tie_breaks_toward_identity():
@@ -78,7 +103,7 @@ def test_wahba_reflection_tie_flags_and_optimizes():
     rng = np.random.default_rng(23)
     samples = sg.random_rotations(rng, 50000)
     acts = sg.rotation_actions(N, samples)
-    near_opt = samples[acts >= m - 1e-4]
+    near_opt = sg.rotation_matrices(samples[acts >= m - 1e-4])
     assert near_opt.shape[0] > 0
     assert np.trace(Q) >= np.einsum("kii->k", near_opt).max() - 1e-2
 

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 import shellgamma as sg
 from shellgamma.errors import DegenerateMaterialError, ParameterError
-from shellgamma.loads import random_rotations
+from shellgamma.loads import random_rotations, rotation_matrices
 from shellgamma.material import basis_sym3, vec6
 
 
@@ -20,7 +20,7 @@ def test_energy_vanishes_on_rotations():
     W = sg.make_isotropic(1.0, 1.0)
     assert W.evaluate(np.eye(3)) == 0.0
     rng = np.random.default_rng(7)
-    for R in random_rotations(rng, 20):
+    for R in rotation_matrices(random_rotations(rng, 20)):
         assert abs(W.evaluate(R)) <= 1e-12
 
 
@@ -29,7 +29,7 @@ def test_frame_indifference():
     rng = np.random.default_rng(8)
     for _ in range(50):
         F = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
-        R = random_rotations(rng, 1)[0]
+        R = rotation_matrices(random_rotations(rng, 1))[0]
         ref = W.evaluate(F)
         assert abs(W.evaluate(R @ F) - ref) <= 1e-10 * max(1.0, abs(ref))
 
@@ -39,7 +39,7 @@ def test_coercivity_near_rotations():
     W = sg.make_isotropic(1.5, 0.7)
     rng = np.random.default_rng(9)
     for _ in range(100):
-        R = random_rotations(rng, 1)[0]
+        R = rotation_matrices(random_rotations(rng, 1))[0]
         P = rng.normal(size=(3, 3))
         P *= 0.15 / np.linalg.norm(P)
         F = R + P

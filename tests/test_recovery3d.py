@@ -236,8 +236,8 @@ def test_energy_frame_indifference():
                             h=h, e_h=h ** 4)
     base = sg.eval_shell_energy(rec, W, quad, trule)
 
-    from shellgamma.loads import random_rotations
-    R = random_rotations(np.random.default_rng(5), 1)[0]
+    from shellgamma.loads import random_rotations, rotation_matrices
+    R = rotation_matrices(random_rotations(np.random.default_rng(5), 1))[0]
     rotated = dataclasses.replace(
         rec,
         evaluate=lambda u, t: R @ rec.evaluate(u, t),

@@ -256,6 +256,27 @@ def test_gamma_study_extrapolates_with_the_fitted_order(monkeypatch):
     assert not diverging.passed
 
 
+@pytest.mark.parametrize("name", ["plate-gamma", "sphere-gamma"])
+def test_gamma_gate_fails_a_wrong_recovery(name, monkeypatch):
+    # 0.9 d0 keeps both gaps inside their tolerances at these h; only the
+    # fit of the gap against h shows that it no longer decays
+    build_d_fields = recovery3d.build_d_fields
+
+    def scaled_d0(*args, **kwargs):
+        d0, d1 = build_d_fields(*args, **kwargs)
+        return dataclasses.replace(d0, value=lambda u: 0.9 * d0.value(u),
+                                   d1=lambda u: 0.9 * d0.d1(u),
+                                   d2=lambda u: 0.9 * d0.d2(u)), d1
+
+    monkeypatch.setattr(recovery3d, "build_d_fields", scaled_d0)
+    report = run_study(builtin_scenario_config(name))
+    summary = report.summary
+    assert summary["raw_rel_gap_at_smallest_h"] <= summary["raw_rel_gap_tolerance"]
+    assert summary["extrapolated_rel_gap"] <= summary["extrapolated_rel_gap_tolerance"]
+    assert summary["fitted_gap_r2"] < summary["gap_r2_min"] == 0.98
+    assert not report.passed
+
+
 def test_richardson_order_key_is_rejected_with_its_path():
     doc = {**MINIMAL_GAMMA, "tolerances": {"richardson_order": 2}}
     with pytest.raises(ConfigError) as err:
