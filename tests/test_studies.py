@@ -275,6 +275,7 @@ def test_gamma_gate_fails_a_wrong_recovery(name, monkeypatch):
     assert summary["extrapolated_rel_gap"] <= summary["extrapolated_rel_gap_tolerance"]
     assert summary["fitted_gap_r2"] < summary["gap_r2_min"] == 0.98
     assert not report.passed
+    assert report.rows[-1].status == "fail"
 
 
 def test_richardson_order_key_is_rejected_with_its_path():
@@ -478,12 +479,15 @@ def test_summary_matches_recomputation_from_rows(tmp_path):
 
     # recompute the pass verdict from the CSV alone
     raw_ok = rows[-1].rel_gap <= float(summary["raw_rel_gap_tolerance"])
-    order, _ = fit_order([(r.h, abs(r.normalized - r.I_limit)) for r in rows])
+    order, r2 = fit_order([(r.h, abs(r.normalized - r.I_limit)) for r in rows])
+    assert float(summary["fitted_gap_r2"]) == pytest.approx(r2, rel=1e-12)
     assert float(summary["fitted_gap_order"]) == pytest.approx(order, rel=1e-12)
     extrap = richardson_extrapolate(rows[-2].h, rows[-2].normalized,
                                     rows[-1].h, rows[-1].normalized, order=order)
     I_val = rows[-1].I_limit
     extr_ok = abs(extrap - I_val) / abs(I_val) <= float(
         summary["extrapolated_rel_gap_tolerance"])
-    assert (summary["passed"] == "true") == (raw_ok and extr_ok)
+    fit_ok = r2 >= float(summary["gap_r2_min"])
+    assert (summary["passed"] == "true") == (raw_ok and extr_ok and fit_ok)
+    assert (rows[-1].status == "pass") == (summary["passed"] == "true")
     assert float(summary["extrapolated_limit"]) == pytest.approx(extrap, rel=1e-12)
