@@ -17,11 +17,12 @@ from .geometry import (NodeFrame, SurfacePatch, SurfaceQuadrature, ThicknessPair
                        TransversalRule, integrate_surface, make_builtin_patch,
                        offset_jacobian, shape_operator_fd, shape_operator_in_frame,
                        surface_quadrature, validate_patch, validate_thickness)
-from .kinematics import (IsometryField, StrainField, bending_expansion_residual,
-                         bending_matrix, bending_tensor, build_isometry,
-                         midsurface_strain_deficit, stretching_expansion_residual,
-                         stretching_tensor)
-from .limit2d import LimitEnergyBreakdown, eval_I, eval_I_tilde, eval_J
+from .kinematics import (ExpansionData, IsometryField, StrainField,
+                         bending_expansion_residual, bending_matrix, build_isometry,
+                         expansion_data, midsurface_strain_deficit,
+                         stretching_expansion_residual, stretching_tensor)
+from .limit2d import (LimitEnergyBreakdown, LimitFields, eval_I, eval_I_tilde, eval_J,
+                      limit_fields)
 from .loads import (ExampleMaximizerSet, LoadField, RotationActionResult,
                     davenport_matrix, eval_J_h, example_maximizer_set, extend_load,
                     load_compatibility_residual, maximize_action, moment_matrix,

@@ -18,7 +18,9 @@ import numpy as np
 
 from .errors import DomainError
 
-DEFAULT_FD_REL_STEP = 1e-3
+# relative step of every chart finite difference, times the chart widths;
+# read at call time
+FD_REL_STEP = 1e-3
 _STENCIL = np.array([-2.0, -1.0, 1.0, 2.0])
 
 
@@ -91,6 +93,17 @@ def fd_partial(f, u, axis, step, domain):
     return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * d)
 
 
+def fd_columns(f, u, domain):
+    """Both chart partials of f at every point of u, stacked on a new last axis.
+
+    Each axis takes one `fd_partial` call with the step FD_REL_STEP times
+    that axis' chart width.
+    """
+    steps = FD_REL_STEP * domain_widths(domain)
+    return np.stack([fd_partial(f, u, ax, steps[ax], domain) for ax in (0, 1)],
+                    axis=-1)
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Scalar function of the chart parameter with its chart partials."""
@@ -111,21 +124,17 @@ class VectorField:
     name: str = ""
 
     @staticmethod
-    def from_callables(value, domain, d1=None, d2=None, name="",
-                       rel_step=DEFAULT_FD_REL_STEP):
+    def from_callables(value, domain, d1=None, d2=None, name=""):
         """Field from callables over (..., 2) chart points; a missing derivative
         is the finite difference of the one below it."""
-        steps = rel_step * domain_widths(domain)
         if d1 is None:
-            def d1(u, _v=value, _dom=domain, _s=steps):
-                cols = [fd_partial(_v, u, ax, _s[ax], _dom) for ax in (0, 1)]
-                return np.stack(cols, axis=-1)
+            def d1(u, _v=value, _dom=domain):
+                return fd_columns(_v, u, _dom)
 
         if d2 is None:
-            def d2(u, _d1=d1, _dom=domain, _s=steps):
-                blocks = [fd_partial(_d1, u, ax, _s[ax], _dom) for ax in (0, 1)]
-                # blocks[ax][..., :, j] = d^2 value / du_ax du_j
-                return np.stack(blocks, axis=-1)
+            def d2(u, _d1=d1, _dom=domain):
+                # [..., :, j, ax] = d^2 value / du_j du_ax
+                return fd_columns(_d1, u, _dom)
 
         return VectorField(value=value, d1=d1, d2=d2, domain=domain, name=name)
 

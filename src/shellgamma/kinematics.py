@@ -1,13 +1,14 @@
 """Infinitesimal isometries, finite strains, and the expansion identities.
 
-The skew field A of an isometry V is assembled pointwise from the chart
-derivatives of V: A t_a = d_{t_a} V on the orthonormal tangent frame, the
+The skew field A of an isometry V is assembled from the chart derivatives
+of V at a frame: A t_a = d_{t_a} V on the orthonormal tangent frame, the
 normal column is fixed by skewness, and the result is projected onto skew
-matrices.  Chart derivatives of assembled fields (A n and the composite
-fields downstream) are taken by 4th-order central differences.  The fields
-and tensors broadcast over leading batch axes of the chart parameter (or of
-the frame they are given), so `build_isometry` and the expansion residuals
-are array expressions over the quadrature nodes.
+matrices.  A n is read off that frame and A; its chart partials are taken
+by 4th-order central differences of A n at the stencil frames.  The fields
+and tensors broadcast over leading batch axes of the frame they are given,
+so `build_isometry` and the expansion residuals are array expressions over
+the quadrature nodes, and the h-independent part of the expansion
+identities is built once per scene by `expansion_data`.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import EvaluationError, NotAnIsometryError
-from .fields import (VectorField, domain_widths, fd_partial, first_point, matvec,
-                     outer, transpose)
-from .geometry import SurfacePatch, surface_quadrature
+from .fields import VectorField, fd_columns, first_point, matvec, outer, transpose
+from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this import site)
+from .geometry import NodeFrame, SurfacePatch, surface_quadrature
 
 DEFAULT_ISOMETRY_TOL = 1e-8
-COMPOSITE_FD_REL_STEP = 1e-3
+# central-difference step of the deformed normal in bending_expansion_residual
+NORMAL_FD_STEP = 1e-5
 
 
 def tangential_strain(frame, d1_value):
@@ -40,36 +42,28 @@ class IsometryField:
     patch: SurfacePatch
     displacement: VectorField
     tol: float = DEFAULT_ISOMETRY_TOL
-    fd_rel_step: float = COMPOSITE_FD_REL_STEP
 
-    def _fd_steps(self):
-        return self.fd_rel_step * domain_widths(self.patch.domain)
-
-    def A_at(self, u):
-        """The 3x3 skew matrix with A tau = d_tau V on the tangent plane."""
-        fr = self.patch.frame(u)
-        DV = self.displacement.d1(fr.u)
-        T = fr.tangents()
-        coeff = fr.metric_inv @ (transpose(fr.jac) @ T)
+    def A_at(self, frame):
+        """The 3x3 skew matrix with A tau = d_tau V on the tangent plane, at a frame."""
+        DV = self.displacement.d1(frame.u)
+        T = frame.tangents()
+        coeff = frame.metric_inv @ (transpose(frame.jac) @ T)
         cols = DV @ coeff  # directional derivatives of V along t1, t2
-        an = -matvec(T, matvec(transpose(cols), fr.n))
-        R = np.concatenate([T, fr.n[..., None]], axis=-1)
+        an = -matvec(T, matvec(transpose(cols), frame.n))
+        R = np.concatenate([T, frame.n[..., None]], axis=-1)
         A_raw = np.concatenate([cols, an[..., None]], axis=-1) @ transpose(R)
         return 0.5 * (A_raw - transpose(A_raw))
 
-    def An_at(self, u):
-        return matvec(self.A_at(u), np.asarray(self.patch.normal(u), dtype=float))
-
     def An_partials(self, u):
-        """Chart partials of the field u -> A(u) n(u), shape (3, 2)."""
-        steps = self._fd_steps()
-        cols = [fd_partial(self.An_at, u, ax, steps[ax], self.patch.domain)
-                for ax in (0, 1)]
-        return np.stack(cols, axis=-1)
+        """Chart partials of the field u -> A(u) n(u) at chart points u, shape (..., 3, 2).
 
-    def grad3_An(self, frame):
-        """Ambient surface gradient of An at the given frame."""
-        return frame.grad3(self.An_partials(frame.u))
+        The frames and A at the stencil points live only inside this call.
+        """
+        def An(points):
+            fr = self.patch.frame(points)
+            return matvec(self.A_at(fr), fr.n)
+
+        return fd_columns(An, u, self.patch.domain)
 
 
 def build_isometry(patch, V, tol=DEFAULT_ISOMETRY_TOL, quad=None):
@@ -137,50 +131,54 @@ def grad3_gamma_n(frame, thick):
     return frame.grad3(_gamma_n_partials(frame, thick))
 
 
-def bending_matrix(iso, frame):
-    """The ambient 3x3 matrix grad(A n) - A Pi at a frame."""
-    return iso.grad3_An(frame) - iso.A_at(frame.u) @ frame.shape_op
+def bending_matrix(frame, A, An_partials):
+    """The ambient 3x3 matrix grad(A n) - A Pi, from A and the chart partials of A n."""
+    return frame.grad3(An_partials) - A @ frame.shape_op
 
 
-def bending_tensor(iso, patch):
-    """Tangential minor of grad(A n) - A Pi, symmetrized; frame -> 2x2."""
-
-    def tensor(fr):
-        Mt = fr.tan2(bending_matrix(iso, fr))
-        return 0.5 * (Mt + transpose(Mt))
-
-    return tensor
-
-
-def stretching_tensor(iso, strain, thick, kappa, patch):
-    """B_tan - (kappa/2)(A^2)_tan - (1/2) sym(A grad((g2-g1) n))_tan; frame -> 2x2."""
+def stretching_tensor(frame, A, strain, thick, kappa):
+    """B_tan - (kappa/2)(A^2)_tan - (1/2) sym(A grad((g2-g1) n))_tan at a frame, 2x2."""
     if kappa < 0.0 or not np.isfinite(kappa):
         raise EvaluationError("kappa must be finite and nonnegative")
-
-    def tensor(fr):
-        out = np.array(strain(fr), dtype=float)
-        gamma = thick.gamma(fr.u)
-        dgamma = thick.gamma_d(fr.u)
-        thickness_term = np.any(gamma != 0.0) or np.any(dgamma != 0.0)
-        if kappa != 0.0 or thickness_term:
-            A = iso.A_at(fr.u)
-        if kappa != 0.0:
-            out = out - 0.5 * kappa * fr.tan2(A @ A)
-        if thickness_term:
-            T = fr.tan2(A @ grad3_gamma_n(fr, thick))
-            out = out - 0.25 * (T + transpose(T))
-        return 0.5 * (out + transpose(out))
-
-    return tensor
+    out = np.array(strain(frame), dtype=float)
+    gamma = thick.gamma(frame.u)
+    dgamma = thick.gamma_d(frame.u)
+    if kappa != 0.0:
+        out = out - 0.5 * kappa * frame.tan2(A @ A)
+    if np.any(gamma != 0.0) or np.any(dgamma != 0.0):
+        T = frame.tan2(A @ grad3_gamma_n(frame, thick))
+        out = out - 0.25 * (T + transpose(T))
+    return 0.5 * (out + transpose(out))
 
 
 # ---------------------------------------------------------------------------
 # numerical verification of the expansion identities
 # ---------------------------------------------------------------------------
 
-def _phi_tilde_partials(frame, thick, h):
+@dataclass(frozen=True)
+class ExpansionData:
+    """The h-independent fields of the expansion identities of one scene.
+
+    Arrays over the quadrature nodes, and over the (sign, axis, N) stencil
+    that differentiates the deformed normal.
+    """
+
+    frame: NodeFrame
+    A: np.ndarray              # (N, 3, 3)
+    DV: np.ndarray             # (N, 3, 2) chart partials of V
+    Dw: np.ndarray             # (N, 3, 2) chart partials of w
+    gamma_n: np.ndarray        # (N, 3, 2) chart partials of (g2 - g1) n
+    M_tau: np.ndarray          # (N, 2) tau^T M tau, M = sym grad w - A^2/2 - sym(A grad((g2-g1)n))/2
+    AG_tau: np.ndarray         # (N, 2) tau^T A grad((g2-g1) n) tau
+    bending: np.ndarray        # (N, 3, 2) d_tau(A n) - A Pi tau, both chart tangents
+    stencil_jac: np.ndarray    # (2, 2, N, 3, 2) chart jacobian at u +- step e_axis
+    stencil_gamma_n: np.ndarray  # (2, 2, N, 3, 2)
+    stencil_DV: np.ndarray     # (2, 2, N, 3, 2)
+
+
+def _phi_tilde_partials(jac, gamma_n, h):
     """Chart partials of the geometric mid-surface map id + (h/2)(g2-g1) n, (..., 3, 2)."""
-    return frame.jac + 0.5 * h * _gamma_n_partials(frame, thick)
+    return jac + 0.5 * h * gamma_n
 
 
 def _tangent_quadratic(frame, M):
@@ -188,25 +186,43 @@ def _tangent_quadratic(frame, M):
     return (frame.jac * (M @ frame.jac)).sum(axis=-2)
 
 
-def stretching_expansion_residual(patch, iso, w, thick, h, quad=None):
+def expansion_data(patch, iso, w, thick, quad=None):
+    """Build the fields of the expansion identities that do not depend on h.
+
+    The residual functions below only combine them with powers of h.
+    """
+    if quad is None:
+        quad = surface_quadrature(patch)
+    fr = quad.frame
+    A = iso.A_at(fr)
+    Dw = w.d1(fr.u)
+    Gw = fr.grad3(Dw)
+    gamma_n = _gamma_n_partials(fr, thick)
+    AG = A @ fr.grad3(gamma_n)
+    M = 0.5 * (Gw + transpose(Gw)) - 0.5 * (A @ A) - 0.25 * (AG + transpose(AG))
+    shifts = np.array([1.0, -1.0])[:, None, None] * (NORMAL_FD_STEP * np.eye(2))
+    stencil = fr.u + shifts[..., None, :]            # (sign, axis, N, 2)
+    st = patch.frame(stencil)
+    V = iso.displacement
+    return ExpansionData(
+        frame=fr, A=A, DV=V.d1(fr.u), Dw=Dw, gamma_n=gamma_n,
+        M_tau=_tangent_quadratic(fr, M), AG_tau=_tangent_quadratic(fr, AG),
+        bending=iso.An_partials(fr.u) - A @ (fr.shape_op @ fr.jac),
+        stencil_jac=st.jac, stencil_gamma_n=_gamma_n_partials(st, thick),
+        stencil_DV=V.d1(stencil))
+
+
+def stretching_expansion_residual(data, h):
     """Max-node defect of the second-order first-fundamental-form expansion.
 
     Compares |d_tau phi|^2 - |d_tau phi_tilde|^2 for phi = phi_tilde + hV + h^2 w
     against 2 h^2 tau^T (sym grad w - A^2/2 - sym(A grad((g2-g1)n))/2) tau on
     both chart tangents.  Exact when w = 0; O(h^3) otherwise.
     """
-    if quad is None:
-        quad = surface_quadrature(patch)
-    fr = quad.frame
-    A = iso.A_at(fr.u)
-    Dw = w.d1(fr.u)
-    Gw = fr.grad3(Dw)
-    AG = A @ grad3_gamma_n(fr, thick)
-    M = 0.5 * (Gw + transpose(Gw)) - 0.5 * (A @ A) - 0.25 * (AG + transpose(AG))
-    dpt = _phi_tilde_partials(fr, thick, h)
-    dp = dpt + h * iso.displacement.d1(fr.u) + h * h * Dw
+    dpt = _phi_tilde_partials(data.frame.jac, data.gamma_n, h)
+    dp = dpt + h * data.DV + h * h * data.Dw
     lhs = (dp * dp).sum(axis=-2) - (dpt * dpt).sum(axis=-2)
-    rhs = 2.0 * h * h * _tangent_quadratic(fr, M)
+    rhs = 2.0 * h * h * data.M_tau
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -227,38 +243,30 @@ def _deformed_chart_shape_coeffs(P, P_stencil, fd_step, orient_n):
     return np.linalg.solve(transpose(P) @ P, transpose(P) @ Dn)
 
 
-def bending_expansion_residual(patch, iso, thick, h, quad=None, fd_step=1e-5):
+def bending_expansion_residual(data, h):
     """Max-node defect of the first-order second-fundamental-form expansion.
 
     Both shape operators are pulled back through their chart jacobians and
     compared in the chart frame of the undeformed patch; the deformed shape
     operator is computed numerically from the deformed chart phi^h o chart.
     """
-    if quad is None:
-        quad = surface_quadrature(patch)
-    V = iso.displacement
-    fr = quad.frame
-    shifts = np.array([1.0, -1.0])[:, None, None] * (fd_step * np.eye(2))
-    stencil = fr.u + shifts[..., None, :]            # (sign, axis, N, 2)
-    tilde_st = _phi_tilde_partials(patch.frame(stencil), thick, h)
-    tilde = _phi_tilde_partials(fr, thick, h)
-    C_full = _deformed_chart_shape_coeffs(tilde + h * V.d1(fr.u),
-                                          tilde_st + h * V.d1(stencil), fd_step, fr.n)
-    C_tilde = _deformed_chart_shape_coeffs(tilde, tilde_st, fd_step, fr.n)
+    fr = data.frame
+    tilde_st = _phi_tilde_partials(data.stencil_jac, data.stencil_gamma_n, h)
+    tilde = _phi_tilde_partials(fr.jac, data.gamma_n, h)
+    C_full = _deformed_chart_shape_coeffs(tilde + h * data.DV,
+                                          tilde_st + h * data.stencil_DV,
+                                          NORMAL_FD_STEP, fr.n)
+    C_tilde = _deformed_chart_shape_coeffs(tilde, tilde_st, NORMAL_FD_STEP, fr.n)
     lhs = fr.jac @ (C_full - C_tilde)
-    rhs = h * (iso.An_partials(fr.u) - iso.A_at(fr.u) @ (fr.shape_op @ fr.jac))
+    rhs = h * data.bending
     return float(np.max(np.linalg.norm(lhs - rhs, axis=-2)))
 
 
-def midsurface_strain_deficit(patch, iso, thick, h, quad=None):
+def midsurface_strain_deficit(data, h):
     """First-order isometry deficit of V on the geometric mid-surface.
 
     |d_tau V . d_tau phi_tilde + (h/2) tau^T sym(A grad((g2-g1) n)) tau|,
     maximized over nodes and chart tangents.  Zero in exact arithmetic.
     """
-    if quad is None:
-        quad = surface_quadrature(patch)
-    fr = quad.frame
-    AG = iso.A_at(fr.u) @ grad3_gamma_n(fr, thick)
-    lhs = (iso.displacement.d1(fr.u) * _phi_tilde_partials(fr, thick, h)).sum(axis=-2)
-    return float(np.max(np.abs(lhs + 0.5 * h * _tangent_quadratic(fr, AG))))
+    lhs = (data.DV * _phi_tilde_partials(data.frame.jac, data.gamma_n, h)).sum(axis=-2)
+    return float(np.max(np.abs(lhs + 0.5 * h * data.AG_tau)))

@@ -2,8 +2,10 @@
 
 The stretching term integrates (g1+g2) Q2 of the stretching tensor, the
 bending term integrates (g1+g2)^3/12 Q2 of the bending tensor, both with a
-per-node Q2 built from the node's tangent frame; every integrand, the
-load term included, is evaluated in one batched pass over the quadrature
+per-node Q2 built from the node's tangent frame.  `limit_fields` evaluates
+these h-independent fields once at a point array, and the recovery
+deformation reads the same evaluation at its nodes and stencils; every
+integrand, the load term included, is one batched pass over the quadrature
 nodes.  The total-energy variant adds to a computed limit energy the
 dead-load action against a fixed rotation and the relaxation value
 supplied by the loads module.
@@ -16,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import surface_quadrature, values_on
-from .kinematics import StrainField, bending_tensor, stretching_tensor
-from .material import as_q3, reduce_q2
+from .fields import transpose
+from .geometry import NodeFrame, surface_quadrature, values_on
+from .kinematics import StrainField, bending_matrix, stretching_tensor
+from .material import QuadForm2, as_q3, reduce_q2
 
 
 @dataclass(frozen=True)
@@ -33,29 +36,54 @@ class LimitEnergyBreakdown:
         return self.stretching + self.bending - self.load_term + self.relaxation_term
 
 
-def eval_I(patch, thick, material, iso, strain, kappa, quad=None):
+@dataclass(frozen=True)
+class LimitFields:
+    """The h-independent fields of the limit functional at a batch of chart points."""
+
+    frame: NodeFrame
+    A: np.ndarray               # (..., 3, 3) skew field of the isometry
+    q2: QuadForm2               # Q2 reduced in the frame's tangent plane
+    stretching: np.ndarray      # (..., 2, 2) stretching tensor
+    bending_matrix: np.ndarray  # (..., 3, 3) grad(A n) - A Pi
+    bending: np.ndarray         # (..., 2, 2) its symmetrized tangential minor
+
+
+def limit_fields(material, iso, strain, thick, kappa, frame, An_partials):
+    """Evaluate A, Q2 and both tensors at a frame, given the chart partials of A n there."""
+    A = iso.A_at(frame)
+    M = bending_matrix(frame, A, An_partials)
+    Mt = frame.tan2(M)
+    return LimitFields(frame=frame, A=A,
+                       q2=reduce_q2(as_q3(material), frame.n, frame.t1, frame.t2),
+                       stretching=stretching_tensor(frame, A, strain, thick, kappa),
+                       bending_matrix=M, bending=0.5 * (Mt + transpose(Mt)))
+
+
+def eval_I(fields, thick, quad):
     """The variable-thickness von Karman energy of (V, B_tan).
 
     stretching = (1/2) integral of (g1+g2)   Q2(stretching tensor)
     bending    = (1/24) integral of (g1+g2)^3 Q2(bending tensor)
+
+    fields are the LimitFields at the nodes of quad.
     """
-    if quad is None:
-        quad = surface_quadrature(patch)
-    fr, weights = quad.frame, quad.weights
-    q2 = reduce_q2(as_q3(material), fr.n, fr.t1, fr.t2)
-    mu_t = thick.total(fr.u)
-    s_tensor = stretching_tensor(iso, strain, thick, kappa, patch)
-    b_tensor = bending_tensor(iso, patch)
-    stretching = np.sum(0.5 * weights * mu_t * q2.apply_tangential(s_tensor(fr)))
-    bending = np.sum(weights * mu_t ** 3 / 24.0 * q2.apply_tangential(b_tensor(fr)))
+    weights = quad.weights
+    q2 = fields.q2
+    mu_t = thick.total(fields.frame.u)
+    stretching = np.sum(0.5 * weights * mu_t * q2.apply_tangential(fields.stretching))
+    bending = np.sum(weights * mu_t ** 3 / 24.0 * q2.apply_tangential(fields.bending))
     return LimitEnergyBreakdown(stretching=float(stretching), bending=float(bending),
                                 load_term=0.0, relaxation_term=0.0)
 
 
 def eval_I_tilde(patch, thick, material, iso, quad=None):
     """Bending-only energy for approximately robust surfaces; equals eval_I().bending."""
-    return eval_I(patch, thick, material, iso, StrainField.zero(patch.domain), 0.0,
-                  quad).bending
+    if quad is None:
+        quad = surface_quadrature(patch)
+    fr = quad.frame
+    fields = limit_fields(material, iso, StrainField.zero(patch.domain), thick, 0.0,
+                          fr, iso.An_partials(fr.u))
+    return eval_I(fields, thick, quad).bending
 
 
 def check_rotation(Q, tol=1e-10):

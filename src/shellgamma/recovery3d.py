@@ -4,13 +4,19 @@ The deformation is transcribed literally from its defining display: the
 transversal coordinate t lives in (-g1(x), g2(x)), every t-dependent term is
 centered at t - (g2-g1)/2, and the physical offset is h*t.  Its ingredients
 (V, w, A n, the normal part xi of grad w, d0, d1 and their chart partials)
-do not depend on h, so `recovery_data` builds them once per scene over the
-quadrature node array and `build_recovery` only combines them with the
-powers of h and t.  The full 3D gradient is assembled by the chain rule
-through the chart, pairing the chart partials with the frame
-{(Id + h t Pi) tau_1, (Id + h t Pi) tau_2, n}.  Chart derivatives of d0, d1
-and xi are taken here by finite differences of the assembled fields; those
-of A n come from `IsometryField.An_partials`.
+do not depend on h, so `recovery_data` builds them once per scene and
+`build_recovery` only combines them with the powers of h and t.  The full
+3D gradient is assembled by the chain rule through the chart, pairing the
+chart partials with the frame {(Id + h t Pi) tau_1, (Id + h t Pi) tau_2, n}.
+
+Each point array is evaluated once: the frame, A, A n, xi, the Q2
+reduction, d0 and d1 at the quadrature nodes, and the same bundle at the
+4-point stencil of each chart axis.  The chart partials of A n, xi, d0 and
+d1 at the nodes are 4th-order central differences of those stencil values;
+d1 at a stencil point needs the chart partials of A n there, which
+`IsometryField.An_partials` takes from a nested stencil that it drops
+right after.  The limit functional reads the same node evaluation
+(`RecoveryData.limit`).
 
 Everything broadcasts over leading batch axes: the energies read y^h once
 per h over the (T, N) grid of transversal and surface nodes, with the
@@ -25,48 +31,34 @@ from typing import Callable
 import numpy as np
 
 from .errors import EnergyBlowupError, ParameterError
-from .fields import (VectorField, domain_widths, fd_partial, matvec, outer,
-                     transpose)
+from .fields import fd_columns, matvec, outer, transpose
+from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this import site)
 from .geometry import offset_jacobian
-from .kinematics import bending_matrix, grad3_gamma_n, stretching_tensor
+from .kinematics import grad3_gamma_n
+from .limit2d import LimitFields, limit_fields
 from .material import StoredEnergy, as_q3, reduce_q2
 
-COMPOSITE_FD_REL_STEP = 1e-3
 BLOWUP_DISTANCE = 0.5
+# the fields differentiated through the shared stencil, in stacking order
+_STENCIL_FIELDS = ("p", "xi", "d0", "d1")
 
 
-def build_d_fields(patch, material, iso, strain, thick, kappa):
-    """The two correction fields of the recovery deformation.
+def build_d_fields(fields, thick, kappa):
+    """The two correction fields of the recovery deformation at the points of `fields`.
 
     d0 completes the stretching tensor to its optimal 3D extension (plus the
     frame terms from A^2 and the thickness gradient); d1 does the same for
     the bending tensor.  Both use the minimizer map c of the Q2 reduction.
     """
-    q3 = as_q3(material)
-    s_tensor = stretching_tensor(iso, strain, thick, kappa, patch)
-
-    def d0_value(u):
-        fr = patch.frame(u)
-        q2 = reduce_q2(q3, fr.n, fr.t1, fr.t2)
-        out = 2.0 * q2.minimizer(s_tensor(fr))
-        A = iso.A_at(u)
-        A2n = matvec(A, matvec(A, fr.n))
-        nA2n = (fr.n * A2n).sum(axis=-1)[..., None]
-        out = out + kappa * A2n - 0.5 * kappa * nA2n * fr.n
-        AG = A @ grad3_gamma_n(fr, thick)
-        return out + 0.5 * matvec(transpose(AG), fr.n)
-
-    def d1_value(u):
-        fr = patch.frame(u)
-        q2 = reduce_q2(q3, fr.n, fr.t1, fr.t2)
-        M = bending_matrix(iso, fr)
-        Mt = fr.tan2(M)
-        return 2.0 * q2.minimizer(0.5 * (Mt + transpose(Mt))) - matvec(transpose(M), fr.n)
-
-    d0 = VectorField.from_callables(d0_value, patch.domain, name="d0",
-                                    rel_step=COMPOSITE_FD_REL_STEP)
-    d1 = VectorField.from_callables(d1_value, patch.domain, name="d1",
-                                    rel_step=COMPOSITE_FD_REL_STEP)
+    fr, A, q2 = fields.frame, fields.A, fields.q2
+    d0 = 2.0 * q2.minimizer(fields.stretching)
+    A2n = matvec(A, matvec(A, fr.n))
+    nA2n = (fr.n * A2n).sum(axis=-1)[..., None]
+    d0 = d0 + kappa * A2n - 0.5 * kappa * nA2n * fr.n
+    AG = A @ grad3_gamma_n(fr, thick)
+    d0 = d0 + 0.5 * matvec(transpose(AG), fr.n)
+    M = fields.bending_matrix
+    d1 = 2.0 * q2.minimizer(fields.bending) - matvec(transpose(M), fr.n)
     return d0, d1
 
 
@@ -78,12 +70,14 @@ class RecoveryData:
     A n, xi, d0 and d1 there; partials_at(u) adds their chart partials.
     Both are built once at `nodes`, the node array of the scene's
     quadrature, and returned from there when u is that array; at any other
-    chart points they are computed afresh and nothing is stored.
+    chart points they are computed afresh and nothing is stored.  `limit`
+    holds the limit functional's fields from the same node evaluation.
     """
 
     patch: object
     thick: object
     nodes: np.ndarray      # (N, 2) chart points of the quadrature nodes
+    limit: LimitFields     # at the nodes
     values_at: Callable    # u -> dict of values at u
     partials_at: Callable  # u -> dict of values and chart partials at u
 
@@ -101,58 +95,64 @@ class RecoveryDeformation:
 @dataclass(frozen=True)
 class ShellEnergyValue:
     E_h: float
-    normalized: float  # E_h / e_h
+    normalized: float      # E_h / e_h
+    so3_distance: float    # largest distance of grad y^h from SO(3) at the quadrature points
+    min_det: float         # smallest det(Id + h t Pi) at the quadrature points
 
 
 def recovery_data(patch, material, iso, strain, thick, kappa, quad):
     """Build the fields of the recovery deformation that do not depend on h.
 
     Requires a generator-backed strain (the formula needs w itself).  The
-    fields are built once at the node array of `quad`; the result serves
-    `build_recovery` for every h of a schedule.
+    fields are built once at the node array of `quad`, reusing its frame;
+    the result serves `build_recovery` for every h of a schedule and
+    `eval_I` through its `limit`.
     """
     if strain.generator is None:
         raise ParameterError(
             "recovery needs a generator-backed strain (B_tan = sym grad w)")
     V = iso.displacement
     w = strain.generator
-    d0, d1 = build_d_fields(patch, material, iso, strain, thick, kappa)
-    steps = COMPOSITE_FD_REL_STEP * domain_widths(patch.domain)
 
-    def normal_part_grad_w(u):
-        # tangent vector xi with xi . tau = n . d_tau w
-        fr = patch.frame(u)
-        return fr.grad3(matvec(transpose(w.d1(fr.u)), fr.n))
-
-    def values(u):
+    def values(fr, An_partials):
+        lf = limit_fields(material, iso, strain, thick, kappa, fr, An_partials)
+        d0, d1 = build_d_fields(lf, thick, kappa)
         return {
-            "fr": patch.frame(u),
-            "gamma": thick.gamma(u),
-            "V": V.value(u),
-            "w": w.value(u),
-            "p": iso.An_at(u),  # first-order rotation of the normal
-            "xi": normal_part_grad_w(u),
-            "d0": d0.value(u),
-            "d1": d1.value(u),
+            "fr": fr,
+            "limit": lf,
+            "gamma": thick.gamma(fr.u),
+            "V": V.value(fr.u),
+            "w": w.value(fr.u),
+            "p": matvec(lf.A, fr.n),  # first-order rotation of the normal
+            # tangent vector xi with xi . tau = n . d_tau w
+            "xi": fr.grad3(matvec(transpose(w.d1(fr.u)), fr.n)),
+            "d0": d0,
+            "d1": d1,
         }
 
-    def with_partials(u):
-        fields = values(u)
-        fr = fields["fr"]
+    def values_at(u):
+        fr = patch.frame(u)
+        return values(fr, iso.An_partials(fr.u))
+
+    def stencil_stack(points):
+        pd = values_at(points)
+        return np.stack([pd[k] for k in _STENCIL_FIELDS], axis=-2)
+
+    def with_partials(fr):
+        D = fd_columns(stencil_stack, fr.u, patch.domain)  # (..., 4, 3, 2)
+        partials = {"D" + k: D[..., i, :, :] for i, k in enumerate(_STENCIL_FIELDS)}
+        fields = values(fr, partials["Dp"])
+        fields.update(partials)
         fields.update({
             "dn": fr.shape_op @ fr.jac,  # chart partials of the normal
-            "dgamma": thick.gamma_d(u),
-            "DV": V.d1(u),
-            "Dw": w.d1(u),
-            "Dp": iso.An_partials(u),
-            "Dxi": _fd_columns(normal_part_grad_w, u, steps, patch.domain),
-            "Dd0": d0.d1(u),
-            "Dd1": d1.d1(u),
+            "dgamma": thick.gamma_d(fr.u),
+            "DV": V.d1(fr.u),
+            "Dw": w.d1(fr.u),
         })
         return fields
 
     nodes = quad.frame.u
-    at_nodes = with_partials(nodes)
+    at_nodes = with_partials(quad.frame)
 
     def stored_or(compute):
         def at(u):
@@ -162,9 +162,9 @@ def recovery_data(patch, material, iso, strain, thick, kappa, quad):
             return compute(u)
         return at
 
-    return RecoveryData(patch=patch, thick=thick, nodes=nodes,
-                        values_at=stored_or(values),
-                        partials_at=stored_or(with_partials))
+    return RecoveryData(patch=patch, thick=thick, nodes=nodes, limit=at_nodes["limit"],
+                        values_at=stored_or(values_at),
+                        partials_at=stored_or(lambda u: with_partials(patch.frame(u))))
 
 
 def build_recovery(data, h, e_h):
@@ -226,11 +226,6 @@ def build_recovery(data, h, e_h):
                                gradient=gradient)
 
 
-def _fd_columns(f, u, steps, domain):
-    cols = [fd_partial(f, u, ax, steps[ax], domain) for ax in (0, 1)]
-    return np.stack(cols, axis=-1)
-
-
 def _check_thin_shell(data, h):
     """Raise ThicknessError unless every principal factor 1 + h t k of
     Id + h t Pi is positive for t in [-g1, g2] at every quadrature node.
@@ -266,7 +261,9 @@ def eval_shell_energy(rec, material, squad, trule, blowup_distance=BLOWUP_DISTAN
             f"u={tuple(u[i].tolist())}, t={t[k, i]:.4f}", u=u[i], t=t[k, i])
     _, det = offset_jacobian(rec.patch, u, rec.h * t)
     total = float(np.sum(squad.weights * wt * Wv * det))
-    return ShellEnergyValue(E_h=total, normalized=total / rec.e_h)
+    return ShellEnergyValue(E_h=total, normalized=total / rec.e_h,
+                            so3_distance=float(np.max(dist)),
+                            min_det=float(np.min(det)))
 
 
 def shell_energy_tangential_lower_bound(rec, material, squad, trule):
@@ -307,12 +304,10 @@ def averaged_displacement(rec, patch, thick, trule):
     return vh
 
 
-def averaged_displacement_sym_grad(rec, patch, thick, trule, frame,
-                                   rel_step=COMPOSITE_FD_REL_STEP):
+def averaged_displacement_sym_grad(rec, patch, thick, trule, frame):
     """(1/h) sym tangential gradient of the averaged displacement at one frame."""
     vh = averaged_displacement(rec, patch, thick, trule)
-    steps = rel_step * domain_widths(patch.domain)
-    D = _fd_columns(vh, frame.u, steps, patch.domain)
+    D = fd_columns(vh, frame.u, patch.domain)
     M = frame.tan2(frame.grad3(D))
     return 0.5 * (M + transpose(M)) / rec.h
 

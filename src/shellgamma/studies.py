@@ -23,7 +23,7 @@ from .errors import ConfigError, ShellGammaError
 from .geometry import (ThicknessPair, TransversalRule, make_builtin_patch,
                        surface_quadrature)
 from .kinematics import (StrainField, bending_expansion_residual, build_isometry,
-                         stretching_expansion_residual)
+                         expansion_data, stretching_expansion_residual)
 from .limit2d import eval_I, eval_J
 from .loads import (LoadField, davenport_matrix, eval_J_h, example_maximizer_set,
                     load_compatibility_residual, random_rotations,
@@ -586,7 +586,8 @@ def _gamma_scene(cfg):
 def _run_gamma(cfg):
     patch, thick, material, squad, trule, iso, strain = _gamma_scene(cfg)
     tol = cfg.tolerances
-    limit = eval_I(patch, thick, material, iso, strain, cfg.kappa, quad=squad)
+    data = recovery_data(patch, material, iso, strain, thick, cfg.kappa, squad)
+    limit = eval_I(data.limit, thick, squad)
     I_value = limit.total
 
     load = _build_load(cfg.load)
@@ -601,7 +602,6 @@ def _run_gamma(cfg):
         J_value = eval_J(limit, patch, thick, iso, load.f, np.eye(3), 0.0,
                          quad=squad).total
 
-    data = recovery_data(patch, material, iso, strain, thick, cfg.kappa, squad)
     rows = []
     failing_h = None
     J_gap = None
@@ -660,10 +660,11 @@ def _run_expansion(cfg):
     patch, thick, material, squad, trule, iso, strain = _gamma_scene(cfg)
     w = strain.generator
     tol = cfg.tolerances
+    data = expansion_data(patch, iso, w, thick, squad)
     rows = []
     for h in cfg.h_schedule:
-        rs = stretching_expansion_residual(patch, iso, w, thick, h, quad=squad)
-        rb = bending_expansion_residual(patch, iso, thick, h, quad=squad)
+        rs = stretching_expansion_residual(data, h)
+        rb = bending_expansion_residual(data, h)
         rows.append(StudyRow(h=h, residual_stretch=rs, residual_bend=rb, status="ok"))
 
     s_slope, s_r2 = fit_order([(r.h, r.residual_stretch) for r in rows])

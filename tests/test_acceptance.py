@@ -133,15 +133,18 @@ def test_criterion_5_variable_thickness_term():
 
     thick_a = sg.ThicknessPair.constant(0.4, 0.6, plate.domain)
     thick_b = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
-    I_a = sg.eval_I(plate, thick_a, W, iso, strain, kappa, quad=quad)
-    I_b = sg.eval_I(plate, thick_b, W, iso, strain, kappa, quad=quad)
+    An_partials = iso.An_partials(quad.frame.u)
+    fields_a = sg.limit_fields(W, iso, strain, thick_a, kappa, quad.frame, An_partials)
+    fields_b = sg.limit_fields(W, iso, strain, thick_b, kappa, quad.frame, An_partials)
+    I_a = sg.eval_I(fields_a, thick_a, quad)
+    I_b = sg.eval_I(fields_b, thick_b, quad)
 
     # independent per-node recomputation of the thickness-gradient contribution
     # to the stretching term (for constant profiles on the plate it vanishes)
     contribution = 0.0
     for i, weight in enumerate(quad.weights):
         fr = quad.frame[i]
-        A = iso.A_at(fr.u)
+        A = iso.A_at(fr)
         base = strain(fr) - 0.5 * kappa * fr.tan2(A @ A)
         AG = A @ sg.kinematics.grad3_gamma_n(fr, thick_a)
         Tg = fr.tan2(AG)
@@ -151,9 +154,7 @@ def test_criterion_5_variable_thickness_term():
             - isotropic_q2_closed_form(1.0, 1.0, base))
     gap = abs((I_a.total - I_b.total) - contribution)
 
-    tensor_a = sg.stretching_tensor(iso, strain, thick_a, kappa, plate)
-    tensor_b = sg.stretching_tensor(iso, strain, thick_b, kappa, plate)
-    bitwise = np.array_equal(tensor_a(quad.frame), tensor_b(quad.frame))
+    bitwise = np.array_equal(fields_a.stretching, fields_b.stretching)
     ok = gap <= 1e-10 and bitwise
     _report(5, ok, f"thickness-term mismatch {gap:.2e} (tol 1e-10), "
                    f"constant-thickness stretching tensor bit-identical: {bitwise}")
@@ -187,19 +188,17 @@ def test_criterion_7_degenerate_and_trivial_suite():
     rec0 = sg.build_recovery(data0, h=0.125, e_h=0.125 ** 4)
     identity_energy = sg.eval_shell_energy(rec0, W, quad, trule).E_h
 
-    I0 = sg.eval_I(plate, thick, W, iso0, strain0, 1.0, quad=quad).total
-    d0, d1 = sg.build_d_fields(plate, W, iso0, strain0, thick, kappa=1.0)
-    probe_u = quad.frame.u[::5]
-    d_norm = max(np.max(np.linalg.norm(d0.value(probe_u), axis=-1)),
-                 np.max(np.linalg.norm(d1.value(probe_u), axis=-1)))
+    I0 = sg.eval_I(data0.limit, thick, quad).total
+    d0, d1 = sg.build_d_fields(data0.limit, thick, kappa=1.0)
+    d_norm = max(np.max(np.linalg.norm(d0[::5], axis=-1)),
+                 np.max(np.linalg.norm(d1[::5], axis=-1)))
 
     cap = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 3)
     cap_quad = sg.surface_quadrature(cap, 6)
     cap_thick = sg.ThicknessPair.constant(0.5, 0.5, cap.domain)
     iso_r = sg.build_isometry(cap, sg.rigid_field(cap, (0.3, -0.2, 0.4)),
                               quad=cap_quad)
-    bending = sg.eval_I(cap, cap_thick, W, iso_r, sg.StrainField.zero(cap.domain),
-                        1.0, quad=cap_quad).bending
+    bending = sg.eval_I_tilde(cap, cap_thick, W, iso_r, quad=cap_quad)
 
     from shellgamma.fields import VectorField
     stretchy = VectorField.from_callables(

@@ -12,6 +12,12 @@ GENERIC_W = [(0.4, 1.3, 0.2, 0.9, 0.5),
              (0.5, 1.1, 0.4, 0.8, 1.2)]
 
 
+def bending_tensor(iso, fr):
+    """Symmetrized tangential minor of grad(A n) - A Pi at a frame."""
+    Mt = fr.tan2(sg.bending_matrix(fr, iso.A_at(fr), iso.An_partials(fr.u)))
+    return 0.5 * (Mt + transpose(Mt))
+
+
 def curved_patches():
     return [
         sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 3),
@@ -27,7 +33,7 @@ def test_rigid_field_has_constant_skew_gradient():
         quad = sg.surface_quadrature(patch, 4)
         iso = sg.build_isometry(patch, sg.rigid_field(patch, omega, (0.1, 0.2, -0.3)),
                                 quad=quad)
-        assert np.allclose(iso.A_at(quad.frame.u[::5]), W, atol=1e-12)
+        assert np.allclose(iso.A_at(quad.frame[::5]), W, atol=1e-12)
 
 
 def test_isometry_invariants_at_nodes():
@@ -36,7 +42,7 @@ def test_isometry_invariants_at_nodes():
     quad = sg.surface_quadrature(plate, 6)
     iso = sg.build_isometry(plate, V, quad=quad)
     fr = quad.frame[::7]
-    A = iso.A_at(fr.u)
+    A = iso.A_at(fr)
     assert np.max(np.linalg.norm(A + transpose(A), axis=(-2, -1))) <= 1e-12
     assert np.max(np.linalg.norm(A @ fr.jac - V.d1(fr.u), axis=-2)) <= iso.tol
 
@@ -46,9 +52,9 @@ def test_plate_normal_column_of_A():
     V = sg.plate_sine_field(0.8, 1, 2, plate.domain)
     quad = sg.surface_quadrature(plate, 4)
     iso = sg.build_isometry(plate, V, quad=quad)
-    u = np.array([0.37, 0.61])
-    dv = V.d1(u)[2]  # gradient of the out-of-plane component
-    assert np.allclose(iso.An_at(u), [-dv[0], -dv[1], 0.0], atol=1e-12)
+    fr = plate.frame(np.array([0.37, 0.61]))
+    dv = V.d1(fr.u)[2]  # gradient of the out-of-plane component
+    assert np.allclose(iso.A_at(fr) @ fr.n, [-dv[0], -dv[1], 0.0], atol=1e-12)
 
 
 def test_An_matches_the_normal_rotation_formula():
@@ -65,7 +71,7 @@ def test_An_matches_the_normal_rotation_formula():
             v = V.value(fr.u)
             d_vn = V.d1(fr.u).T @ fr.n + (fr.shape_op @ fr.jac).T @ v
             expected = fr.shape_op @ (v - float(v @ fr.n) * fr.n) - fr.grad3(d_vn)
-            assert np.linalg.norm(iso.An_at(fr.u) - expected) <= 1e-13
+            assert np.linalg.norm(iso.A_at(fr) @ fr.n - expected) <= 1e-13
 
 
 def test_in_plane_stretch_is_rejected_with_worst_node():
@@ -119,8 +125,7 @@ def test_bending_tensor_vanishes_for_rigid_motions():
         quad = sg.surface_quadrature(patch, 4)
         iso = sg.build_isometry(patch, sg.rigid_field(patch, (0.3, -0.2, 0.4)),
                                 quad=quad)
-        tensor = sg.bending_tensor(iso, patch)
-        worst = np.max(np.linalg.norm(tensor(quad.frame), axis=(-2, -1)))
+        worst = np.max(np.linalg.norm(bending_tensor(iso, quad.frame), axis=(-2, -1)))
         assert worst <= 1e-8, patch.name
 
 
@@ -129,10 +134,9 @@ def test_bending_tensor_on_plate_is_minus_hessian():
     V = sg.plate_sine_field(0.9, 1, 1, plate.domain)
     quad = sg.surface_quadrature(plate, 4)
     iso = sg.build_isometry(plate, V, quad=quad)
-    tensor = sg.bending_tensor(iso, plate)
     fr = quad.frame[::6]
     hess = V.d2(fr.u)[..., 2, :, :]  # 2x2 hessian of the vertical component
-    assert np.allclose(tensor(fr), -hess, atol=1e-9)
+    assert np.allclose(bending_tensor(iso, fr), -hess, atol=1e-9)
 
 
 def test_stretching_tensor_reduces_to_strain_bitwise():
@@ -142,9 +146,9 @@ def test_stretching_tensor_reduces_to_strain_bitwise():
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
     strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, plate.domain))
-    tensor = sg.stretching_tensor(iso, strain, thick, kappa=0.0, patch=plate)
     fr = quad.frame[::6]
-    assert np.array_equal(tensor(fr), strain(fr))
+    tensor = sg.stretching_tensor(fr, iso.A_at(fr), strain, thick, kappa=0.0)
+    assert np.array_equal(tensor, strain(fr))
 
 
 def test_stretching_tensor_plate_vortex_term():
@@ -154,11 +158,11 @@ def test_stretching_tensor_plate_vortex_term():
     V = sg.plate_sine_field(1.0, 1, 1, plate.domain)
     iso = sg.build_isometry(plate, V, quad=quad)
     strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, plate.domain))
-    tensor = sg.stretching_tensor(iso, strain, thick, kappa=1.0, patch=plate)
     fr = quad.frame[::6]
+    tensor = sg.stretching_tensor(fr, iso.A_at(fr), strain, thick, kappa=1.0)
     grad_v = V.d1(fr.u)[..., 2, :]
     expected = strain(fr) + 0.5 * grad_v[..., :, None] * grad_v[..., None, :]
-    assert np.allclose(tensor(fr), expected, atol=1e-12)
+    assert np.allclose(tensor, expected, atol=1e-12)
 
 
 def test_stretching_tensor_zero_for_zero_fields():
@@ -170,8 +174,9 @@ def test_stretching_tensor_zero_for_zero_fields():
     quad = sg.surface_quadrature(plate, 4)
     iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
     strain = sg.StrainField.zero(plate.domain)
-    tensor = sg.stretching_tensor(iso, strain, thick, kappa=1.0, patch=plate)
-    assert np.allclose(tensor(quad.frame[::6]), 0.0, atol=1e-14)
+    fr = quad.frame[::6]
+    tensor = sg.stretching_tensor(fr, iso.A_at(fr), strain, thick, kappa=1.0)
+    assert np.allclose(tensor, 0.0, atol=1e-14)
 
 
 def test_stretching_expansion_trivial_and_bounded():
@@ -180,13 +185,15 @@ def test_stretching_expansion_trivial_and_bounded():
     quad = sg.surface_quadrature(plate, 4)
     zero = sg.zero_vector_field(plate.domain)
     iso0 = sg.build_isometry(plate, zero, quad=quad)
-    assert sg.stretching_expansion_residual(plate, iso0, zero, thick, 0.1, quad) <= 1e-15
+    data0 = sg.expansion_data(plate, iso0, zero, thick, quad)
+    assert sg.stretching_expansion_residual(data0, 0.1) <= 1e-15
 
     # w = 0: the identity is exactly quadratic in h, residual at rounding level
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
+    data = sg.expansion_data(plate, iso, zero, thick, quad)
     for h in (1e-1, 1e-2, 1e-3):
-        res = sg.stretching_expansion_residual(plate, iso, zero, thick, h, quad)
+        res = sg.stretching_expansion_residual(data, h)
         assert res <= max(1e-6 * h ** 3, 1e-13)
 
 
@@ -198,8 +205,8 @@ def test_stretching_expansion_third_order_with_w():
                             quad=quad)
     w = sg.trig_vector_field(GENERIC_W, plate.domain)
     hs = [2.0 ** -k for k in range(3, 8)]
-    pairs = [(h, sg.stretching_expansion_residual(plate, iso, w, thick, h, quad))
-             for h in hs]
+    data = sg.expansion_data(plate, iso, w, thick, quad)
+    pairs = [(h, sg.stretching_expansion_residual(data, h)) for h in hs]
     slope, r2 = fit_order(pairs)
     assert slope >= 2.9 and r2 >= 0.99
     # residual / h^3 stays bounded
@@ -213,8 +220,9 @@ def test_rigid_isometries_give_exact_stretching_identity():
     quad = sg.surface_quadrature(sphere, 4)
     iso = sg.build_isometry(sphere, sg.rigid_field(sphere, (0.2, 0.1, -0.3)),
                             quad=quad)
-    zero = sg.zero_vector_field(sphere.domain)
-    pairs = [(h, sg.stretching_expansion_residual(sphere, iso, zero, thick, h, quad))
+    data = sg.expansion_data(sphere, iso, sg.zero_vector_field(sphere.domain), thick,
+                             quad)
+    pairs = [(h, sg.stretching_expansion_residual(data, h))
              for h in [2.0 ** -k for k in range(3, 8)]]
     slope, r2 = fit_order(pairs)  # all residuals at rounding level -> exact
     assert slope == np.inf
@@ -224,8 +232,10 @@ def test_bending_expansion_trivial_case():
     plate = sg.make_builtin_patch("plate")
     thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
     quad = sg.surface_quadrature(plate, 3)
-    iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
-    assert sg.bending_expansion_residual(plate, iso, thick, 0.1, quad) <= 1e-9
+    zero = sg.zero_vector_field(plate.domain)
+    iso = sg.build_isometry(plate, zero, quad=quad)
+    data = sg.expansion_data(plate, iso, zero, thick, quad)
+    assert sg.bending_expansion_residual(data, 0.1) <= 1e-9
 
 
 def test_bending_expansion_second_order_on_plate():
@@ -235,8 +245,8 @@ def test_bending_expansion_second_order_on_plate():
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
     hs = [2.0 ** -k for k in range(3, 8)]
-    pairs = [(h, sg.bending_expansion_residual(plate, iso, thick, h, quad))
-             for h in hs]
+    data = sg.expansion_data(plate, iso, sg.zero_vector_field(plate.domain), thick, quad)
+    pairs = [(h, sg.bending_expansion_residual(data, h)) for h in hs]
     slope, r2 = fit_order(pairs)
     assert slope >= 1.9 and r2 >= 0.99
 
@@ -248,8 +258,9 @@ def test_bending_expansion_rigid_cylinder_left_side_small():
     thick = sg.ThicknessPair.constant(0.5, 0.5, cyl.domain)
     quad = sg.surface_quadrature(cyl, 4)
     iso = sg.build_isometry(cyl, sg.rigid_field(cyl, (0.3, -0.2, 0.4)), quad=quad)
+    data = sg.expansion_data(cyl, iso, sg.zero_vector_field(cyl.domain), thick, quad)
     for h in (2.0 ** -3, 2.0 ** -5):
-        assert sg.bending_expansion_residual(cyl, iso, thick, h, quad) <= 0.5 * h ** 2
+        assert sg.bending_expansion_residual(data, h) <= 0.5 * h ** 2
 
 
 def test_midsurface_strain_deficit_is_exact():
@@ -266,8 +277,10 @@ def test_midsurface_strain_deficit_is_exact():
             lipschitz_bound=1.0)
         quad = sg.surface_quadrature(patch, 4)
         iso = sg.build_isometry(patch, V, quad=quad)
+        data = sg.expansion_data(patch, iso, sg.zero_vector_field(patch.domain), thick,
+                                 quad)
         for h in (0.1, 0.01):
-            assert sg.midsurface_strain_deficit(patch, iso, thick, h, quad) <= 1e-11
+            assert sg.midsurface_strain_deficit(data, h) <= 1e-11
 
 
 def test_strain_field_matches_generator_gradient():
@@ -301,15 +314,13 @@ def test_batched_isometry_fields_equal_stacked_points(case):
                              lipschitz_bound=1.0)
     strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, patch.domain))
     u = quad.frame.u
+    frames = [quad.frame[i] for i in range(len(u))]
     checks = [
-        (iso.A_at(u), [iso.A_at(p) for p in u]),
-        (iso.An_at(u), [iso.An_at(p) for p in u]),
+        (iso.A_at(quad.frame), [iso.A_at(fr) for fr in frames]),
         (iso.An_partials(u), [iso.An_partials(p) for p in u]),
-        (sg.bending_tensor(iso, patch)(quad.frame),
-         [sg.bending_tensor(iso, patch)(quad.frame[i]) for i in range(len(u))]),
-        (sg.stretching_tensor(iso, strain, thick, 1.0, patch)(quad.frame),
-         [sg.stretching_tensor(iso, strain, thick, 1.0, patch)(quad.frame[i])
-          for i in range(len(u))]),
+        (bending_tensor(iso, quad.frame), [bending_tensor(iso, fr) for fr in frames]),
+        (sg.stretching_tensor(quad.frame, iso.A_at(quad.frame), strain, thick, 1.0),
+         [sg.stretching_tensor(fr, iso.A_at(fr), strain, thick, 1.0) for fr in frames]),
     ]
     for batched, singles in checks:
         stacked = np.stack(singles)
@@ -318,8 +329,9 @@ def test_batched_isometry_fields_equal_stacked_points(case):
 
 
 def test_isometry_check_and_residuals_make_few_frame_calls(monkeypatch):
-    # build_isometry reads the quadrature's batched frame; each expansion
-    # residual makes a fixed number of frame calls per h, whatever the node count
+    # build_isometry reads the quadrature's batched frame; expansion_data makes
+    # a fixed number of frame calls whatever the node count, and a residual
+    # at one h makes none
     cap = curved_patches()[0]
     thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4, cap.domain),
                              g2=sg.affine_scalar(0.55, [0.04, 0.01], cap.domain),
@@ -336,15 +348,15 @@ def test_isometry_check_and_residuals_make_few_frame_calls(monkeypatch):
     monkeypatch.setattr(sg.SurfacePatch, "frame", counting_frame)
     iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quads[10])
     assert calls == []
-    residuals = [
-        lambda quad: sg.stretching_expansion_residual(cap, iso, w, thick, 0.1, quad),
-        lambda quad: sg.bending_expansion_residual(cap, iso, thick, 0.1, quad),
-        lambda quad: sg.midsurface_strain_deficit(cap, iso, thick, 0.1, quad),
-    ]
-    for residual in residuals:
-        counts = []
-        for order in (4, 10):
-            calls.clear()
-            residual(quads[order])
-            counts.append(len(calls))
-        assert counts[0] == counts[1] <= 4, counts
+    residuals = [sg.stretching_expansion_residual, sg.bending_expansion_residual,
+                 sg.midsurface_strain_deficit]
+    counts = []
+    for order in (4, 10):
+        calls.clear()
+        data = sg.expansion_data(cap, iso, w, thick, quads[order])
+        counts.append(len(calls))
+        calls.clear()
+        for residual in residuals:
+            residual(data, 0.1)
+        assert calls == []
+    assert counts[0] == counts[1] <= 3, counts

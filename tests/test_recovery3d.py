@@ -1,11 +1,16 @@
 import dataclasses
+import functools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shellgamma as sg
 from shellgamma.errors import EnergyBlowupError, ParameterError, ThicknessError
+from shellgamma.fields import transpose
+from shellgamma.loads import rotation_matrices
 
 GENERIC_W = [(0.4, 1.3, 0.2, 0.9, 0.5),
              (0.3, 0.7, 1.1, 1.4, 0.3),
@@ -19,6 +24,13 @@ def plate_scene(order=6):
     quad = sg.surface_quadrature(plate, order)
     trule = sg.TransversalRule.make(4)
     return plate, thick, W, quad, trule
+
+
+def d_fields(material, iso, strain, thick, kappa, fr):
+    """d0 and d1 at a frame, through the limit fields there."""
+    fields = sg.limit_fields(material, iso, strain, thick, kappa, fr,
+                             iso.An_partials(fr.u))
+    return sg.build_d_fields(fields, thick, kappa)
 
 
 def test_trivial_recovery_is_the_identity():
@@ -41,11 +53,10 @@ def test_trivial_recovery_is_the_identity():
 def test_d_fields_vanish_for_zero_data():
     plate, thick, W, quad, trule = plate_scene()
     iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
-    d0, d1 = sg.build_d_fields(plate, W, iso, sg.StrainField.zero(plate.domain),
-                               thick, kappa=1.0)
-    u = quad.frame.u[::5]
-    assert np.allclose(d0.value(u), 0.0, atol=1e-13)
-    assert np.allclose(d1.value(u), 0.0, atol=1e-13)
+    d0, d1 = d_fields(W, iso, sg.StrainField.zero(plate.domain), thick, 1.0,
+                      quad.frame[::5])
+    assert np.allclose(d0, 0.0, atol=1e-13)
+    assert np.allclose(d1, 0.0, atol=1e-13)
 
 
 def test_d_fields_sphere_rigid_with_compensating_strain():
@@ -61,12 +72,12 @@ def test_d_fields_sphere_rigid_with_compensating_strain():
     strain = sg.StrainField.from_tensor(
         lambda fr: 0.5 * kappa * fr.tan2(Wmat @ Wmat))
     W = sg.make_isotropic(1.0, 1.0)
-    d0, d1 = sg.build_d_fields(cap, W, iso, strain, thick, kappa=kappa)
     fr = quad.frame[::6]
-    assert np.allclose(d1.value(fr.u), 0.0, atol=1e-8)
+    d0, d1 = d_fields(W, iso, strain, thick, kappa, fr)
+    assert np.allclose(d1, 0.0, atol=1e-8)
     W2n = fr.n @ (Wmat @ Wmat).T
     expected = kappa * W2n - 0.5 * kappa * (fr.n * W2n).sum(axis=-1)[:, None] * fr.n
-    assert np.allclose(d0.value(fr.u), expected, atol=1e-10)
+    assert np.allclose(d0, expected, atol=1e-10)
 
 
 def test_d1_vanishes_for_zero_lambda_on_plate():
@@ -75,9 +86,9 @@ def test_d1_vanishes_for_zero_lambda_on_plate():
     W = sg.make_isotropic(1.0, 0.0)
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
-    _, d1 = sg.build_d_fields(plate, W, iso, sg.StrainField.zero(plate.domain),
-                              thick, kappa=1.0)
-    assert np.allclose(d1.value(quad.frame.u[::7]), 0.0, atol=1e-10)
+    _, d1 = d_fields(W, iso, sg.StrainField.zero(plate.domain), thick, 1.0,
+                     quad.frame[::7])
+    assert np.allclose(d1, 0.0, atol=1e-10)
 
 
 def test_recovery_requires_generator_strain():
@@ -246,6 +257,62 @@ def test_energy_frame_indifference():
     assert rotated_energy.E_h == pytest.approx(base.E_h, rel=1e-10)
 
 
+@functools.lru_cache(maxsize=None)
+def rotation_scene(kind, h):
+    """A recovery y^h with nonzero V, w and thickness gradient, and its energy."""
+    patch = sg.make_builtin_patch(kind)
+    thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4, patch.domain),
+                             g2=sg.affine_scalar(0.55, [0.04, 0.01], patch.domain),
+                             lipschitz_bound=1.0)
+    V = (sg.plate_sine_field(1.0, 1, 1, patch.domain) if kind == "plate"
+         else sg.rigid_field(patch, (0.3, -0.2, 0.4)))
+    W = sg.make_isotropic(1.0, 1.0)
+    quad = sg.surface_quadrature(patch, 4)
+    trule = sg.TransversalRule.make(3)
+    iso = sg.build_isometry(patch, V, quad=quad)
+    strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, patch.domain))
+    data = sg.recovery_data(patch, W, iso, strain, thick, kappa=1.0, quad=quad)
+    rec = sg.build_recovery(data, h=h, e_h=h ** 4)
+    return rec, W, quad, trule, sg.eval_shell_energy(rec, W, quad, trule)
+
+
+@settings(max_examples=30)
+@given(kind=st.sampled_from(["plate", "sphere_cap"]),
+       h=st.sampled_from([2.0 ** -3, 2.0 ** -5]),
+       q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+           lambda q: np.linalg.norm(q) >= 0.1))
+def test_energy_is_invariant_under_rigid_rotations(kind, h, q):
+    # E^h(R y^h) = E^h(y^h) for every rotation R: frame indifference of the
+    # whole energy quadrature, not only of W
+    rec, W, quad, trule, base = rotation_scene(kind, h)
+    R = rotation_matrices(np.array([q]))[0]
+    rotated = dataclasses.replace(rec, evaluate=lambda u, t: rec.evaluate(u, t) @ R.T,
+                                  gradient=lambda u, t: R @ rec.gradient(u, t))
+    energy = sg.eval_shell_energy(rotated, W, quad, trule)
+    assert energy.E_h == pytest.approx(base.E_h, rel=1e-10)
+    assert energy.so3_distance == pytest.approx(base.so3_distance, rel=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["plate", "sphere_cap"])
+def test_energy_health_figures_match_an_independent_recomputation(kind):
+    # singular values from the eigenvalues of F^T F instead of an SVD, and
+    # det(Id + h t Pi) as the product of the principal factors 1 + h t k
+    for h in (2.0 ** -3, 2.0 ** -5):
+        rec, W, quad, trule, ev = rotation_scene(kind, h)
+        u = quad.frame.u
+        t, _ = trule.across(rec.thick, u)
+        F = rec.gradient(u, t)
+        sv = np.sqrt(np.linalg.eigvalsh(transpose(F) @ F))
+        dist = np.sqrt(((sv - 1.0) ** 2).sum(axis=-1))
+        assert ev.so3_distance == pytest.approx(np.max(dist), rel=1e-9)
+        assert 0.0 < ev.so3_distance <= sg.recovery3d.BLOWUP_DISTANCE
+        k = rec.patch.principal_curvatures(u)
+        det = np.prod(1.0 + h * t[..., None] * k, axis=-1)
+        assert ev.min_det == pytest.approx(np.min(det), rel=1e-13)
+    if kind == "plate":
+        assert ev.min_det == 1.0
+
+
 def test_energy_blowup_reports_worst_node():
     plate, thick, W, quad, trule = plate_scene(order=4)
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
@@ -287,8 +354,8 @@ def test_energy_converges_to_limit_quickly():
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
     strain = sg.StrainField.zero(plate.domain)
-    I_val = sg.eval_I(plate, thick, W, iso, strain, 1.0, quad=quad).total
     data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0, quad=quad)
+    I_val = sg.eval_I(data.limit, thick, quad).total
     gaps = []
     for k in (3, 5):
         h = 2.0 ** -k

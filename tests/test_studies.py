@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shellgamma.cli as cli
-from shellgamma import recovery3d, studies
+from shellgamma import fields, recovery3d, studies
 from shellgamma.errors import ConfigError
-from shellgamma.kinematics import build_isometry
 from shellgamma.studies import (CSV_HEADER, StudyReport, StudyRow,
                                 builtin_scenario_config, fit_order, parse_config,
                                 read_report_rows, richardson_extrapolate,
@@ -264,9 +263,7 @@ def test_gamma_gate_fails_a_wrong_recovery(name, monkeypatch):
 
     def scaled_d0(*args, **kwargs):
         d0, d1 = build_d_fields(*args, **kwargs)
-        return dataclasses.replace(d0, value=lambda u: 0.9 * d0.value(u),
-                                   d1=lambda u: 0.9 * d0.d1(u),
-                                   d2=lambda u: 0.9 * d0.d2(u)), d1
+        return 0.9 * d0, d1
 
     monkeypatch.setattr(recovery3d, "build_d_fields", scaled_d0)
     report = run_study(builtin_scenario_config(name))
@@ -288,18 +285,63 @@ def test_richardson_order_key_is_rejected_with_its_path():
 
 @pytest.mark.parametrize("name", ["plate-gamma", "sphere-gamma"])
 def test_gamma_gap_does_not_depend_on_the_fd_step(name, monkeypatch):
-    # the composite finite-difference steps of the recovery fields and of A n
+    # the one finite-difference step of the recovery fields, A n and d2
     gaps = []
+    normalized = []
     for step in (1e-3, 1e-4, 1e-5):
-        monkeypatch.setattr(recovery3d, "COMPOSITE_FD_REL_STEP", step)
-        monkeypatch.setattr(
-            studies, "build_isometry",
-            lambda *args, _step=step, **kwargs: dataclasses.replace(
-                build_isometry(*args, **kwargs), fd_rel_step=_step))
+        monkeypatch.setattr(fields, "FD_REL_STEP", step)
         report = run_study(builtin_scenario_config(name))
         assert report.passed
         gaps.append(report.summary["raw_rel_gap_at_smallest_h"])
+        normalized.append([row.normalized for row in report.rows])
     assert max(abs(g - gaps[0]) for g in gaps) <= 1e-5 * gaps[0], gaps
+    # a step the patch no longer reaches would leave the energies unchanged
+    assert normalized[0] != normalized[1] != normalized[2] != normalized[0]
+
+
+def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
+    # frames and A at the nodes, at the 4-point stencil of each chart axis and
+    # at the nested stencils of the partials of A n there (1 + 2 + 4 arrays);
+    # Q2 at the nodes and the two stencils
+    from shellgamma import geometry, kinematics, limit2d, material
+    seen = {"frame": [], "A_at": [], "reduce_q2": []}
+    frame = geometry.SurfacePatch.frame
+    A_at = kinematics.IsometryField.A_at
+    reduce_q2 = material.reduce_q2
+
+    def counting_frame(self, u):
+        seen["frame"].append(np.array(u, dtype=float))
+        return frame(self, u)
+
+    def counting_A_at(self, fr):
+        seen["A_at"].append(fr.u.copy())
+        return A_at(self, fr)
+
+    def counting_reduce_q2(q3, n, *args, **kwargs):
+        seen["reduce_q2"].append(np.array(n, dtype=float))
+        return reduce_q2(q3, n, *args, **kwargs)
+
+    monkeypatch.setattr(geometry.SurfacePatch, "frame", counting_frame)
+    monkeypatch.setattr(kinematics.IsometryField, "A_at", counting_A_at)
+    for module in (material, limit2d, recovery3d, studies):
+        monkeypatch.setattr(module, "reduce_q2", counting_reduce_q2)
+
+    def repeats(arrays):
+        return sum(any(a.shape == b.shape and np.array_equal(a, b) for b in arrays[:i])
+                   for i, a in enumerate(arrays))
+
+    counts = []
+    cfg = builtin_scenario_config("sphere-gamma")
+    for surface_order in (4, 10):
+        for calls in seen.values():
+            calls.clear()
+        report = run_study(dataclasses.replace(
+            cfg, quadrature={"surface_order": surface_order, "transversal_order": 4}))
+        assert report.error is None
+        assert {name: repeats(calls) for name, calls in seen.items()} == {
+            "frame": 0, "A_at": 0, "reduce_q2": 0}
+        counts.append({name: len(calls) for name, calls in seen.items()})
+    assert counts[0] == counts[1] == {"frame": 7, "A_at": 7, "reduce_q2": 3}
 
 
 @pytest.mark.parametrize("name", ["plate-gamma", "sphere-gamma"])
