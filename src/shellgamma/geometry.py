@@ -439,26 +439,25 @@ def integrate_surface(quad, f):
 # offsets and curvature checks
 # ---------------------------------------------------------------------------
 
-def offset_jacobian(patch, u, t):
-    """Id + t*Pi (identity on the normal) and its determinant at chart points u.
+def offset_jacobian(frame, t):
+    """Id + t*Pi (identity on the normal) and its determinant at a frame's points.
 
-    t is the physical normal offset; u (..., 2) and t broadcast against each
-    other.  Raises ThicknessError, naming the point of smallest principal
-    factor 1 + t k, when the offset leaves the thin-shell regime: a factor
-    that is not positive.  Pi is self-adjoint with Pi n = 0, so the two
-    factors have the product det(Id + t*Pi) and the sum tr(Id + t*Pi) - 1,
-    and both are positive exactly when these two are.
+    Pi is the frame's shape operator and t the physical normal offset; the
+    frame's batch axes and t broadcast against each other.  Raises
+    ThicknessError, naming the point of smallest principal factor 1 + t k,
+    when the offset leaves the thin-shell regime: a factor that is not
+    positive.  Pi is self-adjoint with Pi n = 0, so the two factors have the
+    product det(Id + t*Pi) and the sum tr(Id + t*Pi) - 1, and both are
+    positive exactly when these two are.
     """
-    u = np.asarray(u, dtype=float)
     t = np.asarray(t, dtype=float)
-    Pi = np.asarray(patch.shape_operator(u), dtype=float)
-    M = _I3 + t[..., None, None] * Pi
+    M = _I3 + t[..., None, None] * frame.shape_op
     det = np.linalg.det(M)
     s = np.trace(M, axis1=-2, axis2=-1) - 1.0
     if np.any((det <= 0.0) | (s <= 0.0)):
         factor = 0.5 * s - np.sqrt(np.maximum(0.25 * s * s - det, 0.0))
         k = np.argmin(factor)
-        uk = np.broadcast_to(u, det.shape + (2,)).reshape(-1, 2)[k]
+        uk = np.broadcast_to(frame.u, det.shape + (2,)).reshape(-1, 2)[k]
         tk = np.broadcast_to(t, det.shape).ravel()[k]
         raise ThicknessError(
             f"principal factor of Id + t*Pi = {factor.ravel()[k]:.3e} <= 0 at "

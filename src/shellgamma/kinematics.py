@@ -136,8 +136,11 @@ def bending_matrix(frame, A, An_partials):
     return frame.grad3(An_partials) - A @ frame.shape_op
 
 
-def stretching_tensor(frame, A, strain, thick, kappa):
-    """B_tan - (kappa/2)(A^2)_tan - (1/2) sym(A grad((g2-g1) n))_tan at a frame, 2x2."""
+def stretching_tensor(frame, A, AG, strain, thick, kappa):
+    """B_tan - (kappa/2)(A^2)_tan - (1/2) sym(A grad((g2-g1) n))_tan at a frame, 2x2.
+
+    AG is A grad((g2-g1) n) at the frame (`A @ grad3_gamma_n(frame, thick)`).
+    """
     if kappa < 0.0 or not np.isfinite(kappa):
         raise EvaluationError("kappa must be finite and nonnegative")
     out = np.array(strain(frame), dtype=float)
@@ -146,7 +149,7 @@ def stretching_tensor(frame, A, strain, thick, kappa):
     if kappa != 0.0:
         out = out - 0.5 * kappa * frame.tan2(A @ A)
     if np.any(gamma != 0.0) or np.any(dgamma != 0.0):
-        T = frame.tan2(A @ grad3_gamma_n(frame, thick))
+        T = frame.tan2(AG)
         out = out - 0.25 * (T + transpose(T))
     return 0.5 * (out + transpose(out))
 

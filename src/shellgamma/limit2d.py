@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ParameterError
 from .fields import transpose
 from .geometry import NodeFrame, surface_quadrature, values_on
-from .kinematics import StrainField, bending_matrix, stretching_tensor
+from .kinematics import StrainField, bending_matrix, grad3_gamma_n, stretching_tensor
 from .material import QuadForm2, as_q3, reduce_q2
 
 
@@ -42,6 +42,7 @@ class LimitFields:
 
     frame: NodeFrame
     A: np.ndarray               # (..., 3, 3) skew field of the isometry
+    AG: np.ndarray              # (..., 3, 3) A grad((g2-g1) n)
     q2: QuadForm2               # Q2 reduced in the frame's tangent plane
     stretching: np.ndarray      # (..., 2, 2) stretching tensor
     bending_matrix: np.ndarray  # (..., 3, 3) grad(A n) - A Pi
@@ -51,11 +52,12 @@ class LimitFields:
 def limit_fields(material, iso, strain, thick, kappa, frame, An_partials):
     """Evaluate A, Q2 and both tensors at a frame, given the chart partials of A n there."""
     A = iso.A_at(frame)
+    AG = A @ grad3_gamma_n(frame, thick)
     M = bending_matrix(frame, A, An_partials)
     Mt = frame.tan2(M)
-    return LimitFields(frame=frame, A=A,
+    return LimitFields(frame=frame, A=A, AG=AG,
                        q2=reduce_q2(as_q3(material), frame.n, frame.t1, frame.t2),
-                       stretching=stretching_tensor(frame, A, strain, thick, kappa),
+                       stretching=stretching_tensor(frame, A, AG, strain, thick, kappa),
                        bending_matrix=M, bending=0.5 * (Mt + transpose(Mt)))
 
 

@@ -61,8 +61,8 @@ def load_compatibility_residual(thick, load, squad):
 
 def extend_load(patch, f_surface, u, t):
     """Thickness extension f^h(x + t n) = det(Id + t Pi)^{-1} f^h(x); t physical."""
-    _, det = offset_jacobian(patch, u, t)
     fr = patch.frame(u)
+    _, det = offset_jacobian(fr, t)
     return np.asarray(f_surface(fr), dtype=float) / det[..., None]
 
 

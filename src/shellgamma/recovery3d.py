@@ -21,6 +21,10 @@ right after.  The limit functional reads the same node evaluation
 Everything broadcasts over leading batch axes: the energies read y^h once
 per h over the (T, N) grid of transversal and surface nodes, with the
 transversal axis leading so that arrays over the surface nodes broadcast.
+That one pass also gives the energy everything else it needs: `gradient`
+returns det(Id + h t Pi) from the offset jacobian it forms anyway, and the
+distance from SO(3) of the blow-up gate comes from the eigenvalues of the
+Green strain in closed form, with no SVD.
 """
 
 from __future__ import annotations
@@ -34,16 +38,17 @@ from .errors import EnergyBlowupError, ParameterError
 from .fields import fd_columns, matvec, outer, transpose
 from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this import site)
 from .geometry import offset_jacobian
-from .kinematics import grad3_gamma_n
 from .limit2d import LimitFields, limit_fields
 from .material import StoredEnergy, as_q3, reduce_q2
 
 BLOWUP_DISTANCE = 0.5
 # the fields differentiated through the shared stencil, in stacking order
 _STENCIL_FIELDS = ("p", "xi", "d0", "d1")
+# phase shifts of the three roots in the trigonometric eigenvalue formula
+_EIG_ANGLES = np.array([0.0, 2.0, 4.0]) * (np.pi / 3.0)
 
 
-def build_d_fields(fields, thick, kappa):
+def build_d_fields(fields, kappa):
     """The two correction fields of the recovery deformation at the points of `fields`.
 
     d0 completes the stretching tensor to its optimal 3D extension (plus the
@@ -55,8 +60,7 @@ def build_d_fields(fields, thick, kappa):
     A2n = matvec(A, matvec(A, fr.n))
     nA2n = (fr.n * A2n).sum(axis=-1)[..., None]
     d0 = d0 + kappa * A2n - 0.5 * kappa * nA2n * fr.n
-    AG = A @ grad3_gamma_n(fr, thick)
-    d0 = d0 + 0.5 * matvec(transpose(AG), fr.n)
+    d0 = d0 + 0.5 * matvec(transpose(fields.AG), fr.n)
     M = fields.bending_matrix
     d1 = 2.0 * q2.minimizer(fields.bending) - matvec(transpose(M), fr.n)
     return d0, d1
@@ -68,16 +72,15 @@ class RecoveryData:
 
     values_at(u) returns the frame at u with the values of (g2-g1), V, w,
     A n, xi, d0 and d1 there; partials_at(u) adds their chart partials.
-    Both are built once at `nodes`, the node array of the scene's
-    quadrature, and returned from there when u is that array; at any other
-    chart points they are computed afresh and nothing is stored.  `limit`
-    holds the limit functional's fields from the same node evaluation.
+    Both are built once at the node array of the scene's quadrature, and
+    returned from there when u is that array; at any other chart points they
+    are computed afresh and nothing is stored.  `limit` holds the limit
+    functional's fields from the same node evaluation, its frame included.
     """
 
     patch: object
     thick: object
-    nodes: np.ndarray      # (N, 2) chart points of the quadrature nodes
-    limit: LimitFields     # at the nodes
+    limit: LimitFields     # at the quadrature nodes
     values_at: Callable    # u -> dict of values at u
     partials_at: Callable  # u -> dict of values and chart partials at u
 
@@ -89,7 +92,8 @@ class RecoveryDeformation:
     patch: object
     thick: object
     evaluate: Callable  # (u, t) -> R^3, t in (-g1(u), g2(u)); broadcasts over (u, t)
-    gradient: Callable  # (u, t) -> 3x3 deformation gradient on the physical shell
+    # (u, t) -> (3x3 deformation gradient on the physical shell, det(Id + h t Pi))
+    gradient: Callable
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,7 @@ def recovery_data(patch, material, iso, strain, thick, kappa, quad):
 
     def values(fr, An_partials):
         lf = limit_fields(material, iso, strain, thick, kappa, fr, An_partials)
-        d0, d1 = build_d_fields(lf, thick, kappa)
+        d0, d1 = build_d_fields(lf, kappa)
         return {
             "fr": fr,
             "limit": lf,
@@ -162,7 +166,7 @@ def recovery_data(patch, material, iso, strain, thick, kappa, quad):
             return compute(u)
         return at
 
-    return RecoveryData(patch=patch, thick=thick, nodes=nodes, limit=at_nodes["limit"],
+    return RecoveryData(patch=patch, thick=thick, limit=at_nodes["limit"],
                         values_at=stored_or(values_at),
                         partials_at=stored_or(lambda u: with_partials(patch.frame(u))))
 
@@ -172,13 +176,13 @@ def build_recovery(data, h, e_h):
 
     Requires h small enough that Id + h t Pi stays orientation-preserving
     through the thickness.  `evaluate(u, t)` and `gradient(u, t)` broadcast
-    u of shape (..., 2) against t.
+    u of shape (..., 2) against t; `gradient` also returns det(Id + h t Pi),
+    the volume factor of the energy, from the same offset jacobian.
     """
     if not (0.0 < h < 1.0):
         raise ParameterError(f"h must lie in (0, 1), got {h}")
     if e_h <= 0.0:
         raise ParameterError("e_h must be positive")
-    patch = data.patch
     _check_thin_shell(data, h)
     sq = float(np.sqrt(e_h))
 
@@ -213,15 +217,15 @@ def build_recovery(data, h, e_h):
               + h * sq * (outer(pd["d1"], s[..., None] * ds) + 0.5 * sm * sm * pd["Dd1"]))
         dt = (h * fr.n + sq * pd["p"] - h * sq * pd["xi"]
               + h * sq * pd["d0"] + (s * h * sq)[..., None] * pd["d1"])
-        M, _ = offset_jacobian(patch, u, h * t)
+        M, det = offset_jacobian(fr, h * t)
         MJ = M @ fr.jac
         frame_mat = np.concatenate(
             [MJ, np.broadcast_to(fr.n[..., None], MJ.shape[:-1] + (1,))], axis=-1)
         Y = np.concatenate(
             [Y2, np.broadcast_to((dt / h)[..., None], Y2.shape[:-1] + (1,))], axis=-1)
-        return Y @ np.linalg.inv(frame_mat)
+        return Y @ np.linalg.inv(frame_mat), det
 
-    return RecoveryDeformation(h=float(h), e_h=float(e_h), patch=patch,
+    return RecoveryDeformation(h=float(h), e_h=float(e_h), patch=data.patch,
                                thick=data.thick, evaluate=evaluate,
                                gradient=gradient)
 
@@ -233,9 +237,35 @@ def _check_thin_shell(data, h):
     Each factor is affine in t, so its ends cover the segment;
     offset_jacobian checks both factors, not only their product.
     """
-    u = data.nodes
-    offset_jacobian(data.patch, u,
-                    h * np.stack([-data.thick.g1.value(u), data.thick.g2.value(u)]))
+    fr = data.limit.frame
+    offset_jacobian(fr, h * np.stack([-data.thick.g1.value(fr.u), data.thick.g2.value(fr.u)]))
+
+
+def so3_distance(F):
+    """Distance |sigma - 1| of each 3x3 matrix F from SO(3), over leading batch axes.
+
+    sigma are the singular values of F, read off the eigenvalues e of the
+    Green strain E = (F^T F - Id)/2 as sigma - 1 = 2e / (1 + sqrt(1 + 2e)),
+    which does not cancel near SO(3).  The eigenvalues come from the
+    trigonometric closed form for symmetric 3x3 matrices, elementwise over
+    the batch: near a double eigenvalue each one is accurate only to about
+    sqrt(eps) of the spread of E, but the distance is a symmetric function
+    of them and keeps full accuracy.  Exact for Id; NaN where F has a NaN.
+    """
+    E = 0.5 * (transpose(F) @ F - np.eye(3))
+    a, b, c = E[..., 0, 0], E[..., 1, 1], E[..., 2, 2]
+    d, e, f = E[..., 0, 1], E[..., 0, 2], E[..., 1, 2]
+    q = (a + b + c) / 3.0
+    a, b, c = a - q, b - q, c - q
+    p = np.sqrt((a * a + b * b + c * c + 2.0 * (d * d + e * e + f * f)) / 6.0)
+    # (E - q Id)/p has unit spread; an isotropic E (p = 0) keeps r = 0
+    s = np.divide(1.0, p, out=np.zeros_like(p), where=p > 0.0)
+    a, b, c, d, e, f = a * s, b * s, c * s, d * s, e * s, f * s
+    r = 0.5 * (a * (b * c - f * f) - d * (d * c - f * e) + e * (d * f - b * e))
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    eig = q[..., None] + 2.0 * p[..., None] * np.cos(phi[..., None] + _EIG_ANGLES)
+    sm1 = 2.0 * eig / (1.0 + np.sqrt(np.maximum(1.0 + 2.0 * eig, 0.0)))
+    return np.sqrt((sm1 * sm1).sum(axis=-1))
 
 
 def eval_shell_energy(rec, material, squad, trule, blowup_distance=BLOWUP_DISTANCE):
@@ -249,9 +279,8 @@ def eval_shell_energy(rec, material, squad, trule, blowup_distance=BLOWUP_DISTAN
         raise ParameterError("shell energy needs a StoredEnergy, not only a Q3 form")
     u = squad.frame.u
     t, wt = trule.across(rec.thick, u)  # (T, N)
-    F = rec.gradient(u, t)
-    sv = np.linalg.svd(F, compute_uv=False)
-    dist = np.sqrt(((sv - 1.0) ** 2).sum(axis=-1))
+    F, det = rec.gradient(u, t)
+    dist = so3_distance(F)
     Wv = material.evaluate(F)
     dist = np.where(np.isfinite(Wv), dist, np.inf)
     if np.any(dist > blowup_distance):
@@ -259,7 +288,6 @@ def eval_shell_energy(rec, material, squad, trule, blowup_distance=BLOWUP_DISTAN
         raise EnergyBlowupError(
             f"gradient at distance {dist[k, i]:.3e} from SO(3) at "
             f"u={tuple(u[i].tolist())}, t={t[k, i]:.4f}", u=u[i], t=t[k, i])
-    _, det = offset_jacobian(rec.patch, u, rec.h * t)
     total = float(np.sum(squad.weights * wt * Wv * det))
     return ShellEnergyValue(E_h=total, normalized=total / rec.e_h,
                             so3_distance=float(np.max(dist)),
@@ -277,9 +305,8 @@ def shell_energy_tangential_lower_bound(rec, material, squad, trule):
     q2 = reduce_q2(as_q3(material), fr.n, fr.t1, fr.t2)
     u = fr.u
     t, wt = trule.across(rec.thick, u)
-    F = rec.gradient(u, t)
+    F, det = rec.gradient(u, t)
     E3 = 0.5 * (transpose(F) @ F - np.eye(3))
-    _, det = offset_jacobian(rec.patch, u, rec.h * t)
     integrand = squad.weights * wt * 0.5 * q2.apply_tangential(fr.tan2(E3)) * det
     return float(np.sum(integrand)) / rec.e_h
 

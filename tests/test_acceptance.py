@@ -189,7 +189,7 @@ def test_criterion_7_degenerate_and_trivial_suite():
     identity_energy = sg.eval_shell_energy(rec0, W, quad, trule).E_h
 
     I0 = sg.eval_I(data0.limit, thick, quad).total
-    d0, d1 = sg.build_d_fields(data0.limit, thick, kappa=1.0)
+    d0, d1 = sg.build_d_fields(data0.limit, kappa=1.0)
     d_norm = max(np.max(np.linalg.norm(d0[::5], axis=-1)),
                  np.max(np.linalg.norm(d1[::5], axis=-1)))
 

@@ -80,8 +80,8 @@ def test_batched_offset_jacobian_equals_stacked_points(name):
     patch = PATCHES[name]()
     u = interior_points(patch.domain, 12, seed=1)
     t = np.linspace(-0.2, 0.2, 12)
-    M, det = sg.offset_jacobian(patch, u, t)
-    singles = [sg.offset_jacobian(patch, p, s) for p, s in zip(u, t)]
+    M, det = sg.offset_jacobian(patch.frame(u), t)
+    singles = [sg.offset_jacobian(patch.frame(p), s) for p, s in zip(u, t)]
     assert_batch_matches_points(M, [m for m, _ in singles])
     assert_batch_matches_points(det, [d for _, d in singles])
 

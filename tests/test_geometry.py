@@ -103,15 +103,15 @@ def test_fd_shape_operator_rejects_boundary_points():
 
 def test_offset_jacobian_values():
     plate = sg.make_builtin_patch("plate")
-    _, det = sg.offset_jacobian(plate, np.array([0.2, 0.2]), 0.37)
+    _, det = sg.offset_jacobian(plate.frame(np.array([0.2, 0.2])), 0.37)
     assert det == pytest.approx(1.0, abs=1e-14)
 
     sph = sg.make_builtin_patch("sphere", radius=1.0)
-    _, det = sg.offset_jacobian(sph, np.array([1.0, 2.0]), 0.1)
+    _, det = sg.offset_jacobian(sph.frame(np.array([1.0, 2.0])), 0.1)
     assert det == pytest.approx(1.21, rel=1e-12)
 
     cyl = sg.make_builtin_patch("cylinder", radius=1.0, height=1.0)
-    _, det = sg.offset_jacobian(cyl, np.array([0.5, 0.5]), 0.2)
+    _, det = sg.offset_jacobian(cyl.frame(np.array([0.5, 0.5])), 0.2)
     assert det == pytest.approx(1.2, rel=1e-12)
 
 
@@ -119,7 +119,7 @@ def test_offset_jacobian_det_is_product_of_principal_curvature_factors():
     t = 0.23
     for patch in all_builtin_patches():
         u = np.array([np.mean(patch.domain[0]), np.mean(patch.domain[1])])
-        _, det = sg.offset_jacobian(patch, u, t)
+        _, det = sg.offset_jacobian(patch.frame(u), t)
         k1, k2 = patch.principal_curvatures(u)
         expected = (1.0 + t * k1) * (1.0 + t * k2)
         assert det == pytest.approx(expected, rel=1e-10), patch.name
@@ -129,7 +129,7 @@ def test_offset_jacobian_thickness_too_large():
     # on a cylinder the inward offset past the axis flips the orientation
     cyl = sg.make_builtin_patch("cylinder", radius=1.0, height=1.0)
     with pytest.raises(ThicknessError):
-        sg.offset_jacobian(cyl, np.array([0.5, 0.5]), -1.5)
+        sg.offset_jacobian(cyl.frame(np.array([0.5, 0.5])), -1.5)
 
 
 def test_offset_jacobian_names_the_smallest_determinant():
@@ -138,7 +138,7 @@ def test_offset_jacobian_names_the_smallest_determinant():
     u = np.array([[0.5, 0.5], [0.7, 0.2], [1.1, 0.4], [2.0, 0.9]])
     t = np.array([-1.2, 0.3, -1.8, -1.5])
     with pytest.raises(ThicknessError, match=r"u=\(1\.1, 0\.4\), t=-1\.8"):
-        sg.offset_jacobian(cyl, u, t)
+        sg.offset_jacobian(cyl.frame(u), t)
 
 
 def test_integrate_constant_one_on_plate():

@@ -5,6 +5,7 @@ import shellgamma as sg
 from shellgamma.errors import NotAnIsometryError
 from shellgamma.fields import VectorField, transpose
 from shellgamma.geometry import gauss_legendre
+from shellgamma.kinematics import grad3_gamma_n
 from shellgamma.studies import fit_order
 
 GENERIC_W = [(0.4, 1.3, 0.2, 0.9, 0.5),
@@ -16,6 +17,12 @@ def bending_tensor(iso, fr):
     """Symmetrized tangential minor of grad(A n) - A Pi at a frame."""
     Mt = fr.tan2(sg.bending_matrix(fr, iso.A_at(fr), iso.An_partials(fr.u)))
     return 0.5 * (Mt + transpose(Mt))
+
+
+def stretching_tensor(iso, fr, strain, thick, kappa):
+    """The stretching tensor at a frame, with A and A grad((g2-g1) n) formed there."""
+    A = iso.A_at(fr)
+    return sg.stretching_tensor(fr, A, A @ grad3_gamma_n(fr, thick), strain, thick, kappa)
 
 
 def curved_patches():
@@ -147,7 +154,7 @@ def test_stretching_tensor_reduces_to_strain_bitwise():
                             quad=quad)
     strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, plate.domain))
     fr = quad.frame[::6]
-    tensor = sg.stretching_tensor(fr, iso.A_at(fr), strain, thick, kappa=0.0)
+    tensor = stretching_tensor(iso, fr, strain, thick, kappa=0.0)
     assert np.array_equal(tensor, strain(fr))
 
 
@@ -159,7 +166,7 @@ def test_stretching_tensor_plate_vortex_term():
     iso = sg.build_isometry(plate, V, quad=quad)
     strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, plate.domain))
     fr = quad.frame[::6]
-    tensor = sg.stretching_tensor(fr, iso.A_at(fr), strain, thick, kappa=1.0)
+    tensor = stretching_tensor(iso, fr, strain, thick, kappa=1.0)
     grad_v = V.d1(fr.u)[..., 2, :]
     expected = strain(fr) + 0.5 * grad_v[..., :, None] * grad_v[..., None, :]
     assert np.allclose(tensor, expected, atol=1e-12)
@@ -175,7 +182,7 @@ def test_stretching_tensor_zero_for_zero_fields():
     iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
     strain = sg.StrainField.zero(plate.domain)
     fr = quad.frame[::6]
-    tensor = sg.stretching_tensor(fr, iso.A_at(fr), strain, thick, kappa=1.0)
+    tensor = stretching_tensor(iso, fr, strain, thick, kappa=1.0)
     assert np.allclose(tensor, 0.0, atol=1e-14)
 
 
@@ -319,8 +326,8 @@ def test_batched_isometry_fields_equal_stacked_points(case):
         (iso.A_at(quad.frame), [iso.A_at(fr) for fr in frames]),
         (iso.An_partials(u), [iso.An_partials(p) for p in u]),
         (bending_tensor(iso, quad.frame), [bending_tensor(iso, fr) for fr in frames]),
-        (sg.stretching_tensor(quad.frame, iso.A_at(quad.frame), strain, thick, 1.0),
-         [sg.stretching_tensor(fr, iso.A_at(fr), strain, thick, 1.0) for fr in frames]),
+        (stretching_tensor(iso, quad.frame, strain, thick, 1.0),
+         [stretching_tensor(iso, fr, strain, thick, 1.0) for fr in frames]),
     ]
     for batched, singles in checks:
         stacked = np.stack(singles)

@@ -30,7 +30,7 @@ def test_extension_weight_cancels_in_transversal_integral():
     t_nodes, t_w = gauss_legendre(6, -h * g1, h * g2)
     acc = np.zeros(3)
     for t, wt in zip(t_nodes, t_w):
-        _, det = sg.offset_jacobian(sph, u, t)
+        _, det = sg.offset_jacobian(sph.frame(u), t)
         acc += wt * sg.extend_load(sph, f, u, t) * det
     assert np.allclose(acc, h * (g1 + g2) * np.array([0.2, -0.5, 0.4]), rtol=1e-13)
 

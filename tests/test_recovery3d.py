@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shellgamma as sg
@@ -26,11 +26,17 @@ def plate_scene(order=6):
     return plate, thick, W, quad, trule
 
 
+def rotate_gradient(R, gradient):
+    """The (grad y, det) pair of rec.gradient for the deformation R y."""
+    F, det = gradient
+    return R @ F, det
+
+
 def d_fields(material, iso, strain, thick, kappa, fr):
     """d0 and d1 at a frame, through the limit fields there."""
     fields = sg.limit_fields(material, iso, strain, thick, kappa, fr,
                              iso.An_partials(fr.u))
-    return sg.build_d_fields(fields, thick, kappa)
+    return sg.build_d_fields(fields, kappa)
 
 
 def test_trivial_recovery_is_the_identity():
@@ -45,7 +51,7 @@ def test_trivial_recovery_is_the_identity():
         t = rng.uniform(-0.4, 0.4)
         fr = plate.frame(u)
         assert np.allclose(rec.evaluate(u, t), fr.x + rec.h * t * fr.n, atol=1e-14)
-        assert np.allclose(rec.gradient(u, t), np.eye(3), atol=1e-12)
+        assert np.allclose(rec.gradient(u, t)[0], np.eye(3), atol=1e-12)
     ev = sg.eval_shell_energy(rec, W, quad, trule)
     assert ev.E_h == pytest.approx(0.0, abs=1e-20)
 
@@ -138,7 +144,7 @@ def test_thin_shell_guard_checks_the_quadrature_nodes():
     deep = sg.ThicknessPair.constant(2.5, 0.5, cap.domain)
     cap_quad = sg.surface_quadrature(cap, 3)
     with pytest.raises(ThicknessError):
-        sg.offset_jacobian(cap, cap_quad.frame.u, -0.9 * 2.5)
+        sg.offset_jacobian(cap_quad.frame, -0.9 * 2.5)
     iso_c = sg.build_isometry(cap, sg.zero_vector_field(cap.domain), quad=cap_quad)
     data_c = sg.recovery_data(cap, W, iso_c, sg.StrainField.zero(cap.domain), deep,
                               kappa=1.0, quad=cap_quad)
@@ -175,9 +181,9 @@ def test_gradient_matches_finite_differences():
         cols.append((rec.evaluate(u, t + d) - rec.evaluate(u, t - d)) / (2 * d))
         Y_fd = np.column_stack(cols)
         fr = cap.frame(u)
-        M, _ = sg.offset_jacobian(cap, u, h * t)
+        M, _ = sg.offset_jacobian(fr, h * t)
         Z = np.column_stack([M @ fr.jac[:, 0], M @ fr.jac[:, 1], h * fr.n])
-        Y_asm = rec.gradient(u, t) @ Z
+        Y_asm = rec.gradient(u, t)[0] @ Z
         assert np.linalg.norm(Y_asm - Y_fd) <= 1e-6 * np.linalg.norm(Y_fd)
 
 
@@ -202,7 +208,8 @@ def test_one_recovery_data_serves_every_h(monkeypatch):
     u = quad.frame.u
     t = np.array([-0.3, 0.0, 0.45])[:, None] + np.zeros(len(u))
     assert np.array_equal(shared.evaluate(u, t), fresh.evaluate(u, t))
-    assert np.array_equal(shared.gradient(u, t), fresh.gradient(u, t))
+    for a, b in zip(shared.gradient(u, t), fresh.gradient(u, t)):
+        assert np.array_equal(a, b)
 
     calls = []
     frame = sg.SurfacePatch.frame
@@ -229,7 +236,7 @@ def test_gradient_stays_near_identity():
         h = 2.0 ** -k
         rec = sg.build_recovery(data, h=h, e_h=h ** 4)
         u = quad.frame.u[::3]
-        sup = max(np.max(np.linalg.norm(rec.gradient(u, t) - np.eye(3), axis=(-2, -1)))
+        sup = max(np.max(np.linalg.norm(rec.gradient(u, t)[0] - np.eye(3), axis=(-2, -1)))
                   for t in (-0.4, 0.0, 0.4))
         sups.append(sup)
         ratios.append(sup / (np.sqrt(rec.e_h) / h))
@@ -252,7 +259,7 @@ def test_energy_frame_indifference():
     rotated = dataclasses.replace(
         rec,
         evaluate=lambda u, t: R @ rec.evaluate(u, t),
-        gradient=lambda u, t: R @ rec.gradient(u, t))
+        gradient=lambda u, t: rotate_gradient(R, rec.gradient(u, t)))
     rotated_energy = sg.eval_shell_energy(rotated, W, quad, trule)
     assert rotated_energy.E_h == pytest.approx(base.E_h, rel=1e-10)
 
@@ -287,7 +294,7 @@ def test_energy_is_invariant_under_rigid_rotations(kind, h, q):
     rec, W, quad, trule, base = rotation_scene(kind, h)
     R = rotation_matrices(np.array([q]))[0]
     rotated = dataclasses.replace(rec, evaluate=lambda u, t: rec.evaluate(u, t) @ R.T,
-                                  gradient=lambda u, t: R @ rec.gradient(u, t))
+                                  gradient=lambda u, t: rotate_gradient(R, rec.gradient(u, t)))
     energy = sg.eval_shell_energy(rotated, W, quad, trule)
     assert energy.E_h == pytest.approx(base.E_h, rel=1e-10)
     assert energy.so3_distance == pytest.approx(base.so3_distance, rel=1e-10)
@@ -301,7 +308,7 @@ def test_energy_health_figures_match_an_independent_recomputation(kind):
         rec, W, quad, trule, ev = rotation_scene(kind, h)
         u = quad.frame.u
         t, _ = trule.across(rec.thick, u)
-        F = rec.gradient(u, t)
+        F, _ = rec.gradient(u, t)
         sv = np.sqrt(np.linalg.eigvalsh(transpose(F) @ F))
         dist = np.sqrt(((sv - 1.0) ** 2).sum(axis=-1))
         assert ev.so3_distance == pytest.approx(np.max(dist), rel=1e-9)
@@ -311,6 +318,81 @@ def test_energy_health_figures_match_an_independent_recomputation(kind):
         assert ev.min_det == pytest.approx(np.min(det), rel=1e-13)
     if kind == "plate":
         assert ev.min_det == 1.0
+
+
+def sigma_minus_one_distance(e):
+    """|sigma - 1| from the eigenvalues e of the Green strain, sigma = sqrt(1 + 2e)."""
+    sm1 = 2.0 * e / (1.0 + np.sqrt(1.0 + 2.0 * e))
+    return np.sqrt((sm1 * sm1).sum(axis=-1))
+
+
+def strain_direction(kind, g):
+    """A 3x3 matrix of the named eigenstructure, built from nine numbers g."""
+    G = np.reshape(g, (3, 3))
+    v = G[0]
+    if kind == "general":
+        return G
+    if kind == "symmetric":
+        return G + G.T
+    if kind == "uniaxial":
+        return np.outer(v, v)
+    if kind == "two-equal":
+        return G[1, 0] * np.eye(3) + G[1, 1] * np.outer(v, v) / (v @ v)
+    return G[1, 0] * np.eye(3)  # isotropic
+
+
+@settings(max_examples=200)
+@given(kind=st.sampled_from(["general", "symmetric", "uniaxial", "two-equal", "isotropic"]),
+       g=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9).filter(
+           lambda g: min(np.linalg.norm(g[:3]), abs(g[3])) >= 0.1),
+       s=st.floats(1e-8, 0.4),
+       q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+           lambda q: np.linalg.norm(q) >= 0.1))
+def test_closed_form_so3_distance_matches_eigvalsh_and_svd(kind, g, s, q):
+    # F = R (Id + s G): the closed-form eigenvalues of the Green strain give the
+    # distance of eigvalsh on the same E, and of the SVD where its own
+    # sigma - 1 does not cancel
+    R = rotation_matrices(np.array([q]))[0]
+    G = strain_direction(kind, g)
+    assume(np.any(G != 0.0))
+    F = R @ (np.eye(3) + s * G / np.max(np.abs(G)))
+    dist = sg.recovery3d.so3_distance(F)
+    E = 0.5 * (transpose(F) @ F - np.eye(3))
+    assert dist == pytest.approx(sigma_minus_one_distance(np.linalg.eigvalsh(E)), rel=1e-10)
+    if s >= 1e-4:
+        sv = np.linalg.svd(F, compute_uv=False)
+        assert dist == pytest.approx(np.linalg.norm(sv - 1.0), rel=1e-9)
+    assert sg.recovery3d.so3_distance(R) <= 1e-14
+    assert sg.recovery3d.so3_distance(np.eye(3)) == 0.0
+
+
+def test_non_finite_gradient_trips_the_blowup_gate():
+    rec, W, quad, trule, _ = rotation_scene("plate", 2.0 ** -5)
+
+    def gradient(u, t):
+        F, det = rec.gradient(u, t)
+        F = F.copy()
+        F[2, 7, 1, 0] = np.nan
+        return F, det
+
+    with pytest.raises(EnergyBlowupError, match="at distance inf from SO") as err:
+        sg.eval_shell_energy(dataclasses.replace(rec, gradient=gradient), W, quad, trule)
+    assert np.array_equal(err.value.u, quad.frame.u[7])
+
+
+def test_tangential_lower_bound_reads_the_volume_factor_from_the_gradient(monkeypatch):
+    rec, W, quad, trule, ev = rotation_scene("sphere_cap", 2.0 ** -3)
+    calls = []
+    offset_jacobian = sg.recovery3d.offset_jacobian
+
+    def counting_offset_jacobian(frame, t):
+        calls.append(np.shape(t))
+        return offset_jacobian(frame, t)
+
+    monkeypatch.setattr(sg.recovery3d, "offset_jacobian", counting_offset_jacobian)
+    bound = sg.shell_energy_tangential_lower_bound(rec, W, quad, trule)
+    assert len(calls) == 1
+    assert 0.0 < bound <= ev.normalized
 
 
 def test_energy_blowup_reports_worst_node():
@@ -329,7 +411,7 @@ def test_energy_blowup_reports_worst_node():
     for u in quad.frame.u:
         t_nodes, _ = trule.nodes_at(thick.g1.value(u), thick.g2.value(u))
         for t in t_nodes:
-            sv = np.linalg.svd(rec.gradient(u, t), compute_uv=False)
+            sv = np.linalg.svd(rec.gradient(u, t)[0], compute_uv=False)
             dist = np.linalg.norm(sv - 1.0)
             if dist > worst:
                 worst, worst_ut = dist, (u, t)
@@ -429,7 +511,8 @@ def test_batched_recovery_equals_stacked_points():
     off_nodes = np.column_stack([rng.uniform(0.2, 0.9, 3), rng.uniform(0.5, 5.5, 3)])
     for u in (quad.frame.u, off_nodes):
         t = rng.uniform(-0.35, 0.45, size=(2, len(u)))
-        for f in (rec.evaluate, rec.gradient):
+        for f in (rec.evaluate, lambda u, t: rec.gradient(u, t)[0],
+                  lambda u, t: rec.gradient(u, t)[1]):
             batched = f(u, t)
             stacked = np.stack([np.stack([f(u[i], t[k, i]) for i in range(len(u))])
                                 for k in range(2)])

@@ -344,6 +344,33 @@ def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
     assert counts[0] == counts[1] == {"frame": 7, "A_at": 7, "reduce_q2": 3}
 
 
+def test_gamma_study_forms_one_offset_jacobian_per_h_and_no_batched_svd(monkeypatch):
+    # per h, the thin-shell guard and grad y^h each form Id + h t Pi once (the
+    # energy's volume factor comes with grad y^h), and the SO(3) distance of
+    # the (T, N) gradient array is taken without an SVD
+    from shellgamma import geometry
+    offsets, svd_shapes = [], []
+    offset_jacobian = geometry.offset_jacobian
+    svd = np.linalg.svd
+
+    def counting_offset_jacobian(frame, t):
+        offsets.append(np.shape(t))
+        return offset_jacobian(frame, t)
+
+    def recording_svd(a, *args, **kwargs):
+        svd_shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(recovery3d, "offset_jacobian", counting_offset_jacobian)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    cfg = builtin_scenario_config("sphere-gamma")
+    report = run_study(cfg)
+    assert report.error is None and report.passed
+    assert len(cfg.h_schedule) == 5
+    assert len(offsets) == 10
+    assert all(len(shape) <= 2 for shape in svd_shapes), svd_shapes
+
+
 @pytest.mark.parametrize("name", ["plate-gamma", "sphere-gamma"])
 def test_gamma_gap_does_not_depend_on_the_quadrature_order(name):
     # surface and transversal Gauss orders around the builtin 10/4; surface
