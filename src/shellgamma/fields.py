@@ -6,7 +6,9 @@ returns its value with the same leading axes, so a single point of shape
 (2,) is the unbatched case of the same code.  Analytic derivatives are used
 when a family provides them; otherwise derivatives fall back to 4th-order
 central finite differences with a step that is shrunk, point by point, near
-the chart boundary so stencils never leave the rectangle.
+the chart boundary so stencils never leave the rectangle.  The partials of a
+field at the stencil points of u, a finite difference of a finite
+difference, come from one shared grid around u (`fd_stencil_columns`).
 """
 
 from __future__ import annotations
@@ -66,15 +68,26 @@ def first_point(u, bad):
     return tuple(np.reshape(u, (-1, 2))[np.flatnonzero(bad)[0]].tolist())
 
 
-def _clamped_step(domain, u, axis, step):
-    # stencil reaches u +- 2*step; keep it strictly inside the rectangle
+def _clamped_step(domain, u, axis, step, reach):
+    # a stencil reaching u +- reach*step stays strictly inside the rectangle
     lo, hi = domain[axis]
     margin = np.minimum(u[..., axis] - lo, hi - u[..., axis])
     outside = margin <= 0.0
     if outside.any():
         raise DomainError(f"point {first_point(u, outside)} outside chart axis "
                           f"{axis} range ({lo}, {hi})")
-    return np.minimum(step, margin / 3.0)
+    return np.minimum(step, margin / (reach + 1.0))
+
+
+def _fd_combine(values, d):
+    """4th-order central difference from the values at the offsets _STENCIL * d.
+
+    values has the four stencil values on its leading axis; d (the step of
+    each point) broadcasts against the batch axes that follow it.
+    """
+    fm2, fm1, fp1, fp2 = values
+    d = d.reshape(d.shape + (1,) * (fm2.ndim - d.ndim))
+    return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * d)
 
 
 def fd_partial(f, u, axis, step, domain):
@@ -84,13 +97,11 @@ def fd_partial(f, u, axis, step, domain):
     axes and passed to f in one call; each point uses its own clamped step.
     """
     u = np.asarray(u, dtype=float)
-    d = _clamped_step(domain, u, axis, step)
+    d = _clamped_step(domain, u, axis, step, reach=2)
     e = np.zeros(2)
     e[axis] = 1.0
     offsets = _STENCIL.reshape((4,) + (1,) * d.ndim) * d
-    fm2, fm1, fp1, fp2 = np.asarray(f(u + offsets[..., None] * e))
-    d = d.reshape(d.shape + (1,) * (fm2.ndim - d.ndim))
-    return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * d)
+    return _fd_combine(np.asarray(f(u + offsets[..., None] * e)), d)
 
 
 def fd_columns(f, u, domain):
@@ -102,6 +113,78 @@ def fd_columns(f, u, domain):
     steps = FD_REL_STEP * domain_widths(domain)
     return np.stack([fd_partial(f, u, ax, steps[ax], domain) for ax in (0, 1)],
                     axis=-1)
+
+
+def stencil_steps(u, domain):
+    """Steps (2, ...) of the shared stencil of each point of u, one row per axis.
+
+    FD_REL_STEP times the chart width, clamped to a fifth of the point's
+    distance from the edge: `fd_stencil_columns` reaches 4 steps out.
+    """
+    u = np.asarray(u, dtype=float)
+    steps = FD_REL_STEP * domain_widths(domain)
+    return np.stack([_clamped_step(domain, u, ax, steps[ax], reach=4) for ax in (0, 1)])
+
+
+def _axis_points(u, d, offsets):
+    # u + k d_a e_a for the offsets k along each chart axis a, (2, len(offsets), ..., 2)
+    pts = np.broadcast_to(u, (2, len(offsets)) + u.shape).copy()
+    for ax in (0, 1):
+        pts[ax, ..., ax] += offsets.reshape((-1,) + (1,) * d[ax].ndim) * d[ax]
+    return pts
+
+
+def stencil_points(u, d):
+    """The stencil points u + k d_a e_a, k in (-2, -1, 1, 2), shape (2, 4, ..., 2).
+
+    d holds the steps of `stencil_steps(u, domain)`; the leading axes are
+    the chart axis a and the offset k.
+    """
+    return _axis_points(np.asarray(u, dtype=float), d, _STENCIL)
+
+
+def stencil_partials(values, d):
+    """Both chart partials at u from values at `stencil_points(u, d)`.
+
+    values has shape (2, 4, ..., *f); the result has shape (..., *f, 2).
+    """
+    return np.stack([_fd_combine(values[ax], d[ax]) for ax in (0, 1)], axis=-1)
+
+
+# grid offsets of `fd_stencil_columns`: the 9-point line k = -4..4 of each axis
+_LINE = np.arange(-4.0, 5.0)
+# [j, k]: index on the line of the offset k + j, for stencil offsets j and k
+_LINE_INDEX = (_STENCIL[:, None] + _STENCIL[None, :]).astype(int) + 4
+
+
+def fd_stencil_columns(f, u, domain):
+    """Both chart partials of f at every stencil point of u, shape (2, 4, ..., *f, 2).
+
+    Entry [a, i] is taken at stencil_points(u, stencil_steps(u, domain))[a, i],
+    with the same 4th-order weights and steps as at u.  f is called once,
+    on 33 grid points per point of u: the 9-point line u + k d_a e_a,
+    k = -4..4, of each axis (u itself shared), which gives the partial along
+    a at the stencil points of axis a, and the 4x4 block u + i d_1 e_1 +
+    j d_2 e_2, i, j in (-2, -1, 1, 2), which gives the partial along the
+    other axis at the stencil points of both axes.
+    """
+    u = np.asarray(u, dtype=float)
+    d = stencil_steps(u, domain)
+    nb = (1,) * d[0].ndim
+    lines = _axis_points(u, d, _LINE)
+    block = np.broadcast_to(u, (4, 4) + u.shape).copy()
+    block[..., 0] += _STENCIL.reshape((4, 1) + nb) * d[0]
+    block[..., 1] += _STENCIL.reshape((1, 4) + nb) * d[1]
+    line_pts = np.concatenate([lines[0], lines[1, :4], lines[1, 5:]])
+    F = np.asarray(f(np.concatenate([line_pts, block.reshape((16,) + u.shape)])))
+    shape = F.shape[1:]
+    line = [F[:9], np.concatenate([F[9:13], F[4:5], F[13:17]])]
+    grid = F[17:].reshape((4, 4) + shape)   # [i, j] at u + i d_1 e_1 + j d_2 e_2
+    d = d[:, None]  # the steps broadcast against the stencil offset axis
+    along = [_fd_combine(line[ax][_LINE_INDEX], d[ax]) for ax in (0, 1)]
+    across = [_fd_combine(np.swapaxes(grid, 0, 1), d[1]), _fd_combine(grid, d[0])]
+    return np.stack([np.stack([along[0], across[0]], axis=-1),
+                     np.stack([across[1], along[1]], axis=-1)])
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 The skew field A of an isometry V is assembled from the chart derivatives
 of V at a frame: A t_a = d_{t_a} V on the orthonormal tangent frame, the
 normal column is fixed by skewness, and the result is projected onto skew
-matrices.  A n is read off that frame and A; its chart partials are taken
-by 4th-order central differences of A n at the stencil frames.  The fields
+matrices.  A n has a formula of its own that needs neither the tangent
+frame nor A: skewness gives (A n) . tau = -n . d_tau V, so A n is minus the
+surface gradient of the chart partials n . d_i V.  Its chart partials are
+4th-order central differences of A n at the stencil frames.  The fields
 and tensors broadcast over leading batch axes of the frame they are given,
 so `build_isometry` and the expansion residuals are array expressions over
 the quadrature nodes, and the h-independent part of the expansion
@@ -54,16 +56,22 @@ class IsometryField:
         A_raw = np.concatenate([cols, an[..., None]], axis=-1) @ transpose(R)
         return 0.5 * (A_raw - transpose(A_raw))
 
+    def An(self, frame):
+        """A n = -J g^-1 (DV^T n) at a frame, with no tangent basis and no A.
+
+        A is skew with A tau = d_tau V, so (A n) . tau = -n . d_tau V and
+        (A n) . n = 0.
+        """
+        DV = self.displacement.d1(frame.u)
+        return -frame.grad3((frame.n[..., :, None] * DV).sum(axis=-2))
+
     def An_partials(self, u):
         """Chart partials of the field u -> A(u) n(u) at chart points u, shape (..., 3, 2).
 
-        The frames and A at the stencil points live only inside this call.
+        The frames at the stencil points live only inside this call.
         """
-        def An(points):
-            fr = self.patch.frame(points)
-            return matvec(self.A_at(fr), fr.n)
-
-        return fd_columns(An, u, self.patch.domain)
+        return fd_columns(lambda points: self.An(self.patch.frame(points)), u,
+                          self.patch.domain)
 
 
 def build_isometry(patch, V, tol=DEFAULT_ISOMETRY_TOL, quad=None):

@@ -11,12 +11,13 @@ chart partials with the frame {(Id + h t Pi) tau_1, (Id + h t Pi) tau_2, n}.
 
 Each point array is evaluated once: the frame, A, A n, xi, the Q2
 reduction, d0 and d1 at the quadrature nodes, and the same bundle at the
-4-point stencil of each chart axis.  The chart partials of A n, xi, d0 and
-d1 at the nodes are 4th-order central differences of those stencil values;
-d1 at a stencil point needs the chart partials of A n there, which
-`IsometryField.An_partials` takes from a nested stencil that it drops
-right after.  The limit functional reads the same node evaluation
-(`RecoveryData.limit`).
+4-point stencils of both chart axes, 8 points per node, in one call.  The
+chart partials of A n, xi, d0 and d1 at the nodes are 4th-order central
+differences of those stencil values.  d1 at a stencil point needs the
+chart partials of A n there: `fields.fd_stencil_columns` takes them from
+A n alone (`IsometryField.An`, frames but no A) on one grid of 33 points
+per node, whose mixed block serves both axis orders.  The limit
+functional reads the same node evaluation (`RecoveryData.limit`).
 
 Everything broadcasts over leading batch axes: the energies read y^h once
 per h over the (T, N) grid of transversal and surface nodes, with the
@@ -35,14 +36,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import EnergyBlowupError, ParameterError
-from .fields import fd_columns, matvec, outer, transpose
+from .fields import (fd_columns, fd_stencil_columns, matvec, outer, stencil_partials,
+                     stencil_points, stencil_steps, transpose)
 from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this import site)
 from .geometry import offset_jacobian
 from .limit2d import LimitFields, limit_fields
 from .material import StoredEnergy, as_q3, reduce_q2
 
 BLOWUP_DISTANCE = 0.5
-# the fields differentiated through the shared stencil, in stacking order
+# the fields whose chart partials come from the stencil values
 _STENCIL_FIELDS = ("p", "xi", "d0", "d1")
 # phase shifts of the three roots in the trigonometric eigenvalue formula
 _EIG_ANGLES = np.array([0.0, 2.0, 4.0]) * (np.pi / 3.0)
@@ -127,7 +129,7 @@ def recovery_data(patch, material, iso, strain, thick, kappa, quad):
             "gamma": thick.gamma(fr.u),
             "V": V.value(fr.u),
             "w": w.value(fr.u),
-            "p": matvec(lf.A, fr.n),  # first-order rotation of the normal
+            "p": iso.An(fr),  # first-order rotation of the normal
             # tangent vector xi with xi . tau = n . d_tau w
             "xi": fr.grad3(matvec(transpose(w.d1(fr.u)), fr.n)),
             "d0": d0,
@@ -138,13 +140,12 @@ def recovery_data(patch, material, iso, strain, thick, kappa, quad):
         fr = patch.frame(u)
         return values(fr, iso.An_partials(fr.u))
 
-    def stencil_stack(points):
-        pd = values_at(points)
-        return np.stack([pd[k] for k in _STENCIL_FIELDS], axis=-2)
-
     def with_partials(fr):
-        D = fd_columns(stencil_stack, fr.u, patch.domain)  # (..., 4, 3, 2)
-        partials = {"D" + k: D[..., i, :, :] for i, k in enumerate(_STENCIL_FIELDS)}
+        d = stencil_steps(fr.u, patch.domain)
+        An_partials = fd_stencil_columns(lambda points: iso.An(patch.frame(points)),
+                                         fr.u, patch.domain)
+        stencil = values(patch.frame(stencil_points(fr.u, d)), An_partials)
+        partials = {"D" + k: stencil_partials(stencil[k], d) for k in _STENCIL_FIELDS}
         fields = values(fr, partials["Dp"])
         fields.update(partials)
         fields.update({

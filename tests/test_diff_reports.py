@@ -1,0 +1,76 @@
+"""The field diff of tools/diff_reports.py, on hand-written report texts."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "tools", "diff_reports.py")
+_spec = importlib.util.spec_from_file_location("diff_reports", _PATH)
+diff_reports = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(diff_reports)
+
+CSV = ("h,E_h,rel_gap,residual_bend,status\n"
+       "0.125,0.0004331308182188373,0.008919721673494608,,ok\n"
+       "0.0625,2.6890827689234393e-05,0.002216799048812627,,pass\n")
+SUMMARY = ("study: gamma-limit\n"
+           "passed: true\n"
+           "fitted_gap_order: 2.0025276727434833\n"
+           "gap_r2_min: 0.98\n")
+
+
+def diff(name, old, new):
+    return diff_reports.diff_fields(list(diff_reports.report_fields(name, old)),
+                                    list(diff_reports.report_fields(name, new)))
+
+
+def test_identical_reports_have_no_changes():
+    assert diff("a.csv", CSV, CSV) == ([], [])
+    assert diff("a.summary.txt", SUMMARY, SUMMARY) == ([], [])
+
+
+def test_numeric_cells_and_values_report_absolute_and_relative_change():
+    new_csv = CSV.replace("0.002216799048812627", "0.002216799048812827")
+    numeric, other = diff("a.csv", CSV, new_csv)
+    assert other == []
+    [(label, a, b, change, rel)] = numeric
+    assert (label, a, b) == ("row 2 rel_gap", "0.002216799048812627", "0.002216799048812827")
+    assert change == pytest.approx(2e-19, rel=1e-3)
+    assert rel == pytest.approx(2e-19 / 0.002216799048812627, rel=1e-3)
+    numeric, other = diff("a.summary.txt", SUMMARY,
+                          SUMMARY.replace("2.0025276727434833", "2.0025276727434"))
+    assert other == [] and [n[0] for n in numeric] == ["fitted_gap_order"]
+
+
+def test_words_keys_and_rows_are_not_numeric_changes():
+    numeric, other = diff("a.csv", CSV, CSV.replace(",pass\n", ",fail\n"))
+    assert numeric == [] and other == [("row 2 status", "pass", "fail")]
+    # a number that appears in an empty cell is a change of kind, not of value
+    numeric, other = diff("a.csv", CSV, CSV.replace(",,ok", ",1e-3,ok"))
+    assert numeric == [] and other == [("row 1 residual_bend", "", "1e-3")]
+    numeric, other = diff("a.summary.txt", SUMMARY, SUMMARY.replace("passed: true", "passed: false"))
+    assert numeric == [] and other == [("passed", "true", "false")]
+    # an added key shifts every later field, so it never reads as numeric only
+    numeric, other = diff("a.summary.txt", SUMMARY,
+                          SUMMARY.replace("gap_r2_min", "fitted_gap_r2: 0.99\ngap_r2_min"))
+    assert other
+    numeric, other = diff("a.csv", CSV, CSV + "0.03125,1.6e-06,0.0005,,ok\n")
+    assert numeric == [] and other
+
+
+def test_compare_fails_on_exit_codes_and_missing_files(tmp_path, capsys):
+    dirs = [tmp_path / "parent", tmp_path / "change"]
+    for d, summary, code in zip(dirs, (SUMMARY, SUMMARY.replace("0.98", "0.97")), (0, 0)):
+        d.mkdir()
+        (d / "exit_codes.json").write_text(json.dumps({"s": code}))
+        (d / "s.csv").write_text(CSV)
+        (d / "s.summary.txt").write_text(summary)
+    assert diff_reports.compare(*dirs)
+    assert "s.summary.txt: gap_r2_min: 0.98 -> 0.97" in capsys.readouterr().out
+    (dirs[1] / "exit_codes.json").write_text(json.dumps({"s": 1}))
+    assert not diff_reports.compare(*dirs)
+    (dirs[1] / "exit_codes.json").write_text(json.dumps({"s": 0}))
+    (dirs[1] / "s.csv").unlink()
+    assert not diff_reports.compare(*dirs)

@@ -6,7 +6,8 @@ import pytest
 
 import shellgamma as sg
 from shellgamma.errors import DomainError
-from shellgamma.fields import fd_partial
+from shellgamma.fields import (fd_columns, fd_partial, fd_stencil_columns, stencil_points,
+                               stencil_steps)
 
 GENERIC_W = [(0.4, 1.3, 0.2, 0.9, 0.5),
              (0.3, 0.7, 1.1, 1.4, 0.3),
@@ -125,6 +126,84 @@ def test_batched_fd_partial_rejects_points_on_the_boundary():
     u = np.array([[0.5, 0.5], [0.0, 0.5], [1.0, 0.2]])
     with pytest.raises(DomainError, match=r"\(0\.0, 0\.5\)"):
         fd_partial(field.value, u, 0, 1e-3, domain)
+
+
+def quartic(coeffs):
+    """The polynomial field sum c_ij u1^i u2^j (i + j <= 4) and its chart partials."""
+    powers = [(i, j) for i in range(5) for j in range(5 - i)]
+
+    def monomials(u, di=0, dj=0):
+        def term(x, k, dk):
+            return (k if dk else 1) * x ** (k - dk) if k >= dk else 0.0 * x
+
+        return np.stack([term(u[..., 0], i, di) * term(u[..., 1], j, dj)
+                         for i, j in powers], axis=-1)
+
+    def value(u):
+        return monomials(u) @ coeffs
+
+    def partials(u):
+        return np.stack([monomials(u, 1, 0) @ coeffs, monomials(u, 0, 1) @ coeffs], axis=-1)
+
+    assert coeffs.shape[0] == len(powers)
+    return value, partials
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stencil_grid_is_exact_on_quartic_polynomials(seed):
+    # the 4th-order stencil differentiates quartics exactly, so only round-off is left
+    domain = ((0.0, 1.0), (-1.0, 1.0))
+    value, partials = quartic(np.random.default_rng(seed).normal(size=(15, 3)))
+    u = interior_points(domain, 9, seed=seed)
+    D = fd_stencil_columns(value, u, domain)
+    points = stencil_points(u, stencil_steps(u, domain))
+    assert D.shape == (2, 4, 9, 3, 2) and points.shape == (2, 4, 9, 2)
+    assert np.max(np.abs(D - partials(points))) <= 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(PATCHES))
+def test_stencil_grid_matches_fd_columns_at_the_stencil_points(name):
+    # the shared grid against differentiating A n afresh at each stencil point
+    patch = PATCHES[name]()
+    if name == "plate":
+        V = sg.plate_sine_field(0.8, 1, 2, patch.domain)
+    else:
+        V = sg.rigid_field(patch, (0.3, -0.2, 0.4), (0.1, 0.2, -0.3))
+    quad = sg.surface_quadrature(patch, 4)
+    iso = sg.build_isometry(patch, V, quad=quad)
+
+    def An(points):
+        return iso.An(patch.frame(points))
+
+    u = quad.frame.u
+    grid = fd_stencil_columns(An, u, patch.domain)
+    points = stencil_points(u, stencil_steps(u, patch.domain))
+    nested = np.stack([[fd_columns(An, p, patch.domain) for p in axis] for axis in points])
+    assert grid.shape == nested.shape == (2, 4, len(u), 3, 2)
+    assert np.max(np.abs(grid - nested)) <= 1e-9
+
+
+def test_stencil_grid_near_the_boundary_uses_each_points_step():
+    # points within 5 steps of an edge get their own step, a fifth of the margin
+    domain = ((0.0, 1.0), (0.0, 1.0))
+    field = sg.trig_vector_field(GENERIC_W, domain)
+    u = np.array([[1e-4, 0.5], [0.5, 0.5], [0.9995, 0.3], [0.2, 2e-5], [0.7, 0.99999]])
+    d = stencil_steps(u, domain)
+    assert np.allclose(d, [[2e-5, 1e-3, 1e-4, 1e-3, 1e-3],
+                           [1e-3, 1e-3, 1e-3, 4e-6, 2e-6]], rtol=1e-9, atol=0.0)
+    batched = fd_stencil_columns(field.value, u, domain)
+    singles = [fd_stencil_columns(field.value, p, domain) for p in u]
+    assert_batch_matches_points(np.moveaxis(batched, 2, 0), singles)
+    exact = field.d1(stencil_points(u, d))
+    assert np.max(np.abs(batched - exact)) <= 1e-9
+
+
+def test_stencil_grid_rejects_points_on_the_boundary():
+    domain = ((0.0, 1.0), (0.0, 1.0))
+    field = sg.trig_vector_field(GENERIC_W, domain)
+    u = np.array([[0.5, 0.5], [0.0, 0.5], [1.0, 0.2]])
+    with pytest.raises(DomainError, match=r"\(0\.0, 0\.5\)"):
+        fd_stencil_columns(field.value, u, domain)
 
 
 def test_frame_names_the_first_point_outside_the_chart():

@@ -65,7 +65,8 @@ def test_plate_normal_column_of_A():
 
 
 def test_An_matches_the_normal_rotation_formula():
-    # independent route to A n from V and the frame alone: Pi V_tan - grad(V . n)
+    # independent route to A n from V and the frame alone: Pi V_tan - grad(V . n);
+    # IsometryField.An agrees with it and with A n of the assembled A
     plate = sg.make_builtin_patch("plate")
     cases = [(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain))]
     cases += [(patch, sg.rigid_field(patch, (0.3, -0.2, 0.4), (0.1, 0.2, -0.3)))
@@ -73,12 +74,20 @@ def test_An_matches_the_normal_rotation_formula():
     for patch, V in cases:
         quad = sg.surface_quadrature(patch, 4)
         iso = sg.build_isometry(patch, V, quad=quad)
+        singles = []
         for i in range(len(quad.weights)):
             fr = quad.frame[i]
             v = V.value(fr.u)
             d_vn = V.d1(fr.u).T @ fr.n + (fr.shape_op @ fr.jac).T @ v
             expected = fr.shape_op @ (v - float(v @ fr.n) * fr.n) - fr.grad3(d_vn)
+            An = iso.An(fr)
             assert np.linalg.norm(iso.A_at(fr) @ fr.n - expected) <= 1e-13
+            assert np.linalg.norm(An - expected) <= 1e-13
+            assert np.linalg.norm(An - iso.A_at(fr) @ fr.n) <= 1e-13
+            singles.append(An)
+        batched = iso.An(quad.frame)
+        assert batched.shape == (len(quad.weights), 3)
+        assert np.max(np.abs(batched - np.stack(singles))) <= 1e-14 * np.max(np.abs(batched))
 
 
 def test_in_plane_stretch_is_rejected_with_worst_node():

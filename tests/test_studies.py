@@ -300,9 +300,10 @@ def test_gamma_gap_does_not_depend_on_the_fd_step(name, monkeypatch):
 
 
 def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
-    # frames and A at the nodes, at the 4-point stencil of each chart axis and
-    # at the nested stencils of the partials of A n there (1 + 2 + 4 arrays);
-    # Q2 at the nodes and the two stencils
+    # frames at the nodes, at the 33-point grid per node that gives the
+    # partials of A n at the stencil points, and at the 8 stencil points per
+    # node (1 + 33 + 8 chart points per node, in 3 arrays); A and Q2 at the
+    # nodes and the stencil points only, as A n on the grid needs neither
     from shellgamma import geometry, kinematics, limit2d, material
     seen = {"frame": [], "A_at": [], "reduce_q2": []}
     frame = geometry.SurfacePatch.frame
@@ -340,8 +341,9 @@ def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
         assert report.error is None
         assert {name: repeats(calls) for name, calls in seen.items()} == {
             "frame": 0, "A_at": 0, "reduce_q2": 0}
+        assert sum(u.size // 2 for u in seen["frame"]) == 42 * surface_order ** 2
         counts.append({name: len(calls) for name, calls in seen.items()})
-    assert counts[0] == counts[1] == {"frame": 7, "A_at": 7, "reduce_q2": 3}
+    assert counts[0] == counts[1] == {"frame": 3, "A_at": 2, "reduce_q2": 2}
 
 
 def test_gamma_study_forms_one_offset_jacobian_per_h_and_no_batched_svd(monkeypatch):
