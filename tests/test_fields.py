@@ -128,24 +128,19 @@ def test_batched_fd_partial_rejects_points_on_the_boundary():
         fd_partial(field.value, u, 0, 1e-3, domain)
 
 
-def quartic(coeffs):
-    """The polynomial field sum c_ij u1^i u2^j (i + j <= 4) and its chart partials."""
-    powers = [(i, j) for i in range(5) for j in range(5 - i)]
-
-    def monomials(u, di=0, dj=0):
-        def term(x, k, dk):
-            return (k if dk else 1) * x ** (k - dk) if k >= dk else 0.0 * x
-
-        return np.stack([term(u[..., 0], i, di) * term(u[..., 1], j, dj)
-                         for i, j in powers], axis=-1)
+def quartic(seed):
+    """A random R^3-valued polynomial of total degree 4 in u, and its chart partials."""
+    i, j = np.indices((5, 5))
+    coeffs = np.random.default_rng(seed).normal(size=(3, 5, 5)) * (i + j <= 4)
+    poly = np.polynomial.polynomial
 
     def value(u):
-        return monomials(u) @ coeffs
+        return np.stack([poly.polyval2d(u[..., 0], u[..., 1], c) for c in coeffs], axis=-1)
 
     def partials(u):
-        return np.stack([monomials(u, 1, 0) @ coeffs, monomials(u, 0, 1) @ coeffs], axis=-1)
+        return np.stack([np.stack([poly.polyval2d(u[..., 0], u[..., 1], poly.polyder(c, axis=ax))
+                                   for ax in (0, 1)], axis=-1) for c in coeffs], axis=-2)
 
-    assert coeffs.shape[0] == len(powers)
     return value, partials
 
 
@@ -153,7 +148,7 @@ def quartic(coeffs):
 def test_stencil_grid_is_exact_on_quartic_polynomials(seed):
     # the 4th-order stencil differentiates quartics exactly, so only round-off is left
     domain = ((0.0, 1.0), (-1.0, 1.0))
-    value, partials = quartic(np.random.default_rng(seed).normal(size=(15, 3)))
+    value, partials = quartic(seed)
     u = interior_points(domain, 9, seed=seed)
     D = fd_stencil_columns(value, u, domain)
     points = stencil_points(u, stencil_steps(u, domain))
