@@ -16,23 +16,12 @@ import json
 import sys
 
 from .errors import ConfigError, ShellGammaError
-from .studies import (BUILTIN_SCENARIOS, run_study, validate_config,
-                      write_report)
-
-_SCENARIO_NOTES = {
-    "plate-gamma": "plate, out-of-plane sine isometry, energy vs limit functional",
-    "sphere-gamma": "unit sphere cap, rigid isometry, stretching-only limit",
-    "plate-expansion": "stretching/bending expansion orders on the plate",
-    "sphere-expansion": "stretching/bending expansion orders on the sphere cap",
-    "cylinder-expansion": "stretching/bending expansion orders on the cylinder",
-    "q2-isotropic": "tangential relaxation vs closed form and brute force",
-    "load-align": "rotation-maximized load action vs random sampling",
-}
+from .studies import BUILTIN_SCENARIOS, run_study, validate_config, write_report
 
 
 def _load_config(spec, h_list=None, quad_order=None, out=None):
     if spec in BUILTIN_SCENARIOS:
-        doc = json.loads(json.dumps(BUILTIN_SCENARIOS[spec]))
+        doc = BUILTIN_SCENARIOS[spec].doc
     else:
         try:
             with open(spec, "r", encoding="utf-8") as fh:
@@ -43,18 +32,19 @@ def _load_config(spec, h_list=None, quad_order=None, out=None):
                 f"({sorted(BUILTIN_SCENARIOS)})")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {spec}: {exc}")
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
+    cfg = validate_config(doc)
+    overrides = {}
     if h_list is not None:
         try:
-            doc["h_schedule"] = [float(tok) for tok in h_list.split(",") if tok]
+            overrides["h_schedule"] = [float(tok) for tok in h_list.split(",") if tok]
         except ValueError:
             raise ConfigError(f"--h-list must be comma-separated floats, got {h_list!r}")
     if quad_order is not None:
-        doc.setdefault("quadrature", {})["surface_order"] = quad_order
+        overrides["quadrature"] = {**doc.get("quadrature", {}), "surface_order": quad_order}
     if out is not None:
-        doc["output"] = out
-    return validate_config(doc)
+        overrides["output"] = out
+    # a valid document is a JSON object, so the overrides merge into it
+    return validate_config({**doc, **overrides}) if overrides else cfg
 
 
 def main(argv=None):
@@ -76,7 +66,7 @@ def main(argv=None):
 
     if args.command == "list-scenarios":
         for name in sorted(BUILTIN_SCENARIOS):
-            print(f"{name:20s} {_SCENARIO_NOTES.get(name, '')}")
+            print(f"{name:20s} {BUILTIN_SCENARIOS[name].note}")
         return 0
 
     try:

@@ -279,76 +279,73 @@ def _torus_patch(major_radius, minor_radius, u1_range, u2_range):
                         principal_curvatures=curvatures)
 
 
-def make_builtin_patch(kind, **params):
-    """Instantiate a builtin patch with analytic normal and shape operator.
+@dataclass(frozen=True)
+class PatchKind:
+    """A builtin patch kind: its builder, its parameters with their defaults,
+    and the checks on their values.
 
-    Kinds and parameters:
-      plate        extent=((0,1),(0,1))
-      sphere_cap   radius=1, cap_angle in (0, pi/2], azimuth_range=(0, 2pi)
-      sphere       radius=1 (full sphere chart, poles/seam excluded from nodes)
-      cylinder     radius, height, angle_range=(0, 2pi)
-      torus_patch  major_radius, minor_radius, u1_range, u2_range
+    Each check is (parameter, predicate on all parameters, message); the
+    predicates are written so that nan fails them.
     """
-    if kind == "plate":
-        extent = params.pop("extent", ((0.0, 1.0), (0.0, 1.0)))
-        _reject_unknown(kind, params)
-        _check_range(extent[0], "plate extent[0]")
-        _check_range(extent[1], "plate extent[1]")
-        return _plate(extent)
 
-    if kind == "sphere_cap":
-        radius = params.pop("radius", 1.0)
-        cap_angle = params.pop("cap_angle", np.pi / 3)
-        azimuth_range = params.pop("azimuth_range", (0.0, 2 * np.pi))
-        _reject_unknown(kind, params)
-        if radius <= 0:
-            raise ParameterError("sphere_cap radius must be positive")
-        if not (0.0 < cap_angle <= np.pi / 2):
-            raise ParameterError("sphere_cap cap_angle must lie in (0, pi/2]")
-        _check_range(azimuth_range, "sphere_cap azimuth_range")
-        return _sphere_chart(radius, (0.0, cap_angle), azimuth_range, "sphere_cap")
-
-    if kind == "sphere":
-        radius = params.pop("radius", 1.0)
-        _reject_unknown(kind, params)
-        if radius <= 0:
-            raise ParameterError("sphere radius must be positive")
-        return _sphere_chart(radius, (0.0, np.pi), (0.0, 2 * np.pi), "sphere")
-
-    if kind == "cylinder":
-        radius = params.pop("radius", 1.0)
-        height = params.pop("height", 1.0)
-        angle_range = params.pop("angle_range", (0.0, 2 * np.pi))
-        _reject_unknown(kind, params)
-        if radius <= 0 or height <= 0:
-            raise ParameterError("cylinder radius and height must be positive")
-        _check_range(angle_range, "cylinder angle_range")
-        return _cylinder(radius, height, angle_range)
-
-    if kind == "torus_patch":
-        R = params.pop("major_radius", 2.0)
-        r = params.pop("minor_radius", 0.5)
-        u1_range = params.pop("u1_range", (0.0, 2 * np.pi))
-        u2_range = params.pop("u2_range", (0.0, 2 * np.pi))
-        _reject_unknown(kind, params)
-        if r <= 0 or R <= r:
-            raise ParameterError("torus needs 0 < minor_radius < major_radius")
-        _check_range(u1_range, "torus u1_range")
-        _check_range(u2_range, "torus u2_range")
-        return _torus_patch(R, r, u1_range, u2_range)
-
-    raise ParameterError(f"unknown patch kind {kind!r}")
+    build: Callable[..., SurfacePatch]
+    defaults: dict
+    checks: tuple = ()
 
 
-def _check_range(rng, label):
-    lo, hi = rng
-    if not (hi > lo):
-        raise ParameterError(f"{label} must be a nonempty interval, got {rng}")
+def _positive(name):
+    return name, lambda p: p[name] > 0.0, "must be positive"
 
 
-def _reject_unknown(kind, params):
-    if params:
-        raise ParameterError(f"unknown parameters for {kind}: {sorted(params)}")
+def _interval(name):
+    return name, lambda p: p[name][1] > p[name][0], "must be a nonempty interval"
+
+
+_FULL_TURN = (0.0, 2 * np.pi)
+
+PATCH_KINDS = {
+    "plate": PatchKind(
+        _plate, {"extent": ((0.0, 1.0), (0.0, 1.0))},
+        (("extent", lambda p: all(hi > lo for lo, hi in p["extent"]),
+          "must be two nonempty intervals"),)),
+    "sphere_cap": PatchKind(
+        lambda radius, cap_angle, azimuth_range: _sphere_chart(
+            radius, (0.0, cap_angle), azimuth_range, "sphere_cap"),
+        {"radius": 1.0, "cap_angle": np.pi / 3, "azimuth_range": _FULL_TURN},
+        (_positive("radius"),
+         ("cap_angle", lambda p: 0.0 < p["cap_angle"] <= np.pi / 2, "must lie in (0, pi/2]"),
+         _interval("azimuth_range"))),
+    # full sphere chart; the poles and the seam carry no quadrature nodes
+    "sphere": PatchKind(
+        lambda radius: _sphere_chart(radius, (0.0, np.pi), _FULL_TURN, "sphere"),
+        {"radius": 1.0}, (_positive("radius"),)),
+    "cylinder": PatchKind(
+        _cylinder, {"radius": 1.0, "height": 1.0, "angle_range": _FULL_TURN},
+        (_positive("radius"), _positive("height"), _interval("angle_range"))),
+    "torus_patch": PatchKind(
+        _torus_patch, {"major_radius": 2.0, "minor_radius": 0.5,
+                       "u1_range": _FULL_TURN, "u2_range": _FULL_TURN},
+        (_positive("major_radius"),
+         ("minor_radius", lambda p: 0.0 < p["minor_radius"] < p["major_radius"],
+          "must lie in (0, major_radius)"),
+         _interval("u1_range"), _interval("u2_range"))),
+}
+
+
+def make_builtin_patch(kind, **params):
+    """Instantiate a builtin patch (a key of PATCH_KINDS) with analytic normal
+    and shape operator; parameters left out take their PATCH_KINDS defaults."""
+    if kind not in PATCH_KINDS:
+        raise ParameterError(f"unknown patch kind {kind!r}")
+    spec = PATCH_KINDS[kind]
+    unknown = params.keys() - spec.defaults.keys()
+    if unknown:
+        raise ParameterError(f"unknown parameters for {kind}: {sorted(unknown)}")
+    params = {**spec.defaults, **params}
+    for name, ok, message in spec.checks:
+        if not ok(params):
+            raise ParameterError(f"{kind} {name} {message}, got {params[name]}")
+    return spec.build(**params)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Configuration-driven convergence studies with machine-readable reports.
 
-A study config is a JSON document.  Parsing materializes every default, so
-the returned config is fully explicit; unknown keys are rejected with their
-key path.  Reports are a CSV table (one row per h, fixed header) plus a
+A study config is a JSON document.  Each section that names a kind (patch,
+scalar field, vector family, load, material, e_h mode, study) is parsed and
+built from one table per section.  Parsing materializes every default, so
+the returned config is fully explicit; unknown keys, non-finite numbers,
+non-integral counts and patch values that geometry refuses are rejected
+with their key path.  Reports are a CSV table (one row per h, fixed header) plus a
 sidecar summary of fitted orders, extrapolation, and pass/fail, written with
 shortest-round-trip float formatting so identical configs produce identical
 bytes.
@@ -13,14 +16,16 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import fields as fieldlib
 from .errors import ConfigError, ShellGammaError
-from .geometry import (ThicknessPair, TransversalRule, make_builtin_patch,
+from .geometry import (DEFAULT_SURFACE_ORDER, DEFAULT_TRANSVERSAL_ORDER, PATCH_KINDS,
+                       ThicknessPair, TransversalRule, make_builtin_patch,
                        surface_quadrature)
 from .kinematics import (StrainField, bending_expansion_residual, build_isometry,
                          expansion_data, stretching_expansion_residual)
@@ -32,8 +37,6 @@ from .material import (QuadForm3, as_q3, isotropic_q2_closed_form, make_isotropi
                        reduce_q2, relax_q2_brute_force)
 from .recovery3d import build_recovery, eval_shell_energy, recovery_data
 
-STUDY_KINDS = ("gamma-limit", "expansion-order", "q2-check", "load-align")
-
 CSV_HEADER = ("h", "e_h", "E_h", "normalized", "I_limit", "rel_gap",
               "residual_stretch", "residual_bend", "status")
 
@@ -44,7 +47,7 @@ GAP_R2_MIN = 0.98
 
 
 # ---------------------------------------------------------------------------
-# config schema
+# config schema: one table per section kind
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -64,285 +67,281 @@ class StudyConfig:
     output: str
 
     def e_of_h(self, h):
-        if self.e_h["mode"] == "kappa_h4":
-            return self.kappa ** 2 * h ** 4
-        return h ** self.e_h["alpha"]
+        return _E_H_MODES[self.e_h["mode"]].build(self.e_h, self.kappa, h)
 
 
-def _require(cond, msg, path):
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One kind a config section can name.
+
+    params maps each key to (default or _REQUIRED, parser(value, key path));
+    build makes the kind's object from its parsed spec (for a study kind it
+    runs the study, and params are its tolerances).  check(config) runs once
+    every section is parsed, for rules that span sections; q2_closed_form
+    is a material's closed-form Q2 oracle, where it has one.
+    """
+
+    params: dict
+    build: Optional[Callable] = None
+    check: Optional[Callable] = None
+    q2_closed_form: Optional[Callable] = None
+
+
+def _join(path, key):
+    return f"{path}.{key}" if path else key
+
+
+def _require(cond, msg, path, *args):
+    """Raise a ConfigError at `path` unless cond; only then is msg formatted with args."""
     if not cond:
-        raise ConfigError(msg, key_path=path)
+        raise ConfigError(msg.format(*args), key_path=path)
 
 
-def _take(d, key, default, path, required=False):
-    if key in d:
-        return d.pop(key)
-    if required:
-        raise ConfigError("missing required key", key_path=f"{path}.{key}" if path else key)
-    return default
-
-
-def _no_leftovers(d, path):
-    if d:
-        raise ConfigError(f"unknown keys {sorted(d)}", key_path=path)
-
-
-def _as_number(v, path, minimum=None, positive=False):
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"expected a number, got {v!r}", key_path=path)
-    v = float(v)
-    if positive and v <= 0.0:
-        raise ConfigError(f"must be positive, got {v}", key_path=path)
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"must be >= {minimum}, got {v}", key_path=path)
+def _object(v, path):
+    _require(isinstance(v, dict), "expected a JSON object, got {!r}", path, v)
     return v
 
 
-def _as_vector(v, length, path):
-    if not isinstance(v, (list, tuple)) or len(v) != length:
-        raise ConfigError(f"expected a list of {length} numbers", key_path=path)
-    return [_as_number(x, path) for x in v]
-
-
-def _validate_patch(spec, path="patch"):
-    spec = dict(spec)
-    kind = _take(spec, "kind", None, path, required=True)
-    out = {"kind": kind}
-    if kind == "plate":
-        extent = _take(spec, "extent", [[0.0, 1.0], [0.0, 1.0]], path)
-        out["extent"] = [_as_vector(r, 2, f"{path}.extent") for r in extent]
-    elif kind == "sphere_cap":
-        out["radius"] = _as_number(_take(spec, "radius", 1.0, path), f"{path}.radius", positive=True)
-        cap = _as_number(_take(spec, "cap_angle", math.pi / 3, path), f"{path}.cap_angle")
-        _require(0.0 < cap <= math.pi / 2 + 1e-12, "cap_angle must lie in (0, pi/2]",
-                 f"{path}.cap_angle")
-        out["cap_angle"] = cap
-        out["azimuth_range"] = _as_vector(
-            _take(spec, "azimuth_range", [0.0, 2 * math.pi], path), 2, f"{path}.azimuth_range")
-    elif kind == "sphere":
-        out["radius"] = _as_number(_take(spec, "radius", 1.0, path), f"{path}.radius", positive=True)
-    elif kind == "cylinder":
-        out["radius"] = _as_number(_take(spec, "radius", 1.0, path), f"{path}.radius", positive=True)
-        out["height"] = _as_number(_take(spec, "height", 1.0, path), f"{path}.height", positive=True)
-        out["angle_range"] = _as_vector(
-            _take(spec, "angle_range", [0.0, 2 * math.pi], path), 2, f"{path}.angle_range")
-    elif kind == "torus_patch":
-        out["major_radius"] = _as_number(_take(spec, "major_radius", 2.0, path),
-                                         f"{path}.major_radius", positive=True)
-        out["minor_radius"] = _as_number(_take(spec, "minor_radius", 0.5, path),
-                                         f"{path}.minor_radius", positive=True)
-        out["u1_range"] = _as_vector(_take(spec, "u1_range", [0.0, 2 * math.pi], path),
-                                     2, f"{path}.u1_range")
-        out["u2_range"] = _as_vector(_take(spec, "u2_range", [0.0, 2 * math.pi], path),
-                                     2, f"{path}.u2_range")
-    else:
-        raise ConfigError(f"unknown patch kind {kind!r}", key_path=f"{path}.kind")
-    _no_leftovers(spec, path)
+def _parse_params(spec, params, path):
+    """Parse a JSON object against {key: (default, parser)}; defaults are parsed too."""
+    spec = dict(_object(spec, path))
+    out = {}
+    for key, (default, parse) in params.items():
+        value = spec.pop(key, default)
+        key_path = _join(path, key)
+        _require(value is not _REQUIRED, "missing required key", key_path)
+        out[key] = parse(value, key_path)
+    if spec:
+        raise ConfigError(f"unknown keys {sorted(spec)}", key_path=path)
     return out
 
 
-def _validate_scalar_field(spec, path):
-    spec = dict(spec)
-    kind = _take(spec, "kind", None, path, required=True)
-    out = {"kind": kind}
-    if kind == "constant":
-        val = _as_number(_take(spec, "value", None, path, required=True), f"{path}.value")
-        _require(val > 0.0, f"thickness must be positive, got {val}", f"{path}.value")
-        out["value"] = val
-    elif kind == "affine":
-        out["base"] = _as_number(_take(spec, "base", None, path, required=True), f"{path}.base")
-        out["slope"] = _as_vector(_take(spec, "slope", [0.0, 0.0], path), 2, f"{path}.slope")
-    elif kind == "sine":
-        out["base"] = _as_number(_take(spec, "base", None, path, required=True), f"{path}.base")
-        out["amplitude"] = _as_number(_take(spec, "amplitude", 0.0, path), f"{path}.amplitude")
-        out["freq"] = _as_vector(_take(spec, "freq", [1.0, 1.0], path), 2, f"{path}.freq")
-        out["phase"] = _as_vector(_take(spec, "phase", [0.0, 0.0], path), 2, f"{path}.phase")
-    else:
-        raise ConfigError(f"unknown scalar field kind {kind!r}", key_path=f"{path}.kind")
-    _no_leftovers(spec, path)
-    return out
+def _parse_kind(spec, table, tag, path):
+    """Parse a section that names its kind under `tag`, as {tag: kind, **params}."""
+    kind = _object(spec, path).get(tag, _REQUIRED)
+    _require(kind is not _REQUIRED, "missing required key", _join(path, tag))
+    if not (isinstance(kind, str) and kind in table):
+        raise ConfigError(f"unknown {tag} {kind!r}; expected one of {sorted(table)}",
+                          key_path=_join(path, tag))
+    rest = {key: value for key, value in spec.items() if key != tag}
+    return {tag: kind, **_parse_params(rest, table[kind].params, path)}
 
 
-def _validate_thickness(spec, path="thickness"):
-    spec = dict(spec)
-    g1 = _validate_scalar_field(_take(spec, "g1", {"kind": "constant", "value": 0.5}, path),
-                                f"{path}.g1")
-    g2 = _validate_scalar_field(_take(spec, "g2", {"kind": "constant", "value": 0.5}, path),
-                                f"{path}.g2")
-    lip = _as_number(_take(spec, "lipschitz_bound", 1.0, path),
-                     f"{path}.lipschitz_bound", minimum=0.0)
-    _no_leftovers(spec, path)
-    return {"g1": g1, "g2": g2, "lipschitz_bound": lip}
+def _build(table, tag, spec, *context):
+    return table[spec[tag]].build(spec, *context)
 
 
-def _validate_material(spec, path="material"):
-    spec = dict(spec)
-    mtype = _take(spec, "type", None, path, required=True)
-    out = {"type": mtype}
-    if mtype == "isotropic":
-        out["mu"] = _as_number(_take(spec, "mu", None, path, required=True),
-                               f"{path}.mu", positive=True)
-        out["lambda"] = _as_number(_take(spec, "lambda", None, path, required=True),
-                                   f"{path}.lambda", minimum=0.0)
-    elif mtype == "q3":
-        mat = _take(spec, "matrix", None, path, required=True)
-        out["matrix"] = _as_vector(mat, 21, f"{path}.matrix")
-    else:
-        raise ConfigError(f"unknown material type {mtype!r}", key_path=f"{path}.type")
-    _no_leftovers(spec, path)
-    return out
+def _number(v, path):
+    """A finite JSON number, as a float."""
+    _require(isinstance(v, (int, float)) and not isinstance(v, bool)
+             and abs(v) <= sys.float_info.max, "expected a finite number, got {!r}", path, v)
+    return float(v)
 
 
-def _validate_vector_family(spec, path):
-    spec = dict(spec)
-    family = _take(spec, "family", None, path, required=True)
-    out = {"family": family}
-    if family == "zero":
-        pass
-    elif family == "rigid":
-        out["omega"] = _as_vector(_take(spec, "omega", None, path, required=True),
-                                  3, f"{path}.omega")
-        out["offset"] = _as_vector(_take(spec, "offset", [0.0, 0.0, 0.0], path),
-                                   3, f"{path}.offset")
-    elif family == "plate_sine":
-        out["amplitude"] = _as_number(_take(spec, "amplitude", 1.0, path), f"{path}.amplitude")
-        out["m"] = int(_as_number(_take(spec, "m", 1, path), f"{path}.m", minimum=1))
-        out["n"] = int(_as_number(_take(spec, "n", 1, path), f"{path}.n", minimum=1))
-    elif family == "trig":
-        comps = _take(spec, "components", None, path, required=True)
-        if not isinstance(comps, (list, tuple)) or len(comps) != 3:
-            raise ConfigError("expected three 5-element components",
-                              key_path=f"{path}.components")
-        out["components"] = [_as_vector(c, 5, f"{path}.components") for c in comps]
-    else:
-        raise ConfigError(f"unknown field family {family!r}", key_path=f"{path}.family")
-    _no_leftovers(spec, path)
-    return out
+def _bounded(lower, strict):
+    def parse(v, path):
+        v = _number(v, path)
+        _require(v > lower if strict else v >= lower, "must be {} {}, got {}", path,
+                 ">" if strict else ">=", lower, v)
+        return v
+    return parse
 
 
-def _validate_load(spec, path="load"):
-    if spec is None:
-        return None
-    spec = dict(spec)
-    family = _take(spec, "family", None, path, required=True)
-    out = {"family": family}
-    if family == "constant":
-        out["vector"] = _as_vector(_take(spec, "vector", None, path, required=True),
-                                   3, f"{path}.vector")
-    elif family == "radial":
-        pass
-    elif family == "normal":
-        pass
-    elif family == "plate_sine_balanced":
-        out["amplitude"] = _as_number(_take(spec, "amplitude", 1.0, path), f"{path}.amplitude")
-    else:
-        raise ConfigError(f"unknown load family {family!r}", key_path=f"{path}.family")
-    scaling = _take(spec, "scaling", "h_sqrt_eh", path)
-    _require(scaling == "h_sqrt_eh", "only the h*sqrt(e_h) scaling is configurable",
-             f"{path}.scaling")
-    out["scaling"] = scaling
-    _no_leftovers(spec, path)
-    return out
+_positive = _bounded(0.0, strict=True)
+_nonnegative = _bounded(0.0, strict=False)
 
 
-_DEFAULT_TOLERANCES = {
-    "gamma-limit": {"raw_rel_gap": 0.05, "extrapolated_rel_gap": 0.02},
-    "expansion-order": {"stretch_slope_min": 2.9, "bend_slope_min": 1.9,
-                        "r2_min": 0.99},
-    "q2-check": {"closed_form_rel_tol": 1e-10, "brute_force_tol": 1e-8,
-                 "samples": 200},
-    "load-align": {"matrices": 20, "rotation_samples": 100000,
-                   "margin_rel_tol": 1e-9},
+def _count(minimum):
+    def parse(v, path):
+        x = _number(v, path)
+        _require(x.is_integer() and x >= minimum, "expected an integer >= {}, got {!r}",
+                 path, minimum, v)
+        return int(v)
+    return parse
+
+
+def _list_of(length, item=_number):
+    def parse(v, path):
+        _require(isinstance(v, (list, tuple)) and len(v) == length,
+                 "expected a list of {} values, got {!r}", path, length, v)
+        return [item(x, path) for x in v]
+    return parse
+
+
+def _shaped_like(default):
+    """Parser of a patch parameter: a number, or a list shaped like its default."""
+    if isinstance(default, tuple):
+        return _list_of(len(default), _shaped_like(default[0]))
+    return _number
+
+
+def _kind_of(table, tag):
+    return lambda v, path: _parse_kind(v, table, tag, path)
+
+
+def _section(params):
+    return lambda v, path: _parse_params(v, params, path)
+
+
+def _parse_patch(v, path):
+    # geometry owns the patch kinds, their defaults and their value checks
+    spec = _parse_kind(v, _PATCH_PARAMS, "kind", path)
+    for name, ok, message in PATCH_KINDS[spec["kind"]].checks:
+        _require(ok(spec), message, _join(path, name))
+    return spec
+
+
+_PATCH_PARAMS = {
+    kind: _Kind({name: (default, _shaped_like(default))
+                 for name, default in patch_kind.defaults.items()})
+    for kind, patch_kind in PATCH_KINDS.items()}
+
+_SCALAR_FIELDS = {
+    "constant": _Kind({"value": (_REQUIRED, _positive)},
+                      lambda s, domain: fieldlib.constant_scalar(s["value"], domain)),
+    "affine": _Kind({"base": (_REQUIRED, _number), "slope": ([0.0, 0.0], _list_of(2))},
+                    lambda s, domain: fieldlib.affine_scalar(s["base"], s["slope"], domain)),
+    "sine": _Kind({"base": (_REQUIRED, _number), "amplitude": (0.0, _number),
+                   "freq": ([1.0, 1.0], _list_of(2)), "phase": ([0.0, 0.0], _list_of(2))},
+                  lambda s, domain: fieldlib.sine_scalar(s["base"], s["amplitude"],
+                                                         s["freq"], s["phase"], domain)),
+}
+
+_VECTOR_FAMILIES = {
+    "zero": _Kind({}, lambda s, patch: fieldlib.zero_vector_field(patch.domain)),
+    "rigid": _Kind({"omega": (_REQUIRED, _list_of(3)), "offset": ([0.0, 0.0, 0.0], _list_of(3))},
+                   lambda s, patch: fieldlib.rigid_field(patch, s["omega"], s["offset"])),
+    "plate_sine": _Kind({"amplitude": (1.0, _number), "m": (1, _count(1)), "n": (1, _count(1))},
+                        lambda s, patch: fieldlib.plate_sine_field(s["amplitude"], s["m"], s["n"],
+                                                                   patch.domain)),
+    "trig": _Kind({"components": (_REQUIRED, _list_of(3, _list_of(5)))},
+                  lambda s, patch: fieldlib.trig_vector_field(s["components"], patch.domain)),
 }
 
 
-def _validate_tolerances(spec, study, path="tolerances"):
-    spec = dict(spec)
-    out = {}
-    for key, default in _DEFAULT_TOLERANCES[study].items():
-        val = _take(spec, key, default, path)
-        if isinstance(default, int) and not isinstance(default, bool):
-            out[key] = int(_as_number(val, f"{path}.{key}", minimum=0))
-        else:
-            out[key] = _as_number(val, f"{path}.{key}")
-    _no_leftovers(spec, path)
-    return out
+def _constant_load(s):
+    vec = np.asarray(s["vector"], dtype=float)
+    return lambda fr: vec.copy()
+
+
+def _plate_sine_balanced_load(s):
+    # vertical sine with its mean removed
+    amp = s["amplitude"]
+    mean = 4.0 / math.pi ** 2
+
+    def f(fr):
+        u = fr.u
+        out = np.zeros(u.shape[:-1] + (3,))
+        out[..., 2] = amp * (np.sin(math.pi * u[..., 0]) * np.sin(math.pi * u[..., 1]) - mean)
+        return out
+    return f
+
+
+def _balanced_scaling(v, path):
+    _require(v == "h_sqrt_eh", "only the h*sqrt(e_h) scaling is configurable", path)
+    return v
+
+
+_SCALING = {"scaling": ("h_sqrt_eh", _balanced_scaling)}
+
+# each builds the load's f(frame); the scaling is common to all families
+_LOADS = {
+    "constant": _Kind({"vector": (_REQUIRED, _list_of(3)), **_SCALING}, _constant_load),
+    "radial": _Kind(_SCALING, lambda s: lambda fr: fr.x.copy()),
+    "normal": _Kind(_SCALING, lambda s: lambda fr: fr.n.copy()),
+    "plate_sine_balanced": _Kind({"amplitude": (1.0, _number), **_SCALING},
+                                 _plate_sine_balanced_load),
+}
+
+_MATERIALS = {
+    "isotropic": _Kind(
+        {"mu": (_REQUIRED, _positive), "lambda": (_REQUIRED, _nonnegative)},
+        lambda s: make_isotropic(s["mu"], s["lambda"]),
+        q2_closed_form=lambda s, F: isotropic_q2_closed_form(s["mu"], s["lambda"], F)),
+    "q3": _Kind(
+        {"matrix": (_REQUIRED, _list_of(21))},
+        lambda s: QuadForm3.from_upper_triangle(s["matrix"]),
+        check=lambda cfg: _require(cfg["study"] != "gamma-limit",
+                                   "energy-level studies need a stored energy; "
+                                   "q3-only materials support q2-check only",
+                                   "material.type")),
+}
+
+# each builds e_h from (spec, kappa, h)
+_E_H_MODES = {
+    "kappa_h4": _Kind({}, lambda s, kappa, h: kappa ** 2 * h ** 4,
+                      check=lambda cfg: _require(cfg["kappa"] > 0.0,
+                                                 "e_h mode kappa_h4 requires kappa > 0",
+                                                 "e_h.mode")),
+    "h_alpha": _Kind({"alpha": (4.5, _bounded(4.0, strict=True))},
+                     lambda s, kappa, h: h ** s["alpha"]),
+}
+
+
+def _e_h(v, path):
+    return _parse_kind({"mode": "kappa_h4", **_object(v, path)}, _E_H_MODES, "mode", path)
+
+
+def _study_kind(v, path):
+    _require(isinstance(v, str) and v in _STUDIES, "study must be one of {}", path,
+             tuple(_STUDIES))
+    return v
+
+
+def _schedule(v, path):
+    _require(isinstance(v, (list, tuple)) and len(v) >= 4,
+             "h_schedule needs at least 4 values for slope fits", path)
+    schedule = tuple(_number(h, path) for h in v)
+    for h in schedule:
+        _require(0.0 < h < 1.0, "h values must lie in (0, 1), got {}", path, h)
+    for a, b in zip(schedule, schedule[1:]):
+        _require(b < a, "h_schedule must be strictly decreasing", path)
+    return schedule
+
+
+def _output_path(v, path):
+    _require(isinstance(v, str) and v, "output must be a nonempty path string", path)
+    return v
+
+
+_HALF = {"kind": "constant", "value": 0.5}
+_ZERO = {"family": "zero"}
+
+# the top-level keys of a config, in parse order
+_SECTIONS = {
+    "study": (_REQUIRED, _study_kind),
+    "patch": ({"kind": "plate"}, _parse_patch),
+    "thickness": ({}, _section({"g1": (_HALF, _kind_of(_SCALAR_FIELDS, "kind")),
+                                "g2": (_HALF, _kind_of(_SCALAR_FIELDS, "kind")),
+                                "lipschitz_bound": (1.0, _nonnegative)})),
+    "material": ({"type": "isotropic", "mu": 1.0, "lambda": 1.0},
+                 _kind_of(_MATERIALS, "type")),
+    "fields": ({}, _section({"V": (_ZERO, _kind_of(_VECTOR_FAMILIES, "family")),
+                             "w": (_ZERO, _kind_of(_VECTOR_FAMILIES, "family"))})),
+    "kappa": (1.0, _nonnegative),
+    "e_h": ({}, _e_h),
+    "h_schedule": ([2.0 ** -k for k in range(3, 8)], _schedule),
+    "load": (None, lambda v, path: None if v is None else _parse_kind(v, _LOADS, "family", path)),
+    "quadrature": ({}, _section({"surface_order": (DEFAULT_SURFACE_ORDER, _count(1)),
+                                 "transversal_order": (DEFAULT_TRANSVERSAL_ORDER, _count(1))})),
+    "tolerances": ({}, _object),  # parsed against the study kind's tolerances below
+    "seed": (0, _count(0)),
+    "output": ("report.csv", _output_path),
+}
 
 
 def validate_config(doc):
     """Validate a parsed JSON document into a StudyConfig with all defaults explicit."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
-    doc = dict(doc)
-    study = _take(doc, "study", None, "", required=True)
-    _require(study in STUDY_KINDS, f"study must be one of {STUDY_KINDS}", "study")
-
-    patch = _validate_patch(_take(doc, "patch", {"kind": "plate"}, ""))
-    thickness = _validate_thickness(_take(doc, "thickness", {}, ""))
-    material = _validate_material(
-        _take(doc, "material", {"type": "isotropic", "mu": 1.0, "lambda": 1.0}, ""))
-
-    fields_spec = dict(_take(doc, "fields", {}, ""))
-    v_spec = _validate_vector_family(_take(fields_spec, "V", {"family": "zero"}, "fields"),
-                                     "fields.V")
-    w_spec = _validate_vector_family(_take(fields_spec, "w", {"family": "zero"}, "fields"),
-                                     "fields.w")
-    _no_leftovers(fields_spec, "fields")
-
-    kappa = _as_number(_take(doc, "kappa", 1.0, ""), "kappa", minimum=0.0)
-
-    e_spec = dict(_take(doc, "e_h", {"mode": "kappa_h4"}, ""))
-    mode = _take(e_spec, "mode", "kappa_h4", "e_h")
-    if mode == "kappa_h4":
-        _require(kappa > 0.0, "e_h mode kappa_h4 requires kappa > 0", "e_h.mode")
-        e_h = {"mode": "kappa_h4"}
-    elif mode == "h_alpha":
-        alpha = _as_number(_take(e_spec, "alpha", 4.5, "e_h"), "e_h.alpha")
-        _require(alpha > 4.0, "h_alpha exponent must exceed 4", "e_h.alpha")
-        e_h = {"mode": "h_alpha", "alpha": alpha}
-    else:
-        raise ConfigError(f"unknown e_h mode {mode!r}", key_path="e_h.mode")
-    _no_leftovers(e_spec, "e_h")
-
-    schedule = _take(doc, "h_schedule", [2.0 ** -k for k in range(3, 8)], "")
-    if not isinstance(schedule, (list, tuple)) or len(schedule) < 4:
-        raise ConfigError("h_schedule needs at least 4 values for slope fits",
-                          key_path="h_schedule")
-    schedule = tuple(_as_number(h, "h_schedule") for h in schedule)
-    for h in schedule:
-        _require(0.0 < h < 1.0, f"h values must lie in (0, 1), got {h}", "h_schedule")
-    for a, b in zip(schedule, schedule[1:]):
-        _require(b < a, "h_schedule must be strictly decreasing", "h_schedule")
-
-    load = _validate_load(_take(doc, "load", None, ""))
-
-    quad_spec = dict(_take(doc, "quadrature", {}, ""))
-    surface_order = int(_as_number(_take(quad_spec, "surface_order", 10, "quadrature"),
-                                   "quadrature.surface_order", minimum=1))
-    transversal_order = int(_as_number(
-        _take(quad_spec, "transversal_order", 4, "quadrature"),
-        "quadrature.transversal_order", minimum=1))
-    _no_leftovers(quad_spec, "quadrature")
-
-    tolerances = _validate_tolerances(_take(doc, "tolerances", {}, ""), study)
-    seed = int(_as_number(_take(doc, "seed", 0, ""), "seed", minimum=0))
-    output = _take(doc, "output", "report.csv", "")
-    if not isinstance(output, str) or not output:
-        raise ConfigError("output must be a nonempty path string", key_path="output")
-    _no_leftovers(doc, "")
-
-    if study == "gamma-limit" and material["type"] != "isotropic":
-        raise ConfigError("energy-level studies need a stored energy; "
-                          "q3-only materials support q2-check only",
-                          key_path="material.type")
-
-    return StudyConfig(study=study, patch=patch, thickness=thickness,
-                       material=material,
-                       fields={"V": v_spec, "w": w_spec}, kappa=kappa, e_h=e_h,
-                       h_schedule=schedule, load=load,
-                       quadrature={"surface_order": surface_order,
-                                   "transversal_order": transversal_order},
-                       tolerances=tolerances, seed=seed, output=output)
+    cfg = _parse_params(doc, _SECTIONS, "")
+    cfg["tolerances"] = _parse_params(cfg["tolerances"], _STUDIES[cfg["study"]].params,
+                                      "tolerances")
+    for kind in (_MATERIALS[cfg["material"]["type"]], _E_H_MODES[cfg["e_h"]["mode"]]):
+        if kind.check is not None:
+            kind.check(cfg)
+    return StudyConfig(**cfg)
 
 
 def parse_config(text):
@@ -359,70 +358,6 @@ def serialize_config(cfg):
     doc = asdict(cfg)
     doc["h_schedule"] = list(doc["h_schedule"])
     return json.dumps(doc, indent=2, sort_keys=True)
-
-
-# ---------------------------------------------------------------------------
-# scene construction from a validated config
-# ---------------------------------------------------------------------------
-
-def _build_patch(spec):
-    params = {k: v for k, v in spec.items() if k != "kind"}
-    if "extent" in params:
-        params["extent"] = tuple(tuple(r) for r in params["extent"])
-    for key in ("azimuth_range", "angle_range", "u1_range", "u2_range"):
-        if key in params:
-            params[key] = tuple(params[key])
-    return make_builtin_patch(spec["kind"], **params)
-
-
-def _build_scalar(spec, domain):
-    if spec["kind"] == "constant":
-        return fieldlib.constant_scalar(spec["value"], domain)
-    if spec["kind"] == "affine":
-        return fieldlib.affine_scalar(spec["base"], spec["slope"], domain)
-    return fieldlib.sine_scalar(spec["base"], spec["amplitude"], spec["freq"],
-                                spec["phase"], domain)
-
-
-def _build_material(spec):
-    if spec["type"] == "isotropic":
-        return make_isotropic(spec["mu"], spec["lambda"])
-    return QuadForm3.from_upper_triangle(spec["matrix"])
-
-
-def _build_vector_field(spec, patch):
-    family = spec["family"]
-    if family == "zero":
-        return fieldlib.zero_vector_field(patch.domain)
-    if family == "rigid":
-        return fieldlib.rigid_field(patch, spec["omega"], spec["offset"])
-    if family == "plate_sine":
-        return fieldlib.plate_sine_field(spec["amplitude"], spec["m"], spec["n"],
-                                         patch.domain)
-    return fieldlib.trig_vector_field(spec["components"], patch.domain)
-
-
-def _build_load(spec):
-    if spec is None:
-        return None
-    family = spec["family"]
-    if family == "constant":
-        vec = np.asarray(spec["vector"], dtype=float)
-        f = lambda fr: vec.copy()
-    elif family == "radial":
-        f = lambda fr: fr.x.copy()
-    elif family == "normal":
-        f = lambda fr: fr.n.copy()
-    else:  # plate_sine_balanced: vertical sine with its mean removed
-        amp = spec["amplitude"]
-        mean = 4.0 / math.pi ** 2
-
-        def f(fr, _a=amp, _m=mean):
-            u = fr.u
-            out = np.zeros(u.shape[:-1] + (3,))
-            out[..., 2] = _a * (np.sin(math.pi * u[..., 0]) * np.sin(math.pi * u[..., 1]) - _m)
-            return out
-    return LoadField(f=f, scaling=spec["scaling"])
 
 
 # ---------------------------------------------------------------------------
@@ -554,30 +489,24 @@ def read_report_rows(path):
 # ---------------------------------------------------------------------------
 
 def run_study(cfg):
-    """Dispatch to the study kind; module errors abort into an error report."""
+    """Run the study kind's driver; module errors abort into an error report."""
     try:
-        if cfg.study == "gamma-limit":
-            return _run_gamma(cfg)
-        if cfg.study == "expansion-order":
-            return _run_expansion(cfg)
-        if cfg.study == "q2-check":
-            return _run_q2_check(cfg)
-        return _run_load_align(cfg)
+        return _STUDIES[cfg.study].build(cfg)
     except ShellGammaError as exc:
         return StudyReport(kind=cfg.study, rows=[], summary={},
                            passed=False, error=str(exc))
 
 
 def _gamma_scene(cfg):
-    patch = _build_patch(cfg.patch)
-    thick = ThicknessPair(g1=_build_scalar(cfg.thickness["g1"], patch.domain),
-                          g2=_build_scalar(cfg.thickness["g2"], patch.domain),
+    patch = make_builtin_patch(**cfg.patch)
+    thick = ThicknessPair(g1=_build(_SCALAR_FIELDS, "kind", cfg.thickness["g1"], patch.domain),
+                          g2=_build(_SCALAR_FIELDS, "kind", cfg.thickness["g2"], patch.domain),
                           lipschitz_bound=cfg.thickness["lipschitz_bound"])
-    material = _build_material(cfg.material)
+    material = _build(_MATERIALS, "type", cfg.material)
     squad = surface_quadrature(patch, cfg.quadrature["surface_order"])
     trule = TransversalRule.make(cfg.quadrature["transversal_order"])
-    V = _build_vector_field(cfg.fields["V"], patch)
-    w = _build_vector_field(cfg.fields["w"], patch)
+    V = _build(_VECTOR_FAMILIES, "family", cfg.fields["V"], patch)
+    w = _build(_VECTOR_FAMILIES, "family", cfg.fields["w"], patch)
     iso = build_isometry(patch, V, quad=squad)
     strain = StrainField.from_generator(w)
     return patch, thick, material, squad, trule, iso, strain
@@ -590,7 +519,8 @@ def _run_gamma(cfg):
     limit = eval_I(data.limit, thick, squad)
     I_value = limit.total
 
-    load = _build_load(cfg.load)
+    load = None if cfg.load is None else LoadField(
+        f=_build(_LOADS, "family", cfg.load), scaling=cfg.load["scaling"])
     J_value = None
     if load is not None:
         resid, mass = load_compatibility_residual(thick, load, squad)
@@ -681,31 +611,25 @@ def _run_expansion(cfg):
                        passed=bool(s_ok and b_ok))
 
 
-def _q2_check_materials(cfg):
-    if cfg.material["type"] == "isotropic":
-        return [(cfg.material["mu"], cfg.material["lambda"], _build_material(cfg.material))]
-    return [(None, None, _build_material(cfg.material))]
-
-
 def _run_q2_check(cfg):
     tol = cfg.tolerances
     rng = np.random.default_rng(cfg.seed)
     n = np.array([0.0, 0.0, 1.0])
     t1 = np.array([1.0, 0.0, 0.0])
     t2 = np.array([0.0, 1.0, 0.0])
-    worst_closed = 0.0
-    worst_brute = 0.0
-    for mu, lam, material in _q2_check_materials(cfg):
-        q3 = as_q3(material)
-        q2 = reduce_q2(q3, n, t1, t2)
-        F = rng.normal(size=(int(tol["samples"]), 2, 2))
-        val = q2.apply_tangential(F)
-        if mu is not None:
-            closed = isotropic_q2_closed_form(mu, lam, F)
-            worst_closed = max(worst_closed, float(np.max(
-                np.abs(val - closed) / np.maximum(1.0, np.abs(closed)), initial=0.0)))
-        brute, _ = relax_q2_brute_force(q3, n, F, t1=t1, t2=t2)
-        worst_brute = max(worst_brute, float(np.max(np.abs(val - brute), initial=0.0)))
+    material = _MATERIALS[cfg.material["type"]]
+    q3 = as_q3(material.build(cfg.material))
+    q2 = reduce_q2(q3, n, t1, t2)
+    F = rng.normal(size=(tol["samples"], 2, 2))
+    val = q2.apply_tangential(F)
+    closed_dev = np.zeros(0)
+    if material.q2_closed_form is not None:
+        closed = material.q2_closed_form(cfg.material, F)
+        closed_dev = np.abs(val - closed) / np.maximum(1.0, np.abs(closed))
+    # np.max carries a nan deviation into the gates below
+    worst_closed = float(np.max(closed_dev, initial=0.0))
+    brute, _ = relax_q2_brute_force(q3, n, F, t1=t1, t2=t2)
+    worst_brute = float(np.max(np.abs(val - brute), initial=0.0))
     closed_ok = worst_closed <= tol["closed_form_rel_tol"]
     brute_ok = worst_brute <= tol["brute_force_tol"]
     passed = bool(closed_ok and brute_ok)
@@ -715,7 +639,7 @@ def _run_q2_check(cfg):
                "brute_force_max_dev": worst_brute,
                "closed_form_rel_tol": tol["closed_form_rel_tol"],
                "brute_force_tol": tol["brute_force_tol"],
-               "samples": int(tol["samples"]),
+               "samples": tol["samples"],
                "note": "residual_stretch column = closed-form deviation, "
                        "residual_bend column = brute-force deviation"}
     return StudyReport(kind=cfg.study, rows=rows, summary=summary, passed=passed)
@@ -728,10 +652,10 @@ def _run_load_align(cfg):
     worst_margin = -math.inf
     worst_davenport = 0.0
     all_ok = True
-    for _ in range(int(tol["matrices"])):
+    for _ in range(tol["matrices"]):
         N = rng.normal(size=(3, 3))
         _, m_val, _, _ = wahba_maximize(N)
-        samples = rotation_actions(N, random_rotations(rng, int(tol["rotation_samples"])))
+        samples = rotation_actions(N, random_rotations(rng, tol["rotation_samples"]))
         margin = float(samples.max() - m_val)
         # third route to m_h: the largest eigenvalue of Davenport's K(N)
         davenport_dev = abs(float(np.linalg.eigvalsh(davenport_matrix(N))[-1]) - m_val)
@@ -758,17 +682,38 @@ def _run_load_align(cfg):
     summary = {"worst_margin": worst_margin,
                "davenport_max_dev": worst_davenport,
                "margin_rel_tol": tol["margin_rel_tol"],
-               "matrices": int(tol["matrices"]),
-               "rotation_samples": int(tol["rotation_samples"]),
+               "matrices": tol["matrices"],
+               "rotation_samples": tol["rotation_samples"],
                "constant_load_classification": cls_const.classification,
                "radial_load_classification": cls_radial.classification,
                "note": "residual_stretch column = (best sampled action) - m_h"}
     return StudyReport(kind=cfg.study, rows=rows, summary=summary, passed=passed)
 
 
+# each runs its study; params are the study's tolerances
+_STUDIES = {
+    "gamma-limit": _Kind({"raw_rel_gap": (0.05, _number),
+                          "extrapolated_rel_gap": (0.02, _number)}, _run_gamma),
+    "expansion-order": _Kind({"stretch_slope_min": (2.9, _number),
+                              "bend_slope_min": (1.9, _number),
+                              "r2_min": (0.99, _number)}, _run_expansion),
+    "q2-check": _Kind({"closed_form_rel_tol": (1e-10, _number),
+                       "brute_force_tol": (1e-8, _number),
+                       "samples": (200, _count(0))}, _run_q2_check),
+    "load-align": _Kind({"matrices": (20, _count(0)),
+                         "rotation_samples": (100000, _count(0)),
+                         "margin_rel_tol": (1e-9, _number)}, _run_load_align),
+}
+
+
 # ---------------------------------------------------------------------------
 # builtin scenarios
 # ---------------------------------------------------------------------------
+
+class Scenario(NamedTuple):
+    note: str   # one line for `shellgamma list-scenarios`
+    doc: dict   # the config document
+
 
 _EXPANSION_W = {"family": "trig",
                 "components": [[0.4, 1.3, 0.2, 0.9, 0.5],
@@ -776,21 +721,21 @@ _EXPANSION_W = {"family": "trig",
                                [0.5, 1.1, 0.4, 0.8, 1.2]]}
 
 BUILTIN_SCENARIOS = {
-    "plate-gamma": {
+    "plate-gamma": Scenario("plate, out-of-plane sine isometry, energy vs limit functional", {
         "study": "gamma-limit",
         "patch": {"kind": "plate"},
         "fields": {"V": {"family": "plate_sine", "amplitude": 1.0, "m": 1, "n": 1}},
         "h_schedule": [2.0 ** -k for k in range(3, 8)],
         "output": "plate-gamma.csv",
-    },
-    "sphere-gamma": {
+    }),
+    "sphere-gamma": Scenario("unit sphere cap, rigid isometry, stretching-only limit", {
         "study": "gamma-limit",
         "patch": {"kind": "sphere_cap", "radius": 1.0, "cap_angle": math.pi / 3},
         "fields": {"V": {"family": "rigid", "omega": [0.0, 0.0, 1.0]}},
         "h_schedule": [2.0 ** -k for k in range(3, 8)],
         "output": "sphere-gamma.csv",
-    },
-    "plate-expansion": {
+    }),
+    "plate-expansion": Scenario("stretching/bending expansion orders on the plate", {
         "study": "expansion-order",
         "patch": {"kind": "plate"},
         "fields": {"V": {"family": "plate_sine", "amplitude": 1.0, "m": 1, "n": 1},
@@ -798,8 +743,8 @@ BUILTIN_SCENARIOS = {
         "h_schedule": [2.0 ** -k for k in range(3, 10)],
         "quadrature": {"surface_order": 6, "transversal_order": 4},
         "output": "plate-expansion.csv",
-    },
-    "sphere-expansion": {
+    }),
+    "sphere-expansion": Scenario("stretching/bending expansion orders on the sphere cap", {
         "study": "expansion-order",
         "patch": {"kind": "sphere_cap", "radius": 1.0, "cap_angle": math.pi / 3},
         "fields": {"V": {"family": "rigid", "omega": [0.3, -0.2, 0.4]},
@@ -807,8 +752,8 @@ BUILTIN_SCENARIOS = {
         "h_schedule": [2.0 ** -k for k in range(3, 10)],
         "quadrature": {"surface_order": 6, "transversal_order": 4},
         "output": "sphere-expansion.csv",
-    },
-    "cylinder-expansion": {
+    }),
+    "cylinder-expansion": Scenario("stretching/bending expansion orders on the cylinder", {
         "study": "expansion-order",
         "patch": {"kind": "cylinder", "radius": 1.0, "height": 1.0},
         "fields": {"V": {"family": "rigid", "omega": [0.3, -0.2, 0.4]},
@@ -816,16 +761,16 @@ BUILTIN_SCENARIOS = {
         "h_schedule": [2.0 ** -k for k in range(3, 10)],
         "quadrature": {"surface_order": 6, "transversal_order": 4},
         "output": "cylinder-expansion.csv",
-    },
-    "q2-isotropic": {
+    }),
+    "q2-isotropic": Scenario("tangential relaxation vs closed form and brute force", {
         "study": "q2-check",
         "material": {"type": "isotropic", "mu": 1.0, "lambda": 1.0},
         "output": "q2-isotropic.csv",
-    },
-    "load-align": {
+    }),
+    "load-align": Scenario("rotation-maximized load action vs random sampling", {
         "study": "load-align",
         "output": "load-align.csv",
-    },
+    }),
 }
 
 
@@ -833,4 +778,5 @@ def builtin_scenario_config(name):
     if name not in BUILTIN_SCENARIOS:
         raise ConfigError(f"unknown builtin scenario {name!r}; "
                           f"available: {sorted(BUILTIN_SCENARIOS)}")
-    return validate_config(json.loads(json.dumps(BUILTIN_SCENARIOS[name])))
+    # validate_config neither changes nor keeps any part of the document
+    return validate_config(BUILTIN_SCENARIOS[name].doc)

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 import shellgamma.cli as cli
 from shellgamma import fields, recovery3d, studies
-from shellgamma.errors import ConfigError
+from shellgamma.errors import ConfigError, ParameterError
+from shellgamma.geometry import SurfacePatch, make_builtin_patch
 from shellgamma.studies import (CSV_HEADER, StudyReport, StudyRow,
                                 builtin_scenario_config, fit_order, parse_config,
                                 read_report_rows, richardson_extrapolate,
@@ -101,21 +103,27 @@ def _vector(length):
 
 _POSITIVE = _numbers(min_value=1e-3, max_value=1e3)
 
+# geometry refuses reversed or empty intervals and a torus with minor >= major
+_INTERVAL = st.lists(_numbers(min_value=-10.0, max_value=10.0), min_size=2, max_size=2,
+                     unique=True).map(sorted)
+_RADII = st.lists(_POSITIVE, min_size=2, max_size=2, unique=True).map(sorted)
+
 _PATCHES = st.one_of(
     st.fixed_dictionaries({"kind": st.just("plate")},
-                          optional={"extent": st.tuples(_vector(2), _vector(2))}),
+                          optional={"extent": st.tuples(_INTERVAL, _INTERVAL)}),
     st.fixed_dictionaries({"kind": st.just("sphere_cap")},
                           optional={"radius": _POSITIVE,
                                     "cap_angle": _numbers(min_value=1e-3,
                                                           max_value=math.pi / 2),
-                                    "azimuth_range": _vector(2)}),
+                                    "azimuth_range": _INTERVAL}),
     st.fixed_dictionaries({"kind": st.just("sphere")}, optional={"radius": _POSITIVE}),
     st.fixed_dictionaries({"kind": st.just("cylinder")},
                           optional={"radius": _POSITIVE, "height": _POSITIVE,
-                                    "angle_range": _vector(2)}),
-    st.fixed_dictionaries({"kind": st.just("torus_patch")},
-                          optional={"major_radius": _POSITIVE, "minor_radius": _POSITIVE,
-                                    "u1_range": _vector(2), "u2_range": _vector(2)}))
+                                    "angle_range": _INTERVAL}),
+    st.builds(lambda radii, ranges: {"kind": "torus_patch", "minor_radius": radii[0],
+                                     "major_radius": radii[1], **ranges},
+              _RADII, st.fixed_dictionaries({}, optional={"u1_range": _INTERVAL,
+                                                          "u2_range": _INTERVAL})))
 
 _SCALARS = st.one_of(
     st.fixed_dictionaries({"kind": st.just("constant"), "value": _POSITIVE}),
@@ -195,6 +203,86 @@ def _study_documents(draw):
 def test_config_round_trip_on_random_documents(doc):
     cfg = validate_config(doc)
     assert parse_config(serialize_config(cfg)) == cfg
+    # every patch the config layer accepts also builds
+    assert isinstance(make_builtin_patch(**cfg.patch), SurfacePatch)
+
+
+_Q2 = {"study": "q2-check"}
+
+
+@pytest.mark.parametrize("doc, key_path", [
+    # each of these crashed with a traceback
+    ({**MINIMAL_GAMMA, "patch": 5}, "patch"),
+    ({**MINIMAL_GAMMA, "patch": "plate"}, "patch"),
+    ({**MINIMAL_GAMMA, "thickness": {"g1": 3}}, "thickness.g1"),
+    ({**MINIMAL_GAMMA, "patch": {"kind": "plate", "extent": [[0, 1]]}}, "patch.extent"),
+    ({**MINIMAL_GAMMA, "patch": {"kind": "plate", "extent": 5}}, "patch.extent"),
+    ({**_Q2, "material": {"type": "isotropic", "mu": math.nan, "lambda": 1.0}},
+     "material.mu"),
+    ({**MINIMAL_GAMMA, "quadrature": {"surface_order": math.inf}}, "quadrature.surface_order"),
+    # and each of these was accepted, silently changed
+    ({**MINIMAL_GAMMA, "fields": []}, "fields"),
+    ({**MINIMAL_GAMMA, "fields": {"V": {"family": "plate_sine", "m": 1.5}}}, "fields.V.m"),
+    ({**_Q2, "seed": 3.9}, "seed"),
+    ({**MINIMAL_GAMMA, "quadrature": {"surface_order": 2.7}}, "quadrature.surface_order"),
+    ({**_Q2, "tolerances": {"closed_form_rel_tol": math.inf}},
+     "tolerances.closed_form_rel_tol"),
+])
+def test_bad_input_is_a_config_error_with_its_key_path(doc, key_path, tmp_path, capsys):
+    with pytest.raises(ConfigError) as err:
+        validate_config(doc)
+    assert err.value.key_path == key_path
+    # json writes nan and inf as NaN and Infinity, which json.load reads back
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({**doc, "output": str(tmp_path / "bad.csv")}))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key_path}: ")
+
+
+@pytest.mark.parametrize("patch, key_path", [
+    ({"kind": "plate", "extent": [[1.0, 0.0], [0.0, 1.0]]}, "patch.extent"),
+    ({"kind": "torus_patch", "major_radius": 0.4, "minor_radius": 0.5},
+     "patch.minor_radius"),
+    ({"kind": "sphere_cap", "cap_angle": math.pi / 2 + 1e-13}, "patch.cap_angle"),
+])
+def test_patch_checks_run_at_parse_time(patch, key_path):
+    # the checks are geometry's own, which make_builtin_patch also runs
+    with pytest.raises(ConfigError) as err:
+        validate_config({**MINIMAL_GAMMA, "patch": patch})
+    assert err.value.key_path == key_path
+    with pytest.raises(ParameterError):
+        make_builtin_patch(**patch)
+
+
+def test_q2_check_fails_on_a_nan_closed_form(monkeypatch):
+    monkeypatch.setattr(studies, "isotropic_q2_closed_form",
+                        lambda mu, lam, F: np.full(F.shape[:-2], np.nan))
+    report = run_study(builtin_scenario_config("q2-isotropic"))
+    assert math.isnan(report.summary["closed_form_max_rel_dev"])
+    assert not report.passed
+    assert report.rows[0].status == "fail"
+
+
+def _perfbench_workloads():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_workload_configs_validate():
+    # a rejected config counts as a failed operation of the benchmark; seed 0
+    # of these two workloads is the builtin scenario of the same name
+    workloads = _perfbench_workloads()
+    for workload in workloads.WORKLOADS:
+        for seed in range(4):
+            for name, doc in workloads.study_configs(workload, seed).items():
+                cfg = validate_config(doc)
+                if seed == 0 and workload in ("gamma-sphere", "verify-suite"):
+                    builtin = builtin_scenario_config(name)
+                    assert dataclasses.replace(cfg, output=builtin.output) == builtin, name
 
 
 def test_fit_order_reference_cases():
@@ -494,6 +582,18 @@ def test_cli_list_scenarios(capsys):
     assert cli.main(["list-scenarios"]) == 0
     out = capsys.readouterr().out
     assert "plate-gamma" in out and "q2-isotropic" in out
+
+
+def test_cli_lists_the_note_of_every_builtin(monkeypatch, capsys):
+    # the note lives with its scenario, so a new builtin brings its own
+    monkeypatch.setitem(studies.BUILTIN_SCENARIOS, "extra-scenario", studies.Scenario(
+        "an added scenario", {"study": "load-align"}))
+    assert cli.main(["list-scenarios"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(studies.BUILTIN_SCENARIOS)
+    for line, name in zip(lines, sorted(studies.BUILTIN_SCENARIOS)):
+        note = studies.BUILTIN_SCENARIOS[name].note
+        assert note and line.split(None, 1) == [name, note]
 
 
 def test_cli_run_builtin_and_overrides(tmp_path, capsys):
