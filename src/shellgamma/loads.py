@@ -243,18 +243,31 @@ def rotation_matrices(q):
 def davenport_matrix(N):
     """Davenport's 4x4 K(N) with tr(R(q) N) = q^T K q / |q|^2 (the q-method).
 
-    The largest eigenvalue of K is the maximum of tr(Q N) over SO(3).
+    The largest eigenvalue of K is the maximum of tr(Q N) over SO(3).  A
+    stack N of shape (..., 3, 3) gives a stack of shape (..., 4, 4).
     """
     N = np.asarray(N, dtype=float)
-    tr = np.trace(N)
-    K = np.empty((4, 4))
-    K[0, 0] = tr
-    K[0, 1:] = K[1:, 0] = (N[1, 2] - N[2, 1], N[2, 0] - N[0, 2], N[0, 1] - N[1, 0])
-    K[1:, 1:] = N + N.T - tr * np.eye(3)
+    tr = np.trace(N, axis1=-2, axis2=-1)
+    K = np.empty(N.shape[:-2] + (4, 4))
+    K[..., 0, 0] = tr
+    K[..., 0, 1:] = K[..., 1:, 0] = np.stack(
+        (N[..., 1, 2] - N[..., 2, 1], N[..., 2, 0] - N[..., 0, 2],
+         N[..., 0, 1] - N[..., 1, 0]), axis=-1)
+    K[..., 1:, 1:] = N + np.swapaxes(N, -1, -2) - tr[..., None, None] * np.eye(3)
     return K
 
 
+# q^T K q = sum over the upper triangle i <= j of (2 - [i == j]) K_ij q_i q_j
+_UPPER = tuple(zip(*[(i, j) for i in range(4) for j in range(i, 4)]))
+_UPPER_WEIGHT = [1.0 if i == j else 2.0 for i, j in zip(*_UPPER)]
+
+
 def rotation_actions(N, q):
-    """tr(R(q) N) for a batch of quaternions, one quadratic form each."""
+    """tr(R(q) N) for a (k, 4) batch of quaternions; an (..., 3, 3) stack N gives (..., k).
+
+    One product serves every matrix of the stack: the 10 monomials
+    q_i q_j / |q|^2 of the batch against the weighted upper triangle of K(N).
+    """
     q = np.asarray(q, dtype=float)
-    return np.einsum("ki,ki->k", q @ davenport_matrix(N), q) / np.einsum("ki,ki->k", q, q)
+    monomials = q[:, _UPPER[0]] * q[:, _UPPER[1]] / np.einsum("ki,ki->k", q, q)[:, None]
+    return (davenport_matrix(N)[..., _UPPER[0], _UPPER[1]] * _UPPER_WEIGHT) @ monomials.T

@@ -75,6 +75,18 @@ def test_rotation_actions_match_matrix_route_per_sample():
         assert np.max(np.abs(sg.rotation_actions(N, q) - via_matrices)) <= 1e-14
 
 
+def test_stacked_matrices_match_per_matrix_calls():
+    rng = np.random.default_rng(28)
+    Ns = rng.normal(size=(2, 7, 3, 3))
+    q = sg.random_rotations(rng, 3000)
+    K = sg.davenport_matrix(Ns)
+    acts = sg.rotation_actions(Ns, q)
+    assert K.shape == (2, 7, 4, 4) and acts.shape == (2, 7, 3000)
+    for idx in np.ndindex(2, 7):
+        assert np.array_equal(K[idx], sg.davenport_matrix(Ns[idx]))
+        assert np.max(np.abs(acts[idx] - sg.rotation_actions(Ns[idx], q))) <= 1e-14
+
+
 def test_davenport_largest_eigenvalue_is_the_maximized_action():
     rng = np.random.default_rng(26)
     for N in [rng.normal(size=(3, 3)) for _ in range(20)] + [np.diag([1.0, 1.0, -1.0])]:

@@ -103,6 +103,11 @@ def _vector(length):
 
 _POSITIVE = _numbers(min_value=1e-3, max_value=1e3)
 
+# Q3 must be positive definite: a diagonal above 5 dominates five entries in [-1, 1]
+_Q3_MATRICES = st.tuples(*[_numbers(min_value=6.0, max_value=100.0) if i == j
+                           else _numbers(min_value=-1.0, max_value=1.0)
+                           for i in range(6) for j in range(i, 6)]).map(list)
+
 # geometry refuses reversed or empty intervals and a torus with minor >= major
 _INTERVAL = st.lists(_numbers(min_value=-10.0, max_value=10.0), min_size=2, max_size=2,
                      unique=True).map(sorted)
@@ -162,7 +167,7 @@ _TOLERANCES = {
                       "r2_min": _numbers(min_value=0.0, max_value=1.0)}),
     "q2-check": st.fixed_dictionaries(
         {}, optional={"closed_form_rel_tol": _POSITIVE, "brute_force_tol": _POSITIVE,
-                      "samples": st.integers(0, 1000)}),
+                      "samples": st.integers(1, 1000)}),
 }
 
 
@@ -173,7 +178,7 @@ def _study_documents(draw):
                                         "lambda": _numbers(min_value=0.0, max_value=1e3)})]
     if study != "gamma-limit":
         materials.append(st.fixed_dictionaries({"type": st.just("q3"),
-                                                "matrix": _vector(21)}))
+                                                "matrix": _Q3_MATRICES}))
     e_h = draw(st.one_of(st.just({"mode": "kappa_h4"}),
                          st.fixed_dictionaries({"mode": st.just("h_alpha")},
                                                optional={"alpha": _numbers(
@@ -227,6 +232,17 @@ _Q2 = {"study": "q2-check"}
     ({**MINIMAL_GAMMA, "quadrature": {"surface_order": 2.7}}, "quadrature.surface_order"),
     ({**_Q2, "tolerances": {"closed_form_rel_tol": math.inf}},
      "tolerances.closed_form_rel_tol"),
+    # each of these compared nothing, or failed at run time without a key path
+    ({**_Q2, "tolerances": {"samples": 0}}, "tolerances.samples"),
+    ({"study": "load-align", "tolerances": {"matrices": 0}}, "tolerances.matrices"),
+    ({"study": "load-align", "tolerances": {"rotation_samples": 0}},
+     "tolerances.rotation_samples"),
+    ({**_Q2, "material": {"type": "q3", "matrix": [0.0] * 21}}, "material.matrix"),
+    # diag(1, 1, 1, 1, 1, -1)
+    ({"study": "expansion-order",
+      "material": {"type": "q3", "matrix": [float(i == j) * (-1.0 if i == 5 else 1.0)
+                                            for i in range(6) for j in range(i, 6)]}},
+     "material.matrix"),
 ])
 def test_bad_input_is_a_config_error_with_its_key_path(doc, key_path, tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
@@ -261,6 +277,43 @@ def test_q2_check_fails_on_a_nan_closed_form(monkeypatch):
     assert math.isnan(report.summary["closed_form_max_rel_dev"])
     assert not report.passed
     assert report.rows[0].status == "fail"
+
+
+@pytest.mark.parametrize("count", [studies._ACTION_CHUNK // 3,
+                                   2 * studies._ACTION_CHUNK + 37])
+def test_chunked_best_action_is_the_batch_maximum(count):
+    rng = np.random.default_rng(27)
+    Ns = rng.normal(size=(5, 3, 3))
+    q = studies.random_rotations(rng, count)
+    best = studies._best_actions(Ns, q)
+    assert best.shape == (5,)
+    assert np.max(np.abs(best - studies.rotation_actions(Ns, q).max(axis=-1))) <= 1e-14
+
+
+def test_load_align_gate_fails_a_low_maximum(monkeypatch):
+    # m_h 1% low from wahba_maximize, and K(N) shifted down by as much so that
+    # the Davenport route agrees: only the sampled rotations can tell, and
+    # they must beat the low m_h for every matrix
+    wahba, davenport = studies.wahba_maximize, studies.davenport_matrix
+
+    def drop(N):
+        return 0.01 * max(1.0, abs(wahba(N)[1]))
+
+    def low_wahba(N):
+        Q, m_h, non_unique, sv = wahba(N)
+        return Q, m_h - drop(N), non_unique, sv
+
+    def low_davenport(N):
+        drops = np.reshape([drop(M) for M in np.reshape(N, (-1, 3, 3))], np.shape(N)[:-2])
+        return davenport(N) - drops[..., None, None] * np.eye(4)
+
+    monkeypatch.setattr(studies, "wahba_maximize", low_wahba)
+    monkeypatch.setattr(studies, "davenport_matrix", low_davenport)
+    report = run_study(builtin_scenario_config("load-align"))
+    assert report.summary["davenport_max_dev"] <= 1e-12
+    assert not report.passed
+    assert [row.status for row in report.rows] == ["fail"] * report.summary["matrices"]
+    assert all(row.residual_stretch > 1e-3 for row in report.rows)
 
 
 def _perfbench_workloads():
