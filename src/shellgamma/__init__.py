@@ -14,15 +14,13 @@ from .fields import (ScalarField, VectorField, affine_scalar, constant_scalar,
                      plate_sine_field, rigid_field, sine_scalar, skew_matrix,
                      sum_fields, trig_vector_field, zero_vector_field)
 from .geometry import (NodeFrame, SurfacePatch, SurfaceQuadrature, ThicknessPair,
-                       TransversalRule, integrate_surface, make_builtin_patch,
-                       offset_jacobian, shape_operator_fd, shape_operator_in_frame,
-                       surface_quadrature, validate_patch, validate_thickness)
-from .kinematics import (ExpansionData, IsometryField, StrainField,
-                         bending_expansion_residual, bending_matrix, build_isometry,
-                         expansion_data, midsurface_strain_deficit,
+                       TransversalRule, make_builtin_patch, offset_jacobian,
+                       shape_operator_fd, surface_quadrature, validate_patch,
+                       validate_thickness)
+from .kinematics import (ExpansionData, IsometryField, bending_expansion_residual,
+                         bending_matrix, build_isometry, expansion_data,
                          stretching_expansion_residual, stretching_tensor)
-from .limit2d import (LimitEnergyBreakdown, LimitFields, eval_I, eval_I_tilde, eval_J,
-                      limit_fields)
+from .limit2d import LimitEnergyBreakdown, LimitFields, eval_I, eval_J, limit_fields
 from .loads import (ExampleMaximizerSet, LoadField, RotationActionResult,
                     davenport_matrix, eval_J_h, example_maximizer_set, extend_load,
                     load_compatibility_residual, maximize_action, moment_matrix,

@@ -418,18 +418,10 @@ class TransversalRule:
 def values_on(f, frame, shape):
     """f(frame) as a float array of the frame's batch shape followed by `shape`.
 
-    User callables (loads, integrands) are called once with the batched
+    User callables (loads) are called once with the batched
     frame; a result that does not depend on the point broadcasts.
     """
     return np.broadcast_to(np.asarray(f(frame), dtype=float), frame.u.shape[:-1] + shape)
-
-
-def integrate_surface(quad, f):
-    """Gauss quadrature of a scalar field over the patch, f called with the batched frame."""
-    values = values_on(f, quad.frame, ())
-    _raise_first_failure(EvaluationError, quad.frame.u,
-                         [(~np.isfinite(values), values, "non-finite integrand value {}")])
-    return float(np.sum(quad.weights * values))
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +477,6 @@ def shape_operator_fd(patch, u, step=None):
     Dn = np.stack(cols, axis=-1)           # (3, 2) chart partials of the normal
     Pi_fd = fr.grad3(Dn)
     return fr.tan2(Pi_fd)
-
-
-def shape_operator_in_frame(patch, u):
-    """Analytic shape operator expressed in the same 2x2 frame as shape_operator_fd."""
-    fr = patch.frame(u)
-    return fr.tan2(fr.shape_op)
 
 
 def _raise_first_failure(error, u, checks):

@@ -16,14 +16,13 @@ identities is built once per scene by `expansion_data`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import EvaluationError, NotAnIsometryError
 from .fields import VectorField, fd_columns, first_point, matvec, outer, transpose
 from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this import site)
-from .geometry import NodeFrame, SurfacePatch, surface_quadrature
+from .geometry import NodeFrame, SurfacePatch
 
 DEFAULT_ISOMETRY_TOL = 1e-8
 # central-difference step of the deformed normal in bending_expansion_residual
@@ -43,7 +42,6 @@ class IsometryField:
 
     patch: SurfacePatch
     displacement: VectorField
-    tol: float = DEFAULT_ISOMETRY_TOL
 
     def A_at(self, frame):
         """The 3x3 skew matrix with A tau = d_tau V on the tangent plane, at a frame."""
@@ -74,53 +72,23 @@ class IsometryField:
                           self.patch.domain)
 
 
-def build_isometry(patch, V, tol=DEFAULT_ISOMETRY_TOL, quad=None):
+def build_isometry(patch, V, quad):
     """Check that V is an infinitesimal isometry and wrap it with its A field.
 
     Raises NotAnIsometryError naming the worst node when the symmetric
-    tangential strain exceeds tol anywhere on the quadrature grid.
+    tangential strain exceeds DEFAULT_ISOMETRY_TOL anywhere on the quadrature grid.
     """
-    if quad is None:
-        quad = surface_quadrature(patch)
     fr = quad.frame
     r = np.linalg.norm(tangential_strain(fr, V.d1(fr.u)), axis=(-2, -1))
     bad = ~np.isfinite(r)
     if np.any(bad):
         raise EvaluationError(f"displacement field not finite at u={first_point(fr.u, bad)}")
     i = np.argmax(r)
-    if r[i] > tol:
+    if r[i] > DEFAULT_ISOMETRY_TOL:
         raise NotAnIsometryError(
-            f"sym tangential gradient of V reaches {r[i]:.3e} > tol={tol:.1e} "
+            f"sym tangential gradient of V reaches {r[i]:.3e} > tol={DEFAULT_ISOMETRY_TOL:.1e} "
             f"at u={tuple(fr.u[i].tolist())}", u=fr.u[i], residual=float(r[i]))
-    return IsometryField(patch=patch, displacement=V, tol=tol)
-
-
-@dataclass(frozen=True)
-class StrainField:
-    """A finite-strain input B_tan, usually generated as sym grad of a field w."""
-
-    b_tan: Callable  # frame -> (..., 2, 2) symmetric, in the (t1, t2) frame of each point
-    generator: Optional[VectorField] = None
-
-    def __call__(self, frame):
-        B = np.asarray(self.b_tan(frame), dtype=float)
-        return 0.5 * (B + transpose(B))
-
-    @staticmethod
-    def from_generator(w):
-        return StrainField(
-            b_tan=lambda fr: tangential_strain(fr, w.d1(fr.u)),
-            generator=w)
-
-    @staticmethod
-    def from_tensor(func):
-        """Directly supplied tensor field; no generator, so no recovery from it."""
-        return StrainField(b_tan=func, generator=None)
-
-    @staticmethod
-    def zero(domain):
-        from .fields import zero_vector_field
-        return StrainField.from_generator(zero_vector_field(domain))
+    return IsometryField(patch=patch, displacement=V)
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +112,16 @@ def bending_matrix(frame, A, An_partials):
     return frame.grad3(An_partials) - A @ frame.shape_op
 
 
-def stretching_tensor(frame, A, AG, strain, thick, kappa):
+def stretching_tensor(frame, A, AG, b_tan, thick, kappa):
     """B_tan - (kappa/2)(A^2)_tan - (1/2) sym(A grad((g2-g1) n))_tan at a frame, 2x2.
 
-    AG is A grad((g2-g1) n) at the frame (`A @ grad3_gamma_n(frame, thick)`).
+    b_tan is the symmetric finite strain B_tan at the frame's points, in
+    their (t1, t2) frame; AG is A grad((g2-g1) n) there
+    (`A @ grad3_gamma_n(frame, thick)`).
     """
     if kappa < 0.0 or not np.isfinite(kappa):
         raise EvaluationError("kappa must be finite and nonnegative")
-    out = np.array(strain(frame), dtype=float)
+    out = np.array(b_tan, dtype=float)
     gamma = thick.gamma(frame.u)
     dgamma = thick.gamma_d(frame.u)
     if kappa != 0.0:
@@ -180,7 +150,6 @@ class ExpansionData:
     Dw: np.ndarray             # (N, 3, 2) chart partials of w
     gamma_n: np.ndarray        # (N, 3, 2) chart partials of (g2 - g1) n
     M_tau: np.ndarray          # (N, 2) tau^T M tau, M = sym grad w - A^2/2 - sym(A grad((g2-g1)n))/2
-    AG_tau: np.ndarray         # (N, 2) tau^T A grad((g2-g1) n) tau
     bending: np.ndarray        # (N, 3, 2) d_tau(A n) - A Pi tau, both chart tangents
     stencil_jac: np.ndarray    # (2, 2, N, 3, 2) chart jacobian at u +- step e_axis
     stencil_gamma_n: np.ndarray  # (2, 2, N, 3, 2)
@@ -197,13 +166,11 @@ def _tangent_quadratic(frame, M):
     return (frame.jac * (M @ frame.jac)).sum(axis=-2)
 
 
-def expansion_data(patch, iso, w, thick, quad=None):
+def expansion_data(patch, iso, w, thick, quad):
     """Build the fields of the expansion identities that do not depend on h.
 
     The residual functions below only combine them with powers of h.
     """
-    if quad is None:
-        quad = surface_quadrature(patch)
     fr = quad.frame
     A = iso.A_at(fr)
     Dw = w.d1(fr.u)
@@ -217,7 +184,7 @@ def expansion_data(patch, iso, w, thick, quad=None):
     V = iso.displacement
     return ExpansionData(
         frame=fr, A=A, DV=V.d1(fr.u), Dw=Dw, gamma_n=gamma_n,
-        M_tau=_tangent_quadratic(fr, M), AG_tau=_tangent_quadratic(fr, AG),
+        M_tau=_tangent_quadratic(fr, M),
         bending=iso.An_partials(fr.u) - A @ (fr.shape_op @ fr.jac),
         stencil_jac=st.jac, stencil_gamma_n=_gamma_n_partials(st, thick),
         stencil_DV=V.d1(stencil))
@@ -272,12 +239,3 @@ def bending_expansion_residual(data, h):
     rhs = h * data.bending
     return float(np.max(np.linalg.norm(lhs - rhs, axis=-2)))
 
-
-def midsurface_strain_deficit(data, h):
-    """First-order isometry deficit of V on the geometric mid-surface.
-
-    |d_tau V . d_tau phi_tilde + (h/2) tau^T sym(A grad((g2-g1) n)) tau|,
-    maximized over nodes and chart tangents.  Zero in exact arithmetic.
-    """
-    lhs = (data.DV * _phi_tilde_partials(data.frame.jac, data.gamma_n, h)).sum(axis=-2)
-    return float(np.max(np.abs(lhs + 0.5 * h * data.AG_tau)))

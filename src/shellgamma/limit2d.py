@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ParameterError
 from .fields import transpose
-from .geometry import NodeFrame, surface_quadrature, values_on
-from .kinematics import StrainField, bending_matrix, grad3_gamma_n, stretching_tensor
+from .geometry import NodeFrame, values_on
+from .kinematics import bending_matrix, grad3_gamma_n, stretching_tensor
 from .material import QuadForm2, as_q3, reduce_q2
 
 
@@ -49,15 +49,15 @@ class LimitFields:
     bending: np.ndarray         # (..., 2, 2) its symmetrized tangential minor
 
 
-def limit_fields(material, iso, strain, thick, kappa, frame, An_partials):
-    """Evaluate A, Q2 and both tensors at a frame, given the chart partials of A n there."""
+def limit_fields(material, iso, b_tan, thick, kappa, frame, An_partials):
+    """Evaluate A, Q2 and both tensors at a frame, given B_tan and the partials of A n there."""
     A = iso.A_at(frame)
     AG = A @ grad3_gamma_n(frame, thick)
     M = bending_matrix(frame, A, An_partials)
     Mt = frame.tan2(M)
     return LimitFields(frame=frame, A=A, AG=AG,
                        q2=reduce_q2(as_q3(material), frame.n, frame.t1, frame.t2),
-                       stretching=stretching_tensor(frame, A, AG, strain, thick, kappa),
+                       stretching=stretching_tensor(frame, A, AG, b_tan, thick, kappa),
                        bending_matrix=M, bending=0.5 * (Mt + transpose(Mt)))
 
 
@@ -78,16 +78,6 @@ def eval_I(fields, thick, quad):
                                 load_term=0.0, relaxation_term=0.0)
 
 
-def eval_I_tilde(patch, thick, material, iso, quad=None):
-    """Bending-only energy for approximately robust surfaces; equals eval_I().bending."""
-    if quad is None:
-        quad = surface_quadrature(patch)
-    fr = quad.frame
-    fields = limit_fields(material, iso, StrainField.zero(patch.domain), thick, 0.0,
-                          fr, iso.An_partials(fr.u))
-    return eval_I(fields, thick, quad).bending
-
-
 def check_rotation(Q, tol=1e-10):
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (3, 3):
@@ -99,7 +89,7 @@ def check_rotation(Q, tol=1e-10):
     return Q
 
 
-def eval_J(limit, patch, thick, iso, f, Qbar, r_value, quad=None):
+def eval_J(limit, thick, iso, f, Qbar, r_value, quad):
     """Total limit energy J = I - integral (g1+g2) f . (Qbar V) + r_value.
 
     limit is the LimitEnergyBreakdown of I (`eval_I(...)`) for the same
@@ -109,8 +99,6 @@ def eval_J(limit, patch, thick, iso, f, Qbar, r_value, quad=None):
     maximizer-set example).
     """
     Qbar = check_rotation(Qbar)
-    if quad is None:
-        quad = surface_quadrature(patch)
     fr = quad.frame
     QV = iso.displacement.value(fr.u) @ Qbar.T
     density = thick.total(fr.u) * (values_on(f, fr, (3,)) * QV).sum(axis=-1)

@@ -12,11 +12,11 @@ integral is an array sum over the nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedCaseError
+from .errors import UnsupportedCaseError
 from .fields import first_point
 from .geometry import offset_jacobian, values_on
 
@@ -25,24 +25,12 @@ PROCRUSTES_TIE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class LoadField:
-    """Surface force density with its h-scaling declaration.
-
-    scaling "h_sqrt_eh" declares the von Karman schedule f^h = h sqrt(e_h) f;
-    a user schedule supplies the multiplicative factor directly.
-    """
+    """Surface force density f of the von Karman schedule f^h = h sqrt(e_h) f."""
 
     f: Callable  # frame -> R^3 (limit load, per unit area of S)
-    scaling: str = "h_sqrt_eh"
-    schedule: Optional[Callable] = None  # (h, e_h) -> scalar factor
 
     def factor(self, h, e_h):
-        if self.scaling == "h_sqrt_eh":
-            return h * float(np.sqrt(e_h))
-        if self.scaling == "schedule":
-            if self.schedule is None:
-                raise ParameterError("scaling 'schedule' requires a schedule callable")
-            return float(self.schedule(h, e_h))
-        raise ParameterError(f"unknown load scaling {self.scaling!r}")
+        return h * float(np.sqrt(e_h))
 
 
 def load_compatibility_residual(thick, load, squad):
@@ -75,7 +63,7 @@ class RotationActionResult:
     singular_values: np.ndarray
 
 
-def wahba_maximize(N, tie_tol=PROCRUSTES_TIE_TOL):
+def wahba_maximize(N):
     """Maximize tr(Q N) over SO(3) in closed form (orthogonal-factor decomposition).
 
     Returns (Q, value, non_unique, singular_values).  Rank-deficient ties are
@@ -88,12 +76,13 @@ def wahba_maximize(N, tie_tol=PROCRUSTES_TIE_TOL):
     if s0 == 0.0:
         s0 = 1.0
     value = sv[0] + sv[1] + s0 * sv[2]
-    ambiguous = bool(sv[1] <= tie_tol or (s0 < 0.0 and sv[1] - sv[2] <= tie_tol))
+    ambiguous = bool(sv[1] <= PROCRUSTES_TIE_TOL
+                     or (s0 < 0.0 and sv[1] - sv[2] <= PROCRUSTES_TIE_TOL))
     if not ambiguous:
         Q = V @ np.diag([1.0, 1.0, s0]) @ U.T
         return Q, float(value), False, sv
 
-    if sv[0] <= tie_tol:
+    if sv[0] <= PROCRUSTES_TIE_TOL:
         return np.eye(3), float(value), True, sv
 
     # one-parameter optimal family in the (2, 3) singular block; pick the
@@ -153,17 +142,14 @@ class ExampleMaximizerSet:
     singular_values: np.ndarray
 
 
-def example_maximizer_set(load, thick, squad, tol=1e-8):
-    """Maximizer set and relaxation value under the special scaling f^h = h sqrt(e_h) f.
+def example_maximizer_set(load, thick, squad):
+    """Maximizer set and relaxation value under the scaling f^h = h sqrt(e_h) f.
 
-    Refuses other scalings or g1 != g2: outside this case only one inclusion
-    of the maximizer-set identity survives, so no classification is computed.
-    Singular values below tol times the L1 mass of the moment integrand are
+    Refuses g1 != g2: outside this case only one inclusion of the
+    maximizer-set identity survives, so no classification is computed.
+    Singular values below 1e-8 times the L1 mass of the moment integrand are
     treated as zero (quadrature resolution).
     """
-    if load.scaling != "h_sqrt_eh":
-        raise UnsupportedCaseError(
-            "maximizer-set classification requires the scaling f^h = h sqrt(e_h) f")
     fr = squad.frame
     gamma = thick.gamma(fr.u)
     uneven = np.abs(gamma) > 1e-12
@@ -178,7 +164,7 @@ def example_maximizer_set(load, thick, squad, tol=1e-8):
     U, sv, Vt = np.linalg.svd(N0)
     s0 = float(np.sign(np.linalg.det(Vt.T @ U.T))) or 1.0
     Q, value, _, _ = wahba_maximize(N0)
-    floor = tol * max(1.0, mass)
+    floor = 1e-8 * max(1.0, mass)
     if sv[0] <= floor:
         classification = "all_SO3"
         Q = np.eye(3)

@@ -9,15 +9,16 @@ do not depend on h, so `recovery_data` builds them once per scene and
 3D gradient is assembled by the chain rule through the chart, pairing the
 chart partials with the frame {(Id + h t Pi) tau_1, (Id + h t Pi) tau_2, n}.
 
-Each point array is evaluated once: the frame, A, A n, xi, the Q2
-reduction, d0 and d1 at the quadrature nodes, and the same bundle at the
-4-point stencils of both chart axes, 8 points per node, in one call.  The
-chart partials of A n, xi, d0 and d1 at the nodes are 4th-order central
-differences of those stencil values.  d1 at a stencil point needs the
-chart partials of A n there: `fields.fd_stencil_columns` takes them from
-A n alone (`IsometryField.An`, frames but no A) on one grid of 33 points
-per node, whose mixed block serves both axis orders.  The limit
-functional reads the same node evaluation (`RecoveryData.limit`).
+Each point array is evaluated once: the frame, A, A n, the chart partials
+of w (which give B_tan and xi), the Q2 reduction, d0 and d1 at the
+quadrature nodes, and the same bundle at the 4-point stencils of both
+chart axes, 8 points per node, in one call.  The chart partials of A n,
+xi, d0 and d1 at the nodes are 4th-order central differences of those
+stencil values.  d1 at a stencil point needs the chart partials of A n
+there: `fields.fd_stencil_columns` takes them from A n alone
+(`IsometryField.An`, frames but no A) on one grid of 33 points per node,
+whose mixed block serves both axis orders.  The limit functional reads
+the same node evaluation (`RecoveryData.limit`).
 
 Everything broadcasts over leading batch axes: the energies read y^h once
 per h over the (T, N) grid of transversal and surface nodes, with the
@@ -40,6 +41,7 @@ from .fields import (fd_columns, fd_stencil_columns, matvec, outer, stencil_part
                      stencil_points, stencil_steps, transpose)
 from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this import site)
 from .geometry import offset_jacobian
+from .kinematics import tangential_strain
 from .limit2d import LimitFields, limit_fields
 from .material import StoredEnergy, as_q3, reduce_q2
 
@@ -73,7 +75,7 @@ class RecoveryData:
     """The h-independent ingredients of the recovery deformation of one scene.
 
     values_at(u) returns the frame at u with the values of (g2-g1), V, w,
-    A n, xi, d0 and d1 there; partials_at(u) adds their chart partials.
+    Dw, A n, xi, d0 and d1 there; partials_at(u) adds their chart partials.
     Both are built once at the node array of the scene's quadrature, and
     returned from there when u is that array; at any other chart points they
     are computed afresh and nothing is stored.  `limit` holds the limit
@@ -106,22 +108,21 @@ class ShellEnergyValue:
     min_det: float         # smallest det(Id + h t Pi) at the quadrature points
 
 
-def recovery_data(patch, material, iso, strain, thick, kappa, quad):
+def recovery_data(patch, material, iso, w, thick, kappa, quad):
     """Build the fields of the recovery deformation that do not depend on h.
 
-    Requires a generator-backed strain (the formula needs w itself).  The
-    fields are built once at the node array of `quad`, reusing its frame;
-    the result serves `build_recovery` for every h of a schedule and
+    w is the second-order displacement with finite strain B_tan = sym grad w;
+    its chart partials are read once per point array and give B_tan, xi and
+    Dw.  The fields are built once at the node array of `quad`, reusing its
+    frame; the result serves `build_recovery` for every h of a schedule and
     `eval_I` through its `limit`.
     """
-    if strain.generator is None:
-        raise ParameterError(
-            "recovery needs a generator-backed strain (B_tan = sym grad w)")
     V = iso.displacement
-    w = strain.generator
 
     def values(fr, An_partials):
-        lf = limit_fields(material, iso, strain, thick, kappa, fr, An_partials)
+        Dw = w.d1(fr.u)
+        lf = limit_fields(material, iso, tangential_strain(fr, Dw), thick, kappa, fr,
+                          An_partials)
         d0, d1 = build_d_fields(lf, kappa)
         return {
             "fr": fr,
@@ -129,9 +130,10 @@ def recovery_data(patch, material, iso, strain, thick, kappa, quad):
             "gamma": thick.gamma(fr.u),
             "V": V.value(fr.u),
             "w": w.value(fr.u),
+            "Dw": Dw,
             "p": iso.An(fr),  # first-order rotation of the normal
             # tangent vector xi with xi . tau = n . d_tau w
-            "xi": fr.grad3(matvec(transpose(w.d1(fr.u)), fr.n)),
+            "xi": fr.grad3(matvec(transpose(Dw), fr.n)),
             "d0": d0,
             "d1": d1,
         }
@@ -152,7 +154,6 @@ def recovery_data(patch, material, iso, strain, thick, kappa, quad):
             "dn": fr.shape_op @ fr.jac,  # chart partials of the normal
             "dgamma": thick.gamma_d(fr.u),
             "DV": V.d1(fr.u),
-            "Dw": w.d1(fr.u),
         })
         return fields
 
@@ -269,7 +270,7 @@ def so3_distance(F):
     return np.sqrt((sm1 * sm1).sum(axis=-1))
 
 
-def eval_shell_energy(rec, material, squad, trule, blowup_distance=BLOWUP_DISTANCE):
+def eval_shell_energy(rec, material, squad, trule):
     """Rescaled 3D energy E_h = int_S int_{-g1}^{g2} W(grad y) det(Id + h s Pi) ds dS.
 
     The substitution t = h s absorbs the 1/h of the energy scaling.  Raises
@@ -284,7 +285,7 @@ def eval_shell_energy(rec, material, squad, trule, blowup_distance=BLOWUP_DISTAN
     dist = so3_distance(F)
     Wv = material.evaluate(F)
     dist = np.where(np.isfinite(Wv), dist, np.inf)
-    if np.any(dist > blowup_distance):
+    if np.any(dist > BLOWUP_DISTANCE):
         k, i = np.unravel_index(np.argmax(dist), dist.shape)
         raise EnergyBlowupError(
             f"gradient at distance {dist[k, i]:.3e} from SO(3) at "

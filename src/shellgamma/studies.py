@@ -26,9 +26,9 @@ from . import fields as fieldlib
 from .errors import ConfigError, ParameterError, ShellGammaError
 from .geometry import (DEFAULT_SURFACE_ORDER, DEFAULT_TRANSVERSAL_ORDER, PATCH_KINDS,
                        ThicknessPair, TransversalRule, make_builtin_patch,
-                       surface_quadrature)
-from .kinematics import (StrainField, bending_expansion_residual, build_isometry,
-                         expansion_data, stretching_expansion_residual)
+                       surface_quadrature, validate_thickness)
+from .kinematics import (bending_expansion_residual, build_isometry, expansion_data,
+                         stretching_expansion_residual)
 from .limit2d import eval_I, eval_J
 from .loads import (LoadField, davenport_matrix, eval_J_h, example_maximizer_set,
                     load_compatibility_residual, random_rotations,
@@ -240,20 +240,12 @@ def _plate_sine_balanced_load(s):
     return f
 
 
-def _balanced_scaling(v, path):
-    _require(v == "h_sqrt_eh", "only the h*sqrt(e_h) scaling is configurable", path)
-    return v
-
-
-_SCALING = {"scaling": ("h_sqrt_eh", _balanced_scaling)}
-
-# each builds the load's f(frame); the scaling is common to all families
+# each builds the load's f(frame), scaled as f^h = h sqrt(e_h) f
 _LOADS = {
-    "constant": _Kind({"vector": (_REQUIRED, _list_of(3)), **_SCALING}, _constant_load),
-    "radial": _Kind(_SCALING, lambda s: lambda fr: fr.x.copy()),
-    "normal": _Kind(_SCALING, lambda s: lambda fr: fr.n.copy()),
-    "plate_sine_balanced": _Kind({"amplitude": (1.0, _number), **_SCALING},
-                                 _plate_sine_balanced_load),
+    "constant": _Kind({"vector": (_REQUIRED, _list_of(3))}, _constant_load),
+    "radial": _Kind({}, lambda s: lambda fr: fr.x.copy()),
+    "normal": _Kind({}, lambda s: lambda fr: fr.n.copy()),
+    "plate_sine_balanced": _Kind({"amplitude": (1.0, _number)}, _plate_sine_balanced_load),
 }
 
 
@@ -475,25 +467,6 @@ def write_report(report, path):
     return path, summary_path
 
 
-def read_report_rows(path):
-    """Re-parse a report CSV into StudyRow objects (round-trip helper)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if lines[0] != ",".join(CSV_HEADER):
-        raise ShellGammaError(f"unexpected CSV header in {path}")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        kwargs = {}
-        for col, cell in zip(CSV_HEADER, cells):
-            if col == "status":
-                kwargs[col] = cell
-            else:
-                kwargs[col] = float(cell) if cell else None
-        rows.append(StudyRow(**kwargs))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # study drivers
 # ---------------------------------------------------------------------------
@@ -513,24 +486,26 @@ def _gamma_scene(cfg):
                           g2=_build(_SCALAR_FIELDS, "kind", cfg.thickness["g2"], patch.domain),
                           lipschitz_bound=cfg.thickness["lipschitz_bound"])
     squad = surface_quadrature(patch, cfg.quadrature["surface_order"])
+    try:  # positivity and the Lipschitz bound, checked at the nodes
+        validate_thickness(thick, squad)
+    except ParameterError as exc:
+        raise ConfigError(str(exc), key_path="thickness") from exc
     V = _build(_VECTOR_FAMILIES, "family", cfg.fields["V"], patch)
     w = _build(_VECTOR_FAMILIES, "family", cfg.fields["w"], patch)
     iso = build_isometry(patch, V, quad=squad)
-    strain = StrainField.from_generator(w)
-    return patch, thick, squad, iso, strain
+    return patch, thick, squad, iso, w
 
 
 def _run_gamma(cfg):
-    patch, thick, squad, iso, strain = _gamma_scene(cfg)
+    patch, thick, squad, iso, w = _gamma_scene(cfg)
     material = _build(_MATERIALS, "type", cfg.material)
     trule = TransversalRule.make(cfg.quadrature["transversal_order"])
     tol = cfg.tolerances
-    data = recovery_data(patch, material, iso, strain, thick, cfg.kappa, squad)
+    data = recovery_data(patch, material, iso, w, thick, cfg.kappa, squad)
     limit = eval_I(data.limit, thick, squad)
     I_value = limit.total
 
-    load = None if cfg.load is None else LoadField(
-        f=_build(_LOADS, "family", cfg.load), scaling=cfg.load["scaling"])
+    load = None if cfg.load is None else LoadField(f=_build(_LOADS, "family", cfg.load))
     J_value = None
     if load is not None:
         resid, mass = load_compatibility_residual(thick, load, squad)
@@ -539,8 +514,7 @@ def _run_gamma(cfg):
                 f"load violates the compatibility condition: |int (g1+g2) f| = "
                 f"{resid:.3e} vs L1 mass {mass:.3e}", key_path="load")
         # maximizer-set example semantics: Qbar = Id, r = 0
-        J_value = eval_J(limit, patch, thick, iso, load.f, np.eye(3), 0.0,
-                         quad=squad).total
+        J_value = eval_J(limit, thick, iso, load.f, np.eye(3), 0.0, quad=squad).total
 
     rows = []
     failing_h = None
@@ -597,8 +571,7 @@ def _run_gamma(cfg):
 
 
 def _run_expansion(cfg):
-    patch, thick, squad, iso, strain = _gamma_scene(cfg)
-    w = strain.generator
+    patch, thick, squad, iso, w = _gamma_scene(cfg)
     tol = cfg.tolerances
     data = expansion_data(patch, iso, w, thick, squad)
     rows = []

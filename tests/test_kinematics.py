@@ -5,7 +5,7 @@ import shellgamma as sg
 from shellgamma.errors import NotAnIsometryError
 from shellgamma.fields import VectorField, transpose
 from shellgamma.geometry import gauss_legendre
-from shellgamma.kinematics import grad3_gamma_n
+from shellgamma.kinematics import DEFAULT_ISOMETRY_TOL, grad3_gamma_n, tangential_strain
 from shellgamma.studies import fit_order
 
 GENERIC_W = [(0.4, 1.3, 0.2, 0.9, 0.5),
@@ -19,10 +19,16 @@ def bending_tensor(iso, fr):
     return 0.5 * (Mt + transpose(Mt))
 
 
-def stretching_tensor(iso, fr, strain, thick, kappa):
-    """The stretching tensor at a frame, with A and A grad((g2-g1) n) formed there."""
+def strain_of(w, fr):
+    """B_tan = sym grad w at a frame, in its (t1, t2) frame."""
+    return tangential_strain(fr, w.d1(fr.u))
+
+
+def stretching_tensor(iso, fr, w, thick, kappa):
+    """The stretching tensor at a frame, with B_tan, A and A grad((g2-g1) n) formed there."""
     A = iso.A_at(fr)
-    return sg.stretching_tensor(fr, A, A @ grad3_gamma_n(fr, thick), strain, thick, kappa)
+    return sg.stretching_tensor(fr, A, A @ grad3_gamma_n(fr, thick), strain_of(w, fr),
+                                thick, kappa)
 
 
 def curved_patches():
@@ -51,7 +57,7 @@ def test_isometry_invariants_at_nodes():
     fr = quad.frame[::7]
     A = iso.A_at(fr)
     assert np.max(np.linalg.norm(A + transpose(A), axis=(-2, -1))) <= 1e-12
-    assert np.max(np.linalg.norm(A @ fr.jac - V.d1(fr.u), axis=-2)) <= iso.tol
+    assert np.max(np.linalg.norm(A @ fr.jac - V.d1(fr.u), axis=-2)) <= DEFAULT_ISOMETRY_TOL
 
 
 def test_plate_normal_column_of_A():
@@ -161,10 +167,10 @@ def test_stretching_tensor_reduces_to_strain_bitwise():
     quad = sg.surface_quadrature(plate, 4)
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
-    strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, plate.domain))
+    w = sg.trig_vector_field(GENERIC_W, plate.domain)
     fr = quad.frame[::6]
-    tensor = stretching_tensor(iso, fr, strain, thick, kappa=0.0)
-    assert np.array_equal(tensor, strain(fr))
+    tensor = stretching_tensor(iso, fr, w, thick, kappa=0.0)
+    assert np.array_equal(tensor, strain_of(w, fr))
 
 
 def test_stretching_tensor_plate_vortex_term():
@@ -173,11 +179,11 @@ def test_stretching_tensor_plate_vortex_term():
     quad = sg.surface_quadrature(plate, 4)
     V = sg.plate_sine_field(1.0, 1, 1, plate.domain)
     iso = sg.build_isometry(plate, V, quad=quad)
-    strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, plate.domain))
+    w = sg.trig_vector_field(GENERIC_W, plate.domain)
     fr = quad.frame[::6]
-    tensor = stretching_tensor(iso, fr, strain, thick, kappa=1.0)
+    tensor = stretching_tensor(iso, fr, w, thick, kappa=1.0)
     grad_v = V.d1(fr.u)[..., 2, :]
-    expected = strain(fr) + 0.5 * grad_v[..., :, None] * grad_v[..., None, :]
+    expected = strain_of(w, fr) + 0.5 * grad_v[..., :, None] * grad_v[..., None, :]
     assert np.allclose(tensor, expected, atol=1e-12)
 
 
@@ -189,9 +195,9 @@ def test_stretching_tensor_zero_for_zero_fields():
                              lipschitz_bound=1.0)
     quad = sg.surface_quadrature(plate, 4)
     iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
-    strain = sg.StrainField.zero(plate.domain)
+    w = sg.zero_vector_field(plate.domain)
     fr = quad.frame[::6]
-    tensor = stretching_tensor(iso, fr, strain, thick, kappa=1.0)
+    tensor = stretching_tensor(iso, fr, w, thick, kappa=1.0)
     assert np.allclose(tensor, 0.0, atol=1e-14)
 
 
@@ -279,33 +285,12 @@ def test_bending_expansion_rigid_cylinder_left_side_small():
         assert sg.bending_expansion_residual(data, h) <= 0.5 * h ** 2
 
 
-def test_midsurface_strain_deficit_is_exact():
-    for patch, V in [
-        (sg.make_builtin_patch("plate"), None),
-        (curved_patches()[0], None),
-    ]:
-        V = sg.rigid_field(patch, (0.1, 0.4, -0.2)) if patch.name != "plate" \
-            else sg.plate_sine_field(1.0, 1, 1, patch.domain)
-        from shellgamma.fields import affine_scalar, constant_scalar
-        thick = sg.ThicknessPair(
-            g1=constant_scalar(0.5, patch.domain),
-            g2=affine_scalar(0.55, [0.05, -0.03], patch.domain),
-            lipschitz_bound=1.0)
-        quad = sg.surface_quadrature(patch, 4)
-        iso = sg.build_isometry(patch, V, quad=quad)
-        data = sg.expansion_data(patch, iso, sg.zero_vector_field(patch.domain), thick,
-                                 quad)
-        for h in (0.1, 0.01):
-            assert sg.midsurface_strain_deficit(data, h) <= 1e-11
-
-
 def test_strain_field_matches_generator_gradient():
     plate = sg.make_builtin_patch("plate")
     w = sg.trig_vector_field(GENERIC_W, plate.domain)
-    strain = sg.StrainField.from_generator(w)
     quad = sg.surface_quadrature(plate, 4)
     fr = quad.frame[::5]
-    B = strain(fr)
+    B = strain_of(w, fr)
     assert np.allclose(B, transpose(B), atol=1e-14)
     Dw = w.d1(fr.u)[..., :2, :]  # plate frame: tangential gradient is the 2x2 block
     assert np.allclose(B, 0.5 * (Dw + transpose(Dw)), atol=1e-12)
@@ -328,15 +313,15 @@ def test_batched_isometry_fields_equal_stacked_points(case):
     thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4, patch.domain),
                              g2=sg.affine_scalar(0.55, [0.04, 0.01], patch.domain),
                              lipschitz_bound=1.0)
-    strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, patch.domain))
+    w = sg.trig_vector_field(GENERIC_W, patch.domain)
     u = quad.frame.u
     frames = [quad.frame[i] for i in range(len(u))]
     checks = [
         (iso.A_at(quad.frame), [iso.A_at(fr) for fr in frames]),
         (iso.An_partials(u), [iso.An_partials(p) for p in u]),
         (bending_tensor(iso, quad.frame), [bending_tensor(iso, fr) for fr in frames]),
-        (stretching_tensor(iso, quad.frame, strain, thick, 1.0),
-         [stretching_tensor(iso, fr, strain, thick, 1.0) for fr in frames]),
+        (stretching_tensor(iso, quad.frame, w, thick, 1.0),
+         [stretching_tensor(iso, fr, w, thick, 1.0) for fr in frames]),
     ]
     for batched, singles in checks:
         stacked = np.stack(singles)
@@ -364,8 +349,7 @@ def test_isometry_check_and_residuals_make_few_frame_calls(monkeypatch):
     monkeypatch.setattr(sg.SurfacePatch, "frame", counting_frame)
     iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quads[10])
     assert calls == []
-    residuals = [sg.stretching_expansion_residual, sg.bending_expansion_residual,
-                 sg.midsurface_strain_deficit]
+    residuals = [sg.stretching_expansion_residual, sg.bending_expansion_residual]
     counts = []
     for order in (4, 10):
         calls.clear()

@@ -3,6 +3,7 @@ import pytest
 
 import shellgamma as sg
 from shellgamma.errors import ParameterError
+from shellgamma.kinematics import tangential_strain
 from shellgamma.material import isotropic_q2_closed_form
 
 GENERIC_W = [(0.2, 1.1, 0.3, 0.7, 0.4),
@@ -15,12 +16,18 @@ GENERIC_W = [(0.2, 1.1, 0.3, 0.7, 0.4),
 SPHERE_CAP_STRETCHING = np.pi * 403.0 / 720.0
 
 
-def eval_I(thick, material, iso, strain, kappa, quad):
-    """The limit functional from its fields at the nodes of quad."""
+def eval_I(thick, material, iso, w, kappa, quad):
+    """The limit functional of (V, B_tan = sym grad w) from its fields at the nodes of quad."""
     fr = quad.frame
-    fields = sg.limit_fields(material, iso, strain, thick, kappa, fr,
-                             iso.An_partials(fr.u))
+    fields = sg.limit_fields(material, iso, tangential_strain(fr, w.d1(fr.u)), thick,
+                             kappa, fr, iso.An_partials(fr.u))
     return sg.eval_I(fields, thick, quad)
+
+
+def bending_only(thick, material, iso, quad):
+    """The bending part of the limit functional, with B_tan = 0 and kappa = 0."""
+    zero = sg.zero_vector_field(iso.patch.domain)
+    return eval_I(thick, material, iso, zero, 0.0, quad).bending
 
 
 def plate_scene(mu=1.0, lam=1.0, amp=1.0):
@@ -39,7 +46,7 @@ def test_zero_fields_zero_energy():
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(plate, 4)
     iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
-    out = eval_I(thick, W, iso, sg.StrainField.zero(plate.domain), 1.0, quad=quad)
+    out = eval_I(thick, W, iso, sg.zero_vector_field(plate.domain), 1.0, quad=quad)
     assert out.total == pytest.approx(0.0, abs=1e-14)
     assert out.stretching >= 0.0 and out.bending >= 0.0
 
@@ -50,7 +57,7 @@ def test_sphere_cap_rigid_rotation_closed_form():
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(cap, 8)
     iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.0, 0.0, 1.0)), quad=quad)
-    out = eval_I(thick, W, iso, sg.StrainField.zero(cap.domain), 1.0, quad=quad)
+    out = eval_I(thick, W, iso, sg.zero_vector_field(cap.domain), 1.0, quad=quad)
     assert out.bending == pytest.approx(0.0, abs=1e-10)
     assert out.stretching == pytest.approx(SPHERE_CAP_STRETCHING, rel=1e-9)
     assert out.total == out.stretching + out.bending
@@ -99,8 +106,8 @@ def test_plate_matches_independent_von_karman_oracle():
     quad = sg.surface_quadrature(plate, 16)
     iso = sg.build_isometry(plate, sg.plate_sine_field(amp, 1, 1, plate.domain),
                             quad=quad)
-    strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, plate.domain))
-    out = eval_I(thick, W, iso, strain, 1.0, quad=quad)
+    w = sg.trig_vector_field(GENERIC_W, plate.domain)
+    out = eval_I(thick, W, iso, w, 1.0, quad=quad)
     stretch_ref, bend_ref = _plate_oracle(mu, lam, amp, GENERIC_W, order=16)
     assert out.stretching == pytest.approx(stretch_ref, rel=1e-10)
     assert out.bending == pytest.approx(bend_ref, rel=1e-10)
@@ -108,9 +115,9 @@ def test_plate_matches_independent_von_karman_oracle():
 
 def test_i_tilde_equals_bending_part():
     plate, thick, W, quad, V, iso = plate_scene()
-    strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, plate.domain))
-    out = eval_I(thick, W, iso, strain, 1.0, quad=quad)
-    bend_only = sg.eval_I_tilde(plate, thick, W, iso, quad=quad)
+    w = sg.trig_vector_field(GENERIC_W, plate.domain)
+    out = eval_I(thick, W, iso, w, 1.0, quad=quad)
+    bend_only = bending_only(thick, W, iso, quad)
     assert bend_only == pytest.approx(out.bending, rel=1e-13)
     _, bend_ref = _plate_oracle(1.0, 1.0, 1.0, GENERIC_W)
     assert bend_only == pytest.approx(bend_ref, rel=1e-8)
@@ -122,25 +129,25 @@ def test_i_tilde_zero_for_rigid_motion_on_sphere():
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(cap, 6)
     iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.4, 0.1, -0.2)), quad=quad)
-    assert sg.eval_I_tilde(cap, thick, W, iso, quad=quad) <= 1e-14
+    assert bending_only(thick, W, iso, quad) <= 1e-14
 
 
 def test_i_tilde_cubic_thickness_scaling():
     plate, thick_half, W, quad, V, iso = plate_scene()
     thick_one = sg.ThicknessPair.constant(1.0, 1.0, plate.domain)
-    a = sg.eval_I_tilde(plate, thick_half, W, iso, quad=quad)
-    b = sg.eval_I_tilde(plate, thick_one, W, iso, quad=quad)
+    a = bending_only(thick_half, W, iso, quad)
+    b = bending_only(thick_one, W, iso, quad)
     assert b == pytest.approx(8.0 * a, rel=1e-12)
 
 
 def test_sum_invariance_for_equal_total_thickness_on_plate():
     # on the plate with constant profiles only g1 + g2 enters
     plate, _, W, quad, V, iso = plate_scene()
-    strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, plate.domain))
+    w = sg.trig_vector_field(GENERIC_W, plate.domain)
     outs = []
     for g1, g2 in [(0.5, 0.5), (0.3, 0.7), (0.4, 0.6)]:
         thick = sg.ThicknessPair.constant(g1, g2, plate.domain)
-        outs.append(eval_I(thick, W, iso, strain, 1.0, quad=quad))
+        outs.append(eval_I(thick, W, iso, w, 1.0, quad=quad))
     for other in outs[1:]:
         assert other.stretching == pytest.approx(outs[0].stretching, rel=1e-12)
         assert other.bending == pytest.approx(outs[0].bending, rel=1e-12)
@@ -148,44 +155,44 @@ def test_sum_invariance_for_equal_total_thickness_on_plate():
 
 def test_kappa_zero_with_zero_strain_has_zero_stretching():
     plate, thick, W, quad, V, iso = plate_scene()
-    out = eval_I(thick, W, iso, sg.StrainField.zero(plate.domain), 0.0, quad=quad)
+    out = eval_I(thick, W, iso, sg.zero_vector_field(plate.domain), 0.0, quad=quad)
     assert out.stretching == pytest.approx(0.0, abs=1e-14)
     assert out.bending > 0.0
 
 
 def test_quadrature_order_stability():
     plate, thick, W, _, V, _ = plate_scene()
-    strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, plate.domain))
+    w = sg.trig_vector_field(GENERIC_W, plate.domain)
     vals = []
     for order in (10, 14):  # default and default + 4
         quad = sg.surface_quadrature(plate, order)
         iso = sg.build_isometry(plate, V, quad=quad)
-        vals.append(eval_I(thick, W, iso, strain, 1.0, quad=quad).total)
+        vals.append(eval_I(thick, W, iso, w, 1.0, quad=quad).total)
     assert abs(vals[1] - vals[0]) <= 1e-8 * abs(vals[0])
 
 
 def test_eval_J_reductions_and_load_term():
     plate, thick, W, quad, V, iso = plate_scene()
-    strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, plate.domain))
-    base = eval_I(thick, W, iso, strain, 1.0, quad=quad)
+    w = sg.trig_vector_field(GENERIC_W, plate.domain)
+    base = eval_I(thick, W, iso, w, 1.0, quad=quad)
 
     # f = 0: J = I
-    J0 = sg.eval_J(base, plate, thick, iso, lambda fr: np.zeros(3), np.eye(3), 0.0,
+    J0 = sg.eval_J(base, thick, iso, lambda fr: np.zeros(3), np.eye(3), 0.0,
                    quad=quad)
     assert J0.total == pytest.approx(base.total, rel=1e-13)
     assert J0.load_term == 0.0
 
     # V = 0: load term vanishes, relaxation passes through
     iso0 = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
-    base0 = eval_I(thick, W, iso0, strain, 1.0, quad=quad)
-    Jz = sg.eval_J(base0, plate, thick, iso0, lambda fr: np.array([0.0, 0.0, 1.0]),
+    base0 = eval_I(thick, W, iso0, w, 1.0, quad=quad)
+    Jz = sg.eval_J(base0, thick, iso0, lambda fr: np.array([0.0, 0.0, 1.0]),
                    np.eye(3), 0.25, quad=quad)
     assert Jz.load_term == pytest.approx(0.0, abs=1e-14)
     assert Jz.relaxation_term == 0.25
     assert Jz.total == pytest.approx(Jz.stretching + Jz.bending + 0.25, rel=1e-13)
 
     # vertical unit load against the sine isometry: integral of the deflection
-    Jv = sg.eval_J(base, plate, thick, iso, lambda fr: np.array([0.0, 0.0, 1.0]),
+    Jv = sg.eval_J(base, thick, iso, lambda fr: np.array([0.0, 0.0, 1.0]),
                    np.eye(3), 0.0, quad=quad)
     assert Jv.load_term == pytest.approx(4.0 / np.pi ** 2, rel=1e-10)
     assert Jv.total == pytest.approx(base.total - 4.0 / np.pi ** 2, rel=1e-12)
@@ -195,23 +202,22 @@ def test_eval_J_reductions_and_load_term():
 
 def test_eval_J_rejects_non_rotations():
     plate, thick, W, quad, V, iso = plate_scene()
-    strain = sg.StrainField.zero(plate.domain)
-    base = eval_I(thick, W, iso, strain, 1.0, quad=quad)
+    w = sg.zero_vector_field(plate.domain)
+    base = eval_I(thick, W, iso, w, 1.0, quad=quad)
     with pytest.raises(ParameterError):
-        sg.eval_J(base, plate, thick, iso, lambda fr: np.zeros(3),
+        sg.eval_J(base, thick, iso, lambda fr: np.zeros(3),
                   2.0 * np.eye(3), 0.0, quad=quad)
     with pytest.raises(ParameterError):
-        sg.eval_J(base, plate, thick, iso, lambda fr: np.zeros(3),
+        sg.eval_J(base, thick, iso, lambda fr: np.zeros(3),
                   np.diag([1.0, 1.0, -1.0]), 0.0, quad=quad)
 
 
 def test_anisotropic_q3_material_is_accepted():
     plate, thick, _, quad, V, iso = plate_scene()
-    strain = sg.StrainField.zero(plate.domain)
+    w = sg.zero_vector_field(plate.domain)
     M = sg.make_isotropic(1.0, 1.0).hessian_at_identity
     entries = [M[i, j] for i in range(6) for j in range(i, 6)]
     q3 = sg.QuadForm3.from_upper_triangle(entries)
-    out_q3 = eval_I(thick, q3, iso, strain, 1.0, quad=quad)
-    out_W = eval_I(thick, sg.make_isotropic(1.0, 1.0), iso, strain, 1.0,
-                      quad=quad)
+    out_q3 = eval_I(thick, q3, iso, w, 1.0, quad=quad)
+    out_W = eval_I(thick, sg.make_isotropic(1.0, 1.0), iso, w, 1.0, quad=quad)
     assert out_q3.total == pytest.approx(out_W.total, rel=1e-13)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import shellgamma as sg
 from shellgamma.errors import EnergyBlowupError, ParameterError, ThicknessError
 from shellgamma.fields import transpose
+from shellgamma.kinematics import tangential_strain
 from shellgamma.loads import rotation_matrices
 
 GENERIC_W = [(0.4, 1.3, 0.2, 0.9, 0.5),
@@ -32,17 +33,22 @@ def rotate_gradient(R, gradient):
     return R @ F, det
 
 
-def d_fields(material, iso, strain, thick, kappa, fr):
+def d_fields(material, iso, b_tan, thick, kappa, fr):
     """d0 and d1 at a frame, through the limit fields there."""
-    fields = sg.limit_fields(material, iso, strain, thick, kappa, fr,
+    fields = sg.limit_fields(material, iso, b_tan, thick, kappa, fr,
                              iso.An_partials(fr.u))
     return sg.build_d_fields(fields, kappa)
+
+
+def zero_strain(fr):
+    """B_tan = 0 at the points of a frame."""
+    return np.zeros(fr.u.shape[:-1] + (2, 2))
 
 
 def test_trivial_recovery_is_the_identity():
     plate, thick, W, quad, trule = plate_scene()
     iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
-    data = sg.recovery_data(plate, W, iso, sg.StrainField.zero(plate.domain),
+    data = sg.recovery_data(plate, W, iso, sg.zero_vector_field(plate.domain),
                             thick, kappa=1.0, quad=quad)
     rec = sg.build_recovery(data, h=0.125, e_h=0.125 ** 4)
     rng = np.random.default_rng(0)
@@ -59,8 +65,8 @@ def test_trivial_recovery_is_the_identity():
 def test_d_fields_vanish_for_zero_data():
     plate, thick, W, quad, trule = plate_scene()
     iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
-    d0, d1 = d_fields(W, iso, sg.StrainField.zero(plate.domain), thick, 1.0,
-                      quad.frame[::5])
+    fr = quad.frame[::5]
+    d0, d1 = d_fields(W, iso, zero_strain(fr), thick, 1.0, fr)
     assert np.allclose(d0, 0.0, atol=1e-13)
     assert np.allclose(d1, 0.0, atol=1e-13)
 
@@ -75,11 +81,9 @@ def test_d_fields_sphere_rigid_with_compensating_strain():
     quad = sg.surface_quadrature(cap, 5)
     iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.0, 0.0, 1.0)), quad=quad)
     kappa = 1.0
-    strain = sg.StrainField.from_tensor(
-        lambda fr: 0.5 * kappa * fr.tan2(Wmat @ Wmat))
     W = sg.make_isotropic(1.0, 1.0)
     fr = quad.frame[::6]
-    d0, d1 = d_fields(W, iso, strain, thick, kappa, fr)
+    d0, d1 = d_fields(W, iso, 0.5 * kappa * fr.tan2(Wmat @ Wmat), thick, kappa, fr)
     assert np.allclose(d1, 0.0, atol=1e-8)
     W2n = fr.n @ (Wmat @ Wmat).T
     expected = kappa * W2n - 0.5 * kappa * (fr.n * W2n).sum(axis=-1)[:, None] * fr.n
@@ -92,17 +96,9 @@ def test_d1_vanishes_for_zero_lambda_on_plate():
     W = sg.make_isotropic(1.0, 0.0)
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
-    _, d1 = d_fields(W, iso, sg.StrainField.zero(plate.domain), thick, 1.0,
-                     quad.frame[::7])
+    fr = quad.frame[::7]
+    _, d1 = d_fields(W, iso, zero_strain(fr), thick, 1.0, fr)
     assert np.allclose(d1, 0.0, atol=1e-10)
-
-
-def test_recovery_requires_generator_strain():
-    plate, thick, W, quad, trule = plate_scene()
-    iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
-    direct = sg.StrainField.from_tensor(lambda fr: np.zeros((2, 2)))
-    with pytest.raises(ParameterError):
-        sg.recovery_data(plate, W, iso, direct, thick, kappa=1.0, quad=quad)
 
 
 def test_recovery_rejects_too_thick_shells():
@@ -111,7 +107,7 @@ def test_recovery_rejects_too_thick_shells():
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(cyl, 4)
     iso = sg.build_isometry(cyl, sg.zero_vector_field(cyl.domain), quad=quad)
-    data = sg.recovery_data(cyl, W, iso, sg.StrainField.zero(cyl.domain), thick,
+    data = sg.recovery_data(cyl, W, iso, sg.zero_vector_field(cyl.domain), thick,
                             kappa=1.0, quad=quad)
     with pytest.raises(ThicknessError):
         sg.build_recovery(data, h=0.5, e_h=0.5 ** 4)
@@ -128,7 +124,7 @@ def test_thin_shell_guard_checks_the_quadrature_nodes():
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(cyl, 4)
     iso = sg.build_isometry(cyl, sg.zero_vector_field(cyl.domain), quad=quad)
-    data = sg.recovery_data(cyl, W, iso, sg.StrainField.zero(cyl.domain), thick,
+    data = sg.recovery_data(cyl, W, iso, sg.zero_vector_field(cyl.domain), thick,
                             kappa=1.0, quad=quad)
     s = np.linspace(0.0, 1.0, 7)[1:-1]
     grid = np.stack(np.meshgrid(2 * np.pi * s, s, indexing="ij"), axis=-1)
@@ -146,7 +142,7 @@ def test_thin_shell_guard_checks_the_quadrature_nodes():
     with pytest.raises(ThicknessError):
         sg.offset_jacobian(cap_quad.frame, -0.9 * 2.5)
     iso_c = sg.build_isometry(cap, sg.zero_vector_field(cap.domain), quad=cap_quad)
-    data_c = sg.recovery_data(cap, W, iso_c, sg.StrainField.zero(cap.domain), deep,
+    data_c = sg.recovery_data(cap, W, iso_c, sg.zero_vector_field(cap.domain), deep,
                               kappa=1.0, quad=cap_quad)
     with pytest.raises(ThicknessError):
         sg.build_recovery(data_c, h=0.9, e_h=0.9 ** 4)
@@ -163,9 +159,9 @@ def test_gradient_matches_finite_differences():
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(cap, 4)
     iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quad)
-    strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, cap.domain))
+    w = sg.trig_vector_field(GENERIC_W, cap.domain)
     h = 2.0 ** -4
-    rec = sg.build_recovery(sg.recovery_data(cap, W, iso, strain, thick, kappa=1.0, quad=quad),
+    rec = sg.build_recovery(sg.recovery_data(cap, W, iso, w, thick, kappa=1.0, quad=quad),
                             h=h, e_h=h ** 4)
 
     rng = np.random.default_rng(3)
@@ -197,8 +193,8 @@ def test_one_recovery_data_serves_every_h(monkeypatch):
     quad = sg.surface_quadrature(cap, 3)
     trule = sg.TransversalRule.make(2)
     iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quad)
-    strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, cap.domain))
-    scene = (cap, W, iso, strain, thick, 1.0, quad)
+    w = sg.trig_vector_field(GENERIC_W, cap.domain)
+    scene = (cap, W, iso, w, thick, 1.0, quad)
     data = sg.recovery_data(*scene)
     h0, h1 = 2.0 ** -3, 2.0 ** -5
     sg.eval_shell_energy(sg.build_recovery(data, h0, h0 ** 4), W, quad, trule)
@@ -228,8 +224,8 @@ def test_gradient_stays_near_identity():
     plate, thick, W, quad, trule = plate_scene(order=4)
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
-    strain = sg.StrainField.zero(plate.domain)
-    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0, quad=quad)
+    w = sg.zero_vector_field(plate.domain)
+    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad)
     ratios = []
     sups = []
     for k in range(3, 9):
@@ -248,9 +244,9 @@ def test_energy_frame_indifference():
     plate, thick, W, quad, trule = plate_scene(order=4)
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
-    strain = sg.StrainField.zero(plate.domain)
+    w = sg.zero_vector_field(plate.domain)
     h = 2.0 ** -4
-    rec = sg.build_recovery(sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0, quad=quad),
+    rec = sg.build_recovery(sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad),
                             h=h, e_h=h ** 4)
     base = sg.eval_shell_energy(rec, W, quad, trule)
 
@@ -277,8 +273,8 @@ def rotation_scene(kind, h):
     quad = sg.surface_quadrature(patch, 4)
     trule = sg.TransversalRule.make(3)
     iso = sg.build_isometry(patch, V, quad=quad)
-    strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, patch.domain))
-    data = sg.recovery_data(patch, W, iso, strain, thick, kappa=1.0, quad=quad)
+    w = sg.trig_vector_field(GENERIC_W, patch.domain)
+    data = sg.recovery_data(patch, W, iso, w, thick, kappa=1.0, quad=quad)
     rec = sg.build_recovery(data, h=h, e_h=h ** 4)
     return rec, W, quad, trule, sg.eval_shell_energy(rec, W, quad, trule)
 
@@ -399,9 +395,9 @@ def test_energy_blowup_reports_worst_node():
     plate, thick, W, quad, trule = plate_scene(order=4)
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
-    strain = sg.StrainField.zero(plate.domain)
+    w = sg.zero_vector_field(plate.domain)
     # e_h chosen so sqrt(e_h)/h is order one: far outside the small-strain regime
-    rec = sg.build_recovery(sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0,
+    rec = sg.build_recovery(sg.recovery_data(plate, W, iso, w, thick, kappa=1.0,
                                              quad=quad),
                             h=0.25, e_h=0.5)
     with pytest.raises(EnergyBlowupError) as err:
@@ -423,7 +419,7 @@ def test_energy_blowup_reports_worst_node():
 def test_shell_energy_requires_stored_energy():
     plate, thick, W, quad, trule = plate_scene(order=4)
     iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
-    data = sg.recovery_data(plate, W, iso, sg.StrainField.zero(plate.domain),
+    data = sg.recovery_data(plate, W, iso, sg.zero_vector_field(plate.domain),
                             thick, kappa=1.0, quad=quad)
     rec = sg.build_recovery(data, h=0.1, e_h=1e-4)
     q3 = sg.as_q3(W)
@@ -435,8 +431,8 @@ def test_energy_converges_to_limit_quickly():
     plate, thick, W, quad, trule = plate_scene(order=6)
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
-    strain = sg.StrainField.zero(plate.domain)
-    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0, quad=quad)
+    w = sg.zero_vector_field(plate.domain)
+    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad)
     I_val = sg.eval_I(data.limit, thick, quad).total
     gaps = []
     for k in (3, 5):
@@ -452,8 +448,8 @@ def test_tangential_lower_bound_below_energy_and_tightening():
     plate, thick, W, quad, trule = plate_scene(order=4)
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
-    strain = sg.StrainField.zero(plate.domain)
-    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0, quad=quad)
+    w = sg.zero_vector_field(plate.domain)
+    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad)
     deltas = []
     for k in (3, 4, 5):
         h = 2.0 ** -k
@@ -468,7 +464,7 @@ def test_tangential_lower_bound_below_energy_and_tightening():
 def test_averaged_displacement_trivial_and_convergent():
     plate, thick, W, quad, trule = plate_scene(order=4)
     iso0 = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
-    data0 = sg.recovery_data(plate, W, iso0, sg.StrainField.zero(plate.domain),
+    data0 = sg.recovery_data(plate, W, iso0, sg.zero_vector_field(plate.domain),
                              thick, kappa=1.0, quad=quad)
     rec0 = sg.build_recovery(data0, h=0.125, e_h=0.125 ** 4)
     vh0 = sg.averaged_displacement(rec0, plate, thick, trule)
@@ -477,8 +473,7 @@ def test_averaged_displacement_trivial_and_convergent():
     V = sg.plate_sine_field(1.0, 1, 1, plate.domain)
     iso = sg.build_isometry(plate, V, quad=quad)
     w = sg.trig_vector_field(GENERIC_W, plate.domain)
-    strain = sg.StrainField.from_generator(w)
-    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0, quad=quad)
+    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad)
     dists = []
     for k in (3, 4, 5, 6):
         h = 2.0 ** -k
@@ -503,9 +498,9 @@ def test_batched_recovery_equals_stacked_points():
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(cap, 2)
     iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quad)
-    strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, cap.domain))
+    w = sg.trig_vector_field(GENERIC_W, cap.domain)
     h = 2.0 ** -4
-    rec = sg.build_recovery(sg.recovery_data(cap, W, iso, strain, thick, 1.0, quad),
+    rec = sg.build_recovery(sg.recovery_data(cap, W, iso, w, thick, 1.0, quad),
                             h=h, e_h=h ** 4)
     rng = np.random.default_rng(4)
     off_nodes = np.column_stack([rng.uniform(0.2, 0.9, 3), rng.uniform(0.5, 5.5, 3)])
@@ -526,8 +521,8 @@ def test_off_node_probe_computes_values_only(monkeypatch):
     plate, thick, W, quad, trule = plate_scene(order=4)
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
-    strain = sg.StrainField.from_generator(sg.trig_vector_field(GENERIC_W, plate.domain))
-    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0, quad=quad)
+    w = sg.trig_vector_field(GENERIC_W, plate.domain)
+    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad)
     rec = sg.build_recovery(data, h=2.0 ** -4, e_h=2.0 ** -16)
     probe = quad.frame[5]
 
@@ -555,12 +550,11 @@ def test_averaged_displacement_sym_grad_tracks_strain():
     V = sg.plate_sine_field(1.0, 1, 1, plate.domain)
     iso = sg.build_isometry(plate, V, quad=quad)
     w = sg.trig_vector_field(GENERIC_W, plate.domain)
-    strain = sg.StrainField.from_generator(w)
     probes = [quad.frame[3], quad.frame[7]]
-    data = sg.recovery_data(plate, W, iso, strain, thick, kappa=1.0, quad=quad)
+    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad)
     for k in (3, 5):
         h = 2.0 ** -k
         rec = sg.build_recovery(data, h=h, e_h=h ** 4)
         for fr in probes:
             S = sg.averaged_displacement_sym_grad(rec, plate, thick, trule, fr)
-            assert np.linalg.norm(S - strain(fr)) <= 1e-9
+            assert np.linalg.norm(S - tangential_strain(fr, w.d1(fr.u))) <= 1e-9

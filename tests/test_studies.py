@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import importlib.util
 import json
@@ -12,12 +13,11 @@ from hypothesis import strategies as st
 import shellgamma.cli as cli
 from shellgamma import fields, recovery3d, studies
 from shellgamma.errors import ConfigError, ParameterError
-from shellgamma.geometry import SurfacePatch, make_builtin_patch
+from shellgamma.geometry import SurfacePatch, gauss_legendre, make_builtin_patch
 from shellgamma.studies import (CSV_HEADER, StudyReport, StudyRow,
                                 builtin_scenario_config, fit_order, parse_config,
-                                read_report_rows, richardson_extrapolate,
-                                run_study, serialize_config, validate_config,
-                                write_report)
+                                richardson_extrapolate, run_study, serialize_config,
+                                validate_config, write_report)
 
 MINIMAL_GAMMA = {
     "study": "gamma-limit",
@@ -49,6 +49,27 @@ def test_negative_thickness_names_key_path():
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(doc))
     assert "thickness.g1" in str(err.value)
+
+
+_STEEP_G1 = {"kind": "sine", "base": 0.5, "amplitude": 0.3, "freq": [20, 20]}
+_NEGATIVE_G1 = {"kind": "affine", "base": -0.5}
+
+
+@pytest.mark.parametrize("doc", [
+    {**MINIMAL_GAMMA, "thickness": {"g1": _STEEP_G1, "lipschitz_bound": 0.0}},
+    {"study": "expansion-order", "thickness": {"g1": _NEGATIVE_G1}},
+    {**MINIMAL_GAMMA, "thickness": {"g1": _NEGATIVE_G1}},
+], ids=["steep-gamma", "negative-expansion", "negative-gamma"])
+def test_thickness_hypotheses_are_checked_at_the_nodes(doc, tmp_path, capsys):
+    # the profiles parse, but fail positivity or the Lipschitz bound at the
+    # first quadrature node (C order), which the error names
+    cfg_path = tmp_path / "thick.json"
+    cfg_path.write_text(json.dumps({**doc, "output": str(tmp_path / "thick.csv")}))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    x = float(gauss_legendre(10, 0.0, 1.0)[0][0])
+    err = capsys.readouterr().err
+    assert err.startswith("error: thickness: ") and "g1" in err, err
+    assert err.rstrip().endswith(f"at u=({x}, {x})"), err
 
 
 def test_short_schedule_rejected():
@@ -151,8 +172,7 @@ _FIELDS = st.one_of(
 _LOADS = st.one_of(
     st.none(),
     st.fixed_dictionaries({"family": st.just("constant"), "vector": _vector(3)}),
-    st.fixed_dictionaries({"family": st.sampled_from(["radial", "normal"])},
-                          optional={"scaling": st.just("h_sqrt_eh")}),
+    st.fixed_dictionaries({"family": st.sampled_from(["radial", "normal"])}),
     st.fixed_dictionaries({"family": st.just("plate_sine_balanced")},
                           optional={"amplitude": _numbers(min_value=-10.0, max_value=10.0)}))
 
@@ -243,6 +263,8 @@ _Q2 = {"study": "q2-check"}
       "material": {"type": "q3", "matrix": [float(i == j) * (-1.0 if i == 5 else 1.0)
                                             for i in range(6) for j in range(i, 6)]}},
      "material.matrix"),
+    # the only load scaling is f^h = h sqrt(e_h) f, so it is not a key
+    ({**MINIMAL_GAMMA, "load": {"family": "radial", "scaling": "h_sqrt_eh"}}, "load"),
 ])
 def test_bad_input_is_a_config_error_with_its_key_path(doc, key_path, tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
@@ -316,19 +338,33 @@ def test_load_align_gate_fails_a_low_maximum(monkeypatch):
     assert all(row.residual_stretch > 1e-3 for row in report.rows)
 
 
-def _perfbench_workloads():
+def _perfbench_module(name):
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+                        "perfbench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_every_tracer_import_site_resolves():
+    # the tracer wraps each "module:attr" site of LAYERS in place; a site
+    # that no longer exists stops every traced benchmark run
+    sites = [site for sites, _ in _perfbench_module("tracing").LAYERS.values()
+             for site in sites]
+    assert sites
+    for site in sites:
+        module_name, attr = site.split(":")
+        owner = importlib.import_module(f"shellgamma.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), site
+
+
 def test_benchmark_workload_configs_validate():
     # a rejected config counts as a failed operation of the benchmark; seed 0
     # of these two workloads is the builtin scenario of the same name
-    workloads = _perfbench_workloads()
+    workloads = _perfbench_module("workloads")
     for workload in workloads.WORKLOADS:
         for seed in range(4):
             for name, doc in workloads.study_configs(workload, seed).items():
@@ -443,13 +479,23 @@ def test_gamma_gap_does_not_depend_on_the_fd_step(name, monkeypatch):
 def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
     # frames at the nodes, at the 33-point grid per node that gives the
     # partials of A n at the stencil points, and at the 8 stencil points per
-    # node (1 + 33 + 8 chart points per node, in 3 arrays); A and Q2 at the
-    # nodes and the stencil points only, as A n on the grid needs neither
+    # node (1 + 33 + 8 chart points per node, in 3 arrays); A, Q2 and the
+    # chart partials of w at the nodes and the stencil points only, as A n on
+    # the grid needs none of them
     from shellgamma import geometry, kinematics, limit2d, material
-    seen = {"frame": [], "A_at": [], "reduce_q2": []}
+    seen = {"frame": [], "A_at": [], "reduce_q2": [], "w.d1": []}
     frame = geometry.SurfacePatch.frame
     A_at = kinematics.IsometryField.A_at
     reduce_q2 = material.reduce_q2
+    zero_vector_field = fields.zero_vector_field
+
+    def counting_zero_vector_field(domain):  # the builtin's w; V is rigid
+        w = zero_vector_field(domain)
+
+        def d1(u):
+            seen["w.d1"].append(np.array(u, dtype=float))
+            return w.d1(u)
+        return dataclasses.replace(w, d1=d1)
 
     def counting_frame(self, u):
         seen["frame"].append(np.array(u, dtype=float))
@@ -465,6 +511,7 @@ def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
 
     monkeypatch.setattr(geometry.SurfacePatch, "frame", counting_frame)
     monkeypatch.setattr(kinematics.IsometryField, "A_at", counting_A_at)
+    monkeypatch.setattr(fields, "zero_vector_field", counting_zero_vector_field)
     for module in (material, limit2d, recovery3d, studies):
         monkeypatch.setattr(module, "reduce_q2", counting_reduce_q2)
 
@@ -481,10 +528,13 @@ def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
             cfg, quadrature={"surface_order": surface_order, "transversal_order": 4}))
         assert report.error is None
         assert {name: repeats(calls) for name, calls in seen.items()} == {
-            "frame": 0, "A_at": 0, "reduce_q2": 0}
+            "frame": 0, "A_at": 0, "reduce_q2": 0, "w.d1": 0}
         assert sum(u.size // 2 for u in seen["frame"]) == 42 * surface_order ** 2
+        nodes = surface_order ** 2
+        assert sorted((u.shape for u in seen["w.d1"]), key=len) == [(nodes, 2),
+                                                                    (2, 4, nodes, 2)]
         counts.append({name: len(calls) for name, calls in seen.items()})
-    assert counts[0] == counts[1] == {"frame": 3, "A_at": 2, "reduce_q2": 2}
+    assert counts[0] == counts[1] == {"frame": 3, "A_at": 2, "reduce_q2": 2, "w.d1": 2}
 
 
 def test_gamma_study_forms_one_offset_jacobian_per_h_and_no_batched_svd(monkeypatch):
@@ -531,6 +581,15 @@ def test_gamma_gap_does_not_depend_on_the_quadrature_order(name):
                 surface_order, transversal_order, gap, reference)
 
 
+def read_rows(path):
+    """The rows of a report CSV as StudyRow objects; empty cells read as None."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        assert tuple(reader.fieldnames) == CSV_HEADER
+        return [StudyRow(**{col: cell if col == "status" else float(cell) if cell else None
+                            for col, cell in row.items()}) for row in reader]
+
+
 def test_write_report_empty_schedule(tmp_path):
     report = StudyReport(kind="gamma-limit", rows=[], summary={}, passed=True)
     csv_path, summary_path = write_report(report, str(tmp_path / "r.csv"))
@@ -547,7 +606,7 @@ def test_write_report_round_trip_and_selfconsistency(tmp_path):
     report = StudyReport(kind="gamma-limit", rows=rows,
                          summary={"I_limit": 1.0}, passed=True)
     csv_path, _ = write_report(report, str(tmp_path / "r.csv"))
-    parsed = read_report_rows(csv_path)
+    parsed = read_rows(csv_path)
     assert len(parsed) == 5
     for a, b in zip(rows, parsed):
         for col in CSV_HEADER:
@@ -672,7 +731,7 @@ def test_cli_run_config_file_with_h_list(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(cfg_path),
                    "--h-list", "0.125,0.0625,0.03125,0.015625,0.0078125"])
     assert rc == 0
-    rows = read_report_rows(str(tmp_path / "exp.csv"))
+    rows = read_rows(str(tmp_path / "exp.csv"))
     assert len(rows) == 5
     assert rows[0].h == 0.125
     capsys.readouterr()
@@ -697,7 +756,7 @@ def test_summary_matches_recomputation_from_rows(tmp_path):
                            "output": str(tmp_path / "g.csv")})
     report = run_study(cfg)
     csv_path, summary_path = write_report(report, cfg.output)
-    rows = read_report_rows(csv_path)
+    rows = read_rows(csv_path)
     summary = dict(line.split(": ", 1) for line in
                    open(summary_path).read().strip().splitlines())
 
