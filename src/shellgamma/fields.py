@@ -1,10 +1,10 @@
-"""Scalar and vector fields on a chart rectangle, with derivatives.
+"""Scalar and vector fields on a chart rectangle, with their first chart partials.
 
 Fields are functions of the chart parameter u = (u1, u2).  Every function
 here broadcasts over leading batch axes: u has shape (..., 2), and a field
 returns its value with the same leading axes, so a single point of shape
-(2,) is the unbatched case of the same code.  Analytic derivatives are used
-when a family provides them; otherwise derivatives fall back to 4th-order
+(2,) is the unbatched case of the same code.  Analytic partials are used
+when a family provides them; otherwise they fall back to 4th-order
 central finite differences with a step that is shrunk, point by point, near
 the chart boundary so stencils never leave the rectangle.  The partials of a
 field at the stencil points of u, a finite difference of a finite
@@ -198,28 +198,22 @@ class ScalarField:
 
 @dataclass(frozen=True)
 class VectorField:
-    """R^3-valued function of the chart parameter with chart partials up to order 2."""
+    """R^3-valued function of the chart parameter with its chart partials."""
 
     value: Callable[[np.ndarray], np.ndarray]      # (..., 3)
     d1: Callable[[np.ndarray], np.ndarray]         # (..., 3, 2)
-    d2: Callable[[np.ndarray], np.ndarray]         # (..., 3, 2, 2)
     domain: tuple
     name: str = ""
 
     @staticmethod
-    def from_callables(value, domain, d1=None, d2=None, name=""):
-        """Field from callables over (..., 2) chart points; a missing derivative
-        is the finite difference of the one below it."""
+    def from_callables(value, domain, d1=None, name=""):
+        """Field from callables over (..., 2) chart points; missing partials
+        are finite differences of the value."""
         if d1 is None:
             def d1(u, _v=value, _dom=domain):
                 return fd_columns(_v, u, _dom)
 
-        if d2 is None:
-            def d2(u, _d1=d1, _dom=domain):
-                # [..., :, j, ax] = d^2 value / du_j du_ax
-                return fd_columns(_d1, u, _dom)
-
-        return VectorField(value=value, d1=d1, d2=d2, domain=domain, name=name)
+        return VectorField(value=value, d1=d1, domain=domain, name=name)
 
 
 def _batch_shape(u):
@@ -269,7 +263,6 @@ def sine_scalar(base, amplitude, freq, phase, domain):
 def zero_vector_field(domain):
     return VectorField(value=lambda u: np.zeros(_batch_shape(u) + (3,)),
                        d1=lambda u: np.zeros(_batch_shape(u) + (3, 2)),
-                       d2=lambda u: np.zeros(_batch_shape(u) + (3, 2, 2)),
                        domain=domain, name="zero")
 
 
@@ -314,17 +307,7 @@ def plate_sine_field(amplitude, m, n, domain):
         out[..., 2, 1] = a * kn * s1 * c2
         return out
 
-    def d2(u):
-        s1, c1 = np.sin(km * u[..., 0]), np.cos(km * u[..., 0])
-        s2, c2 = np.sin(kn * u[..., 1]), np.cos(kn * u[..., 1])
-        out = np.zeros(_batch_shape(u) + (3, 2, 2))
-        out[..., 2, 0, 0] = -a * km * km * s1 * s2
-        out[..., 2, 0, 1] = a * km * kn * c1 * c2
-        out[..., 2, 1, 0] = out[..., 2, 0, 1]
-        out[..., 2, 1, 1] = -a * kn * kn * s1 * s2
-        return out
-
-    return VectorField(value=value, d1=d1, d2=d2, domain=domain, name="plate_sine")
+    return VectorField(value=value, d1=d1, domain=domain, name="plate_sine")
 
 
 def trig_vector_field(components, domain):
@@ -350,13 +333,7 @@ def trig_vector_field(components, domain):
         s1, c1, s2, c2 = phases(u)
         return np.stack([a * f1 * c1 * s2, a * f2 * s1 * c2], axis=-1)
 
-    def d2(u):
-        s1, c1, s2, c2 = phases(u)
-        mixed = a * f1 * f2 * c1 * c2
-        return batch_matrix([[-a * f1 * f1 * s1 * s2, mixed],
-                             [mixed, -a * f2 * f2 * s1 * s2]])
-
-    return VectorField(value=value, d1=d1, d2=d2, domain=domain, name="trig")
+    return VectorField(value=value, d1=d1, domain=domain, name="trig")
 
 
 def sum_fields(*fields):
@@ -369,7 +346,4 @@ def sum_fields(*fields):
     def d1(u):
         return np.sum([f.d1(u) for f in fields], axis=0)
 
-    def d2(u):
-        return np.sum([f.d2(u) for f in fields], axis=0)
-
-    return VectorField(value=value, d1=d1, d2=d2, domain=domain, name="sum")
+    return VectorField(value=value, d1=d1, domain=domain, name="sum")

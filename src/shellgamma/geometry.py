@@ -31,6 +31,11 @@ _I3 = np.eye(3)
 _ADJ2_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
+def inv2(g, det):
+    """Inverse [[g11, -g01], [-g10, g00]] / det of each 2x2 matrix g of determinant det."""
+    return transpose(g[..., ::-1, ::-1]) * _ADJ2_SIGN / det[..., None, None]
+
+
 @dataclass(frozen=True)
 class NodeFrame:
     """Everything the downstream formulas need at a batch of chart points.
@@ -103,8 +108,7 @@ class SurfacePatch:
         degenerate = det_g <= 0.0
         if np.count_nonzero(degenerate):
             raise EvaluationError(f"degenerate metric at u={first_point(u, degenerate)}")
-        # adjugate [[g11, -g01], [-g10, g00]] over the determinant
-        g_inv = transpose(g[..., ::-1, ::-1]) * _ADJ2_SIGN / det_g[..., None, None]
+        g_inv = inv2(g, det_g)
         # Gram-Schmidt of the jacobian columns, with the norms read off the metric
         len1 = np.sqrt(g[..., 0, 0])
         sqrt_det = np.sqrt(det_g)

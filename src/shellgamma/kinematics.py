@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, NotAnIsometryError
-from .fields import VectorField, fd_columns, first_point, matvec, outer, transpose
+from .fields import VectorField, fd_columns, first_point, outer, transpose
 from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this import site)
 from .geometry import NodeFrame, SurfacePatch
 
@@ -36,6 +36,15 @@ def tangential_strain(frame, d1_value):
     return 0.5 * (M + transpose(M))
 
 
+def _An(frame, DV):
+    """A n = -J g^-1 (DV^T n) from the chart partials DV of V at a frame.
+
+    A is skew with A tau = d_tau V, so (A n) . tau = -n . d_tau V and
+    (A n) . n = 0.
+    """
+    return -frame.grad3((frame.n[..., :, None] * DV).sum(axis=-2))
+
+
 @dataclass(frozen=True)
 class IsometryField:
     """An infinitesimal isometry V with its skew matrix field A = grad V."""
@@ -49,19 +58,13 @@ class IsometryField:
         T = frame.tangents()
         coeff = frame.metric_inv @ (transpose(frame.jac) @ T)
         cols = DV @ coeff  # directional derivatives of V along t1, t2
-        an = -matvec(T, matvec(transpose(cols), frame.n))
         R = np.concatenate([T, frame.n[..., None]], axis=-1)
-        A_raw = np.concatenate([cols, an[..., None]], axis=-1) @ transpose(R)
+        A_raw = np.concatenate([cols, _An(frame, DV)[..., None]], axis=-1) @ transpose(R)
         return 0.5 * (A_raw - transpose(A_raw))
 
     def An(self, frame):
-        """A n = -J g^-1 (DV^T n) at a frame, with no tangent basis and no A.
-
-        A is skew with A tau = d_tau V, so (A n) . tau = -n . d_tau V and
-        (A n) . n = 0.
-        """
-        DV = self.displacement.d1(frame.u)
-        return -frame.grad3((frame.n[..., :, None] * DV).sum(axis=-2))
+        """A n at a frame, with no tangent basis and no A."""
+        return _An(frame, self.displacement.d1(frame.u))
 
     def An_partials(self, u):
         """Chart partials of the field u -> A(u) n(u) at chart points u, shape (..., 3, 2).
@@ -149,8 +152,8 @@ class ExpansionData:
     DV: np.ndarray             # (N, 3, 2) chart partials of V
     Dw: np.ndarray             # (N, 3, 2) chart partials of w
     gamma_n: np.ndarray        # (N, 3, 2) chart partials of (g2 - g1) n
-    M_tau: np.ndarray          # (N, 2) tau^T M tau, M = sym grad w - A^2/2 - sym(A grad((g2-g1)n))/2
-    bending: np.ndarray        # (N, 3, 2) d_tau(A n) - A Pi tau, both chart tangents
+    M_tau: np.ndarray          # (N, 2) tau^T S tau, S the stretching tensor of B_tan = sym grad w
+    bending: np.ndarray        # (N, 3, 2) (grad(A n) - A Pi) tau, both chart tangents
     stencil_jac: np.ndarray    # (2, 2, N, 3, 2) chart jacobian at u +- step e_axis
     stencil_gamma_n: np.ndarray  # (2, 2, N, 3, 2)
     stencil_DV: np.ndarray     # (2, 2, N, 3, 2)
@@ -161,31 +164,28 @@ def _phi_tilde_partials(jac, gamma_n, h):
     return jac + 0.5 * h * gamma_n
 
 
-def _tangent_quadratic(frame, M):
-    """tau_i^T M tau_i for the two chart tangents tau_i, shape (..., 2)."""
-    return (frame.jac * (M @ frame.jac)).sum(axis=-2)
-
-
 def expansion_data(patch, iso, w, thick, quad):
     """Build the fields of the expansion identities that do not depend on h.
 
-    The residual functions below only combine them with powers of h.
+    These are the limit's own stretching tensor (of B_tan = sym grad w, at
+    kappa = 1) and bending matrix, read along the two chart tangents; the
+    residual functions below only combine them with powers of h.
     """
     fr = quad.frame
     A = iso.A_at(fr)
     Dw = w.d1(fr.u)
-    Gw = fr.grad3(Dw)
     gamma_n = _gamma_n_partials(fr, thick)
     AG = A @ fr.grad3(gamma_n)
-    M = 0.5 * (Gw + transpose(Gw)) - 0.5 * (A @ A) - 0.25 * (AG + transpose(AG))
+    S = stretching_tensor(fr, A, AG, tangential_strain(fr, Dw), thick, 1.0)
+    C = transpose(fr.tangents()) @ fr.jac  # the chart tangents in the (t1, t2) frame
     shifts = np.array([1.0, -1.0])[:, None, None] * (NORMAL_FD_STEP * np.eye(2))
     stencil = fr.u + shifts[..., None, :]            # (sign, axis, N, 2)
     st = patch.frame(stencil)
     V = iso.displacement
     return ExpansionData(
         frame=fr, A=A, DV=V.d1(fr.u), Dw=Dw, gamma_n=gamma_n,
-        M_tau=_tangent_quadratic(fr, M),
-        bending=iso.An_partials(fr.u) - A @ (fr.shape_op @ fr.jac),
+        M_tau=(C * (S @ C)).sum(axis=-2),
+        bending=bending_matrix(fr, A, iso.An_partials(fr.u)) @ fr.jac,
         stencil_jac=st.jac, stencil_gamma_n=_gamma_n_partials(st, thick),
         stencil_DV=V.d1(stencil))
 
@@ -194,8 +194,8 @@ def stretching_expansion_residual(data, h):
     """Max-node defect of the second-order first-fundamental-form expansion.
 
     Compares |d_tau phi|^2 - |d_tau phi_tilde|^2 for phi = phi_tilde + hV + h^2 w
-    against 2 h^2 tau^T (sym grad w - A^2/2 - sym(A grad((g2-g1)n))/2) tau on
-    both chart tangents.  Exact when w = 0; O(h^3) otherwise.
+    against 2 h^2 tau^T S tau on both chart tangents, S the stretching tensor
+    sym grad w - A^2/2 - sym(A grad((g2-g1)n))/2.  Exact when w = 0; O(h^3) otherwise.
     """
     dpt = _phi_tilde_partials(data.frame.jac, data.gamma_n, h)
     dp = dpt + h * data.DV + h * h * data.Dw

@@ -57,21 +57,26 @@ def basis_sym3():
     return out
 
 
+def green_strain(F):
+    """E = (F^T F - Id)/2 of each 3x3 matrix F, over leading batch axes."""
+    return 0.5 * (transpose(F) @ F - _I3)
+
+
 @dataclass(frozen=True)
 class StoredEnergy:
-    """Frame-indifferent energy density W with optional analytic hessian at Id."""
+    """Density W(E) of the Green strain, so frame-indifferent, with optional hessian at Id."""
 
-    evaluate: Callable[[np.ndarray], float]
+    evaluate: Callable[[np.ndarray], float]  # of the Green strain E
     hessian_at_identity: Optional[np.ndarray]  # 6x6 in the Sym(3) basis, or None
     coercivity_constant: float
     name: str = ""
 
 
 def make_isotropic(mu, lam):
-    """St Venant-Kirchhoff density W(F) = mu |E|^2 + lam/2 (tr E)^2, E the Green strain.
+    """St Venant-Kirchhoff density W(E) = mu |E|^2 + lam/2 (tr E)^2 of the Green strain E.
 
-    Equivalently (mu/4)|F^T F - Id|^2 + (lam/8) tr(F^T F - Id)^2.  The hessian
-    at the identity is Q3(F) = 2 mu |sym F|^2 + lam (tr F)^2.
+    In terms of F, (mu/4)|F^T F - Id|^2 + (lam/8) tr(F^T F - Id)^2.  The
+    hessian at the identity is Q3(F) = 2 mu |sym F|^2 + lam (tr F)^2.
     """
     mu, lam = float(mu), float(lam)
     if mu <= 0.0:
@@ -79,9 +84,7 @@ def make_isotropic(mu, lam):
     if lam < 0.0:
         raise ParameterError("lambda must be nonnegative")
 
-    def evaluate(F):
-        F = np.asarray(F, dtype=float)
-        E = 0.5 * (transpose(F) @ F - _I3)
+    def evaluate(E):
         trace = E[..., 0, 0] + E[..., 1, 1] + E[..., 2, 2]
         return mu * (E * E).sum(axis=(-2, -1)) + 0.5 * lam * trace ** 2
 
@@ -150,19 +153,19 @@ def q3_from_energy(W, step=1e-4):
     Diagonal entries use the three-point formula, off-diagonal entries the
     four-point formula; the assembled 6x6 must be symmetric to 1e-8.
     """
+    def at(F):
+        return W.evaluate(green_strain(F))
+
     basis = basis_sym3()
     I = np.eye(3)
     H = np.zeros((6, 6))
     for i in range(6):
         Bi = basis[i]
-        H[i, i] = (W.evaluate(I + step * Bi) - 2.0 * W.evaluate(I)
-                   + W.evaluate(I - step * Bi)) / step ** 2
+        H[i, i] = (at(I + step * Bi) - 2.0 * at(I) + at(I - step * Bi)) / step ** 2
         for j in range(i + 1, 6):
             Bj = basis[j]
-            val = (W.evaluate(I + step * (Bi + Bj))
-                   - W.evaluate(I + step * (Bi - Bj))
-                   - W.evaluate(I - step * (Bi - Bj))
-                   + W.evaluate(I - step * (Bi + Bj))) / (4.0 * step ** 2)
+            val = (at(I + step * (Bi + Bj)) - at(I + step * (Bi - Bj))
+                   - at(I - step * (Bi - Bj)) + at(I - step * (Bi + Bj))) / (4.0 * step ** 2)
             H[i, j] = val
             H[j, i] = val
     if not np.all(np.isfinite(H)):

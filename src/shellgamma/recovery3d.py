@@ -24,9 +24,10 @@ Everything broadcasts over leading batch axes: the energies read y^h once
 per h over the (T, N) grid of transversal and surface nodes, with the
 transversal axis leading so that arrays over the surface nodes broadcast.
 That one pass also gives the energy everything else it needs: `gradient`
-returns det(Id + h t Pi) from the offset jacobian it forms anyway, and the
-distance from SO(3) of the blow-up gate comes from the eigenvalues of the
-Green strain in closed form, with no SVD.
+returns det(Id + h t Pi) from the offset jacobian it forms anyway and
+inverts the frame through its 2x2 tangential metric, and the Green strain,
+formed once per h, feeds both the density and the distance from SO(3) of
+the blow-up gate, read off its eigenvalues in closed form with no SVD.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ from .errors import EnergyBlowupError, ParameterError
 from .fields import (fd_columns, fd_stencil_columns, matvec, outer, stencil_partials,
                      stencil_points, stencil_steps, transpose)
 from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this import site)
-from .geometry import offset_jacobian
+from .geometry import inv2, offset_jacobian
 from .kinematics import tangential_strain
 from .limit2d import LimitFields, limit_fields
-from .material import StoredEnergy, as_q3, reduce_q2
+from .material import StoredEnergy, as_q3, green_strain, reduce_q2
 
 BLOWUP_DISTANCE = 0.5
 # the fields whose chart partials come from the stencil values
@@ -221,11 +222,10 @@ def build_recovery(data, h, e_h):
               + h * sq * pd["d0"] + (s * h * sq)[..., None] * pd["d1"])
         M, det = offset_jacobian(fr, h * t)
         MJ = M @ fr.jac
-        frame_mat = np.concatenate(
-            [MJ, np.broadcast_to(fr.n[..., None], MJ.shape[:-1] + (1,))], axis=-1)
-        Y = np.concatenate(
-            [Y2, np.broadcast_to((dt / h)[..., None], Y2.shape[:-1] + (1,))], axis=-1)
-        return Y @ np.linalg.inv(frame_mat), det
+        # [MJ, n]^-1 has rows g_t^-1 (MJ)^T and n^T, as n is normal to MJ;
+        # g_t = (MJ)^T MJ has det(Id + h t Pi)^2 det g, as Id + h t Pi fixes n
+        dual = inv2(transpose(MJ) @ MJ, (det * fr.sqrt_det_metric) ** 2) @ transpose(MJ)
+        return Y2 @ dual + outer(dt / h, fr.n), det
 
     return RecoveryDeformation(h=float(h), e_h=float(e_h), patch=data.patch,
                                thick=data.thick, evaluate=evaluate,
@@ -243,18 +243,18 @@ def _check_thin_shell(data, h):
     offset_jacobian(fr, h * np.stack([-data.thick.g1.value(fr.u), data.thick.g2.value(fr.u)]))
 
 
-def so3_distance(F):
-    """Distance |sigma - 1| of each 3x3 matrix F from SO(3), over leading batch axes.
+def so3_distance(E):
+    """Distance |sigma - 1| from SO(3) of each 3x3 matrix F with Green strain E.
 
-    sigma are the singular values of F, read off the eigenvalues e of the
-    Green strain E = (F^T F - Id)/2 as sigma - 1 = 2e / (1 + sqrt(1 + 2e)),
-    which does not cancel near SO(3).  The eigenvalues come from the
-    trigonometric closed form for symmetric 3x3 matrices, elementwise over
-    the batch: near a double eigenvalue each one is accurate only to about
-    sqrt(eps) of the spread of E, but the distance is a symmetric function
-    of them and keeps full accuracy.  Exact for Id; NaN where F has a NaN.
+    E = green_strain(F) over leading batch axes.  sigma are the singular
+    values of F, read off the eigenvalues e of E as
+    sigma - 1 = 2e / (1 + sqrt(1 + 2e)), which does not cancel near SO(3).
+    The eigenvalues come from the trigonometric closed form for symmetric
+    3x3 matrices, elementwise over the batch: near a double eigenvalue each
+    one is accurate only to about sqrt(eps) of the spread of E, but the
+    distance is a symmetric function of them and keeps full accuracy.
+    Exact for E = 0; NaN where E has a NaN.
     """
-    E = 0.5 * (transpose(F) @ F - np.eye(3))
     a, b, c = E[..., 0, 0], E[..., 1, 1], E[..., 2, 2]
     d, e, f = E[..., 0, 1], E[..., 0, 2], E[..., 1, 2]
     q = (a + b + c) / 3.0
@@ -282,8 +282,9 @@ def eval_shell_energy(rec, material, squad, trule):
     u = squad.frame.u
     t, wt = trule.across(rec.thick, u)  # (T, N)
     F, det = rec.gradient(u, t)
-    dist = so3_distance(F)
-    Wv = material.evaluate(F)
+    E = green_strain(F)
+    dist = so3_distance(E)
+    Wv = material.evaluate(E)
     dist = np.where(np.isfinite(Wv), dist, np.inf)
     if np.any(dist > BLOWUP_DISTANCE):
         k, i = np.unravel_index(np.argmax(dist), dist.shape)
@@ -308,8 +309,7 @@ def shell_energy_tangential_lower_bound(rec, material, squad, trule):
     u = fr.u
     t, wt = trule.across(rec.thick, u)
     F, det = rec.gradient(u, t)
-    E3 = 0.5 * (transpose(F) @ F - np.eye(3))
-    integrand = squad.weights * wt * 0.5 * q2.apply_tangential(fr.tan2(E3)) * det
+    integrand = squad.weights * wt * 0.5 * q2.apply_tangential(fr.tan2(green_strain(F))) * det
     return float(np.sum(integrand)) / rec.e_h
 
 
@@ -336,9 +336,7 @@ def averaged_displacement(rec, patch, thick, trule):
 def averaged_displacement_sym_grad(rec, patch, thick, trule, frame):
     """(1/h) sym tangential gradient of the averaged displacement at one frame."""
     vh = averaged_displacement(rec, patch, thick, trule)
-    D = fd_columns(vh, frame.u, patch.domain)
-    M = frame.tan2(frame.grad3(D))
-    return 0.5 * (M + transpose(M)) / rec.h
+    return tangential_strain(frame, fd_columns(vh, frame.u, patch.domain)) / rec.h
 
 
 def discrete_l2_distance(field_a, field_b, squad):

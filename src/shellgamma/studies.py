@@ -472,9 +472,11 @@ def write_report(report, path):
 # ---------------------------------------------------------------------------
 
 def run_study(cfg):
-    """Run the study kind's driver; module errors abort into an error report."""
+    """Run the study kind's driver; module errors other than ConfigError abort into a report."""
     try:
         return _STUDIES[cfg.study].build(cfg)
+    except ConfigError:
+        raise
     except ShellGammaError as exc:
         return StudyReport(kind=cfg.study, rows=[], summary={},
                            passed=False, error=str(exc))

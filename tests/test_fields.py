@@ -93,7 +93,7 @@ def test_batched_vector_family_equals_stacked_points(name, family):
     patch = PATCHES[name]()
     field = vector_families(patch)[family]
     u = interior_points(patch.domain, 10, seed=2)
-    for deriv in ("value", "d1", "d2"):
+    for deriv in ("value", "d1"):
         f = getattr(field, deriv)
         assert_batch_matches_points(f(u), [f(p) for p in u])
 

@@ -352,14 +352,14 @@ def test_closed_form_so3_distance_matches_eigvalsh_and_svd(kind, g, s, q):
     G = strain_direction(kind, g)
     assume(np.any(G != 0.0))
     F = R @ (np.eye(3) + s * G / np.max(np.abs(G)))
-    dist = sg.recovery3d.so3_distance(F)
     E = 0.5 * (transpose(F) @ F - np.eye(3))
+    dist = sg.recovery3d.so3_distance(E)
     assert dist == pytest.approx(sigma_minus_one_distance(np.linalg.eigvalsh(E)), rel=1e-10)
     if s >= 1e-4:
         sv = np.linalg.svd(F, compute_uv=False)
         assert dist == pytest.approx(np.linalg.norm(sv - 1.0), rel=1e-9)
-    assert sg.recovery3d.so3_distance(R) <= 1e-14
-    assert sg.recovery3d.so3_distance(np.eye(3)) == 0.0
+    assert sg.recovery3d.so3_distance(sg.green_strain(R)) <= 1e-14
+    assert sg.recovery3d.so3_distance(sg.green_strain(np.eye(3))) == 0.0
 
 
 def test_non_finite_gradient_trips_the_blowup_gate():

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shellgamma.cli as cli
-from shellgamma import fields, recovery3d, studies
+from shellgamma import fields, kinematics, recovery3d, studies
 from shellgamma.errors import ConfigError, ParameterError
 from shellgamma.geometry import SurfacePatch, gauss_legendre, make_builtin_patch
 from shellgamma.studies import (CSV_HEADER, StudyReport, StudyRow,
@@ -62,14 +63,18 @@ _NEGATIVE_G1 = {"kind": "affine", "base": -0.5}
 ], ids=["steep-gamma", "negative-expansion", "negative-gamma"])
 def test_thickness_hypotheses_are_checked_at_the_nodes(doc, tmp_path, capsys):
     # the profiles parse, but fail positivity or the Lipschitz bound at the
-    # first quadrature node (C order), which the error names
+    # first quadrature node (C order), which the error names; as at parse
+    # time, nothing is printed to stdout and no report is written
     cfg_path = tmp_path / "thick.json"
     cfg_path.write_text(json.dumps({**doc, "output": str(tmp_path / "thick.csv")}))
     assert cli.main(["run", "--config", str(cfg_path)]) == 2
     x = float(gauss_legendre(10, 0.0, 1.0)[0][0])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: thickness: ") and "g1" in err, err
     assert err.rstrip().endswith(f"at u=({x}, {x})"), err
+    assert out == ""
+    assert not (tmp_path / "thick.csv").exists()
+    assert not (tmp_path / "thick.summary.txt").exists()
 
 
 def test_short_schedule_rejected():
@@ -452,6 +457,22 @@ def test_gamma_gate_fails_a_wrong_recovery(name, monkeypatch):
     assert report.rows[-1].status == "fail"
 
 
+@pytest.mark.parametrize("name, tensor", [
+    ("plate-expansion", "stretching_tensor"),
+    ("sphere-expansion", "stretching_tensor"),
+    ("cylinder-expansion", "stretching_tensor"),
+    ("plate-expansion", "bending_matrix"),
+])
+def test_expansion_study_checks_the_limit_tensors(name, tensor, monkeypatch):
+    # the expansion identities read the tensors that the limit integrates, so
+    # either one off by 10% fails the study; the sphere cap and the cylinder
+    # have a rigid V, whose bending matrix is zero
+    assert run_study(builtin_scenario_config(name)).passed
+    exact = getattr(kinematics, tensor)
+    monkeypatch.setattr(kinematics, tensor, lambda *args: 1.1 * exact(*args))
+    assert not run_study(builtin_scenario_config(name)).passed
+
+
 def test_richardson_order_key_is_rejected_with_its_path():
     doc = {**MINIMAL_GAMMA, "tolerances": {"richardson_order": 2}}
     with pytest.raises(ConfigError) as err:
@@ -462,7 +483,7 @@ def test_richardson_order_key_is_rejected_with_its_path():
 
 @pytest.mark.parametrize("name", ["plate-gamma", "sphere-gamma"])
 def test_gamma_gap_does_not_depend_on_the_fd_step(name, monkeypatch):
-    # the one finite-difference step of the recovery fields, A n and d2
+    # the one finite-difference step of the recovery fields and A n
     gaps = []
     normalized = []
     for step in (1e-3, 1e-4, 1e-5):
@@ -539,12 +560,14 @@ def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
 
 def test_gamma_study_forms_one_offset_jacobian_per_h_and_no_batched_svd(monkeypatch):
     # per h, the thin-shell guard and grad y^h each form Id + h t Pi once (the
-    # energy's volume factor comes with grad y^h), and the SO(3) distance of
-    # the (T, N) gradient array is taken without an SVD
+    # energy's volume factor comes with grad y^h), grad y^h inverts no 3x3
+    # frame, the energy forms one Green strain, and the SO(3) distance of the
+    # (T, N) gradient array is taken without an SVD
     from shellgamma import geometry
-    offsets, svd_shapes = [], []
+    offsets, svd_shapes, inv_shapes, strain_shapes = [], [], [], []
     offset_jacobian = geometry.offset_jacobian
-    svd = np.linalg.svd
+    svd, inv = np.linalg.svd, np.linalg.inv
+    green_strain = recovery3d.green_strain
 
     def counting_offset_jacobian(frame, t):
         offsets.append(np.shape(t))
@@ -554,14 +577,26 @@ def test_gamma_study_forms_one_offset_jacobian_per_h_and_no_batched_svd(monkeypa
         svd_shapes.append(np.shape(a))
         return svd(a, *args, **kwargs)
 
+    def recording_inv(a, *args, **kwargs):
+        inv_shapes.append(np.shape(a))
+        return inv(a, *args, **kwargs)
+
+    def recording_green_strain(F):
+        strain_shapes.append(np.shape(F))
+        return green_strain(F)
+
     monkeypatch.setattr(recovery3d, "offset_jacobian", counting_offset_jacobian)
+    monkeypatch.setattr(recovery3d, "green_strain", recording_green_strain)
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(np.linalg, "inv", recording_inv)
     cfg = builtin_scenario_config("sphere-gamma")
     report = run_study(cfg)
     assert report.error is None and report.passed
     assert len(cfg.h_schedule) == 5
     assert len(offsets) == 10
     assert all(len(shape) <= 2 for shape in svd_shapes), svd_shapes
+    assert inv_shapes == []
+    assert len(strain_shapes) == 5, strain_shapes
 
 
 @pytest.mark.parametrize("name", ["plate-gamma", "sphere-gamma"])
@@ -593,7 +628,7 @@ def read_rows(path):
 def test_write_report_empty_schedule(tmp_path):
     report = StudyReport(kind="gamma-limit", rows=[], summary={}, passed=True)
     csv_path, summary_path = write_report(report, str(tmp_path / "r.csv"))
-    text = open(csv_path).read()
+    text = pathlib.Path(csv_path).read_text()
     assert text == ",".join(CSV_HEADER) + "\n"
     assert os.path.exists(summary_path)
 
@@ -622,7 +657,7 @@ def test_reports_are_deterministic(tmp_path):
     for tag in ("a", "b"):
         report = run_study(cfg)
         path, spath = write_report(report, str(tmp_path / f"{tag}.csv"))
-        texts.append(open(path).read() + open(spath).read())
+        texts.append(pathlib.Path(path).read_text() + pathlib.Path(spath).read_text())
     assert texts[0] == texts[1]
 
 
@@ -685,9 +720,10 @@ def test_gamma_study_rejects_incompatible_load():
     doc = {**MINIMAL_GAMMA,
            "load": {"family": "constant", "vector": [0.0, 0.0, 1.0]},
            "quadrature": {"surface_order": 4, "transversal_order": 3}}
-    report = run_study(validate_config(doc))
-    assert not report.passed
-    assert "compatibility" in report.error
+    with pytest.raises(ConfigError) as err:
+        run_study(validate_config(doc))
+    assert err.value.key_path == "load"
+    assert "compatibility" in str(err.value)
 
 
 def test_cli_list_scenarios(capsys):
@@ -758,7 +794,7 @@ def test_summary_matches_recomputation_from_rows(tmp_path):
     csv_path, summary_path = write_report(report, cfg.output)
     rows = read_rows(csv_path)
     summary = dict(line.split(": ", 1) for line in
-                   open(summary_path).read().strip().splitlines())
+                   pathlib.Path(summary_path).read_text().strip().splitlines())
 
     # recompute the pass verdict from the CSV alone
     raw_ok = rows[-1].rel_gap <= float(summary["raw_rel_gap_tolerance"])
