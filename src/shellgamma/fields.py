@@ -3,12 +3,12 @@
 Fields are functions of the chart parameter u = (u1, u2).  Every function
 here broadcasts over leading batch axes: u has shape (..., 2), and a field
 returns its value with the same leading axes, so a single point of shape
-(2,) is the unbatched case of the same code.  Analytic partials are used
-when a family provides them; otherwise they fall back to 4th-order
-central finite differences with a step that is shrunk, point by point, near
-the chart boundary so stencils never leave the rectangle.  The partials of a
-field at the stencil points of u, a finite difference of a finite
-difference, come from one shared grid around u (`fd_stencil_columns`).
+(2,) is the unbatched case of the same code.  Every field family carries
+analytic partials; A n and the averaged displacement take 4th-order central
+differences (`fd_columns`) with a step shrunk, point by point, near the chart
+boundary so stencils never leave the rectangle.  The partials of a field at
+the stencil points of u, a finite difference of a finite difference, come
+from one shared grid around u (`fd_stencil_columns`).
 """
 
 from __future__ import annotations
@@ -29,11 +29,6 @@ _STENCIL = np.array([-2.0, -1.0, 1.0, 2.0])
 def domain_widths(domain):
     (a1, b1), (a2, b2) = domain
     return np.array([b1 - a1, b2 - a2], dtype=float)
-
-
-def chart_diameter(domain):
-    w = domain_widths(domain)
-    return float(np.hypot(w[0], w[1]))
 
 
 def batch_vector(entries):
@@ -203,17 +198,6 @@ class VectorField:
     value: Callable[[np.ndarray], np.ndarray]      # (..., 3)
     d1: Callable[[np.ndarray], np.ndarray]         # (..., 3, 2)
     domain: tuple
-    name: str = ""
-
-    @staticmethod
-    def from_callables(value, domain, d1=None, name=""):
-        """Field from callables over (..., 2) chart points; missing partials
-        are finite differences of the value."""
-        if d1 is None:
-            def d1(u, _v=value, _dom=domain):
-                return fd_columns(_v, u, _dom)
-
-        return VectorField(value=value, d1=d1, domain=domain, name=name)
 
 
 def _batch_shape(u):
@@ -263,7 +247,7 @@ def sine_scalar(base, amplitude, freq, phase, domain):
 def zero_vector_field(domain):
     return VectorField(value=lambda u: np.zeros(_batch_shape(u) + (3,)),
                        d1=lambda u: np.zeros(_batch_shape(u) + (3, 2)),
-                       domain=domain, name="zero")
+                       domain=domain)
 
 
 def skew_matrix(omega):
@@ -285,8 +269,7 @@ def rigid_field(patch, omega, b=(0.0, 0.0, 0.0)):
     def d1(u):
         return W @ patch.chart_jacobian(u)
 
-    return VectorField.from_callables(value, patch.domain, d1=d1,
-                                      name="rigid")
+    return VectorField(value=value, d1=d1, domain=patch.domain)
 
 
 def plate_sine_field(amplitude, m, n, domain):
@@ -307,7 +290,7 @@ def plate_sine_field(amplitude, m, n, domain):
         out[..., 2, 1] = a * kn * s1 * c2
         return out
 
-    return VectorField(value=value, d1=d1, domain=domain, name="plate_sine")
+    return VectorField(value=value, d1=d1, domain=domain)
 
 
 def trig_vector_field(components, domain):
@@ -333,7 +316,7 @@ def trig_vector_field(components, domain):
         s1, c1, s2, c2 = phases(u)
         return np.stack([a * f1 * c1 * s2, a * f2 * s1 * c2], axis=-1)
 
-    return VectorField(value=value, d1=d1, domain=domain, name="trig")
+    return VectorField(value=value, d1=d1, domain=domain)
 
 
 def sum_fields(*fields):
@@ -346,4 +329,4 @@ def sum_fields(*fields):
     def d1(u):
         return np.sum([f.d1(u) for f in fields], axis=0)
 
-    return VectorField(value=value, d1=d1, domain=domain, name="sum")
+    return VectorField(value=value, d1=d1, domain=domain)

@@ -13,18 +13,19 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError, ParameterError, ThicknessError
-from .fields import (ScalarField, batch_matrix, batch_vector, chart_diameter,
-                     constant_scalar, first_point, matvec, outer, transpose)
+from .fields import (ScalarField, batch_matrix, batch_vector, constant_scalar,
+                     first_point, matvec, outer, transpose)
 
 DEFAULT_SURFACE_ORDER = 10
 DEFAULT_TRANSVERSAL_ORDER = 4
-DEFAULT_FD_REL_STEP = 1e-4  # times chart diameter, for shape_operator_fd
+# validate_patch tolerances: unit normal, normal orthogonality, metric, self-adjointness
+_PATCH_TOLS = (1e-12, 1e-10, 1e-10, 1e-8)
 
 
 _I3 = np.eye(3)
@@ -120,9 +121,6 @@ class SurfacePatch:
                          t1=t1, t2=t2,
                          n=np.asarray(self.normal(u), dtype=float),
                          shape_op=np.asarray(self.shape_operator(u), dtype=float))
-
-    def diameter(self):
-        return chart_diameter(self.domain)
 
     @cached_property
     def _bounds(self):
@@ -365,9 +363,17 @@ class SurfaceQuadrature:
     order: int
 
 
+@lru_cache
+def _leggauss(order):
+    """Gauss-Legendre nodes and weights on (-1, 1), computed once per order; read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(order, lo, hi):
     """Gauss-Legendre nodes/weights on (lo, hi); `order` is the point count."""
-    x, w = np.polynomial.legendre.leggauss(int(order))
+    x, w = _leggauss(int(order))
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
@@ -458,14 +464,13 @@ def offset_jacobian(frame, t):
     return M, det
 
 
-def shape_operator_fd(patch, u, step=None):
+def shape_operator_fd(patch, u, step):
     """Central finite-difference shape operator, as a 2x2 matrix in the (t1, t2) frame.
 
-    Cross-check only; builtin patches carry analytic shape operators.
+    `step` is the chart step.  Cross-check only; builtin patches carry
+    analytic shape operators.
     """
     u = np.asarray(u, dtype=float)
-    if step is None:
-        step = DEFAULT_FD_REL_STEP * patch.diameter()
     for ax in (0, 1):
         lo, hi = patch.domain[ax]
         if u[ax] - step < lo or u[ax] + step > hi:
@@ -497,9 +502,8 @@ def _raise_first_failure(error, u, checks):
         raise error(f"{message.format(values[i])} at u={tuple(u[i].tolist())}")
 
 
-def validate_patch(patch, quad, normal_tol=1e-12, orth_tol=1e-10,
-                   metric_tol=1e-10, selfadj_tol=1e-8):
-    """Check the SurfacePatch invariants at every quadrature node.
+def validate_patch(patch, quad):
+    """Check the SurfacePatch invariants at every quadrature node, to _PATCH_TOLS.
 
     Raises EvaluationError naming the first violating node; returns the
     worst residuals.
@@ -514,12 +518,11 @@ def validate_patch(patch, quad, normal_tol=1e-12, orth_tol=1e-10,
                    / np.maximum(1.0, np.linalg.norm(g_ref, axis=(-2, -1)))),
         "selfadj": np.abs(S[..., 0, 1] - S[..., 1, 0]),
     }
-    tols = (normal_tol, orth_tol, metric_tol, selfadj_tol)
     what = ("normal not unit", "normal not orthogonal to tangents",
             "metric != J^T J", "shape operator not self-adjoint")
     _raise_first_failure(EvaluationError, fr.u, [
         (r > tol, r, message + ": {:.2e}")
-        for r, tol, message in zip(resid.values(), tols, what)])
+        for r, tol, message in zip(resid.values(), _PATCH_TOLS, what)])
     return {name: float(np.max(r)) for name, r in resid.items()}
 
 

@@ -1,16 +1,14 @@
 """Infinitesimal isometries, finite strains, and the expansion identities.
 
-The skew field A of an isometry V is assembled from the chart derivatives
-of V at a frame: A t_a = d_{t_a} V on the orthonormal tangent frame, the
-normal column is fixed by skewness, and the result is projected onto skew
-matrices.  A n has a formula of its own that needs neither the tangent
-frame nor A: skewness gives (A n) . tau = -n . d_tau V, so A n is minus the
-surface gradient of the chart partials n . d_i V.  Its chart partials are
-4th-order central differences of A n at the stencil frames.  The fields
-and tensors broadcast over leading batch axes of the frame they are given,
-so `build_isometry` and the expansion residuals are array expressions over
-the quadrature nodes, and the h-independent part of the expansion
-identities is built once per scene by `expansion_data`.
+The skew field A of an isometry V is the skew part of grad V + (A n) (x) n,
+as grad V maps each tangent vector tau to d_tau V and kills n.  A n needs
+neither a tangent frame nor A: skewness gives (A n) . tau = -n . d_tau V, so
+A n is minus the surface gradient of the chart partials n . d_i V.  Its
+chart partials are 4th-order central differences of A n at the stencil
+frames.  The fields and tensors broadcast over leading batch axes of the
+frame they are given, so `build_isometry` and the expansion residuals are
+array expressions over the quadrature nodes, and the h-independent part of
+the expansion identities is built once per scene by `expansion_data`.
 """
 
 from __future__ import annotations
@@ -53,13 +51,9 @@ class IsometryField:
     displacement: VectorField
 
     def A_at(self, frame):
-        """The 3x3 skew matrix with A tau = d_tau V on the tangent plane, at a frame."""
+        """A at a frame: the skew part of grad V + (A n) (x) n, as grad V kills n."""
         DV = self.displacement.d1(frame.u)
-        T = frame.tangents()
-        coeff = frame.metric_inv @ (transpose(frame.jac) @ T)
-        cols = DV @ coeff  # directional derivatives of V along t1, t2
-        R = np.concatenate([T, frame.n[..., None]], axis=-1)
-        A_raw = np.concatenate([cols, _An(frame, DV)[..., None]], axis=-1) @ transpose(R)
+        A_raw = frame.grad3(DV) + outer(_An(frame, DV), frame.n)
         return 0.5 * (A_raw - transpose(A_raw))
 
     def An(self, frame):
@@ -115,7 +109,7 @@ def bending_matrix(frame, A, An_partials):
     return frame.grad3(An_partials) - A @ frame.shape_op
 
 
-def stretching_tensor(frame, A, AG, b_tan, thick, kappa):
+def stretching_tensor(frame, A, AG, b_tan, kappa):
     """B_tan - (kappa/2)(A^2)_tan - (1/2) sym(A grad((g2-g1) n))_tan at a frame, 2x2.
 
     b_tan is the symmetric finite strain B_tan at the frame's points, in
@@ -124,14 +118,9 @@ def stretching_tensor(frame, A, AG, b_tan, thick, kappa):
     """
     if kappa < 0.0 or not np.isfinite(kappa):
         raise EvaluationError("kappa must be finite and nonnegative")
-    out = np.array(b_tan, dtype=float)
-    gamma = thick.gamma(frame.u)
-    dgamma = thick.gamma_d(frame.u)
-    if kappa != 0.0:
-        out = out - 0.5 * kappa * frame.tan2(A @ A)
-    if np.any(gamma != 0.0) or np.any(dgamma != 0.0):
-        T = frame.tan2(AG)
-        out = out - 0.25 * (T + transpose(T))
+    T = frame.tan2(AG)
+    out = (np.asarray(b_tan, dtype=float) - 0.5 * kappa * frame.tan2(A @ A)
+           - 0.25 * (T + transpose(T)))
     return 0.5 * (out + transpose(out))
 
 
@@ -176,7 +165,7 @@ def expansion_data(patch, iso, w, thick, quad):
     Dw = w.d1(fr.u)
     gamma_n = _gamma_n_partials(fr, thick)
     AG = A @ fr.grad3(gamma_n)
-    S = stretching_tensor(fr, A, AG, tangential_strain(fr, Dw), thick, 1.0)
+    S = stretching_tensor(fr, A, AG, tangential_strain(fr, Dw), 1.0)
     C = transpose(fr.tangents()) @ fr.jac  # the chart tangents in the (t1, t2) frame
     shifts = np.array([1.0, -1.0])[:, None, None] * (NORMAL_FD_STEP * np.eye(2))
     stencil = fr.u + shifts[..., None, :]            # (sign, axis, N, 2)

@@ -57,7 +57,7 @@ def limit_fields(material, iso, b_tan, thick, kappa, frame, An_partials):
     Mt = frame.tan2(M)
     return LimitFields(frame=frame, A=A, AG=AG,
                        q2=reduce_q2(as_q3(material), frame.n, frame.t1, frame.t2),
-                       stretching=stretching_tensor(frame, A, AG, b_tan, thick, kappa),
+                       stretching=stretching_tensor(frame, A, AG, b_tan, kappa),
                        bending_matrix=M, bending=0.5 * (Mt + transpose(Mt)))
 
 
@@ -78,11 +78,11 @@ def eval_I(fields, thick, quad):
                                 load_term=0.0, relaxation_term=0.0)
 
 
-def check_rotation(Q, tol=1e-10):
+def check_rotation(Q):
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (3, 3):
         raise ParameterError("rotation must be a 3x3 matrix")
-    if np.linalg.norm(Q.T @ Q - np.eye(3)) > tol:
+    if np.linalg.norm(Q.T @ Q - np.eye(3)) > 1e-10:
         raise ParameterError("matrix is not orthogonal within 1e-10")
     if np.linalg.det(Q) < 0.0:
         raise ParameterError("matrix has determinant -1, not a rotation")

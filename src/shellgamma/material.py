@@ -27,6 +27,8 @@ _VEC6_ROWS = np.array([0, 1, 2, 0, 0, 1])
 _VEC6_COLS = np.array([0, 1, 2, 1, 2, 2])
 _VEC6_SCALE = np.array([1.0, 1.0, 1.0, _SQRT2, _SQRT2, _SQRT2])
 _I3 = np.eye(3)
+# points per coordinate of the coarse grid of relax_q2_brute_force
+_GRID_POINTS = 7
 
 
 def sym(F):
@@ -69,7 +71,6 @@ class StoredEnergy:
     evaluate: Callable[[np.ndarray], float]  # of the Green strain E
     hessian_at_identity: Optional[np.ndarray]  # 6x6 in the Sym(3) basis, or None
     coercivity_constant: float
-    name: str = ""
 
 
 def make_isotropic(mu, lam):
@@ -92,15 +93,14 @@ def make_isotropic(mu, lam):
     H = 2.0 * mu * np.eye(6) + lam * np.outer(v, v)
     # W >= (mu/2) dist^2(F, SO(3)) holds for F within distance ~0.2 of SO(3)
     return StoredEnergy(evaluate=evaluate, hessian_at_identity=H,
-                        coercivity_constant=0.5 * mu,
-                        name=f"isotropic(mu={mu}, lambda={lam})")
+                        coercivity_constant=0.5 * mu)
 
 
 @dataclass(frozen=True)
 class QuadForm3:
     """Quadratic form on 3x3 matrices that sees only the symmetric part."""
 
-    matrix6: np.ndarray  # symmetric 6x6, positive definite unless explicitly relaxed
+    matrix6: np.ndarray  # symmetric 6x6; positive definite when built by from_matrix
 
     def apply(self, F):
         s = vec6(sym(F))
@@ -110,14 +110,14 @@ class QuadForm3:
         return float(np.linalg.eigvalsh(self.matrix6)[0])
 
     @staticmethod
-    def from_matrix(M6, require_positive_definite=True):
+    def from_matrix(M6):
         M6 = np.asarray(M6, dtype=float)
         if M6.shape != (6, 6):
             raise ParameterError("Q3 matrix must be 6x6")
         if np.max(np.abs(M6 - M6.T)) > 1e-12:
             raise ParameterError("Q3 matrix must be symmetric")
         q3 = QuadForm3(matrix6=0.5 * (M6 + M6.T))
-        if require_positive_definite and q3.min_eigenvalue() <= 0.0:
+        if q3.min_eigenvalue() <= 0.0:
             raise ParameterError("Q3 must be positive definite on symmetric matrices")
         return q3
 
@@ -136,23 +136,25 @@ class QuadForm3:
         return QuadForm3.from_matrix(M)
 
 
-def as_q3(material, step=1e-4):
+def as_q3(material):
     """Coerce a material argument (StoredEnergy or QuadForm3) to its QuadForm3."""
     if isinstance(material, QuadForm3):
         return material
     if isinstance(material, StoredEnergy):
         if material.hessian_at_identity is not None:
             return QuadForm3.from_matrix(material.hessian_at_identity)
-        return q3_from_energy(material, step=step)
+        return q3_from_energy(material)
     raise ParameterError(f"expected StoredEnergy or QuadForm3, got {type(material)!r}")
 
 
-def q3_from_energy(W, step=1e-4):
+def q3_from_energy(W):
     """Assemble Q3 = D^2 W(Id) by central second finite differences.
 
     Diagonal entries use the three-point formula, off-diagonal entries the
     four-point formula; the assembled 6x6 must be symmetric to 1e-8.
     """
+    step = 1e-4
+
     def at(F):
         return W.evaluate(green_strain(F))
 
@@ -218,13 +220,13 @@ class QuadForm2:
         return self.base.apply(F_hat) + (b * c).sum(axis=-1)
 
 
-def reduce_q2(q3, n, t1=None, t2=None):
+def reduce_q2(q3, n, t1, t2):
     """Relax q3 over normal corrections at the frames (t1, t2, n).
 
-    n, t1, t2 have shape (..., 3).  When the tangent frame is omitted a
-    deterministic orthonormal completion of n is used (isotropic materials
-    are insensitive to this choice).  One Cholesky factorization covers the
-    whole batch; a singular coupling block anywhere raises.
+    n, t1, t2 have shape (..., 3); the tangent frame fixes the coordinates
+    of the tangential input, which matter for an anisotropic q3.  One
+    Cholesky factorization covers the whole batch; a singular coupling
+    block anywhere raises.
     """
     n = np.asarray(n, dtype=float)
     nn = np.sqrt((n * n).sum(axis=-1))
@@ -232,11 +234,8 @@ def reduce_q2(q3, n, t1=None, t2=None):
     if np.any(off > 1e-10):
         raise ParameterError(
             f"normal must be a unit vector, |n| = {nn.ravel()[np.argmax(off)]}")
-    if t1 is None or t2 is None:
-        t1, t2 = _complete_frame(n)
-    else:
-        t1 = np.asarray(t1, dtype=float)
-        t2 = np.asarray(t2, dtype=float)
+    t1 = np.asarray(t1, dtype=float)
+    t2 = np.asarray(t2, dtype=float)
     # L[..., i, :, :] = e_i (x) n + n (x) e_i
     L = _I3[:, :, None] * n[..., None, None, :] + n[..., None, :, None] * _I3[:, None, :]
     coupling = vec6(L)
@@ -249,14 +248,6 @@ def reduce_q2(q3, n, t1=None, t2=None):
     return QuadForm2(base=q3, n=n, t1=t1, t2=t2, _chol=chol, _coupling=coupling)
 
 
-def _complete_frame(n):
-    ref = np.where(np.abs(n[..., :1]) < 0.9, _I3[0], _I3[1])
-    t1 = ref - (ref * n).sum(axis=-1)[..., None] * n
-    t1 /= np.sqrt((t1 * t1).sum(axis=-1))[..., None]
-    t2 = np.cross(n, t1)
-    return t1, t2
-
-
 def isotropic_q2_closed_form(mu, lam, F22):
     """2 mu |sym F|^2 + (2 mu lam / (2 mu + lam)) (tr F)^2 for tangential inputs (..., 2, 2)."""
     S = sym(F22)
@@ -265,8 +256,7 @@ def isotropic_q2_closed_form(mu, lam, F22):
             + (2.0 * mu * lam / (2.0 * mu + lam)) * trace ** 2)
 
 
-def relax_q2_brute_force(q3, n, F22, t1=None, t2=None, grid_radius=None,
-                         grid_points=7, iterations=60):
+def relax_q2_brute_force(q3, n, F22, t1, t2, iterations=60):
     """Independent minimization of Q3 over c: coarse grid + exact-line-search descent.
 
     Uses only evaluations of Q3 (central differences of a quadratic are exact),
@@ -278,8 +268,6 @@ def relax_q2_brute_force(q3, n, F22, t1=None, t2=None, grid_radius=None,
     for the curvature probes.
     """
     n = np.asarray(n, dtype=float)
-    if t1 is None or t2 is None:
-        t1, t2 = _complete_frame(n)
     T = np.stack([t1, t2], axis=-1)
     F22 = np.asarray(F22, dtype=float)
     F_hat = T @ F22 @ transpose(T)
@@ -289,14 +277,12 @@ def relax_q2_brute_force(q3, n, F22, t1=None, t2=None, grid_radius=None,
         C = c[..., :, None] * n[..., None, :]
         return q3.apply(F_hat + C + transpose(C))
 
-    if grid_radius is None:
-        grid_radius = 2.0 * (1.0 + np.max(np.abs(F22), axis=(-2, -1)))
-    radius = np.broadcast_to(np.asarray(grid_radius, dtype=float), batch)
-    axis = np.linspace(-radius, radius, grid_points, axis=-1)       # (..., P)
-    j, k = np.divmod(np.arange(grid_points ** 2), grid_points)
+    radius = np.broadcast_to(2.0 * (1.0 + np.max(np.abs(F22), axis=(-2, -1))), batch)
+    axis = np.linspace(-radius, radius, _GRID_POINTS, axis=-1)      # (..., P)
+    j, k = np.divmod(np.arange(_GRID_POINTS ** 2), _GRID_POINTS)
     best_c = np.zeros(batch + (3,))
     best_v = q(best_c)
-    for i in range(grid_points):
+    for i in range(_GRID_POINTS):
         # the (b, d) plane at the i-th a, in loop order; the first strict minimum wins
         plane = np.stack([axis[..., np.full_like(j, i)], axis[..., j], axis[..., k]], axis=-1)
         grid = np.moveaxis(plane, -2, 0)                              # (P*P, ..., 3)

@@ -1,13 +1,13 @@
 """The explicit recovery deformation, its energy, and averaged-displacement diagnostics.
 
-The deformation is transcribed literally from its defining display: the
-transversal coordinate t lives in (-g1(x), g2(x)), every t-dependent term is
-centered at t - (g2-g1)/2, and the physical offset is h*t.  Its ingredients
-(V, w, A n, the normal part xi of grad w, d0, d1 and their chart partials)
-do not depend on h, so `recovery_data` builds them once per scene and
-`build_recovery` only combines them with the powers of h and t.  The full
-3D gradient is assembled by the chain rule through the chart, pairing the
-chart partials with the frame {(Id + h t Pi) tau_1, (Id + h t Pi) tau_2, n}.
+The deformation is y^h = a0 + s a1 + (s^2/2) a2 with s = t - (g2-g1)/2,
+t in (-g1(x), g2(x)), physical offset h*t, a0 = x + (h/2)(g2-g1) n +
+(sqrt(e_h)/h) V + sqrt(e_h) w, a1 = h n + sqrt(e_h) (A n + h (d0 - xi)) and
+a2 = h sqrt(e_h) d1, xi the normal part of grad w.  These ingredients do not
+depend on h, so `recovery_data` builds them once per scene; `build_recovery`
+writes the t-coefficients once, as a linear map that also takes the chart
+partials of the ingredients to those of a0, a1, a2, and the chain rule
+through the frame {(Id + h t Pi) tau_1, (Id + h t Pi) tau_2, n} gives grad y^h.
 
 Each point array is evaluated once: the frame, A, A n, the chart partials
 of w (which give B_tan and xi), the Q2 reduction, d0 and d1 at the
@@ -189,43 +189,40 @@ def build_recovery(data, h, e_h):
     _check_thin_shell(data, h)
     sq = float(np.sqrt(e_h))
 
+    def coefficients(x, gamma_n, V, w, n, p, xi, d0, d1):
+        # (a0, a1, a2) from the fields, or their chart partials from the fields' partials
+        return (x + (0.5 * h) * gamma_n + (sq / h) * V + sq * w,
+                h * n + sq * p + (h * sq) * (d0 - xi), (h * sq) * d1)
+
+    def t_coefficients(pd, t):
+        # s and (a0, a1, a2) at the points of a RecoveryData bundle
+        fr, gamma = pd["fr"], pd["gamma"]
+        return (np.asarray(t, dtype=float) - 0.5 * gamma,
+                *coefficients(fr.x, gamma[..., None] * fr.n, pd["V"], pd["w"], fr.n,
+                              pd["p"], pd["xi"], pd["d0"], pd["d1"]))
+
     def evaluate(u, t):
-        pd = data.values_at(u)
-        fr = pd["fr"]
-        s = (np.asarray(t, dtype=float) - 0.5 * pd["gamma"])[..., None]
-        return (fr.x + (0.5 * h * pd["gamma"])[..., None] * fr.n
-                + (sq / h) * pd["V"] + sq * pd["w"]
-                + h * s * fr.n
-                + s * sq * pd["p"]
-                - h * s * sq * pd["xi"]
-                + s * h * sq * pd["d0"]
-                + 0.5 * s * s * h * sq * pd["d1"])
+        s, a0, a1, a2 = t_coefficients(data.values_at(u), t)
+        s = s[..., None]
+        return a0 + s * a1 + (0.5 * s * s) * a2
 
     def gradient(u, t):
         pd = data.partials_at(u)
         fr = pd["fr"]
-        t = np.asarray(t, dtype=float)
-        s = t - 0.5 * pd["gamma"]
-        ds = -0.5 * pd["dgamma"]
+        s, _, a1, a2 = t_coefficients(pd, t)
+        Da0, Da1, Da2 = coefficients(
+            fr.jac, outer(fr.n, pd["dgamma"]) + pd["gamma"][..., None, None] * pd["dn"],
+            pd["DV"], pd["Dw"], pd["dn"], pd["Dp"], pd["Dxi"], pd["Dd0"], pd["Dd1"])
+        dy_ds = a1 + s[..., None] * a2
         sm = s[..., None, None]  # s against (3, 2) chart partials
-        dn = pd["dn"]
-        # column i: chart partial d/du_i of y^h
-        Y2 = (fr.jac
-              + 0.5 * h * (outer(fr.n, pd["dgamma"]) + pd["gamma"][..., None, None] * dn)
-              + (sq / h) * pd["DV"] + sq * pd["Dw"]
-              + h * (outer(fr.n, ds) + sm * dn)
-              + sq * (outer(pd["p"], ds) + sm * pd["Dp"])
-              - h * sq * (outer(pd["xi"], ds) + sm * pd["Dxi"])
-              + h * sq * (outer(pd["d0"], ds) + sm * pd["Dd0"])
-              + h * sq * (outer(pd["d1"], s[..., None] * ds) + 0.5 * sm * sm * pd["Dd1"]))
-        dt = (h * fr.n + sq * pd["p"] - h * sq * pd["xi"]
-              + h * sq * pd["d0"] + (s * h * sq)[..., None] * pd["d1"])
-        M, det = offset_jacobian(fr, h * t)
+        # column i: chart partial d/du_i of y^h; d s/du_i = -(1/2) d(g2-g1)/du_i
+        Y2 = Da0 + sm * Da1 + (0.5 * sm * sm) * Da2 - 0.5 * outer(dy_ds, pd["dgamma"])
+        M, det = offset_jacobian(fr, h * np.asarray(t, dtype=float))
         MJ = M @ fr.jac
         # [MJ, n]^-1 has rows g_t^-1 (MJ)^T and n^T, as n is normal to MJ;
         # g_t = (MJ)^T MJ has det(Id + h t Pi)^2 det g, as Id + h t Pi fixes n
         dual = inv2(transpose(MJ) @ MJ, (det * fr.sqrt_det_metric) ** 2) @ transpose(MJ)
-        return Y2 @ dual + outer(dt / h, fr.n), det
+        return Y2 @ dual + outer(dy_ds / h, fr.n), det
 
     return RecoveryDeformation(h=float(h), e_h=float(e_h), patch=data.patch,
                                thick=data.thick, evaluate=evaluate,
@@ -313,13 +310,14 @@ def shell_energy_tangential_lower_bound(rec, material, squad, trule):
     return float(np.sum(integrand)) / rec.e_h
 
 
-def averaged_displacement(rec, patch, thick, trule):
+def averaged_displacement(rec, trule):
     """The scaled transversal average (h/sqrt(e_h)) avg_t [y^h(x+tn) - (x+htn)].
 
-    Returns a chart function u -> R^3, evaluable anywhere on the patch and
-    broadcasting over leading batch axes of u.
+    Returns a chart function u -> R^3 on the patch of `rec`, averaged through
+    its thickness and broadcasting over leading batch axes of u.
     """
     scale = rec.h / np.sqrt(rec.e_h)
+    patch, thick = rec.patch, rec.thick
 
     def vh(u):
         u = np.asarray(u, dtype=float)
@@ -333,10 +331,10 @@ def averaged_displacement(rec, patch, thick, trule):
     return vh
 
 
-def averaged_displacement_sym_grad(rec, patch, thick, trule, frame):
-    """(1/h) sym tangential gradient of the averaged displacement at one frame."""
-    vh = averaged_displacement(rec, patch, thick, trule)
-    return tangential_strain(frame, fd_columns(vh, frame.u, patch.domain)) / rec.h
+def averaged_displacement_sym_grad(rec, trule, frame):
+    """(1/h) sym tangential gradient of the averaged displacement at a frame."""
+    vh = averaged_displacement(rec, trule)
+    return tangential_strain(frame, fd_columns(vh, frame.u, rec.patch.domain)) / rec.h
 
 
 def discrete_l2_distance(field_a, field_b, squad):

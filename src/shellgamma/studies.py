@@ -388,7 +388,7 @@ def fit_order(pairs):
     return float(sol[0]), r2
 
 
-def richardson_extrapolate(h_coarse, v_coarse, h_fine, v_fine, order=1):
+def richardson_extrapolate(h_coarse, v_coarse, h_fine, v_fine, order):
     """Eliminate the leading O(h^order) term from two values on a ratio pair.
 
     order = +inf (an exact fit, no gap left) gives v_fine, the limit of the

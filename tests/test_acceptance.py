@@ -101,11 +101,11 @@ def test_criterion_4_averaged_displacement_diagnostics():
     data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad)
     for h in hs:
         rec = sg.build_recovery(data, h=h, e_h=h ** 4)
-        vh = sg.averaged_displacement(rec, plate, thick, trule)
+        vh = sg.averaged_displacement(rec, trule)
         dists.append(sg.discrete_l2_distance(vh, lambda u: V.value(u), quad))
         worst = 0.0
         for fr in probes:
-            S = sg.averaged_displacement_sym_grad(rec, plate, thick, trule, fr)
+            S = sg.averaged_displacement_sym_grad(rec, trule, fr)
             worst = max(worst, float(np.linalg.norm(S)))  # B_tan = sym grad w = 0
         grad_errs.append(worst)
 
@@ -205,10 +205,11 @@ def test_criterion_7_degenerate_and_trivial_suite():
     bending = sg.eval_I(fields_r, cap_thick, cap_quad).bending
 
     from shellgamma.fields import VectorField
-    stretchy = VectorField.from_callables(
-        lambda u: u[..., 0, None] * np.array([1.0, 0.0, 0.0]), plate.domain,
+    stretchy = VectorField(
+        value=lambda u: u[..., 0, None] * np.array([1.0, 0.0, 0.0]),
         d1=lambda u: np.zeros(u.shape[:-1] + (3, 2)) + np.array(
-            [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+            [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+        domain=plate.domain)
     rejected = False
     worst_reported = None
     try:

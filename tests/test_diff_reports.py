@@ -74,3 +74,24 @@ def test_compare_fails_on_exit_codes_and_missing_files(tmp_path, capsys):
     (dirs[1] / "exit_codes.json").write_text(json.dumps({"s": 0}))
     (dirs[1] / "s.csv").unlink()
     assert not diff_reports.compare(*dirs)
+
+
+def test_compare_prints_the_largest_change_per_field_name(tmp_path, capsys):
+    # the largest absolute change of rel_gap is in a.csv, the largest relative in b.csv
+    new = {"a.csv": CSV.replace("0.008919721673494608", "0.008919721773494608"),
+           "b.csv": CSV.replace("0.002216799048812627", "0.002216799098812627"),
+           "b.summary.txt": SUMMARY.replace("2.0025276727434833", "2.0025276727434")}
+    dirs = [tmp_path / "parent", tmp_path / "change"]
+    for d in dirs:
+        d.mkdir()
+        (d / "exit_codes.json").write_text(json.dumps({"a": 0, "b": 0}))
+        for name in ("a.csv", "b.csv", "a.summary.txt", "b.summary.txt"):
+            old = CSV if name.endswith(".csv") else SUMMARY
+            (d / name).write_text(new.get(name, old) if d == dirs[1] else old)
+    assert diff_reports.compare(*dirs)
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:] == [
+        "fitted_gap_order: 1 changed, largest abs 8.35e-14 in b.summary.txt, "
+        "largest rel 4.17e-14 in b.summary.txt",
+        "rel_gap: 2 changed, largest abs 1e-10 in a.csv, largest rel 2.26e-08 in b.csv",
+        "2 studies, 3 numeric fields changed, no other change"]

@@ -27,8 +27,7 @@ def strain_of(w, fr):
 def stretching_tensor(iso, fr, w, thick, kappa):
     """The stretching tensor at a frame, with B_tan, A and A grad((g2-g1) n) formed there."""
     A = iso.A_at(fr)
-    return sg.stretching_tensor(fr, A, A @ grad3_gamma_n(fr, thick), strain_of(w, fr),
-                                thick, kappa)
+    return sg.stretching_tensor(fr, A, A @ grad3_gamma_n(fr, thick), strain_of(w, fr), kappa)
 
 
 def curved_patches():
@@ -106,9 +105,9 @@ def test_in_plane_stretch_is_rejected_with_worst_node():
         out[..., 0, 0] = 2.0 * u[..., 0]
         return out
 
-    stretch = VectorField.from_callables(
-        lambda u: np.stack([u[..., 0] ** 2, 0.0 * u[..., 0], 0.0 * u[..., 0]], axis=-1),
-        plate.domain, d1=d1)
+    stretch = VectorField(
+        value=lambda u: np.stack([u[..., 0] ** 2, 0.0 * u[..., 0], 0.0 * u[..., 0]], axis=-1),
+        d1=d1, domain=plate.domain)
     with pytest.raises(NotAnIsometryError) as err:
         sg.build_isometry(plate, stretch, quad=sg.surface_quadrature(plate, 4))
     x, _ = gauss_legendre(4, 0.0, 1.0)
@@ -121,9 +120,9 @@ def test_in_plane_stretch_is_rejected_with_worst_node():
 def test_non_finite_displacement_is_rejected():
     from shellgamma.errors import EvaluationError
     plate = sg.make_builtin_patch("plate")
-    broken = VectorField.from_callables(
-        lambda u: np.array([0.0, 0.0, np.nan]), plate.domain,
-        d1=lambda u: np.full(np.shape(u)[:-1] + (3, 2), np.nan))
+    broken = VectorField(value=lambda u: np.array([0.0, 0.0, np.nan]),
+                         d1=lambda u: np.full(np.shape(u)[:-1] + (3, 2), np.nan),
+                         domain=plate.domain)
     with pytest.raises(EvaluationError):
         sg.build_isometry(plate, broken, quad=sg.surface_quadrature(plate, 3))
 

@@ -205,19 +205,19 @@ def test_reduction_uses_node_frame_for_anisotropic_q3():
 def test_degenerate_material_raises():
     # a Q3 that does not couple the normal direction has a singular reduction
     M = np.diag([1.0, 1.0, 0.0, 1.0, 0.0, 0.0])
-    q3 = sg.QuadForm3.from_matrix(M, require_positive_definite=False)
+    q3 = sg.QuadForm3(matrix6=M)
     with pytest.raises(DegenerateMaterialError):
-        sg.reduce_q2(q3, np.array([0.0, 0.0, 1.0]))
+        sg.reduce_q2(q3, *adapted_frame())
 
 
 def test_batch_with_one_degenerate_node_raises():
     # Q3 blind to S02 and S12: regular for an oblique normal, singular for e3
-    q3 = sg.QuadForm3.from_matrix(np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]),
-                                  require_positive_definite=False)
-    oblique = np.full(3, 1.0 / np.sqrt(3.0))
-    sg.reduce_q2(q3, np.stack([oblique, oblique]))
+    q3 = sg.QuadForm3(matrix6=np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]))
+    oblique = (np.full(3, 1.0 / np.sqrt(3.0)), np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0),
+               np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0))
+    sg.reduce_q2(q3, *(np.stack([v, v]) for v in oblique))
     with pytest.raises(DegenerateMaterialError):
-        sg.reduce_q2(q3, np.stack([oblique, np.array([0.0, 0.0, 1.0]), oblique]))
+        sg.reduce_q2(q3, *(np.stack([v, e, v]) for v, e in zip(oblique, adapted_frame())))
 
 
 def random_frames(rng, count):
@@ -258,7 +258,10 @@ def test_relaxation_property_on_random_normals_and_materials(normals, factor, F,
     normals = np.where(lengths[:, None] > 1e-3, normals, [0.0, 0.0, 1.0])
     n = normals / np.linalg.norm(normals, axis=1, keepdims=True)
     q3 = sg.QuadForm3.from_matrix(factor @ factor.T + 0.5 * np.eye(6))
-    q2 = sg.reduce_q2(q3, n)
+    e = np.eye(3)[np.argmin(np.abs(n), axis=1)]  # a coordinate axis far from n
+    t1 = np.cross(n, e)
+    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    q2 = sg.reduce_q2(q3, n, t1, np.cross(n, t1))
     T = np.stack([q2.t1, q2.t2], axis=-1)
     F_hat = T @ F @ np.swapaxes(T, -1, -2)
     val = q2.apply_tangential(F)

@@ -183,6 +183,38 @@ def test_gradient_matches_finite_differences():
         assert np.linalg.norm(Y_asm - Y_fd) <= 1e-6 * np.linalg.norm(Y_fd)
 
 
+@pytest.mark.parametrize("kind", ["plate", "sphere_cap"])
+def test_recovery_carries_the_t_coefficients(kind):
+    # y^h = a0 + s a1 + (s^2/2) a2 in s = t - (g2-g1)/2: with w = 0 (so xi = 0)
+    # the central differences over s = -delta, 0, delta give a1 and a2 exactly
+    patch = sg.make_builtin_patch(kind)
+    V = (sg.plate_sine_field(1.0, 1, 1, patch.domain) if kind == "plate"
+         else sg.rigid_field(patch, (0.3, -0.2, 0.4)))
+    thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4, patch.domain),
+                             g2=sg.affine_scalar(0.55, [0.04, 0.01], patch.domain),
+                             lipschitz_bound=1.0)
+    W = sg.make_isotropic(1.0, 1.0)
+    quad = sg.surface_quadrature(patch, 4)
+    iso = sg.build_isometry(patch, V, quad=quad)
+    data = sg.recovery_data(patch, W, iso, sg.zero_vector_field(patch.domain), thick,
+                            kappa=1.0, quad=quad)
+    h = 2.0 ** -3
+    e_h = h ** 4
+    rec = sg.build_recovery(data, h=h, e_h=e_h)
+    fr = quad.frame
+    delta = 0.25
+    t = 0.5 * thick.gamma(fr.u) + np.array([-delta, 0.0, delta])[:, None]
+    y_minus, y_0, y_plus = rec.evaluate(fr.u, t)
+    d0, d1 = sg.build_d_fields(data.limit, 1.0)
+    sq = np.sqrt(e_h)
+    a1 = h * fr.n + sq * iso.An(fr) + h * sq * d0
+    a2 = h * sq * d1
+    first = (y_plus - y_minus) / (2.0 * delta)
+    second = (y_plus - 2.0 * y_0 + y_minus) / delta ** 2
+    assert np.max(np.abs(first - a1)) <= 1e-12 * np.max(np.abs(a1))
+    assert np.max(np.abs(second - a2)) <= 1e-12
+
+
 def test_one_recovery_data_serves_every_h(monkeypatch):
     cap = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 3)
     from shellgamma.fields import affine_scalar, constant_scalar
@@ -467,7 +499,7 @@ def test_averaged_displacement_trivial_and_convergent():
     data0 = sg.recovery_data(plate, W, iso0, sg.zero_vector_field(plate.domain),
                              thick, kappa=1.0, quad=quad)
     rec0 = sg.build_recovery(data0, h=0.125, e_h=0.125 ** 4)
-    vh0 = sg.averaged_displacement(rec0, plate, thick, trule)
+    vh0 = sg.averaged_displacement(rec0, trule)
     assert np.allclose(vh0(np.array([0.3, 0.6])), 0.0, atol=1e-14)
 
     V = sg.plate_sine_field(1.0, 1, 1, plate.domain)
@@ -478,7 +510,7 @@ def test_averaged_displacement_trivial_and_convergent():
     for k in (3, 4, 5, 6):
         h = 2.0 ** -k
         rec = sg.build_recovery(data, h=h, e_h=h ** 4)
-        vh = sg.averaged_displacement(rec, plate, thick, trule)
+        vh = sg.averaged_displacement(rec, trule)
         dists.append(sg.discrete_l2_distance(vh, lambda u: V.value(u), quad))
     from shellgamma.studies import fit_order
     slope, _ = fit_order(list(zip([2.0 ** -k for k in (3, 4, 5, 6)], dists)))
@@ -534,11 +566,11 @@ def test_off_node_probe_computes_values_only(monkeypatch):
         return frame(self, u)
 
     monkeypatch.setattr(sg.SurfacePatch, "frame", counting_frame)
-    sg.averaged_displacement_sym_grad(rec, plate, thick, trule, probe)
+    sg.averaged_displacement_sym_grad(rec, trule, probe)
     first = sum(points)
     assert 0 < first <= 300
     points.clear()
-    sg.averaged_displacement_sym_grad(rec, plate, thick, trule, probe)
+    sg.averaged_displacement_sym_grad(rec, trule, probe)
     assert sum(points) == first
 
 
@@ -556,5 +588,5 @@ def test_averaged_displacement_sym_grad_tracks_strain():
         h = 2.0 ** -k
         rec = sg.build_recovery(data, h=h, e_h=h ** 4)
         for fr in probes:
-            S = sg.averaged_displacement_sym_grad(rec, plate, thick, trule, fr)
+            S = sg.averaged_displacement_sym_grad(rec, trule, fr)
             assert np.linalg.norm(S - tangential_strain(fr, w.d1(fr.u))) <= 1e-9

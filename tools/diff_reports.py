@@ -10,7 +10,9 @@ splits each pair of files into fields (CSV cells, summary keys and values)
 and prints every numeric field that changed, with its absolute and relative
 change, and every other difference: a changed word such as a status or a
 `passed` flag, an added or dropped key, row, file or study, or a changed
-exit code.
+exit code.  Then, for each field name (a CSV column or a summary key) with
+a numeric change, it prints how many fields of that name changed and the
+largest absolute and relative change, each with its file.
 
 Exits with 0 when the reports differ at most in numeric fields, 1 otherwise.
 """
@@ -99,6 +101,11 @@ def report_fields(name, text):
                 yield key, value
 
 
+def field_name(label):
+    """The CSV column or summary key of a field label of `report_fields`."""
+    return label.split(" ", 2)[2] if label.startswith("row ") else label
+
+
 def _number(token):
     try:
         return float(token)
@@ -145,6 +152,7 @@ def compare(dir_a, dir_b):
     codes_b = json.loads(_read(os.path.join(dir_b, "exit_codes.json")))
     only_numeric = True
     numeric_count = 0
+    by_name = {}  # field name -> [(abs change, file), (rel change, file)] per changed field
     for label in sorted(set(codes_a) | set(codes_b)):
         if codes_a.get(label) != codes_b.get(label):
             print(f"{label}: exit code {codes_a.get(label)} -> {codes_b.get(label)}")
@@ -162,10 +170,15 @@ def compare(dir_a, dir_b):
                                          list(report_fields(name, text_b)))
             for field, a, b, change, rel in numeric:
                 print(f"{name}: {field}: {a} -> {b}  abs {change:.3g}  rel {rel:.3g}")
+                by_name.setdefault(field_name(field), []).append([(change, name), (rel, name)])
             for field, a, b in other:
                 print(f"{name}: {field}: {a!r} -> {b!r}  NOT NUMERIC")
             numeric_count += len(numeric)
             only_numeric = only_numeric and not other
+    for field, changes in sorted(by_name.items()):
+        (change, at_abs), (rel, at_rel) = (max(column) for column in zip(*changes))
+        print(f"{field}: {len(changes)} changed, largest abs {change:.3g} in {at_abs}, "
+              f"largest rel {rel:.3g} in {at_rel}")
     print(f"{len(codes_b)} studies, {numeric_count} numeric fields changed, "
           f"{'no other change' if only_numeric else 'OTHER CHANGES'}")
     return only_numeric
