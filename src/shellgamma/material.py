@@ -7,7 +7,8 @@ of the tangential input and feeds the recovery deformation.  Densities,
 forms and the reduction broadcast over leading batch axes (a stack of
 frames gives a stack of Q2 forms, with one batched Cholesky factorization).
 The brute-force minimizer and the closed form stay independent oracles,
-batched over samples: the minimizer uses only Q3 evaluations.
+batched over samples: the minimizer reads nothing of Q3 but apply, and
+runs conjugate gradients from c = 0 on its values alone.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ _VEC6_ROWS = np.array([0, 1, 2, 0, 0, 1])
 _VEC6_COLS = np.array([0, 1, 2, 1, 2, 2])
 _VEC6_SCALE = np.array([1.0, 1.0, 1.0, _SQRT2, _SQRT2, _SQRT2])
 _I3 = np.eye(3)
-# points per coordinate of the coarse grid of relax_q2_brute_force
-_GRID_POINTS = 7
+# conjugate-gradient steps of relax_q2_brute_force: 4 restarts of 3, the dimension of c
+_CG_STEPS = 12
 
 
 def sym(F):
@@ -256,16 +257,19 @@ def isotropic_q2_closed_form(mu, lam, F22):
             + (2.0 * mu * lam / (2.0 * mu + lam)) * trace ** 2)
 
 
-def relax_q2_brute_force(q3, n, F22, t1, t2, iterations=60):
-    """Independent minimization of Q3 over c: coarse grid + exact-line-search descent.
+def relax_q2_brute_force(q3, n, F22, t1, t2):
+    """Independent minimization of Q3 over c: conjugate gradients from c = 0.
 
     Uses only evaluations of Q3 (central differences of a quadratic are exact),
     so it shares no code path with the linear solve in reduce_q2.  F22 has
     shape (..., 2, 2) and broadcasts against n, t1, t2 (..., 3): every sample
-    runs the grid and the descent at once, with its own radius, step and
-    stopping rule.  The grid takes one Q3 call per value of its first
-    coordinate; each descent step one call for the gradient probes and one
-    for the curvature probes.
+    runs at once, with its own probe step and stopping rule.  Each step takes
+    one Q3 call for the six gradient probes c +- delta e_i, takes the
+    Fletcher-Reeves direction p (reset to -g every 3 steps, the dimension of
+    c) and one Q3 call for the probes c + delta u, c, c - delta u along
+    u = p/|p|, whose slope and curvature give the exact line minimum of a
+    quadratic.  A sample stops once |g| < 1e-14, |p| = 0 or its curvature is
+    not positive; a zero input keeps c = 0.
     """
     n = np.asarray(n, dtype=float)
     T = np.stack([t1, t2], axis=-1)
@@ -277,39 +281,32 @@ def relax_q2_brute_force(q3, n, F22, t1, t2, iterations=60):
         C = c[..., :, None] * n[..., None, :]
         return q3.apply(F_hat + C + transpose(C))
 
-    radius = np.broadcast_to(2.0 * (1.0 + np.max(np.abs(F22), axis=(-2, -1))), batch)
-    axis = np.linspace(-radius, radius, _GRID_POINTS, axis=-1)      # (..., P)
-    j, k = np.divmod(np.arange(_GRID_POINTS ** 2), _GRID_POINTS)
-    best_c = np.zeros(batch + (3,))
-    best_v = q(best_c)
-    for i in range(_GRID_POINTS):
-        # the (b, d) plane at the i-th a, in loop order; the first strict minimum wins
-        plane = np.stack([axis[..., np.full_like(j, i)], axis[..., j], axis[..., k]], axis=-1)
-        grid = np.moveaxis(plane, -2, 0)                              # (P*P, ..., 3)
-        values = q(grid)
-        first = np.argmin(values, axis=0)
-        low = values.min(axis=0)
-        better = low < best_v
-        best_c = np.where(better[..., None],
-                          np.take_along_axis(grid, first[None, ..., None], axis=0)[0], best_c)
-        best_v = np.where(better, low, best_v)
-
-    delta = 1e-3 * (1.0 + radius)
+    # the probe step grows with the size of the input
+    size = np.broadcast_to(2.0 * (1.0 + np.max(np.abs(F22), axis=(-2, -1))), batch)
+    delta = 1e-3 * (1.0 + size)
     shifts = delta[..., None, None] * np.concatenate([np.eye(3), -np.eye(3)])  # (..., 6, 3)
-    c = best_c
+    c = np.zeros(batch + (3,))
     moving = np.ones(batch, dtype=bool)
-    for _ in range(iterations):
+    for step in range(_CG_STEPS):
         v = q(np.moveaxis(c[..., None, :] + shifts, -2, 0))
         g = np.moveaxis((v[:3] - v[3:]) / (2.0 * delta), 0, -1)
-        gn = np.sqrt((g * g).sum(axis=-1))
-        moving &= gn >= 1e-14
-        d = -g / np.where(moving, gn, 1.0)[..., None]
-        dd = delta[..., None] * d
-        v = q(np.stack([c + dd, c, c - dd]))
+        gg = (g * g).sum(axis=-1)
+        moving &= gg >= 1e-28  # |g| >= 1e-14
+        if step % 3:
+            p = -g + (gg / np.where(moving, gg_prev, 1.0))[..., None] * p
+        else:
+            p = -g
+        pn = np.sqrt((p * p).sum(axis=-1))
+        moving &= pn > 0.0
+        u = p / np.where(moving, pn, 1.0)[..., None]
+        du = delta[..., None] * u
+        v = q(np.stack([c + du, c, c - du]))
+        slope = (v[0] - v[2]) / (2.0 * delta)
         curv = (v[0] - 2.0 * v[1] + v[2]) / delta ** 2
         moving &= curv > 0.0
-        step = gn / np.where(moving, curv, 1.0)
-        c = np.where(moving[..., None], c + step[..., None] * d, c)
+        t = -slope / np.where(moving, curv, 1.0)
+        c = np.where(moving[..., None], c + t[..., None] * u, c)
+        gg_prev = gg
         if not moving.any():
             break
     return q(c), c

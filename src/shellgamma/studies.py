@@ -607,26 +607,25 @@ def _run_q2_check(cfg):
     q2 = reduce_q2(q3, n, t1, t2)
     F = rng.normal(size=(tol["samples"], 2, 2))
     val = q2.apply_tangential(F)
-    closed_dev = np.zeros(0)
-    if material.q2_closed_form is not None:
-        closed = material.q2_closed_form(cfg.material, F)
-        closed_dev = np.abs(val - closed) / np.maximum(1.0, np.abs(closed))
-    # np.max carries a nan deviation into the gates below
-    worst_closed = float(np.max(closed_dev, initial=0.0))
     brute, _ = relax_q2_brute_force(q3, n, F, t1=t1, t2=t2)
+    # np.max carries a nan deviation into the gates below
     worst_brute = float(np.max(np.abs(val - brute), initial=0.0))
-    closed_ok = worst_closed <= tol["closed_form_rel_tol"]
-    brute_ok = worst_brute <= tol["brute_force_tol"]
-    passed = bool(closed_ok and brute_ok)
-    rows = [StudyRow(residual_stretch=worst_closed, residual_bend=worst_brute,
-                     status="pass" if passed else "fail")]
-    summary = {"closed_form_max_rel_dev": worst_closed,
-               "brute_force_max_dev": worst_brute,
+    summary = {"brute_force_max_dev": worst_brute,
                "closed_form_rel_tol": tol["closed_form_rel_tol"],
                "brute_force_tol": tol["brute_force_tol"],
-               "samples": tol["samples"],
-               "note": "residual_stretch column = closed-form deviation, "
-                       "residual_bend column = brute-force deviation"}
+               "samples": tol["samples"]}
+    worst_closed = None
+    note = "residual_stretch column empty: the material has no closed-form Q2"
+    if material.q2_closed_form is not None:
+        closed = material.q2_closed_form(cfg.material, F)
+        worst_closed = float(np.max(np.abs(val - closed) / np.maximum(1.0, np.abs(closed))))
+        summary["closed_form_max_rel_dev"] = worst_closed
+        note = "residual_stretch column = closed-form deviation"
+    summary["note"] = note + ", residual_bend column = brute-force deviation"
+    passed = bool(worst_brute <= tol["brute_force_tol"]
+                  and (worst_closed is None or worst_closed <= tol["closed_form_rel_tol"]))
+    rows = [StudyRow(residual_stretch=worst_closed, residual_bend=worst_brute,
+                     status="pass" if passed else "fail")]
     return StudyReport(kind=cfg.study, rows=rows, summary=summary, passed=passed)
 
 
@@ -691,17 +690,17 @@ def _run_load_align(cfg):
 
 # each runs its study; params are the study's tolerances
 _STUDIES = {
-    "gamma-limit": _Kind({"raw_rel_gap": (0.05, _number),
-                          "extrapolated_rel_gap": (0.02, _number)}, _run_gamma),
+    "gamma-limit": _Kind({"raw_rel_gap": (0.05, _nonnegative),
+                          "extrapolated_rel_gap": (0.02, _nonnegative)}, _run_gamma),
     "expansion-order": _Kind({"stretch_slope_min": (2.9, _number),
                               "bend_slope_min": (1.9, _number),
                               "r2_min": (0.99, _number)}, _run_expansion),
-    "q2-check": _Kind({"closed_form_rel_tol": (1e-10, _number),
-                       "brute_force_tol": (1e-8, _number),
+    "q2-check": _Kind({"closed_form_rel_tol": (1e-10, _nonnegative),
+                       "brute_force_tol": (1e-8, _nonnegative),
                        "samples": (200, _count(1))}, _run_q2_check),
     "load-align": _Kind({"matrices": (20, _count(1)),
                          "rotation_samples": (100000, _count(1)),
-                         "margin_rel_tol": (1e-9, _number)}, _run_load_align),
+                         "margin_rel_tol": (1e-9, _nonnegative)}, _run_load_align),
 }
 
 
@@ -765,6 +764,16 @@ BUILTIN_SCENARIOS = {
         "study": "q2-check",
         "material": {"type": "isotropic", "mu": 1.0, "lambda": 1.0},
         "output": "q2-isotropic.csv",
+    }),
+    # M = A A^T + Id for A = default_rng(50).normal(size=(6, 6)), to 2 digits:
+    # its normal-coupling block at n = e3 has condition number about 20
+    "q2-anisotropic": Scenario("tangential relaxation of an anisotropic Q3 vs brute force", {
+        "study": "q2-check",
+        "material": {"type": "q3",
+                     "matrix": [6.6, -2.4, -0.45, -4.3, 2.4, -2.2, 3.8, -0.88, 3.1, -1.7,
+                                1.5, 11.0, 3.1, 1.3, -6.3, 13.0, -0.42, -0.61, 3.7, -2.8,
+                                7.1]},
+        "output": "q2-anisotropic.csv",
     }),
     "load-align": Scenario("rotation-maximized load action vs random sampling", {
         "study": "load-align",

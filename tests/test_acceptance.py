@@ -42,6 +42,14 @@ def test_criterion_1_q2_reduction_correctness():
         closed = isotropic_q2_closed_form(mu, lam, F)
         worst_closed = max(worst_closed, float(np.max(
             np.abs(val - closed) / np.maximum(1.0, np.abs(closed)))))
+    # anisotropic M = A A^T + Id, where only the brute force checks the reduction
+    for seed in (50, 51):
+        A = np.random.default_rng(seed).normal(size=(6, 6))
+        q3 = sg.QuadForm3.from_matrix(A @ A.T + np.eye(6))
+        F = rng.normal(size=(200, 2, 2))
+        val = sg.reduce_q2(q3, n, t1, t2).apply_tangential(F)
+        brute, _ = sg.relax_q2_brute_force(q3, n, F, t1=t1, t2=t2)
+        worst_brute = max(worst_brute, float(np.max(np.abs(val - brute))))
     elapsed = time.perf_counter() - t0
     ok = worst_brute <= 1e-8 and worst_closed <= 1e-10 and elapsed < 10.0
     _report(1, ok, f"brute-force dev {worst_brute:.2e} (tol 1e-8), closed-form "

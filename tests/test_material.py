@@ -8,6 +8,7 @@ import shellgamma as sg
 from shellgamma.errors import DegenerateMaterialError, ParameterError
 from shellgamma.loads import random_rotations, rotation_matrices
 from shellgamma.material import basis_sym3, green_strain, vec6
+from test_studies import _Q3_MATRICES
 
 
 def adapted_frame():
@@ -288,38 +289,64 @@ def test_brute_force_relaxation_matches_solver():
             assert np.linalg.norm(c - q2.minimizer(F)) <= 1e-6
 
 
-def test_brute_force_grid_matches_the_loop_over_grid_points():
-    # with no descent step the oracle returns its grid start: the first
-    # strict minimum in a, b, d loop order, and c = 0 unless strictly beaten;
-    # one call on the stacked samples returns every sample's grid start
-    rng = np.random.default_rng(19)
+def anisotropic_q3(seed):
+    # M = A A^T + Id: at seed 50 the coupling block at n = e3 has condition number 19.6
+    A = np.random.default_rng(seed).normal(size=(6, 6))
+    return sg.QuadForm3.from_matrix(A @ A.T + np.eye(6))
+
+
+def assert_brute_force_matches_solver(q3, seed):
     n, t1, t2 = adapted_frame()
-    A = rng.normal(size=(6, 6))
-    for q3 in (sg.as_q3(sg.make_isotropic(1.0, 1.0)),
-               sg.QuadForm3.from_matrix(A @ A.T + np.eye(6))):
-        Fs = np.stack([np.zeros((2, 2))] + [rng.normal(size=(2, 2)) for _ in range(10)])
-        _, batched = sg.relax_q2_brute_force(q3, n, Fs, t1=t1, t2=t2, iterations=0)
-        for F, c_batched in zip(Fs, batched):
-            _, c = sg.relax_q2_brute_force(q3, n, F, t1=t1, t2=t2, iterations=0)
-            T = np.column_stack([t1, t2])
-            F_hat = T @ F @ T.T
-            radius = 2.0 * (1.0 + float(np.max(np.abs(F))))
-            axis = np.linspace(-radius, radius, 7)
-            best_c, best_v = np.zeros(3), q3.apply(F_hat)
-            for a in axis:
-                for b in axis:
-                    for d in axis:
-                        C = np.outer([a, b, d], n)
-                        v = q3.apply(F_hat + C + C.T)
-                        if v < best_v:
-                            best_c, best_v = np.array([a, b, d]), v
-            assert np.array_equal(c, best_c)
-            assert np.array_equal(c_batched, best_c)
+    q2 = sg.reduce_q2(q3, n, t1, t2)
+    F = np.random.default_rng(seed).normal(size=(200, 2, 2))
+    val, c = sg.relax_q2_brute_force(q3, n, F, t1=t1, t2=t2)
+    assert np.max(np.abs(val - q2.apply_tangential(F))) <= 1e-8
+    assert np.max(np.linalg.norm(c - q2.minimizer(F), axis=-1)) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(50, 55))
+def test_brute_force_matches_solver_on_anisotropic_q3(seed):
+    assert_brute_force_matches_solver(anisotropic_q3(seed), seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(entries=_Q3_MATRICES)
+def test_brute_force_matches_solver_on_random_q3(entries):
+    assert_brute_force_matches_solver(sg.QuadForm3.from_upper_triangle(entries), 0)
+
+
+class ApplyOnly:
+    """A Q3 that has only apply, and counts its calls."""
+
+    __slots__ = ("_apply", "calls")
+
+    def __init__(self, q3):
+        self._apply = q3.apply
+        self.calls = 0
+
+    def apply(self, F):
+        self.calls += 1
+        return self._apply(F)
+
+
+@pytest.mark.parametrize("seed", [None, 50])
+def test_brute_force_reads_only_apply_and_makes_few_calls(seed):
+    # the oracle's independence from reduce_q2: no matrix6, hence no linear solve
+    q3 = sg.as_q3(sg.make_isotropic(1.0, 1.0)) if seed is None else anisotropic_q3(seed)
+    n, t1, t2 = adapted_frame()
+    F = np.random.default_rng(24).normal(size=(200, 2, 2))
+    counted = ApplyOnly(q3)
+    val, c = sg.relax_q2_brute_force(counted, n, F, t1=t1, t2=t2)
+    assert counted.calls <= 25
+    with pytest.raises(AttributeError):
+        counted.matrix6
+    ref_val, ref_c = sg.relax_q2_brute_force(q3, n, F, t1=t1, t2=t2)
+    assert np.array_equal(val, ref_val) and np.array_equal(c, ref_c)
 
 
 def test_batched_brute_force_equals_stacked_single_calls():
     # zero inputs stop at once on |g| < 1e-14 with c = 0; the random ones run
-    # the full descent, each with its own radius, step and stopping rule
+    # the full descent, each with its own probe step and stopping rule
     rng = np.random.default_rng(23)
     n, t1, t2 = adapted_frame()
     A = rng.normal(size=(6, 6))

@@ -270,6 +270,14 @@ _Q2 = {"study": "q2-check"}
      "material.matrix"),
     # the only load scaling is f^h = h sqrt(e_h) f, so it is not a key
     ({**MINIMAL_GAMMA, "load": {"family": "radial", "scaling": "h_sqrt_eh"}}, "load"),
+    # a study gated by a negative upper bound can only fail
+    ({**MINIMAL_GAMMA, "tolerances": {"raw_rel_gap": -1e-3}}, "tolerances.raw_rel_gap"),
+    ({**MINIMAL_GAMMA, "tolerances": {"extrapolated_rel_gap": -1e-3}},
+     "tolerances.extrapolated_rel_gap"),
+    ({**_Q2, "tolerances": {"closed_form_rel_tol": -5.0}}, "tolerances.closed_form_rel_tol"),
+    ({**_Q2, "tolerances": {"brute_force_tol": -1.0}}, "tolerances.brute_force_tol"),
+    ({"study": "load-align", "tolerances": {"margin_rel_tol": -1e-9}},
+     "tolerances.margin_rel_tol"),
 ])
 def test_bad_input_is_a_config_error_with_its_key_path(doc, key_path, tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
@@ -670,16 +678,41 @@ def test_run_q2_study_passes():
 
 
 def test_run_study_with_anisotropic_material_q2_only():
-    import shellgamma as sg
-    M = sg.make_isotropic(1.2, 0.3).hessian_at_identity
+    A = np.random.default_rng(50).normal(size=(6, 6))
+    M = A @ A.T + np.eye(6)
     entries = [M[i, j] for i in range(6) for j in range(i, 6)]
     doc = {"study": "q2-check", "material": {"type": "q3", "matrix": entries}}
     report = run_study(validate_config(doc))
     assert report.passed  # brute-force comparison only, no closed form
+    assert report.summary["brute_force_max_dev"] <= 1e-8
 
     gamma_doc = {**MINIMAL_GAMMA, "material": {"type": "q3", "matrix": entries}}
     with pytest.raises(ConfigError):
         validate_config(gamma_doc)
+
+
+def test_q2_anisotropic_builtin_passes_with_no_closed_form_figure(tmp_path):
+    cfg = builtin_scenario_config("q2-anisotropic")
+    assert parse_config(serialize_config(cfg)) == cfg
+    report = run_study(cfg)
+    assert report.passed and report.rows[0].status == "pass"
+    assert report.summary["brute_force_max_dev"] <= 1e-12
+    # a q3 material has no closed-form Q2, so the report claims no comparison
+    assert "closed_form_max_rel_dev" not in report.summary
+    assert "no closed-form" in report.summary["note"]
+    csv_path, _ = write_report(report, str(tmp_path / "q2a.csv"))
+    row, = read_rows(csv_path)
+    assert row.residual_stretch is None and row.residual_bend <= 1e-12
+
+
+def test_q2_anisotropic_builtin_fails_a_wrong_reduction(monkeypatch):
+    # only the brute-force gate can catch a reduction of a slightly wrong Q3 here
+    reduce_q2 = studies.reduce_q2
+    monkeypatch.setattr(studies, "reduce_q2", lambda q3, *frame: reduce_q2(
+        studies.QuadForm3(matrix6=1.000001 * q3.matrix6), *frame))
+    report = run_study(builtin_scenario_config("q2-anisotropic"))
+    assert report.summary["brute_force_max_dev"] > 1e-8
+    assert not report.passed and report.rows[0].status == "fail"
 
 
 def test_run_study_error_is_reported_not_raised():
