@@ -26,9 +26,9 @@ from .loads import (ExampleMaximizerSet, LoadField, RotationActionResult,
                     load_compatibility_residual, maximize_action, moment_matrix,
                     random_rotations, rotation_actions, rotation_matrices,
                     wahba_maximize)
-from .material import (QuadForm2, QuadForm3, StoredEnergy, as_q3, green_strain,
+from .material import (QuadForm2, QuadForm3, StoredEnergy, green_strain,
                        isotropic_q2_closed_form, make_isotropic, q3_from_energy,
-                       reduce_q2, relax_q2_brute_force)
+                       quadratic_energy, reduce_q2, relax_q2_brute_force)
 from .recovery3d import (RecoveryData, RecoveryDeformation, ShellEnergyValue,
                          averaged_displacement, averaged_displacement_sym_grad,
                          build_d_fields, build_recovery, discrete_l2_distance,

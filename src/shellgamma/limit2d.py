@@ -21,7 +21,7 @@ from .errors import ParameterError
 from .fields import transpose
 from .geometry import NodeFrame, values_on
 from .kinematics import bending_matrix, grad3_gamma_n, stretching_tensor
-from .material import QuadForm2, as_q3, reduce_q2
+from .material import QuadForm2, reduce_q2
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,16 @@ class LimitFields:
 
 
 def limit_fields(material, iso, b_tan, thick, kappa, frame, An_partials):
-    """Evaluate A, Q2 and both tensors at a frame, given B_tan and the partials of A n there."""
+    """Evaluate A, Q2 and both tensors at a frame, given B_tan and the partials of A n there.
+
+    The material enters only through its Q3, reduced in each point's tangent frame.
+    """
     A = iso.A_at(frame)
     AG = A @ grad3_gamma_n(frame, thick)
     M = bending_matrix(frame, A, An_partials)
     Mt = frame.tan2(M)
     return LimitFields(frame=frame, A=A, AG=AG,
-                       q2=reduce_q2(as_q3(material), frame.n, frame.t1, frame.t2),
+                       q2=reduce_q2(material.q3, frame.n, frame.t1, frame.t2),
                        stretching=stretching_tensor(frame, A, AG, b_tan, kappa),
                        bending_matrix=M, bending=0.5 * (Mt + transpose(Mt)))
 

@@ -1,7 +1,9 @@
 """Stored-energy densities, their quadratic forms, and the tangential relaxation.
 
 Q3 is the second derivative of W at the identity, kept as a symmetric 6x6
-matrix over an orthonormal basis of symmetric 3x3 matrices.  Q2 relaxes Q3
+matrix over an orthonormal basis of symmetric 3x3 matrices.  Every material
+is a StoredEnergy that carries its Q3, built once from the closed form;
+q3_from_energy assembles it from W alone, for checking.  Q2 relaxes Q3
 over normal corrections c (x) n + n (x) c; the minimizing c is a linear map
 of the tangential input and feeds the recovery deformation.  Densities,
 forms and the reduction broadcast over leading batch axes (a stack of
@@ -14,7 +16,7 @@ runs conjugate gradients from c = 0 on its values alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -67,11 +69,13 @@ def green_strain(F):
 
 @dataclass(frozen=True)
 class StoredEnergy:
-    """Density W(E) of the Green strain, so frame-indifferent, with optional hessian at Id."""
+    """Density W(E) of the Green strain, so frame-indifferent, with its Q3 = D^2 W(Id).
+
+    The limit functional reads W only through q3; the 3D energy reads evaluate.
+    """
 
     evaluate: Callable[[np.ndarray], float]  # of the Green strain E
-    hessian_at_identity: Optional[np.ndarray]  # 6x6 in the Sym(3) basis, or None
-    coercivity_constant: float
+    q3: QuadForm3
 
 
 def make_isotropic(mu, lam):
@@ -91,10 +95,13 @@ def make_isotropic(mu, lam):
         return mu * (E * E).sum(axis=(-2, -1)) + 0.5 * lam * trace ** 2
 
     v = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-    H = 2.0 * mu * np.eye(6) + lam * np.outer(v, v)
-    # W >= (mu/2) dist^2(F, SO(3)) holds for F within distance ~0.2 of SO(3)
-    return StoredEnergy(evaluate=evaluate, hessian_at_identity=H,
-                        coercivity_constant=0.5 * mu)
+    return StoredEnergy(evaluate=evaluate,
+                        q3=QuadForm3.from_matrix(2.0 * mu * np.eye(6) + lam * np.outer(v, v)))
+
+
+def quadratic_energy(q3):
+    """The density W(E) = (1/2) Q3(E) of the Green strain E, whose Q3 is q3 itself."""
+    return StoredEnergy(evaluate=lambda E: 0.5 * q3.apply(E), q3=q3)
 
 
 @dataclass(frozen=True)
@@ -135,17 +142,6 @@ class QuadForm3:
                 M[i, j] = M[j, i] = entries[k]
                 k += 1
         return QuadForm3.from_matrix(M)
-
-
-def as_q3(material):
-    """Coerce a material argument (StoredEnergy or QuadForm3) to its QuadForm3."""
-    if isinstance(material, QuadForm3):
-        return material
-    if isinstance(material, StoredEnergy):
-        if material.hessian_at_identity is not None:
-            return QuadForm3.from_matrix(material.hessian_at_identity)
-        return q3_from_energy(material)
-    raise ParameterError(f"expected StoredEnergy or QuadForm3, got {type(material)!r}")
 
 
 def q3_from_energy(W):

@@ -44,7 +44,7 @@ from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this i
 from .geometry import inv2, offset_jacobian
 from .kinematics import tangential_strain
 from .limit2d import LimitFields, limit_fields
-from .material import StoredEnergy, as_q3, green_strain, reduce_q2
+from .material import green_strain, reduce_q2
 
 BLOWUP_DISTANCE = 0.5
 # the fields whose chart partials come from the stencil values
@@ -274,8 +274,6 @@ def eval_shell_energy(rec, material, squad, trule):
     EnergyBlowupError naming the node of largest distance from SO(3) when
     the gradient leaves the declared neighborhood of SO(3).
     """
-    if not isinstance(material, StoredEnergy):
-        raise ParameterError("shell energy needs a StoredEnergy, not only a Q3 form")
     u = squad.frame.u
     t, wt = trule.across(rec.thick, u)  # (T, N)
     F, det = rec.gradient(u, t)
@@ -302,7 +300,7 @@ def shell_energy_tangential_lower_bound(rec, material, squad, trule):
     as h -> 0.
     """
     fr = squad.frame
-    q2 = reduce_q2(as_q3(material), fr.n, fr.t1, fr.t2)
+    q2 = reduce_q2(material.q3, fr.n, fr.t1, fr.t2)
     u = fr.u
     t, wt = trule.across(rec.thick, u)
     F, det = rec.gradient(u, t)

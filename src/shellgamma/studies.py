@@ -32,9 +32,9 @@ from .kinematics import (bending_expansion_residual, build_isometry, expansion_d
 from .limit2d import eval_I, eval_J
 from .loads import (LoadField, davenport_matrix, eval_J_h, example_maximizer_set,
                     load_compatibility_residual, random_rotations,
-                    rotation_actions, wahba_maximize)
-from .material import (QuadForm3, as_q3, isotropic_q2_closed_form, make_isotropic,
-                       reduce_q2, relax_q2_brute_force)
+                    rotation_actions, rotation_matrices, wahba_maximize)
+from .material import (QuadForm3, isotropic_q2_closed_form, make_isotropic,
+                       quadratic_energy, reduce_q2, relax_q2_brute_force)
 from .recovery3d import build_recovery, eval_shell_energy, recovery_data
 
 CSV_HEADER = ("h", "e_h", "E_h", "normalized", "I_limit", "rel_gap",
@@ -78,15 +78,14 @@ class _Kind:
     """One kind a config section can name.
 
     params maps each key to (default or _REQUIRED, parser(value, key path));
-    build makes the kind's object from its parsed spec (for a study kind it
-    runs the study, and params are its tolerances).  check(config) runs once
-    every section is parsed, for rules that span sections; q2_closed_form
-    is a material's closed-form Q2 oracle, where it has one.
+    build makes the kind's object from its parsed spec (for a material, a
+    StoredEnergy; for a study kind it runs the study, and params are its
+    tolerances); q2_closed_form is a material's closed-form Q2 oracle,
+    where it has one.
     """
 
     params: dict
     build: Optional[Callable] = None
-    check: Optional[Callable] = None
     q2_closed_form: Optional[Callable] = None
 
 
@@ -263,21 +262,13 @@ _MATERIALS = {
         {"mu": (_REQUIRED, _positive), "lambda": (_REQUIRED, _nonnegative)},
         lambda s: make_isotropic(s["mu"], s["lambda"]),
         q2_closed_form=lambda s, F: isotropic_q2_closed_form(s["mu"], s["lambda"], F)),
-    "q3": _Kind(
-        {"matrix": (_REQUIRED, _q3_matrix)},
-        lambda s: QuadForm3.from_upper_triangle(s["matrix"]),
-        check=lambda cfg: _require(cfg["study"] != "gamma-limit",
-                                   "energy-level studies need a stored energy; "
-                                   "q3-only materials support q2-check only",
-                                   "material.type")),
+    "q3": _Kind({"matrix": (_REQUIRED, _q3_matrix)},
+                lambda s: quadratic_energy(QuadForm3.from_upper_triangle(s["matrix"]))),
 }
 
 # each builds e_h from (spec, kappa, h)
 _E_H_MODES = {
-    "kappa_h4": _Kind({}, lambda s, kappa, h: kappa ** 2 * h ** 4,
-                      check=lambda cfg: _require(cfg["kappa"] > 0.0,
-                                                 "e_h mode kappa_h4 requires kappa > 0",
-                                                 "e_h.mode")),
+    "kappa_h4": _Kind({}, lambda s, kappa, h: kappa ** 2 * h ** 4),
     "h_alpha": _Kind({"alpha": (4.5, _bounded(4.0, strict=True))},
                      lambda s, kappa, h: h ** s["alpha"]),
 }
@@ -340,9 +331,8 @@ def validate_config(doc):
     cfg = _parse_params(doc, _SECTIONS, "")
     cfg["tolerances"] = _parse_params(cfg["tolerances"], _STUDIES[cfg["study"]].params,
                                       "tolerances")
-    for kind in (_MATERIALS[cfg["material"]["type"]], _E_H_MODES[cfg["e_h"]["mode"]]):
-        if kind.check is not None:
-            kind.check(cfg)
+    _require(cfg["e_h"]["mode"] != "kappa_h4" or cfg["kappa"] > 0.0,
+             "e_h mode kappa_h4 requires kappa > 0", "e_h.mode")
     return StudyConfig(**cfg)
 
 
@@ -599,14 +589,12 @@ def _run_expansion(cfg):
 def _run_q2_check(cfg):
     tol = cfg.tolerances
     rng = np.random.default_rng(cfg.seed)
-    n = np.array([0.0, 0.0, 1.0])
-    t1 = np.array([1.0, 0.0, 0.0])
-    t2 = np.array([0.0, 1.0, 0.0])
     material = _MATERIALS[cfg.material["type"]]
-    q3 = as_q3(material.build(cfg.material))
-    q2 = reduce_q2(q3, n, t1, t2)
+    q3 = material.build(cfg.material).q3
     F = rng.normal(size=(tol["samples"], 2, 2))
-    val = q2.apply_tangential(F)
+    # one uniformly random frame (t1, t2, n), the columns of a rotation, per sample
+    t1, t2, n = np.moveaxis(rotation_matrices(random_rotations(rng, tol["samples"])), -1, 0)
+    val = reduce_q2(q3, n, t1, t2).apply_tangential(F)
     brute, _ = relax_q2_brute_force(q3, n, F, t1=t1, t2=t2)
     # np.max carries a nan deviation into the gates below
     worst_brute = float(np.max(np.abs(val - brute), initial=0.0))
@@ -713,6 +701,12 @@ class Scenario(NamedTuple):
     doc: dict   # the config document
 
 
+# M = A A^T + Id for A = default_rng(50).normal(size=(6, 6)), to 2 digits:
+# its normal-coupling block at n = e3 has condition number about 20
+_ANISOTROPIC_Q3 = {"type": "q3",
+                   "matrix": [6.6, -2.4, -0.45, -4.3, 2.4, -2.2, 3.8, -0.88, 3.1, -1.7,
+                              1.5, 11.0, 3.1, 1.3, -6.3, 13.0, -0.42, -0.61, 3.7, -2.8, 7.1]}
+
 _EXPANSION_W = {"family": "trig",
                 "components": [[0.4, 1.3, 0.2, 0.9, 0.5],
                                [0.3, 0.7, 1.1, 1.4, 0.3],
@@ -732,6 +726,15 @@ BUILTIN_SCENARIOS = {
         "fields": {"V": {"family": "rigid", "omega": [0.0, 0.0, 1.0]}},
         "h_schedule": [2.0 ** -k for k in range(3, 8)],
         "output": "sphere-gamma.csv",
+    }),
+    # Q2 depends on the tangent frame here, so the per-node reduction is tested end to end
+    "sphere-anisotropic-gamma": Scenario("sphere-gamma's scene, anisotropic W(E) = Q3(E)/2", {
+        "study": "gamma-limit",
+        "patch": {"kind": "sphere_cap", "radius": 1.0, "cap_angle": math.pi / 3},
+        "material": _ANISOTROPIC_Q3,
+        "fields": {"V": {"family": "rigid", "omega": [0.0, 0.0, 1.0]}},
+        "h_schedule": [2.0 ** -k for k in range(3, 8)],
+        "output": "sphere-anisotropic-gamma.csv",
     }),
     "plate-expansion": Scenario("stretching/bending expansion orders on the plate", {
         "study": "expansion-order",
@@ -765,14 +768,9 @@ BUILTIN_SCENARIOS = {
         "material": {"type": "isotropic", "mu": 1.0, "lambda": 1.0},
         "output": "q2-isotropic.csv",
     }),
-    # M = A A^T + Id for A = default_rng(50).normal(size=(6, 6)), to 2 digits:
-    # its normal-coupling block at n = e3 has condition number about 20
     "q2-anisotropic": Scenario("tangential relaxation of an anisotropic Q3 vs brute force", {
         "study": "q2-check",
-        "material": {"type": "q3",
-                     "matrix": [6.6, -2.4, -0.45, -4.3, 2.4, -2.2, 3.8, -0.88, 3.1, -1.7,
-                                1.5, 11.0, 3.1, 1.3, -6.3, 13.0, -0.42, -0.61, 3.7, -2.8,
-                                7.1]},
+        "material": _ANISOTROPIC_Q3,
         "output": "q2-anisotropic.csv",
     }),
     "load-align": Scenario("rotation-maximized load action vs random sampling", {

@@ -33,7 +33,7 @@ def test_criterion_1_q2_reduction_correctness():
     worst_brute = 0.0
     worst_closed = 0.0
     for mu, lam in [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)]:
-        q3 = sg.as_q3(sg.make_isotropic(mu, lam))
+        q3 = sg.make_isotropic(mu, lam).q3
         q2 = sg.reduce_q2(q3, n, t1, t2)
         F = rng.normal(size=(200, 2, 2))
         val = q2.apply_tangential(F)
@@ -76,15 +76,15 @@ def test_criterion_2_expansion_orders():
 def test_criterion_3_gamma_limit_consistency():
     details = []
     ok = True
-    for name in ("plate-gamma", "sphere-gamma"):
+    for name in ("plate-gamma", "sphere-gamma", "sphere-anisotropic-gamma"):
         t0 = time.perf_counter()
         report = run_study(builtin_scenario_config(name))
         elapsed = time.perf_counter() - t0
         raw = report.summary["raw_rel_gap_at_smallest_h"]
         extr = report.summary["extrapolated_rel_gap"]
         this_ok = raw <= 0.05 and extr <= 0.02 and report.passed and elapsed < 300.0
-        if name == "sphere-gamma":
-            # the rigid-isometry scenario is checked against a stretching-only limit
+        if name.startswith("sphere"):
+            # the rigid-isometry scenarios are checked against a stretching-only limit
             this_ok = this_ok and report.summary["I_bending"] <= 1e-10
         ok = ok and this_ok
         details.append(f"{name}: raw gap {raw:.2e} (tol 0.05), extrapolated "

@@ -215,9 +215,9 @@ def test_eval_J_rejects_non_rotations():
 def test_anisotropic_q3_material_is_accepted():
     plate, thick, _, quad, V, iso = plate_scene()
     w = sg.zero_vector_field(plate.domain)
-    M = sg.make_isotropic(1.0, 1.0).hessian_at_identity
+    M = sg.make_isotropic(1.0, 1.0).q3.matrix6
     entries = [M[i, j] for i in range(6) for j in range(i, 6)]
     q3 = sg.QuadForm3.from_upper_triangle(entries)
-    out_q3 = eval_I(thick, q3, iso, w, 1.0, quad=quad)
+    out_q3 = eval_I(thick, sg.quadratic_energy(q3), iso, w, 1.0, quad=quad)
     out_W = eval_I(thick, sg.make_isotropic(1.0, 1.0), iso, w, 1.0, quad=quad)
     assert out_q3.total == pytest.approx(out_W.total, rel=1e-13)

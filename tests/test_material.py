@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,8 +38,9 @@ def test_frame_indifference():
 
 
 def test_coercivity_near_rotations():
-    # W(F) >= C dist^2(F, SO(3)) with the declared constant, near SO(3)
-    W = sg.make_isotropic(1.5, 0.7)
+    # W(F) >= (mu/2) dist^2(F, SO(3)) for F within distance ~0.2 of SO(3)
+    mu = 1.5
+    W = sg.make_isotropic(mu, 0.7)
     rng = np.random.default_rng(9)
     for _ in range(100):
         R = rotation_matrices(random_rotations(rng, 1))[0]
@@ -46,7 +49,7 @@ def test_coercivity_near_rotations():
         F = R + P
         sv = np.linalg.svd(F, compute_uv=False)
         dist2 = float(np.sum((sv - 1.0) ** 2))
-        assert W.evaluate(green_strain(F)) >= W.coercivity_constant * dist2
+        assert W.evaluate(green_strain(F)) >= 0.5 * mu * dist2
 
 
 def test_parameter_errors():
@@ -57,7 +60,7 @@ def test_parameter_errors():
 
 
 def test_hessian_closed_form_values():
-    q3 = sg.as_q3(sg.make_isotropic(1.0, 0.0))
+    q3 = sg.make_isotropic(1.0, 0.0).q3
     E12 = np.zeros((3, 3))
     E12[0, 1] = E12[1, 0] = 1.0
     assert q3.apply(E12) == pytest.approx(4.0, rel=1e-14)
@@ -65,7 +68,7 @@ def test_hessian_closed_form_values():
     skew = np.array([[0.0, 1.0, -0.5], [-1.0, 0.0, 2.0], [0.5, -2.0, 0.0]])
     assert q3.apply(skew) == pytest.approx(0.0, abs=1e-14)
 
-    q3b = sg.as_q3(sg.make_isotropic(1.0, 1.0))
+    q3b = sg.make_isotropic(1.0, 1.0).q3
     assert q3b.apply(np.eye(3)) == pytest.approx(15.0, rel=1e-14)
 
 
@@ -77,28 +80,27 @@ def test_second_difference_of_energy_recovers_q3():
     s = 1e-4
     assert 2.0 * W.evaluate(green_strain(np.eye(3) + s * E)) / s ** 2 == pytest.approx(
         3.0, rel=1e-3)
-    assert sg.as_q3(W).apply(E) == pytest.approx(3.0, rel=1e-14)
+    assert W.q3.apply(E) == pytest.approx(3.0, rel=1e-14)
 
 
 def test_q3_from_energy_matches_analytic_hessian():
-    for mu, lam in [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)]:
-        W = sg.make_isotropic(mu, lam)
+    for W in [sg.make_isotropic(1.0, 0.0), sg.make_isotropic(1.0, 1.0),
+              sg.make_isotropic(2.0, 0.5), sg.quadratic_energy(anisotropic_q3(50))]:
         q3_fd = sg.q3_from_energy(W)
-        assert np.max(np.abs(q3_fd.matrix6 - W.hessian_at_identity)) <= 1e-6
+        assert np.max(np.abs(q3_fd.matrix6 - W.q3.matrix6)) <= 1e-6
         assert q3_fd.min_eigenvalue() > 0.0
 
 
 def test_q3_from_energy_rejects_broken_densities():
     from shellgamma.errors import DifferentiationError
-    broken = sg.StoredEnergy(evaluate=lambda E: float("nan"),
-                             hessian_at_identity=None, coercivity_constant=0.0)
+    broken = dataclasses.replace(sg.make_isotropic(1.0, 1.0), evaluate=lambda E: float("nan"))
     with pytest.raises(DifferentiationError):
         sg.q3_from_energy(broken)
 
 
 def test_q3_from_upper_triangle_round_trip():
     W = sg.make_isotropic(1.3, 0.4)
-    M = W.hessian_at_identity
+    M = W.q3.matrix6
     entries = [M[i, j] for i in range(6) for j in range(i, 6)]
     q3 = sg.QuadForm3.from_upper_triangle(entries)
     assert np.allclose(q3.matrix6, M)
@@ -106,21 +108,21 @@ def test_q3_from_upper_triangle_round_trip():
 
 def test_reduce_q2_reference_values():
     n, t1, t2 = adapted_frame()
-    q2 = sg.reduce_q2(sg.as_q3(sg.make_isotropic(1.0, 1.0)), n, t1, t2)
+    q2 = sg.reduce_q2(sg.make_isotropic(1.0, 1.0).q3, n, t1, t2)
     assert q2.apply_tangential(np.eye(2)) == pytest.approx(20.0 / 3.0, rel=1e-12)
     assert np.allclose(q2.minimizer(np.eye(2)), [0.0, 0.0, -1.0 / 3.0], atol=1e-12)
 
     assert q2.apply_tangential(np.zeros((2, 2))) == pytest.approx(0.0, abs=1e-14)
     assert np.allclose(q2.minimizer(np.zeros((2, 2))), 0.0, atol=1e-14)
 
-    q2_nolam = sg.reduce_q2(sg.as_q3(sg.make_isotropic(1.0, 0.0)), n, t1, t2)
+    q2_nolam = sg.reduce_q2(sg.make_isotropic(1.0, 0.0).q3, n, t1, t2)
     assert q2_nolam.apply_tangential(np.diag([1.0, 0.0])) == pytest.approx(2.0, rel=1e-12)
     assert np.allclose(q2_nolam.minimizer(np.diag([1.0, 0.0])), 0.0, atol=1e-14)
 
 
 def test_relaxation_bound_and_equality_at_minimizer():
     n, t1, t2 = adapted_frame()
-    q3 = sg.as_q3(sg.make_isotropic(1.0, 1.0))
+    q3 = sg.make_isotropic(1.0, 1.0).q3
     q2 = sg.reduce_q2(q3, n, t1, t2)
     T = np.column_stack([t1, t2])
     rng = np.random.default_rng(11)
@@ -138,7 +140,7 @@ def test_relaxation_bound_and_equality_at_minimizer():
 
 def test_minimizer_is_linear():
     n, t1, t2 = adapted_frame()
-    q2 = sg.reduce_q2(sg.as_q3(sg.make_isotropic(2.0, 0.5)), n, t1, t2)
+    q2 = sg.reduce_q2(sg.make_isotropic(2.0, 0.5).q3, n, t1, t2)
     rng = np.random.default_rng(12)
     for _ in range(50):
         F, G = rng.normal(size=(2, 2, 2))
@@ -150,7 +152,7 @@ def test_minimizer_is_linear():
 
 def test_q2_depends_only_on_symmetric_part():
     n, t1, t2 = adapted_frame()
-    q2 = sg.reduce_q2(sg.as_q3(sg.make_isotropic(1.0, 1.0)), n, t1, t2)
+    q2 = sg.reduce_q2(sg.make_isotropic(1.0, 1.0).q3, n, t1, t2)
     rng = np.random.default_rng(13)
     for _ in range(50):
         F = rng.normal(size=(2, 2))
@@ -159,7 +161,7 @@ def test_q2_depends_only_on_symmetric_part():
 
 
 def test_frame_consistency_under_normal_flip():
-    q3 = sg.as_q3(sg.make_isotropic(1.0, 1.0))
+    q3 = sg.make_isotropic(1.0, 1.0).q3
     n, t1, t2 = adapted_frame()
     q2_plus = sg.reduce_q2(q3, n, t1, t2)
     q2_minus = sg.reduce_q2(q3, -n, t1, t2)
@@ -181,7 +183,7 @@ def test_isotropic_closed_form_agreement():
     rng = np.random.default_rng(15)
     for mu, lam in [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)]:
         n, t1, t2 = adapted_frame()
-        q2 = sg.reduce_q2(sg.as_q3(sg.make_isotropic(mu, lam)), n, t1, t2)
+        q2 = sg.reduce_q2(sg.make_isotropic(mu, lam).q3, n, t1, t2)
         for _ in range(100):
             F = rng.normal(size=(2, 2))
             expected = sg.isotropic_q2_closed_form(mu, lam, F)
@@ -232,7 +234,7 @@ def random_frames(rng, count):
 def test_batched_reduction_equals_stacked_frames():
     rng = np.random.default_rng(19)
     A = rng.normal(size=(6, 6))
-    for q3 in (sg.as_q3(sg.make_isotropic(1.0, 1.0)),
+    for q3 in (sg.make_isotropic(1.0, 1.0).q3,
                sg.QuadForm3.from_matrix(A @ A.T + 6.0 * np.eye(6))):
         n, t1, t2 = random_frames(rng, 8)
         F = rng.normal(size=(8, 2, 2))
@@ -280,7 +282,7 @@ def test_brute_force_relaxation_matches_solver():
     rng = np.random.default_rng(17)
     n, t1, t2 = adapted_frame()
     for mu, lam in [(1.0, 1.0), (2.0, 0.5)]:
-        q3 = sg.as_q3(sg.make_isotropic(mu, lam))
+        q3 = sg.make_isotropic(mu, lam).q3
         q2 = sg.reduce_q2(q3, n, t1, t2)
         for _ in range(20):
             F = rng.normal(size=(2, 2))
@@ -332,7 +334,7 @@ class ApplyOnly:
 @pytest.mark.parametrize("seed", [None, 50])
 def test_brute_force_reads_only_apply_and_makes_few_calls(seed):
     # the oracle's independence from reduce_q2: no matrix6, hence no linear solve
-    q3 = sg.as_q3(sg.make_isotropic(1.0, 1.0)) if seed is None else anisotropic_q3(seed)
+    q3 = sg.make_isotropic(1.0, 1.0).q3 if seed is None else anisotropic_q3(seed)
     n, t1, t2 = adapted_frame()
     F = np.random.default_rng(24).normal(size=(200, 2, 2))
     counted = ApplyOnly(q3)
@@ -350,7 +352,7 @@ def test_batched_brute_force_equals_stacked_single_calls():
     rng = np.random.default_rng(23)
     n, t1, t2 = adapted_frame()
     A = rng.normal(size=(6, 6))
-    for q3 in (sg.as_q3(sg.make_isotropic(1.0, 1.0)),
+    for q3 in (sg.make_isotropic(1.0, 1.0).q3,
                sg.QuadForm3.from_matrix(A @ A.T + np.eye(6))):
         F = rng.normal(size=(12, 2, 2))
         F[[0, 5]] = 0.0

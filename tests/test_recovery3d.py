@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shellgamma as sg
-from shellgamma.errors import EnergyBlowupError, ParameterError, ThicknessError
+from shellgamma.errors import EnergyBlowupError, ThicknessError
 from shellgamma.fields import transpose
 from shellgamma.kinematics import tangential_strain
 from shellgamma.loads import rotation_matrices
@@ -446,17 +446,6 @@ def test_energy_blowup_reports_worst_node():
     assert np.array_equal(err.value.u, worst_ut[0])
     assert err.value.t == worst_ut[1]
     assert f"{worst:.3e}" in str(err.value)
-
-
-def test_shell_energy_requires_stored_energy():
-    plate, thick, W, quad, trule = plate_scene(order=4)
-    iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
-    data = sg.recovery_data(plate, W, iso, sg.zero_vector_field(plate.domain),
-                            thick, kappa=1.0, quad=quad)
-    rec = sg.build_recovery(data, h=0.1, e_h=1e-4)
-    q3 = sg.as_q3(W)
-    with pytest.raises(ParameterError):
-        sg.eval_shell_energy(rec, q3, quad, trule)
 
 
 def test_energy_converges_to_limit_quickly():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shellgamma.cli as cli
-from shellgamma import fields, kinematics, recovery3d, studies
+from shellgamma import fields, kinematics, limit2d, recovery3d, studies
 from shellgamma.errors import ConfigError, ParameterError
 from shellgamma.geometry import SurfacePatch, gauss_legendre, make_builtin_patch
 from shellgamma.studies import (CSV_HEADER, StudyReport, StudyRow,
@@ -199,11 +199,10 @@ _TOLERANCES = {
 @st.composite
 def _study_documents(draw):
     study = draw(st.sampled_from(sorted(_TOLERANCES)))
-    materials = [st.fixed_dictionaries({"type": st.just("isotropic"), "mu": _POSITIVE,
-                                        "lambda": _numbers(min_value=0.0, max_value=1e3)})]
-    if study != "gamma-limit":
-        materials.append(st.fixed_dictionaries({"type": st.just("q3"),
-                                                "matrix": _Q3_MATRICES}))
+    materials = st.one_of(
+        st.fixed_dictionaries({"type": st.just("isotropic"), "mu": _POSITIVE,
+                               "lambda": _numbers(min_value=0.0, max_value=1e3)}),
+        st.fixed_dictionaries({"type": st.just("q3"), "matrix": _Q3_MATRICES}))
     e_h = draw(st.one_of(st.just({"mode": "kappa_h4"}),
                          st.fixed_dictionaries({"mode": st.just("h_alpha")},
                                                optional={"alpha": _numbers(
@@ -215,7 +214,7 @@ def _study_documents(draw):
             "thickness": draw(st.fixed_dictionaries(
                 {"g1": _SCALARS, "g2": _SCALARS},
                 optional={"lipschitz_bound": _numbers(min_value=0.0, max_value=10.0)})),
-            "material": draw(st.one_of(materials)),
+            "material": draw(materials),
             "fields": {"V": draw(_FIELDS), "w": draw(_FIELDS)},
             "kappa": kappa,
             "e_h": e_h,
@@ -278,6 +277,8 @@ _Q2 = {"study": "q2-check"}
     ({**_Q2, "tolerances": {"brute_force_tol": -1.0}}, "tolerances.brute_force_tol"),
     ({"study": "load-align", "tolerances": {"margin_rel_tol": -1e-9}},
      "tolerances.margin_rel_tol"),
+    # e_h = kappa^2 h^4 vanishes at kappa = 0
+    ({**MINIMAL_GAMMA, "kappa": 0}, "e_h.mode"),
 ])
 def test_bad_input_is_a_config_error_with_its_key_path(doc, key_path, tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
@@ -463,6 +464,21 @@ def test_gamma_gate_fails_a_wrong_recovery(name, monkeypatch):
     assert summary["fitted_gap_r2"] < summary["gap_r2_min"] == 0.98
     assert not report.passed
     assert report.rows[-1].status == "fail"
+
+
+def test_anisotropic_gamma_fails_a_swapped_tangent_frame(monkeypatch):
+    # an isotropic Q2 does not see the tangent frame, so only the anisotropic
+    # builtin can catch a reduction in the frame (t2, t1)
+    reduce_q2 = limit2d.reduce_q2
+    monkeypatch.setattr(limit2d, "reduce_q2",
+                        lambda q3, n, t1, t2: reduce_q2(q3, n, t2, t1))
+    for name in ("plate-gamma", "sphere-gamma"):
+        assert run_study(builtin_scenario_config(name)).passed
+    report = run_study(builtin_scenario_config("sphere-anisotropic-gamma"))
+    summary = report.summary
+    assert summary["raw_rel_gap_at_smallest_h"] > summary["raw_rel_gap_tolerance"]
+    assert summary["fitted_gap_r2"] < summary["gap_r2_min"]
+    assert not report.passed and report.rows[-1].status == "fail"
 
 
 @pytest.mark.parametrize("name, tensor", [
@@ -677,7 +693,7 @@ def test_run_q2_study_passes():
     assert report.rows[0].residual_bend <= 1e-8
 
 
-def test_run_study_with_anisotropic_material_q2_only():
+def test_run_study_with_anisotropic_material():
     A = np.random.default_rng(50).normal(size=(6, 6))
     M = A @ A.T + np.eye(6)
     entries = [M[i, j] for i in range(6) for j in range(i, 6)]
@@ -686,9 +702,11 @@ def test_run_study_with_anisotropic_material_q2_only():
     assert report.passed  # brute-force comparison only, no closed form
     assert report.summary["brute_force_max_dev"] <= 1e-8
 
+    # a q3 material is the stored energy W(E) = (1/2) Q3(E), so every study takes it
     gamma_doc = {**MINIMAL_GAMMA, "material": {"type": "q3", "matrix": entries}}
-    with pytest.raises(ConfigError):
-        validate_config(gamma_doc)
+    report = run_study(validate_config(gamma_doc))
+    assert report.passed and report.error is None
+    assert report.rows[-1].status == "pass"
 
 
 def test_q2_anisotropic_builtin_passes_with_no_closed_form_figure(tmp_path):
@@ -703,6 +721,18 @@ def test_q2_anisotropic_builtin_passes_with_no_closed_form_figure(tmp_path):
     csv_path, _ = write_report(report, str(tmp_path / "q2a.csv"))
     row, = read_rows(csv_path)
     assert row.residual_stretch is None and row.residual_bend <= 1e-12
+
+
+def test_q2_anisotropic_builtin_fails_a_reduction_that_ignores_its_frame(monkeypatch):
+    # every sample has its own frame; a reduction at the fixed frame (e1, e2, e3)
+    # agreed with the oracle while q2-check drew no frame
+    reduce_q2 = studies.reduce_q2
+    fixed = np.eye(3)
+    monkeypatch.setattr(studies, "reduce_q2",
+                        lambda q3, n, t1, t2: reduce_q2(q3, fixed[2], fixed[0], fixed[1]))
+    report = run_study(builtin_scenario_config("q2-anisotropic"))
+    assert report.summary["brute_force_max_dev"] > 1.0
+    assert not report.passed and report.rows[0].status == "fail"
 
 
 def test_q2_anisotropic_builtin_fails_a_wrong_reduction(monkeypatch):
@@ -804,6 +834,54 @@ def test_cli_run_config_file_with_h_list(tmp_path, capsys):
     assert len(rows) == 5
     assert rows[0].h == 0.125
     capsys.readouterr()
+
+
+def test_cli_quad_order_reaches_the_study(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def recording_run_study(cfg):
+        seen.append(cfg.quadrature)
+        return run_study(cfg)
+
+    monkeypatch.setattr(cli, "run_study", recording_run_study)
+    doc = {**MINIMAL_GAMMA, "quadrature": {"surface_order": 4, "transversal_order": 3},
+           "h_schedule": [2.0 ** -k for k in range(3, 7)]}
+    cfg_path = tmp_path / "g.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = str(tmp_path / "g.csv")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", out]) == 0
+    I_4 = read_rows(out)[0].I_limit
+    assert cli.main(["run", "--config", str(cfg_path), "--out", out,
+                     "--quad-order", "6"]) == 0
+    assert seen == [{"surface_order": 4, "transversal_order": 3},
+                    {"surface_order": 6, "transversal_order": 3}]
+    assert read_rows(out)[0].I_limit != I_4
+    capsys.readouterr()
+
+
+def test_cli_malformed_h_list_exits_2(tmp_path, capsys):
+    assert cli.main(["run", "--config", "q2-isotropic", "--out", str(tmp_path / "q.csv"),
+                     "--h-list", "0.1,abc"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --h-list must be comma-separated floats, got '0.1,abc'\n")
+    assert not os.path.exists(tmp_path / "q.csv")
+
+
+@pytest.mark.parametrize("bad, override, key_path", [
+    ({"h_schedule": [0.5, 0.25]}, ["--h-list", "0.125,0.0625,0.03125,0.015625"],
+     "h_schedule"),
+    ({"quadrature": {"surface_order": 0}}, ["--quad-order", "4"],
+     "quadrature.surface_order"),
+    ({"output": ""}, ["--out", "ok.csv"], "output"),
+])
+def test_cli_override_does_not_mend_an_invalid_config(bad, override, key_path, tmp_path,
+                                                       monkeypatch, capsys):
+    # overrides replace keys of a config that must be valid as written
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({**MINIMAL_GAMMA, **bad}))
+    assert cli.main(["run", "--config", str(cfg_path), *override]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key_path}: ")
 
 
 def test_cli_exit_codes(tmp_path, capsys):
