@@ -21,11 +21,10 @@ from .kinematics import (ExpansionData, IsometryField, bending_expansion_residua
                          bending_matrix, build_isometry, expansion_data,
                          stretching_expansion_residual, stretching_tensor)
 from .limit2d import LimitEnergyBreakdown, LimitFields, eval_I, eval_J, limit_fields
-from .loads import (ExampleMaximizerSet, LoadField, RotationActionResult,
-                    davenport_matrix, eval_J_h, example_maximizer_set, extend_load,
-                    load_compatibility_residual, maximize_action, moment_matrix,
-                    random_rotations, rotation_actions, rotation_matrices,
-                    wahba_maximize)
+from .loads import (ActionMaximum, davenport_matrix, eval_J_h, example_maximizer_set,
+                    extend_load, load_compatibility_residual, maximize_action,
+                    moment_matrix, random_rotations, rotation_actions,
+                    rotation_matrices, wahba_maximize)
 from .material import (QuadForm2, QuadForm3, StoredEnergy, green_strain,
                        isotropic_q2_closed_form, make_isotropic, q3_from_energy,
                        quadratic_energy, reduce_q2, relax_q2_brute_force)

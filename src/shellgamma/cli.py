@@ -5,6 +5,9 @@ Usage:
                  [--h-list a,b,c] [--quad-order N]
   shellgamma list-scenarios
 
+The config is read by `studies.load_config`; --out, --h-list and
+--quad-order replace its keys, and the result is validated again.
+
 Exit codes: 0 all tolerances met, 1 a tolerance failed, 2 configuration or
 runtime error.
 """
@@ -12,27 +15,15 @@ runtime error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import ConfigError, ShellGammaError
-from .studies import BUILTIN_SCENARIOS, run_study, validate_config, write_report
+from .studies import (BUILTIN_SCENARIOS, load_config, run_study, validate_config,
+                      write_report)
 
 
 def _load_config(spec, h_list=None, quad_order=None, out=None):
-    if spec in BUILTIN_SCENARIOS:
-        doc = BUILTIN_SCENARIOS[spec].doc
-    else:
-        try:
-            with open(spec, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(
-                f"{spec!r} is neither a readable file nor a builtin scenario "
-                f"({sorted(BUILTIN_SCENARIOS)})")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {spec}: {exc}")
-    cfg = validate_config(doc)
+    cfg = load_config(spec)
     overrides = {}
     if h_list is not None:
         try:
@@ -40,11 +31,11 @@ def _load_config(spec, h_list=None, quad_order=None, out=None):
         except ValueError:
             raise ConfigError(f"--h-list must be comma-separated floats, got {h_list!r}")
     if quad_order is not None:
-        overrides["quadrature"] = {**doc.get("quadrature", {}), "surface_order": quad_order}
+        overrides["quadrature"] = {**cfg.quadrature, "surface_order": quad_order}
     if out is not None:
         overrides["output"] = out
-    # a valid document is a JSON object, so the overrides merge into it
-    return validate_config({**doc, **overrides}) if overrides else cfg
+    # the overrides replace keys of the valid config, and the result is validated again
+    return validate_config({**vars(cfg), **overrides}) if overrides else cfg
 
 
 def main(argv=None):

@@ -425,15 +425,6 @@ class TransversalRule:
         return self.nodes_at(thick.g1.value(u), thick.g2.value(u))
 
 
-def values_on(f, frame, shape):
-    """f(frame) as a float array of the frame's batch shape followed by `shape`.
-
-    User callables (loads) are called once with the batched
-    frame; a result that does not depend on the point broadcasts.
-    """
-    return np.broadcast_to(np.asarray(f(frame), dtype=float), frame.u.shape[:-1] + shape)
-
-
 # ---------------------------------------------------------------------------
 # offsets and curvature checks
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ these h-independent fields once at a point array, and the recovery
 deformation reads the same evaluation at its nodes and stencils; every
 integrand, the load term included, is one batched pass over the quadrature
 nodes.  The total-energy variant adds to a computed limit energy the
-dead-load action against a fixed rotation and the relaxation value
-supplied by the loads module.
+action of the load's node values against a fixed rotation and a relaxation
+value supplied by the caller.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .fields import transpose
-from .geometry import NodeFrame, values_on
+from .geometry import NodeFrame
 from .kinematics import bending_matrix, grad3_gamma_n, stretching_tensor
 from .material import QuadForm2, reduce_q2
 
@@ -92,19 +92,18 @@ def check_rotation(Q):
     return Q
 
 
-def eval_J(limit, thick, iso, f, Qbar, r_value, quad):
-    """Total limit energy J = I - integral (g1+g2) f . (Qbar V) + r_value.
+def eval_J(limit, thick, iso, f, Qbar, r, quad):
+    """Total limit energy J = I - integral (g1+g2) f . (Qbar V) + r.
 
     limit is the LimitEnergyBreakdown of I (`eval_I(...)`) for the same
-    scene; f is the limit surface load (frame -> R^3, called once with the
-    batched frame; a constant (3,) result broadcasts); r_value is the
-    relaxation penalty of Qbar, supplied externally (zero in the
-    maximizer-set example).
+    scene; f is the limit surface load at the nodes of quad, an (N, 3)
+    array; r is the relaxation penalty of Qbar, supplied externally (zero
+    in the maximizer-set example).
     """
     Qbar = check_rotation(Qbar)
-    fr = quad.frame
-    QV = iso.displacement.value(fr.u) @ Qbar.T
-    density = thick.total(fr.u) * (values_on(f, fr, (3,)) * QV).sum(axis=-1)
+    u = quad.frame.u
+    QV = iso.displacement.value(u) @ Qbar.T
+    density = thick.total(u) * (f * QV).sum(axis=-1)
     return LimitEnergyBreakdown(stretching=limit.stretching, bending=limit.bending,
                                 load_term=float(np.sum(quad.weights * density)),
-                                relaxation_term=float(r_value))
+                                relaxation_term=float(r))

@@ -1,49 +1,37 @@
 """Dead loads on the shell: extension, rotation-maximized action, total energy.
 
-Loads are declared on the mid-surface and extended through the thickness
-with the det(Id + t Pi)^{-1} weight, which makes transversal integrals of
-the extension collapse exactly; moment matrices are therefore assembled
-from the closed-form transversal reduction.  A load f(frame) is called
-once with the batched frame of the quadrature nodes and returns (..., 3)
-values; a constant (3,) result broadcasts over the nodes.  Every load
-integral is an array sum over the nodes.
+A load is its (N, 3) array of limit values f at the quadrature nodes,
+built once per scene; `eval_J_h` alone scales it to f^h = h sqrt(e_h) f.
+Loads are extended through the thickness with the det(Id + t Pi)^{-1}
+weight, which makes transversal integrals of the extension collapse
+exactly; moment matrices are therefore assembled from the closed-form
+transversal reduction.  Every load integral is an array sum over the nodes,
+and every maximized action, with its tie rule, comes from `wahba_maximize`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import UnsupportedCaseError
 from .fields import first_point
-from .geometry import offset_jacobian, values_on
+from .geometry import offset_jacobian
 
 PROCRUSTES_TIE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class LoadField:
-    """Surface force density f of the von Karman schedule f^h = h sqrt(e_h) f."""
-
-    f: Callable  # frame -> R^3 (limit load, per unit area of S)
-
-    def factor(self, h, e_h):
-        return h * float(np.sqrt(e_h))
-
-
-def load_compatibility_residual(thick, load, squad):
+def load_compatibility_residual(thick, f, squad):
     """Norm of int (g1+g2) f dS relative to the field's L1 mass.
 
-    The compatibility condition requires this to vanish at quadrature
-    accuracy (<= 1e-8 of the mass); the scaling factor cancels.
+    f holds the load's values at the nodes of squad.  The compatibility
+    condition requires this to vanish at quadrature accuracy (<= 1e-8 of
+    the mass); the scaling factor cancels.
     """
-    fr = squad.frame
-    val = values_on(load.f, fr, (3,))
-    wmu = squad.weights * thick.total(fr.u)
-    total = (wmu[:, None] * val).sum(axis=0)
-    mass = float(np.sum(wmu * np.linalg.norm(val, axis=-1)))
+    wmu = squad.weights * thick.total(squad.frame.u)
+    total = (wmu[:, None] * f).sum(axis=0)
+    mass = float(np.sum(wmu * np.linalg.norm(f, axis=-1)))
     return float(np.linalg.norm(total)), mass
 
 
@@ -55,35 +43,32 @@ def extend_load(patch, f_surface, u, t):
 
 
 @dataclass(frozen=True)
-class RotationActionResult:
-    moment_matrix: np.ndarray     # N = (1/h) int_{S^h} z (f^h)^T dz
-    optimal_rotation: np.ndarray
-    m_h: float
-    non_unique: bool
+class ActionMaximum:
+    """The maximum of tr(Q N) over rotations Q and the set of its maximizers."""
+
+    moment_matrix: np.ndarray
+    optimal_rotation: np.ndarray  # the maximizer closest to Id
+    value: float
+    classification: str           # unique | one_parameter_family | all_SO3
     singular_values: np.ndarray
 
 
-def wahba_maximize(N):
+def wahba_maximize(N, tie_tol=PROCRUSTES_TIE_TOL):
     """Maximize tr(Q N) over SO(3) in closed form (orthogonal-factor decomposition).
 
-    Returns (Q, value, non_unique, singular_values).  Rank-deficient ties are
-    broken toward the rotation closest to the identity in geodesic distance.
+    Returns (Q, value, classification, singular_values).  Singular values
+    within tie_tol of zero or of each other are ties; a tie is broken toward
+    the maximizer closest to the identity in geodesic distance.
     """
     N = np.asarray(N, dtype=float)
     U, sv, Vt = np.linalg.svd(N)
     V = Vt.T
-    s0 = float(np.sign(np.linalg.det(V @ U.T)))
-    if s0 == 0.0:
-        s0 = 1.0
-    value = sv[0] + sv[1] + s0 * sv[2]
-    ambiguous = bool(sv[1] <= PROCRUSTES_TIE_TOL
-                     or (s0 < 0.0 and sv[1] - sv[2] <= PROCRUSTES_TIE_TOL))
-    if not ambiguous:
-        Q = V @ np.diag([1.0, 1.0, s0]) @ U.T
-        return Q, float(value), False, sv
-
-    if sv[0] <= PROCRUSTES_TIE_TOL:
-        return np.eye(3), float(value), True, sv
+    s0 = float(np.sign(np.linalg.det(V @ U.T))) or 1.0
+    value = float(sv[0] + sv[1] + s0 * sv[2])
+    if sv[0] <= tie_tol:
+        return np.eye(3), value, "all_SO3", sv
+    if not (sv[1] <= tie_tol or (s0 < 0.0 and sv[1] - sv[2] <= tie_tol)):
+        return V @ np.diag([1.0, 1.0, s0]) @ U.T, value, "unique", sv
 
     # one-parameter optimal family in the (2, 3) singular block; pick the
     # member maximizing tr(Q), i.e. closest to Id
@@ -103,52 +88,37 @@ def wahba_maximize(N):
         B = np.array([[c, s], [s, -c]])
     Z = np.eye(3)
     Z[1:, 1:] = B
-    Q = V @ Z @ U.T
-    return Q, float(value), True, sv
+    return V @ Z @ U.T, value, "one_parameter_family", sv
 
 
-def moment_matrix(load, thick, h, e_h, squad):
+def moment_matrix(fh, thick, h, squad):
     """N = (1/h) int_{S^h} z (f^h)^T dz via the exact transversal reduction.
 
-    The extension weight cancels the volume element, leaving
+    fh holds the scaled load f^h at the nodes of squad.  The extension
+    weight cancels the volume element, leaving
     int_S (g1+g2) x (f^h)^T + (h/2) int_S (g2^2 - g1^2) n (f^h)^T.
     """
     fr = squad.frame
-    fh = load.factor(h, e_h) * values_on(load.f, fr, (3,))
     g1v, g2v = thick.g1.value(fr.u), thick.g2.value(fr.u)
     z = ((g1v + g2v)[:, None] * fr.x
          + (0.5 * h * (g2v ** 2 - g1v ** 2))[:, None] * fr.n)  # transversal moment
     return (squad.weights[:, None] * z).T @ fh
 
 
-def maximize_action(load, thick, h, e_h, squad):
+def maximize_action(fh, thick, h, squad):
     """The maximized action m^h of f^h over all rotations of the shell."""
-    N = moment_matrix(load, thick, h, e_h, squad)
-    Q, value, non_unique, sv = wahba_maximize(N)
-    return RotationActionResult(moment_matrix=N, optimal_rotation=Q,
-                                m_h=float(value), non_unique=non_unique,
-                                singular_values=sv)
+    N = moment_matrix(fh, thick, h, squad)
+    return ActionMaximum(N, *wahba_maximize(N))
 
 
-@dataclass(frozen=True)
-class ExampleMaximizerSet:
-    """Maximizer set of the limit action for the balanced scaling with g1 = g2."""
+def example_maximizer_set(f, thick, squad):
+    """Maximizer set of the limit action under the scaling f^h = h sqrt(e_h) f.
 
-    moment_matrix: np.ndarray     # int_S x f^T dS of the limit load
-    optimal_rotation: np.ndarray
-    max_action: float
-    classification: str           # unique | one_parameter_family | all_SO3
-    r_value: float
-    singular_values: np.ndarray
-
-
-def example_maximizer_set(load, thick, squad):
-    """Maximizer set and relaxation value under the scaling f^h = h sqrt(e_h) f.
-
-    Refuses g1 != g2: outside this case only one inclusion of the
-    maximizer-set identity survives, so no classification is computed.
-    Singular values below 1e-8 times the L1 mass of the moment integrand are
-    treated as zero (quadrature resolution).
+    f holds the limit load at the nodes of squad.  Refuses g1 != g2: outside
+    this case only one inclusion of the maximizer-set identity survives, so
+    no classification is computed.  Singular values within 1e-8 times the L1
+    mass of the moment integrand are ties (quadrature resolution); when
+    every rotation maximizes, the value is 0.
     """
     fr = squad.frame
     gamma = thick.gamma(fr.u)
@@ -157,47 +127,32 @@ def example_maximizer_set(load, thick, squad):
         raise UnsupportedCaseError(
             f"maximizer-set classification requires g1 = g2; "
             f"g2 - g1 = {gamma[np.argmax(uneven)]:.3e} at u={first_point(fr.u, uneven)}")
-    fv = values_on(load.f, fr, (3,))
-    N0 = (squad.weights[:, None] * fr.x).T @ fv
+    N0 = (squad.weights[:, None] * fr.x).T @ f
     mass = float(np.sum(squad.weights * np.linalg.norm(fr.x, axis=-1)
-                        * np.linalg.norm(fv, axis=-1)))
-    U, sv, Vt = np.linalg.svd(N0)
-    s0 = float(np.sign(np.linalg.det(Vt.T @ U.T))) or 1.0
-    Q, value, _, _ = wahba_maximize(N0)
-    floor = 1e-8 * max(1.0, mass)
-    if sv[0] <= floor:
-        classification = "all_SO3"
-        Q = np.eye(3)
+                        * np.linalg.norm(f, axis=-1)))
+    Q, value, classification, sv = wahba_maximize(N0, tie_tol=1e-8 * max(1.0, mass))
+    if classification == "all_SO3":
         value = 0.0
-    elif sv[1] <= floor:
-        classification = "one_parameter_family"
-    elif s0 < 0.0 and sv[1] - sv[2] <= floor:
-        classification = "one_parameter_family"
-    else:
-        classification = "unique"
-    return ExampleMaximizerSet(moment_matrix=N0, optimal_rotation=Q,
-                               max_action=float(value),
-                               classification=classification, r_value=0.0,
-                               singular_values=sv)
+    return ActionMaximum(N0, Q, value, classification, sv)
 
 
-def eval_J_h(rec, E_h, load, squad, trule):
+def eval_J_h(rec, E_h, f, squad, trule):
     """Total shell energy J^h = E^h + m^h - (1/h) int_{S^h} f^h . u^h.
 
-    E_h is the shell energy of rec (`eval_shell_energy(...).E_h`).  The load
-    integral uses the exact transversal cancellation of the extension weight:
-    (1/h) int f^h u^h = int_S f^h(x) . int_t y^h dt dS, with y^h read once
-    over the (T, N) grid of transversal and surface nodes.
+    E_h is the shell energy of rec (`eval_shell_energy(...).E_h`) and f the
+    limit load at the nodes of squad, scaled here to f^h = h sqrt(e_h) f.
+    The load integral uses the exact transversal cancellation of the
+    extension weight: (1/h) int f^h u^h = int_S f^h(x) . int_t y^h dt dS,
+    with y^h read once over the (T, N) grid of transversal and surface nodes.
     """
     thick = rec.thick
-    action = maximize_action(load, thick, rec.h, rec.e_h, squad)
-    fac = load.factor(rec.h, rec.e_h)
+    fh = rec.h * float(np.sqrt(rec.e_h)) * f
+    action = maximize_action(fh, thick, rec.h, squad)
     u = squad.frame.u
     t, wt = trule.across(thick, u)
     y_int = np.sum(wt[..., None] * rec.evaluate(u, t), axis=0)
-    fh = fac * values_on(load.f, squad.frame, (3,))
     work = float(np.sum(squad.weights * (fh * y_int).sum(axis=-1)))
-    return E_h + action.m_h - work
+    return E_h + action.value - work
 
 
 def random_rotations(rng, count):

@@ -1,8 +1,10 @@
 """Configuration-driven convergence studies with machine-readable reports.
 
-A study config is a JSON document.  Each section that names a kind (patch,
-scalar field, vector family, load, material, e_h mode, study) is parsed and
-built from one table per section.  Parsing materializes every default, so
+A study config is a JSON document, read by `load_config` from a builtin
+scenario name or a file.  Each section that names a kind (patch, scalar
+field, vector family, load, material, e_h mode, study) is parsed and built
+from one table per section; a load is built as its values at the
+quadrature nodes, once per scene.  Parsing materializes every default, so
 the returned config is fully explicit; unknown keys, non-finite numbers,
 non-integral counts and patch values that geometry refuses are rejected
 with their key path.  Reports are a CSV table (one row per h, fixed header) plus a
@@ -30,7 +32,7 @@ from .geometry import (DEFAULT_SURFACE_ORDER, DEFAULT_TRANSVERSAL_ORDER, PATCH_K
 from .kinematics import (bending_expansion_residual, build_isometry, expansion_data,
                          stretching_expansion_residual)
 from .limit2d import eval_I, eval_J
-from .loads import (LoadField, davenport_matrix, eval_J_h, example_maximizer_set,
+from .loads import (davenport_matrix, eval_J_h, example_maximizer_set,
                     load_compatibility_residual, random_rotations,
                     rotation_actions, rotation_matrices, wahba_maximize)
 from .material import (QuadForm3, isotropic_q2_closed_form, make_isotropic,
@@ -221,29 +223,22 @@ _VECTOR_FAMILIES = {
 }
 
 
-def _constant_load(s):
-    vec = np.asarray(s["vector"], dtype=float)
-    return lambda fr: vec.copy()
-
-
-def _plate_sine_balanced_load(s):
+def _plate_sine_balanced_load(s, fr):
     # vertical sine with its mean removed
-    amp = s["amplitude"]
-    mean = 4.0 / math.pi ** 2
-
-    def f(fr):
-        u = fr.u
-        out = np.zeros(u.shape[:-1] + (3,))
-        out[..., 2] = amp * (np.sin(math.pi * u[..., 0]) * np.sin(math.pi * u[..., 1]) - mean)
-        return out
-    return f
+    u = fr.u
+    out = np.zeros(u.shape[:-1] + (3,))
+    out[..., 2] = s["amplitude"] * (np.sin(math.pi * u[..., 0]) * np.sin(math.pi * u[..., 1])
+                                    - 4.0 / math.pi ** 2)
+    return out
 
 
-# each builds the load's f(frame), scaled as f^h = h sqrt(e_h) f
+# each builds the load's (N, 3) limit values f at the nodes of a frame
 _LOADS = {
-    "constant": _Kind({"vector": (_REQUIRED, _list_of(3))}, _constant_load),
-    "radial": _Kind({}, lambda s: lambda fr: fr.x.copy()),
-    "normal": _Kind({}, lambda s: lambda fr: fr.n.copy()),
+    "constant": _Kind({"vector": (_REQUIRED, _list_of(3))},
+                      lambda s, fr: np.broadcast_to(np.asarray(s["vector"], dtype=float),
+                                                    fr.x.shape)),
+    "radial": _Kind({}, lambda s, fr: fr.x),
+    "normal": _Kind({}, lambda s, fr: fr.n),
     "plate_sine_balanced": _Kind({"amplitude": (1.0, _number)}, _plate_sine_balanced_load),
 }
 
@@ -336,12 +331,19 @@ def validate_config(doc):
     return StudyConfig(**cfg)
 
 
-def parse_config(text):
-    """Parse and validate a JSON study document."""
+def load_config(spec):
+    """The StudyConfig of a builtin scenario name or of a JSON file, validated as written."""
+    if spec in BUILTIN_SCENARIOS:
+        # validate_config neither changes nor keeps any part of the document
+        return validate_config(BUILTIN_SCENARIOS[spec].doc)
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}") from exc
+        with open(spec, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"{spec!r} is neither a readable file nor a builtin scenario "
+                          f"({sorted(BUILTIN_SCENARIOS)})") from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"invalid JSON in {spec}: {exc}") from None
     return validate_config(doc)
 
 
@@ -361,9 +363,12 @@ def fit_order(pairs):
 
     Pairs with zero (or sub-floor) residual are excluded as exact; if nothing
     remains the data is exact and the slope is reported as +inf with r^2 = 1.
-    Returns (slope, r_squared).
+    A residual that is not finite gives a nan slope and r^2, which fail every
+    gate.  Returns (slope, r_squared).
     """
     pts = [(float(h), float(r)) for h, r in pairs]
+    if not all(math.isfinite(r) for _, r in pts):
+        return math.nan, math.nan
     kept = [(h, r) for h, r in pts if r > EXACT_RESIDUAL_FLOOR]
     if len(kept) < 2:
         return math.inf, 1.0
@@ -488,6 +493,11 @@ def _gamma_scene(cfg):
     return patch, thick, squad, iso, w
 
 
+def _rel_gap(value, limit):
+    """|value - limit| relative to |limit|; absolute at a limit of 0."""
+    return abs(value - limit) / abs(limit) if limit != 0.0 else abs(value)
+
+
 def _run_gamma(cfg):
     patch, thick, squad, iso, w = _gamma_scene(cfg)
     material = _build(_MATERIALS, "type", cfg.material)
@@ -497,16 +507,16 @@ def _run_gamma(cfg):
     limit = eval_I(data.limit, thick, squad)
     I_value = limit.total
 
-    load = None if cfg.load is None else LoadField(f=_build(_LOADS, "family", cfg.load))
+    f = None if cfg.load is None else _build(_LOADS, "family", cfg.load, squad.frame)
     J_value = None
-    if load is not None:
-        resid, mass = load_compatibility_residual(thick, load, squad)
+    if f is not None:
+        resid, mass = load_compatibility_residual(thick, f, squad)
         if resid > 1e-8 * max(mass, 1e-300):
             raise ConfigError(
                 f"load violates the compatibility condition: |int (g1+g2) f| = "
                 f"{resid:.3e} vs L1 mass {mass:.3e}", key_path="load")
         # maximizer-set example semantics: Qbar = Id, r = 0
-        J_value = eval_J(limit, thick, iso, load.f, np.eye(3), 0.0, quad=squad).total
+        J_value = eval_J(limit, thick, iso, f, np.eye(3), 0.0, quad=squad).total
 
     rows = []
     failing_h = None
@@ -516,17 +526,15 @@ def _run_gamma(cfg):
         try:
             rec = build_recovery(data, h=h, e_h=e_h)
             ev = eval_shell_energy(rec, material, squad, trule)
-            if load is not None:
-                J_h = eval_J_h(rec, ev.E_h, load, squad, trule)
-                J_gap = abs(J_h / e_h - J_value) / max(1e-300, abs(J_value))
+            if f is not None:
+                J_gap = _rel_gap(eval_J_h(rec, ev.E_h, f, squad, trule) / e_h, J_value)
         except ShellGammaError as exc:
             failing_h = (h, str(exc))
             rows.append(StudyRow(h=h, e_h=e_h, status="error"))
             break
-        gap = abs(ev.normalized - I_value) / abs(I_value) if I_value != 0.0 \
-            else abs(ev.normalized)
         rows.append(StudyRow(h=h, e_h=e_h, E_h=ev.E_h, normalized=ev.normalized,
-                             I_limit=I_value, rel_gap=gap, status="ok"))
+                             I_limit=I_value, rel_gap=_rel_gap(ev.normalized, I_value),
+                             status="ok"))
 
     summary = {"I_limit": I_value,
                "I_stretching": limit.stretching,
@@ -546,8 +554,7 @@ def _run_gamma(cfg):
     coarse, fine = rows[-2], rows[-1]
     extrapolated = richardson_extrapolate(coarse.h, coarse.normalized,
                                           fine.h, fine.normalized, order=slope)
-    extr_gap = abs(extrapolated - I_value) / abs(I_value) if I_value != 0.0 \
-        else abs(extrapolated)
+    extr_gap = _rel_gap(extrapolated, I_value)
     raw_ok = rows[-1].rel_gap <= tol["raw_rel_gap"]
     extr_ok = extr_gap <= tol["extrapolated_rel_gap"]
     # a wrong recovery can sit inside the gap tolerances at these h while
@@ -656,10 +663,9 @@ def _run_load_align(cfg):
     sphere = make_builtin_patch("sphere", radius=1.0)
     squad = surface_quadrature(sphere, cfg.quadrature["surface_order"])
     thick = ThicknessPair.constant(0.5, 0.5, sphere.domain)
-    const_load = LoadField(f=lambda fr: np.array([0.3, -0.1, 0.2]))
-    radial_load = LoadField(f=lambda fr: fr.x.copy())
+    const_load = np.broadcast_to(np.array([0.3, -0.1, 0.2]), squad.frame.x.shape)
     cls_const = example_maximizer_set(const_load, thick, squad)
-    cls_radial = example_maximizer_set(radial_load, thick, squad)
+    cls_radial = example_maximizer_set(squad.frame.x, thick, squad)
     examples_ok = (cls_const.classification == "all_SO3"
                    and cls_radial.classification == "unique"
                    and bool(np.allclose(cls_radial.optimal_rotation, np.eye(3),
@@ -779,10 +785,3 @@ BUILTIN_SCENARIOS = {
     }),
 }
 
-
-def builtin_scenario_config(name):
-    if name not in BUILTIN_SCENARIOS:
-        raise ConfigError(f"unknown builtin scenario {name!r}; "
-                          f"available: {sorted(BUILTIN_SCENARIOS)}")
-    # validate_config neither changes nor keeps any part of the document
-    return validate_config(BUILTIN_SCENARIOS[name].doc)

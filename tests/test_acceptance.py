@@ -12,7 +12,7 @@ import numpy as np
 import shellgamma as sg
 from shellgamma.errors import NotAnIsometryError
 from shellgamma.material import isotropic_q2_closed_form
-from shellgamma.studies import builtin_scenario_config, fit_order, run_study
+from shellgamma.studies import load_config, fit_order, run_study
 
 GENERIC_W = [(0.4, 1.3, 0.2, 0.9, 0.5),
              (0.3, 0.7, 1.1, 1.4, 0.3),
@@ -61,7 +61,7 @@ def test_criterion_2_expansion_orders():
     ok = True
     for name in ("plate-expansion", "sphere-expansion", "cylinder-expansion"):
         t0 = time.perf_counter()
-        report = run_study(builtin_scenario_config(name))
+        report = run_study(load_config(name))
         elapsed = time.perf_counter() - t0
         s, s_r2 = report.summary["stretch_slope"], report.summary["stretch_r2"]
         b, b_r2 = report.summary["bend_slope"], report.summary["bend_r2"]
@@ -78,7 +78,7 @@ def test_criterion_3_gamma_limit_consistency():
     ok = True
     for name in ("plate-gamma", "sphere-gamma", "sphere-anisotropic-gamma"):
         t0 = time.perf_counter()
-        report = run_study(builtin_scenario_config(name))
+        report = run_study(load_config(name))
         elapsed = time.perf_counter() - t0
         raw = report.summary["raw_rel_gap_at_smallest_h"]
         extr = report.summary["extrapolated_rel_gap"]
@@ -170,7 +170,7 @@ def test_criterion_5_variable_thickness_term():
 
 def test_criterion_6_load_alignment():
     t0 = time.perf_counter()
-    report = run_study(builtin_scenario_config("load-align"))
+    report = run_study(load_config("load-align"))
     elapsed = time.perf_counter() - t0
     ok = (report.passed
           and report.summary["matrices"] == 20

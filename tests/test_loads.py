@@ -6,6 +6,11 @@ from shellgamma.errors import UnsupportedCaseError
 from shellgamma.geometry import gauss_legendre
 
 
+def at_nodes(squad, vector):
+    """A constant load's values at the nodes of squad."""
+    return np.broadcast_to(np.asarray(vector, dtype=float), squad.frame.x.shape)
+
+
 def test_extend_load_plate_unchanged():
     plate = sg.make_builtin_patch("plate")
     f = lambda fr: np.array([0.1, -0.2, 0.3])
@@ -36,9 +41,9 @@ def test_extension_weight_cancels_in_transversal_integral():
 
 
 def test_wahba_identity_and_orthogonal_invariance():
-    Q, m, non_unique, _ = sg.wahba_maximize(np.eye(3))
+    Q, m, classification, _ = sg.wahba_maximize(np.eye(3))
     assert np.allclose(Q, np.eye(3)) and m == pytest.approx(3.0)
-    assert not non_unique
+    assert classification == "unique"
 
     rng = np.random.default_rng(21)
     R0 = sg.rotation_matrices(sg.random_rotations(rng, 1))[0]
@@ -98,8 +103,8 @@ def test_davenport_largest_eigenvalue_is_the_maximized_action():
 
 def test_wahba_rank_one_tie_breaks_toward_identity():
     N = np.diag([2.0, 0.0, 0.0])
-    Q, m, non_unique, _ = sg.wahba_maximize(N)
-    assert non_unique
+    Q, m, classification, _ = sg.wahba_maximize(N)
+    assert classification == "one_parameter_family"
     assert m == pytest.approx(2.0)
     assert np.allclose(Q, np.eye(3), atol=1e-12)
 
@@ -107,8 +112,8 @@ def test_wahba_rank_one_tie_breaks_toward_identity():
 def test_wahba_reflection_tie_flags_and_optimizes():
     # equal smallest singular values with a det flip: a circle of optimizers
     N = np.diag([1.0, 1.0, -1.0])
-    Q, m, non_unique, sv = sg.wahba_maximize(N)
-    assert non_unique
+    Q, m, classification, sv = sg.wahba_maximize(N)
+    assert classification == "one_parameter_family"
     assert m == pytest.approx(1.0, rel=1e-12)
     assert np.trace(Q @ N) == pytest.approx(m, rel=1e-12)
     # closest-to-identity member: no sampled optimizer has a larger trace
@@ -125,10 +130,9 @@ def test_moment_matrix_against_hand_integral():
     plate = sg.make_builtin_patch("plate")
     thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
     squad = sg.surface_quadrature(plate, 8)
-    load = sg.LoadField(f=lambda fr: np.array([0.0, 0.0, 1.0]))
     h, e_h = 0.125, 0.125 ** 4
-    N = sg.moment_matrix(load, thick, h, e_h, squad)
     fac = h * np.sqrt(e_h)
+    N = sg.moment_matrix(fac * at_nodes(squad, [0.0, 0.0, 1.0]), thick, h, squad)
     expected = np.zeros((3, 3))
     expected[0, 2] = fac * 0.5   # int u1 du
     expected[1, 2] = fac * 0.5
@@ -139,14 +143,14 @@ def test_maximize_action_result_invariants():
     plate = sg.make_builtin_patch("plate")
     thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
     squad = sg.surface_quadrature(plate, 6)
-    load = sg.LoadField(f=lambda fr: np.array([0.3, 0.1, 1.0]))
-    res = sg.maximize_action(load, thick, 0.125, 0.125 ** 4, squad)
+    fh = 0.125 ** 3 * at_nodes(squad, [0.3, 0.1, 1.0])  # h sqrt(e_h) f at e_h = h^4
+    res = sg.maximize_action(fh, thick, 0.125, squad)
     Q = res.optimal_rotation
     assert np.linalg.norm(Q.T @ Q - np.eye(3)) <= 1e-12
     assert np.linalg.det(Q) == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(24)
     acts = sg.rotation_actions(res.moment_matrix, sg.random_rotations(rng, 5000))
-    assert res.m_h >= acts.max() - 1e-12
+    assert res.value >= acts.max() - 1e-12
 
 
 def test_example_maximizer_set_classifications():
@@ -154,33 +158,47 @@ def test_example_maximizer_set_classifications():
     squad = sg.surface_quadrature(sph, 10)
     thick = sg.ThicknessPair.constant(0.5, 0.5, sph.domain)
 
-    const = sg.example_maximizer_set(
-        sg.LoadField(f=lambda fr: np.array([0.3, -0.1, 0.2])), thick, squad)
+    const = sg.example_maximizer_set(at_nodes(squad, [0.3, -0.1, 0.2]), thick, squad)
     assert const.classification == "all_SO3"
-    assert const.r_value == 0.0
+    assert const.value == 0.0
 
-    radial = sg.example_maximizer_set(
-        sg.LoadField(f=lambda fr: fr.x.copy()), thick, squad)
+    radial = sg.example_maximizer_set(squad.frame.x, thick, squad)
     assert radial.classification == "unique"
     assert np.allclose(radial.optimal_rotation, np.eye(3), atol=1e-10)
     # action tr(Q) * area / 3, maximal at Q = Id, value = area
-    assert radial.max_action == pytest.approx(4.0 * np.pi, rel=1e-10)
+    assert radial.value == pytest.approx(4.0 * np.pi, rel=1e-10)
 
     cap = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 2)
     cap_quad = sg.surface_quadrature(cap, 10)
     cap_thick = sg.ThicknessPair.constant(0.5, 0.5, cap.domain)
-    vertical = sg.example_maximizer_set(
-        sg.LoadField(f=lambda fr: np.array([0.0, 0.0, 1.0])), cap_thick, cap_quad)
+    vertical = sg.example_maximizer_set(at_nodes(cap_quad, [0.0, 0.0, 1.0]),
+                                        cap_thick, cap_quad)
     assert vertical.classification == "one_parameter_family"
+
+
+def test_example_maximizer_set_breaks_a_tie_toward_the_identity():
+    # e1 on the upper hemisphere: N0 = int x e1^T = pi e3 e1^T has rank one,
+    # and every rotation taking e3 to e1 maximizes tr(Q N0); a perturbation
+    # of 1e-9, below the classification's tie floor, must not pick another
+    # member of that family
+    cap = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 2)
+    squad = sg.surface_quadrature(cap, 10)
+    thick = sg.ThicknessPair.constant(0.5, 0.5, cap.domain)
+    x = squad.frame.x
+    f = at_nodes(squad, [1.0, 0.0, 0.0]) + 1e-9 * np.stack(
+        (x[:, 1], x[:, 0], np.zeros(len(x))), axis=-1)
+    res = sg.example_maximizer_set(f, thick, squad)
+    assert res.classification == "one_parameter_family"
+    # the member closest to the identity: a quarter turn about e2, of trace 1
+    assert np.trace(res.optimal_rotation) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_example_maximizer_set_preconditions():
     sph = sg.make_builtin_patch("sphere", radius=1.0)
     squad = sg.surface_quadrature(sph, 6)
     asym = sg.ThicknessPair.constant(0.4, 0.6, sph.domain)
-    load = sg.LoadField(f=lambda fr: fr.x.copy())
     with pytest.raises(UnsupportedCaseError):
-        sg.example_maximizer_set(load, asym, squad)
+        sg.example_maximizer_set(squad.frame.x, asym, squad)
 
 
 def balanced_sine(fr):
@@ -195,11 +213,10 @@ def test_load_compatibility_residual():
     plate = sg.make_builtin_patch("plate")
     thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
     squad = sg.surface_quadrature(plate, 8)
-    balanced = sg.LoadField(f=balanced_sine)
-    resid, mass = sg.load_compatibility_residual(thick, balanced, squad)
+    resid, mass = sg.load_compatibility_residual(thick, balanced_sine(squad.frame), squad)
     assert resid <= 1e-8 * mass
 
-    unbalanced = sg.LoadField(f=lambda fr: np.array([0.0, 0.0, 1.0]))
+    unbalanced = at_nodes(squad, [0.0, 0.0, 1.0])
     resid, mass = sg.load_compatibility_residual(thick, unbalanced, squad)
     assert resid > 0.1 * mass
 
@@ -213,13 +230,13 @@ def plate_load_scene(order=6):
     V = sg.plate_sine_field(1.0, 1, 1, plate.domain)
     iso = sg.build_isometry(plate, V, quad=quad)
     w = sg.zero_vector_field(plate.domain)
-    load = sg.LoadField(f=balanced_sine)
+    load = balanced_sine(quad.frame)
     return plate, thick, W, quad, trule, V, iso, w, load
 
 
 def test_J_h_reduces_to_energy_without_load():
     plate, thick, W, quad, trule, V, iso, w, _ = plate_load_scene()
-    zero_load = sg.LoadField(f=lambda fr: np.zeros(3))
+    zero_load = at_nodes(quad, np.zeros(3))
     h = 2.0 ** -4
     data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad)
     rec = sg.build_recovery(data, h=h, e_h=h ** 4)
@@ -243,7 +260,7 @@ def test_J_h_converges_to_limit_total_energy():
     plate, thick, W, quad, trule, V, iso, w, load = plate_load_scene()
     data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad)
     limit = sg.eval_I(data.limit, thick, quad)
-    J_limit = sg.eval_J(limit, thick, iso, load.f, np.eye(3), 0.0, quad=quad).total
+    J_limit = sg.eval_J(limit, thick, iso, load, np.eye(3), 0.0, quad=quad).total
     gaps = []
     for k in (3, 5):
         h = 2.0 ** -k

@@ -15,10 +15,9 @@ import shellgamma.cli as cli
 from shellgamma import fields, kinematics, limit2d, recovery3d, studies
 from shellgamma.errors import ConfigError, ParameterError
 from shellgamma.geometry import SurfacePatch, gauss_legendre, make_builtin_patch
-from shellgamma.studies import (CSV_HEADER, StudyReport, StudyRow,
-                                builtin_scenario_config, fit_order, parse_config,
-                                richardson_extrapolate, run_study, serialize_config,
-                                validate_config, write_report)
+from shellgamma.studies import (CSV_HEADER, StudyReport, StudyRow, fit_order,
+                                load_config, richardson_extrapolate, run_study,
+                                serialize_config, validate_config, write_report)
 
 MINIMAL_GAMMA = {
     "study": "gamma-limit",
@@ -28,7 +27,7 @@ MINIMAL_GAMMA = {
 
 
 def test_parse_minimal_document_materializes_defaults():
-    cfg = parse_config(json.dumps(MINIMAL_GAMMA))
+    cfg = validate_config(MINIMAL_GAMMA)
     assert cfg.study == "gamma-limit"
     assert cfg.patch == {"kind": "plate", "extent": [[0.0, 1.0], [0.0, 1.0]]}
     assert cfg.thickness["g1"] == {"kind": "constant", "value": 0.5}
@@ -48,7 +47,7 @@ def test_negative_thickness_names_key_path():
     doc = dict(MINIMAL_GAMMA)
     doc["thickness"] = {"g1": {"kind": "constant", "value": -0.5}}
     with pytest.raises(ConfigError) as err:
-        parse_config(json.dumps(doc))
+        validate_config(doc)
     assert "thickness.g1" in str(err.value)
 
 
@@ -81,7 +80,7 @@ def test_short_schedule_rejected():
     doc = dict(MINIMAL_GAMMA)
     doc["h_schedule"] = [0.25, 0.125]
     with pytest.raises(ConfigError) as err:
-        parse_config(json.dumps(doc))
+        validate_config(doc)
     assert "h_schedule" in str(err.value)
 
 
@@ -89,33 +88,38 @@ def test_unknown_keys_rejected_with_path():
     doc = dict(MINIMAL_GAMMA)
     doc["quadrature"] = {"surface_order": 8, "sureface_order": 9}
     with pytest.raises(ConfigError) as err:
-        parse_config(json.dumps(doc))
+        validate_config(doc)
     assert "quadrature" in str(err.value)
 
     with pytest.raises(ConfigError):
-        parse_config(json.dumps({**MINIMAL_GAMMA, "extra_top": 1}))
+        validate_config({**MINIMAL_GAMMA, "extra_top": 1})
 
 
 def test_invalid_values_rejected():
     bad_h = {**MINIMAL_GAMMA, "h_schedule": [0.5, 0.25, 0.125, 1.5]}
     with pytest.raises(ConfigError):
-        parse_config(json.dumps(bad_h))
+        validate_config(bad_h)
     increasing = {**MINIMAL_GAMMA, "h_schedule": [0.125, 0.25, 0.5, 0.6]}
     with pytest.raises(ConfigError):
-        parse_config(json.dumps(increasing))
+        validate_config(increasing)
     bad_kind = {**MINIMAL_GAMMA, "study": "other"}
     with pytest.raises(ConfigError):
-        parse_config(json.dumps(bad_kind))
+        validate_config(bad_kind)
     bad_alpha = {**MINIMAL_GAMMA, "kappa": 0.0,
                  "e_h": {"mode": "h_alpha", "alpha": 3.0}}
     with pytest.raises(ConfigError):
-        parse_config(json.dumps(bad_alpha))
+        validate_config(bad_alpha)
 
 
-def test_config_round_trip():
+def test_config_round_trip(tmp_path):
+    # load_config reads a builtin name or a JSON file, each validated as written
     for name in ("plate-gamma", "sphere-expansion", "q2-isotropic", "load-align"):
-        cfg = builtin_scenario_config(name)
-        assert parse_config(serialize_config(cfg)) == cfg
+        cfg = load_config(name)
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_config(cfg))
+        assert load_config(str(path)) == cfg
+    with pytest.raises(ConfigError, match="neither a readable file nor a builtin"):
+        load_config(str(tmp_path / "missing.json"))
 
 
 def _numbers(**bounds):
@@ -231,7 +235,7 @@ def _study_documents(draw):
 @given(_study_documents())
 def test_config_round_trip_on_random_documents(doc):
     cfg = validate_config(doc)
-    assert parse_config(serialize_config(cfg)) == cfg
+    assert validate_config(json.loads(serialize_config(cfg))) == cfg
     # every patch the config layer accepts also builds
     assert isinstance(make_builtin_patch(**cfg.patch), SurfacePatch)
 
@@ -309,7 +313,7 @@ def test_patch_checks_run_at_parse_time(patch, key_path):
 def test_q2_check_fails_on_a_nan_closed_form(monkeypatch):
     monkeypatch.setattr(studies, "isotropic_q2_closed_form",
                         lambda mu, lam, F: np.full(F.shape[:-2], np.nan))
-    report = run_study(builtin_scenario_config("q2-isotropic"))
+    report = run_study(load_config("q2-isotropic"))
     assert math.isnan(report.summary["closed_form_max_rel_dev"])
     assert not report.passed
     assert report.rows[0].status == "fail"
@@ -336,8 +340,8 @@ def test_load_align_gate_fails_a_low_maximum(monkeypatch):
         return 0.01 * max(1.0, abs(wahba(N)[1]))
 
     def low_wahba(N):
-        Q, m_h, non_unique, sv = wahba(N)
-        return Q, m_h - drop(N), non_unique, sv
+        Q, m_h, classification, sv = wahba(N)
+        return Q, m_h - drop(N), classification, sv
 
     def low_davenport(N):
         drops = np.reshape([drop(M) for M in np.reshape(N, (-1, 3, 3))], np.shape(N)[:-2])
@@ -345,7 +349,7 @@ def test_load_align_gate_fails_a_low_maximum(monkeypatch):
 
     monkeypatch.setattr(studies, "wahba_maximize", low_wahba)
     monkeypatch.setattr(studies, "davenport_matrix", low_davenport)
-    report = run_study(builtin_scenario_config("load-align"))
+    report = run_study(load_config("load-align"))
     assert report.summary["davenport_max_dev"] <= 1e-12
     assert not report.passed
     assert [row.status for row in report.rows] == ["fail"] * report.summary["matrices"]
@@ -384,7 +388,7 @@ def test_benchmark_workload_configs_validate():
             for name, doc in workloads.study_configs(workload, seed).items():
                 cfg = validate_config(doc)
                 if seed == 0 and workload in ("gamma-sphere", "verify-suite"):
-                    builtin = builtin_scenario_config(name)
+                    builtin = load_config(name)
                     assert dataclasses.replace(cfg, output=builtin.output) == builtin, name
 
 
@@ -409,6 +413,23 @@ def test_fit_order_reference_cases():
     mixed = [(h, 2.7 * h ** 3) for h in hs[:4]] + [(hs[4], 0.0)]
     slope, _ = fit_order(mixed)
     assert slope == pytest.approx(3.0, abs=1e-10)
+
+
+def test_fit_order_does_not_count_a_non_finite_residual_as_exact():
+    hs = [2.0 ** -k for k in range(3, 9)]
+    for bad in (math.nan, math.inf):
+        for pairs in ([(h, bad) for h in hs],
+                      [(h, 2.7 * h ** 3) for h in hs[:-1]] + [(hs[-1], bad)]):
+            slope, r2 = fit_order(pairs)
+            assert math.isnan(slope) and math.isnan(r2), (pairs, slope, r2)
+
+
+def test_expansion_study_fails_a_nan_residual(monkeypatch):
+    monkeypatch.setattr(studies, "stretching_expansion_residual", lambda data, h: math.nan)
+    report = run_study(load_config("plate-expansion"))
+    assert math.isnan(report.summary["stretch_slope"])
+    assert not report.passed
+    assert {row.status for row in report.rows} == {"fail"}
 
 
 def test_richardson_extrapolation():
@@ -457,7 +478,7 @@ def test_gamma_gate_fails_a_wrong_recovery(name, monkeypatch):
         return 0.9 * d0, d1
 
     monkeypatch.setattr(recovery3d, "build_d_fields", scaled_d0)
-    report = run_study(builtin_scenario_config(name))
+    report = run_study(load_config(name))
     summary = report.summary
     assert summary["raw_rel_gap_at_smallest_h"] <= summary["raw_rel_gap_tolerance"]
     assert summary["extrapolated_rel_gap"] <= summary["extrapolated_rel_gap_tolerance"]
@@ -473,8 +494,8 @@ def test_anisotropic_gamma_fails_a_swapped_tangent_frame(monkeypatch):
     monkeypatch.setattr(limit2d, "reduce_q2",
                         lambda q3, n, t1, t2: reduce_q2(q3, n, t2, t1))
     for name in ("plate-gamma", "sphere-gamma"):
-        assert run_study(builtin_scenario_config(name)).passed
-    report = run_study(builtin_scenario_config("sphere-anisotropic-gamma"))
+        assert run_study(load_config(name)).passed
+    report = run_study(load_config("sphere-anisotropic-gamma"))
     summary = report.summary
     assert summary["raw_rel_gap_at_smallest_h"] > summary["raw_rel_gap_tolerance"]
     assert summary["fitted_gap_r2"] < summary["gap_r2_min"]
@@ -491,16 +512,16 @@ def test_expansion_study_checks_the_limit_tensors(name, tensor, monkeypatch):
     # the expansion identities read the tensors that the limit integrates, so
     # either one off by 10% fails the study; the sphere cap and the cylinder
     # have a rigid V, whose bending matrix is zero
-    assert run_study(builtin_scenario_config(name)).passed
+    assert run_study(load_config(name)).passed
     exact = getattr(kinematics, tensor)
     monkeypatch.setattr(kinematics, tensor, lambda *args: 1.1 * exact(*args))
-    assert not run_study(builtin_scenario_config(name)).passed
+    assert not run_study(load_config(name)).passed
 
 
 def test_richardson_order_key_is_rejected_with_its_path():
     doc = {**MINIMAL_GAMMA, "tolerances": {"richardson_order": 2}}
     with pytest.raises(ConfigError) as err:
-        parse_config(json.dumps(doc))
+        validate_config(doc)
     assert err.value.key_path == "tolerances"
     assert "richardson_order" in str(err.value)
 
@@ -512,7 +533,7 @@ def test_gamma_gap_does_not_depend_on_the_fd_step(name, monkeypatch):
     normalized = []
     for step in (1e-3, 1e-4, 1e-5):
         monkeypatch.setattr(fields, "FD_REL_STEP", step)
-        report = run_study(builtin_scenario_config(name))
+        report = run_study(load_config(name))
         assert report.passed
         gaps.append(report.summary["raw_rel_gap_at_smallest_h"])
         normalized.append([row.normalized for row in report.rows])
@@ -565,7 +586,7 @@ def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
                    for i, a in enumerate(arrays))
 
     counts = []
-    cfg = builtin_scenario_config("sphere-gamma")
+    cfg = load_config("sphere-gamma")
     for surface_order in (4, 10):
         for calls in seen.values():
             calls.clear()
@@ -613,7 +634,7 @@ def test_gamma_study_forms_one_offset_jacobian_per_h_and_no_batched_svd(monkeypa
     monkeypatch.setattr(recovery3d, "green_strain", recording_green_strain)
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     monkeypatch.setattr(np.linalg, "inv", recording_inv)
-    cfg = builtin_scenario_config("sphere-gamma")
+    cfg = load_config("sphere-gamma")
     report = run_study(cfg)
     assert report.error is None and report.passed
     assert len(cfg.h_schedule) == 5
@@ -627,7 +648,7 @@ def test_gamma_study_forms_one_offset_jacobian_per_h_and_no_batched_svd(monkeypa
 def test_gamma_gap_does_not_depend_on_the_quadrature_order(name):
     # surface and transversal Gauss orders around the builtin 10/4; surface
     # order 6 is already off by about 4e-4 on the plate
-    cfg = builtin_scenario_config(name)
+    cfg = load_config(name)
     reference = run_study(cfg).summary["raw_rel_gap_at_smallest_h"]
     for surface_order in (8, 10, 12):
         for transversal_order in (3, 4, 5):
@@ -676,7 +697,7 @@ def test_write_report_round_trip_and_selfconsistency(tmp_path):
 
 
 def test_reports_are_deterministic(tmp_path):
-    cfg = builtin_scenario_config("q2-isotropic")
+    cfg = load_config("q2-isotropic")
     texts = []
     for tag in ("a", "b"):
         report = run_study(cfg)
@@ -686,7 +707,7 @@ def test_reports_are_deterministic(tmp_path):
 
 
 def test_run_q2_study_passes():
-    report = run_study(builtin_scenario_config("q2-isotropic"))
+    report = run_study(load_config("q2-isotropic"))
     assert report.passed and report.error is None
     assert report.rows[0].status == "pass"
     assert report.rows[0].residual_stretch <= 1e-10
@@ -710,8 +731,8 @@ def test_run_study_with_anisotropic_material():
 
 
 def test_q2_anisotropic_builtin_passes_with_no_closed_form_figure(tmp_path):
-    cfg = builtin_scenario_config("q2-anisotropic")
-    assert parse_config(serialize_config(cfg)) == cfg
+    cfg = load_config("q2-anisotropic")
+    assert validate_config(json.loads(serialize_config(cfg))) == cfg
     report = run_study(cfg)
     assert report.passed and report.rows[0].status == "pass"
     assert report.summary["brute_force_max_dev"] <= 1e-12
@@ -730,7 +751,7 @@ def test_q2_anisotropic_builtin_fails_a_reduction_that_ignores_its_frame(monkeyp
     fixed = np.eye(3)
     monkeypatch.setattr(studies, "reduce_q2",
                         lambda q3, n, t1, t2: reduce_q2(q3, fixed[2], fixed[0], fixed[1]))
-    report = run_study(builtin_scenario_config("q2-anisotropic"))
+    report = run_study(load_config("q2-anisotropic"))
     assert report.summary["brute_force_max_dev"] > 1.0
     assert not report.passed and report.rows[0].status == "fail"
 
@@ -740,7 +761,7 @@ def test_q2_anisotropic_builtin_fails_a_wrong_reduction(monkeypatch):
     reduce_q2 = studies.reduce_q2
     monkeypatch.setattr(studies, "reduce_q2", lambda q3, *frame: reduce_q2(
         studies.QuadForm3(matrix6=1.000001 * q3.matrix6), *frame))
-    report = run_study(builtin_scenario_config("q2-anisotropic"))
+    report = run_study(load_config("q2-anisotropic"))
     assert report.summary["brute_force_max_dev"] > 1e-8
     assert not report.passed and report.rows[0].status == "fail"
 
@@ -777,6 +798,27 @@ def test_gamma_study_with_load_reports_total_energy(monkeypatch):
     assert report.passed
     assert "J_limit" in report.summary
     assert report.summary["J_rel_gap_at_smallest_h"] <= 0.05
+
+
+def test_gamma_plate_load_evaluates_its_load_once(monkeypatch):
+    # the load is its node values, built once per scene: count each
+    # evaluation of its formula, by the builder and by any function it returns
+    kind = studies._LOADS["plate_sine_balanced"]
+    evaluations = []
+
+    def count(f):
+        def counted(*args):
+            evaluations.append(1)
+            out = f(*args)
+            return count(out) if callable(out) else out
+        return counted
+
+    monkeypatch.setitem(studies._LOADS, "plate_sine_balanced",
+                        dataclasses.replace(kind, build=count(kind.build)))
+    doc, = _perfbench_module("workloads").study_configs("gamma-plate-load", 0).values()
+    report = run_study(validate_config(doc))
+    assert report.passed
+    assert len(evaluations) == 1
 
 
 def test_gamma_study_rejects_incompatible_load():
@@ -895,6 +937,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     cfg_path.write_text(json.dumps(doc))
     assert cli.main(["run", "--config", str(cfg_path)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"study": "q2-check",'],
+                         ids=["not-utf8", "invalid-json"])
+def test_cli_config_file_that_is_not_json_exits_2(content, tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_bytes(content)
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: invalid JSON in {cfg_path}: "), err
+    assert out == ""
 
 
 def test_summary_matches_recomputation_from_rows(tmp_path):
