@@ -37,6 +37,13 @@ def inv2(g, det):
     return transpose(g[..., ::-1, ::-1]) * _ADJ2_SIGN / det[..., None, None]
 
 
+def det3(M):
+    """Determinant of each 3x3 matrix M, by cofactor expansion along the first row."""
+    return (M[..., 0, 0] * (M[..., 1, 1] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 1])
+            - M[..., 0, 1] * (M[..., 1, 0] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 0])
+            + M[..., 0, 2] * (M[..., 1, 0] * M[..., 2, 1] - M[..., 1, 1] * M[..., 2, 0]))
+
+
 @dataclass(frozen=True)
 class NodeFrame:
     """Everything the downstream formulas need at a batch of chart points.
@@ -104,8 +111,11 @@ class SurfacePatch:
         u = np.asarray(u, dtype=float)
         self._check_inside(u)
         J = np.asarray(self.chart_jacobian(u), dtype=float)
-        g = transpose(J) @ J
-        det_g = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+        J0, J1 = J[..., 0], J[..., 1]
+        g01 = (J0 * J1).sum(axis=-1)
+        g = np.stack([(J0 * J0).sum(axis=-1), g01, g01, (J1 * J1).sum(axis=-1)],
+                     axis=-1).reshape(J.shape[:-2] + (2, 2))
+        det_g = g[..., 0, 0] * g[..., 1, 1] - g01 * g01
         degenerate = det_g <= 0.0
         if np.count_nonzero(degenerate):
             raise EvaluationError(f"degenerate metric at u={first_point(u, degenerate)}")
@@ -436,22 +446,23 @@ def offset_jacobian(frame, t):
     frame's batch axes and t broadcast against each other.  Raises
     ThicknessError, naming the point of smallest principal factor 1 + t k,
     when the offset leaves the thin-shell regime: a factor that is not
-    positive.  Pi is self-adjoint with Pi n = 0, so the two factors have the
-    product det(Id + t*Pi) and the sum tr(Id + t*Pi) - 1, and both are
-    positive exactly when these two are.
+    positive, or not finite.  Pi is self-adjoint with Pi n = 0, so the two
+    factors have the product det(Id + t*Pi) and the sum tr(Id + t*Pi) - 1,
+    and both are positive exactly when these two are.  A NaN factor counts
+    as the smallest.
     """
     t = np.asarray(t, dtype=float)
     M = _I3 + t[..., None, None] * frame.shape_op
-    det = np.linalg.det(M)
-    s = np.trace(M, axis1=-2, axis2=-1) - 1.0
-    if np.any((det <= 0.0) | (s <= 0.0)):
+    det = det3(M)
+    s = M[..., 0, 0] + M[..., 1, 1] + M[..., 2, 2] - 1.0
+    if not np.all((det > 0.0) & (s > 0.0)):
         factor = 0.5 * s - np.sqrt(np.maximum(0.25 * s * s - det, 0.0))
         k = np.argmin(factor)
         uk = np.broadcast_to(frame.u, det.shape + (2,)).reshape(-1, 2)[k]
         tk = np.broadcast_to(t, det.shape).ravel()[k]
         raise ThicknessError(
-            f"principal factor of Id + t*Pi = {factor.ravel()[k]:.3e} <= 0 at "
-            f"u={tuple(uk.tolist())}, t={tk}")
+            f"principal factor of Id + t*Pi = {factor.ravel()[k]:.3e} is not positive "
+            f"at u={tuple(uk.tolist())}, t={tk}")
     return M, det
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import EvaluationError, NotAnIsometryError
 from .fields import VectorField, fd_columns, first_point, outer, transpose
 from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this import site)
-from .geometry import NodeFrame, SurfacePatch
+from .geometry import NodeFrame, SurfacePatch, inv2
 
 DEFAULT_ISOMETRY_TOL = 1e-8
 # central-difference step of the deformed normal in bending_expansion_residual
@@ -207,7 +207,9 @@ def _deformed_chart_shape_coeffs(P, P_stencil, fd_step, orient_n):
     nrm = nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
     nrm = np.where(((nrm * orient_n).sum(axis=-1) < 0.0)[..., None], -nrm, nrm)
     Dn = np.moveaxis((nrm[0] - nrm[1]) / (2.0 * fd_step), 0, -1)
-    return np.linalg.solve(transpose(P) @ P, transpose(P) @ Dn)
+    G = transpose(P) @ P
+    det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
+    return inv2(G, det) @ (transpose(P) @ Dn)
 
 
 def bending_expansion_residual(data, h):

@@ -117,8 +117,9 @@ def example_maximizer_set(f, thick, squad):
     f holds the limit load at the nodes of squad.  Refuses g1 != g2: outside
     this case only one inclusion of the maximizer-set identity survives, so
     no classification is computed.  Singular values within 1e-8 times the L1
-    mass of the moment integrand are ties (quadrature resolution); when
-    every rotation maximizes, the value is 0.
+    mass of the moment integrand are ties (quadrature resolution), so the
+    classification does not change with the scale of f; when every rotation
+    maximizes (a zero load among them), the value is 0.
     """
     fr = squad.frame
     gamma = thick.gamma(fr.u)
@@ -130,7 +131,7 @@ def example_maximizer_set(f, thick, squad):
     N0 = (squad.weights[:, None] * fr.x).T @ f
     mass = float(np.sum(squad.weights * np.linalg.norm(fr.x, axis=-1)
                         * np.linalg.norm(f, axis=-1)))
-    Q, value, classification, sv = wahba_maximize(N0, tie_tol=1e-8 * max(1.0, mass))
+    Q, value, classification, sv = wahba_maximize(N0, tie_tol=1e-8 * mass)
     if classification == "all_SO3":
         value = 0.0
     return ActionMaximum(N0, Q, value, classification, sv)

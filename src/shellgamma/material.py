@@ -7,7 +7,8 @@ q3_from_energy assembles it from W alone, for checking.  Q2 relaxes Q3
 over normal corrections c (x) n + n (x) c; the minimizing c is a linear map
 of the tangential input and feeds the recovery deformation.  Densities,
 forms and the reduction broadcast over leading batch axes (a stack of
-frames gives a stack of Q2 forms, with one batched Cholesky factorization).
+frames gives a stack of Q2 forms); the 3x3 coupling blocks are factored and
+solved by closed-form Cholesky and substitution, elementwise over the batch.
 The brute-force minimizer and the closed form stay independent oracles,
 batched over samples: the minimizer reads nothing of Q3 but apply, and
 runs conjugate gradients from c = 0 on its values alone.
@@ -175,15 +176,56 @@ def q3_from_energy(W):
     return QuadForm3.from_matrix(0.5 * (H + H.T))
 
 
+def cholesky3(K):
+    """Lower Cholesky factor L (L L^T = K) of each 3x3 matrix K, in closed form.
+
+    Returns (L, bad), where bad marks the matrices with a pivot that is not
+    > 0 (NaN included).  There the square roots see 1.0 instead, so no
+    warning is raised and the factor holds placeholders.
+    """
+    bad = np.zeros(K.shape[:-2], dtype=bool)
+
+    def root(pivot):
+        nonlocal bad
+        bad = bad | ~(pivot > 0.0)
+        return np.sqrt(np.where(bad, 1.0, pivot))
+
+    l00 = root(K[..., 0, 0])
+    l10 = K[..., 1, 0] / l00
+    l20 = K[..., 2, 0] / l00
+    l11 = root(K[..., 1, 1] - l10 * l10)
+    l21 = (K[..., 2, 1] - l20 * l10) / l11
+    l22 = root(K[..., 2, 2] - (l20 * l20 + l21 * l21))
+    zero = np.zeros_like(l00)
+    L = np.stack([l00, zero, zero, l10, l11, zero, l20, l21, l22], axis=-1)
+    return L.reshape(K.shape), bad
+
+
+def cho_solve3(L, b):
+    """x with L L^T x = b, by forward and back substitution on the factor L.
+
+    L has shape (..., 3, 3) and b (..., 3); their batch axes broadcast.
+    """
+    l00, l10, l11 = L[..., 0, 0], L[..., 1, 0], L[..., 1, 1]
+    l20, l21, l22 = L[..., 2, 0], L[..., 2, 1], L[..., 2, 2]
+    y0 = b[..., 0] / l00
+    y1 = (b[..., 1] - l10 * y0) / l11
+    y2 = (b[..., 2] - (l20 * y0 + l21 * y1)) / l22
+    x2 = y2 / l22
+    x1 = (y1 - l21 * x2) / l11
+    x0 = (y0 - (l10 * x1 + l20 * x2)) / l00
+    return np.stack([x0, x1, x2], axis=-1)
+
+
 @dataclass(frozen=True)
 class QuadForm2:
     """Tangential relaxation of Q3 at a batch of surface frames, with its minimizer map.
 
     Q2(F_tan) = min over c in R^3 of Q3(F_hat + c (x) n + n (x) c), where
     F_hat embeds the 2x2 tangential input in the (t1, t2) frame.  The solve
-    is a 3x3 SPD system per frame; c is linear in F_tan and returned in
-    ambient coordinates.  n, t1, t2 carry the batch axes; inputs broadcast
-    against them.
+    is a 3x3 SPD system per frame, by substitution on its Cholesky factor;
+    c is linear in F_tan and returned in ambient coordinates.  n, t1, t2
+    carry the batch axes; inputs broadcast against them.
     """
 
     base: QuadForm3
@@ -202,8 +244,7 @@ class QuadForm2:
         return matvec(self._coupling, vec6(sym(F_hat)) @ self.base.matrix6)
 
     def _solve(self, b):
-        y = np.linalg.solve(self._chol, -b[..., None])
-        return np.linalg.solve(transpose(self._chol), y)[..., 0]
+        return cho_solve3(self._chol, -b)
 
     def minimizer(self, F22):
         """The unique c attaining the minimum, as an ambient 3-vector."""
@@ -221,9 +262,10 @@ def reduce_q2(q3, n, t1, t2):
     """Relax q3 over normal corrections at the frames (t1, t2, n).
 
     n, t1, t2 have shape (..., 3); the tangent frame fixes the coordinates
-    of the tangential input, which matter for an anisotropic q3.  One
-    Cholesky factorization covers the whole batch; a singular coupling
-    block anywhere raises.
+    of the tangential input, which matter for an anisotropic q3.  The
+    coupling block of every frame is factored by the closed-form cholesky3;
+    a block that is not positive definite raises, naming the first such
+    frame by its batch index and normal.
     """
     n = np.asarray(n, dtype=float)
     nn = np.sqrt((n * n).sum(axis=-1))
@@ -237,11 +279,12 @@ def reduce_q2(q3, n, t1, t2):
     L = _I3[:, :, None] * n[..., None, None, :] + n[..., None, :, None] * _I3[:, None, :]
     coupling = vec6(L)
     K = coupling @ q3.matrix6 @ transpose(coupling)
-    try:
-        chol = np.linalg.cholesky(K)
-    except np.linalg.LinAlgError as exc:
+    chol, bad = cholesky3(K)
+    if bad.any():
+        i = tuple(int(k) for k in np.unravel_index(np.argmax(bad), bad.shape))
         raise DegenerateMaterialError(
-            "normal-coupling block of Q3 is not positive definite") from exc
+            f"normal-coupling block of Q3 is not positive definite at frame {i} "
+            f"with n = {tuple(n[i].tolist())}")
     return QuadForm2(base=q3, n=n, t1=t1, t2=t2, _chol=chol, _coupling=coupling)
 
 

@@ -147,6 +147,46 @@ def test_offset_jacobian_names_the_smallest_determinant():
         sg.offset_jacobian(cyl.frame(u), t)
 
 
+def test_offset_jacobian_rejects_a_nan_factor():
+    # nan <= 0 is False: the guard must ask that both factors be > 0
+    cyl = sg.make_builtin_patch("cylinder", radius=1.0, height=1.0)
+    u = np.array([[0.5, 0.5], [0.7, 0.2], [1.1, 0.4]])
+    with pytest.raises(ThicknessError, match=r"= nan is not positive at u=\(0\.7, 0\.2\), t=nan"):
+        sg.offset_jacobian(cyl.frame(u), np.array([0.1, np.nan, 0.2]))
+
+
+def random_svd_up_to_cond(rng, count, max_cond):
+    """Factors U, s, V of (count, 3, 3) matrices U diag(s) V^T of condition up to max_cond.
+
+    s = k (1, c^-a, 1/c) with c log-uniform up to max_cond, a uniform in
+    [0, 1] and the scale k log-uniform in [1e-3, 1e3]; U and V are random
+    orthogonal.
+    """
+    cond = 10.0 ** rng.uniform(0.0, np.log10(max_cond), count)
+    s = np.stack([np.ones(count), cond ** -rng.uniform(0.0, 1.0, count), 1.0 / cond], axis=-1)
+    s = s * 10.0 ** rng.uniform(-3.0, 3.0, (count, 1))
+    U = np.linalg.qr(rng.normal(size=(count, 3, 3)))[0]
+    V = np.linalg.qr(rng.normal(size=(count, 3, 3)))[0]
+    return U, s, V
+
+
+def test_det3_matches_lu_determinant():
+    rng = np.random.default_rng(41)
+    U, s, V = random_svd_up_to_cond(rng, 2000, 1e6)
+    M = (U * s[:, None, :]) @ np.swapaxes(V, -1, -2)
+    ref = np.linalg.det(M)
+    got = sg.geometry.det3(M)
+    cond = s[:, 0] / s[:, 2]
+    # the cofactor expansion errs by about eps |M|^3 = eps cond (s1/s2) |det|:
+    # 1e-13 cond relative when one singular value is small, more when two are
+    bound = 1e-13 * cond * (s[:, 0] / s[:, 1]) * np.abs(ref)
+    assert np.all(np.abs(got - ref) <= bound)
+    well = s[:, 1] > 0.1 * s[:, 0]
+    assert np.all(np.abs(got - ref)[well] <= 1e-13 * cond[well] * np.abs(ref)[well])
+    assert sg.geometry.det3(np.eye(3)) == 1.0
+    assert sg.geometry.det3(np.zeros((3, 3))) == 0.0
+
+
 def test_integrate_constant_one_on_plate():
     plate = sg.make_builtin_patch("plate")
     quad = sg.surface_quadrature(plate, 8)

@@ -176,6 +176,31 @@ def test_example_maximizer_set_classifications():
     assert vertical.classification == "one_parameter_family"
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-9, 1e-12])
+def test_example_maximizer_set_does_not_depend_on_the_load_scale(scale):
+    # the maximizers of tr(Q N) do not change with N -> s N, s > 0, so the
+    # tie floor scales with the load's mass
+    sph = sg.make_builtin_patch("sphere", radius=1.0)
+    squad = sg.surface_quadrature(sph, 10)
+    thick = sg.ThicknessPair.constant(0.5, 0.5, sph.domain)
+    radial = sg.example_maximizer_set(scale * squad.frame.x, thick, squad)
+    assert radial.classification == "unique"
+    assert radial.value == pytest.approx(scale * 4.0 * np.pi, rel=1e-10)
+    const = sg.example_maximizer_set(at_nodes(squad, scale * np.array([0.3, -0.1, 0.2])),
+                                     thick, squad)
+    assert const.classification == "all_SO3"
+    assert const.value == 0.0
+
+
+def test_example_maximizer_set_of_a_zero_load_is_all_rotations():
+    sph = sg.make_builtin_patch("sphere", radius=1.0)
+    squad = sg.surface_quadrature(sph, 6)
+    thick = sg.ThicknessPair.constant(0.5, 0.5, sph.domain)
+    zero = sg.example_maximizer_set(at_nodes(squad, [0.0, 0.0, 0.0]), thick, squad)
+    assert zero.classification == "all_SO3"
+    assert zero.value == 0.0
+
+
 def test_example_maximizer_set_breaks_a_tie_toward_the_identity():
     # e1 on the upper hemisphere: N0 = int x e1^T = pi e3 e1^T has rank one,
     # and every rotation taking e3 to e1 maximizes tr(Q N0); a perturbation

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 import shellgamma as sg
 from shellgamma.errors import DegenerateMaterialError, ParameterError
 from shellgamma.loads import random_rotations, rotation_matrices
-from shellgamma.material import basis_sym3, green_strain, vec6
+from shellgamma.material import basis_sym3, cho_solve3, cholesky3, green_strain, vec6
+from test_geometry import random_svd_up_to_cond
 from test_studies import _Q3_MATRICES
 
 
@@ -214,13 +216,66 @@ def test_degenerate_material_raises():
 
 
 def test_batch_with_one_degenerate_node_raises():
-    # Q3 blind to S02 and S12: regular for an oblique normal, singular for e3
+    # Q3 blind to S02 and S12: regular for an oblique normal, singular for e3;
+    # the error names the first singular frame by its batch index and normal
     q3 = sg.QuadForm3(matrix6=np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]))
     oblique = (np.full(3, 1.0 / np.sqrt(3.0)), np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0),
                np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0))
     sg.reduce_q2(q3, *(np.stack([v, v]) for v in oblique))
-    with pytest.raises(DegenerateMaterialError):
+    with pytest.raises(DegenerateMaterialError,
+                       match=re.escape("at frame (1,) with n = (0.0, 0.0, 1.0)")):
         sg.reduce_q2(q3, *(np.stack([v, e, v]) for v, e in zip(oblique, adapted_frame())))
+    with pytest.raises(DegenerateMaterialError,
+                       match=re.escape("at frame (1, 0) with n = (0.0, 0.0, 1.0)")):
+        sg.reduce_q2(q3, *(np.stack([np.stack([v, v]), np.stack([e, v])])
+                           for v, e in zip(oblique, adapted_frame())))
+
+
+def spd_up_to_cond(rng, count, max_cond):
+    """(count, 3, 3) SPD matrices U diag(s) U^T of condition up to max_cond.
+
+    Returns the matrices and their condition numbers.
+    """
+    U, s, _ = random_svd_up_to_cond(rng, count, max_cond)
+    return (U * s[:, None, :]) @ np.swapaxes(U, -1, -2), s[:, 0] / s[:, 2]
+
+
+def test_closed_form_cholesky_and_substitution_match_lapack():
+    rng = np.random.default_rng(42)
+    K, cond = spd_up_to_cond(rng, 2000, 1e6)
+    L, bad = cholesky3(K)
+    assert not bad.any()
+    ref = np.linalg.cholesky(K)
+    err = np.linalg.norm(L - ref, axis=(-2, -1)) / np.linalg.norm(ref, axis=(-2, -1))
+    assert np.all(err <= 1e-13 * cond)
+    b = rng.normal(size=(len(K), 3))
+    x = cho_solve3(L, b)
+    x_ref = np.linalg.solve(K, b[..., None])[..., 0]
+    err = np.linalg.norm(x - x_ref, axis=-1) / np.linalg.norm(x_ref, axis=-1)
+    assert np.all(err <= 1e-13 * cond)
+
+
+def test_substitution_broadcasts_extra_leading_axes_of_the_right_hand_side():
+    rng = np.random.default_rng(43)
+    K, _ = spd_up_to_cond(rng, 5, 1e3)
+    L, _ = cholesky3(K)
+    b = rng.normal(size=(4, 5, 3))
+    x = cho_solve3(L, b)
+    assert x.shape == (4, 5, 3)
+    for i in range(4):
+        assert np.array_equal(x[i], cho_solve3(L, b[i]))
+
+
+def test_closed_form_cholesky_flags_the_frames_without_a_positive_pivot():
+    rng = np.random.default_rng(44)
+    K, _ = spd_up_to_cond(rng, 6, 1e3)
+    K[1] = np.diag([1.0, 0.0, 1.0])            # zero second pivot
+    K[3] = np.diag([1.0, 1.0, -2.0])           # negative third pivot
+    K[4, 0, 0] = np.nan
+    L, bad = cholesky3(K)
+    assert bad.tolist() == [False, True, False, True, True, False]
+    ok = ~bad
+    assert np.allclose(L[ok] @ np.swapaxes(L[ok], -1, -2), K[ok], rtol=1e-12)
 
 
 def random_frames(rng, count):

@@ -603,28 +603,45 @@ def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
     assert counts[0] == counts[1] == {"frame": 3, "A_at": 2, "reduce_q2": 2, "w.d1": 2}
 
 
+# the seed-0 config of the gamma-plate-load benchmark workload
+GAMMA_PLATE_LOAD = {
+    "study": "gamma-limit",
+    "patch": {"kind": "plate"},
+    "thickness": {"g1": {"kind": "constant", "value": 0.4},
+                  "g2": {"kind": "constant", "value": 0.6}},
+    "fields": {"V": {"family": "plate_sine", "amplitude": 1.0, "m": 1, "n": 1},
+               "w": {"family": "trig", "components": [[0.4, 1.3, 0.2, 0.9, 0.5],
+                                                      [0.3, 0.7, 1.1, 1.4, 0.3],
+                                                      [0.5, 1.1, 0.4, 0.8, 1.2]]}},
+    "load": {"family": "plate_sine_balanced", "amplitude": 1.0},
+    "h_schedule": [2.0 ** -k for k in range(3, 8)],
+    "quadrature": {"surface_order": 10, "transversal_order": 4},
+}
+
+
 def test_gamma_study_forms_one_offset_jacobian_per_h_and_no_batched_svd(monkeypatch):
     # per h, the thin-shell guard and grad y^h each form Id + h t Pi once (the
     # energy's volume factor comes with grad y^h), grad y^h inverts no 3x3
     # frame, the energy forms one Green strain, and the SO(3) distance of the
-    # (T, N) gradient array is taken without an SVD
-    from shellgamma import geometry
-    offsets, svd_shapes, inv_shapes, strain_shapes = [], [], [], []
-    offset_jacobian = geometry.offset_jacobian
-    svd, inv = np.linalg.svd, np.linalg.inv
+    # (T, N) gradient array is taken without an SVD.  No study calls LAPACK
+    # over batch axes: the per-node 3x3 kernels are closed forms, and only
+    # single matrices reach it (wahba_maximize, the rotation check in limit2d)
+    offsets, strain_shapes = [], []
+    linalg_shapes = {name: [] for name in ("svd", "inv", "solve", "det", "cholesky")}
+    offset_jacobian = recovery3d.offset_jacobian
     green_strain = recovery3d.green_strain
 
     def counting_offset_jacobian(frame, t):
         offsets.append(np.shape(t))
         return offset_jacobian(frame, t)
 
-    def recording_svd(a, *args, **kwargs):
-        svd_shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+    def recording(name):
+        call = getattr(np.linalg, name)
 
-    def recording_inv(a, *args, **kwargs):
-        inv_shapes.append(np.shape(a))
-        return inv(a, *args, **kwargs)
+        def recorded(a, *args, **kwargs):
+            linalg_shapes[name].append(np.shape(a))
+            return call(a, *args, **kwargs)
+        return recorded
 
     def recording_green_strain(F):
         strain_shapes.append(np.shape(F))
@@ -632,16 +649,21 @@ def test_gamma_study_forms_one_offset_jacobian_per_h_and_no_batched_svd(monkeypa
 
     monkeypatch.setattr(recovery3d, "offset_jacobian", counting_offset_jacobian)
     monkeypatch.setattr(recovery3d, "green_strain", recording_green_strain)
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    monkeypatch.setattr(np.linalg, "inv", recording_inv)
+    for name in linalg_shapes:
+        monkeypatch.setattr(np.linalg, name, recording(name))
     cfg = load_config("sphere-gamma")
     report = run_study(cfg)
     assert report.error is None and report.passed
     assert len(cfg.h_schedule) == 5
     assert len(offsets) == 10
-    assert all(len(shape) <= 2 for shape in svd_shapes), svd_shapes
-    assert inv_shapes == []
     assert len(strain_shapes) == 5, strain_shapes
+    for cfg in (validate_config(GAMMA_PLATE_LOAD), load_config("plate-expansion")):
+        report = run_study(cfg)
+        assert report.error is None and report.passed
+    assert linalg_shapes["inv"] == []
+    batched = {name: [shape for shape in shapes if len(shape) > 2]
+               for name, shapes in linalg_shapes.items()}
+    assert not any(batched.values()), batched
 
 
 @pytest.mark.parametrize("name", ["plate-gamma", "sphere-gamma"])
