@@ -4,11 +4,12 @@ Fields are functions of the chart parameter u = (u1, u2).  Every function
 here broadcasts over leading batch axes: u has shape (..., 2), and a field
 returns its value with the same leading axes, so a single point of shape
 (2,) is the unbatched case of the same code.  Every field family carries
-analytic partials; A n and the averaged displacement take 4th-order central
-differences (`fd_columns`) with a step shrunk, point by point, near the chart
-boundary so stencils never leave the rectangle.  The partials of a field at
-the stencil points of u, a finite difference of a finite difference, come
-from one shared grid around u (`fd_stencil_columns`).
+analytic partials.  Every chart finite difference is one 4th-order central
+stencil: `stencil_steps` gives its steps, shrunk point by point near the
+chart boundary so stencils never leave the rectangle, `stencil_points` its
+points and `stencil_partials` the partials; `fd_columns` runs it on a
+function.  The partials of a field at the stencil points of u come from one
+shared grid around u (`fd_stencil_columns`).
 """
 
 from __future__ import annotations
@@ -85,6 +86,8 @@ def _fd_combine(values, d):
     return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * d)
 
 
+# no caller in the package: kept, with its import sites in kinematics and
+# recovery3d, only because perfbench/tracing.py wraps all three
 def fd_partial(f, u, axis, step, domain):
     """4th-order central difference of f along one chart axis, at every point of u.
 
@@ -97,17 +100,6 @@ def fd_partial(f, u, axis, step, domain):
     e[axis] = 1.0
     offsets = _STENCIL.reshape((4,) + (1,) * d.ndim) * d
     return _fd_combine(np.asarray(f(u + offsets[..., None] * e)), d)
-
-
-def fd_columns(f, u, domain):
-    """Both chart partials of f at every point of u, stacked on a new last axis.
-
-    Each axis takes one `fd_partial` call with the step FD_REL_STEP times
-    that axis' chart width.
-    """
-    steps = FD_REL_STEP * domain_widths(domain)
-    return np.stack([fd_partial(f, u, ax, steps[ax], domain) for ax in (0, 1)],
-                    axis=-1)
 
 
 def stencil_steps(u, domain):
@@ -144,6 +136,15 @@ def stencil_partials(values, d):
     values has shape (2, 4, ..., *f); the result has shape (..., *f, 2).
     """
     return np.stack([_fd_combine(values[ax], d[ax]) for ax in (0, 1)], axis=-1)
+
+
+def fd_columns(f, u, domain):
+    """Both chart partials of f at every point of u, stacked on a new last axis.
+
+    f is called once, on `stencil_points(u, stencil_steps(u, domain))`.
+    """
+    d = stencil_steps(u, domain)
+    return stencil_partials(np.asarray(f(stencil_points(u, d))), d)
 
 
 # grid offsets of `fd_stencil_columns`: the 9-point line k = -4..4 of each axis

@@ -370,7 +370,6 @@ class SurfaceQuadrature:
 
     frame: NodeFrame      # batch shape (N,)
     weights: np.ndarray   # (N,) gauss weight times sqrt(det metric)
-    order: int
 
 
 @lru_cache
@@ -397,15 +396,13 @@ def surface_quadrature(patch, order=DEFAULT_SURFACE_ORDER):
     u = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1).reshape(-1, 2)
     frame = patch.frame(u)
     return SurfaceQuadrature(frame=frame,
-                             weights=np.outer(w1, w2).ravel() * frame.sqrt_det_metric,
-                             order=int(order))
+                             weights=np.outer(w1, w2).ravel() * frame.sqrt_det_metric)
 
 
 @dataclass(frozen=True)
 class TransversalRule:
     """Per-surface-node Gauss rule for the transversal coordinate t in (-g1, g2)."""
 
-    order: int
     ref_nodes: np.ndarray    # on (0, 1)
     ref_weights: np.ndarray
 
@@ -414,7 +411,7 @@ class TransversalRule:
         if order < 1:
             raise ParameterError("transversal order must be >= 1")
         x, w = gauss_legendre(order, 0.0, 1.0)
-        return TransversalRule(order=int(order), ref_nodes=x, ref_weights=w)
+        return TransversalRule(ref_nodes=x, ref_weights=w)
 
     def nodes_at(self, g1_value, g2_value):
         """Nodes and weights through the thickness, shape (order,) + shape of g1, g2.

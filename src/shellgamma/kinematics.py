@@ -4,8 +4,8 @@ The skew field A of an isometry V is the skew part of grad V + (A n) (x) n,
 as grad V maps each tangent vector tau to d_tau V and kills n.  A n needs
 neither a tangent frame nor A: skewness gives (A n) . tau = -n . d_tau V, so
 A n is minus the surface gradient of the chart partials n . d_i V.  Its
-chart partials are 4th-order central differences of A n at the stencil
-frames.  The fields and tensors broadcast over leading batch axes of the
+chart partials and those of the deformed normal take the one stencil of
+`fields`.  The fields and tensors broadcast over leading batch axes of the
 frame they are given, so `build_isometry` and the expansion residuals are
 array expressions over the quadrature nodes, and the h-independent part of
 the expansion identities is built once per scene by `expansion_data`.
@@ -18,13 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, NotAnIsometryError
-from .fields import VectorField, fd_columns, first_point, outer, transpose
+from .fields import (VectorField, fd_columns, first_point, outer, stencil_partials,
+                     stencil_points, stencil_steps, transpose)
 from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this import site)
 from .geometry import NodeFrame, SurfacePatch, inv2
 
 DEFAULT_ISOMETRY_TOL = 1e-8
-# central-difference step of the deformed normal in bending_expansion_residual
-NORMAL_FD_STEP = 1e-5
 
 
 def tangential_strain(frame, d1_value):
@@ -92,7 +91,7 @@ def build_isometry(patch, V, quad):
 # the two tensors entering the limit functional
 # ---------------------------------------------------------------------------
 
-def _gamma_n_partials(frame, thick):
+def gamma_n_partials(frame, thick):
     """Chart partials of the field (g2 - g1) n, shape (..., 3, 2)."""
     gamma = thick.gamma(frame.u)
     Dn = frame.shape_op @ frame.jac                 # chart partials of the normal
@@ -101,7 +100,7 @@ def _gamma_n_partials(frame, thick):
 
 def grad3_gamma_n(frame, thick):
     """Ambient surface gradient of the field (g2 - g1) n."""
-    return frame.grad3(_gamma_n_partials(frame, thick))
+    return frame.grad3(gamma_n_partials(frame, thick))
 
 
 def bending_matrix(frame, A, An_partials):
@@ -132,20 +131,20 @@ def stretching_tensor(frame, A, AG, b_tan, kappa):
 class ExpansionData:
     """The h-independent fields of the expansion identities of one scene.
 
-    Arrays over the quadrature nodes, and over the (sign, axis, N) stencil
-    that differentiates the deformed normal.
+    Arrays over the quadrature nodes, and over the (axis, offset, N) stencil
+    of `fields.stencil_points` that differentiates the deformed normal.
     """
 
     frame: NodeFrame
-    A: np.ndarray              # (N, 3, 3)
     DV: np.ndarray             # (N, 3, 2) chart partials of V
     Dw: np.ndarray             # (N, 3, 2) chart partials of w
     gamma_n: np.ndarray        # (N, 3, 2) chart partials of (g2 - g1) n
     M_tau: np.ndarray          # (N, 2) tau^T S tau, S the stretching tensor of B_tan = sym grad w
     bending: np.ndarray        # (N, 3, 2) (grad(A n) - A Pi) tau, both chart tangents
-    stencil_jac: np.ndarray    # (2, 2, N, 3, 2) chart jacobian at u +- step e_axis
-    stencil_gamma_n: np.ndarray  # (2, 2, N, 3, 2)
-    stencil_DV: np.ndarray     # (2, 2, N, 3, 2)
+    steps: np.ndarray          # (2, N) stencil steps of `fields.stencil_steps`
+    stencil_jac: np.ndarray    # (2, 4, N, 3, 2) chart jacobian at the stencil points
+    stencil_gamma_n: np.ndarray  # (2, 4, N, 3, 2)
+    stencil_DV: np.ndarray     # (2, 4, N, 3, 2)
 
 
 def _phi_tilde_partials(jac, gamma_n, h):
@@ -158,25 +157,25 @@ def expansion_data(patch, iso, w, thick, quad):
 
     These are the limit's own stretching tensor (of B_tan = sym grad w, at
     kappa = 1) and bending matrix, read along the two chart tangents; the
-    residual functions below only combine them with powers of h.
+    residual functions below only combine them with powers of h.  One frame
+    call, at the stencil points of the nodes, serves A n and the residuals.
     """
     fr = quad.frame
     A = iso.A_at(fr)
     Dw = w.d1(fr.u)
-    gamma_n = _gamma_n_partials(fr, thick)
+    gamma_n = gamma_n_partials(fr, thick)
     AG = A @ fr.grad3(gamma_n)
     S = stretching_tensor(fr, A, AG, tangential_strain(fr, Dw), 1.0)
     C = transpose(fr.tangents()) @ fr.jac  # the chart tangents in the (t1, t2) frame
-    shifts = np.array([1.0, -1.0])[:, None, None] * (NORMAL_FD_STEP * np.eye(2))
-    stencil = fr.u + shifts[..., None, :]            # (sign, axis, N, 2)
-    st = patch.frame(stencil)
+    d = stencil_steps(fr.u, patch.domain)
+    st = patch.frame(stencil_points(fr.u, d))
     V = iso.displacement
     return ExpansionData(
-        frame=fr, A=A, DV=V.d1(fr.u), Dw=Dw, gamma_n=gamma_n,
+        frame=fr, DV=V.d1(fr.u), Dw=Dw, gamma_n=gamma_n,
         M_tau=(C * (S @ C)).sum(axis=-2),
-        bending=bending_matrix(fr, A, iso.An_partials(fr.u)) @ fr.jac,
-        stencil_jac=st.jac, stencil_gamma_n=_gamma_n_partials(st, thick),
-        stencil_DV=V.d1(stencil))
+        bending=bending_matrix(fr, A, stencil_partials(iso.An(st), d)) @ fr.jac,
+        steps=d, stencil_jac=st.jac, stencil_gamma_n=gamma_n_partials(st, thick),
+        stencil_DV=V.d1(st.u))
 
 
 def stretching_expansion_residual(data, h):
@@ -193,20 +192,20 @@ def stretching_expansion_residual(data, h):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _deformed_chart_shape_coeffs(P, P_stencil, fd_step, orient_n):
+def _deformed_chart_shape_coeffs(P, P_stencil, d, orient_n):
     """Coefficient matrices C of the shape operator of a deformed chart.
 
     P holds the (..., 3, 2) chart partials of the deformed chart at the
-    points, P_stencil the same at the points shifted by +fd_step and
-    -fd_step along each chart axis, stacked as (sign, axis, ...).  The
+    points, P_stencil the same at their `fields.stencil_points` of steps d;
+    axes after the points' batch axes may stack several charts.  The
     deformed normal is the normalized column cross product, oriented to
-    orient_n, and differentiated by central differences.  C satisfies
-    Pi (d_i Y) = sum_j C[..., j, i] (d_j Y).
+    orient_n, and differentiated by `fields.stencil_partials`.
+    C satisfies Pi (d_i Y) = sum_j C[..., j, i] (d_j Y).
     """
     nrm = np.cross(P_stencil[..., 0], P_stencil[..., 1])
     nrm = nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
     nrm = np.where(((nrm * orient_n).sum(axis=-1) < 0.0)[..., None], -nrm, nrm)
-    Dn = np.moveaxis((nrm[0] - nrm[1]) / (2.0 * fd_step), 0, -1)
+    Dn = stencil_partials(nrm, d)
     G = transpose(P) @ P
     det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
     return inv2(G, det) @ (transpose(P) @ Dn)
@@ -217,16 +216,15 @@ def bending_expansion_residual(data, h):
 
     Both shape operators are pulled back through their chart jacobians and
     compared in the chart frame of the undeformed patch; the deformed shape
-    operator is computed numerically from the deformed chart phi^h o chart.
+    operator is computed numerically from the deformed chart phi^h o chart,
+    in one call with the geometric chart phi_tilde, stacked after the nodes.
     """
     fr = data.frame
     tilde_st = _phi_tilde_partials(data.stencil_jac, data.stencil_gamma_n, h)
     tilde = _phi_tilde_partials(fr.jac, data.gamma_n, h)
-    C_full = _deformed_chart_shape_coeffs(tilde + h * data.DV,
-                                          tilde_st + h * data.stencil_DV,
-                                          NORMAL_FD_STEP, fr.n)
-    C_tilde = _deformed_chart_shape_coeffs(tilde, tilde_st, NORMAL_FD_STEP, fr.n)
-    lhs = fr.jac @ (C_full - C_tilde)
-    rhs = h * data.bending
-    return float(np.max(np.linalg.norm(lhs - rhs, axis=-2)))
-
+    C = _deformed_chart_shape_coeffs(
+        np.stack([tilde + h * data.DV, tilde], axis=-3),
+        np.stack([tilde_st + h * data.stencil_DV, tilde_st], axis=-3), data.steps,
+        fr.n[..., None, :])
+    lhs = fr.jac @ (C[..., 0, :, :] - C[..., 1, :, :])
+    return float(np.max(np.linalg.norm(lhs - h * data.bending, axis=-2)))

@@ -6,14 +6,13 @@ per-node Q2 built from the node's tangent frame.  `limit_fields` evaluates
 these h-independent fields once at a point array, and the recovery
 deformation reads the same evaluation at its nodes and stencils; every
 integrand, the load term included, is one batched pass over the quadrature
-nodes.  The total-energy variant adds to a computed limit energy the
-action of the load's node values against a fixed rotation and a relaxation
-value supplied by the caller.
+nodes.  The total-energy variant subtracts from a computed limit energy the
+action of the load's node values against a fixed rotation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,11 +28,10 @@ class LimitEnergyBreakdown:
     stretching: float
     bending: float
     load_term: float
-    relaxation_term: float
 
     @property
     def total(self):
-        return self.stretching + self.bending - self.load_term + self.relaxation_term
+        return self.stretching + self.bending - self.load_term
 
 
 @dataclass(frozen=True)
@@ -78,7 +76,7 @@ def eval_I(fields, thick, quad):
     stretching = np.sum(0.5 * weights * mu_t * q2.apply_tangential(fields.stretching))
     bending = np.sum(weights * mu_t ** 3 / 24.0 * q2.apply_tangential(fields.bending))
     return LimitEnergyBreakdown(stretching=float(stretching), bending=float(bending),
-                                load_term=0.0, relaxation_term=0.0)
+                                load_term=0.0)
 
 
 def check_rotation(Q):
@@ -92,18 +90,15 @@ def check_rotation(Q):
     return Q
 
 
-def eval_J(limit, thick, iso, f, Qbar, r, quad):
-    """Total limit energy J = I - integral (g1+g2) f . (Qbar V) + r.
+def eval_J(limit, thick, iso, f, Qbar, quad):
+    """Total limit energy J = I - integral (g1+g2) f . (Qbar V).
 
     limit is the LimitEnergyBreakdown of I (`eval_I(...)`) for the same
     scene; f is the limit surface load at the nodes of quad, an (N, 3)
-    array; r is the relaxation penalty of Qbar, supplied externally (zero
-    in the maximizer-set example).
+    array.
     """
     Qbar = check_rotation(Qbar)
     u = quad.frame.u
     QV = iso.displacement.value(u) @ Qbar.T
     density = thick.total(u) * (f * QV).sum(axis=-1)
-    return LimitEnergyBreakdown(stretching=limit.stretching, bending=limit.bending,
-                                load_term=float(np.sum(quad.weights * density)),
-                                relaxation_term=float(r))
+    return replace(limit, load_term=float(np.sum(quad.weights * density)))

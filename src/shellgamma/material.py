@@ -224,12 +224,11 @@ class QuadForm2:
     Q2(F_tan) = min over c in R^3 of Q3(F_hat + c (x) n + n (x) c), where
     F_hat embeds the 2x2 tangential input in the (t1, t2) frame.  The solve
     is a 3x3 SPD system per frame, by substitution on its Cholesky factor;
-    c is linear in F_tan and returned in ambient coordinates.  n, t1, t2
-    carry the batch axes; inputs broadcast against them.
+    c is linear in F_tan and returned in ambient coordinates.  t1, t2 and
+    the factor carry the batch axes; inputs broadcast against them.
     """
 
     base: QuadForm3
-    n: np.ndarray
     t1: np.ndarray
     t2: np.ndarray
     _chol: np.ndarray        # (..., 3, 3) Cholesky factor of the coupling matrix K
@@ -258,21 +257,27 @@ class QuadForm2:
         return self.base.apply(F_hat) + (b * c).sum(axis=-1)
 
 
+def _first_frame(bad):
+    """Batch index of the first frame (in C order) where the mask `bad` holds."""
+    return tuple(int(k) for k in np.unravel_index(np.argmax(bad), bad.shape))
+
+
 def reduce_q2(q3, n, t1, t2):
     """Relax q3 over normal corrections at the frames (t1, t2, n).
 
     n, t1, t2 have shape (..., 3); the tangent frame fixes the coordinates
     of the tangential input, which matter for an anisotropic q3.  The
-    coupling block of every frame is factored by the closed-form cholesky3;
-    a block that is not positive definite raises, naming the first such
-    frame by its batch index and normal.
+    coupling block of every frame is factored by the closed-form cholesky3.
+    A normal that is not a unit vector (NaN included) raises ParameterError,
+    and a block that is not positive definite DegenerateMaterialError, each
+    naming the first such frame by its batch index.
     """
     n = np.asarray(n, dtype=float)
     nn = np.sqrt((n * n).sum(axis=-1))
-    off = np.abs(nn - 1.0)
-    if np.any(off > 1e-10):
-        raise ParameterError(
-            f"normal must be a unit vector, |n| = {nn.ravel()[np.argmax(off)]}")
+    bad = ~(np.abs(nn - 1.0) <= 1e-10)  # a NaN normal fails too
+    if bad.any():
+        i = _first_frame(bad)
+        raise ParameterError(f"normal must be a unit vector at frame {i}, |n| = {nn[i]}")
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
     # L[..., i, :, :] = e_i (x) n + n (x) e_i
@@ -281,11 +286,11 @@ def reduce_q2(q3, n, t1, t2):
     K = coupling @ q3.matrix6 @ transpose(coupling)
     chol, bad = cholesky3(K)
     if bad.any():
-        i = tuple(int(k) for k in np.unravel_index(np.argmax(bad), bad.shape))
+        i = _first_frame(bad)
         raise DegenerateMaterialError(
             f"normal-coupling block of Q3 is not positive definite at frame {i} "
             f"with n = {tuple(n[i].tolist())}")
-    return QuadForm2(base=q3, n=n, t1=t1, t2=t2, _chol=chol, _coupling=coupling)
+    return QuadForm2(base=q3, t1=t1, t2=t2, _chol=chol, _coupling=coupling)
 
 
 def isotropic_q2_closed_form(mu, lam, F22):

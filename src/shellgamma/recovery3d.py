@@ -42,7 +42,7 @@ from .fields import (fd_columns, fd_stencil_columns, matvec, outer, stencil_part
                      stencil_points, stencil_steps, transpose)
 from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this import site)
 from .geometry import inv2, offset_jacobian
-from .kinematics import tangential_strain
+from .kinematics import gamma_n_partials, tangential_strain
 from .limit2d import LimitFields, limit_fields
 from .material import green_strain, reduce_q2
 
@@ -154,6 +154,7 @@ def recovery_data(patch, material, iso, w, thick, kappa, quad):
         fields.update({
             "dn": fr.shape_op @ fr.jac,  # chart partials of the normal
             "dgamma": thick.gamma_d(fr.u),
+            "Dgamma_n": gamma_n_partials(fr, thick),
             "DV": V.d1(fr.u),
         })
         return fields
@@ -211,8 +212,8 @@ def build_recovery(data, h, e_h):
         fr = pd["fr"]
         s, _, a1, a2 = t_coefficients(pd, t)
         Da0, Da1, Da2 = coefficients(
-            fr.jac, outer(fr.n, pd["dgamma"]) + pd["gamma"][..., None, None] * pd["dn"],
-            pd["DV"], pd["Dw"], pd["dn"], pd["Dp"], pd["Dxi"], pd["Dd0"], pd["Dd1"])
+            fr.jac, pd["Dgamma_n"], pd["DV"], pd["Dw"], pd["dn"], pd["Dp"], pd["Dxi"],
+            pd["Dd0"], pd["Dd1"])
         dy_ds = a1 + s[..., None] * a2
         sm = s[..., None, None]  # s against (3, 2) chart partials
         # column i: chart partial d/du_i of y^h; d s/du_i = -(1/2) d(g2-g1)/du_i

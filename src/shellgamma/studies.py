@@ -326,8 +326,11 @@ def validate_config(doc):
     cfg = _parse_params(doc, _SECTIONS, "")
     cfg["tolerances"] = _parse_params(cfg["tolerances"], _STUDIES[cfg["study"]].params,
                                       "tolerances")
-    _require(cfg["e_h"]["mode"] != "kappa_h4" or cfg["kappa"] > 0.0,
+    mode = cfg["e_h"]["mode"]
+    _require(mode != "kappa_h4" or cfg["kappa"] > 0.0,
              "e_h mode kappa_h4 requires kappa > 0", "e_h.mode")
+    _require(mode != "h_alpha" or cfg["kappa"] == 0.0,
+             "e_h mode h_alpha (e_h/h^4 -> 0) requires kappa = 0, got {}", "kappa", cfg["kappa"])
     return StudyConfig(**cfg)
 
 
@@ -515,8 +518,8 @@ def _run_gamma(cfg):
             raise ConfigError(
                 f"load violates the compatibility condition: |int (g1+g2) f| = "
                 f"{resid:.3e} vs L1 mass {mass:.3e}", key_path="load")
-        # maximizer-set example semantics: Qbar = Id, r = 0
-        J_value = eval_J(limit, thick, iso, f, np.eye(3), 0.0, quad=squad).total
+        # maximizer-set example semantics: Qbar = Id
+        J_value = eval_J(limit, thick, iso, f, np.eye(3), quad=squad).total
 
     rows = []
     failing_h = None

@@ -193,6 +193,25 @@ def test_stencil_grid_near_the_boundary_uses_each_points_step():
     assert np.max(np.abs(batched - exact)) <= 1e-9
 
 
+def test_fd_columns_calls_f_once_on_the_shared_stencil():
+    # one call on the stencil points, each point with its own clamped step
+    domain = ((0.0, 1.0), (0.0, 1.0))
+    field = sg.trig_vector_field(GENERIC_W, domain)
+    u = np.array([[1e-4, 0.5], [0.5, 0.5], [0.9995, 0.3], [0.2, 2e-5], [0.7, 0.99999]])
+    calls = []
+
+    def value(points):
+        calls.append(points.shape)
+        return field.value(points)
+
+    D = fd_columns(value, u, domain)
+    assert calls == [(2, 4, 5, 2)]
+    assert_batch_matches_points(D, [fd_columns(field.value, p, domain) for p in u])
+    assert np.max(np.abs(D - field.d1(u))) <= 1e-9
+    with pytest.raises(DomainError, match=r"\(0\.0, 0\.5\)"):
+        fd_columns(field.value, np.array([[0.5, 0.5], [0.0, 0.5]]), domain)
+
+
 def test_stencil_grid_rejects_points_on_the_boundary():
     domain = ((0.0, 1.0), (0.0, 1.0))
     field = sg.trig_vector_field(GENERIC_W, domain)

@@ -178,21 +178,19 @@ def test_eval_J_reductions_and_load_term():
     vertical = np.broadcast_to([0.0, 0.0, 1.0], quad.frame.x.shape)
 
     # f = 0: J = I
-    J0 = sg.eval_J(base, thick, iso, np.zeros(quad.frame.x.shape), np.eye(3), 0.0,
-                   quad=quad)
+    J0 = sg.eval_J(base, thick, iso, np.zeros(quad.frame.x.shape), np.eye(3), quad=quad)
     assert J0.total == pytest.approx(base.total, rel=1e-13)
     assert J0.load_term == 0.0
 
-    # V = 0: load term vanishes, relaxation passes through
+    # V = 0: load term vanishes
     iso0 = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
     base0 = eval_I(thick, W, iso0, w, 1.0, quad=quad)
-    Jz = sg.eval_J(base0, thick, iso0, vertical, np.eye(3), 0.25, quad=quad)
+    Jz = sg.eval_J(base0, thick, iso0, vertical, np.eye(3), quad=quad)
     assert Jz.load_term == pytest.approx(0.0, abs=1e-14)
-    assert Jz.relaxation_term == 0.25
-    assert Jz.total == pytest.approx(Jz.stretching + Jz.bending + 0.25, rel=1e-13)
+    assert Jz.total == pytest.approx(Jz.stretching + Jz.bending, rel=1e-13)
 
     # vertical unit load against the sine isometry: integral of the deflection
-    Jv = sg.eval_J(base, thick, iso, vertical, np.eye(3), 0.0, quad=quad)
+    Jv = sg.eval_J(base, thick, iso, vertical, np.eye(3), quad=quad)
     assert Jv.load_term == pytest.approx(4.0 / np.pi ** 2, rel=1e-10)
     assert Jv.total == pytest.approx(base.total - 4.0 / np.pi ** 2, rel=1e-12)
     # J reuses the caller's I exactly
@@ -205,10 +203,10 @@ def test_eval_J_rejects_non_rotations():
     base = eval_I(thick, W, iso, w, 1.0, quad=quad)
     with pytest.raises(ParameterError):
         sg.eval_J(base, thick, iso, np.zeros(quad.frame.x.shape),
-                  2.0 * np.eye(3), 0.0, quad=quad)
+                  2.0 * np.eye(3), quad=quad)
     with pytest.raises(ParameterError):
         sg.eval_J(base, thick, iso, np.zeros(quad.frame.x.shape),
-                  np.diag([1.0, 1.0, -1.0]), 0.0, quad=quad)
+                  np.diag([1.0, 1.0, -1.0]), quad=quad)
 
 
 def test_anisotropic_q3_material_is_accepted():

@@ -231,6 +231,18 @@ def test_batch_with_one_degenerate_node_raises():
                            for v, e in zip(oblique, adapted_frame())))
 
 
+def test_non_unit_normal_is_a_parameter_error_naming_its_frame():
+    # a NaN normal is not a unit vector either: the normal, not Q3, is at fault
+    q3 = sg.make_isotropic(1.0, 1.0).q3
+    n, t1, t2 = (np.stack([e, e]) for e in adapted_frame())
+    for scale, shown in [(np.nan, "nan"), (2.0, "2.0")]:
+        n_bad = n.copy()
+        n_bad[1] *= scale
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"unit vector at frame (1,), |n| = {shown}")):
+            sg.reduce_q2(q3, n_bad, t1, t2)
+
+
 def spd_up_to_cond(rng, count, max_cond):
     """(count, 3, 3) SPD matrices U diag(s) U^T of condition up to max_cond.
 

@@ -211,8 +211,8 @@ def _study_documents(draw):
                          st.fixed_dictionaries({"mode": st.just("h_alpha")},
                                                optional={"alpha": _numbers(
                                                    min_value=4.001, max_value=10.0)})))
-    kappa = (draw(_POSITIVE) if e_h["mode"] == "kappa_h4"
-             else draw(_numbers(min_value=0.0, max_value=1e3)))
+    # kappa_h4 needs kappa > 0; h_alpha has e_h/h^4 -> 0, so its limit's kappa is 0
+    kappa = draw(_POSITIVE) if e_h["mode"] == "kappa_h4" else 0.0
     return {"study": study,
             "patch": draw(_PATCHES),
             "thickness": draw(st.fixed_dictionaries(
@@ -283,6 +283,8 @@ _Q2 = {"study": "q2-check"}
      "tolerances.margin_rel_tol"),
     # e_h = kappa^2 h^4 vanishes at kappa = 0
     ({**MINIMAL_GAMMA, "kappa": 0}, "e_h.mode"),
+    # e_h = h^alpha, alpha > 4, has e_h/h^4 -> 0: the limit is at kappa = 0
+    ({**MINIMAL_GAMMA, "e_h": {"mode": "h_alpha"}}, "kappa"),
 ])
 def test_bad_input_is_a_config_error_with_its_key_path(doc, key_path, tmp_path, capsys):
     with pytest.raises(ConfigError) as err:
@@ -540,6 +542,30 @@ def test_gamma_gap_does_not_depend_on_the_fd_step(name, monkeypatch):
     assert max(abs(g - gaps[0]) for g in gaps) <= 1e-5 * gaps[0], gaps
     # a step the patch no longer reaches would leave the energies unchanged
     assert normalized[0] != normalized[1] != normalized[2] != normalized[0]
+
+
+@pytest.mark.parametrize("name", ["plate-expansion", "sphere-expansion",
+                                  "cylinder-expansion"])
+def test_expansion_residual_does_not_depend_on_the_fd_step(name, monkeypatch):
+    # the one finite-difference step of A n and of the deformed normal
+    finest = []
+    for step in (1e-3, 2e-3, 5e-4):
+        monkeypatch.setattr(fields, "FD_REL_STEP", step)
+        report = run_study(load_config(name))
+        assert report.passed
+        finest.append(report.rows[-1].residual_bend)
+    assert max(abs(r - finest[0]) for r in finest) <= 1e-12, finest
+    # a step the study no longer reaches would leave the residuals unchanged
+    assert len(set(finest)) > 1, finest
+
+
+def test_h_alpha_study_runs_at_kappa_zero():
+    # e_h = h^6: the rescaled energy tends to I at kappa = 0
+    doc = {**studies.BUILTIN_SCENARIOS["plate-gamma"].doc,
+           "e_h": {"mode": "h_alpha", "alpha": 6.0}, "kappa": 0.0}
+    report = run_study(validate_config(doc))
+    assert report.passed
+    assert report.summary["fitted_gap_order"] == pytest.approx(2.0, abs=0.05)
 
 
 def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
