@@ -17,10 +17,10 @@ from .geometry import (NodeFrame, SurfacePatch, SurfaceQuadrature, ThicknessPair
                        TransversalRule, make_builtin_patch, offset_jacobian,
                        shape_operator_fd, surface_quadrature, validate_patch,
                        validate_thickness)
-from .kinematics import (ExpansionData, IsometryField, bending_expansion_residual,
-                         bending_matrix, build_isometry, expansion_data,
+from .kinematics import (ExpansionData, IsometryField, LimitFields, bending_expansion_residual,
+                         bending_matrix, build_isometry, expansion_data, limit_fields,
                          stretching_expansion_residual, stretching_tensor)
-from .limit2d import LimitEnergyBreakdown, LimitFields, eval_I, eval_J, limit_fields
+from .limit2d import LimitEnergyBreakdown, eval_I, eval_J
 from .loads import (ActionMaximum, davenport_matrix, eval_J_h, example_maximizer_set,
                     extend_load, load_compatibility_residual, maximize_action,
                     moment_matrix, random_rotations, rotation_actions,

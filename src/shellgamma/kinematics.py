@@ -5,10 +5,12 @@ as grad V maps each tangent vector tau to d_tau V and kills n.  A n needs
 neither a tangent frame nor A: skewness gives (A n) . tau = -n . d_tau V, so
 A n is minus the surface gradient of the chart partials n . d_i V.  Its
 chart partials and those of the deformed normal take the one stencil of
-`fields`.  The fields and tensors broadcast over leading batch axes of the
-frame they are given, so `build_isometry` and the expansion residuals are
-array expressions over the quadrature nodes, and the h-independent part of
-the expansion identities is built once per scene by `expansion_data`.
+`fields`.  `limit_fields` is the one record of the limit's h-independent
+fields at a point array; the limit functional, the recovery deformation and
+the expansion identities all read it.  Everything broadcasts over leading
+batch axes of the frame, so `build_isometry` and the expansion residuals are
+array expressions over the quadrature nodes, and `expansion_data` builds the
+h-independent part of the expansion identities once per scene.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def build_isometry(patch, V, quad):
 
 
 # ---------------------------------------------------------------------------
-# the two tensors entering the limit functional
+# the h-independent fields of the limit functional
 # ---------------------------------------------------------------------------
 
 def gamma_n_partials(frame, thick):
@@ -96,11 +98,6 @@ def gamma_n_partials(frame, thick):
     gamma = thick.gamma(frame.u)
     Dn = frame.shape_op @ frame.jac                 # chart partials of the normal
     return outer(frame.n, thick.gamma_d(frame.u)) + gamma[..., None, None] * Dn
-
-
-def grad3_gamma_n(frame, thick):
-    """Ambient surface gradient of the field (g2 - g1) n."""
-    return frame.grad3(gamma_n_partials(frame, thick))
 
 
 def bending_matrix(frame, A, An_partials):
@@ -112,8 +109,7 @@ def stretching_tensor(frame, A, AG, b_tan, kappa):
     """B_tan - (kappa/2)(A^2)_tan - (1/2) sym(A grad((g2-g1) n))_tan at a frame, 2x2.
 
     b_tan is the symmetric finite strain B_tan at the frame's points, in
-    their (t1, t2) frame; AG is A grad((g2-g1) n) there
-    (`A @ grad3_gamma_n(frame, thick)`).
+    their (t1, t2) frame; AG is A grad((g2-g1) n) there.
     """
     if kappa < 0.0 or not np.isfinite(kappa):
         raise EvaluationError("kappa must be finite and nonnegative")
@@ -121,6 +117,41 @@ def stretching_tensor(frame, A, AG, b_tan, kappa):
     out = (np.asarray(b_tan, dtype=float) - 0.5 * kappa * frame.tan2(A @ A)
            - 0.25 * (T + transpose(T)))
     return 0.5 * (out + transpose(out))
+
+
+@dataclass(frozen=True)
+class LimitFields:
+    """The h-independent fields of the limit at a batch of chart points; no material enters."""
+
+    frame: NodeFrame
+    DV: np.ndarray              # (..., 3, 2) chart partials of V
+    Dw: np.ndarray              # (..., 3, 2) chart partials of w
+    Dgamma_n: np.ndarray        # (..., 3, 2) chart partials of (g2 - g1) n
+    An: np.ndarray              # (..., 3) A n
+    A: np.ndarray               # (..., 3, 3) skew field of the isometry
+    AG: np.ndarray              # (..., 3, 3) A grad((g2-g1) n)
+    stretching: np.ndarray      # (..., 2, 2) stretching tensor of B_tan = sym grad w
+    bending_matrix: np.ndarray  # (..., 3, 3) grad(A n) - A Pi
+    bending: np.ndarray         # (..., 2, 2) its symmetrized tangential minor
+
+
+def limit_fields(iso, w, thick, kappa, frame, An_partials):
+    """Evaluate the LimitFields of (V, B_tan = sym grad w) at a frame.
+
+    The chart partials of V, of w and of (g2 - g1) n are read once each;
+    An_partials are the chart partials of A n at the frame's points.
+    """
+    DV = iso.displacement.d1(frame.u)
+    Dw = w.d1(frame.u)
+    Dgamma_n = gamma_n_partials(frame, thick)
+    A = iso.A_at(frame)
+    AG = A @ frame.grad3(Dgamma_n)
+    M = bending_matrix(frame, A, An_partials)
+    Mt = frame.tan2(M)
+    return LimitFields(
+        frame=frame, DV=DV, Dw=Dw, Dgamma_n=Dgamma_n, An=_An(frame, DV), A=A, AG=AG,
+        stretching=stretching_tensor(frame, A, AG, tangential_strain(frame, Dw), kappa),
+        bending_matrix=M, bending=0.5 * (Mt + transpose(Mt)))
 
 
 # ---------------------------------------------------------------------------
@@ -131,20 +162,16 @@ def stretching_tensor(frame, A, AG, b_tan, kappa):
 class ExpansionData:
     """The h-independent fields of the expansion identities of one scene.
 
-    Arrays over the quadrature nodes, and over the (axis, offset, N) stencil
-    of `fields.stencil_points` that differentiates the deformed normal.
+    The limit's own record at the quadrature nodes, at kappa = 1, and the
+    arrays over the (axis, offset, N) stencil of `fields.stencil_points`
+    that differentiate the deformed normal.
     """
 
-    frame: NodeFrame
-    DV: np.ndarray             # (N, 3, 2) chart partials of V
-    Dw: np.ndarray             # (N, 3, 2) chart partials of w
-    gamma_n: np.ndarray        # (N, 3, 2) chart partials of (g2 - g1) n
-    M_tau: np.ndarray          # (N, 2) tau^T S tau, S the stretching tensor of B_tan = sym grad w
-    bending: np.ndarray        # (N, 3, 2) (grad(A n) - A Pi) tau, both chart tangents
+    nodes: LimitFields
     steps: np.ndarray          # (2, N) stencil steps of `fields.stencil_steps`
     stencil_jac: np.ndarray    # (2, 4, N, 3, 2) chart jacobian at the stencil points
-    stencil_gamma_n: np.ndarray  # (2, 4, N, 3, 2)
-    stencil_DV: np.ndarray     # (2, 4, N, 3, 2)
+    stencil_gamma_n: np.ndarray  # (2, 4, N, 3, 2) chart partials of (g2 - g1) n there
+    stencil_DV: np.ndarray     # (2, 4, N, 3, 2) chart partials of V there
 
 
 def _phi_tilde_partials(jac, gamma_n, h):
@@ -155,27 +182,20 @@ def _phi_tilde_partials(jac, gamma_n, h):
 def expansion_data(patch, iso, w, thick, quad):
     """Build the fields of the expansion identities that do not depend on h.
 
-    These are the limit's own stretching tensor (of B_tan = sym grad w, at
-    kappa = 1) and bending matrix, read along the two chart tangents; the
-    residual functions below only combine them with powers of h.  One frame
-    call, at the stencil points of the nodes, serves A n and the residuals.
+    These are the limit's LimitFields at the nodes, at kappa = 1; the
+    residual functions below read its stretching tensor and bending matrix
+    along the two chart tangents and combine them with powers of h.  One
+    frame call, at the stencil points of the nodes, serves the partials of
+    A n and the deformed normal; V is differentiated there once for both.
     """
     fr = quad.frame
-    A = iso.A_at(fr)
-    Dw = w.d1(fr.u)
-    gamma_n = gamma_n_partials(fr, thick)
-    AG = A @ fr.grad3(gamma_n)
-    S = stretching_tensor(fr, A, AG, tangential_strain(fr, Dw), 1.0)
-    C = transpose(fr.tangents()) @ fr.jac  # the chart tangents in the (t1, t2) frame
     d = stencil_steps(fr.u, patch.domain)
     st = patch.frame(stencil_points(fr.u, d))
-    V = iso.displacement
+    DV = iso.displacement.d1(st.u)
     return ExpansionData(
-        frame=fr, DV=V.d1(fr.u), Dw=Dw, gamma_n=gamma_n,
-        M_tau=(C * (S @ C)).sum(axis=-2),
-        bending=bending_matrix(fr, A, stencil_partials(iso.An(st), d)) @ fr.jac,
+        nodes=limit_fields(iso, w, thick, 1.0, fr, stencil_partials(_An(st, DV), d)),
         steps=d, stencil_jac=st.jac, stencil_gamma_n=gamma_n_partials(st, thick),
-        stencil_DV=V.d1(st.u))
+        stencil_DV=DV)
 
 
 def stretching_expansion_residual(data, h):
@@ -185,10 +205,13 @@ def stretching_expansion_residual(data, h):
     against 2 h^2 tau^T S tau on both chart tangents, S the stretching tensor
     sym grad w - A^2/2 - sym(A grad((g2-g1)n))/2.  Exact when w = 0; O(h^3) otherwise.
     """
-    dpt = _phi_tilde_partials(data.frame.jac, data.gamma_n, h)
-    dp = dpt + h * data.DV + h * h * data.Dw
+    nodes = data.nodes
+    fr = nodes.frame
+    dpt = _phi_tilde_partials(fr.jac, nodes.Dgamma_n, h)
+    dp = dpt + h * nodes.DV + h * h * nodes.Dw
     lhs = (dp * dp).sum(axis=-2) - (dpt * dpt).sum(axis=-2)
-    rhs = 2.0 * h * h * data.M_tau
+    C = transpose(fr.tangents()) @ fr.jac  # the chart tangents in the (t1, t2) frame
+    rhs = 2.0 * h * h * (C * (nodes.stretching @ C)).sum(axis=-2)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -219,12 +242,13 @@ def bending_expansion_residual(data, h):
     operator is computed numerically from the deformed chart phi^h o chart,
     in one call with the geometric chart phi_tilde, stacked after the nodes.
     """
-    fr = data.frame
+    nodes = data.nodes
+    fr = nodes.frame
     tilde_st = _phi_tilde_partials(data.stencil_jac, data.stencil_gamma_n, h)
-    tilde = _phi_tilde_partials(fr.jac, data.gamma_n, h)
+    tilde = _phi_tilde_partials(fr.jac, nodes.Dgamma_n, h)
     C = _deformed_chart_shape_coeffs(
-        np.stack([tilde + h * data.DV, tilde], axis=-3),
+        np.stack([tilde + h * nodes.DV, tilde], axis=-3),
         np.stack([tilde_st + h * data.stencil_DV, tilde_st], axis=-3), data.steps,
         fr.n[..., None, :])
     lhs = fr.jac @ (C[..., 0, :, :] - C[..., 1, :, :])
-    return float(np.max(np.linalg.norm(lhs - h * data.bending, axis=-2)))
+    return float(np.max(np.linalg.norm(lhs - h * (nodes.bending_matrix @ fr.jac), axis=-2)))

@@ -2,12 +2,12 @@
 
 The stretching term integrates (g1+g2) Q2 of the stretching tensor, the
 bending term integrates (g1+g2)^3/12 Q2 of the bending tensor, both with a
-per-node Q2 built from the node's tangent frame.  `limit_fields` evaluates
-these h-independent fields once at a point array, and the recovery
-deformation reads the same evaluation at its nodes and stencils; every
-integrand, the load term included, is one batched pass over the quadrature
-nodes.  The total-energy variant subtracts from a computed limit energy the
-action of the load's node values against a fixed rotation.
+per-node Q2 built from the node's tangent frame.  The tensors are read off
+`kinematics.LimitFields`, the one record of the h-independent fields at a
+point array, which the recovery deformation and the expansion identities
+read too; every integrand, the load term included, is one batched pass over
+the quadrature nodes.  The total-energy variant subtracts from a computed
+limit energy the action of the load's node values against a fixed rotation.
 """
 
 from __future__ import annotations
@@ -17,10 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParameterError
-from .fields import transpose
-from .geometry import NodeFrame
-from .kinematics import bending_matrix, grad3_gamma_n, stretching_tensor
-from .material import QuadForm2, reduce_q2
+from .material import reduce_q2  # noqa: F401  (perfbench/tracing.py wraps this import site)
 
 
 @dataclass(frozen=True)
@@ -34,44 +31,16 @@ class LimitEnergyBreakdown:
         return self.stretching + self.bending - self.load_term
 
 
-@dataclass(frozen=True)
-class LimitFields:
-    """The h-independent fields of the limit functional at a batch of chart points."""
-
-    frame: NodeFrame
-    A: np.ndarray               # (..., 3, 3) skew field of the isometry
-    AG: np.ndarray              # (..., 3, 3) A grad((g2-g1) n)
-    q2: QuadForm2               # Q2 reduced in the frame's tangent plane
-    stretching: np.ndarray      # (..., 2, 2) stretching tensor
-    bending_matrix: np.ndarray  # (..., 3, 3) grad(A n) - A Pi
-    bending: np.ndarray         # (..., 2, 2) its symmetrized tangential minor
-
-
-def limit_fields(material, iso, b_tan, thick, kappa, frame, An_partials):
-    """Evaluate A, Q2 and both tensors at a frame, given B_tan and the partials of A n there.
-
-    The material enters only through its Q3, reduced in each point's tangent frame.
-    """
-    A = iso.A_at(frame)
-    AG = A @ grad3_gamma_n(frame, thick)
-    M = bending_matrix(frame, A, An_partials)
-    Mt = frame.tan2(M)
-    return LimitFields(frame=frame, A=A, AG=AG,
-                       q2=reduce_q2(material.q3, frame.n, frame.t1, frame.t2),
-                       stretching=stretching_tensor(frame, A, AG, b_tan, kappa),
-                       bending_matrix=M, bending=0.5 * (Mt + transpose(Mt)))
-
-
-def eval_I(fields, thick, quad):
+def eval_I(fields, q2, thick, quad):
     """The variable-thickness von Karman energy of (V, B_tan).
 
     stretching = (1/2) integral of (g1+g2)   Q2(stretching tensor)
     bending    = (1/24) integral of (g1+g2)^3 Q2(bending tensor)
 
-    fields are the LimitFields at the nodes of quad.
+    fields are the LimitFields at the nodes of quad, q2 the QuadForm2
+    reduced in their tangent frames.
     """
     weights = quad.weights
-    q2 = fields.q2
     mu_t = thick.total(fields.frame.u)
     stretching = np.sum(0.5 * weights * mu_t * q2.apply_tangential(fields.stretching))
     bending = np.sum(weights * mu_t ** 3 / 24.0 * q2.apply_tangential(fields.bending))

@@ -9,16 +9,17 @@ writes the t-coefficients once, as a linear map that also takes the chart
 partials of the ingredients to those of a0, a1, a2, and the chain rule
 through the frame {(Id + h t Pi) tau_1, (Id + h t Pi) tau_2, n} gives grad y^h.
 
-Each point array is evaluated once: the frame, A, A n, the chart partials
-of w (which give B_tan and xi), the Q2 reduction, d0 and d1 at the
-quadrature nodes, and the same bundle at the 4-point stencils of both
-chart axes, 8 points per node, in one call.  The chart partials of A n,
-xi, d0 and d1 at the nodes are 4th-order central differences of those
+Each point array is evaluated once: the limit's record
+(`kinematics.limit_fields`: the frame, the chart partials of V, of w and
+of (g2-g1) n, A, A n and both tensors), the Q2 reduction beside it, xi, d0
+and d1 at the quadrature nodes, and the same bundle at the 4-point stencils
+of both chart axes, 8 points per node, in one call.  The chart partials of
+A n, xi, d0 and d1 at the nodes are 4th-order central differences of those
 stencil values.  d1 at a stencil point needs the chart partials of A n
 there: `fields.fd_stencil_columns` takes them from A n alone
 (`IsometryField.An`, frames but no A) on one grid of 33 points per node,
 whose mixed block serves both axis orders.  The limit functional reads
-the same node evaluation (`RecoveryData.limit`).
+the same node evaluation (`RecoveryData.limit` and `RecoveryData.q2`).
 
 Everything broadcasts over leading batch axes: the energies read y^h once
 per h over the (T, N) grid of transversal and surface nodes, with the
@@ -42,25 +43,25 @@ from .fields import (fd_columns, fd_stencil_columns, matvec, outer, stencil_part
                      stencil_points, stencil_steps, transpose)
 from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this import site)
 from .geometry import inv2, offset_jacobian
-from .kinematics import gamma_n_partials, tangential_strain
-from .limit2d import LimitFields, limit_fields
-from .material import green_strain, reduce_q2
+from .kinematics import LimitFields, limit_fields, tangential_strain
+from .material import QuadForm2, green_strain, reduce_q2
 
 BLOWUP_DISTANCE = 0.5
-# the fields whose chart partials come from the stencil values
-_STENCIL_FIELDS = ("p", "xi", "d0", "d1")
+# the fields whose chart partials come from the stencil values, besides A n
+_STENCIL_FIELDS = ("xi", "d0", "d1")
 # phase shifts of the three roots in the trigonometric eigenvalue formula
 _EIG_ANGLES = np.array([0.0, 2.0, 4.0]) * (np.pi / 3.0)
 
 
-def build_d_fields(fields, kappa):
+def build_d_fields(fields, q2, kappa):
     """The two correction fields of the recovery deformation at the points of `fields`.
 
     d0 completes the stretching tensor to its optimal 3D extension (plus the
     frame terms from A^2 and the thickness gradient); d1 does the same for
-    the bending tensor.  Both use the minimizer map c of the Q2 reduction.
+    the bending tensor.  Both use the minimizer map c of q2, the Q2
+    reduction in the tangent frames of `fields`.
     """
-    fr, A, q2 = fields.frame, fields.A, fields.q2
+    fr, A = fields.frame, fields.A
     d0 = 2.0 * q2.minimizer(fields.stretching)
     A2n = matvec(A, matvec(A, fr.n))
     nA2n = (fr.n * A2n).sum(axis=-1)[..., None]
@@ -75,17 +76,19 @@ def build_d_fields(fields, kappa):
 class RecoveryData:
     """The h-independent ingredients of the recovery deformation of one scene.
 
-    values_at(u) returns the frame at u with the values of (g2-g1), V, w,
-    Dw, A n, xi, d0 and d1 there; partials_at(u) adds their chart partials.
-    Both are built once at the node array of the scene's quadrature, and
-    returned from there when u is that array; at any other chart points they
-    are computed afresh and nothing is stored.  `limit` holds the limit
-    functional's fields from the same node evaluation, its frame included.
+    values_at(u) returns the LimitFields at u (frame, DV, Dw, A n, ...),
+    Q2 and the values of (g2-g1), V, w, xi, d0 and d1 there; partials_at(u)
+    adds the chart partials of the rest.  Both are built once at the node
+    array of the scene's quadrature, and returned from there when u is that
+    array; at any other chart points they are computed afresh and nothing is
+    stored.  `limit` and `q2` are the limit functional's record and Q2 from
+    the same node evaluation, its frame included.
     """
 
     patch: object
     thick: object
     limit: LimitFields     # at the quadrature nodes
+    q2: QuadForm2          # reduced in the tangent frames of the quadrature nodes
     values_at: Callable    # u -> dict of values at u
     partials_at: Callable  # u -> dict of values and chart partials at u
 
@@ -113,28 +116,24 @@ def recovery_data(patch, material, iso, w, thick, kappa, quad):
     """Build the fields of the recovery deformation that do not depend on h.
 
     w is the second-order displacement with finite strain B_tan = sym grad w;
-    its chart partials are read once per point array and give B_tan, xi and
-    Dw.  The fields are built once at the node array of `quad`, reusing its
-    frame; the result serves `build_recovery` for every h of a schedule and
-    `eval_I` through its `limit`.
+    the record of `limit_fields` reads its chart partials once per point
+    array, and they give B_tan and xi.  The fields are built once at the
+    node array of `quad`, reusing its frame; the result serves
+    `build_recovery` for every h of a schedule and `eval_I` through its
+    `limit` and `q2`.
     """
-    V = iso.displacement
-
     def values(fr, An_partials):
-        Dw = w.d1(fr.u)
-        lf = limit_fields(material, iso, tangential_strain(fr, Dw), thick, kappa, fr,
-                          An_partials)
-        d0, d1 = build_d_fields(lf, kappa)
+        lf = limit_fields(iso, w, thick, kappa, fr, An_partials)
+        q2 = reduce_q2(material.q3, fr.n, fr.t1, fr.t2)
+        d0, d1 = build_d_fields(lf, q2, kappa)
         return {
-            "fr": fr,
-            "limit": lf,
+            "limit": lf,  # its An is the first-order rotation of the normal
+            "q2": q2,
             "gamma": thick.gamma(fr.u),
-            "V": V.value(fr.u),
+            "V": iso.displacement.value(fr.u),
             "w": w.value(fr.u),
-            "Dw": Dw,
-            "p": iso.An(fr),  # first-order rotation of the normal
             # tangent vector xi with xi . tau = n . d_tau w
-            "xi": fr.grad3(matvec(transpose(Dw), fr.n)),
+            "xi": fr.grad3(matvec(transpose(lf.Dw), fr.n)),
             "d0": d0,
             "d1": d1,
         }
@@ -148,15 +147,11 @@ def recovery_data(patch, material, iso, w, thick, kappa, quad):
         An_partials = fd_stencil_columns(lambda points: iso.An(patch.frame(points)),
                                          fr.u, patch.domain)
         stencil = values(patch.frame(stencil_points(fr.u, d)), An_partials)
-        partials = {"D" + k: stencil_partials(stencil[k], d) for k in _STENCIL_FIELDS}
-        fields = values(fr, partials["Dp"])
-        fields.update(partials)
-        fields.update({
-            "dn": fr.shape_op @ fr.jac,  # chart partials of the normal
-            "dgamma": thick.gamma_d(fr.u),
-            "Dgamma_n": gamma_n_partials(fr, thick),
-            "DV": V.d1(fr.u),
-        })
+        Dp = stencil_partials(stencil["limit"].An, d)
+        fields = values(fr, Dp)
+        # dn: the chart partials of the normal
+        fields.update({"D" + k: stencil_partials(stencil[k], d) for k in _STENCIL_FIELDS},
+                      Dp=Dp, dn=fr.shape_op @ fr.jac, dgamma=thick.gamma_d(fr.u))
         return fields
 
     nodes = quad.frame.u
@@ -170,7 +165,7 @@ def recovery_data(patch, material, iso, w, thick, kappa, quad):
             return compute(u)
         return at
 
-    return RecoveryData(patch=patch, thick=thick, limit=at_nodes["limit"],
+    return RecoveryData(patch=patch, thick=thick, limit=at_nodes["limit"], q2=at_nodes["q2"],
                         values_at=stored_or(values_at),
                         partials_at=stored_or(lambda u: with_partials(patch.frame(u))))
 
@@ -197,10 +192,11 @@ def build_recovery(data, h, e_h):
 
     def t_coefficients(pd, t):
         # s and (a0, a1, a2) at the points of a RecoveryData bundle
-        fr, gamma = pd["fr"], pd["gamma"]
+        lf, gamma = pd["limit"], pd["gamma"]
+        fr = lf.frame
         return (np.asarray(t, dtype=float) - 0.5 * gamma,
                 *coefficients(fr.x, gamma[..., None] * fr.n, pd["V"], pd["w"], fr.n,
-                              pd["p"], pd["xi"], pd["d0"], pd["d1"]))
+                              lf.An, pd["xi"], pd["d0"], pd["d1"]))
 
     def evaluate(u, t):
         s, a0, a1, a2 = t_coefficients(data.values_at(u), t)
@@ -209,10 +205,11 @@ def build_recovery(data, h, e_h):
 
     def gradient(u, t):
         pd = data.partials_at(u)
-        fr = pd["fr"]
+        lf = pd["limit"]
+        fr = lf.frame
         s, _, a1, a2 = t_coefficients(pd, t)
         Da0, Da1, Da2 = coefficients(
-            fr.jac, pd["Dgamma_n"], pd["DV"], pd["Dw"], pd["dn"], pd["Dp"], pd["Dxi"],
+            fr.jac, lf.Dgamma_n, lf.DV, lf.Dw, pd["dn"], pd["Dp"], pd["Dxi"],
             pd["Dd0"], pd["Dd1"])
         dy_ds = a1 + s[..., None] * a2
         sm = s[..., None, None]  # s against (3, 2) chart partials

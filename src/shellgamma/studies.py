@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import fields as fieldlib
-from .errors import ConfigError, ParameterError, ShellGammaError
+from .errors import ConfigError, NotAnIsometryError, ParameterError, ShellGammaError
 from .geometry import (DEFAULT_SURFACE_ORDER, DEFAULT_TRANSVERSAL_ORDER, PATCH_KINDS,
                        ThicknessPair, TransversalRule, make_builtin_patch,
                        surface_quadrature, validate_thickness)
@@ -492,7 +492,10 @@ def _gamma_scene(cfg):
         raise ConfigError(str(exc), key_path="thickness") from exc
     V = _build(_VECTOR_FAMILIES, "family", cfg.fields["V"], patch)
     w = _build(_VECTOR_FAMILIES, "family", cfg.fields["w"], patch)
-    iso = build_isometry(patch, V, quad=squad)
+    try:  # the isometry check, at the nodes
+        iso = build_isometry(patch, V, quad=squad)
+    except NotAnIsometryError as exc:
+        raise ConfigError(str(exc), key_path="fields.V") from exc
     return patch, thick, squad, iso, w
 
 
@@ -507,7 +510,7 @@ def _run_gamma(cfg):
     trule = TransversalRule.make(cfg.quadrature["transversal_order"])
     tol = cfg.tolerances
     data = recovery_data(patch, material, iso, w, thick, cfg.kappa, squad)
-    limit = eval_I(data.limit, thick, squad)
+    limit = eval_I(data.limit, data.q2, thick, squad)
     I_value = limit.total
 
     f = None if cfg.load is None else _build(_LOADS, "family", cfg.load, squad.frame)

@@ -141,11 +141,14 @@ def test_criterion_5_variable_thickness_term():
 
     thick_a = sg.ThicknessPair.constant(0.4, 0.6, plate.domain)
     thick_b = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
-    An_partials = iso.An_partials(quad.frame.u)
-    fields_a = sg.limit_fields(W, iso, b_tan, thick_a, kappa, quad.frame, An_partials)
-    fields_b = sg.limit_fields(W, iso, b_tan, thick_b, kappa, quad.frame, An_partials)
-    I_a = sg.eval_I(fields_a, thick_a, quad)
-    I_b = sg.eval_I(fields_b, thick_b, quad)
+    fr = quad.frame
+    zero = sg.zero_vector_field(plate.domain)  # B_tan = sym grad w = b_tan
+    An_partials = iso.An_partials(fr.u)
+    fields_a = sg.limit_fields(iso, zero, thick_a, kappa, fr, An_partials)
+    fields_b = sg.limit_fields(iso, zero, thick_b, kappa, fr, An_partials)
+    q2 = sg.reduce_q2(W.q3, fr.n, fr.t1, fr.t2)
+    I_a = sg.eval_I(fields_a, q2, thick_a, quad)
+    I_b = sg.eval_I(fields_b, q2, thick_b, quad)
 
     # independent per-node recomputation of the thickness-gradient contribution
     # to the stretching term (for constant profiles on the plate it vanishes)
@@ -154,7 +157,7 @@ def test_criterion_5_variable_thickness_term():
         fr = quad.frame[i]
         A = iso.A_at(fr)
         base = b_tan[i] - 0.5 * kappa * fr.tan2(A @ A)
-        AG = A @ sg.kinematics.grad3_gamma_n(fr, thick_a)
+        AG = A @ fr.grad3(sg.kinematics.gamma_n_partials(fr, thick_a))
         Tg = fr.tan2(AG)
         with_term = base - 0.25 * (Tg + Tg.T)
         contribution += 0.5 * weight * thick_a.total(fr.u) * (
@@ -196,8 +199,8 @@ def test_criterion_7_degenerate_and_trivial_suite():
     rec0 = sg.build_recovery(data0, h=0.125, e_h=0.125 ** 4)
     identity_energy = sg.eval_shell_energy(rec0, W, quad, trule).E_h
 
-    I0 = sg.eval_I(data0.limit, thick, quad).total
-    d0, d1 = sg.build_d_fields(data0.limit, kappa=1.0)
+    I0 = sg.eval_I(data0.limit, data0.q2, thick, quad).total
+    d0, d1 = sg.build_d_fields(data0.limit, data0.q2, kappa=1.0)
     d_norm = max(np.max(np.linalg.norm(d0[::5], axis=-1)),
                  np.max(np.linalg.norm(d1[::5], axis=-1)))
 
@@ -207,10 +210,11 @@ def test_criterion_7_degenerate_and_trivial_suite():
     iso_r = sg.build_isometry(cap, sg.rigid_field(cap, (0.3, -0.2, 0.4)),
                               quad=cap_quad)
     # the bending part of I, with B_tan = 0
-    An_partials = iso_r.An_partials(cap_quad.frame.u)
-    fields_r = sg.limit_fields(W, iso_r, np.zeros((len(cap_quad.weights), 2, 2)), cap_thick,
-                               0.0, cap_quad.frame, An_partials)
-    bending = sg.eval_I(fields_r, cap_thick, cap_quad).bending
+    cap_fr = cap_quad.frame
+    fields_r = sg.limit_fields(iso_r, sg.zero_vector_field(cap.domain), cap_thick, 0.0,
+                               cap_fr, iso_r.An_partials(cap_fr.u))
+    q2_r = sg.reduce_q2(W.q3, cap_fr.n, cap_fr.t1, cap_fr.t2)
+    bending = sg.eval_I(fields_r, q2_r, cap_thick, cap_quad).bending
 
     from shellgamma.fields import VectorField
     stretchy = VectorField(

@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import shellgamma as sg
+from shellgamma import fields, kinematics
 from shellgamma.errors import NotAnIsometryError
 from shellgamma.fields import VectorField, transpose
 from shellgamma.geometry import gauss_legendre
-from shellgamma.kinematics import DEFAULT_ISOMETRY_TOL, grad3_gamma_n, tangential_strain
-from shellgamma.studies import fit_order
+from shellgamma.kinematics import DEFAULT_ISOMETRY_TOL, gamma_n_partials, tangential_strain
+from shellgamma.studies import fit_order, load_config, run_study
 
 GENERIC_W = [(0.4, 1.3, 0.2, 0.9, 0.5),
              (0.3, 0.7, 1.1, 1.4, 0.3),
@@ -27,7 +30,8 @@ def strain_of(w, fr):
 def stretching_tensor(iso, fr, w, thick, kappa):
     """The stretching tensor at a frame, with B_tan, A and A grad((g2-g1) n) formed there."""
     A = iso.A_at(fr)
-    return sg.stretching_tensor(fr, A, A @ grad3_gamma_n(fr, thick), strain_of(w, fr), kappa)
+    return sg.stretching_tensor(fr, A, A @ fr.grad3(gamma_n_partials(fr, thick)),
+                                strain_of(w, fr), kappa)
 
 
 def curved_patches():
@@ -318,34 +322,89 @@ def test_batched_isometry_fields_equal_stacked_points(case):
         assert np.max(np.abs(batched - stacked)) <= 1e-14 * np.max(np.abs(stacked))
 
 
-def test_isometry_check_and_residuals_make_few_frame_calls(monkeypatch):
-    # build_isometry reads the quadrature's batched frame; expansion_data makes
-    # one frame call, at the stencil points of the nodes, whatever the node
-    # count, and a residual at one h makes none
+def counting_d1(field, calls):
+    """The vector field with each read of its chart partials recorded in calls."""
+    def d1(u):
+        calls.append(np.shape(u))
+        return field.d1(u)
+    return dataclasses.replace(field, d1=d1)
+
+
+def variable_thickness_cap_scene():
+    """A sphere cap with an affine g2, a rigid V and a generic w."""
     cap = curved_patches()[0]
     thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4, cap.domain),
                              g2=sg.affine_scalar(0.55, [0.04, 0.01], cap.domain),
                              lipschitz_bound=1.0)
-    w = sg.trig_vector_field(GENERIC_W, cap.domain)
+    return cap, thick, sg.trig_vector_field(GENERIC_W, cap.domain)
+
+
+def test_isometry_check_and_residuals_make_few_frame_calls(monkeypatch):
+    # build_isometry reads the quadrature's batched frame; expansion_data makes
+    # one frame call, at the stencil points of the nodes, whatever the node
+    # count, and a residual at one h makes none.  expansion_data reads the
+    # chart partials of V at the nodes (A_at and the limit record) and once
+    # at the stencil points, and forms those of (g2 - g1) n once at each
+    cap, thick, w = variable_thickness_cap_scene()
     quads = {order: sg.surface_quadrature(cap, order) for order in (4, 10)}
-    calls = []
+    calls, V_reads, gamma_calls = [], [], []
     frame = sg.SurfacePatch.frame
+    gamma_n_partials = kinematics.gamma_n_partials
 
     def counting_frame(self, u):
         calls.append(np.shape(u))
         return frame(self, u)
 
+    def counting_gamma_n_partials(fr, thick):
+        gamma_calls.append(fr.u.shape)
+        return gamma_n_partials(fr, thick)
+
     monkeypatch.setattr(sg.SurfacePatch, "frame", counting_frame)
-    iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quads[10])
+    monkeypatch.setattr(kinematics, "gamma_n_partials", counting_gamma_n_partials)
+    V = counting_d1(sg.rigid_field(cap, (0.3, -0.2, 0.4)), V_reads)
+    iso = sg.build_isometry(cap, V, quad=quads[10])
     assert calls == []
     residuals = [sg.stretching_expansion_residual, sg.bending_expansion_residual]
     counts = []
     for order in (4, 10):
         calls.clear()
+        V_reads.clear()
+        gamma_calls.clear()
         data = sg.expansion_data(cap, iso, w, thick, quads[order])
         counts.append(len(calls))
+        nodes = order ** 2
+        assert sorted(V_reads, key=len) == [(nodes, 2), (nodes, 2), (2, 4, nodes, 2)]
+        assert sorted(gamma_calls, key=len) == [(nodes, 2), (2, 4, nodes, 2)]
         calls.clear()
+        V_reads.clear()
         for residual in residuals:
             residual(data, 0.1)
-        assert calls == []
+        assert calls == [] and V_reads == []
     assert counts == [1, 1], counts
+
+    # the sphere-expansion study: the isometry check, then expansion_data, at
+    # 36 nodes and their 288 stencil points
+    V_reads.clear()
+    rigid_field = fields.rigid_field
+    monkeypatch.setattr(fields, "rigid_field",
+                        lambda *args: counting_d1(rigid_field(*args), V_reads))
+    assert run_study(load_config("sphere-expansion")).passed
+    assert len(V_reads) <= 4
+    assert sum(int(np.prod(shape[:-1])) for shape in V_reads) <= 396
+
+
+def test_expansion_data_reads_the_limit_record_of_recovery_data():
+    # one route: at kappa = 1 the expansion identities read the very arrays
+    # that the limit functional and the recovery deformation read
+    cap, thick, w = variable_thickness_cap_scene()
+    quad = sg.surface_quadrature(cap, 4)
+    iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quad)
+    nodes = sg.expansion_data(cap, iso, w, thick, quad).nodes
+    limit = sg.recovery_data(cap, sg.make_isotropic(1.0, 1.0), iso, w, thick, 1.0,
+                             quad).limit
+    assert nodes.frame is limit.frame is quad.frame
+    assert np.max(np.abs(nodes.AG)) > 1e-3  # the thickness term is present
+    for field in dataclasses.fields(sg.LimitFields):
+        if field.name != "frame":
+            assert np.array_equal(getattr(nodes, field.name), getattr(limit, field.name)), \
+                field.name

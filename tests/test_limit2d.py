@@ -3,7 +3,6 @@ import pytest
 
 import shellgamma as sg
 from shellgamma.errors import ParameterError
-from shellgamma.kinematics import tangential_strain
 from shellgamma.material import isotropic_q2_closed_form
 
 GENERIC_W = [(0.2, 1.1, 0.3, 0.7, 0.4),
@@ -19,9 +18,8 @@ SPHERE_CAP_STRETCHING = np.pi * 403.0 / 720.0
 def eval_I(thick, material, iso, w, kappa, quad):
     """The limit functional of (V, B_tan = sym grad w) from its fields at the nodes of quad."""
     fr = quad.frame
-    fields = sg.limit_fields(material, iso, tangential_strain(fr, w.d1(fr.u)), thick,
-                             kappa, fr, iso.An_partials(fr.u))
-    return sg.eval_I(fields, thick, quad)
+    fields = sg.limit_fields(iso, w, thick, kappa, fr, iso.An_partials(fr.u))
+    return sg.eval_I(fields, sg.reduce_q2(material.q3, fr.n, fr.t1, fr.t2), thick, quad)
 
 
 def bending_only(thick, material, iso, quad):

@@ -284,7 +284,7 @@ def test_J_h_nonnegative_for_identity_deformation():
 def test_J_h_converges_to_limit_total_energy():
     plate, thick, W, quad, trule, V, iso, w, load = plate_load_scene()
     data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad)
-    limit = sg.eval_I(data.limit, thick, quad)
+    limit = sg.eval_I(data.limit, data.q2, thick, quad)
     J_limit = sg.eval_J(limit, thick, iso, load, np.eye(3), quad=quad).total
     gaps = []
     for k in (3, 5):

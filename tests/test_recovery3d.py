@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import shellgamma as sg
 from shellgamma.errors import EnergyBlowupError, ThicknessError
-from shellgamma.fields import transpose
+from shellgamma.fields import VectorField, transpose
 from shellgamma.kinematics import tangential_strain
 from shellgamma.loads import rotation_matrices
 
@@ -33,16 +33,10 @@ def rotate_gradient(R, gradient):
     return R @ F, det
 
 
-def d_fields(material, iso, b_tan, thick, kappa, fr):
-    """d0 and d1 at a frame, through the limit fields there."""
-    fields = sg.limit_fields(material, iso, b_tan, thick, kappa, fr,
-                             iso.An_partials(fr.u))
-    return sg.build_d_fields(fields, kappa)
-
-
-def zero_strain(fr):
-    """B_tan = 0 at the points of a frame."""
-    return np.zeros(fr.u.shape[:-1] + (2, 2))
+def d_fields(material, iso, w, thick, kappa, fr):
+    """d0 and d1 at a frame, through the limit fields and Q2 there."""
+    fields = sg.limit_fields(iso, w, thick, kappa, fr, iso.An_partials(fr.u))
+    return sg.build_d_fields(fields, sg.reduce_q2(material.q3, fr.n, fr.t1, fr.t2), kappa)
 
 
 def test_trivial_recovery_is_the_identity():
@@ -66,13 +60,13 @@ def test_d_fields_vanish_for_zero_data():
     plate, thick, W, quad, trule = plate_scene()
     iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
     fr = quad.frame[::5]
-    d0, d1 = d_fields(W, iso, zero_strain(fr), thick, 1.0, fr)
+    d0, d1 = d_fields(W, iso, sg.zero_vector_field(plate.domain), thick, 1.0, fr)
     assert np.allclose(d0, 0.0, atol=1e-13)
     assert np.allclose(d1, 0.0, atol=1e-13)
 
 
 def test_d_fields_sphere_rigid_with_compensating_strain():
-    # direct tensor input B_tan = (kappa/2)(W^2)_tan cancels the c-argument;
+    # B_tan = (kappa/2)(W^2)_tan, the strain of w(x) = (kappa/2) W^2 x, cancels the c-argument;
     # the bending tensor of a rigid motion vanishes, so d1 = 0 and d0 keeps
     # only its frame terms kappa W^2 n - (kappa/2)(n^T W^2 n) n
     cap = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 3)
@@ -83,7 +77,10 @@ def test_d_fields_sphere_rigid_with_compensating_strain():
     kappa = 1.0
     W = sg.make_isotropic(1.0, 1.0)
     fr = quad.frame[::6]
-    d0, d1 = d_fields(W, iso, 0.5 * kappa * fr.tan2(Wmat @ Wmat), thick, kappa, fr)
+    W2 = 0.5 * kappa * Wmat @ Wmat
+    w = VectorField(value=lambda u: cap.chart(u) @ W2.T,
+                    d1=lambda u: W2 @ cap.chart_jacobian(u), domain=cap.domain)
+    d0, d1 = d_fields(W, iso, w, thick, kappa, fr)
     assert np.allclose(d1, 0.0, atol=1e-8)
     W2n = fr.n @ (Wmat @ Wmat).T
     expected = kappa * W2n - 0.5 * kappa * (fr.n * W2n).sum(axis=-1)[:, None] * fr.n
@@ -97,7 +94,7 @@ def test_d1_vanishes_for_zero_lambda_on_plate():
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
     fr = quad.frame[::7]
-    _, d1 = d_fields(W, iso, zero_strain(fr), thick, 1.0, fr)
+    _, d1 = d_fields(W, iso, sg.zero_vector_field(plate.domain), thick, 1.0, fr)
     assert np.allclose(d1, 0.0, atol=1e-10)
 
 
@@ -205,7 +202,7 @@ def test_recovery_carries_the_t_coefficients(kind):
     delta = 0.25
     t = 0.5 * thick.gamma(fr.u) + np.array([-delta, 0.0, delta])[:, None]
     y_minus, y_0, y_plus = rec.evaluate(fr.u, t)
-    d0, d1 = sg.build_d_fields(data.limit, 1.0)
+    d0, d1 = sg.build_d_fields(data.limit, data.q2, 1.0)
     sq = np.sqrt(e_h)
     a1 = h * fr.n + sq * iso.An(fr) + h * sq * d0
     a2 = h * sq * d1
@@ -454,7 +451,7 @@ def test_energy_converges_to_limit_quickly():
                             quad=quad)
     w = sg.zero_vector_field(plate.domain)
     data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad)
-    I_val = sg.eval_I(data.limit, thick, quad).total
+    I_val = sg.eval_I(data.limit, data.q2, thick, quad).total
     gaps = []
     for k in (3, 5):
         h = 2.0 ** -k

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 import shellgamma.cli as cli
 from shellgamma import fields, kinematics, limit2d, recovery3d, studies
-from shellgamma.errors import ConfigError, ParameterError
-from shellgamma.geometry import SurfacePatch, gauss_legendre, make_builtin_patch
+from shellgamma.errors import ConfigError, NotAnIsometryError, ParameterError
+from shellgamma.geometry import (SurfacePatch, gauss_legendre, make_builtin_patch,
+                                 surface_quadrature)
 from shellgamma.studies import (CSV_HEADER, StudyReport, StudyRow, fit_order,
                                 load_config, richardson_extrapolate, run_study,
                                 serialize_config, validate_config, write_report)
@@ -492,8 +493,8 @@ def test_gamma_gate_fails_a_wrong_recovery(name, monkeypatch):
 def test_anisotropic_gamma_fails_a_swapped_tangent_frame(monkeypatch):
     # an isotropic Q2 does not see the tangent frame, so only the anisotropic
     # builtin can catch a reduction in the frame (t2, t1)
-    reduce_q2 = limit2d.reduce_q2
-    monkeypatch.setattr(limit2d, "reduce_q2",
+    reduce_q2 = recovery3d.reduce_q2
+    monkeypatch.setattr(recovery3d, "reduce_q2",
                         lambda q3, n, t1, t2: reduce_q2(q3, n, t2, t1))
     for name in ("plate-gamma", "sphere-gamma"):
         assert run_study(load_config(name)).passed
@@ -518,6 +519,28 @@ def test_expansion_study_checks_the_limit_tensors(name, tensor, monkeypatch):
     exact = getattr(kinematics, tensor)
     monkeypatch.setattr(kinematics, tensor, lambda *args: 1.1 * exact(*args))
     assert not run_study(load_config(name)).passed
+
+
+# with a sine g2 on every builtin expansion scene, A grad((g2 - g1) n) is not 0
+_SINE_G2 = {"kind": "sine", "base": 0.5, "amplitude": 0.05, "phase": [0.2, 0.4]}
+
+
+@pytest.mark.parametrize("name", ["plate-expansion", "sphere-expansion",
+                                  "cylinder-expansion"])
+def test_expansion_identities_hold_with_variable_thickness(name, monkeypatch):
+    # the stretching identity is third order only with the thickness term of
+    # the limit's stretching tensor: without it the stretch slope is about 2.3
+    doc = {**studies.BUILTIN_SCENARIOS[name].doc, "thickness": {"g2": _SINE_G2}}
+    report = run_study(validate_config(doc))
+    assert report.passed, report.summary
+    assert report.summary["stretch_slope"] >= 2.9 and report.summary["bend_slope"] >= 1.9
+    exact = kinematics.stretching_tensor
+    monkeypatch.setattr(kinematics, "stretching_tensor",
+                        lambda frame, A, AG, b_tan, kappa: exact(frame, A, 0.0 * AG, b_tan,
+                                                                 kappa))
+    report = run_study(validate_config(doc))
+    assert report.summary["stretch_slope"] < 2.5
+    assert not report.passed
 
 
 def test_richardson_order_key_is_rejected_with_its_path():
@@ -568,26 +591,35 @@ def test_h_alpha_study_runs_at_kappa_zero():
     assert report.summary["fitted_gap_order"] == pytest.approx(2.0, abs=0.05)
 
 
+def counting_d1(field, calls):
+    """The vector field with each read of its chart partials recorded in calls."""
+    def d1(u):
+        calls.append(np.array(u, dtype=float))
+        return field.d1(u)
+    return dataclasses.replace(field, d1=d1)
+
+
 def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
     # frames at the nodes, at the 33-point grid per node that gives the
     # partials of A n at the stencil points, and at the 8 stencil points per
     # node (1 + 33 + 8 chart points per node, in 3 arrays); A, Q2 and the
-    # chart partials of w at the nodes and the stencil points only, as A n on
-    # the grid needs none of them
+    # chart partials of w and of (g2 - g1) n at the nodes and the stencil
+    # points only, as A n on the grid needs none of them.  The chart partials
+    # of V: at the nodes by the isometry check, and at the nodes and the
+    # stencil points by A_at and by the limit record, and on the grid
     from shellgamma import geometry, kinematics, limit2d, material
-    seen = {"frame": [], "A_at": [], "reduce_q2": [], "w.d1": []}
+    seen = {"frame": [], "A_at": [], "reduce_q2": [], "w.d1": [], "gamma_n_partials": []}
+    V_reads = []
     frame = geometry.SurfacePatch.frame
     A_at = kinematics.IsometryField.A_at
     reduce_q2 = material.reduce_q2
+    gamma_n_partials = kinematics.gamma_n_partials
     zero_vector_field = fields.zero_vector_field
+    rigid_field = fields.rigid_field
 
-    def counting_zero_vector_field(domain):  # the builtin's w; V is rigid
-        w = zero_vector_field(domain)
-
-        def d1(u):
-            seen["w.d1"].append(np.array(u, dtype=float))
-            return w.d1(u)
-        return dataclasses.replace(w, d1=d1)
+    def counting_gamma_n_partials(fr, thick):
+        seen["gamma_n_partials"].append(fr.u.copy())
+        return gamma_n_partials(fr, thick)
 
     def counting_frame(self, u):
         seen["frame"].append(np.array(u, dtype=float))
@@ -603,7 +635,12 @@ def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
 
     monkeypatch.setattr(geometry.SurfacePatch, "frame", counting_frame)
     monkeypatch.setattr(kinematics.IsometryField, "A_at", counting_A_at)
-    monkeypatch.setattr(fields, "zero_vector_field", counting_zero_vector_field)
+    # the builtin's w and V
+    monkeypatch.setattr(fields, "zero_vector_field",
+                        lambda domain: counting_d1(zero_vector_field(domain), seen["w.d1"]))
+    monkeypatch.setattr(fields, "rigid_field",
+                        lambda *args: counting_d1(rigid_field(*args), V_reads))
+    monkeypatch.setattr(kinematics, "gamma_n_partials", counting_gamma_n_partials)
     for module in (material, limit2d, recovery3d, studies):
         monkeypatch.setattr(module, "reduce_q2", counting_reduce_q2)
 
@@ -614,19 +651,24 @@ def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
     counts = []
     cfg = load_config("sphere-gamma")
     for surface_order in (4, 10):
-        for calls in seen.values():
+        for calls in [*seen.values(), V_reads]:
             calls.clear()
         report = run_study(dataclasses.replace(
             cfg, quadrature={"surface_order": surface_order, "transversal_order": 4}))
         assert report.error is None
         assert {name: repeats(calls) for name, calls in seen.items()} == {
-            "frame": 0, "A_at": 0, "reduce_q2": 0, "w.d1": 0}
+            "frame": 0, "A_at": 0, "reduce_q2": 0, "w.d1": 0, "gamma_n_partials": 0}
         assert sum(u.size // 2 for u in seen["frame"]) == 42 * surface_order ** 2
         nodes = surface_order ** 2
-        assert sorted((u.shape for u in seen["w.d1"]), key=len) == [(nodes, 2),
-                                                                    (2, 4, nodes, 2)]
+        for name in ("w.d1", "gamma_n_partials"):
+            assert sorted((u.shape for u in seen[name]), key=len) == [(nodes, 2),
+                                                                      (2, 4, nodes, 2)]
+        # at most 1 + (1 + 8) + 33 + (1 + 8) chart points per node, in 6 reads
+        assert len(V_reads) <= 6
+        assert sum(u.size // 2 for u in V_reads) <= 52 * nodes
         counts.append({name: len(calls) for name, calls in seen.items()})
-    assert counts[0] == counts[1] == {"frame": 3, "A_at": 2, "reduce_q2": 2, "w.d1": 2}
+    assert counts[0] == counts[1] == {"frame": 3, "A_at": 2, "reduce_q2": 2, "w.d1": 2,
+                                      "gamma_n_partials": 2}
 
 
 # the seed-0 config of the gamma-plate-load benchmark workload
@@ -815,14 +857,41 @@ def test_q2_anisotropic_builtin_fails_a_wrong_reduction(monkeypatch):
 
 
 def test_run_study_error_is_reported_not_raised():
-    # a non-isometric V aborts the gamma study into an error report
+    # a recovery that leaves the neighborhood of SO(3) at the first h aborts
+    # the gamma study into an error report
     doc = {**MINIMAL_GAMMA,
-           "patch": {"kind": "sphere_cap", "radius": 1.0, "cap_angle": 1.0},
-           "fields": {"V": {"family": "plate_sine", "amplitude": 1.0,
+           "fields": {"V": {"family": "plate_sine", "amplitude": 100.0,
                             "m": 1, "n": 1}}}
     report = run_study(validate_config(doc))
     assert not report.passed
     assert report.error is not None
+    assert report.error.startswith("aborted at h=0.125: gradient at distance")
+    assert [row.status for row in report.rows] == ["error"]
+
+
+@pytest.mark.parametrize("study", ["gamma-limit", "expansion-order"])
+def test_non_isometric_V_is_a_config_error(study, tmp_path, capsys):
+    # as the thickness checks: exit 2 naming the worst node, and no report
+    components = [[0.1, 1.3, 0.2, 0.9, 0.5], [0.05, 0.7, 1.1, 1.4, 0.3],
+                  [0.2, 1.1, 0.4, 0.8, 1.2]]
+    doc = {"study": study, "fields": {"V": {"family": "trig", "components": components}},
+           "output": str(tmp_path / "v.csv")}
+    cfg_path = tmp_path / "v.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    cfg = load_config(str(cfg_path))
+    plate = make_builtin_patch(**cfg.patch)
+    quad = surface_quadrature(plate, cfg.quadrature["surface_order"])
+    with pytest.raises(NotAnIsometryError) as exc:
+        kinematics.build_isometry(plate, fields.trig_vector_field(components, plate.domain),
+                                  quad=quad)
+    assert exc.value.residual > 1e-2
+    assert err == f"error: fields.V: {exc.value}\n"
+    assert err.rstrip().endswith(f"at u={tuple(exc.value.u.tolist())}"), err
+    assert out == ""
+    assert not (tmp_path / "v.csv").exists()
+    assert not (tmp_path / "v.summary.txt").exists()
 
 
 def test_gamma_study_with_load_reports_total_energy(monkeypatch):
