@@ -44,13 +44,15 @@ class NotAnIsometryError(ShellGammaError):
 class EnergyBlowupError(ShellGammaError):
     """The deformation gradient strayed too far from rotations for the energy density.
 
-    Carries the worst offending (u, t) node.
+    Carries the worst offending (u, t) node; on a schedule of h, the `index`
+    of the first h that blew up and the `energy` of every h.
     """
 
-    def __init__(self, message, u=None, t=None):
+    def __init__(self, message, u=None, t=None, index=None, energy=None):
         super().__init__(message)
         self.u = u
         self.t = t
+        self.index, self.energy = index, energy
 
 
 class UnsupportedCaseError(ShellGammaError):

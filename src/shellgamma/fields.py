@@ -8,8 +8,8 @@ analytic partials.  Every chart finite difference is one 4th-order central
 stencil: `stencil_steps` gives its steps, shrunk point by point near the
 chart boundary so stencils never leave the rectangle, `stencil_points` its
 points and `stencil_partials` the partials; `fd_columns` runs it on a
-function.  The partials of a field at the stencil points of u come from one
-shared grid around u (`fd_stencil_columns`).
+function.  The partials of a field at u and at its stencil points come
+from one shared grid around u (`fd_stencil_columns`).
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ def matvec(M, v):
 
 
 def transpose(M):
-    """Swap the two trailing (matrix) axes of an array."""
-    return M.swapaxes(-1, -2)
+    """Swap the two trailing (matrix) axes, into a copy: stacked matmul is faster on it."""
+    return np.ascontiguousarray(M.swapaxes(-1, -2))
 
 
 def outer(a, b):
@@ -149,18 +149,19 @@ def fd_columns(f, u, domain):
 
 # grid offsets of `fd_stencil_columns`: the 9-point line k = -4..4 of each axis
 _LINE = np.arange(-4.0, 5.0)
-# [j, k]: index on the line of the offset k + j, for stencil offsets j and k
-_LINE_INDEX = (_STENCIL[:, None] + _STENCIL[None, :]).astype(int) + 4
+# [j, c]: line index of the offset c + j, for stencil offsets j and centers c = 0, -2, -1, 1, 2
+_LINE_INDEX = (_STENCIL[:, None] + np.concatenate([[0.0], _STENCIL])).astype(int) + 4
 
 
 def fd_stencil_columns(f, u, domain):
-    """Both chart partials of f at every stencil point of u, shape (2, 4, ..., *f, 2).
+    """Both chart partials of f at every point of u and at its stencil points.
 
-    Entry [a, i] is taken at stencil_points(u, stencil_steps(u, domain))[a, i],
-    with the same 4th-order weights and steps as at u.  f is called once,
-    on 33 grid points per point of u: the 9-point line u + k d_a e_a,
-    k = -4..4, of each axis (u itself shared), which gives the partial along
-    a at the stencil points of axis a, and the 4x4 block u + i d_1 e_1 +
+    The result has shape (9, ..., *f, 2): entry 0 is taken at u and entry
+    1 + 4 a + i at stencil_points(u, stencil_steps(u, domain))[a, i], all
+    with the same 4th-order weights and steps.  f is called once, on 33
+    grid points per point of u: the 9-point line u + k d_a e_a, k = -4..4,
+    of each axis (u itself shared), which gives the partial along a at u
+    and at the stencil points of axis a, and the 4x4 block u + i d_1 e_1 +
     j d_2 e_2, i, j in (-2, -1, 1, 2), which gives the partial along the
     other axis at the stencil points of both axes.
     """
@@ -176,11 +177,12 @@ def fd_stencil_columns(f, u, domain):
     shape = F.shape[1:]
     line = [F[:9], np.concatenate([F[9:13], F[4:5], F[13:17]])]
     grid = F[17:].reshape((4, 4) + shape)   # [i, j] at u + i d_1 e_1 + j d_2 e_2
-    d = d[:, None]  # the steps broadcast against the stencil offset axis
-    along = [_fd_combine(line[ax][_LINE_INDEX], d[ax]) for ax in (0, 1)]
+    d = d[:, None]  # the steps broadcast against the center axis
+    along = [_fd_combine(line[ax][_LINE_INDEX], d[ax]) for ax in (0, 1)]  # u, then axis ax
     across = [_fd_combine(np.swapaxes(grid, 0, 1), d[1]), _fd_combine(grid, d[0])]
-    return np.stack([np.stack([along[0], across[0]], axis=-1),
-                     np.stack([across[1], along[1]], axis=-1)])
+    return np.concatenate([np.stack([along[0][:1], along[1][:1]], axis=-1),
+                           np.stack([along[0][1:], across[0]], axis=-1),
+                           np.stack([across[1], along[1][1:]], axis=-1)])
 
 
 @dataclass(frozen=True)

@@ -174,11 +174,6 @@ class ExpansionData:
     stencil_DV: np.ndarray     # (2, 4, N, 3, 2) chart partials of V there
 
 
-def _phi_tilde_partials(jac, gamma_n, h):
-    """Chart partials of the geometric mid-surface map id + (h/2)(g2-g1) n, (..., 3, 2)."""
-    return jac + 0.5 * h * gamma_n
-
-
 def expansion_data(patch, iso, w, thick, quad):
     """Build the fields of the expansion identities that do not depend on h.
 
@@ -204,15 +199,18 @@ def stretching_expansion_residual(data, h):
     Compares |d_tau phi|^2 - |d_tau phi_tilde|^2 for phi = phi_tilde + hV + h^2 w
     against 2 h^2 tau^T S tau on both chart tangents, S the stretching tensor
     sym grad w - A^2/2 - sym(A grad((g2-g1)n))/2.  Exact when w = 0; O(h^3) otherwise.
+    A 1-D schedule of h gives one defect per h.
     """
+    h = np.asarray(h, dtype=float)
+    hm = h.reshape(h.shape + (1, 1, 1))  # against (N, 3, 2)
     nodes = data.nodes
     fr = nodes.frame
-    dpt = _phi_tilde_partials(fr.jac, nodes.Dgamma_n, h)
-    dp = dpt + h * nodes.DV + h * h * nodes.Dw
+    dpt = fr.jac + 0.5 * hm * nodes.Dgamma_n  # of the mid-surface map id + (h/2)(g2-g1) n
+    dp = dpt + hm * nodes.DV + hm * hm * nodes.Dw
     lhs = (dp * dp).sum(axis=-2) - (dpt * dpt).sum(axis=-2)
     C = transpose(fr.tangents()) @ fr.jac  # the chart tangents in the (t1, t2) frame
-    rhs = 2.0 * h * h * (C * (nodes.stretching @ C)).sum(axis=-2)
-    return float(np.max(np.abs(lhs - rhs)))
+    rhs = 2.0 * hm[..., 0] * hm[..., 0] * (C * (nodes.stretching @ C)).sum(axis=-2)
+    return np.max(np.abs(lhs - rhs).reshape(h.shape + (-1,)), axis=-1)[()]
 
 
 def _deformed_chart_shape_coeffs(P, P_stencil, d, orient_n):
@@ -229,9 +227,10 @@ def _deformed_chart_shape_coeffs(P, P_stencil, d, orient_n):
     nrm = nrm / np.linalg.norm(nrm, axis=-1, keepdims=True)
     nrm = np.where(((nrm * orient_n).sum(axis=-1) < 0.0)[..., None], -nrm, nrm)
     Dn = stencil_partials(nrm, d)
-    G = transpose(P) @ P
+    Pt = transpose(P)
+    G = Pt @ P
     det = G[..., 0, 0] * G[..., 1, 1] - G[..., 0, 1] * G[..., 1, 0]
-    return inv2(G, det) @ (transpose(P) @ Dn)
+    return inv2(G, det) @ (Pt @ Dn)
 
 
 def bending_expansion_residual(data, h):
@@ -241,14 +240,22 @@ def bending_expansion_residual(data, h):
     compared in the chart frame of the undeformed patch; the deformed shape
     operator is computed numerically from the deformed chart phi^h o chart,
     in one call with the geometric chart phi_tilde, stacked after the nodes.
+    A 1-D schedule of h gives one defect per h, its charts stacked there too.
     """
+    h = np.asarray(h, dtype=float)
+    hm = h.reshape(h.shape + (1, 1))
     nodes = data.nodes
     fr = nodes.frame
-    tilde_st = _phi_tilde_partials(data.stencil_jac, data.stencil_gamma_n, h)
-    tilde = _phi_tilde_partials(fr.jac, nodes.Dgamma_n, h)
+
+    def charts(jac, gamma_n, DV):
+        # of the deformed and the geometric chart id + (h/2)(g2-g1) n, after the points
+        tilde = jac[..., None, :, :] + 0.5 * hm * gamma_n[..., None, :, :]
+        return np.stack([tilde + hm * DV[..., None, :, :], tilde], axis=-3)
+
     C = _deformed_chart_shape_coeffs(
-        np.stack([tilde + h * nodes.DV, tilde], axis=-3),
-        np.stack([tilde_st + h * data.stencil_DV, tilde_st], axis=-3), data.steps,
-        fr.n[..., None, :])
-    lhs = fr.jac @ (C[..., 0, :, :] - C[..., 1, :, :])
-    return float(np.max(np.linalg.norm(lhs - h * (nodes.bending_matrix @ fr.jac), axis=-2)))
+        charts(fr.jac, nodes.Dgamma_n, nodes.DV),
+        charts(data.stencil_jac, data.stencil_gamma_n, data.stencil_DV), data.steps,
+        fr.n[..., None, None, :])
+    lhs = fr.jac[..., None, :, :] @ (C[..., 0, :, :] - C[..., 1, :, :])
+    r = np.linalg.norm(lhs - hm * (nodes.bending_matrix @ fr.jac)[..., None, :, :], axis=-2)
+    return np.max(np.moveaxis(r, -2, 0).reshape(h.shape + (-1,)), axis=-1)[()]  # r: (N, H, 2)

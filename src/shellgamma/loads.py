@@ -144,16 +144,19 @@ def eval_J_h(rec, E_h, f, squad, trule):
     limit load at the nodes of squad, scaled here to f^h = h sqrt(e_h) f.
     The load integral uses the exact transversal cancellation of the
     extension weight: (1/h) int f^h u^h = int_S f^h(x) . int_t y^h dt dS,
-    with y^h read once over the (T, N) grid of transversal and surface nodes.
+    with y^h read once over the (T, N) grid of transversal and surface nodes;
+    a schedule of h reads it over (H, T, N) and gives one J^h per h.
     """
     thick = rec.thick
-    fh = rec.h * float(np.sqrt(rec.e_h)) * f
-    action = maximize_action(fh, thick, rec.h, squad)
+    h = np.asarray(rec.h)
+    fh = (h * np.sqrt(rec.e_h))[..., None, None] * f
+    action = np.reshape([maximize_action(fk, thick, hk, squad).value
+                         for fk, hk in zip(fh.reshape((-1,) + f.shape), h.ravel())], h.shape)
     u = squad.frame.u
     t, wt = trule.across(thick, u)
-    y_int = np.sum(wt[..., None] * rec.evaluate(u, t), axis=0)
-    work = float(np.sum(squad.weights * (fh * y_int).sum(axis=-1)))
-    return E_h + action.value - work
+    y_int = np.sum(wt[..., None] * rec.evaluate(u, t), axis=-3)
+    work = np.sum(squad.weights * (fh * y_int).sum(axis=-1), axis=-1)
+    return (E_h + action - work)[()]
 
 
 def random_rotations(rng, count):

@@ -9,30 +9,29 @@ writes the t-coefficients once, as a linear map that also takes the chart
 partials of the ingredients to those of a0, a1, a2, and the chain rule
 through the frame {(Id + h t Pi) tau_1, (Id + h t Pi) tau_2, n} gives grad y^h.
 
-Each point array is evaluated once: the limit's record
+One bundle is evaluated once, over the (9, N) union of the quadrature
+nodes and the 4-point stencils of both chart axes: the limit's record
 (`kinematics.limit_fields`: the frame, the chart partials of V, of w and
 of (g2-g1) n, A, A n and both tensors), the Q2 reduction beside it, xi, d0
-and d1 at the quadrature nodes, and the same bundle at the 4-point stencils
-of both chart axes, 8 points per node, in one call.  The chart partials of
-A n, xi, d0 and d1 at the nodes are 4th-order central differences of those
-stencil values.  d1 at a stencil point needs the chart partials of A n
-there: `fields.fd_stencil_columns` takes them from A n alone
-(`IsometryField.An`, frames but no A) on one grid of 33 points per node,
-whose mixed block serves both axis orders.  The limit functional reads
-the same node evaluation (`RecoveryData.limit` and `RecoveryData.q2`).
+and d1.  The chart partials of xi, d0 and d1 at the nodes are 4th-order
+central differences of the stencil values; those of A n, at the nodes and
+the stencil points, come from A n alone (`IsometryField.An`, frames but no
+A) on one grid of 33 points per node (`fields.fd_stencil_columns`).  The
+limit functional reads the node entries (`RecoveryData.limit`, `.q2`).
 
 Everything broadcasts over leading batch axes: the energies read y^h once
-per h over the (T, N) grid of transversal and surface nodes, with the
-transversal axis leading so that arrays over the surface nodes broadcast.
-That one pass also gives the energy everything else it needs: `gradient`
-returns det(Id + h t Pi) from the offset jacobian it forms anyway and
-inverts the frame through its 2x2 tangential metric, and the Green strain,
-formed once per h, feeds both the density and the distance from SO(3) of
-the blow-up gate, read off its eigenvalues in closed form with no SVD.
+per schedule over (H, T, N), the h, then the transversal and the surface
+nodes, so that arrays over the surface nodes broadcast.  That one pass also gives
+the energy everything else it needs: `gradient` returns det(Id + h t Pi)
+from the offset jacobian it forms anyway and inverts the frame through its
+2x2 tangential metric, and the Green strain, formed once per schedule,
+feeds both the density and the distance from SO(3) of the blow-up gate,
+read off its eigenvalues in closed form with no SVD.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,7 +41,7 @@ from .errors import EnergyBlowupError, ParameterError
 from .fields import (fd_columns, fd_stencil_columns, matvec, outer, stencil_partials,
                      stencil_points, stencil_steps, transpose)
 from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this import site)
-from .geometry import inv2, offset_jacobian
+from .geometry import NodeFrame, inv2, offset_jacobian
 from .kinematics import LimitFields, limit_fields, tangential_strain
 from .material import QuadForm2, green_strain, reduce_q2
 
@@ -95,8 +94,8 @@ class RecoveryData:
 
 @dataclass(frozen=True)
 class RecoveryDeformation:
-    h: float
-    e_h: float
+    h: float    # or the (H,) schedule
+    e_h: float  # or its (H,) values
     patch: object
     thick: object
     evaluate: Callable  # (u, t) -> R^3, t in (-g1(u), g2(u)); broadcasts over (u, t)
@@ -105,7 +104,7 @@ class RecoveryDeformation:
 
 
 @dataclass(frozen=True)
-class ShellEnergyValue:
+class ShellEnergyValue:  # one entry per h on a schedule
     E_h: float
     normalized: float      # E_h / e_h
     so3_distance: float    # largest distance of grad y^h from SO(3) at the quadrature points
@@ -146,12 +145,17 @@ def recovery_data(patch, material, iso, w, thick, kappa, quad):
         d = stencil_steps(fr.u, patch.domain)
         An_partials = fd_stencil_columns(lambda points: iso.An(patch.frame(points)),
                                          fr.u, patch.domain)
-        stencil = values(patch.frame(stencil_points(fr.u, d)), An_partials)
-        Dp = stencil_partials(stencil["limit"].An, d)
-        fields = values(fr, Dp)
+        st = patch.frame(stencil_points(fr.u, d).reshape((8,) + fr.u.shape))
+        # one bundle over the points (entry 0) and their stencil points; copies free it
+        bundle = values(NodeFrame(**{k: np.concatenate([v[None], getattr(st, k)])
+                                     for k, v in vars(fr).items()}), An_partials)
+        fields = {k: _first(v) for k, v in bundle.items()}
+        fields["limit"] = dataclasses.replace(fields["limit"], frame=fr)
         # dn: the chart partials of the normal
-        fields.update({"D" + k: stencil_partials(stencil[k], d) for k in _STENCIL_FIELDS},
-                      Dp=Dp, dn=fr.shape_op @ fr.jac, dgamma=thick.gamma_d(fr.u))
+        fields.update({"D" + k: stencil_partials(bundle[k][1:].reshape((2, 4) + v.shape), d)
+                       for k, v in fields.items() if k in _STENCIL_FIELDS},
+                      Dp=An_partials[0].copy(), dn=fr.shape_op @ fr.jac,
+                      dgamma=thick.gamma_d(fr.u))
         return fields
 
     nodes = quad.frame.u
@@ -170,36 +174,56 @@ def recovery_data(patch, material, iso, w, thick, kappa, quad):
                         partials_at=stored_or(lambda u: with_partials(patch.frame(u))))
 
 
+def _first(value):
+    """Entry 0 of an array, or of each array field of a record, as a copy."""
+    if isinstance(value, np.ndarray):
+        return value[0].copy()
+    return dataclasses.replace(value, **{k: _first(v) for k, v in vars(value).items()
+                                         if isinstance(v, np.ndarray)})
+
+
 def build_recovery(data, h, e_h):
     """Assemble the recovery deformation y^h from the scene's RecoveryData.
 
-    Requires h small enough that Id + h t Pi stays orientation-preserving
-    through the thickness.  `evaluate(u, t)` and `gradient(u, t)` broadcast
-    u of shape (..., 2) against t; `gradient` also returns det(Id + h t Pi),
-    the volume factor of the energy, from the same offset jacobian.
+    h and e_h are scalars, or a schedule as 1-D arrays, which adds a leading
+    axis H to what `evaluate` and `gradient` return.  Requires h small
+    enough that Id + h t Pi stays orientation-preserving through the
+    thickness.  `evaluate(u, t)` and `gradient(u, t)` broadcast u of shape
+    (..., 2) against t; `gradient` also returns det(Id + h t Pi), the volume
+    factor of the energy, from the same offset jacobian.
     """
-    if not (0.0 < h < 1.0):
+    h, e_h = np.asarray(h, dtype=float), np.asarray(e_h, dtype=float)
+    if not np.all((0.0 < h) & (h < 1.0)):
         raise ParameterError(f"h must lie in (0, 1), got {h}")
-    if e_h <= 0.0:
+    if np.any(e_h <= 0.0):
         raise ParameterError("e_h must be positive")
-    _check_thin_shell(data, h)
-    sq = float(np.sqrt(e_h))
+    # thin-shell guard: both factors 1 + h t k of Id + h t Pi positive at t = -g1,
+    # g2 at every node; monotone in h, so a decreasing schedule fails at its first h
+    fr = data.limit.frame
+    ends = np.stack([-data.thick.g1.value(fr.u), data.thick.g2.value(fr.u)])
+    offset_jacobian(fr, h.reshape(h.shape + (1, 1)) * ends)
+    sq = np.sqrt(e_h)
 
-    def coefficients(x, gamma_n, V, w, n, p, xi, d0, d1):
+    def scaled(u, t):
+        # h and sqrt(e_h) with one trailing axis per batch axis of (u, t)
+        shape = h.shape + (1,) * max(np.ndim(t), np.ndim(u) - 1)
+        return h.reshape(shape), sq.reshape(shape)
+
+    def coefficients(h, sq, x, gamma_n, V, w, n, p, xi, d0, d1):
         # (a0, a1, a2) from the fields, or their chart partials from the fields' partials
         return (x + (0.5 * h) * gamma_n + (sq / h) * V + sq * w,
                 h * n + sq * p + (h * sq) * (d0 - xi), (h * sq) * d1)
 
-    def t_coefficients(pd, t):
+    def t_coefficients(pd, t, h, sq):
         # s and (a0, a1, a2) at the points of a RecoveryData bundle
         lf, gamma = pd["limit"], pd["gamma"]
         fr = lf.frame
         return (np.asarray(t, dtype=float) - 0.5 * gamma,
-                *coefficients(fr.x, gamma[..., None] * fr.n, pd["V"], pd["w"], fr.n,
-                              lf.An, pd["xi"], pd["d0"], pd["d1"]))
+                *coefficients(h[..., None], sq[..., None], fr.x, gamma[..., None] * fr.n,
+                              pd["V"], pd["w"], fr.n, lf.An, pd["xi"], pd["d0"], pd["d1"]))
 
     def evaluate(u, t):
-        s, a0, a1, a2 = t_coefficients(data.values_at(u), t)
+        s, a0, a1, a2 = t_coefficients(data.values_at(u), t, *scaled(u, t))
         s = s[..., None]
         return a0 + s * a1 + (0.5 * s * s) * a2
 
@@ -207,35 +231,26 @@ def build_recovery(data, h, e_h):
         pd = data.partials_at(u)
         lf = pd["limit"]
         fr = lf.frame
-        s, _, a1, a2 = t_coefficients(pd, t)
+        hb, sb = scaled(u, t)
+        s, _, a1, a2 = t_coefficients(pd, t, hb, sb)
         Da0, Da1, Da2 = coefficients(
-            fr.jac, lf.Dgamma_n, lf.DV, lf.Dw, pd["dn"], pd["Dp"], pd["Dxi"],
-            pd["Dd0"], pd["Dd1"])
+            hb[..., None, None], sb[..., None, None], fr.jac, lf.Dgamma_n, lf.DV, lf.Dw,
+            pd["dn"], pd["Dp"], pd["Dxi"], pd["Dd0"], pd["Dd1"])
         dy_ds = a1 + s[..., None] * a2
         sm = s[..., None, None]  # s against (3, 2) chart partials
         # column i: chart partial d/du_i of y^h; d s/du_i = -(1/2) d(g2-g1)/du_i
         Y2 = Da0 + sm * Da1 + (0.5 * sm * sm) * Da2 - 0.5 * outer(dy_ds, pd["dgamma"])
-        M, det = offset_jacobian(fr, h * np.asarray(t, dtype=float))
+        M, det = offset_jacobian(fr, hb * np.asarray(t, dtype=float))
         MJ = M @ fr.jac
+        MJt = transpose(MJ)
         # [MJ, n]^-1 has rows g_t^-1 (MJ)^T and n^T, as n is normal to MJ;
         # g_t = (MJ)^T MJ has det(Id + h t Pi)^2 det g, as Id + h t Pi fixes n
-        dual = inv2(transpose(MJ) @ MJ, (det * fr.sqrt_det_metric) ** 2) @ transpose(MJ)
-        return Y2 @ dual + outer(dy_ds / h, fr.n), det
+        dual = inv2(MJt @ MJ, (det * fr.sqrt_det_metric) ** 2) @ MJt
+        return Y2 @ dual + outer(dy_ds / hb[..., None], fr.n), det
 
-    return RecoveryDeformation(h=float(h), e_h=float(e_h), patch=data.patch,
+    return RecoveryDeformation(h=h[()], e_h=e_h[()], patch=data.patch,
                                thick=data.thick, evaluate=evaluate,
                                gradient=gradient)
-
-
-def _check_thin_shell(data, h):
-    """Raise ThicknessError unless every principal factor 1 + h t k of
-    Id + h t Pi is positive for t in [-g1, g2] at every quadrature node.
-
-    Each factor is affine in t, so its ends cover the segment;
-    offset_jacobian checks both factors, not only their product.
-    """
-    fr = data.limit.frame
-    offset_jacobian(fr, h * np.stack([-data.thick.g1.value(fr.u), data.thick.g2.value(fr.u)]))
 
 
 def so3_distance(E):
@@ -270,24 +285,29 @@ def eval_shell_energy(rec, material, squad, trule):
 
     The substitution t = h s absorbs the 1/h of the energy scaling.  Raises
     EnergyBlowupError naming the node of largest distance from SO(3) when
-    the gradient leaves the declared neighborhood of SO(3).
+    the gradient leaves the declared neighborhood of SO(3): on a schedule,
+    at the first h that does, by index, with the energies of every h.
     """
     u = squad.frame.u
     t, wt = trule.across(rec.thick, u)  # (T, N)
     F, det = rec.gradient(u, t)
     E = green_strain(F)
-    dist = so3_distance(E)
     Wv = material.evaluate(E)
-    dist = np.where(np.isfinite(Wv), dist, np.inf)
-    if np.any(dist > BLOWUP_DISTANCE):
-        k, i = np.unravel_index(np.argmax(dist), dist.shape)
+    dist = np.where(np.isfinite(Wv), so3_distance(E), np.inf)
+    per_h = np.shape(rec.h) + (-1,)
+    total = np.sum((squad.weights * wt * Wv * det).reshape(per_h), axis=-1)
+    value = ShellEnergyValue(E_h=total[()], normalized=(total / rec.e_h)[()],
+                             so3_distance=np.max(dist.reshape(per_h), axis=-1)[()],
+                             min_det=np.min(det.reshape(per_h), axis=-1)[()])
+    blown = np.flatnonzero(value.so3_distance > BLOWUP_DISTANCE)
+    if blown.size:
+        j = (blown[0],) if np.ndim(rec.h) else ()  # the first h that blew up
+        k, i = np.unravel_index(np.argmax(dist[j]), dist[j].shape)
         raise EnergyBlowupError(
-            f"gradient at distance {dist[k, i]:.3e} from SO(3) at "
-            f"u={tuple(u[i].tolist())}, t={t[k, i]:.4f}", u=u[i], t=t[k, i])
-    total = float(np.sum(squad.weights * wt * Wv * det))
-    return ShellEnergyValue(E_h=total, normalized=total / rec.e_h,
-                            so3_distance=float(np.max(dist)),
-                            min_det=float(np.min(det)))
+            f"gradient at distance {dist[j][k, i]:.3e} from SO(3) at "
+            f"u={tuple(u[i].tolist())}, t={t[k, i]:.4f}", u=u[i], t=t[k, i],
+            index=int(j[0]) if j else None, energy=value)
+    return value
 
 
 def shell_energy_tangential_lower_bound(rec, material, squad, trule):
@@ -295,7 +315,7 @@ def shell_energy_tangential_lower_bound(rec, material, squad, trule):
 
     Pointwise (1/2) Q2((E)_tan) <= (1/2) Q3(E) = W for quadratic-in-strain
     densities, so this never exceeds the normalized energy; the gap closes
-    as h -> 0.
+    as h -> 0.  One value per h on a schedule.
     """
     fr = squad.frame
     q2 = reduce_q2(material.q3, fr.n, fr.t1, fr.t2)
@@ -303,14 +323,14 @@ def shell_energy_tangential_lower_bound(rec, material, squad, trule):
     t, wt = trule.across(rec.thick, u)
     F, det = rec.gradient(u, t)
     integrand = squad.weights * wt * 0.5 * q2.apply_tangential(fr.tan2(green_strain(F))) * det
-    return float(np.sum(integrand)) / rec.e_h
+    return (np.sum(integrand.reshape(np.shape(rec.h) + (-1,)), axis=-1) / rec.e_h)[()]
 
 
 def averaged_displacement(rec, trule):
     """The scaled transversal average (h/sqrt(e_h)) avg_t [y^h(x+tn) - (x+htn)].
 
-    Returns a chart function u -> R^3 on the patch of `rec`, averaged through
-    its thickness and broadcasting over leading batch axes of u.
+    Returns a chart function u -> R^3 on the patch of `rec`, of a scalar h,
+    averaged through its thickness and broadcasting over leading batch axes of u.
     """
     scale = rec.h / np.sqrt(rec.e_h)
     patch, thick = rec.patch, rec.thick

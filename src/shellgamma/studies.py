@@ -524,23 +524,20 @@ def _run_gamma(cfg):
         # maximizer-set example semantics: Qbar = Id
         J_value = eval_J(limit, thick, iso, f, np.eye(3), quad=squad).total
 
-    rows = []
-    failing_h = None
-    J_gap = None
-    for h in cfg.h_schedule:
-        e_h = cfg.e_of_h(h)
-        try:
-            rec = build_recovery(data, h=h, e_h=e_h)
-            ev = eval_shell_energy(rec, material, squad, trule)
-            if f is not None:
-                J_gap = _rel_gap(eval_J_h(rec, ev.E_h, f, squad, trule) / e_h, J_value)
-        except ShellGammaError as exc:
-            failing_h = (h, str(exc))
-            rows.append(StudyRow(h=h, e_h=e_h, status="error"))
-            break
-        rows.append(StudyRow(h=h, e_h=e_h, E_h=ev.E_h, normalized=ev.normalized,
-                             I_limit=I_value, rel_gap=_rel_gap(ev.normalized, I_value),
-                             status="ok"))
+    hs = np.array(cfg.h_schedule)
+    e_hs = cfg.e_of_h(hs)
+    ran, J_h = len(hs), None
+    try:
+        rec = build_recovery(data, h=hs, e_h=e_hs)
+        ev = eval_shell_energy(rec, material, squad, trule)
+        J_h = None if f is None else eval_J_h(rec, ev.E_h, f, squad, trule)
+    except ShellGammaError as exc:
+        # the rows before the h that failed: a blow-up names it, the guard fails at h[0]
+        ran, ev, error = getattr(exc, "index", 0), getattr(exc, "energy", None), str(exc)
+    rows = [StudyRow(h=cfg.h_schedule[k], e_h=e_hs[k], E_h=ev.E_h[k],
+                     normalized=ev.normalized[k], I_limit=I_value,
+                     rel_gap=_rel_gap(ev.normalized[k], I_value), status="ok")
+            for k in range(ran)]
 
     summary = {"I_limit": I_value,
                "I_stretching": limit.stretching,
@@ -550,11 +547,12 @@ def _run_gamma(cfg):
                "gap_r2_min": GAP_R2_MIN}
     if J_value is not None:
         summary["J_limit"] = J_value
-        if J_gap is not None:
-            summary["J_rel_gap_at_smallest_h"] = J_gap
-    if failing_h is not None:
+        if J_h is not None:
+            summary["J_rel_gap_at_smallest_h"] = _rel_gap(J_h[-1] / e_hs[-1], J_value)
+    if ran < len(hs):
+        rows.append(StudyRow(h=cfg.h_schedule[ran], e_h=e_hs[ran], status="error"))
         return StudyReport(kind=cfg.study, rows=rows, summary=summary, passed=False,
-                           error=f"aborted at h={failing_h[0]}: {failing_h[1]}")
+                           error=f"aborted at h={cfg.h_schedule[ran]}: {error}")
 
     slope, r2 = fit_order([(r.h, abs(r.normalized - I_value)) for r in rows])
     coarse, fine = rows[-2], rows[-1]
@@ -579,11 +577,10 @@ def _run_expansion(cfg):
     patch, thick, squad, iso, w = _gamma_scene(cfg)
     tol = cfg.tolerances
     data = expansion_data(patch, iso, w, thick, squad)
-    rows = []
-    for h in cfg.h_schedule:
-        rs = stretching_expansion_residual(data, h)
-        rb = bending_expansion_residual(data, h)
-        rows.append(StudyRow(h=h, residual_stretch=rs, residual_bend=rb, status="ok"))
+    hs = cfg.h_schedule
+    rows = [StudyRow(h=h, residual_stretch=rs, residual_bend=rb, status="ok")
+            for h, rs, rb in zip(hs, stretching_expansion_residual(data, hs),
+                                 bending_expansion_residual(data, hs))]
 
     s_slope, s_r2 = fit_order([(r.h, r.residual_stretch) for r in rows])
     b_slope, b_r2 = fit_order([(r.h, r.residual_bend) for r in rows])

@@ -144,6 +144,11 @@ def quartic(seed):
     return value, partials
 
 
+def with_stencil_points(u, points):
+    """The points of `fd_stencil_columns`: u, then its (2, 4) stencil points, shape (9, ..., 2)."""
+    return np.concatenate([u[None], points.reshape((8,) + u.shape)])
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_stencil_grid_is_exact_on_quartic_polynomials(seed):
     # the 4th-order stencil differentiates quartics exactly, so only round-off is left
@@ -152,8 +157,8 @@ def test_stencil_grid_is_exact_on_quartic_polynomials(seed):
     u = interior_points(domain, 9, seed=seed)
     D = fd_stencil_columns(value, u, domain)
     points = stencil_points(u, stencil_steps(u, domain))
-    assert D.shape == (2, 4, 9, 3, 2) and points.shape == (2, 4, 9, 2)
-    assert np.max(np.abs(D - partials(points))) <= 1e-9
+    assert D.shape == (9, 9, 3, 2) and points.shape == (2, 4, 9, 2)
+    assert np.max(np.abs(D - partials(with_stencil_points(u, points)))) <= 1e-9
 
 
 @pytest.mark.parametrize("name", sorted(PATCHES))
@@ -173,8 +178,9 @@ def test_stencil_grid_matches_fd_columns_at_the_stencil_points(name):
     u = quad.frame.u
     grid = fd_stencil_columns(An, u, patch.domain)
     points = stencil_points(u, stencil_steps(u, patch.domain))
-    nested = np.stack([[fd_columns(An, p, patch.domain) for p in axis] for axis in points])
-    assert grid.shape == nested.shape == (2, 4, len(u), 3, 2)
+    nested = np.stack([fd_columns(An, p, patch.domain)
+                       for p in with_stencil_points(u, points)])
+    assert grid.shape == nested.shape == (9, len(u), 3, 2)
     assert np.max(np.abs(grid - nested)) <= 1e-9
 
 
@@ -188,8 +194,8 @@ def test_stencil_grid_near_the_boundary_uses_each_points_step():
                            [1e-3, 1e-3, 1e-3, 4e-6, 2e-6]], rtol=1e-9, atol=0.0)
     batched = fd_stencil_columns(field.value, u, domain)
     singles = [fd_stencil_columns(field.value, p, domain) for p in u]
-    assert_batch_matches_points(np.moveaxis(batched, 2, 0), singles)
-    exact = field.d1(stencil_points(u, d))
+    assert_batch_matches_points(np.moveaxis(batched, 1, 0), singles)
+    exact = field.d1(with_stencil_points(u, stencil_points(u, d)))
     assert np.max(np.abs(batched - exact)) <= 1e-9
 
 

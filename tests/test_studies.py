@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shellgamma.cli as cli
-from shellgamma import fields, kinematics, limit2d, recovery3d, studies
-from shellgamma.errors import ConfigError, NotAnIsometryError, ParameterError
-from shellgamma.geometry import (SurfacePatch, gauss_legendre, make_builtin_patch,
-                                 surface_quadrature)
+from shellgamma import fields, kinematics, limit2d, loads, recovery3d, studies
+from shellgamma.errors import ConfigError, NotAnIsometryError, ParameterError, ThicknessError
+from shellgamma.geometry import (SurfacePatch, TransversalRule, gauss_legendre,
+                                 make_builtin_patch, surface_quadrature)
 from shellgamma.studies import (CSV_HEADER, StudyReport, StudyRow, fit_order,
                                 load_config, richardson_extrapolate, run_study,
                                 serialize_config, validate_config, write_report)
@@ -428,7 +428,9 @@ def test_fit_order_does_not_count_a_non_finite_residual_as_exact():
 
 
 def test_expansion_study_fails_a_nan_residual(monkeypatch):
-    monkeypatch.setattr(studies, "stretching_expansion_residual", lambda data, h: math.nan)
+    # one nan per h of the schedule
+    monkeypatch.setattr(studies, "stretching_expansion_residual",
+                        lambda data, h: np.full(np.shape(h), math.nan))
     report = run_study(load_config("plate-expansion"))
     assert math.isnan(report.summary["stretch_slope"])
     assert not report.passed
@@ -601,12 +603,13 @@ def counting_d1(field, calls):
 
 def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
     # frames at the nodes, at the 33-point grid per node that gives the
-    # partials of A n at the stencil points, and at the 8 stencil points per
-    # node (1 + 33 + 8 chart points per node, in 3 arrays); A, Q2 and the
-    # chart partials of w and of (g2 - g1) n at the nodes and the stencil
-    # points only, as A n on the grid needs none of them.  The chart partials
-    # of V: at the nodes by the isometry check, and at the nodes and the
-    # stencil points by A_at and by the limit record, and on the grid
+    # partials of A n at the nodes and their stencil points, and at the 8
+    # stencil points per node (1 + 33 + 8 chart points per node, in 3
+    # arrays); A, Q2 and the chart partials of w and of (g2 - g1) n once,
+    # over the union of the nodes and their stencil points, as A n on the
+    # grid needs none of them.  The chart partials of V: at the nodes by the
+    # isometry check, over the union by A_at and by the limit record, and on
+    # the grid
     from shellgamma import geometry, kinematics, limit2d, material
     seen = {"frame": [], "A_at": [], "reduce_q2": [], "w.d1": [], "gamma_n_partials": []}
     V_reads = []
@@ -660,15 +663,14 @@ def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
             "frame": 0, "A_at": 0, "reduce_q2": 0, "w.d1": 0, "gamma_n_partials": 0}
         assert sum(u.size // 2 for u in seen["frame"]) == 42 * surface_order ** 2
         nodes = surface_order ** 2
-        for name in ("w.d1", "gamma_n_partials"):
-            assert sorted((u.shape for u in seen[name]), key=len) == [(nodes, 2),
-                                                                      (2, 4, nodes, 2)]
-        # at most 1 + (1 + 8) + 33 + (1 + 8) chart points per node, in 6 reads
-        assert len(V_reads) <= 6
-        assert sum(u.size // 2 for u in V_reads) <= 52 * nodes
+        for name in ("w.d1", "gamma_n_partials", "A_at"):
+            assert [u.shape for u in seen[name]] == [(9, nodes, 2)]
+        # 1 + (1 + 8) + 33 + (1 + 8) chart points per node, in 4 reads
+        assert len(V_reads) == 4
+        assert sum(u.size // 2 for u in V_reads) == 52 * nodes
         counts.append({name: len(calls) for name, calls in seen.items()})
-    assert counts[0] == counts[1] == {"frame": 3, "A_at": 2, "reduce_q2": 2, "w.d1": 2,
-                                      "gamma_n_partials": 2}
+    assert counts[0] == counts[1] == {"frame": 3, "A_at": 1, "reduce_q2": 1, "w.d1": 1,
+                                      "gamma_n_partials": 1}
 
 
 # the seed-0 config of the gamma-plate-load benchmark workload
@@ -688,10 +690,11 @@ GAMMA_PLATE_LOAD = {
 
 
 def test_gamma_study_forms_one_offset_jacobian_per_h_and_no_batched_svd(monkeypatch):
-    # per h, the thin-shell guard and grad y^h each form Id + h t Pi once (the
-    # energy's volume factor comes with grad y^h), grad y^h inverts no 3x3
-    # frame, the energy forms one Green strain, and the SO(3) distance of the
-    # (T, N) gradient array is taken without an SVD.  No study calls LAPACK
+    # per study, the thin-shell guard and grad y^h each form Id + h t Pi once
+    # over the whole schedule (the energy's volume factor comes with grad
+    # y^h), grad y^h inverts no 3x3 frame, the energy forms one Green strain
+    # over (H, T, N), and the SO(3) distance of that gradient array is taken
+    # without an SVD.  No study calls LAPACK
     # over batch axes: the per-node 3x3 kernels are closed forms, and only
     # single matrices reach it (wahba_maximize, the rotation check in limit2d)
     offsets, strain_shapes = [], []
@@ -723,8 +726,8 @@ def test_gamma_study_forms_one_offset_jacobian_per_h_and_no_batched_svd(monkeypa
     report = run_study(cfg)
     assert report.error is None and report.passed
     assert len(cfg.h_schedule) == 5
-    assert len(offsets) == 10
-    assert len(strain_shapes) == 5, strain_shapes
+    assert offsets == [(5, 2, 100), (5, 4, 100)]
+    assert strain_shapes == [(5, 4, 100, 3, 3)]
     for cfg in (validate_config(GAMMA_PLATE_LOAD), load_config("plate-expansion")):
         report = run_study(cfg)
         assert report.error is None and report.passed
@@ -732,6 +735,103 @@ def test_gamma_study_forms_one_offset_jacobian_per_h_and_no_batched_svd(monkeypa
     batched = {name: [shape for shape in shapes if len(shape) > 2]
                for name, shapes in linalg_shapes.items()}
     assert not any(batched.values()), batched
+
+
+def gamma_pieces(cfg):
+    """The h-independent objects of a gamma study: data, material, quadratures, load."""
+    patch, thick, squad, iso, w = studies._gamma_scene(cfg)
+    material = studies._build(studies._MATERIALS, "type", cfg.material)
+    trule = TransversalRule.make(cfg.quadrature["transversal_order"])
+    data = recovery3d.recovery_data(patch, material, iso, w, thick, cfg.kappa, squad)
+    f = None if cfg.load is None else studies._build(studies._LOADS, "family", cfg.load,
+                                                     squad.frame)
+    return data, material, squad, trule, f
+
+
+@pytest.mark.parametrize("name", ["plate-gamma", "sphere-gamma", "sphere-anisotropic-gamma",
+                                  "plate-load"])
+def test_schedule_pass_equals_the_scalar_evaluation_bit_for_bit(name):
+    cfg = validate_config(GAMMA_PLATE_LOAD) if name == "plate-load" else load_config(name)
+    data, material, squad, trule, f = gamma_pieces(cfg)
+    hs = np.array(cfg.h_schedule)
+    e_hs = cfg.e_of_h(hs)
+    rec = recovery3d.build_recovery(data, hs, e_hs)
+    batched = recovery3d.eval_shell_energy(rec, material, squad, trule)
+    singles = []
+    for h, e_h in zip(cfg.h_schedule, e_hs):
+        one = recovery3d.build_recovery(data, h, e_h)
+        ev = recovery3d.eval_shell_energy(one, material, squad, trule)
+        J_h = math.nan if f is None else loads.eval_J_h(one, ev.E_h, f, squad, trule)
+        bound = recovery3d.shell_energy_tangential_lower_bound(one, material, squad, trule)
+        singles.append(dataclasses.astuple(ev) + (J_h, bound))
+    J_h = np.full(len(hs), math.nan) if f is None else loads.eval_J_h(
+        rec, batched.E_h, f, squad, trule)
+    bound = recovery3d.shell_energy_tangential_lower_bound(rec, material, squad, trule)
+    expected = np.array(singles).T
+    got = np.array(dataclasses.astuple(batched) + (J_h, bound))
+    assert got.shape == expected.shape == (6, len(hs))
+    assert np.array_equal(got, expected, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", ["plate-expansion", "sphere-expansion", "cylinder-expansion"])
+def test_expansion_residuals_of_a_schedule_equal_the_scalar_ones_bit_for_bit(name):
+    cfg = load_config(name)
+    patch, thick, squad, iso, w = studies._gamma_scene(cfg)
+    data = kinematics.expansion_data(patch, iso, w, thick, squad)
+    hs = np.array(cfg.h_schedule)
+    for residual in (kinematics.stretching_expansion_residual,
+                     kinematics.bending_expansion_residual):
+        batched = residual(data, hs)
+        assert batched.shape == hs.shape
+        assert np.array_equal(batched, [residual(data, h) for h in cfg.h_schedule])
+
+
+def test_a_thin_shell_failure_at_the_first_h_aborts_the_schedule():
+    # factor 1 - h t / R: negative at h = 1/8 on a cap of radius 0.05 and
+    # thickness 1/2 + 1/2, positive from h = 1/16 on
+    cfg = validate_config({**json.loads(serialize_config(load_config("sphere-gamma"))),
+                           "patch": {"kind": "sphere_cap", "radius": 0.05,
+                                     "cap_angle": math.pi / 3}})
+    data = gamma_pieces(cfg)[0]
+    h0, e0 = cfg.h_schedule[0], cfg.e_of_h(cfg.h_schedule[0])
+    with pytest.raises(ThicknessError) as scalar:
+        recovery3d.build_recovery(data, h0, e0)
+    recovery3d.build_recovery(data, cfg.h_schedule[1], cfg.e_of_h(cfg.h_schedule[1]))
+    report = run_study(cfg)
+    assert report.rows == [StudyRow(h=h0, e_h=e0, status="error")]
+    assert report.error == f"aborted at h={h0}: {scalar.value}"
+    assert not report.passed
+
+
+def blow_up_below(monkeypatch, strain):
+    """Make every h whose largest |E| entry is below `strain` blow up."""
+    so3_distance = recovery3d.so3_distance
+
+    def forced(E):
+        small = np.abs(E).reshape(E.shape[:-4] + (-1,)).max(axis=-1) < strain
+        return np.where(np.asarray(small)[..., None, None], 1.0, so3_distance(E))
+
+    monkeypatch.setattr(recovery3d, "so3_distance", forced)
+
+
+def test_a_blow_up_mid_schedule_keeps_the_rows_before_it(monkeypatch):
+    # the largest |E| entry per h is about 0.10, 0.024, 0.0059, 0.0015, 0.00037
+    cfg = validate_config(GAMMA_PLATE_LOAD)
+    whole = run_study(cfg)
+    blow_up_below(monkeypatch, 0.012)
+    report = run_study(cfg)
+    assert report.rows[:2] == whole.rows[:2]
+    assert report.rows[2] == StudyRow(h=cfg.h_schedule[2], e_h=cfg.e_of_h(cfg.h_schedule[2]),
+                                      status="error")
+    assert len(report.rows) == 3 and not report.passed
+    # the third h is the first whose gradient leaves SO(3); the error names it and its node
+    assert report.error == ("aborted at h=0.03125: gradient at distance 1.000e+00 from "
+                            "SO(3) at u=(0.013046735741414128, 0.013046735741414128), "
+                            "t=-0.3306")
+    # J^h of the smallest h is written only when the whole schedule ran
+    assert "J_rel_gap_at_smallest_h" in whole.summary
+    assert "J_rel_gap_at_smallest_h" not in report.summary
+    assert report.summary["J_limit"] == whole.summary["J_limit"]
 
 
 @pytest.mark.parametrize("name", ["plate-gamma", "sphere-gamma"])
