@@ -9,7 +9,8 @@ stencil: `stencil_steps` gives its steps, shrunk point by point near the
 chart boundary so stencils never leave the rectangle, `stencil_points` its
 points and `stencil_partials` the partials; `fd_columns` runs it on a
 function.  The partials of a field at u and at its stencil points come
-from one shared grid around u (`fd_stencil_columns`).
+from one shared grid around u (`stencil_grid`, `grid_partials`), which
+holds u and its stencil points among its rows (`GRID_ROWS`).
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def stencil_steps(u, domain):
     """Steps (2, ...) of the shared stencil of each point of u, one row per axis.
 
     FD_REL_STEP times the chart width, clamped to a fifth of the point's
-    distance from the edge: `fd_stencil_columns` reaches 4 steps out.
+    distance from the edge: `stencil_grid` reaches 4 steps out.
     """
     u = np.asarray(u, dtype=float)
     steps = FD_REL_STEP * domain_widths(domain)
@@ -147,23 +148,20 @@ def fd_columns(f, u, domain):
     return stencil_partials(np.asarray(f(stencil_points(u, d))), d)
 
 
-# grid offsets of `fd_stencil_columns`: the 9-point line k = -4..4 of each axis
+# grid offsets of `stencil_grid`: the 9-point line k = -4..4 of each axis
 _LINE = np.arange(-4.0, 5.0)
 # [j, c]: line index of the offset c + j, for stencil offsets j and centers c = 0, -2, -1, 1, 2
 _LINE_INDEX = (_STENCIL[:, None] + np.concatenate([[0.0], _STENCIL])).astype(int) + 4
+# rows of `stencil_grid` that hold u (line 0 at k = 0), then stencil_points(u, d)[a, i]:
+# k = -2, -1, 1, 2 on line 0 (rows 0..8) and on line 1 without u (rows 9..12, 13..16)
+GRID_ROWS = np.array([4, 2, 3, 5, 6, 11, 12, 13, 14])
 
 
-def fd_stencil_columns(f, u, domain):
-    """Both chart partials of f at every point of u and at its stencil points.
+def stencil_grid(u, domain):
+    """33 points per point of u, shape (33, ..., 2), and their `stencil_steps` d.
 
-    The result has shape (9, ..., *f, 2): entry 0 is taken at u and entry
-    1 + 4 a + i at stencil_points(u, stencil_steps(u, domain))[a, i], all
-    with the same 4th-order weights and steps.  f is called once, on 33
-    grid points per point of u: the 9-point line u + k d_a e_a, k = -4..4,
-    of each axis (u itself shared), which gives the partial along a at u
-    and at the stencil points of axis a, and the 4x4 block u + i d_1 e_1 +
-    j d_2 e_2, i, j in (-2, -1, 1, 2), which gives the partial along the
-    other axis at the stencil points of both axes.
+    The 9-point line u + k d_a e_a, k = -4..4, of each axis (u shared), then
+    the 4x4 block u + i d_1 e_1 + j d_2 e_2, i, j in (-2, -1, 1, 2).
     """
     u = np.asarray(u, dtype=float)
     d = stencil_steps(u, domain)
@@ -172,8 +170,14 @@ def fd_stencil_columns(f, u, domain):
     block = np.broadcast_to(u, (4, 4) + u.shape).copy()
     block[..., 0] += _STENCIL.reshape((4, 1) + nb) * d[0]
     block[..., 1] += _STENCIL.reshape((1, 4) + nb) * d[1]
-    line_pts = np.concatenate([lines[0], lines[1, :4], lines[1, 5:]])
-    F = np.asarray(f(np.concatenate([line_pts, block.reshape((16,) + u.shape)])))
+    return np.concatenate([lines[0], lines[1, :4], lines[1, 5:],
+                           block.reshape((16,) + u.shape)]), d
+
+
+def grid_partials(F, d):
+    """Both chart partials, (9, ..., *f, 2) in the order of GRID_ROWS, from the
+    (33, ..., *f) values F on `stencil_grid` of steps d: each line gives the
+    partial along its axis, the block the one across, all with one stencil."""
     shape = F.shape[1:]
     line = [F[:9], np.concatenate([F[9:13], F[4:5], F[13:17]])]
     grid = F[17:].reshape((4, 4) + shape)   # [i, j] at u + i d_1 e_1 + j d_2 e_2
@@ -183,6 +187,13 @@ def fd_stencil_columns(f, u, domain):
     return np.concatenate([np.stack([along[0][:1], along[1][:1]], axis=-1),
                            np.stack([along[0][1:], across[0]], axis=-1),
                            np.stack([across[1], along[1][1:]], axis=-1)])
+
+
+def fd_stencil_columns(f, u, domain):
+    """`grid_partials` of f, called once on `stencil_grid(u, domain)`: entry 0 at
+    u, entry 1 + 4 a + i at stencil_points(u, stencil_steps(u, domain))[a, i]."""
+    points, d = stencil_grid(u, domain)
+    return grid_partials(np.asarray(f(points)), d)
 
 
 @dataclass(frozen=True)

@@ -45,21 +45,27 @@ def det3(M):
 
 
 @dataclass(frozen=True)
-class NodeFrame:
-    """Everything the downstream formulas need at a batch of chart points.
-
-    Every field carries the batch axes of u ahead of the shapes below.
-    """
+class ChartMetric:
+    """The chart jacobian, metric and normal at a batch of chart points, all that
+    A n reads; every field carries the batch axes of u ahead of its shape."""
 
     u: np.ndarray            # (2,) chart parameter
-    x: np.ndarray            # (3,) surface point
     jac: np.ndarray          # (3, 2) chart jacobian, columns d(chart)/du_i
     metric: np.ndarray       # (2, 2) first fundamental form J^T J
+    det_metric: np.ndarray   # ()
     metric_inv: np.ndarray   # (2, 2)
+    n: np.ndarray            # (3,) unit normal
+
+
+@dataclass(frozen=True)
+class NodeFrame(ChartMetric):
+    """Everything the downstream formulas need at a batch of chart points:
+    their ChartMetric completed."""
+
+    x: np.ndarray            # (3,) surface point
     sqrt_det_metric: np.ndarray  # ()
     t1: np.ndarray           # orthonormal tangent frame (Gram-Schmidt of jac)
     t2: np.ndarray
-    n: np.ndarray            # (3,) unit normal
     shape_op: np.ndarray     # (3, 3) ambient Pi = grad(n); Pi @ n == 0
 
     def __getitem__(self, index):
@@ -107,7 +113,8 @@ class SurfacePatch:
     name: str = ""
     principal_curvatures: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def frame(self, u):
+    def metric(self, u):
+        """The ChartMetric at chart points u; `frame` completes it to the NodeFrame."""
         u = np.asarray(u, dtype=float)
         self._check_inside(u)
         J = np.asarray(self.chart_jacobian(u), dtype=float)
@@ -119,17 +126,20 @@ class SurfacePatch:
         degenerate = det_g <= 0.0
         if np.count_nonzero(degenerate):
             raise EvaluationError(f"degenerate metric at u={first_point(u, degenerate)}")
-        g_inv = inv2(g, det_g)
+        return ChartMetric(u=u, jac=J, metric=g, det_metric=det_g,
+                           metric_inv=inv2(g, det_g), n=np.asarray(self.normal(u), dtype=float))
+
+    def frame(self, u):
+        m = self.metric(u)
+        J, g, u = m.jac, m.metric, m.u
         # Gram-Schmidt of the jacobian columns, with the norms read off the metric
         len1 = np.sqrt(g[..., 0, 0])
-        sqrt_det = np.sqrt(det_g)
+        sqrt_det = np.sqrt(m.det_metric)
         t1 = J[..., 0] / len1[..., None]
         t2 = J[..., 1] - (g[..., 0, 1] / len1)[..., None] * t1
         t2 = t2 * (len1 / sqrt_det)[..., None]
-        return NodeFrame(u=u, x=np.asarray(self.chart(u), dtype=float), jac=J,
-                         metric=g, metric_inv=g_inv, sqrt_det_metric=sqrt_det,
-                         t1=t1, t2=t2,
-                         n=np.asarray(self.normal(u), dtype=float),
+        return NodeFrame(**vars(m), x=np.asarray(self.chart(u), dtype=float),
+                         sqrt_det_metric=sqrt_det, t1=t1, t2=t2,
                          shape_op=np.asarray(self.shape_operator(u), dtype=float))
 
     @cached_property

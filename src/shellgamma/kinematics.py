@@ -3,14 +3,15 @@
 The skew field A of an isometry V is the skew part of grad V + (A n) (x) n,
 as grad V maps each tangent vector tau to d_tau V and kills n.  A n needs
 neither a tangent frame nor A: skewness gives (A n) . tau = -n . d_tau V, so
-A n is minus the surface gradient of the chart partials n . d_i V.  Its
-chart partials and those of the deformed normal take the one stencil of
-`fields`.  `limit_fields` is the one record of the limit's h-independent
-fields at a point array; the limit functional, the recovery deformation and
-the expansion identities all read it.  Everything broadcasts over leading
-batch axes of the frame, so `build_isometry` and the expansion residuals are
-array expressions over the quadrature nodes, and `expansion_data` builds the
-h-independent part of the expansion identities once per scene.
+A n is minus the surface gradient of n . d_i V, from a `geometry.ChartMetric`,
+and A is formed from A n and DV.  The chart partials of A n and of the
+deformed normal take the one stencil of `fields`.  `limit_fields` is the
+one record of the limit's h-independent fields at a point array; the limit
+functional, the recovery deformation and the expansion identities all read
+it.  Everything broadcasts over leading batch axes of the frame, so
+`build_isometry` and the expansion residuals are array expressions over the
+quadrature nodes, and `expansion_data` builds the h-independent part of the
+expansion identities once per scene.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, NotAnIsometryError
-from .fields import (VectorField, fd_columns, first_point, outer, stencil_partials,
+from .fields import (VectorField, fd_columns, first_point, matvec, outer, stencil_partials,
                      stencil_points, stencil_steps, transpose)
 from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this import site)
 from .geometry import NodeFrame, SurfacePatch, inv2
@@ -35,15 +36,6 @@ def tangential_strain(frame, d1_value):
     return 0.5 * (M + transpose(M))
 
 
-def _An(frame, DV):
-    """A n = -J g^-1 (DV^T n) from the chart partials DV of V at a frame.
-
-    A is skew with A tau = d_tau V, so (A n) . tau = -n . d_tau V and
-    (A n) . n = 0.
-    """
-    return -frame.grad3((frame.n[..., :, None] * DV).sum(axis=-2))
-
-
 @dataclass(frozen=True)
 class IsometryField:
     """An infinitesimal isometry V with its skew matrix field A = grad V."""
@@ -51,22 +43,23 @@ class IsometryField:
     patch: SurfacePatch
     displacement: VectorField
 
-    def A_at(self, frame):
-        """A at a frame: the skew part of grad V + (A n) (x) n, as grad V kills n."""
-        DV = self.displacement.d1(frame.u)
-        A_raw = frame.grad3(DV) + outer(_An(frame, DV), frame.n)
+    def A_at(self, frame, An, DV):
+        """A at a frame from A n and DV there: the skew part of grad V + (A n) (x) n."""
+        A_raw = frame.grad3(DV) + outer(An, frame.n)
         return 0.5 * (A_raw - transpose(A_raw))
 
-    def An(self, frame):
-        """A n at a frame, with no tangent basis and no A."""
-        return _An(frame, self.displacement.d1(frame.u))
+    def An(self, m):
+        """(A n, DV) at the points of a ChartMetric m (or a frame), DV the chart
+        partials of V: A n = -J g^-1 (DV^T n), as A is skew with A tau = d_tau V."""
+        DV = self.displacement.d1(m.u)
+        return -matvec(m.jac, matvec(m.metric_inv, (m.n[..., :, None] * DV).sum(axis=-2))), DV
 
     def An_partials(self, u):
         """Chart partials of the field u -> A(u) n(u) at chart points u, shape (..., 3, 2).
 
-        The frames at the stencil points live only inside this call.
+        A n at the stencil points reads only their ChartMetric.
         """
-        return fd_columns(lambda points: self.An(self.patch.frame(points)), u,
+        return fd_columns(lambda points: self.An(self.patch.metric(points))[0], u,
                           self.patch.domain)
 
 
@@ -135,21 +128,21 @@ class LimitFields:
     bending: np.ndarray         # (..., 2, 2) its symmetrized tangential minor
 
 
-def limit_fields(iso, w, thick, kappa, frame, An_partials):
+def limit_fields(iso, w, thick, kappa, frame, An, DV, An_partials):
     """Evaluate the LimitFields of (V, B_tan = sym grad w) at a frame.
 
-    The chart partials of V, of w and of (g2 - g1) n are read once each;
-    An_partials are the chart partials of A n at the frame's points.
+    An, DV and An_partials are A n, the chart partials of V and those of A n
+    at the frame's points (`IsometryField.An`, `.An_partials`); the chart
+    partials of w and of (g2 - g1) n are read once each.
     """
-    DV = iso.displacement.d1(frame.u)
     Dw = w.d1(frame.u)
     Dgamma_n = gamma_n_partials(frame, thick)
-    A = iso.A_at(frame)
+    A = iso.A_at(frame, An, DV)
     AG = A @ frame.grad3(Dgamma_n)
     M = bending_matrix(frame, A, An_partials)
     Mt = frame.tan2(M)
     return LimitFields(
-        frame=frame, DV=DV, Dw=Dw, Dgamma_n=Dgamma_n, An=_An(frame, DV), A=A, AG=AG,
+        frame=frame, DV=DV, Dw=Dw, Dgamma_n=Dgamma_n, An=An, A=A, AG=AG,
         stretching=stretching_tensor(frame, A, AG, tangential_strain(frame, Dw), kappa),
         bending_matrix=M, bending=0.5 * (Mt + transpose(Mt)))
 
@@ -181,16 +174,17 @@ def expansion_data(patch, iso, w, thick, quad):
     residual functions below read its stretching tensor and bending matrix
     along the two chart tangents and combine them with powers of h.  One
     frame call, at the stencil points of the nodes, serves the partials of
-    A n and the deformed normal; V is differentiated there once for both.
+    A n and the deformed normal; V is differentiated once there, for both,
+    and once at the nodes.
     """
     fr = quad.frame
     d = stencil_steps(fr.u, patch.domain)
     st = patch.frame(stencil_points(fr.u, d))
-    DV = iso.displacement.d1(st.u)
+    An_st, DV_st = iso.An(st)
     return ExpansionData(
-        nodes=limit_fields(iso, w, thick, 1.0, fr, stencil_partials(_An(st, DV), d)),
+        nodes=limit_fields(iso, w, thick, 1.0, fr, *iso.An(fr), stencil_partials(An_st, d)),
         steps=d, stencil_jac=st.jac, stencil_gamma_n=gamma_n_partials(st, thick),
-        stencil_DV=DV)
+        stencil_DV=DV_st)
 
 
 def stretching_expansion_residual(data, h):

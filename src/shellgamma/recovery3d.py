@@ -9,20 +9,21 @@ writes the t-coefficients once, as a linear map that also takes the chart
 partials of the ingredients to those of a0, a1, a2, and the chain rule
 through the frame {(Id + h t Pi) tau_1, (Id + h t Pi) tau_2, n} gives grad y^h.
 
-One bundle is evaluated once, over the (9, N) union of the quadrature
-nodes and the 4-point stencils of both chart axes: the limit's record
-(`kinematics.limit_fields`: the frame, the chart partials of V, of w and
-of (g2-g1) n, A, A n and both tensors), the Q2 reduction beside it, xi, d0
-and d1.  The chart partials of xi, d0 and d1 at the nodes are 4th-order
-central differences of the stencil values; those of A n, at the nodes and
-the stencil points, come from A n alone (`IsometryField.An`, frames but no
-A) on one grid of 33 points per node (`fields.fd_stencil_columns`).  The
+A n and the chart partials DV of V are read once, on a grid of 33 points
+per node (`fields.stencil_grid`) from its ChartMetric alone, which gives
+the chart partials of A n at the nodes and their stencil points.  The
+grid's rows `fields.GRID_ROWS` hand A n and DV at the (9, N) union of the
+nodes and their stencil points to one bundle, evaluated once there: the
+limit's record (`kinematics.limit_fields`: the frame, the chart partials of
+w and of (g2-g1) n, A and both tensors), the Q2 reduction beside it, xi,
+d0 and d1, whose partials at the nodes are 4th-order central differences
+of the stencil values.  g2-g1, V and w are read at the nodes alone.  The
 limit functional reads the node entries (`RecoveryData.limit`, `.q2`).
 
 Everything broadcasts over leading batch axes: the energies read y^h once
 per schedule over (H, T, N), the h, then the transversal and the surface
-nodes, so that arrays over the surface nodes broadcast.  That one pass also gives
-the energy everything else it needs: `gradient` returns det(Id + h t Pi)
+nodes, so that arrays over the surface nodes broadcast.  That one pass also
+gives the energy everything else it needs: `gradient` returns det(Id + h t Pi)
 from the offset jacobian it forms anyway and inverts the frame through its
 2x2 tangential metric, and the Green strain, formed once per schedule,
 feeds both the density and the distance from SO(3) of the blow-up gate,
@@ -38,8 +39,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import EnergyBlowupError, ParameterError
-from .fields import (fd_columns, fd_stencil_columns, matvec, outer, stencil_partials,
-                     stencil_points, stencil_steps, transpose)
+from .fields import (GRID_ROWS, fd_columns, grid_partials, matvec, outer, stencil_grid,
+                     stencil_partials, transpose)
 from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this import site)
 from .geometry import NodeFrame, inv2, offset_jacobian
 from .kinematics import LimitFields, limit_fields, tangential_strain
@@ -121,40 +122,37 @@ def recovery_data(patch, material, iso, w, thick, kappa, quad):
     `build_recovery` for every h of a schedule and `eval_I` through its
     `limit` and `q2`.
     """
-    def values(fr, An_partials):
-        lf = limit_fields(iso, w, thick, kappa, fr, An_partials)
+    def values(fr, An, DV, An_partials):
+        lf = limit_fields(iso, w, thick, kappa, fr, An, DV, An_partials)
         q2 = reduce_q2(material.q3, fr.n, fr.t1, fr.t2)
         d0, d1 = build_d_fields(lf, q2, kappa)
-        return {
-            "limit": lf,  # its An is the first-order rotation of the normal
-            "q2": q2,
-            "gamma": thick.gamma(fr.u),
-            "V": iso.displacement.value(fr.u),
-            "w": w.value(fr.u),
-            # tangent vector xi with xi . tau = n . d_tau w
-            "xi": fr.grad3(matvec(transpose(lf.Dw), fr.n)),
-            "d0": d0,
-            "d1": d1,
-        }
+        # lf.An is the first-order rotation of the normal; xi . tau = n . d_tau w
+        return {"limit": lf, "q2": q2, "xi": fr.grad3(matvec(transpose(lf.Dw), fr.n)),
+                "d0": d0, "d1": d1}
+
+    def point_values(u):  # the fields that are not differentiated
+        return {"gamma": thick.gamma(u), "V": iso.displacement.value(u), "w": w.value(u)}
 
     def values_at(u):
         fr = patch.frame(u)
-        return values(fr, iso.An_partials(fr.u))
+        return {**values(fr, *iso.An(fr), iso.An_partials(fr.u)), **point_values(fr.u)}
 
     def with_partials(fr):
-        d = stencil_steps(fr.u, patch.domain)
-        An_partials = fd_stencil_columns(lambda points: iso.An(patch.frame(points)),
-                                         fr.u, patch.domain)
-        st = patch.frame(stencil_points(fr.u, d).reshape((8,) + fr.u.shape))
+        # A n and DV on the grid; its rows GRID_ROWS are the points and their stencil points
+        grid, d = stencil_grid(fr.u, patch.domain)
+        An, DV = iso.An(patch.metric(grid))
+        An_partials = grid_partials(An, d)
+        st = patch.frame(grid[GRID_ROWS[1:]])
         # one bundle over the points (entry 0) and their stencil points; copies free it
         bundle = values(NodeFrame(**{k: np.concatenate([v[None], getattr(st, k)])
-                                     for k, v in vars(fr).items()}), An_partials)
+                                     for k, v in vars(fr).items()}),
+                        An[GRID_ROWS], DV[GRID_ROWS], An_partials)
         fields = {k: _first(v) for k, v in bundle.items()}
         fields["limit"] = dataclasses.replace(fields["limit"], frame=fr)
         # dn: the chart partials of the normal
         fields.update({"D" + k: stencil_partials(bundle[k][1:].reshape((2, 4) + v.shape), d)
                        for k, v in fields.items() if k in _STENCIL_FIELDS},
-                      Dp=An_partials[0].copy(), dn=fr.shape_op @ fr.jac,
+                      **point_values(fr.u), Dp=An_partials[0].copy(), dn=fr.shape_op @ fr.jac,
                       dgamma=thick.gamma_d(fr.u))
         return fields
 
@@ -331,7 +329,10 @@ def averaged_displacement(rec, trule):
 
     Returns a chart function u -> R^3 on the patch of `rec`, of a scalar h,
     averaged through its thickness and broadcasting over leading batch axes of u.
+    A schedule of h is a ParameterError.
     """
+    if np.ndim(rec.h):
+        raise ParameterError(f"h must be a scalar for the averaged displacement, got {rec.h}")
     scale = rec.h / np.sqrt(rec.e_h)
     patch, thick = rec.patch, rec.thick
 

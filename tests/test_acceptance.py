@@ -144,8 +144,8 @@ def test_criterion_5_variable_thickness_term():
     fr = quad.frame
     zero = sg.zero_vector_field(plate.domain)  # B_tan = sym grad w = b_tan
     An_partials = iso.An_partials(fr.u)
-    fields_a = sg.limit_fields(iso, zero, thick_a, kappa, fr, An_partials)
-    fields_b = sg.limit_fields(iso, zero, thick_b, kappa, fr, An_partials)
+    fields_a = sg.limit_fields(iso, zero, thick_a, kappa, fr, *iso.An(fr), An_partials)
+    fields_b = sg.limit_fields(iso, zero, thick_b, kappa, fr, *iso.An(fr), An_partials)
     q2 = sg.reduce_q2(W.q3, fr.n, fr.t1, fr.t2)
     I_a = sg.eval_I(fields_a, q2, thick_a, quad)
     I_b = sg.eval_I(fields_b, q2, thick_b, quad)
@@ -155,7 +155,7 @@ def test_criterion_5_variable_thickness_term():
     contribution = 0.0
     for i, weight in enumerate(quad.weights):
         fr = quad.frame[i]
-        A = iso.A_at(fr)
+        A = iso.A_at(fr, *iso.An(fr))
         base = b_tan[i] - 0.5 * kappa * fr.tan2(A @ A)
         AG = A @ fr.grad3(sg.kinematics.gamma_n_partials(fr, thick_a))
         Tg = fr.tan2(AG)
@@ -212,7 +212,7 @@ def test_criterion_7_degenerate_and_trivial_suite():
     # the bending part of I, with B_tan = 0
     cap_fr = cap_quad.frame
     fields_r = sg.limit_fields(iso_r, sg.zero_vector_field(cap.domain), cap_thick, 0.0,
-                               cap_fr, iso_r.An_partials(cap_fr.u))
+                               cap_fr, *iso_r.An(cap_fr), iso_r.An_partials(cap_fr.u))
     q2_r = sg.reduce_q2(W.q3, cap_fr.n, cap_fr.t1, cap_fr.t2)
     bending = sg.eval_I(fields_r, q2_r, cap_thick, cap_quad).bending
 

@@ -18,7 +18,7 @@ SPHERE_CAP_STRETCHING = np.pi * 403.0 / 720.0
 def eval_I(thick, material, iso, w, kappa, quad):
     """The limit functional of (V, B_tan = sym grad w) from its fields at the nodes of quad."""
     fr = quad.frame
-    fields = sg.limit_fields(iso, w, thick, kappa, fr, iso.An_partials(fr.u))
+    fields = sg.limit_fields(iso, w, thick, kappa, fr, *iso.An(fr), iso.An_partials(fr.u))
     return sg.eval_I(fields, sg.reduce_q2(material.q3, fr.n, fr.t1, fr.t2), thick, quad)
 
 

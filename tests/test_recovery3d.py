@@ -35,7 +35,7 @@ def rotate_gradient(R, gradient):
 
 def d_fields(material, iso, w, thick, kappa, fr):
     """d0 and d1 at a frame, through the limit fields and Q2 there."""
-    fields = sg.limit_fields(iso, w, thick, kappa, fr, iso.An_partials(fr.u))
+    fields = sg.limit_fields(iso, w, thick, kappa, fr, *iso.An(fr), iso.An_partials(fr.u))
     return sg.build_d_fields(fields, sg.reduce_q2(material.q3, fr.n, fr.t1, fr.t2), kappa)
 
 
@@ -204,7 +204,7 @@ def test_recovery_carries_the_t_coefficients(kind):
     y_minus, y_0, y_plus = rec.evaluate(fr.u, t)
     d0, d1 = sg.build_d_fields(data.limit, data.q2, 1.0)
     sq = np.sqrt(e_h)
-    a1 = h * fr.n + sq * iso.An(fr) + h * sq * d0
+    a1 = h * fr.n + sq * iso.An(fr)[0] + h * sq * d0
     a2 = h * sq * d1
     first = (y_plus - y_minus) / (2.0 * delta)
     second = (y_plus - 2.0 * y_0 + y_minus) / delta ** 2
@@ -576,3 +576,51 @@ def test_averaged_displacement_sym_grad_tracks_strain():
         for fr in probes:
             S = sg.averaged_displacement_sym_grad(rec, trule, fr)
             assert np.linalg.norm(S - tangential_strain(fr, w.d1(fr.u))) <= 1e-9
+
+
+def grid_scene(kind, order):
+    """Patch, isometry, w, thickness and a node rule with one node whose step is clamped."""
+    if kind == "plate":
+        patch = sg.make_builtin_patch("plate")
+        V = sg.plate_sine_field(1.0, 1, 1, patch.domain)
+        thick = sg.ThicknessPair.constant(0.4, 0.6, patch.domain)
+        edge = [0.5, 1.0 - 5e-5]
+    else:
+        patch = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 3)
+        V = sg.rigid_field(patch, (0.3, -0.2, 0.4))
+        thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4, patch.domain),
+                                 g2=sg.affine_scalar(0.55, [0.04, 0.01], patch.domain),
+                                 lipschitz_bound=1.0)
+        edge = [np.pi / 3 - 1e-4, 2.0]
+    quad = sg.surface_quadrature(patch, order)
+    quad = sg.SurfaceQuadrature(frame=patch.frame(np.vstack([quad.frame.u, edge])),
+                                weights=np.append(quad.weights, 0.0))
+    iso = sg.build_isometry(patch, V, quad=quad)
+    return patch, iso, sg.trig_vector_field(GENERIC_W, patch.domain), thick, quad
+
+
+@pytest.mark.parametrize("order", [4, 10])
+@pytest.mark.parametrize("kind", ["plate", "sphere_cap"])
+def test_bundle_reads_DV_and_An_of_the_grid_bit_for_bit(kind, order, monkeypatch):
+    # the (9, N) bundle takes the chart partials of V and A n from rows of
+    # the 33-point grid; they equal a fresh evaluation at the nodes and their
+    # stencil points, the clamped step of the last node included
+    from shellgamma.fields import stencil_points, stencil_steps
+    patch, iso, w, thick, quad = grid_scene(kind, order)
+    u = quad.frame.u
+    d = stencil_steps(u, patch.domain)
+    assert np.any(d[:, -1] < d[:, :-1].min(axis=1))  # the edge node's step is clamped
+    seen = []
+    A_at = sg.IsometryField.A_at
+
+    def recording_A_at(self, fr, An, DV):
+        seen.append((fr.u, An, DV))
+        return A_at(self, fr, An, DV)
+
+    monkeypatch.setattr(sg.IsometryField, "A_at", recording_A_at)
+    sg.recovery_data(patch, sg.make_isotropic(1.0, 1.0), iso, w, thick, 1.0, quad)
+    [(points, An, DV)] = seen
+    expected = np.concatenate([u[None], stencil_points(u, d).reshape((8,) + u.shape)])
+    assert np.array_equal(points, expected)
+    assert np.array_equal(DV, iso.displacement.d1(expected))
+    assert np.array_equal(An, iso.An(patch.metric(expected))[0])

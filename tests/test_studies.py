@@ -602,17 +602,20 @@ def counting_d1(field, calls):
 
 
 def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
-    # frames at the nodes, at the 33-point grid per node that gives the
-    # partials of A n at the nodes and their stencil points, and at the 8
-    # stencil points per node (1 + 33 + 8 chart points per node, in 3
-    # arrays); A, Q2 and the chart partials of w and of (g2 - g1) n once,
-    # over the union of the nodes and their stencil points, as A n on the
-    # grid needs none of them.  The chart partials of V: at the nodes by the
-    # isometry check, over the union by A_at and by the limit record, and on
-    # the grid
+    # frames at the nodes and at their 8 stencil points per node (1 + 8
+    # chart points per node, in 2 arrays); the 33-point grid per node that
+    # gives the partials of A n at the nodes and their stencil points reads
+    # only the chart jacobian, the normal and V, so the patch's chart and
+    # shape operator never run on it.  A, Q2 and the chart partials of w and
+    # of (g2 - g1) n once, over the union of the nodes and their stencil
+    # points, as A n on the grid needs none of them.  The chart partials of
+    # V: at the nodes by the isometry check, and on the grid, which hands
+    # them and A n at the nodes and their stencil points to the bundle
     from shellgamma import geometry, kinematics, limit2d, material
     seen = {"frame": [], "A_at": [], "reduce_q2": [], "w.d1": [], "gamma_n_partials": []}
     V_reads = []
+    patch_calls = {"chart": [], "shape_operator": []}
+    sphere_chart = geometry._sphere_chart
     frame = geometry.SurfacePatch.frame
     A_at = kinematics.IsometryField.A_at
     reduce_q2 = material.reduce_q2
@@ -628,9 +631,20 @@ def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
         seen["frame"].append(np.array(u, dtype=float))
         return frame(self, u)
 
-    def counting_A_at(self, fr):
+    def counting_A_at(self, fr, An, DV):
         seen["A_at"].append(fr.u.copy())
-        return A_at(self, fr)
+        return A_at(self, fr, An, DV)
+
+    def recording(f, calls):
+        def recorded(u):
+            calls.append(np.shape(u))
+            return f(u)
+        return recorded
+
+    def counting_sphere_chart(*args):
+        patch = sphere_chart(*args)
+        return dataclasses.replace(patch, **{name: recording(getattr(patch, name), calls)
+                                             for name, calls in patch_calls.items()})
 
     def counting_reduce_q2(q3, n, *args, **kwargs):
         seen["reduce_q2"].append(np.array(n, dtype=float))
@@ -644,6 +658,7 @@ def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
     monkeypatch.setattr(fields, "rigid_field",
                         lambda *args: counting_d1(rigid_field(*args), V_reads))
     monkeypatch.setattr(kinematics, "gamma_n_partials", counting_gamma_n_partials)
+    monkeypatch.setattr(geometry, "_sphere_chart", counting_sphere_chart)
     for module in (material, limit2d, recovery3d, studies):
         monkeypatch.setattr(module, "reduce_q2", counting_reduce_q2)
 
@@ -654,22 +669,24 @@ def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
     counts = []
     cfg = load_config("sphere-gamma")
     for surface_order in (4, 10):
-        for calls in [*seen.values(), V_reads]:
+        for calls in [*seen.values(), V_reads, *patch_calls.values()]:
             calls.clear()
         report = run_study(dataclasses.replace(
             cfg, quadrature={"surface_order": surface_order, "transversal_order": 4}))
         assert report.error is None
         assert {name: repeats(calls) for name, calls in seen.items()} == {
             "frame": 0, "A_at": 0, "reduce_q2": 0, "w.d1": 0, "gamma_n_partials": 0}
-        assert sum(u.size // 2 for u in seen["frame"]) == 42 * surface_order ** 2
+        assert sum(u.size // 2 for u in seen["frame"]) == 9 * surface_order ** 2
         nodes = surface_order ** 2
         for name in ("w.d1", "gamma_n_partials", "A_at"):
             assert [u.shape for u in seen[name]] == [(9, nodes, 2)]
-        # 1 + (1 + 8) + 33 + (1 + 8) chart points per node, in 4 reads
-        assert len(V_reads) == 4
-        assert sum(u.size // 2 for u in V_reads) == 52 * nodes
+        # 1 + 33 chart points per node, in 2 reads
+        assert len(V_reads) == 2
+        assert sum(u.size // 2 for u in V_reads) == 34 * nodes
+        assert {name: set(shapes) for name, shapes in patch_calls.items()} == {
+            name: {(nodes, 2), (8, nodes, 2)} for name in patch_calls}
         counts.append({name: len(calls) for name, calls in seen.items()})
-    assert counts[0] == counts[1] == {"frame": 3, "A_at": 1, "reduce_q2": 1, "w.d1": 1,
+    assert counts[0] == counts[1] == {"frame": 2, "A_at": 1, "reduce_q2": 1, "w.d1": 1,
                                       "gamma_n_partials": 1}
 
 
@@ -771,6 +788,22 @@ def test_schedule_pass_equals_the_scalar_evaluation_bit_for_bit(name):
     got = np.array(dataclasses.astuple(batched) + (J_h, bound))
     assert got.shape == expected.shape == (6, len(hs))
     assert np.array_equal(got, expected, equal_nan=True)
+
+
+def test_averaged_displacement_of_a_schedule_is_a_parameter_error():
+    # both diagnostics take a scalar h: a schedule fails naming h, before y^h is evaluated
+    cfg = load_config("sphere-gamma")
+    data, material, squad, trule, f = gamma_pieces(cfg)
+    hs = np.array([2.0 ** -4, 2.0 ** -5])
+    evaluated = []
+    rec = dataclasses.replace(recovery3d.build_recovery(data, hs, cfg.e_of_h(hs)),
+                              evaluate=lambda u, t: evaluated.append(u))
+    for diagnostic in (lambda: recovery3d.averaged_displacement(rec, trule),
+                       lambda: recovery3d.averaged_displacement_sym_grad(
+                           rec, trule, squad.frame[3])):
+        with pytest.raises(ParameterError, match=r"^h must be a scalar"):
+            diagnostic()
+    assert evaluated == []
 
 
 @pytest.mark.parametrize("name", ["plate-expansion", "sphere-expansion", "cylinder-expansion"])
