@@ -21,9 +21,9 @@ from .kinematics import (ExpansionData, IsometryField, LimitFields, bending_expa
                          bending_matrix, build_isometry, expansion_data, limit_fields,
                          stretching_expansion_residual, stretching_tensor)
 from .limit2d import LimitEnergyBreakdown, eval_I, eval_J
-from .loads import (ActionMaximum, davenport_matrix, eval_J_h, example_maximizer_set,
-                    extend_load, load_compatibility_residual, maximize_action,
-                    moment_matrix, random_rotations, rotation_actions,
+from .loads import (ActionMaximum, action_form, davenport_matrix, eval_J_h,
+                    example_maximizer_set, extend_load, load_compatibility_residual,
+                    maximize_action, moment_matrix, random_rotations, rotation_actions,
                     rotation_matrices, wahba_maximize)
 from .material import (QuadForm2, QuadForm3, StoredEnergy, green_strain,
                        isotropic_q2_closed_form, make_isotropic, q3_from_energy,

@@ -56,6 +56,20 @@ class ChartMetric:
     metric_inv: np.ndarray   # (2, 2)
     n: np.ndarray            # (3,) unit normal
 
+    def __getitem__(self, index):
+        """The record at a subset of the batch (index applies to the batch axes); an
+        array index copies each field in its own memory order, as the patch lays it
+        out (numpy's batch-first copies slow the recovery bundle's products)."""
+        def take(a):
+            sub = a[index]
+            if np.may_share_memory(sub, a):  # a basic index: the view
+                return sub
+            out = np.empty_like(a, shape=sub.shape)
+            out[...] = sub
+            return out
+        return type(self)(**{f.name: take(getattr(self, f.name))
+                             for f in dataclasses.fields(self)})
+
 
 @dataclass(frozen=True)
 class NodeFrame(ChartMetric):
@@ -67,11 +81,6 @@ class NodeFrame(ChartMetric):
     t1: np.ndarray           # orthonormal tangent frame (Gram-Schmidt of jac)
     t2: np.ndarray
     shape_op: np.ndarray     # (3, 3) ambient Pi = grad(n); Pi @ n == 0
-
-    def __getitem__(self, index):
-        """The frame at a subset of the batch (index applies to the batch axes)."""
-        return NodeFrame(**{f.name: getattr(self, f.name)[index]
-                            for f in dataclasses.fields(self)})
 
     def tangents(self):
         """The (3, 2) matrix with columns t1, t2."""
@@ -114,7 +123,7 @@ class SurfacePatch:
     principal_curvatures: Callable[[np.ndarray], np.ndarray] | None = None
 
     def metric(self, u):
-        """The ChartMetric at chart points u; `frame` completes it to the NodeFrame."""
+        """The ChartMetric at chart points u; `complete` makes it the NodeFrame."""
         u = np.asarray(u, dtype=float)
         self._check_inside(u)
         J = np.asarray(self.chart_jacobian(u), dtype=float)
@@ -130,7 +139,11 @@ class SurfacePatch:
                            metric_inv=inv2(g, det_g), n=np.asarray(self.normal(u), dtype=float))
 
     def frame(self, u):
-        m = self.metric(u)
+        """The NodeFrame at chart points u."""
+        return self.complete(self.metric(u))
+
+    def complete(self, m):
+        """The NodeFrame at the points of the ChartMetric m, reusing its fields."""
         J, g, u = m.jac, m.metric, m.u
         # Gram-Schmidt of the jacobian columns, with the norms read off the metric
         len1 = np.sqrt(g[..., 0, 0])

@@ -7,6 +7,8 @@ weight, which makes transversal integrals of the extension collapse
 exactly; moment matrices are therefore assembled from the closed-form
 transversal reduction.  Every load integral is an array sum over the nodes,
 and every maximized action, with its tie rule, comes from `wahba_maximize`.
+Its sampled check scores random quaternions against `action_form(N)`, formed
+once for all the batches `rotation_actions` reads.
 """
 
 from __future__ import annotations
@@ -207,12 +209,22 @@ _UPPER = tuple(zip(*[(i, j) for i in range(4) for j in range(i, 4)]))
 _UPPER_WEIGHT = [1.0 if i == j else 2.0 for i, j in zip(*_UPPER)]
 
 
-def rotation_actions(N, q):
-    """tr(R(q) N) for a (k, 4) batch of quaternions; an (..., 3, 3) stack N gives (..., k).
+def action_form(N):
+    """The (..., 10) weighted upper triangle of K(N) for an (..., 3, 3) stack N,
+    which `rotation_actions` takes, so that many batches share one form."""
+    return davenport_matrix(N)[..., _UPPER[0], _UPPER[1]] * _UPPER_WEIGHT
 
-    One product serves every matrix of the stack: the 10 monomials
-    q_i q_j / |q|^2 of the batch against the weighted upper triangle of K(N).
+
+def rotation_actions(form, q):
+    """tr(R(q) N) for a (k, 4) batch of quaternions and the (..., 10) `action_form` of N: (..., k).
+
+    One product serves every matrix of the stack: the form against the 10
+    monomials q_i q_j / |q|^2, each a product of two contiguous rows of the
+    batch laid out as (4, k).
     """
     q = np.asarray(q, dtype=float)
-    monomials = q[:, _UPPER[0]] * q[:, _UPPER[1]] / np.einsum("ki,ki->k", q, q)[:, None]
-    return (davenport_matrix(N)[..., _UPPER[0], _UPPER[1]] * _UPPER_WEIGHT) @ monomials.T
+    rows = np.ascontiguousarray(q.T)
+    monomials = rows[_UPPER[0], :]  # a fresh array: the product and division go in place
+    monomials *= rows[_UPPER[1], :]
+    monomials /= np.einsum("ki,ki->k", q, q)
+    return form @ monomials

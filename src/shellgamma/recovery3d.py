@@ -13,7 +13,8 @@ A n and the chart partials DV of V are read once, on a grid of 33 points
 per node (`fields.stencil_grid`) from its ChartMetric alone, which gives
 the chart partials of A n at the nodes and their stencil points.  The
 grid's rows `fields.GRID_ROWS` hand A n and DV at the (9, N) union of the
-nodes and their stencil points to one bundle, evaluated once there: the
+nodes and their stencil points, and the ChartMetric at the stencil points,
+completed to their frames, to one bundle, evaluated once there: the
 limit's record (`kinematics.limit_fields`: the frame, the chart partials of
 w and of (g2-g1) n, A and both tensors), the Q2 reduction beside it, xi,
 d0 and d1, whose partials at the nodes are 4th-order central differences
@@ -140,9 +141,11 @@ def recovery_data(patch, material, iso, w, thick, kappa, quad):
     def with_partials(fr):
         # A n and DV on the grid; its rows GRID_ROWS are the points and their stencil points
         grid, d = stencil_grid(fr.u, patch.domain)
-        An, DV = iso.An(patch.metric(grid))
+        metric = patch.metric(grid)
+        An, DV = iso.An(metric)
+        st = patch.complete(metric[GRID_ROWS[1:]])
+        del metric  # the grid's record, 33 points per node: freed before the partials
         An_partials = grid_partials(An, d)
-        st = patch.frame(grid[GRID_ROWS[1:]])
         # one bundle over the points (entry 0) and their stencil points; copies free it
         bundle = values(NodeFrame(**{k: np.concatenate([v[None], getattr(st, k)])
                                      for k, v in vars(fr).items()}),

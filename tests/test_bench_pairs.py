@@ -1,0 +1,75 @@
+"""tools/bench_pairs.py on canned results: no benchmark is started."""
+
+import argparse
+import importlib.util
+import json
+import os
+
+import pytest
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", os.path.join(_ROOT, "tools", "bench_pairs.py"))
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def result(wall_s, failed=0, rel_gap=0.5):
+    return {"correct": failed == 0, "attempted": 10, "failed": failed,
+            "metrics": {"wall_s": {"value": wall_s, "unit": "s"},
+                        "rel_gap": {"value": rel_gap, "unit": "1"}}}
+
+
+def test_seed_ranges():
+    assert bench_pairs.parse_seeds("1-10") == range(1, 11)
+    assert bench_pairs.parse_seeds("7") == range(7, 8)
+    for text in ("5-3", "-1", "a-b", "1-"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            bench_pairs.parse_seeds(text)
+
+
+def test_trees_compile_first_and_alternate_which_runs_first():
+    events = []
+    trees = {"parent": "/p", "change": "/c"}
+
+    def run(tree, workload, seed, seconds):
+        events.append(("run", tree, workload, seed, seconds))
+        return result(1.0 if tree == "/p" else 0.9)
+
+    pairs = bench_pairs.collect(trees, ["w1", "w2"], range(1, 4), 8.0, run=run,
+                                byte_compile=lambda tree: events.append(("compile", tree)))
+    assert events[:2] == [("compile", "/p"), ("compile", "/c")]
+    assert [(e[1], e[2], e[3]) for e in events[2:]] == [
+        ("/p", "w1", 1), ("/c", "w1", 1), ("/c", "w1", 2), ("/p", "w1", 2),
+        ("/p", "w1", 3), ("/c", "w1", 3),
+        ("/p", "w2", 1), ("/c", "w2", 1), ("/c", "w2", 2), ("/p", "w2", 2),
+        ("/p", "w2", 3), ("/c", "w2", 3)]
+    assert all(e[4] == 8.0 for e in events[2:])
+    assert [(p["code"], p["seed"]) for p in pairs[:4]] == [
+        ("parent", 1), ("change", 1), ("change", 2), ("parent", 2)]
+    assert pairs[0] == {"code": "parent", "workload": "w1", "trace": 0, "seed": 1,
+                        "seconds": 8.0, "result": result(1.0)}
+
+
+def test_summary_counts_wins_ties_and_failures():
+    walls = {1: (4.0, 3.0), 2: (2.0, 2.0), 3: (1.0, 1.5), 4: (3.0, 0.5)}
+    pairs = [{"code": code, "workload": "w", "trace": 0, "seed": seed, "seconds": 1,
+              "result": result(wall, failed=int(code == "change" and seed == 3))}
+             for seed, both in walls.items() for code, wall in zip(("parent", "change"), both)]
+    [(workload, entry)] = bench_pairs.summarize(pairs).items()
+    assert workload == "w" and entry["pairs"] == 4
+    assert entry["wall_s"] == {"parent": {"p25": 1.75, "p50": 2.5, "p75": 3.25},
+                               "change": {"p25": 1.25, "p50": 1.75, "p75": 2.25},
+                               "change_lower_in_pairs": 2, "equal_in_pairs": 1}
+    assert entry["rel_gap"]["change_lower_in_pairs"] == 0
+    assert entry["rel_gap"]["equal_in_pairs"] == 4
+    assert entry["failed"] == {"parent": 0, "change": 1}
+    assert entry["attempted"] == {"parent": 40, "change": 40}
+    assert entry["correct"] == {"parent": True, "change": False}
+
+
+def test_summary_reproduces_a_committed_record():
+    with open(os.path.join(_ROOT, "BENCH_22.json"), encoding="utf-8") as fh:
+        record = json.load(fh)
+    assert bench_pairs.summarize(record["pairs"]) == record["summary"]
+    assert bench_pairs.summarize(record["recheck_pairs"]) == record["recheck_summary"]

@@ -7,6 +7,7 @@ import pytest
 import shellgamma as sg
 from shellgamma.errors import (DomainError, EvaluationError, ParameterError,
                                ThicknessError)
+from shellgamma.fields import GRID_ROWS, stencil_grid
 from shellgamma.geometry import gauss_legendre
 from shellgamma.studies import fit_order
 
@@ -186,6 +187,21 @@ def test_det3_matches_lu_determinant():
     assert sg.geometry.det3(np.eye(3)) == 1.0
     assert sg.geometry.det3(np.zeros((3, 3))) == 0.0
 
+
+@pytest.mark.parametrize("kind", ["plate", "sphere_cap", "cylinder", "torus_patch"])
+def test_completed_metric_rows_are_the_frame_there(kind):
+    # the recovery bundle completes rows of its grid's ChartMetric: the same
+    # fields as a frame call at those points, bit for bit and in the same
+    # memory order
+    patch = sg.make_builtin_patch(kind)
+    quad = sg.surface_quadrature(patch, 5)
+    grid, _ = stencil_grid(quad.frame.u, patch.domain)
+    completed = patch.complete(patch.metric(grid)[GRID_ROWS[1:]])
+    framed = patch.frame(grid[GRID_ROWS[1:]])
+    assert type(completed) is sg.NodeFrame
+    for name, value in vars(framed).items():
+        assert np.array_equal(getattr(completed, name), value), name
+        assert getattr(completed, name).strides == value.strides, name
 
 def test_integrate_constant_one_on_plate():
     plate = sg.make_builtin_patch("plate")

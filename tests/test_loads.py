@@ -59,7 +59,7 @@ def test_wahba_beats_random_sampling():
         Q, m, _, _ = sg.wahba_maximize(N)
         assert np.linalg.norm(Q.T @ Q - np.eye(3)) <= 1e-12
         assert np.linalg.det(Q) == pytest.approx(1.0, abs=1e-12)
-        samples = sg.rotation_actions(N, sg.random_rotations(rng, 20000))
+        samples = sg.rotation_actions(sg.action_form(N), sg.random_rotations(rng, 20000))
         assert samples.max() <= m + 1e-9 * max(1.0, abs(m))
         assert np.trace(Q @ N) == pytest.approx(m, rel=1e-12)
 
@@ -77,7 +77,7 @@ def test_rotation_actions_match_matrix_route_per_sample():
                 np.zeros((3, 3))]
     for N in [rng.normal(size=(3, 3)) for _ in range(50)] + specials:
         via_matrices = np.einsum("kij,ji->k", R, N)
-        assert np.max(np.abs(sg.rotation_actions(N, q) - via_matrices)) <= 1e-14
+        assert np.max(np.abs(sg.rotation_actions(sg.action_form(N), q) - via_matrices)) <= 1e-14
 
 
 def test_stacked_matrices_match_per_matrix_calls():
@@ -85,11 +85,11 @@ def test_stacked_matrices_match_per_matrix_calls():
     Ns = rng.normal(size=(2, 7, 3, 3))
     q = sg.random_rotations(rng, 3000)
     K = sg.davenport_matrix(Ns)
-    acts = sg.rotation_actions(Ns, q)
+    acts = sg.rotation_actions(sg.action_form(Ns), q)
     assert K.shape == (2, 7, 4, 4) and acts.shape == (2, 7, 3000)
     for idx in np.ndindex(2, 7):
         assert np.array_equal(K[idx], sg.davenport_matrix(Ns[idx]))
-        assert np.max(np.abs(acts[idx] - sg.rotation_actions(Ns[idx], q))) <= 1e-14
+        assert np.max(np.abs(acts[idx] - sg.rotation_actions(sg.action_form(Ns[idx]), q))) <= 1e-14
 
 
 def test_davenport_largest_eigenvalue_is_the_maximized_action():
@@ -119,7 +119,7 @@ def test_wahba_reflection_tie_flags_and_optimizes():
     # closest-to-identity member: no sampled optimizer has a larger trace
     rng = np.random.default_rng(23)
     samples = sg.random_rotations(rng, 50000)
-    acts = sg.rotation_actions(N, samples)
+    acts = sg.rotation_actions(sg.action_form(N), samples)
     near_opt = sg.rotation_matrices(samples[acts >= m - 1e-4])
     assert near_opt.shape[0] > 0
     assert np.trace(Q) >= np.einsum("kii->k", near_opt).max() - 1e-2
@@ -149,7 +149,8 @@ def test_maximize_action_result_invariants():
     assert np.linalg.norm(Q.T @ Q - np.eye(3)) <= 1e-12
     assert np.linalg.det(Q) == pytest.approx(1.0, abs=1e-12)
     rng = np.random.default_rng(24)
-    acts = sg.rotation_actions(res.moment_matrix, sg.random_rotations(rng, 5000))
+    acts = sg.rotation_actions(sg.action_form(res.moment_matrix),
+                                sg.random_rotations(rng, 5000))
     assert res.value >= acts.max() - 1e-12
 
 

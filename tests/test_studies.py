@@ -322,7 +322,8 @@ def test_q2_check_fails_on_a_nan_closed_form(monkeypatch):
     assert report.rows[0].status == "fail"
 
 
-@pytest.mark.parametrize("count", [studies._ACTION_CHUNK // 3,
+@pytest.mark.parametrize("count", [studies._ACTION_CHUNK // 3, studies._ACTION_CHUNK,
+                                   studies._ACTION_CHUNK + 1,
                                    2 * studies._ACTION_CHUNK + 37])
 def test_chunked_best_action_is_the_batch_maximum(count):
     rng = np.random.default_rng(27)
@@ -330,7 +331,8 @@ def test_chunked_best_action_is_the_batch_maximum(count):
     q = studies.random_rotations(rng, count)
     best = studies._best_actions(Ns, q)
     assert best.shape == (5,)
-    assert np.max(np.abs(best - studies.rotation_actions(Ns, q).max(axis=-1))) <= 1e-14
+    batch = studies.rotation_actions(studies.action_form(Ns), q)
+    assert np.max(np.abs(best - batch.max(axis=-1))) <= 1e-14
 
 
 def test_load_align_gate_fails_a_low_maximum(monkeypatch):
@@ -357,6 +359,56 @@ def test_load_align_gate_fails_a_low_maximum(monkeypatch):
     assert not report.passed
     assert [row.status for row in report.rows] == ["fail"] * report.summary["matrices"]
     assert all(row.residual_stretch > 1e-3 for row in report.rows)
+
+
+def test_load_align_summary_carries_a_nan_maximum(monkeypatch):
+    # a nan m_h at the 2nd matrix fails its row; the summary must show it
+    # too, though the worst margin of the other rows comes before it
+    wahba = studies.wahba_maximize
+    calls = []
+
+    def nan_second(N):
+        calls.append(N)
+        Q, m_h, classification, sv = wahba(N)
+        return Q, (np.nan if len(calls) == 2 else m_h), classification, sv
+
+    monkeypatch.setattr(studies, "wahba_maximize", nan_second)
+    report = run_study(load_config("load-align"))
+    assert not report.passed
+    assert [row.status for row in report.rows][:3] == ["pass", "fail", "pass"]
+    assert math.isnan(report.summary["worst_margin"])
+    assert math.isnan(report.summary["davenport_max_dev"])
+
+
+def test_load_align_forms_one_action_form_and_draws_once(monkeypatch):
+    # the sampled route's form from loads, once; K(N) of this module once,
+    # for the eigenvalue route; one draw of every rotation, scored in chunks
+    counted = {"action_form": [], "davenport_matrix": [], "rotation_actions": [],
+               "random_rotations": []}
+
+    def counting(name):
+        f = getattr(studies, name)
+
+        def counted_call(*args):
+            counted[name].append(args)
+            return f(*args)
+        return counted_call
+
+    for name in counted:
+        monkeypatch.setattr(studies, name, counting(name))
+    cfg = load_config("load-align")
+    report = run_study(cfg)
+    assert report.passed
+    samples, matrices = cfg.tolerances["rotation_samples"], cfg.tolerances["matrices"]
+    assert {name: len(calls) for name, calls in counted.items()} == {
+        "action_form": 1, "davenport_matrix": 1,
+        "rotation_actions": -(-samples // studies._ACTION_CHUNK), "random_rotations": 1}
+    assert counted["random_rotations"][0][1] == samples
+    [(Ns,)] = counted["action_form"]
+    assert Ns.shape == (matrices, 3, 3)
+    assert all(form.shape == (matrices, 10) and len(q) <= studies._ACTION_CHUNK
+               for form, q in counted["rotation_actions"])
+    assert sum(len(q) for _, q in counted["rotation_actions"]) == samples
 
 
 def _perfbench_module(name):
@@ -602,11 +654,12 @@ def counting_d1(field, calls):
 
 
 def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
-    # frames at the nodes and at their 8 stencil points per node (1 + 8
-    # chart points per node, in 2 arrays); the 33-point grid per node that
-    # gives the partials of A n at the nodes and their stencil points reads
-    # only the chart jacobian, the normal and V, so the patch's chart and
-    # shape operator never run on it.  A, Q2 and the chart partials of w and
+    # a frame at the nodes alone; the 33-point grid per node that gives the
+    # partials of A n at the nodes and their stencil points reads only the
+    # chart jacobian, the normal and V, and its ChartMetric at the 8 stencil
+    # points per node is completed to their frames, so the patch's chart and
+    # shape operator run on the nodes and those stencil points, never on
+    # the grid.  A, Q2 and the chart partials of w and
     # of (g2 - g1) n once, over the union of the nodes and their stencil
     # points, as A n on the grid needs none of them.  The chart partials of
     # V: at the nodes by the isometry check, and on the grid, which hands
@@ -676,8 +729,8 @@ def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
         assert report.error is None
         assert {name: repeats(calls) for name, calls in seen.items()} == {
             "frame": 0, "A_at": 0, "reduce_q2": 0, "w.d1": 0, "gamma_n_partials": 0}
-        assert sum(u.size // 2 for u in seen["frame"]) == 9 * surface_order ** 2
         nodes = surface_order ** 2
+        assert [u.shape for u in seen["frame"]] == [(nodes, 2)]
         for name in ("w.d1", "gamma_n_partials", "A_at"):
             assert [u.shape for u in seen[name]] == [(9, nodes, 2)]
         # 1 + 33 chart points per node, in 2 reads
@@ -686,7 +739,7 @@ def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
         assert {name: set(shapes) for name, shapes in patch_calls.items()} == {
             name: {(nodes, 2), (8, nodes, 2)} for name in patch_calls}
         counts.append({name: len(calls) for name, calls in seen.items()})
-    assert counts[0] == counts[1] == {"frame": 2, "A_at": 1, "reduce_q2": 1, "w.d1": 1,
+    assert counts[0] == counts[1] == {"frame": 1, "A_at": 1, "reduce_q2": 1, "w.d1": 1,
                                       "gamma_n_partials": 1}
 
 
