@@ -12,17 +12,16 @@ from .errors import (ConfigError, DegenerateMaterialError, DifferentiationError,
                      ThicknessError, UnsupportedCaseError)
 from .fields import (ScalarField, VectorField, affine_scalar, constant_scalar,
                      plate_sine_field, rigid_field, sine_scalar, skew_matrix,
-                     sum_fields, trig_vector_field, zero_vector_field)
+                     trig_vector_field, zero_vector_field)
 from .geometry import (NodeFrame, SurfacePatch, SurfaceQuadrature, ThicknessPair,
                        TransversalRule, make_builtin_patch, offset_jacobian,
-                       shape_operator_fd, surface_quadrature, validate_patch,
-                       validate_thickness)
+                       surface_quadrature, validate_patch, validate_thickness)
 from .kinematics import (ExpansionData, IsometryField, LimitFields, bending_expansion_residual,
                          bending_matrix, build_isometry, expansion_data, limit_fields,
                          stretching_expansion_residual, stretching_tensor)
 from .limit2d import LimitEnergyBreakdown, eval_I, eval_J
 from .loads import (ActionMaximum, action_form, davenport_matrix, eval_J_h,
-                    example_maximizer_set, extend_load, load_compatibility_residual,
+                    example_maximizer_set, load_compatibility_residual,
                     maximize_action, moment_matrix, random_rotations, rotation_actions,
                     rotation_matrices, wahba_maximize)
 from .material import (QuadForm2, QuadForm3, StoredEnergy, green_strain,

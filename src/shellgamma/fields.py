@@ -7,10 +7,10 @@ returns its value with the same leading axes, so a single point of shape
 analytic partials.  Every chart finite difference is one 4th-order central
 stencil: `stencil_steps` gives its steps, shrunk point by point near the
 chart boundary so stencils never leave the rectangle, `stencil_points` its
-points and `stencil_partials` the partials; `fd_columns` runs it on a
-function.  The partials of a field at u and at its stencil points come
-from one shared grid around u (`stencil_grid`, `grid_partials`), which
-holds u and its stencil points among its rows (`GRID_ROWS`).
+points and `stencil_partials` the partials.  The partials of a field at u
+and at its stencil points come from one shared grid around u
+(`stencil_grid`, `grid_partials`), which holds u and its stencil points
+among its rows (`GRID_ROWS`).
 """
 
 from __future__ import annotations
@@ -139,15 +139,6 @@ def stencil_partials(values, d):
     return np.stack([_fd_combine(values[ax], d[ax]) for ax in (0, 1)], axis=-1)
 
 
-def fd_columns(f, u, domain):
-    """Both chart partials of f at every point of u, stacked on a new last axis.
-
-    f is called once, on `stencil_points(u, stencil_steps(u, domain))`.
-    """
-    d = stencil_steps(u, domain)
-    return stencil_partials(np.asarray(f(stencil_points(u, d))), d)
-
-
 # grid offsets of `stencil_grid`: the 9-point line k = -4..4 of each axis
 _LINE = np.arange(-4.0, 5.0)
 # [j, c]: line index of the offset c + j, for stencil offsets j and centers c = 0, -2, -1, 1, 2
@@ -187,13 +178,6 @@ def grid_partials(F, d):
     return np.concatenate([np.stack([along[0][:1], along[1][:1]], axis=-1),
                            np.stack([along[0][1:], across[0]], axis=-1),
                            np.stack([across[1], along[1][1:]], axis=-1)])
-
-
-def fd_stencil_columns(f, u, domain):
-    """`grid_partials` of f, called once on `stencil_grid(u, domain)`: entry 0 at
-    u, entry 1 + 4 a + i at stencil_points(u, stencil_steps(u, domain))[a, i]."""
-    points, d = stencil_grid(u, domain)
-    return grid_partials(np.asarray(f(points)), d)
 
 
 @dataclass(frozen=True)
@@ -329,18 +313,5 @@ def trig_vector_field(components, domain):
     def d1(u):
         s1, c1, s2, c2 = phases(u)
         return np.stack([a * f1 * c1 * s2, a * f2 * s1 * c2], axis=-1)
-
-    return VectorField(value=value, d1=d1, domain=domain)
-
-
-def sum_fields(*fields):
-    """Pointwise sum of vector fields on a common domain."""
-    domain = fields[0].domain
-
-    def value(u):
-        return np.sum([f.value(u) for f in fields], axis=0)
-
-    def d1(u):
-        return np.sum([f.d1(u) for f in fields], axis=0)
 
     return VectorField(value=value, d1=d1, domain=domain)

@@ -486,30 +486,6 @@ def offset_jacobian(frame, t):
     return M, det
 
 
-def shape_operator_fd(patch, u, step):
-    """Central finite-difference shape operator, as a 2x2 matrix in the (t1, t2) frame.
-
-    `step` is the chart step.  Cross-check only; builtin patches carry
-    analytic shape operators.
-    """
-    u = np.asarray(u, dtype=float)
-    for ax in (0, 1):
-        lo, hi = patch.domain[ax]
-        if u[ax] - step < lo or u[ax] + step > hi:
-            raise DomainError(
-                f"u={tuple(u)} closer than step={step} to chart boundary on axis {ax}")
-    fr = patch.frame(u)
-    cols = []
-    for ax in (0, 1):
-        e = np.zeros(2)
-        e[ax] = step
-        cols.append((np.asarray(patch.normal(u + e)) -
-                     np.asarray(patch.normal(u - e))) / (2.0 * step))
-    Dn = np.stack(cols, axis=-1)           # (3, 2) chart partials of the normal
-    Pi_fd = fr.grad3(Dn)
-    return fr.tan2(Pi_fd)
-
-
 def _raise_first_failure(error, u, checks):
     """Raise `error` naming the first node (C order) that fails one of `checks`.
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, NotAnIsometryError
-from .fields import (VectorField, fd_columns, first_point, matvec, outer, stencil_partials,
-                     stencil_points, stencil_steps, transpose)
+from .fields import (VectorField, first_point, matvec, outer, stencil_partials, stencil_points,
+                     stencil_steps, transpose)
 from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this import site)
 from .geometry import NodeFrame, SurfacePatch, inv2
 
@@ -53,14 +53,6 @@ class IsometryField:
         partials of V: A n = -J g^-1 (DV^T n), as A is skew with A tau = d_tau V."""
         DV = self.displacement.d1(m.u)
         return -matvec(m.jac, matvec(m.metric_inv, (m.n[..., :, None] * DV).sum(axis=-2))), DV
-
-    def An_partials(self, u):
-        """Chart partials of the field u -> A(u) n(u) at chart points u, shape (..., 3, 2).
-
-        A n at the stencil points reads only their ChartMetric.
-        """
-        return fd_columns(lambda points: self.An(self.patch.metric(points))[0], u,
-                          self.patch.domain)
 
 
 def build_isometry(patch, V, quad):
@@ -132,8 +124,8 @@ def limit_fields(iso, w, thick, kappa, frame, An, DV, An_partials):
     """Evaluate the LimitFields of (V, B_tan = sym grad w) at a frame.
 
     An, DV and An_partials are A n, the chart partials of V and those of A n
-    at the frame's points (`IsometryField.An`, `.An_partials`); the chart
-    partials of w and of (g2 - g1) n are read once each.
+    at the frame's points (`IsometryField.An`, `fields.grid_partials`); the
+    chart partials of w and of (g2 - g1) n are read once each.
     """
     Dw = w.d1(frame.u)
     Dgamma_n = gamma_n_partials(frame, thick)

@@ -3,12 +3,13 @@
 A load is its (N, 3) array of limit values f at the quadrature nodes,
 built once per scene; `eval_J_h` alone scales it to f^h = h sqrt(e_h) f.
 Loads are extended through the thickness with the det(Id + t Pi)^{-1}
-weight, which makes transversal integrals of the extension collapse
-exactly; moment matrices are therefore assembled from the closed-form
-transversal reduction.  Every load integral is an array sum over the nodes,
-and every maximized action, with its tie rule, comes from `wahba_maximize`.
-Its sampled check scores random quaternions against `action_form(N)`, formed
-once for all the batches `rotation_actions` reads.
+weight, f^h(x + t n) = det(Id + t Pi)^{-1} f^h(x), which makes transversal
+integrals of the extension collapse exactly; moment matrices and the work
+are therefore assembled from the closed-form transversal reduction.  Every
+load integral is an array sum over the nodes, and every maximized action,
+with its tie rule, comes from `wahba_maximize`.  Its sampled check scores
+random quaternions against `action_form(N)`, formed once for all the
+batches `rotation_actions` reads.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import numpy as np
 
 from .errors import UnsupportedCaseError
 from .fields import first_point
-from .geometry import offset_jacobian
+from .geometry import offset_jacobian  # noqa: F401  (perfbench/tracing.py wraps this import site)
+from .recovery3d import check_points
 
 PROCRUSTES_TIE_TOL = 1e-10
 
@@ -35,13 +37,6 @@ def load_compatibility_residual(thick, f, squad):
     total = (wmu[:, None] * f).sum(axis=0)
     mass = float(np.sum(wmu * np.linalg.norm(f, axis=-1)))
     return float(np.linalg.norm(total)), mass
-
-
-def extend_load(patch, f_surface, u, t):
-    """Thickness extension f^h(x + t n) = det(Id + t Pi)^{-1} f^h(x); t physical."""
-    fr = patch.frame(u)
-    _, det = offset_jacobian(fr, t)
-    return np.asarray(f_surface(fr), dtype=float) / det[..., None]
 
 
 @dataclass(frozen=True)
@@ -155,8 +150,9 @@ def eval_J_h(rec, E_h, f, squad, trule):
     action = np.reshape([maximize_action(fk, thick, hk, squad).value
                          for fk, hk in zip(fh.reshape((-1,) + f.shape), h.ravel())], h.shape)
     u = squad.frame.u
+    check_points(rec, u, "quadrature nodes")
     t, wt = trule.across(thick, u)
-    y_int = np.sum(wt[..., None] * rec.evaluate(u, t), axis=-3)
+    y_int = np.sum(wt[..., None] * rec.evaluate(t), axis=-3)
     work = np.sum(squad.weights * (fh * y_int).sum(axis=-1), axis=-1)
     return (E_h + action - work)[()]
 

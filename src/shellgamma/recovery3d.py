@@ -4,22 +4,23 @@ The deformation is y^h = a0 + s a1 + (s^2/2) a2 with s = t - (g2-g1)/2,
 t in (-g1(x), g2(x)), physical offset h*t, a0 = x + (h/2)(g2-g1) n +
 (sqrt(e_h)/h) V + sqrt(e_h) w, a1 = h n + sqrt(e_h) (A n + h (d0 - xi)) and
 a2 = h sqrt(e_h) d1, xi the normal part of grad w.  These ingredients do not
-depend on h, so `recovery_data` builds them once per scene; `build_recovery`
-writes the t-coefficients once, as a linear map that also takes the chart
-partials of the ingredients to those of a0, a1, a2, and the chain rule
-through the frame {(Id + h t Pi) tau_1, (Id + h t Pi) tau_2, n} gives grad y^h.
+depend on h, so `recovery_data` builds them once, at one point array;
+`build_recovery` writes the t-coefficients once, as a linear map that also
+takes the chart partials of the ingredients to those of a0, a1, a2, and the
+chain rule through the frame {(Id + h t Pi) tau_1, (Id + h t Pi) tau_2, n}
+gives grad y^h, at those points only.
 
 A n and the chart partials DV of V are read once, on a grid of 33 points
-per node (`fields.stencil_grid`) from its ChartMetric alone, which gives
-the chart partials of A n at the nodes and their stencil points.  The
-grid's rows `fields.GRID_ROWS` hand A n and DV at the (9, N) union of the
-nodes and their stencil points, and the ChartMetric at the stencil points,
+per point (`fields.stencil_grid`) from its ChartMetric alone, which gives
+the chart partials of A n at the points and their stencil points.  The
+grid's rows `fields.GRID_ROWS` hand A n and DV at the (9, ...) union of the
+points and their stencil points, and the ChartMetric at the stencil points,
 completed to their frames, to one bundle, evaluated once there: the
 limit's record (`kinematics.limit_fields`: the frame, the chart partials of
 w and of (g2-g1) n, A and both tensors), the Q2 reduction beside it, xi,
-d0 and d1, whose partials at the nodes are 4th-order central differences
-of the stencil values.  g2-g1, V and w are read at the nodes alone.  The
-limit functional reads the node entries (`RecoveryData.limit`, `.q2`).
+d0 and d1, whose partials at the points are 4th-order central differences
+of the stencil values.  g2-g1, V and w are read at the points alone.  The
+limit functional reads `RecoveryData.limit` and `.q2`.
 
 Everything broadcasts over leading batch axes: the energies read y^h once
 per schedule over (H, T, N), the h, then the transversal and the surface
@@ -40,16 +41,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import EnergyBlowupError, ParameterError
-from .fields import (GRID_ROWS, fd_columns, grid_partials, matvec, outer, stencil_grid,
-                     stencil_partials, transpose)
+from .fields import (GRID_ROWS, grid_partials, matvec, outer, stencil_grid, stencil_partials,
+                     stencil_points, stencil_steps, transpose)
 from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this import site)
 from .geometry import NodeFrame, inv2, offset_jacobian
 from .kinematics import LimitFields, limit_fields, tangential_strain
 from .material import QuadForm2, green_strain, reduce_q2
 
 BLOWUP_DISTANCE = 0.5
-# the fields whose chart partials come from the stencil values, besides A n
-_STENCIL_FIELDS = ("xi", "d0", "d1")
 # phase shifts of the three roots in the trigonometric eigenvalue formula
 _EIG_ANGLES = np.array([0.0, 2.0, 4.0]) * (np.pi / 3.0)
 
@@ -75,33 +74,29 @@ def build_d_fields(fields, q2, kappa):
 
 @dataclass(frozen=True)
 class RecoveryData:
-    """The h-independent ingredients of the recovery deformation of one scene.
+    """The h-independent ingredients of the recovery deformation at one point array.
 
-    values_at(u) returns the LimitFields at u (frame, DV, Dw, A n, ...),
-    Q2 and the values of (g2-g1), V, w, xi, d0 and d1 there; partials_at(u)
-    adds the chart partials of the rest.  Both are built once at the node
-    array of the scene's quadrature, and returned from there when u is that
-    array; at any other chart points they are computed afresh and nothing is
-    stored.  `limit` and `q2` are the limit functional's record and Q2 from
-    the same node evaluation, its frame included.
+    `limit` is the LimitFields record of the points (its frame is the frame
+    they were built at) and `q2` the Q2 reduced in their tangent frames;
+    `fields` holds (g2-g1), V, w, xi, d0, d1 and the chart partials of all
+    but V and w there.  `build_recovery` reads y^h and its gradient at
+    exactly these points, and `eval_I` reads `limit` and `q2`.
     """
 
-    patch: object
     thick: object
-    limit: LimitFields     # at the quadrature nodes
-    q2: QuadForm2          # reduced in the tangent frames of the quadrature nodes
-    values_at: Callable    # u -> dict of values at u
-    partials_at: Callable  # u -> dict of values and chart partials at u
+    limit: LimitFields
+    q2: QuadForm2
+    fields: dict
 
 
 @dataclass(frozen=True)
 class RecoveryDeformation:
     h: float    # or the (H,) schedule
     e_h: float  # or its (H,) values
-    patch: object
+    frame: NodeFrame  # the points of y^h
     thick: object
-    evaluate: Callable  # (u, t) -> R^3, t in (-g1(u), g2(u)); broadcasts over (u, t)
-    # (u, t) -> (3x3 deformation gradient on the physical shell, det(Id + h t Pi))
+    evaluate: Callable  # t -> R^3 at the frame's points, t in (-g1, g2); t broadcasts against them
+    # t -> (3x3 deformation gradient on the physical shell, det(Id + h t Pi)) there
     gradient: Callable
 
 
@@ -113,101 +108,81 @@ class ShellEnergyValue:  # one entry per h on a schedule
     min_det: float         # smallest det(Id + h t Pi) at the quadrature points
 
 
-def recovery_data(patch, material, iso, w, thick, kappa, quad):
+def recovery_data(patch, material, iso, w, thick, kappa, frame):
     """Build the fields of the recovery deformation that do not depend on h.
 
     w is the second-order displacement with finite strain B_tan = sym grad w;
     the record of `limit_fields` reads its chart partials once per point
     array, and they give B_tan and xi.  The fields are built once at the
-    node array of `quad`, reusing its frame; the result serves
-    `build_recovery` for every h of a schedule and `eval_I` through its
-    `limit` and `q2`.
+    points of `frame`, a NodeFrame of any batch shape (a study passes its
+    quadrature's frame); the result serves `build_recovery` for every h of
+    a schedule and `eval_I` through its `limit` and `q2`.
     """
-    def values(fr, An, DV, An_partials):
-        lf = limit_fields(iso, w, thick, kappa, fr, An, DV, An_partials)
-        q2 = reduce_q2(material.q3, fr.n, fr.t1, fr.t2)
-        d0, d1 = build_d_fields(lf, q2, kappa)
-        # lf.An is the first-order rotation of the normal; xi . tau = n . d_tau w
-        return {"limit": lf, "q2": q2, "xi": fr.grad3(matvec(transpose(lf.Dw), fr.n)),
-                "d0": d0, "d1": d1}
-
-    def point_values(u):  # the fields that are not differentiated
-        return {"gamma": thick.gamma(u), "V": iso.displacement.value(u), "w": w.value(u)}
-
-    def values_at(u):
-        fr = patch.frame(u)
-        return {**values(fr, *iso.An(fr), iso.An_partials(fr.u)), **point_values(fr.u)}
-
-    def with_partials(fr):
-        # A n and DV on the grid; its rows GRID_ROWS are the points and their stencil points
-        grid, d = stencil_grid(fr.u, patch.domain)
-        metric = patch.metric(grid)
-        An, DV = iso.An(metric)
-        st = patch.complete(metric[GRID_ROWS[1:]])
-        del metric  # the grid's record, 33 points per node: freed before the partials
-        An_partials = grid_partials(An, d)
-        # one bundle over the points (entry 0) and their stencil points; copies free it
-        bundle = values(NodeFrame(**{k: np.concatenate([v[None], getattr(st, k)])
-                                     for k, v in vars(fr).items()}),
-                        An[GRID_ROWS], DV[GRID_ROWS], An_partials)
-        fields = {k: _first(v) for k, v in bundle.items()}
-        fields["limit"] = dataclasses.replace(fields["limit"], frame=fr)
-        # dn: the chart partials of the normal
-        fields.update({"D" + k: stencil_partials(bundle[k][1:].reshape((2, 4) + v.shape), d)
-                       for k, v in fields.items() if k in _STENCIL_FIELDS},
-                      **point_values(fr.u), Dp=An_partials[0].copy(), dn=fr.shape_op @ fr.jac,
-                      dgamma=thick.gamma_d(fr.u))
-        return fields
-
-    nodes = quad.frame.u
-    at_nodes = with_partials(quad.frame)
-
-    def stored_or(compute):
-        def at(u):
-            u = np.asarray(u, dtype=float)
-            if u.shape == nodes.shape and np.array_equal(u, nodes):
-                return at_nodes
-            return compute(u)
-        return at
-
-    return RecoveryData(patch=patch, thick=thick, limit=at_nodes["limit"], q2=at_nodes["q2"],
-                        values_at=stored_or(values_at),
-                        partials_at=stored_or(lambda u: with_partials(patch.frame(u))))
+    # A n and DV on the grid; its rows GRID_ROWS are the points and their stencil points
+    grid, d = stencil_grid(frame.u, patch.domain)
+    metric = patch.metric(grid)
+    An, DV = iso.An(metric)
+    st = patch.complete(metric[GRID_ROWS[1:]])
+    del metric  # the grid's record, 33 points per point: freed before the partials
+    An_partials = grid_partials(An, d)
+    # one bundle over the points (entry 0) and their stencil points; copies free it
+    fr = NodeFrame(**{k: np.concatenate([v[None], getattr(st, k)])
+                      for k, v in vars(frame).items()})
+    lf = limit_fields(iso, w, thick, kappa, fr, An[GRID_ROWS], DV[GRID_ROWS], An_partials)
+    q2 = reduce_q2(material.q3, fr.n, fr.t1, fr.t2)
+    d0, d1 = build_d_fields(lf, q2, kappa)
+    # lf.An is the first-order rotation of the normal; xi . tau = n . d_tau w
+    bundle = {"xi": fr.grad3(matvec(transpose(lf.Dw), fr.n)), "d0": d0, "d1": d1}
+    fields = {k: v[0].copy() for k, v in bundle.items()}
+    # dn: the chart partials of the normal
+    fields.update({"D" + k: stencil_partials(v[1:].reshape((2, 4) + fields[k].shape), d)
+                   for k, v in bundle.items()},
+                  gamma=thick.gamma(frame.u), V=iso.displacement.value(frame.u),
+                  w=w.value(frame.u), Dp=An_partials[0].copy(), dn=frame.shape_op @ frame.jac,
+                  dgamma=thick.gamma_d(frame.u))
+    return RecoveryData(thick=thick, limit=dataclasses.replace(_first(lf), frame=frame),
+                        q2=_first(q2), fields=fields)
 
 
-def _first(value):
-    """Entry 0 of an array, or of each array field of a record, as a copy."""
-    if isinstance(value, np.ndarray):
-        return value[0].copy()
-    return dataclasses.replace(value, **{k: _first(v) for k, v in vars(value).items()
-                                         if isinstance(v, np.ndarray)})
+def _first(record):
+    """Entry 0 of each array field of a record, as a copy."""
+    return dataclasses.replace(record, **{k: v[0].copy() for k, v in vars(record).items()
+                                          if isinstance(v, np.ndarray)})
+
+
+def check_points(rec, u, what):
+    """Raise ParameterError unless the recovery `rec` was built at the chart points u."""
+    if rec.frame.u is not u and not np.array_equal(rec.frame.u, u):
+        raise ParameterError(f"the recovery was built at other chart points than the {what}")
 
 
 def build_recovery(data, h, e_h):
-    """Assemble the recovery deformation y^h from the scene's RecoveryData.
+    """Assemble the recovery deformation y^h from the RecoveryData of a point array.
 
     h and e_h are scalars, or a schedule as 1-D arrays, which adds a leading
     axis H to what `evaluate` and `gradient` return.  Requires h small
     enough that Id + h t Pi stays orientation-preserving through the
-    thickness.  `evaluate(u, t)` and `gradient(u, t)` broadcast u of shape
-    (..., 2) against t; `gradient` also returns det(Id + h t Pi), the volume
-    factor of the energy, from the same offset jacobian.
+    thickness.  `evaluate(t)` and `gradient(t)` read y^h at the points of
+    the data, t broadcasting against them; `gradient` also returns
+    det(Id + h t Pi), the volume factor of the energy, from the same offset
+    jacobian.
     """
     h, e_h = np.asarray(h, dtype=float), np.asarray(e_h, dtype=float)
     if not np.all((0.0 < h) & (h < 1.0)):
         raise ParameterError(f"h must lie in (0, 1), got {h}")
     if np.any(e_h <= 0.0):
         raise ParameterError("e_h must be positive")
+    lf, pd = data.limit, data.fields
+    fr = lf.frame
     # thin-shell guard: both factors 1 + h t k of Id + h t Pi positive at t = -g1,
-    # g2 at every node; monotone in h, so a decreasing schedule fails at its first h
-    fr = data.limit.frame
+    # g2 at every point; monotone in h, so a decreasing schedule fails at its first h
     ends = np.stack([-data.thick.g1.value(fr.u), data.thick.g2.value(fr.u)])
-    offset_jacobian(fr, h.reshape(h.shape + (1, 1)) * ends)
+    offset_jacobian(fr, h.reshape(h.shape + (1,) * ends.ndim) * ends)
     sq = np.sqrt(e_h)
 
-    def scaled(u, t):
-        # h and sqrt(e_h) with one trailing axis per batch axis of (u, t)
-        shape = h.shape + (1,) * max(np.ndim(t), np.ndim(u) - 1)
+    def scaled(t):
+        # h and sqrt(e_h) with one trailing axis per batch axis of t against the points
+        shape = h.shape + (1,) * max(np.ndim(t), fr.u.ndim - 1)
         return h.reshape(shape), sq.reshape(shape)
 
     def coefficients(h, sq, x, gamma_n, V, w, n, p, xi, d0, d1):
@@ -215,25 +190,21 @@ def build_recovery(data, h, e_h):
         return (x + (0.5 * h) * gamma_n + (sq / h) * V + sq * w,
                 h * n + sq * p + (h * sq) * (d0 - xi), (h * sq) * d1)
 
-    def t_coefficients(pd, t, h, sq):
-        # s and (a0, a1, a2) at the points of a RecoveryData bundle
-        lf, gamma = pd["limit"], pd["gamma"]
-        fr = lf.frame
+    def t_coefficients(t, h, sq):
+        # s and (a0, a1, a2) at the points
+        gamma = pd["gamma"]
         return (np.asarray(t, dtype=float) - 0.5 * gamma,
                 *coefficients(h[..., None], sq[..., None], fr.x, gamma[..., None] * fr.n,
                               pd["V"], pd["w"], fr.n, lf.An, pd["xi"], pd["d0"], pd["d1"]))
 
-    def evaluate(u, t):
-        s, a0, a1, a2 = t_coefficients(data.values_at(u), t, *scaled(u, t))
+    def evaluate(t):
+        s, a0, a1, a2 = t_coefficients(t, *scaled(t))
         s = s[..., None]
         return a0 + s * a1 + (0.5 * s * s) * a2
 
-    def gradient(u, t):
-        pd = data.partials_at(u)
-        lf = pd["limit"]
-        fr = lf.frame
-        hb, sb = scaled(u, t)
-        s, _, a1, a2 = t_coefficients(pd, t, hb, sb)
+    def gradient(t):
+        hb, sb = scaled(t)
+        s, _, a1, a2 = t_coefficients(t, hb, sb)
         Da0, Da1, Da2 = coefficients(
             hb[..., None, None], sb[..., None, None], fr.jac, lf.Dgamma_n, lf.DV, lf.Dw,
             pd["dn"], pd["Dp"], pd["Dxi"], pd["Dd0"], pd["Dd1"])
@@ -249,9 +220,8 @@ def build_recovery(data, h, e_h):
         dual = inv2(MJt @ MJ, (det * fr.sqrt_det_metric) ** 2) @ MJt
         return Y2 @ dual + outer(dy_ds / hb[..., None], fr.n), det
 
-    return RecoveryDeformation(h=h[()], e_h=e_h[()], patch=data.patch,
-                               thick=data.thick, evaluate=evaluate,
-                               gradient=gradient)
+    return RecoveryDeformation(h=h[()], e_h=e_h[()], frame=fr, thick=data.thick,
+                               evaluate=evaluate, gradient=gradient)
 
 
 def so3_distance(E):
@@ -290,8 +260,9 @@ def eval_shell_energy(rec, material, squad, trule):
     at the first h that does, by index, with the energies of every h.
     """
     u = squad.frame.u
+    check_points(rec, u, "quadrature nodes")
     t, wt = trule.across(rec.thick, u)  # (T, N)
-    F, det = rec.gradient(u, t)
+    F, det = rec.gradient(t)
     E = green_strain(F)
     Wv = material.evaluate(E)
     dist = np.where(np.isfinite(Wv), so3_distance(E), np.inf)
@@ -319,10 +290,10 @@ def shell_energy_tangential_lower_bound(rec, material, squad, trule):
     as h -> 0.  One value per h on a schedule.
     """
     fr = squad.frame
+    check_points(rec, fr.u, "quadrature nodes")
     q2 = reduce_q2(material.q3, fr.n, fr.t1, fr.t2)
-    u = fr.u
-    t, wt = trule.across(rec.thick, u)
-    F, det = rec.gradient(u, t)
+    t, wt = trule.across(rec.thick, fr.u)
+    F, det = rec.gradient(t)
     integrand = squad.weights * wt * 0.5 * q2.apply_tangential(fr.tan2(green_strain(F))) * det
     return (np.sum(integrand.reshape(np.shape(rec.h) + (-1,)), axis=-1) / rec.e_h)[()]
 
@@ -330,38 +301,31 @@ def shell_energy_tangential_lower_bound(rec, material, squad, trule):
 def averaged_displacement(rec, trule):
     """The scaled transversal average (h/sqrt(e_h)) avg_t [y^h(x+tn) - (x+htn)].
 
-    Returns a chart function u -> R^3 on the patch of `rec`, of a scalar h,
-    averaged through its thickness and broadcasting over leading batch axes of u.
-    A schedule of h is a ParameterError.
+    Returns the (..., 3) values at the points of `rec`, of a scalar h,
+    averaged through the thickness.  A schedule of h is a ParameterError.
     """
     if np.ndim(rec.h):
         raise ParameterError(f"h must be a scalar for the averaged displacement, got {rec.h}")
-    scale = rec.h / np.sqrt(rec.e_h)
-    patch, thick = rec.patch, rec.thick
-
-    def vh(u):
-        u = np.asarray(u, dtype=float)
-        x = patch.chart(u)
-        n = patch.normal(u)
-        t, wt = trule.across(thick, u)
-        offset = rec.evaluate(u, t) - (x + (rec.h * t)[..., None] * n)
-        acc = np.sum(wt[..., None] * offset, axis=0)
-        return scale * acc / thick.total(u)[..., None]
-
-    return vh
+    fr, thick = rec.frame, rec.thick
+    t, wt = trule.across(thick, fr.u)
+    offset = rec.evaluate(t) - (fr.x + (rec.h * t)[..., None] * fr.n)
+    acc = np.sum(wt[..., None] * offset, axis=0)
+    return (rec.h / np.sqrt(rec.e_h)) * acc / thick.total(fr.u)[..., None]
 
 
-def averaged_displacement_sym_grad(rec, trule, frame):
-    """(1/h) sym tangential gradient of the averaged displacement at a frame."""
-    vh = averaged_displacement(rec, trule)
-    return tangential_strain(frame, fd_columns(vh, frame.u, rec.patch.domain)) / rec.h
+def averaged_displacement_sym_grad(rec, trule, frame, domain):
+    """(1/h) sym tangential gradient of the averaged displacement at a frame.
 
-
-def discrete_l2_distance(field_a, field_b, squad):
-    """Quadrature-weighted L^2 distance between two chart functions u -> R^3.
-
-    Both functions are called once, on the (N, 2) node array.
+    `rec` must be built at `fields.stencil_points(frame.u, d)`, d the
+    `fields.stencil_steps(frame.u, domain)`, whose values it differentiates.
     """
-    u = squad.frame.u
-    diff = np.asarray(field_a(u)) - np.asarray(field_b(u))
+    d = stencil_steps(frame.u, domain)
+    check_points(rec, stencil_points(frame.u, d), "stencil points of the frame")
+    vh = averaged_displacement(rec, trule)
+    return tangential_strain(frame, stencil_partials(vh, d)) / rec.h
+
+
+def discrete_l2_distance(a, b, squad):
+    """Quadrature-weighted L^2 distance between two (N, 3) arrays of values at the nodes."""
+    diff = np.asarray(a) - np.asarray(b)
     return float(np.sqrt(np.sum(squad.weights * (diff * diff).sum(axis=-1))))

@@ -509,7 +509,7 @@ def _run_gamma(cfg):
     material = _build(_MATERIALS, "type", cfg.material)
     trule = TransversalRule.make(cfg.quadrature["transversal_order"])
     tol = cfg.tolerances
-    data = recovery_data(patch, material, iso, w, thick, cfg.kappa, squad)
+    data = recovery_data(patch, material, iso, w, thick, cfg.kappa, squad.frame)
     limit = eval_I(data.limit, data.q2, thick, squad)
     I_value = limit.total
 

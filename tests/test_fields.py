@@ -6,8 +6,10 @@ import pytest
 
 import shellgamma as sg
 from shellgamma.errors import DomainError
-from shellgamma.fields import (fd_columns, fd_partial, fd_stencil_columns, stencil_points,
+from shellgamma.fields import (fd_partial, grid_partials, stencil_grid, stencil_points,
                                stencil_steps)
+
+from oracles import fd_columns, sum_fields
 
 GENERIC_W = [(0.4, 1.3, 0.2, 0.9, 0.5),
              (0.3, 0.7, 1.1, 1.4, 0.3),
@@ -45,7 +47,7 @@ def vector_families(patch):
         "rigid": sg.rigid_field(patch, (0.3, -0.2, 0.4), (0.1, 0.2, -0.3)),
         "plate_sine": sg.plate_sine_field(0.8, 1, 2, patch.domain),
         "trig": sg.trig_vector_field(GENERIC_W, patch.domain),
-        "sum": sg.sum_fields(sg.plate_sine_field(0.8, 1, 2, patch.domain),
+        "sum": sum_fields(sg.plate_sine_field(0.8, 1, 2, patch.domain),
                              sg.trig_vector_field(GENERIC_W, patch.domain)),
     }
 
@@ -142,6 +144,13 @@ def quartic(seed):
                                    for ax in (0, 1)], axis=-1) for c in coeffs], axis=-2)
 
     return value, partials
+
+
+def fd_stencil_columns(f, u, domain):
+    """`grid_partials` of f, called once on `stencil_grid(u, domain)`: entry 0 at
+    u, entry 1 + 4 a + i at stencil_points(u, stencil_steps(u, domain))[a, i]."""
+    points, d = stencil_grid(u, domain)
+    return grid_partials(np.asarray(f(points)), d)
 
 
 def with_stencil_points(u, points):

@@ -5,6 +5,8 @@ import shellgamma as sg
 from shellgamma.errors import ParameterError
 from shellgamma.material import isotropic_q2_closed_form
 
+from oracles import An_partials
+
 GENERIC_W = [(0.2, 1.1, 0.3, 0.7, 0.4),
              (0.15, 0.9, 0.2, 1.3, 0.9),
              (0.3, 1.2, 0.5, 0.8, 0.1)]
@@ -18,7 +20,7 @@ SPHERE_CAP_STRETCHING = np.pi * 403.0 / 720.0
 def eval_I(thick, material, iso, w, kappa, quad):
     """The limit functional of (V, B_tan = sym grad w) from its fields at the nodes of quad."""
     fr = quad.frame
-    fields = sg.limit_fields(iso, w, thick, kappa, fr, *iso.An(fr), iso.An_partials(fr.u))
+    fields = sg.limit_fields(iso, w, thick, kappa, fr, *iso.An(fr), An_partials(iso, fr.u))
     return sg.eval_I(fields, sg.reduce_q2(material.q3, fr.n, fr.t1, fr.t2), thick, quad)
 
 

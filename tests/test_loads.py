@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import shellgamma as sg
-from shellgamma.errors import UnsupportedCaseError
+from shellgamma.errors import ParameterError, UnsupportedCaseError
 from shellgamma.geometry import gauss_legendre
 
 
@@ -11,18 +11,25 @@ def at_nodes(squad, vector):
     return np.broadcast_to(np.asarray(vector, dtype=float), squad.frame.x.shape)
 
 
+def extend_load(patch, f_surface, u, t):
+    """Thickness extension f^h(x + t n) = det(Id + t Pi)^{-1} f^h(x); t physical."""
+    fr = patch.frame(u)
+    _, det = sg.offset_jacobian(fr, t)
+    return np.asarray(f_surface(fr), dtype=float) / det[..., None]
+
+
 def test_extend_load_plate_unchanged():
     plate = sg.make_builtin_patch("plate")
     f = lambda fr: np.array([0.1, -0.2, 0.3])
     u = np.array([0.4, 0.4])
     for t in (-0.3, 0.0, 0.25):
-        assert np.allclose(sg.extend_load(plate, f, u, t), [0.1, -0.2, 0.3])
+        assert np.allclose(extend_load(plate, f, u, t), [0.1, -0.2, 0.3])
 
 
 def test_extend_load_sphere_determinant_weight():
     sph = sg.make_builtin_patch("sphere", radius=1.0)
     f = lambda fr: np.array([1.0, 2.0, 3.0])
-    val = sg.extend_load(sph, f, np.array([1.0, 2.0]), 0.1)
+    val = extend_load(sph, f, np.array([1.0, 2.0]), 0.1)
     assert np.allclose(val, np.array([1.0, 2.0, 3.0]) / 1.21)
 
 
@@ -36,7 +43,7 @@ def test_extension_weight_cancels_in_transversal_integral():
     acc = np.zeros(3)
     for t, wt in zip(t_nodes, t_w):
         _, det = sg.offset_jacobian(sph.frame(u), t)
-        acc += wt * sg.extend_load(sph, f, u, t) * det
+        acc += wt * extend_load(sph, f, u, t) * det
     assert np.allclose(acc, h * (g1 + g2) * np.array([0.2, -0.5, 0.4]), rtol=1e-13)
 
 
@@ -264,7 +271,7 @@ def test_J_h_reduces_to_energy_without_load():
     plate, thick, W, quad, trule, V, iso, w, _ = plate_load_scene()
     zero_load = at_nodes(quad, np.zeros(3))
     h = 2.0 ** -4
-    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad)
+    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, frame=quad.frame)
     rec = sg.build_recovery(data, h=h, e_h=h ** 4)
     Eh = sg.eval_shell_energy(rec, W, quad, trule).E_h
     Jh = sg.eval_J_h(rec, Eh, zero_load, quad, trule)
@@ -275,16 +282,28 @@ def test_J_h_nonnegative_for_identity_deformation():
     plate, thick, W, quad, trule, V, iso, w, load = plate_load_scene()
     iso0 = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
     data0 = sg.recovery_data(plate, W, iso0, sg.zero_vector_field(plate.domain),
-                             thick, kappa=1.0, quad=quad)
+                             thick, kappa=1.0, frame=quad.frame)
     rec0 = sg.build_recovery(data0, h=0.125, e_h=0.125 ** 4)
     Eh = sg.eval_shell_energy(rec0, W, quad, trule).E_h
     Jh = sg.eval_J_h(rec0, Eh, load, quad, trule)
     assert Jh >= -1e-12
 
 
+def test_J_h_refuses_a_recovery_built_at_other_points():
+    # the nodes in reverse order have the size of the nodes: read at the
+    # quadrature weights, they would give a wrong load work without an error
+    plate, thick, W, quad, trule, V, iso, w, load = plate_load_scene(order=4)
+    h = 2.0 ** -4
+    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, frame=quad.frame)
+    Eh = sg.eval_shell_energy(sg.build_recovery(data, h=h, e_h=h ** 4), W, quad, trule).E_h
+    reversed_data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, frame=quad.frame[::-1])
+    with pytest.raises(ParameterError, match="other chart points than the quadrature nodes"):
+        sg.eval_J_h(sg.build_recovery(reversed_data, h=h, e_h=h ** 4), Eh, load, quad, trule)
+
+
 def test_J_h_converges_to_limit_total_energy():
     plate, thick, W, quad, trule, V, iso, w, load = plate_load_scene()
-    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad)
+    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, frame=quad.frame)
     limit = sg.eval_I(data.limit, data.q2, thick, quad)
     J_limit = sg.eval_J(limit, thick, iso, load, np.eye(3), quad=quad).total
     gaps = []

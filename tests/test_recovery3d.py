@@ -8,10 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shellgamma as sg
-from shellgamma.errors import EnergyBlowupError, ThicknessError
-from shellgamma.fields import VectorField, transpose
+from shellgamma.errors import EnergyBlowupError, ParameterError, ThicknessError
+from shellgamma.fields import VectorField, matvec, stencil_points, stencil_steps, transpose
 from shellgamma.kinematics import tangential_strain
 from shellgamma.loads import rotation_matrices
+
+from oracles import An_partials
 
 GENERIC_W = [(0.4, 1.3, 0.2, 0.9, 0.5),
              (0.3, 0.7, 1.1, 1.4, 0.3),
@@ -35,23 +37,24 @@ def rotate_gradient(R, gradient):
 
 def d_fields(material, iso, w, thick, kappa, fr):
     """d0 and d1 at a frame, through the limit fields and Q2 there."""
-    fields = sg.limit_fields(iso, w, thick, kappa, fr, *iso.An(fr), iso.An_partials(fr.u))
+    fields = sg.limit_fields(iso, w, thick, kappa, fr, *iso.An(fr), An_partials(iso, fr.u))
     return sg.build_d_fields(fields, sg.reduce_q2(material.q3, fr.n, fr.t1, fr.t2), kappa)
 
 
 def test_trivial_recovery_is_the_identity():
     plate, thick, W, quad, trule = plate_scene()
     iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
-    data = sg.recovery_data(plate, W, iso, sg.zero_vector_field(plate.domain),
-                            thick, kappa=1.0, quad=quad)
-    rec = sg.build_recovery(data, h=0.125, e_h=0.125 ** 4)
+    zero = sg.zero_vector_field(plate.domain)
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        u = rng.uniform(0.1, 0.9, size=2)
-        t = rng.uniform(-0.4, 0.4)
-        fr = plate.frame(u)
-        assert np.allclose(rec.evaluate(u, t), fr.x + rec.h * t * fr.n, atol=1e-14)
-        assert np.allclose(rec.gradient(u, t)[0], np.eye(3), atol=1e-12)
+    points = [(rng.uniform(0.1, 0.9, size=2), rng.uniform(-0.4, 0.4)) for _ in range(10)]
+    fr = plate.frame(np.array([u for u, _ in points]))
+    t = np.array([s for _, s in points])
+    rec = sg.build_recovery(sg.recovery_data(plate, W, iso, zero, thick, kappa=1.0, frame=fr),
+                            h=0.125, e_h=0.125 ** 4)
+    assert np.allclose(rec.evaluate(t), fr.x + rec.h * t[:, None] * fr.n, atol=1e-14)
+    assert np.allclose(rec.gradient(t)[0], np.eye(3), atol=1e-12)
+    data = sg.recovery_data(plate, W, iso, zero, thick, kappa=1.0, frame=quad.frame)
+    rec = sg.build_recovery(data, h=0.125, e_h=0.125 ** 4)
     ev = sg.eval_shell_energy(rec, W, quad, trule)
     assert ev.E_h == pytest.approx(0.0, abs=1e-20)
 
@@ -105,7 +108,7 @@ def test_recovery_rejects_too_thick_shells():
     quad = sg.surface_quadrature(cyl, 4)
     iso = sg.build_isometry(cyl, sg.zero_vector_field(cyl.domain), quad=quad)
     data = sg.recovery_data(cyl, W, iso, sg.zero_vector_field(cyl.domain), thick,
-                            kappa=1.0, quad=quad)
+                            kappa=1.0, frame=quad.frame)
     with pytest.raises(ThicknessError):
         sg.build_recovery(data, h=0.5, e_h=0.5 ** 4)
 
@@ -122,7 +125,7 @@ def test_thin_shell_guard_checks_the_quadrature_nodes():
     quad = sg.surface_quadrature(cyl, 4)
     iso = sg.build_isometry(cyl, sg.zero_vector_field(cyl.domain), quad=quad)
     data = sg.recovery_data(cyl, W, iso, sg.zero_vector_field(cyl.domain), thick,
-                            kappa=1.0, quad=quad)
+                            kappa=1.0, frame=quad.frame)
     s = np.linspace(0.0, 1.0, 7)[1:-1]
     grid = np.stack(np.meshgrid(2 * np.pi * s, s, indexing="ij"), axis=-1)
     assert np.all(1.0 - 0.5 * thick.g1.value(grid) > 0.0)
@@ -140,7 +143,7 @@ def test_thin_shell_guard_checks_the_quadrature_nodes():
         sg.offset_jacobian(cap_quad.frame, -0.9 * 2.5)
     iso_c = sg.build_isometry(cap, sg.zero_vector_field(cap.domain), quad=cap_quad)
     data_c = sg.recovery_data(cap, W, iso_c, sg.zero_vector_field(cap.domain), deep,
-                              kappa=1.0, quad=cap_quad)
+                              kappa=1.0, frame=cap_quad.frame)
     with pytest.raises(ThicknessError):
         sg.build_recovery(data_c, h=0.9, e_h=0.9 ** 4)
 
@@ -158,26 +161,29 @@ def test_gradient_matches_finite_differences():
     iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quad)
     w = sg.trig_vector_field(GENERIC_W, cap.domain)
     h = 2.0 ** -4
-    rec = sg.build_recovery(sg.recovery_data(cap, W, iso, w, thick, kappa=1.0, quad=quad),
-                            h=h, e_h=h ** 4)
 
     rng = np.random.default_rng(3)
     d = 1e-5
-    for _ in range(20):
-        u = np.array([rng.uniform(0.2, 0.9), rng.uniform(0.5, 5.5)])
-        t = rng.uniform(-0.3, 0.3)
-        cols = []
-        for ax in range(2):
-            e = np.zeros(2)
-            e[ax] = d
-            cols.append((rec.evaluate(u + e, t) - rec.evaluate(u - e, t)) / (2 * d))
-        cols.append((rec.evaluate(u, t + d) - rec.evaluate(u, t - d)) / (2 * d))
-        Y_fd = np.column_stack(cols)
-        fr = cap.frame(u)
-        M, _ = sg.offset_jacobian(fr, h * t)
-        Z = np.column_stack([M @ fr.jac[:, 0], M @ fr.jac[:, 1], h * fr.n])
-        Y_asm = rec.gradient(u, t)[0] @ Z
-        assert np.linalg.norm(Y_asm - Y_fd) <= 1e-6 * np.linalg.norm(Y_fd)
+    draws = [(rng.uniform(0.2, 0.9), rng.uniform(0.5, 5.5), rng.uniform(-0.3, 0.3))
+             for _ in range(20)]
+    u = np.array([(u1, u2) for u1, u2, _ in draws])
+    t = np.array([t for _, _, t in draws])
+    # the data is built at the stacked points u, u + d e_a, u - d e_a
+    e = d * np.eye(2)[:, None, :]
+    points = np.concatenate([u[None], u + e, u - e])
+    rec = sg.build_recovery(sg.recovery_data(cap, W, iso, w, thick, kappa=1.0,
+                                             frame=cap.frame(points)), h=h, e_h=h ** 4)
+    y = rec.evaluate(t)
+    y_t = rec.evaluate(t + np.array([d, -d])[:, None, None])[:, 0]
+    cols = [(y[1 + ax] - y[3 + ax]) / (2 * d) for ax in range(2)]
+    cols.append((y_t[0] - y_t[1]) / (2 * d))
+    Y_fd = np.stack(cols, axis=-1)
+    fr = rec.frame[0]
+    M, _ = sg.offset_jacobian(fr, h * t)
+    Z = np.stack([matvec(M, fr.jac[..., 0]), matvec(M, fr.jac[..., 1]), h * fr.n], axis=-1)
+    Y_asm = rec.gradient(t)[0][0] @ Z
+    for Y_a, Y_f in zip(Y_asm, Y_fd):
+        assert np.linalg.norm(Y_a - Y_f) <= 1e-6 * np.linalg.norm(Y_f)
 
 
 @pytest.mark.parametrize("kind", ["plate", "sphere_cap"])
@@ -194,14 +200,14 @@ def test_recovery_carries_the_t_coefficients(kind):
     quad = sg.surface_quadrature(patch, 4)
     iso = sg.build_isometry(patch, V, quad=quad)
     data = sg.recovery_data(patch, W, iso, sg.zero_vector_field(patch.domain), thick,
-                            kappa=1.0, quad=quad)
+                            kappa=1.0, frame=quad.frame)
     h = 2.0 ** -3
     e_h = h ** 4
     rec = sg.build_recovery(data, h=h, e_h=e_h)
     fr = quad.frame
     delta = 0.25
     t = 0.5 * thick.gamma(fr.u) + np.array([-delta, 0.0, delta])[:, None]
-    y_minus, y_0, y_plus = rec.evaluate(fr.u, t)
+    y_minus, y_0, y_plus = rec.evaluate(t)
     d0, d1 = sg.build_d_fields(data.limit, data.q2, 1.0)
     sq = np.sqrt(e_h)
     a1 = h * fr.n + sq * iso.An(fr)[0] + h * sq * d0
@@ -223,7 +229,7 @@ def test_one_recovery_data_serves_every_h(monkeypatch):
     trule = sg.TransversalRule.make(2)
     iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quad)
     w = sg.trig_vector_field(GENERIC_W, cap.domain)
-    scene = (cap, W, iso, w, thick, 1.0, quad)
+    scene = (cap, W, iso, w, thick, 1.0, quad.frame)
     data = sg.recovery_data(*scene)
     h0, h1 = 2.0 ** -3, 2.0 ** -5
     sg.eval_shell_energy(sg.build_recovery(data, h0, h0 ** 4), W, quad, trule)
@@ -232,8 +238,8 @@ def test_one_recovery_data_serves_every_h(monkeypatch):
     fresh = sg.build_recovery(sg.recovery_data(*scene), h1, h1 ** 4)
     u = quad.frame.u
     t = np.array([-0.3, 0.0, 0.45])[:, None] + np.zeros(len(u))
-    assert np.array_equal(shared.evaluate(u, t), fresh.evaluate(u, t))
-    for a, b in zip(shared.gradient(u, t), fresh.gradient(u, t)):
+    assert np.array_equal(shared.evaluate(t), fresh.evaluate(t))
+    for a, b in zip(shared.gradient(t), fresh.gradient(t)):
         assert np.array_equal(a, b)
 
     calls = []
@@ -254,14 +260,13 @@ def test_gradient_stays_near_identity():
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
     w = sg.zero_vector_field(plate.domain)
-    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad)
+    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, frame=quad.frame[::3])
     ratios = []
     sups = []
     for k in range(3, 9):
         h = 2.0 ** -k
         rec = sg.build_recovery(data, h=h, e_h=h ** 4)
-        u = quad.frame.u[::3]
-        sup = max(np.max(np.linalg.norm(rec.gradient(u, t)[0] - np.eye(3), axis=(-2, -1)))
+        sup = max(np.max(np.linalg.norm(rec.gradient(t)[0] - np.eye(3), axis=(-2, -1)))
                   for t in (-0.4, 0.0, 0.4))
         sups.append(sup)
         ratios.append(sup / (np.sqrt(rec.e_h) / h))
@@ -275,7 +280,7 @@ def test_energy_frame_indifference():
                             quad=quad)
     w = sg.zero_vector_field(plate.domain)
     h = 2.0 ** -4
-    rec = sg.build_recovery(sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad),
+    rec = sg.build_recovery(sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, frame=quad.frame),
                             h=h, e_h=h ** 4)
     base = sg.eval_shell_energy(rec, W, quad, trule)
 
@@ -283,8 +288,8 @@ def test_energy_frame_indifference():
     R = rotation_matrices(random_rotations(np.random.default_rng(5), 1))[0]
     rotated = dataclasses.replace(
         rec,
-        evaluate=lambda u, t: R @ rec.evaluate(u, t),
-        gradient=lambda u, t: rotate_gradient(R, rec.gradient(u, t)))
+        evaluate=lambda t: R @ rec.evaluate(t),
+        gradient=lambda t: rotate_gradient(R, rec.gradient(t)))
     rotated_energy = sg.eval_shell_energy(rotated, W, quad, trule)
     assert rotated_energy.E_h == pytest.approx(base.E_h, rel=1e-10)
 
@@ -303,7 +308,7 @@ def rotation_scene(kind, h):
     trule = sg.TransversalRule.make(3)
     iso = sg.build_isometry(patch, V, quad=quad)
     w = sg.trig_vector_field(GENERIC_W, patch.domain)
-    data = sg.recovery_data(patch, W, iso, w, thick, kappa=1.0, quad=quad)
+    data = sg.recovery_data(patch, W, iso, w, thick, kappa=1.0, frame=quad.frame)
     rec = sg.build_recovery(data, h=h, e_h=h ** 4)
     return rec, W, quad, trule, sg.eval_shell_energy(rec, W, quad, trule)
 
@@ -318,8 +323,8 @@ def test_energy_is_invariant_under_rigid_rotations(kind, h, q):
     # whole energy quadrature, not only of W
     rec, W, quad, trule, base = rotation_scene(kind, h)
     R = rotation_matrices(np.array([q]))[0]
-    rotated = dataclasses.replace(rec, evaluate=lambda u, t: rec.evaluate(u, t) @ R.T,
-                                  gradient=lambda u, t: rotate_gradient(R, rec.gradient(u, t)))
+    rotated = dataclasses.replace(rec, evaluate=lambda t: rec.evaluate(t) @ R.T,
+                                  gradient=lambda t: rotate_gradient(R, rec.gradient(t)))
     energy = sg.eval_shell_energy(rotated, W, quad, trule)
     assert energy.E_h == pytest.approx(base.E_h, rel=1e-10)
     assert energy.so3_distance == pytest.approx(base.so3_distance, rel=1e-10)
@@ -333,12 +338,12 @@ def test_energy_health_figures_match_an_independent_recomputation(kind):
         rec, W, quad, trule, ev = rotation_scene(kind, h)
         u = quad.frame.u
         t, _ = trule.across(rec.thick, u)
-        F, _ = rec.gradient(u, t)
+        F, _ = rec.gradient(t)
         sv = np.sqrt(np.linalg.eigvalsh(transpose(F) @ F))
         dist = np.sqrt(((sv - 1.0) ** 2).sum(axis=-1))
         assert ev.so3_distance == pytest.approx(np.max(dist), rel=1e-9)
         assert 0.0 < ev.so3_distance <= sg.recovery3d.BLOWUP_DISTANCE
-        k = rec.patch.principal_curvatures(u)
+        k = sg.make_builtin_patch(kind).principal_curvatures(u)
         det = np.prod(1.0 + h * t[..., None] * k, axis=-1)
         assert ev.min_det == pytest.approx(np.min(det), rel=1e-13)
     if kind == "plate":
@@ -394,8 +399,8 @@ def test_closed_form_so3_distance_matches_eigvalsh_and_svd(kind, g, s, q):
 def test_non_finite_gradient_trips_the_blowup_gate():
     rec, W, quad, trule, _ = rotation_scene("plate", 2.0 ** -5)
 
-    def gradient(u, t):
-        F, det = rec.gradient(u, t)
+    def gradient(t):
+        F, det = rec.gradient(t)
         F = F.copy()
         F[2, 7, 1, 0] = np.nan
         return F, det
@@ -427,16 +432,18 @@ def test_energy_blowup_reports_worst_node():
     w = sg.zero_vector_field(plate.domain)
     # e_h chosen so sqrt(e_h)/h is order one: far outside the small-strain regime
     rec = sg.build_recovery(sg.recovery_data(plate, W, iso, w, thick, kappa=1.0,
-                                             quad=quad),
+                                             frame=quad.frame),
                             h=0.25, e_h=0.5)
     with pytest.raises(EnergyBlowupError) as err:
         sg.eval_shell_energy(rec, W, quad, trule)
-    # the worst (u, t) found point by point, through the single-point path
+    # the worst (u, t) found point by point, through data built at each single node
     worst, worst_ut = -1.0, None
-    for u in quad.frame.u:
+    for i, u in enumerate(quad.frame.u):
+        one = sg.build_recovery(sg.recovery_data(plate, W, iso, w, thick, kappa=1.0,
+                                                 frame=quad.frame[i]), h=0.25, e_h=0.5)
         t_nodes, _ = trule.nodes_at(thick.g1.value(u), thick.g2.value(u))
         for t in t_nodes:
-            sv = np.linalg.svd(rec.gradient(u, t)[0], compute_uv=False)
+            sv = np.linalg.svd(one.gradient(t)[0], compute_uv=False)
             dist = np.linalg.norm(sv - 1.0)
             if dist > worst:
                 worst, worst_ut = dist, (u, t)
@@ -450,7 +457,7 @@ def test_energy_converges_to_limit_quickly():
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
     w = sg.zero_vector_field(plate.domain)
-    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad)
+    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, frame=quad.frame)
     I_val = sg.eval_I(data.limit, data.q2, thick, quad).total
     gaps = []
     for k in (3, 5):
@@ -467,7 +474,7 @@ def test_tangential_lower_bound_below_energy_and_tightening():
     iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
     w = sg.zero_vector_field(plate.domain)
-    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad)
+    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, frame=quad.frame)
     deltas = []
     for k in (3, 4, 5):
         h = 2.0 ** -k
@@ -483,21 +490,21 @@ def test_averaged_displacement_trivial_and_convergent():
     plate, thick, W, quad, trule = plate_scene(order=4)
     iso0 = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
     data0 = sg.recovery_data(plate, W, iso0, sg.zero_vector_field(plate.domain),
-                             thick, kappa=1.0, quad=quad)
+                             thick, kappa=1.0, frame=plate.frame(np.array([0.3, 0.6])))
     rec0 = sg.build_recovery(data0, h=0.125, e_h=0.125 ** 4)
     vh0 = sg.averaged_displacement(rec0, trule)
-    assert np.allclose(vh0(np.array([0.3, 0.6])), 0.0, atol=1e-14)
+    assert np.allclose(vh0, 0.0, atol=1e-14)
 
     V = sg.plate_sine_field(1.0, 1, 1, plate.domain)
     iso = sg.build_isometry(plate, V, quad=quad)
     w = sg.trig_vector_field(GENERIC_W, plate.domain)
-    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad)
+    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, frame=quad.frame)
     dists = []
     for k in (3, 4, 5, 6):
         h = 2.0 ** -k
         rec = sg.build_recovery(data, h=h, e_h=h ** 4)
         vh = sg.averaged_displacement(rec, trule)
-        dists.append(sg.discrete_l2_distance(vh, lambda u: V.value(u), quad))
+        dists.append(sg.discrete_l2_distance(vh, V.value(quad.frame.u), quad))
     from shellgamma.studies import fit_order
     slope, _ = fit_order(list(zip([2.0 ** -k for k in (3, 4, 5, 6)], dists)))
     assert slope >= 0.9
@@ -506,8 +513,9 @@ def test_averaged_displacement_trivial_and_convergent():
 
 
 def test_batched_recovery_equals_stacked_points():
-    # at the stored node array and at other chart points alike, a batched
-    # (u, t) grid gives the single-point results
+    # at the node array and at other chart points alike, data built at a
+    # batch of points gives, at a (T, N) grid of t, the results of data
+    # built at each single point
     cap = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 3)
     from shellgamma.fields import affine_scalar, constant_scalar
     thick = sg.ThicknessPair(g1=constant_scalar(0.4, cap.domain),
@@ -518,46 +526,43 @@ def test_batched_recovery_equals_stacked_points():
     iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quad)
     w = sg.trig_vector_field(GENERIC_W, cap.domain)
     h = 2.0 ** -4
-    rec = sg.build_recovery(sg.recovery_data(cap, W, iso, w, thick, 1.0, quad),
-                            h=h, e_h=h ** 4)
+
+    def recovery(u):
+        return sg.build_recovery(sg.recovery_data(cap, W, iso, w, thick, 1.0, cap.frame(u)),
+                                 h=h, e_h=h ** 4)
+
     rng = np.random.default_rng(4)
     off_nodes = np.column_stack([rng.uniform(0.2, 0.9, 3), rng.uniform(0.5, 5.5, 3)])
     for u in (quad.frame.u, off_nodes):
         t = rng.uniform(-0.35, 0.45, size=(2, len(u)))
-        for f in (rec.evaluate, lambda u, t: rec.gradient(u, t)[0],
-                  lambda u, t: rec.gradient(u, t)[1]):
-            batched = f(u, t)
-            stacked = np.stack([np.stack([f(u[i], t[k, i]) for i in range(len(u))])
+        singles = [recovery(p) for p in u]
+        for f in (lambda rec, t: rec.evaluate(t), lambda rec, t: rec.gradient(t)[0],
+                  lambda rec, t: rec.gradient(t)[1]):
+            batched = f(recovery(u), t)
+            stacked = np.stack([np.stack([f(one, t[k, i]) for i, one in enumerate(singles)])
                                 for k in range(2)])
             assert batched.shape == stacked.shape
             assert np.max(np.abs(batched - stacked)) <= 1e-12 * np.max(np.abs(stacked))
 
 
-def test_off_node_probe_computes_values_only(monkeypatch):
-    # one averaged_displacement_sym_grad probe evaluates y^h at 8 chart points
-    # off the quadrature nodes: values only, nothing stored between probes
+@pytest.mark.parametrize("energy", [sg.eval_shell_energy, sg.shell_energy_tangential_lower_bound])
+def test_energies_refuse_a_recovery_built_at_other_points(energy):
+    # the nodes in reverse order have the size of the nodes: read at the
+    # quadrature weights, they would give a wrong integral without an error
     plate, thick, W, quad, trule = plate_scene(order=4)
-    iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
-                            quad=quad)
+    iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain), quad=quad)
     w = sg.trig_vector_field(GENERIC_W, plate.domain)
-    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad)
-    rec = sg.build_recovery(data, h=2.0 ** -4, e_h=2.0 ** -16)
-    probe = quad.frame[5]
 
-    points = []
-    frame = sg.SurfacePatch.frame
+    def recovery(frame):
+        data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, frame=frame)
+        return sg.build_recovery(data, h=2.0 ** -4, e_h=2.0 ** -16)
 
-    def counting_frame(self, u):
-        points.append(int(np.prod(np.shape(u)[:-1])))
-        return frame(self, u)
-
-    monkeypatch.setattr(sg.SurfacePatch, "frame", counting_frame)
-    sg.averaged_displacement_sym_grad(rec, trule, probe)
-    first = sum(points)
-    assert 0 < first <= 300
-    points.clear()
-    sg.averaged_displacement_sym_grad(rec, trule, probe)
-    assert sum(points) == first
+    with pytest.raises(ParameterError, match="other chart points than the quadrature nodes"):
+        energy(recovery(quad.frame[::-1]), W, quad, trule)
+    # equal nodes in another array are the same points
+    rec = recovery(quad.frame)
+    equal = sg.SurfaceQuadrature(frame=plate.frame(quad.frame.u.copy()), weights=quad.weights)
+    assert energy(rec, W, equal, trule) == energy(rec, W, quad, trule)
 
 
 def test_averaged_displacement_sym_grad_tracks_strain():
@@ -568,14 +573,19 @@ def test_averaged_displacement_sym_grad_tracks_strain():
     V = sg.plate_sine_field(1.0, 1, 1, plate.domain)
     iso = sg.build_isometry(plate, V, quad=quad)
     w = sg.trig_vector_field(GENERIC_W, plate.domain)
-    probes = [quad.frame[3], quad.frame[7]]
-    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, quad=quad)
+    probes = quad.frame[np.array([3, 7])]
+    # the data at the stencil points of the probes, from whose values the diagnostic differentiates
+    stencil = stencil_points(probes.u, stencil_steps(probes.u, plate.domain))
+    data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, frame=plate.frame(stencil))
     for k in (3, 5):
         h = 2.0 ** -k
         rec = sg.build_recovery(data, h=h, e_h=h ** 4)
-        for fr in probes:
-            S = sg.averaged_displacement_sym_grad(rec, trule, fr)
-            assert np.linalg.norm(S - tangential_strain(fr, w.d1(fr.u))) <= 1e-9
+        S = sg.averaged_displacement_sym_grad(rec, trule, probes, plate.domain)
+        for i in range(2):
+            fr = probes[i]
+            assert np.linalg.norm(S[i] - tangential_strain(fr, w.d1(fr.u))) <= 1e-9
+    with pytest.raises(ParameterError, match="stencil points of the frame"):
+        sg.averaged_displacement_sym_grad(rec, trule, probes[:1], plate.domain)
 
 
 def grid_scene(kind, order):
@@ -618,7 +628,7 @@ def test_bundle_reads_DV_and_An_of_the_grid_bit_for_bit(kind, order, monkeypatch
         return A_at(self, fr, An, DV)
 
     monkeypatch.setattr(sg.IsometryField, "A_at", recording_A_at)
-    sg.recovery_data(patch, sg.make_isotropic(1.0, 1.0), iso, w, thick, 1.0, quad)
+    sg.recovery_data(patch, sg.make_isotropic(1.0, 1.0), iso, w, thick, 1.0, quad.frame)
     [(points, An, DV)] = seen
     expected = np.concatenate([u[None], stencil_points(u, d).reshape((8,) + u.shape)])
     assert np.array_equal(points, expected)

@@ -544,6 +544,41 @@ def test_gamma_gate_fails_a_wrong_recovery(name, monkeypatch):
     assert report.rows[-1].status == "fail"
 
 
+# the cylinder with a varying thickness: g2 - g1 is not constant, so d0
+# carries the paper's variable-thickness term (1/2) (A grad((g2 - g1) n))^T n
+CYLINDER_THICK_GAMMA = {
+    "study": "gamma-limit",
+    "patch": {"kind": "cylinder", "radius": 1.0, "height": 1.0},
+    "thickness": {"g1": {"kind": "affine", "base": 0.5, "slope": [0.2, 0.0]},
+                  "g2": {"kind": "sine", "base": 0.5, "amplitude": 0.1, "freq": [2.0, 1.0]}},
+    "fields": {"V": {"family": "rigid", "omega": [0.3, -0.2, 0.4]}},
+    "h_schedule": [2.0 ** -k for k in range(3, 8)],
+}
+
+
+def test_gamma_gate_fails_without_the_variable_thickness_term_of_d0(monkeypatch):
+    report = run_study(validate_config(CYLINDER_THICK_GAMMA))
+    summary = report.summary
+    assert report.passed
+    assert summary["I_limit"] == pytest.approx(0.6053233015, rel=1e-9)
+    assert summary["fitted_gap_r2"] >= 0.999
+    assert summary["raw_rel_gap_at_smallest_h"] < 6e-3
+
+    build_d_fields = recovery3d.build_d_fields
+
+    def without_thickness_term(record, q2, kappa):
+        d0, d1 = build_d_fields(record, q2, kappa)
+        return d0 - 0.5 * fields.matvec(fields.transpose(record.AG), record.frame.n), d1
+
+    monkeypatch.setattr(recovery3d, "build_d_fields", without_thickness_term)
+    report = run_study(validate_config(CYLINDER_THICK_GAMMA))
+    summary = report.summary
+    assert not report.passed
+    assert summary["fitted_gap_r2"] < 0.9
+    assert summary["raw_rel_gap_at_smallest_h"] > 0.2
+    assert summary["extrapolated_rel_gap"] > 0.15
+
+
 def test_anisotropic_gamma_fails_a_swapped_tangent_frame(monkeypatch):
     # an isotropic Q2 does not see the tangent frame, so only the anisotropic
     # builtin can catch a reduction in the frame (t2, t1)
@@ -812,7 +847,7 @@ def gamma_pieces(cfg):
     patch, thick, squad, iso, w = studies._gamma_scene(cfg)
     material = studies._build(studies._MATERIALS, "type", cfg.material)
     trule = TransversalRule.make(cfg.quadrature["transversal_order"])
-    data = recovery3d.recovery_data(patch, material, iso, w, thick, cfg.kappa, squad)
+    data = recovery3d.recovery_data(patch, material, iso, w, thick, cfg.kappa, squad.frame)
     f = None if cfg.load is None else studies._build(studies._LOADS, "family", cfg.load,
                                                      squad.frame)
     return data, material, squad, trule, f
@@ -849,11 +884,20 @@ def test_averaged_displacement_of_a_schedule_is_a_parameter_error():
     data, material, squad, trule, f = gamma_pieces(cfg)
     hs = np.array([2.0 ** -4, 2.0 ** -5])
     evaluated = []
-    rec = dataclasses.replace(recovery3d.build_recovery(data, hs, cfg.e_of_h(hs)),
-                              evaluate=lambda u, t: evaluated.append(u))
-    for diagnostic in (lambda: recovery3d.averaged_displacement(rec, trule),
+
+    def schedule(data):
+        return dataclasses.replace(recovery3d.build_recovery(data, hs, cfg.e_of_h(hs)),
+                                   evaluate=lambda t: evaluated.append(t))
+
+    # the sym-grad diagnostic reads data built at the stencil points of its probe
+    patch, thick, _, iso, w = studies._gamma_scene(cfg)
+    probe = squad.frame[3]
+    stencil = fields.stencil_points(probe.u, fields.stencil_steps(probe.u, patch.domain))
+    probe_data = recovery3d.recovery_data(patch, material, iso, w, thick, cfg.kappa,
+                                          patch.frame(stencil))
+    for diagnostic in (lambda: recovery3d.averaged_displacement(schedule(data), trule),
                        lambda: recovery3d.averaged_displacement_sym_grad(
-                           rec, trule, squad.frame[3])):
+                           schedule(probe_data), trule, probe, patch.domain)):
         with pytest.raises(ParameterError, match=r"^h must be a scalar"):
             diagnostic()
     assert evaluated == []
