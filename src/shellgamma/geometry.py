@@ -7,6 +7,10 @@ tangent vectors to tangent vectors and annihilates the normal.  Patches,
 frames and offsets broadcast over leading batch axes of the chart
 parameter: u of shape (..., 2) gives a NodeFrame whose fields carry the
 same leading axes, and a single point of shape (2,) is the unbatched case.
+A frame carries the products its readers need as fields, formed once by
+`SurfacePatch.complete`: T = [t1 t2], which tangential minors read, the
+dual basis g^-1 J^T, which surface gradients read, and the chart partials
+Pi J of the normal.
 """
 
 from __future__ import annotations
@@ -74,36 +78,36 @@ class ChartMetric:
 @dataclass(frozen=True)
 class NodeFrame(ChartMetric):
     """Everything the downstream formulas need at a batch of chart points:
-    their ChartMetric completed."""
+    their ChartMetric completed, with the three products of its fields that
+    the formulas read, formed once by `SurfacePatch.complete`."""
 
     x: np.ndarray            # (3,) surface point
     sqrt_det_metric: np.ndarray  # ()
     t1: np.ndarray           # orthonormal tangent frame (Gram-Schmidt of jac)
     t2: np.ndarray
     shape_op: np.ndarray     # (3, 3) ambient Pi = grad(n); Pi @ n == 0
-
-    def tangents(self):
-        """The (3, 2) matrix with columns t1, t2."""
-        return np.stack([self.t1, self.t2], axis=-1)
+    tangents: np.ndarray     # (3, 2) T = [t1 t2]
+    dual: np.ndarray         # (2, 3) g^-1 J^T, rows grad u^1, grad u^2: ambient -> chart coeffs
+    dn: np.ndarray           # (3, 2) Pi J, the chart partials of the normal
 
     def tan2(self, M):
-        """Tangential 2x2 minor of an ambient 3x3 matrix in the (t1, t2) frame."""
-        T = self.tangents()
+        """Tangential 2x2 minor T^T M T of an ambient 3x3 matrix in the (t1, t2) frame."""
+        T = self.tangents
         return transpose(T) @ M @ T
 
     def grad3(self, chart_partials):
         """Ambient surface gradient from chart partials.
 
         chart_partials has shape (..., 2) for scalars (returns a (..., 3)
-        tangent vector) or (..., 3, 2) for vector fields (returns a 3x3 matrix
-        that maps tangent vectors to the field's directional derivatives and
-        kills n).  Scalars are told apart by having the frame's ndim.
+        tangent vector) or (..., 3, 2) for vector fields (returns the 3x3
+        matrix P g^-1 J^T that maps tangent vectors to the field's
+        directional derivatives and kills n).  Scalars are told apart by
+        having the frame's ndim.
         """
         P = np.asarray(chart_partials, dtype=float)
         if P.ndim == self.u.ndim:
             return matvec(self.jac, matvec(self.metric_inv, P))
-        back = self.metric_inv @ transpose(self.jac)  # ambient tangent -> chart coeffs
-        return P @ back
+        return P @ self.dual
 
 
 @dataclass(frozen=True)
@@ -151,9 +155,17 @@ class SurfacePatch:
         t1 = J[..., 0] / len1[..., None]
         t2 = J[..., 1] - (g[..., 0, 1] / len1)[..., None] * t1
         t2 = t2 * (len1 / sqrt_det)[..., None]
+        shape_op, dn = self.normal_partials(m)
         return NodeFrame(**vars(m), x=np.asarray(self.chart(u), dtype=float),
-                         sqrt_det_metric=sqrt_det, t1=t1, t2=t2,
-                         shape_op=np.asarray(self.shape_operator(u), dtype=float))
+                         sqrt_det_metric=sqrt_det, t1=t1, t2=t2, shape_op=shape_op,
+                         tangents=np.stack([t1, t2], axis=-1),
+                         dual=m.metric_inv @ transpose(J), dn=dn)
+
+    def normal_partials(self, m):
+        """The shape operator Pi and the chart partials Pi J of the normal at the
+        points of the ChartMetric m."""
+        shape_op = np.asarray(self.shape_operator(m.u), dtype=float)
+        return shape_op, shape_op @ m.jac
 
     @cached_property
     def _bounds(self):

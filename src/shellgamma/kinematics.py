@@ -52,7 +52,12 @@ class IsometryField:
         """(A n, DV) at the points of a ChartMetric m (or a frame), DV the chart
         partials of V: A n = -J g^-1 (DV^T n), as A is skew with A tau = d_tau V."""
         DV = self.displacement.d1(m.u)
-        return -matvec(m.jac, matvec(m.metric_inv, (m.n[..., :, None] * DV).sum(axis=-2))), DV
+        n = m.n[..., None]
+        # DV^T n term by term, in the order of a sum over the axis of n, without the
+        # (..., 3, 2) product across the two arrays' memory layouts
+        nDV = (n[..., 0, :] * DV[..., 0, :] + n[..., 1, :] * DV[..., 1, :]
+               + n[..., 2, :] * DV[..., 2, :])
+        return -matvec(m.jac, matvec(m.metric_inv, nDV)), DV
 
 
 def build_isometry(patch, V, quad):
@@ -78,11 +83,14 @@ def build_isometry(patch, V, quad):
 # the h-independent fields of the limit functional
 # ---------------------------------------------------------------------------
 
-def gamma_n_partials(frame, thick):
-    """Chart partials of the field (g2 - g1) n, shape (..., 3, 2)."""
-    gamma = thick.gamma(frame.u)
-    Dn = frame.shape_op @ frame.jac                 # chart partials of the normal
-    return outer(frame.n, thick.gamma_d(frame.u)) + gamma[..., None, None] * Dn
+def gamma_n_partials(m, thick, dn=None):
+    """Chart partials of the field (g2 - g1) n, shape (..., 3, 2).
+
+    m is a NodeFrame, which carries the chart partials Pi J of the normal,
+    or a ChartMetric with dn those partials at its points.
+    """
+    dn = m.dn if dn is None else dn
+    return outer(m.n, thick.gamma_d(m.u)) + thick.gamma(m.u)[..., None, None] * dn
 
 
 def bending_matrix(frame, A, An_partials):
@@ -165,17 +173,18 @@ def expansion_data(patch, iso, w, thick, quad):
     These are the limit's LimitFields at the nodes, at kappa = 1; the
     residual functions below read its stretching tensor and bending matrix
     along the two chart tangents and combine them with powers of h.  One
-    frame call, at the stencil points of the nodes, serves the partials of
-    A n and the deformed normal; V is differentiated once there, for both,
-    and once at the nodes.
+    ChartMetric, at the stencil points of the nodes, with the chart partials
+    Pi J of the normal there, serves the partials of A n and the deformed
+    normal; V is differentiated once there, for both, and once at the nodes.
     """
     fr = quad.frame
     d = stencil_steps(fr.u, patch.domain)
-    st = patch.frame(stencil_points(fr.u, d))
+    st = patch.metric(stencil_points(fr.u, d))
     An_st, DV_st = iso.An(st)
+    _, dn_st = patch.normal_partials(st)
     return ExpansionData(
         nodes=limit_fields(iso, w, thick, 1.0, fr, *iso.An(fr), stencil_partials(An_st, d)),
-        steps=d, stencil_jac=st.jac, stencil_gamma_n=gamma_n_partials(st, thick),
+        steps=d, stencil_jac=st.jac, stencil_gamma_n=gamma_n_partials(st, thick, dn_st),
         stencil_DV=DV_st)
 
 
@@ -194,7 +203,7 @@ def stretching_expansion_residual(data, h):
     dpt = fr.jac + 0.5 * hm * nodes.Dgamma_n  # of the mid-surface map id + (h/2)(g2-g1) n
     dp = dpt + hm * nodes.DV + hm * hm * nodes.Dw
     lhs = (dp * dp).sum(axis=-2) - (dpt * dpt).sum(axis=-2)
-    C = transpose(fr.tangents()) @ fr.jac  # the chart tangents in the (t1, t2) frame
+    C = transpose(fr.tangents) @ fr.jac  # the chart tangents in the (t1, t2) frame
     rhs = 2.0 * hm[..., 0] * hm[..., 0] * (C * (nodes.stretching @ C)).sum(axis=-2)
     return np.max(np.abs(lhs - rhs).reshape(h.shape + (-1,)), axis=-1)[()]
 

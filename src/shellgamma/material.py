@@ -45,6 +45,12 @@ def vec6(S):
     return S[..., _VEC6_ROWS, _VEC6_COLS] * _VEC6_SCALE
 
 
+def vec6_sym(F):
+    """vec6(sym(F)) of 3x3 matrices F, from the six entry pairs alone: no transposed copy."""
+    F = np.asarray(F, dtype=float)
+    return 0.5 * (F[..., _VEC6_ROWS, _VEC6_COLS] + F[..., _VEC6_COLS, _VEC6_ROWS]) * _VEC6_SCALE
+
+
 def _quadratic(x, M, y):
     """x^T M y over leading batch axes of x and y."""
     return ((x @ M)[..., None, :] @ y[..., :, None])[..., 0, 0]
@@ -112,7 +118,7 @@ class QuadForm3:
     matrix6: np.ndarray  # symmetric 6x6; positive definite when built by from_matrix
 
     def apply(self, F):
-        s = vec6(sym(F))
+        s = vec6_sym(F)
         return _quadratic(s, self.matrix6, s)
 
     def min_eigenvalue(self):
@@ -222,25 +228,34 @@ class QuadForm2:
     """Tangential relaxation of Q3 at a batch of surface frames, with its minimizer map.
 
     Q2(F_tan) = min over c in R^3 of Q3(F_hat + c (x) n + n (x) c), where
-    F_hat embeds the 2x2 tangential input in the (t1, t2) frame.  The solve
-    is a 3x3 SPD system per frame, by substitution on its Cholesky factor;
-    c is linear in F_tan and returned in ambient coordinates.  t1, t2 and
-    the factor carry the batch axes; inputs broadcast against them.
+    F_hat = T F_tan T^T embeds the 2x2 tangential input in the frame
+    T = [t1 t2].  The solve is a 3x3 SPD system per frame, by substitution
+    on its Cholesky factor; c is linear in F_tan and returned in ambient
+    coordinates.  T and the factor carry the batch axes; inputs broadcast
+    against them.
     """
 
     base: QuadForm3
-    t1: np.ndarray
-    t2: np.ndarray
+    tangents: np.ndarray     # (..., 3, 2) T = [t1 t2]
     _chol: np.ndarray        # (..., 3, 3) Cholesky factor of the coupling matrix K
     _coupling: np.ndarray    # (..., 3, 6) vec6 of the directions e_i (x) n + n (x) e_i
 
+    @property
+    def t1(self):
+        """The first column of T, a view."""
+        return self.tangents[..., 0]
+
+    @property
+    def t2(self):
+        """The second column of T, a view."""
+        return self.tangents[..., 1]
+
     def _embed(self, F22):
-        F22 = np.asarray(F22, dtype=float)
-        T = np.stack([self.t1, self.t2], axis=-1)
-        return T @ F22 @ transpose(T)
+        T = self.tangents
+        return T @ np.asarray(F22, dtype=float) @ transpose(T)
 
     def _rhs(self, F_hat):
-        return matvec(self._coupling, vec6(sym(F_hat)) @ self.base.matrix6)
+        return matvec(self._coupling, vec6_sym(F_hat) @ self.base.matrix6)
 
     def _solve(self, b):
         return cho_solve3(self._chol, -b)
@@ -278,8 +293,7 @@ def reduce_q2(q3, n, t1, t2):
     if bad.any():
         i = _first_frame(bad)
         raise ParameterError(f"normal must be a unit vector at frame {i}, |n| = {nn[i]}")
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
+    T = np.stack([np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)], axis=-1)
     # L[..., i, :, :] = e_i (x) n + n (x) e_i
     L = _I3[:, :, None] * n[..., None, None, :] + n[..., None, :, None] * _I3[:, None, :]
     coupling = vec6(L)
@@ -290,7 +304,7 @@ def reduce_q2(q3, n, t1, t2):
         raise DegenerateMaterialError(
             f"normal-coupling block of Q3 is not positive definite at frame {i} "
             f"with n = {tuple(n[i].tolist())}")
-    return QuadForm2(base=q3, t1=t1, t2=t2, _chol=chol, _coupling=coupling)
+    return QuadForm2(base=q3, tangents=T, _chol=chol, _coupling=coupling)
 
 
 def isotropic_q2_closed_form(mu, lam, F22):

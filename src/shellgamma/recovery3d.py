@@ -15,7 +15,9 @@ per point (`fields.stencil_grid`) from its ChartMetric alone, which gives
 the chart partials of A n at the points and their stencil points.  The
 grid's rows `fields.GRID_ROWS` hand A n and DV at the (9, ...) union of the
 points and their stencil points, and the ChartMetric at the stencil points,
-completed to their frames, to one bundle, evaluated once there: the
+completed to their frames, to one bundle frame, which concatenates every
+field of the frames at the points and at their stencil points, their
+products T, g^-1 J^T and Pi J included.  The bundle is evaluated once: the
 limit's record (`kinematics.limit_fields`: the frame, the chart partials of
 w and of (g2-g1) n, A and both tensors), the Q2 reduction beside it, xi,
 d0 and d1, whose partials at the points are 4th-order central differences
@@ -134,11 +136,11 @@ def recovery_data(patch, material, iso, w, thick, kappa, frame):
     # lf.An is the first-order rotation of the normal; xi . tau = n . d_tau w
     bundle = {"xi": fr.grad3(matvec(transpose(lf.Dw), fr.n)), "d0": d0, "d1": d1}
     fields = {k: v[0].copy() for k, v in bundle.items()}
-    # dn: the chart partials of the normal
+    # dn: the chart partials Pi J of the normal, a field of the frame
     fields.update({"D" + k: stencil_partials(v[1:].reshape((2, 4) + fields[k].shape), d)
                    for k, v in bundle.items()},
                   gamma=thick.gamma(frame.u), V=iso.displacement.value(frame.u),
-                  w=w.value(frame.u), Dp=An_partials[0].copy(), dn=frame.shape_op @ frame.jac,
+                  w=w.value(frame.u), Dp=An_partials[0].copy(), dn=frame.dn,
                   dgamma=thick.gamma_d(frame.u))
     return RecoveryData(thick=thick, limit=dataclasses.replace(_first(lf), frame=frame),
                         q2=_first(q2), fields=fields)

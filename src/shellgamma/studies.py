@@ -627,21 +627,32 @@ def _run_q2_check(cfg):
     return StudyReport(kind=cfg.study, rows=rows, summary=summary, passed=passed)
 
 
-# rotations per rotation_actions call: bounds the (matrices, chunk) array of actions
+# rotations per draw and per rotation_actions call: bounds the (matrices, chunk)
+# array of actions and the (chunk, 4) batch of quaternions
 _ACTION_CHUNK = 4096
 
 
-def _best_actions(N, q):
-    """Best tr(R(q) N) over the quaternion batch q for each matrix of the stack N.
+def _rotation_draws(rng, count):
+    """`count` random rotations, drawn _ACTION_CHUNK at a time: the chunks of
+    one (count, 4) draw, bit for bit, as the Gaussian stream fills it row by row."""
+    for start in range(0, count, _ACTION_CHUNK):
+        yield random_rotations(rng, min(_ACTION_CHUNK, count - start))
 
-    One action form, from loads and not from the K(N) that the Davenport
-    route reads here, scores the batch chunk by chunk into a running maximum.
+
+def _best_actions(N, q):
+    """Best tr(R(q) N) over the quaternions q for each matrix of the stack N.
+
+    q is a (k, 4) batch, scored _ACTION_CHUNK rows at a time, or an iterable
+    of such chunks, which are scored as they come (`_rotation_draws`).  One
+    action form, from loads and not from the K(N) that the Davenport route
+    reads here, scores every chunk into a running maximum.
     """
+    if isinstance(q, np.ndarray):
+        q = [q[start:start + _ACTION_CHUNK] for start in range(0, len(q), _ACTION_CHUNK)]
     form = action_form(N)
     best = np.full(form.shape[:-1], -np.inf)
-    for start in range(0, len(q), _ACTION_CHUNK):
-        np.maximum(best, rotation_actions(form, q[start:start + _ACTION_CHUNK]).max(axis=-1),
-                   out=best)
+    for chunk in q:
+        np.maximum(best, rotation_actions(form, chunk).max(axis=-1), out=best)
     return best
 
 
@@ -649,8 +660,9 @@ def _run_load_align(cfg):
     tol = cfg.tolerances
     rng = np.random.default_rng(cfg.seed)
     Ns = rng.normal(size=(tol["matrices"], 3, 3))
-    # common random numbers: every matrix meets the same uniform rotations
-    best = _best_actions(Ns, random_rotations(rng, tol["rotation_samples"]))
+    # common random numbers: every matrix meets the same uniform rotations,
+    # streamed a chunk at a time
+    best = _best_actions(Ns, _rotation_draws(rng, tol["rotation_samples"]))
     # third route to m_h: the largest eigenvalue of Davenport's K(N)
     davenport_max = np.linalg.eigvalsh(davenport_matrix(Ns))[:, -1]
     m_h = np.array([wahba_maximize(N)[1] for N in Ns])

@@ -73,3 +73,36 @@ def test_summary_reproduces_a_committed_record():
         record = json.load(fh)
     assert bench_pairs.summarize(record["pairs"]) == record["summary"]
     assert bench_pairs.summarize(record["recheck_pairs"]) == record["recheck_summary"]
+
+
+def synthetic_pairs(walls):
+    """Pairs of one workload "w" from (parent, change) wall_s values per seed."""
+    return [{"code": code, "workload": "w", "trace": 0, "seed": seed, "seconds": 1,
+             "result": result(wall)}
+            for seed, both in enumerate(walls, 1) for code, wall in zip(bench_pairs.CODES, both)]
+
+
+def verdict(walls):
+    lines = bench_pairs.verdicts(bench_pairs.summarize(synthetic_pairs(walls)))
+    [wall_line] = [line for line in lines if line.startswith("w wall_s:")]
+    [gap_line] = [line for line in lines if line.startswith("w rel_gap:")]
+    assert gap_line.endswith("change lower in 0/10, equal in 10: unresolved")
+    return wall_line
+
+
+def test_verdict_needs_nine_wins_in_ten_and_a_step_beyond_the_parent_iqr():
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # IQR 0.045
+    assert verdict([(p, p - 0.1) for p in parent]) == (
+        "w wall_s: median 1.045 -> 0.945 (-9.6%), parent IQR 0.045, "
+        "change lower in 10/10, equal in 0: gain shown")
+    # nine wins and one tie still show the gain; eight wins do not
+    nine = [(p, p - 0.1) for p in parent[:9]] + [(parent[9], parent[9])]
+    assert verdict(nine).endswith("change lower in 9/10, equal in 1: gain shown")
+    eight = [(p, p - 0.1) for p in parent[:8]] + [(p, p) for p in parent[8:]]
+    assert verdict(eight).endswith("change lower in 8/10, equal in 2: unresolved")
+    # ten wins by less than the parent's IQR
+    assert verdict([(p, p - 0.01) for p in parent]).endswith(": unresolved")
+    # the same rule with the sides swapped
+    assert verdict([(p, p + 0.1) for p in parent]).endswith(
+        "change lower in 0/10, equal in 0: worse")
+    assert verdict([(p, p + 0.01) for p in parent]).endswith(": unresolved")

@@ -7,7 +7,7 @@ import pytest
 import shellgamma as sg
 from shellgamma.errors import (DomainError, EvaluationError, ParameterError,
                                ThicknessError)
-from shellgamma.fields import GRID_ROWS, stencil_grid
+from shellgamma.fields import GRID_ROWS, stencil_grid, transpose
 from shellgamma.geometry import gauss_legendre
 from shellgamma.studies import fit_order
 
@@ -341,6 +341,33 @@ def test_thickness_validation_names_the_first_bad_node():
             f"surface gradient of g1 = 5.000e-01 exceeds lipschitz_bound at "
             f"u={(float(x[0]), float(x[0]))}")):
         sg.validate_thickness(steep, quad)
+
+
+def assert_frame_products(fr):
+    """The frame's products equal the formulas that define them, bit for bit."""
+    assert np.array_equal(fr.tangents, np.stack([fr.t1, fr.t2], axis=-1))
+    assert np.array_equal(fr.dual, fr.metric_inv @ np.swapaxes(fr.jac, -1, -2))
+    assert np.array_equal(fr.dn, fr.shape_op @ fr.jac)
+    assert np.max(np.abs(fr.dual @ fr.jac - np.eye(2))) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", sorted(sg.geometry.PATCH_KINDS))
+def test_frame_carries_its_products(kind):
+    # T = [t1 t2], the dual basis g^-1 J^T and Pi J are fields of the frame, on
+    # a frame call and on an array-indexed subset of it; grad3 and tan2 read
+    # them and give P g^-1 J^T and T^T M T, written out, bit for bit
+    patch = sg.make_builtin_patch(kind)
+    fr = sg.surface_quadrature(patch, 6).frame
+    assert_frame_products(fr)
+    sub = fr[np.array([5, 0, 17, 17, 33])]
+    assert_frame_products(sub)
+    assert np.array_equal(sub.dn, fr.dn[[5, 0, 17, 17, 33]])
+    rng = np.random.default_rng(3)
+    P = rng.normal(size=fr.jac.shape)
+    M = rng.normal(size=fr.shape_op.shape)
+    T = np.stack([fr.t1, fr.t2], axis=-1)
+    assert np.array_equal(fr.grad3(P), P @ (fr.metric_inv @ transpose(fr.jac)))
+    assert np.array_equal(fr.tan2(M), transpose(T) @ M @ T)
 
 
 def test_frame_grad3_consistency():

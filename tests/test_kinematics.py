@@ -344,25 +344,30 @@ def variable_thickness_cap_scene():
 
 def test_isometry_check_and_residuals_make_few_frame_calls(monkeypatch):
     # build_isometry reads the quadrature's batched frame; expansion_data makes
-    # one frame call, at the stencil points of the nodes, whatever the node
-    # count, and a residual at one h makes none.  expansion_data reads the
-    # chart partials of V once at the nodes and once at the stencil points,
-    # and forms those of (g2 - g1) n once at each
+    # no frame call but one ChartMetric call, at the stencil points of the
+    # nodes, whatever the node count, and a residual at one h makes neither.
+    # expansion_data reads the chart partials of V once at the nodes and once
+    # at the stencil points, and forms those of (g2 - g1) n once at each
     cap, thick, w = variable_thickness_cap_scene()
     quads = {order: sg.surface_quadrature(cap, order) for order in (4, 10)}
-    calls, V_reads, gamma_calls = [], [], []
-    frame = sg.SurfacePatch.frame
+    calls, metric_calls, V_reads, gamma_calls = [], [], [], []
+    frame, metric = sg.SurfacePatch.frame, sg.SurfacePatch.metric
     gamma_n_partials = kinematics.gamma_n_partials
 
     def counting_frame(self, u):
         calls.append(np.shape(u))
         return frame(self, u)
 
-    def counting_gamma_n_partials(fr, thick):
+    def counting_metric(self, u):
+        metric_calls.append(np.shape(u))
+        return metric(self, u)
+
+    def counting_gamma_n_partials(fr, thick, *dn):
         gamma_calls.append(fr.u.shape)
-        return gamma_n_partials(fr, thick)
+        return gamma_n_partials(fr, thick, *dn)
 
     monkeypatch.setattr(sg.SurfacePatch, "frame", counting_frame)
+    monkeypatch.setattr(sg.SurfacePatch, "metric", counting_metric)
     monkeypatch.setattr(kinematics, "gamma_n_partials", counting_gamma_n_partials)
     V = counting_d1(sg.rigid_field(cap, (0.3, -0.2, 0.4)), V_reads)
     iso = sg.build_isometry(cap, V, quad=quads[10])
@@ -371,19 +376,21 @@ def test_isometry_check_and_residuals_make_few_frame_calls(monkeypatch):
     counts = []
     for order in (4, 10):
         calls.clear()
+        metric_calls.clear()
         V_reads.clear()
         gamma_calls.clear()
         data = sg.expansion_data(cap, iso, w, thick, quads[order])
-        counts.append(len(calls))
+        counts.append((len(calls), len(metric_calls)))
         nodes = order ** 2
         assert sorted(V_reads, key=len) == [(nodes, 2), (2, 4, nodes, 2)]
         assert sorted(gamma_calls, key=len) == [(nodes, 2), (2, 4, nodes, 2)]
         calls.clear()
+        metric_calls.clear()
         V_reads.clear()
         for residual in residuals:
             residual(data, 0.1)
-        assert calls == [] and V_reads == []
-    assert counts == [1, 1], counts
+        assert calls == [] and metric_calls == [] and V_reads == []
+    assert counts == [(0, 1), (0, 1)], counts
 
     # the sphere-expansion study: the isometry check, then expansion_data, at
     # 36 nodes and their 288 stencil points
@@ -411,3 +418,29 @@ def test_expansion_data_reads_the_limit_record_of_recovery_data():
         if field.name != "frame":
             assert np.array_equal(getattr(nodes, field.name), getattr(limit, field.name)), \
                 field.name
+
+
+@pytest.mark.parametrize("kind", sorted(sg.geometry.PATCH_KINDS))
+def test_An_sums_n_dot_DV_in_the_order_of_the_axis_sum(kind):
+    # A n forms DV^T n term by term; on every point array a study hands it
+    # (the nodes, their stencil points, the 33-point grid and its rows) and
+    # for every field family it is the axis sum's formula, bit for bit,
+    # signed zeros included
+    patch = sg.make_builtin_patch(kind)
+    u = sg.surface_quadrature(patch, 5).frame.u
+    grid, _ = fields.stencil_grid(u, patch.domain)
+    points = [patch.frame(u), patch.metric(grid), patch.metric(grid)[fields.GRID_ROWS],
+              patch.metric(fields.stencil_points(u, fields.stencil_steps(u, patch.domain)))]
+    families = [fields.rigid_field(patch, (0.3, -0.2, 0.4), (0.1, 0.0, 0.2)),
+                fields.plate_sine_field(0.7, 1, 2, patch.domain),
+                fields.trig_vector_field([[0.4, 1.3, 0.2, 0.9, 0.5], [0.3, 0.7, 1.1, 1.4, 0.3],
+                                          [0.5, 1.1, 0.4, 0.8, 1.2]], patch.domain),
+                fields.zero_vector_field(patch.domain)]
+    for V in families:
+        iso = sg.IsometryField(patch=patch, displacement=V)
+        for m in points:
+            An, DV = iso.An(m)
+            axis_sum = (m.n[..., :, None] * DV).sum(axis=-2)
+            expected = -fields.matvec(m.jac, fields.matvec(m.metric_inv, axis_sum))
+            assert np.array_equal(An, expected)
+            assert np.array_equal(np.signbit(An), np.signbit(expected))

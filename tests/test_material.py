@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 import shellgamma as sg
 from shellgamma.errors import DegenerateMaterialError, ParameterError
 from shellgamma.loads import random_rotations, rotation_matrices
-from shellgamma.material import basis_sym3, cho_solve3, cholesky3, green_strain, vec6
+from shellgamma.material import (basis_sym3, cho_solve3, cholesky3, green_strain, sym, vec6,
+                                 vec6_sym)
 from test_geometry import random_svd_up_to_cond
 from test_studies import _Q3_MATRICES
 
@@ -441,3 +442,17 @@ def test_vec6_is_isometric():
         assert np.sum(S * S) == pytest.approx(float(vec6(S) @ vec6(S)), rel=1e-13)
     for B in basis_sym3():
         assert np.linalg.norm(vec6(B)) == pytest.approx(1.0, rel=1e-13)
+
+
+def test_vec6_of_sym_without_the_transposed_copy():
+    # Q3 and the Q2 right-hand side read vec6(sym F) off the entry pairs of F:
+    # the same operations on the same entries, so the same bits
+    rng = np.random.default_rng(11)
+    factor = rng.normal(size=(6, 6))
+    q3 = sg.QuadForm3.from_matrix(factor @ factor.T + np.eye(6))
+    for shape in [(3, 3), (7, 3, 3), (4, 5, 3, 3)]:
+        F = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        s = vec6(sym(F))
+        assert np.array_equal(vec6_sym(F), s)
+        quadratic = ((s @ q3.matrix6)[..., None, :] @ s[..., :, None])[..., 0, 0]
+        assert np.array_equal(q3.apply(F), quadratic)

@@ -8,12 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import shellgamma as sg
+from shellgamma import recovery3d
 from shellgamma.errors import EnergyBlowupError, ParameterError, ThicknessError
 from shellgamma.fields import VectorField, matvec, stencil_points, stencil_steps, transpose
 from shellgamma.kinematics import tangential_strain
 from shellgamma.loads import rotation_matrices
 
 from oracles import An_partials
+from test_geometry import assert_frame_products
 
 GENERIC_W = [(0.4, 1.3, 0.2, 0.9, 0.5),
              (0.3, 0.7, 1.1, 1.4, 0.3),
@@ -634,3 +636,29 @@ def test_bundle_reads_DV_and_An_of_the_grid_bit_for_bit(kind, order, monkeypatch
     assert np.array_equal(points, expected)
     assert np.array_equal(DV, iso.displacement.d1(expected))
     assert np.array_equal(An, iso.An(patch.metric(expected))[0])
+
+
+@pytest.mark.parametrize("kind", sorted(sg.geometry.PATCH_KINDS))
+def test_bundle_frame_carries_the_products_of_its_points(monkeypatch, kind):
+    # the bundle over the nodes and their stencil points concatenates the
+    # products of the two frames: they equal the products formed on the
+    # concatenated fields, bit for bit
+    patch = sg.make_builtin_patch(kind)
+    quad = sg.surface_quadrature(patch, 5)
+    thick = sg.ThicknessPair.constant(0.5, 0.5, patch.domain)
+    zero = sg.zero_vector_field(patch.domain)
+    iso = sg.build_isometry(patch, zero, quad=quad)
+    bundles = []
+    limit_fields = recovery3d.limit_fields
+
+    def capturing(iso, w, thick, kappa, frame, *rest):
+        bundles.append(frame)
+        return limit_fields(iso, w, thick, kappa, frame, *rest)
+
+    monkeypatch.setattr(recovery3d, "limit_fields", capturing)
+    data = sg.recovery_data(patch, sg.make_isotropic(1.0, 1.0), iso, zero, thick, 1.0,
+                            frame=quad.frame)
+    [fr] = bundles
+    assert fr.u.shape == (9, 25, 2)
+    assert_frame_products(fr)
+    assert np.array_equal(data.fields["dn"], fr.dn[0])

@@ -382,9 +382,13 @@ def test_load_align_summary_carries_a_nan_maximum(monkeypatch):
 
 def test_load_align_forms_one_action_form_and_draws_once(monkeypatch):
     # the sampled route's form from loads, once; K(N) of this module once,
-    # for the eigenvalue route; one draw of every rotation, scored in chunks
+    # for the eigenvalue route; the rotations streamed in draws of at most
+    # one chunk, each scored as it comes, whose maxima are those of one draw
+    # of every rotation from the same seed, bit for bit
     counted = {"action_form": [], "davenport_matrix": [], "rotation_actions": [],
                "random_rotations": []}
+    maxima = []
+    best_actions = studies._best_actions
 
     def counting(name):
         f = getattr(studies, name)
@@ -394,21 +398,35 @@ def test_load_align_forms_one_action_form_and_draws_once(monkeypatch):
             return f(*args)
         return counted_call
 
+    def recording_best_actions(N, q):
+        maxima.append(best_actions(N, q))
+        return maxima[-1]
+
     for name in counted:
         monkeypatch.setattr(studies, name, counting(name))
+    monkeypatch.setattr(studies, "_best_actions", recording_best_actions)
     cfg = load_config("load-align")
     report = run_study(cfg)
     assert report.passed
     samples, matrices = cfg.tolerances["rotation_samples"], cfg.tolerances["matrices"]
+    chunks = -(-samples // studies._ACTION_CHUNK)
     assert {name: len(calls) for name, calls in counted.items()} == {
         "action_form": 1, "davenport_matrix": 1,
-        "rotation_actions": -(-samples // studies._ACTION_CHUNK), "random_rotations": 1}
-    assert counted["random_rotations"][0][1] == samples
+        "rotation_actions": chunks, "random_rotations": chunks}
+    assert all(count <= studies._ACTION_CHUNK for _, count in counted["random_rotations"])
+    assert sum(count for _, count in counted["random_rotations"]) == samples
     [(Ns,)] = counted["action_form"]
     assert Ns.shape == (matrices, 3, 3)
     assert all(form.shape == (matrices, 10) and len(q) <= studies._ACTION_CHUNK
                for form, q in counted["rotation_actions"])
     assert sum(len(q) for _, q in counted["rotation_actions"]) == samples
+    monkeypatch.undo()
+    rng = np.random.default_rng(cfg.seed)
+    assert np.array_equal(rng.normal(size=(matrices, 3, 3)), Ns)
+    one_draw = studies.random_rotations(rng, samples)
+    assert np.array_equal(np.concatenate([q for _, q in counted["rotation_actions"]]), one_draw)
+    [streamed] = maxima
+    assert np.array_equal(streamed, studies._best_actions(Ns, one_draw))
 
 
 def _perfbench_module(name):

@@ -17,7 +17,14 @@ Standard output gets one JSON object: "pairs", every run in the order made
 is the final JSON line of the run), and "summary", per workload and per
 end-to-end metric the p25/p50/p75 of each side and the number of pairs in
 which the change reads lower and equal, with the failed and attempted study
-runs and whether every run was correct.  Progress goes to standard error.
+runs and whether every run was correct.  Progress goes to standard error,
+and so does the verdict: one line per workload and end-to-end metric, with
+both medians, the parent's interquartile range, and the pairs the change
+reads lower and equal in.  Every end-to-end metric reads better lower.  The
+line ends "gain shown" when the change reads lower in at least 9 of every
+10 pairs (ties count for neither side) and its median lies below the
+parent's by more than the parent's IQR, "worse" when the same holds with
+the sides swapped, and "unresolved" otherwise.
 """
 
 import argparse
@@ -110,6 +117,32 @@ def summarize(pairs):
     return summary
 
 
+def verdicts(summary):
+    """The verdict line of each workload and end-to-end metric of a summary."""
+    lines = []
+    for workload, entry in summary.items():
+        n = entry["pairs"]
+        for metric, stats in entry.items():
+            if not isinstance(stats, dict) or "change_lower_in_pairs" not in stats:
+                continue
+            parent, change = stats["parent"], stats["change"]
+            lower, equal = stats["change_lower_in_pairs"], stats["equal_in_pairs"]
+            higher = n - lower - equal
+            iqr = parent["p75"] - parent["p25"]
+            step = change["p50"] - parent["p50"]
+            if 10 * lower >= 9 * n and -step > iqr:
+                word = "gain shown"
+            elif 10 * higher >= 9 * n and step > iqr:
+                word = "worse"
+            else:
+                word = "unresolved"
+            relative = f" ({step / parent['p50']:+.1%})" if parent["p50"] else ""
+            lines.append(f"{workload} {metric}: median {parent['p50']:.6g} -> "
+                         f"{change['p50']:.6g}{relative}, parent IQR {iqr:.3g}, change lower "
+                         f"in {lower}/{n}, equal in {equal}: {word}")
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -124,8 +157,11 @@ def main(argv=None):
         if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
             parser.error(f"no perfbench/run.py under {tree}")
     pairs = collect(trees, args.workload, args.seeds, args.seconds)
-    json.dump({"pairs": pairs, "summary": summarize(pairs)}, sys.stdout, indent=1)
+    summary = summarize(pairs)
+    json.dump({"pairs": pairs, "summary": summary}, sys.stdout, indent=1)
     print()
+    for line in verdicts(summary):
+        print(line, file=sys.stderr)
     return 0
 
 
