@@ -4,10 +4,12 @@ Fields are functions of the chart parameter u = (u1, u2).  Every function
 here broadcasts over leading batch axes: u has shape (..., 2), and a field
 returns its value with the same leading axes, so a single point of shape
 (2,) is the unbatched case of the same code.  Every field family carries
-analytic partials.  Every chart finite difference is one 4th-order central
-stencil: `stencil_steps` gives its steps, shrunk point by point near the
-chart boundary so stencils never leave the rectangle, `stencil_points` its
-points and `stencil_partials` the partials.  The partials of a field at u
+analytic partials; a vector field takes the `geometry.ChartMetric` of its
+points for them, so a family reads the chart jacobian from there.  Every
+chart finite difference is one 4th-order central stencil: `stencil_steps`
+gives its steps, shrunk point by point near the chart boundary so stencils
+never leave the rectangle, `stencil_points` its points and
+`stencil_partials` the partials.  The partials of a field at u
 and at its stencil points come from one shared grid around u
 (`stencil_grid`, `grid_partials`), which holds u and its stencil points
 among its rows (`GRID_ROWS`).
@@ -193,8 +195,8 @@ class ScalarField:
 class VectorField:
     """R^3-valued function of the chart parameter with its chart partials."""
 
-    value: Callable[[np.ndarray], np.ndarray]      # (..., 3)
-    d1: Callable[[np.ndarray], np.ndarray]         # (..., 3, 2)
+    value: Callable[[np.ndarray], np.ndarray]      # (..., 3) at u of shape (..., 2)
+    d1: Callable[[object], np.ndarray]             # (..., 3, 2) at the points of a ChartMetric
     domain: tuple
 
 
@@ -244,7 +246,7 @@ def sine_scalar(base, amplitude, freq, phase, domain):
 
 def zero_vector_field(domain):
     return VectorField(value=lambda u: np.zeros(_batch_shape(u) + (3,)),
-                       d1=lambda u: np.zeros(_batch_shape(u) + (3, 2)),
+                       d1=lambda m: np.zeros(_batch_shape(m.u) + (3, 2)),
                        domain=domain)
 
 
@@ -264,8 +266,8 @@ def rigid_field(patch, omega, b=(0.0, 0.0, 0.0)):
     def value(u):
         return matvec(W, patch.chart(u)) + b
 
-    def d1(u):
-        return W @ patch.chart_jacobian(u)
+    def d1(m):
+        return W @ m.jac
 
     return VectorField(value=value, d1=d1, domain=patch.domain)
 
@@ -280,7 +282,8 @@ def plate_sine_field(amplitude, m, n, domain):
         out[..., 2] = a * np.sin(km * u[..., 0]) * np.sin(kn * u[..., 1])
         return out
 
-    def d1(u):
+    def d1(m):
+        u = m.u
         s1, c1 = np.sin(km * u[..., 0]), np.cos(km * u[..., 0])
         s2, c2 = np.sin(kn * u[..., 1]), np.cos(kn * u[..., 1])
         out = np.zeros(_batch_shape(u) + (3, 2))
@@ -310,8 +313,8 @@ def trig_vector_field(components, domain):
         s1, _, s2, _ = phases(u)
         return a * s1 * s2
 
-    def d1(u):
-        s1, c1, s2, c2 = phases(u)
+    def d1(m):
+        s1, c1, s2, c2 = phases(m.u)
         return np.stack([a * f1 * c1 * s2, a * f2 * s1 * c2], axis=-1)
 
     return VectorField(value=value, d1=d1, domain=domain)

@@ -8,9 +8,9 @@ frames and offsets broadcast over leading batch axes of the chart
 parameter: u of shape (..., 2) gives a NodeFrame whose fields carry the
 same leading axes, and a single point of shape (2,) is the unbatched case.
 A frame carries the products its readers need as fields, formed once by
-`SurfacePatch.complete`: T = [t1 t2], which tangential minors read, the
-dual basis g^-1 J^T, which surface gradients read, and the chart partials
-Pi J of the normal.
+`SurfacePatch.complete`: the orthonormal tangent frame T, which tangential
+minors read, the dual basis g^-1 J^T, which surface gradients read, and the
+chart partials Pi J of the normal.
 """
 
 from __future__ import annotations
@@ -83,15 +83,13 @@ class NodeFrame(ChartMetric):
 
     x: np.ndarray            # (3,) surface point
     sqrt_det_metric: np.ndarray  # ()
-    t1: np.ndarray           # orthonormal tangent frame (Gram-Schmidt of jac)
-    t2: np.ndarray
     shape_op: np.ndarray     # (3, 3) ambient Pi = grad(n); Pi @ n == 0
-    tangents: np.ndarray     # (3, 2) T = [t1 t2]
+    tangents: np.ndarray     # (3, 2) T, the orthonormal tangent frame: Gram-Schmidt of jac
     dual: np.ndarray         # (2, 3) g^-1 J^T, rows grad u^1, grad u^2: ambient -> chart coeffs
     dn: np.ndarray           # (3, 2) Pi J, the chart partials of the normal
 
     def tan2(self, M):
-        """Tangential 2x2 minor T^T M T of an ambient 3x3 matrix in the (t1, t2) frame."""
+        """Tangential 2x2 minor T^T M T of an ambient 3x3 matrix in the tangent frame T."""
         T = self.tangents
         return transpose(T) @ M @ T
 
@@ -157,7 +155,7 @@ class SurfacePatch:
         t2 = t2 * (len1 / sqrt_det)[..., None]
         shape_op, dn = self.normal_partials(m)
         return NodeFrame(**vars(m), x=np.asarray(self.chart(u), dtype=float),
-                         sqrt_det_metric=sqrt_det, t1=t1, t2=t2, shape_op=shape_op,
+                         sqrt_det_metric=sqrt_det, shape_op=shape_op,
                          tangents=np.stack([t1, t2], axis=-1),
                          dual=m.metric_inv @ transpose(J), dn=dn)
 

@@ -24,7 +24,7 @@ from .errors import EvaluationError, NotAnIsometryError
 from .fields import (VectorField, first_point, matvec, outer, stencil_partials, stencil_points,
                      stencil_steps, transpose)
 from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this import site)
-from .geometry import NodeFrame, SurfacePatch, inv2
+from .geometry import NodeFrame, inv2
 
 DEFAULT_ISOMETRY_TOL = 1e-8
 
@@ -40,7 +40,6 @@ def tangential_strain(frame, d1_value):
 class IsometryField:
     """An infinitesimal isometry V with its skew matrix field A = grad V."""
 
-    patch: SurfacePatch
     displacement: VectorField
 
     def A_at(self, frame, An, DV):
@@ -51,7 +50,7 @@ class IsometryField:
     def An(self, m):
         """(A n, DV) at the points of a ChartMetric m (or a frame), DV the chart
         partials of V: A n = -J g^-1 (DV^T n), as A is skew with A tau = d_tau V."""
-        DV = self.displacement.d1(m.u)
+        DV = self.displacement.d1(m)
         n = m.n[..., None]
         # DV^T n term by term, in the order of a sum over the axis of n, without the
         # (..., 3, 2) product across the two arrays' memory layouts
@@ -60,14 +59,14 @@ class IsometryField:
         return -matvec(m.jac, matvec(m.metric_inv, nDV)), DV
 
 
-def build_isometry(patch, V, quad):
+def build_isometry(V, quad):
     """Check that V is an infinitesimal isometry and wrap it with its A field.
 
     Raises NotAnIsometryError naming the worst node when the symmetric
     tangential strain exceeds DEFAULT_ISOMETRY_TOL anywhere on the quadrature grid.
     """
     fr = quad.frame
-    r = np.linalg.norm(tangential_strain(fr, V.d1(fr.u)), axis=(-2, -1))
+    r = np.linalg.norm(tangential_strain(fr, V.d1(fr)), axis=(-2, -1))
     bad = ~np.isfinite(r)
     if np.any(bad):
         raise EvaluationError(f"displacement field not finite at u={first_point(fr.u, bad)}")
@@ -76,20 +75,16 @@ def build_isometry(patch, V, quad):
         raise NotAnIsometryError(
             f"sym tangential gradient of V reaches {r[i]:.3e} > tol={DEFAULT_ISOMETRY_TOL:.1e} "
             f"at u={tuple(fr.u[i].tolist())}", u=fr.u[i], residual=float(r[i]))
-    return IsometryField(patch=patch, displacement=V)
+    return IsometryField(displacement=V)
 
 
 # ---------------------------------------------------------------------------
 # the h-independent fields of the limit functional
 # ---------------------------------------------------------------------------
 
-def gamma_n_partials(m, thick, dn=None):
-    """Chart partials of the field (g2 - g1) n, shape (..., 3, 2).
-
-    m is a NodeFrame, which carries the chart partials Pi J of the normal,
-    or a ChartMetric with dn those partials at its points.
-    """
-    dn = m.dn if dn is None else dn
+def gamma_n_partials(m, dn, thick):
+    """Chart partials of the field (g2 - g1) n, shape (..., 3, 2), at the points of
+    a ChartMetric m from dn, the chart partials Pi J of the normal there."""
     return outer(m.n, thick.gamma_d(m.u)) + thick.gamma(m.u)[..., None, None] * dn
 
 
@@ -102,7 +97,7 @@ def stretching_tensor(frame, A, AG, b_tan, kappa):
     """B_tan - (kappa/2)(A^2)_tan - (1/2) sym(A grad((g2-g1) n))_tan at a frame, 2x2.
 
     b_tan is the symmetric finite strain B_tan at the frame's points, in
-    their (t1, t2) frame; AG is A grad((g2-g1) n) there.
+    their tangent frame T; AG is A grad((g2-g1) n) there.
     """
     if kappa < 0.0 or not np.isfinite(kappa):
         raise EvaluationError("kappa must be finite and nonnegative")
@@ -135,8 +130,8 @@ def limit_fields(iso, w, thick, kappa, frame, An, DV, An_partials):
     at the frame's points (`IsometryField.An`, `fields.grid_partials`); the
     chart partials of w and of (g2 - g1) n are read once each.
     """
-    Dw = w.d1(frame.u)
-    Dgamma_n = gamma_n_partials(frame, thick)
+    Dw = w.d1(frame)
+    Dgamma_n = gamma_n_partials(frame, frame.dn, thick)
     A = iso.A_at(frame, An, DV)
     AG = A @ frame.grad3(Dgamma_n)
     M = bending_matrix(frame, A, An_partials)
@@ -184,7 +179,7 @@ def expansion_data(patch, iso, w, thick, quad):
     _, dn_st = patch.normal_partials(st)
     return ExpansionData(
         nodes=limit_fields(iso, w, thick, 1.0, fr, *iso.An(fr), stencil_partials(An_st, d)),
-        steps=d, stencil_jac=st.jac, stencil_gamma_n=gamma_n_partials(st, thick, dn_st),
+        steps=d, stencil_jac=st.jac, stencil_gamma_n=gamma_n_partials(st, dn_st, thick),
         stencil_DV=DV_st)
 
 
@@ -203,7 +198,7 @@ def stretching_expansion_residual(data, h):
     dpt = fr.jac + 0.5 * hm * nodes.Dgamma_n  # of the mid-surface map id + (h/2)(g2-g1) n
     dp = dpt + hm * nodes.DV + hm * hm * nodes.Dw
     lhs = (dp * dp).sum(axis=-2) - (dpt * dpt).sum(axis=-2)
-    C = transpose(fr.tangents) @ fr.jac  # the chart tangents in the (t1, t2) frame
+    C = transpose(fr.tangents) @ fr.jac  # the chart tangents in the tangent frame T
     rhs = 2.0 * hm[..., 0] * hm[..., 0] * (C * (nodes.stretching @ C)).sum(axis=-2)
     return np.max(np.abs(lhs - rhs).reshape(h.shape + (-1,)), axis=-1)[()]
 

@@ -228,27 +228,17 @@ class QuadForm2:
     """Tangential relaxation of Q3 at a batch of surface frames, with its minimizer map.
 
     Q2(F_tan) = min over c in R^3 of Q3(F_hat + c (x) n + n (x) c), where
-    F_hat = T F_tan T^T embeds the 2x2 tangential input in the frame
-    T = [t1 t2].  The solve is a 3x3 SPD system per frame, by substitution
+    F_hat = T F_tan T^T embeds the 2x2 tangential input in the orthonormal
+    tangent frame T.  The solve is a 3x3 SPD system per frame, by substitution
     on its Cholesky factor; c is linear in F_tan and returned in ambient
     coordinates.  T and the factor carry the batch axes; inputs broadcast
     against them.
     """
 
     base: QuadForm3
-    tangents: np.ndarray     # (..., 3, 2) T = [t1 t2]
+    tangents: np.ndarray     # (..., 3, 2) T, the orthonormal tangent frame
     _chol: np.ndarray        # (..., 3, 3) Cholesky factor of the coupling matrix K
     _coupling: np.ndarray    # (..., 3, 6) vec6 of the directions e_i (x) n + n (x) e_i
-
-    @property
-    def t1(self):
-        """The first column of T, a view."""
-        return self.tangents[..., 0]
-
-    @property
-    def t2(self):
-        """The second column of T, a view."""
-        return self.tangents[..., 1]
 
     def _embed(self, F22):
         T = self.tangents
@@ -277,12 +267,12 @@ def _first_frame(bad):
     return tuple(int(k) for k in np.unravel_index(np.argmax(bad), bad.shape))
 
 
-def reduce_q2(q3, n, t1, t2):
-    """Relax q3 over normal corrections at the frames (t1, t2, n).
+def reduce_q2(q3, n, T):
+    """Relax q3 over normal corrections at the frames (T, n).
 
-    n, t1, t2 have shape (..., 3); the tangent frame fixes the coordinates
-    of the tangential input, which matter for an anisotropic q3.  The
-    coupling block of every frame is factored by the closed-form cholesky3.
+    n has shape (..., 3) and T (..., 3, 2); the tangent frame T fixes the
+    coordinates of the tangential input, which matter for an anisotropic q3.
+    The coupling block of every frame is factored by the closed-form cholesky3.
     A normal that is not a unit vector (NaN included) raises ParameterError,
     and a block that is not positive definite DegenerateMaterialError, each
     naming the first such frame by its batch index.
@@ -293,7 +283,6 @@ def reduce_q2(q3, n, t1, t2):
     if bad.any():
         i = _first_frame(bad)
         raise ParameterError(f"normal must be a unit vector at frame {i}, |n| = {nn[i]}")
-    T = np.stack([np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)], axis=-1)
     # L[..., i, :, :] = e_i (x) n + n (x) e_i
     L = _I3[:, :, None] * n[..., None, None, :] + n[..., None, :, None] * _I3[:, None, :]
     coupling = vec6(L)
@@ -304,7 +293,8 @@ def reduce_q2(q3, n, t1, t2):
         raise DegenerateMaterialError(
             f"normal-coupling block of Q3 is not positive definite at frame {i} "
             f"with n = {tuple(n[i].tolist())}")
-    return QuadForm2(base=q3, tangents=T, _chol=chol, _coupling=coupling)
+    return QuadForm2(base=q3, tangents=np.asarray(T, dtype=float), _chol=chol,
+                     _coupling=coupling)
 
 
 def isotropic_q2_closed_form(mu, lam, F22):
@@ -315,13 +305,13 @@ def isotropic_q2_closed_form(mu, lam, F22):
             + (2.0 * mu * lam / (2.0 * mu + lam)) * trace ** 2)
 
 
-def relax_q2_brute_force(q3, n, F22, t1, t2):
+def relax_q2_brute_force(q3, n, F22, T):
     """Independent minimization of Q3 over c: conjugate gradients from c = 0.
 
     Uses only evaluations of Q3 (central differences of a quadratic are exact),
     so it shares no code path with the linear solve in reduce_q2.  F22 has
-    shape (..., 2, 2) and broadcasts against n, t1, t2 (..., 3): every sample
-    runs at once, with its own probe step and stopping rule.  Each step takes
+    shape (..., 2, 2) and broadcasts against n (..., 3) and T (..., 3, 2):
+    every sample runs at once, with its own probe step and stopping rule.  Each step takes
     one Q3 call for the six gradient probes c +- delta e_i, takes the
     Fletcher-Reeves direction p (reset to -g every 3 steps, the dimension of
     c) and one Q3 call for the probes c + delta u, c, c - delta u along
@@ -330,7 +320,7 @@ def relax_q2_brute_force(q3, n, F22, t1, t2):
     not positive; a zero input keeps c = 0.
     """
     n = np.asarray(n, dtype=float)
-    T = np.stack([t1, t2], axis=-1)
+    T = np.asarray(T, dtype=float)
     F22 = np.asarray(F22, dtype=float)
     F_hat = T @ F22 @ transpose(T)
     batch = F_hat.shape[:-2]

@@ -131,16 +131,15 @@ def recovery_data(patch, material, iso, w, thick, kappa, frame):
     fr = NodeFrame(**{k: np.concatenate([v[None], getattr(st, k)])
                       for k, v in vars(frame).items()})
     lf = limit_fields(iso, w, thick, kappa, fr, An[GRID_ROWS], DV[GRID_ROWS], An_partials)
-    q2 = reduce_q2(material.q3, fr.n, fr.t1, fr.t2)
+    q2 = reduce_q2(material.q3, fr.n, fr.tangents)
     d0, d1 = build_d_fields(lf, q2, kappa)
     # lf.An is the first-order rotation of the normal; xi . tau = n . d_tau w
     bundle = {"xi": fr.grad3(matvec(transpose(lf.Dw), fr.n)), "d0": d0, "d1": d1}
     fields = {k: v[0].copy() for k, v in bundle.items()}
-    # dn: the chart partials Pi J of the normal, a field of the frame
     fields.update({"D" + k: stencil_partials(v[1:].reshape((2, 4) + fields[k].shape), d)
                    for k, v in bundle.items()},
                   gamma=thick.gamma(frame.u), V=iso.displacement.value(frame.u),
-                  w=w.value(frame.u), Dp=An_partials[0].copy(), dn=frame.dn,
+                  w=w.value(frame.u), Dp=An_partials[0].copy(),
                   dgamma=thick.gamma_d(frame.u))
     return RecoveryData(thick=thick, limit=dataclasses.replace(_first(lf), frame=frame),
                         q2=_first(q2), fields=fields)
@@ -209,7 +208,7 @@ def build_recovery(data, h, e_h):
         s, _, a1, a2 = t_coefficients(t, hb, sb)
         Da0, Da1, Da2 = coefficients(
             hb[..., None, None], sb[..., None, None], fr.jac, lf.Dgamma_n, lf.DV, lf.Dw,
-            pd["dn"], pd["Dp"], pd["Dxi"], pd["Dd0"], pd["Dd1"])
+            fr.dn, pd["Dp"], pd["Dxi"], pd["Dd0"], pd["Dd1"])
         dy_ds = a1 + s[..., None] * a2
         sm = s[..., None, None]  # s against (3, 2) chart partials
         # column i: chart partial d/du_i of y^h; d s/du_i = -(1/2) d(g2-g1)/du_i
@@ -293,7 +292,7 @@ def shell_energy_tangential_lower_bound(rec, material, squad, trule):
     """
     fr = squad.frame
     check_points(rec, fr.u, "quadrature nodes")
-    q2 = reduce_q2(material.q3, fr.n, fr.t1, fr.t2)
+    q2 = reduce_q2(material.q3, fr.n, fr.tangents)
     t, wt = trule.across(rec.thick, fr.u)
     F, det = rec.gradient(t)
     integrand = squad.weights * wt * 0.5 * q2.apply_tangential(fr.tan2(green_strain(F))) * det

@@ -493,7 +493,7 @@ def _gamma_scene(cfg):
     V = _build(_VECTOR_FAMILIES, "family", cfg.fields["V"], patch)
     w = _build(_VECTOR_FAMILIES, "family", cfg.fields["w"], patch)
     try:  # the isometry check, at the nodes
-        iso = build_isometry(patch, V, quad=squad)
+        iso = build_isometry(V, quad=squad)
     except NotAnIsometryError as exc:
         raise ConfigError(str(exc), key_path="fields.V") from exc
     return patch, thick, squad, iso, w
@@ -602,10 +602,11 @@ def _run_q2_check(cfg):
     material = _MATERIALS[cfg.material["type"]]
     q3 = material.build(cfg.material).q3
     F = rng.normal(size=(tol["samples"], 2, 2))
-    # one uniformly random frame (t1, t2, n), the columns of a rotation, per sample
-    t1, t2, n = np.moveaxis(rotation_matrices(random_rotations(rng, tol["samples"])), -1, 0)
-    val = reduce_q2(q3, n, t1, t2).apply_tangential(F)
-    brute, _ = relax_q2_brute_force(q3, n, F, t1=t1, t2=t2)
+    # one uniformly random frame (T, n), the columns of a rotation, per sample
+    R = rotation_matrices(random_rotations(rng, tol["samples"]))
+    T, n = R[..., :2], R[..., 2]
+    val = reduce_q2(q3, n, T).apply_tangential(F)
+    brute, _ = relax_q2_brute_force(q3, n, F, T)
     # np.max carries a nan deviation into the gates below
     worst_brute = float(np.max(np.abs(val - brute), initial=0.0))
     summary = {"brute_force_max_dev": worst_brute,

@@ -20,12 +20,12 @@ def fd_columns(f, u, domain):
     return stencil_partials(np.asarray(f(stencil_points(u, d))), d)
 
 
-def An_partials(iso, u):
-    """Chart partials of A n of the isometry `iso` at chart points u, shape (..., 3, 2).
+def An_partials(patch, iso, u):
+    """Chart partials of A n of the isometry `iso` on `patch` at chart points u, shape
+    (..., 3, 2).
 
     A n at the stencil points reads only their ChartMetric.
     """
-    patch = iso.patch
     return fd_columns(lambda points: iso.An(patch.metric(points))[0], u, patch.domain)
 
 
@@ -34,7 +34,7 @@ def sum_fields(*fields):
     def value(u):
         return np.sum([f.value(u) for f in fields], axis=0)
 
-    def d1(u):
-        return np.sum([f.d1(u) for f in fields], axis=0)
+    def d1(m):
+        return np.sum([f.d1(m) for f in fields], axis=0)
 
     return VectorField(value=value, d1=d1, domain=fields[0].domain)

@@ -106,3 +106,37 @@ def test_verdict_needs_nine_wins_in_ten_and_a_step_beyond_the_parent_iqr():
     assert verdict([(p, p + 0.1) for p in parent]).endswith(
         "change lower in 0/10, equal in 0: worse")
     assert verdict([(p, p + 0.01) for p in parent]).endswith(": unresolved")
+
+
+def bounded_verdicts(walls, bounds):
+    lines = bench_pairs.verdicts(bench_pairs.summarize(synthetic_pairs(walls)), bounds)
+    return {line.split(":")[0]: line.rsplit(": ", 1)[1] for line in lines}
+
+
+def test_verdict_reads_better_and_bound_from_the_benchmark_declaration():
+    declared = bench_pairs.load_bounds()
+    with open(os.path.join(_ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        metrics = json.load(fh)["end_to_end"]
+    assert declared == {m["name"]: (m["better"], m["bound"]) for m in metrics}
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # IQR 0.045
+    bounds = {"wall_s": ("lower", 0.2), "rel_gap": ("lower", 0.1)}
+    # a gain and an equal metric are both within bound
+    assert bounded_verdicts([(p, p - 0.1) for p in parent], bounds) == {
+        "w wall_s": "gain shown; within bound",
+        "w rel_gap": "unresolved; within bound"}
+    # +9.6% is worse by the 9-in-10 rule, and inside a 20% bound
+    assert bounded_verdicts([(p, p + 0.1) for p in parent], bounds)["w wall_s"] == (
+        "worse; within bound")
+    # +28.7% is beyond it; the step is measured at the medians, not pair by pair
+    assert bounded_verdicts([(p, p + 0.3) for p in parent], bounds)["w wall_s"] == (
+        "worse; beyond bound")
+    # a 4.3% IQR is wider than a 2% bound, whatever the verdict
+    tight = {"wall_s": ("lower", 0.02)}
+    assert bounded_verdicts([(p, p) for p in parent], tight)["w wall_s"] == (
+        "unresolved; within bound; spread wider than bound")
+    # for a metric that reads better higher, the sides swap
+    higher = {"wall_s": ("higher", 0.05)}
+    assert bounded_verdicts([(p, p + 0.1) for p in parent], higher)["w wall_s"] == (
+        "gain shown; within bound")
+    assert bounded_verdicts([(p, p - 0.1) for p in parent], higher)["w wall_s"] == (
+        "worse; beyond bound")

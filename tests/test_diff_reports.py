@@ -60,6 +60,23 @@ def test_words_keys_and_rows_are_not_numeric_changes():
     assert numeric == [] and other
 
 
+def test_a_value_turning_non_finite_is_not_a_numeric_change(tmp_path, capsys):
+    # nan or inf on either side is a change of kind: compare fails on it
+    for old, new in [("0.001", "nan"), ("1.0", "inf"), ("-inf", "2.0"), ("nan", "inf")]:
+        text = SUMMARY.replace("0.98", old)
+        numeric, other = diff("a.summary.txt", text, text.replace(old, new))
+        assert numeric == [] and other == [("gap_r2_min", old, new)]
+    dirs = [tmp_path / "parent", tmp_path / "change"]
+    for d, value in zip(dirs, ("0.001", "nan")):
+        d.mkdir()
+        (d / "exit_codes.json").write_text(json.dumps({"s": 0}))
+        (d / "s.csv").write_text(CSV.replace("0.008919721673494608", value))
+    assert not diff_reports.compare(*dirs)
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["s.csv: row 1 rel_gap: '0.001' -> 'nan'  NOT NUMERIC",
+                   "1 studies, 0 numeric fields changed, OTHER CHANGES"]
+
+
 def test_compare_fails_on_exit_codes_and_missing_files(tmp_path, capsys):
     dirs = [tmp_path / "parent", tmp_path / "change"]
     for d, summary, code in zip(dirs, (SUMMARY, SUMMARY.replace("0.98", "0.97")), (0, 0)):

@@ -344,8 +344,16 @@ def test_thickness_validation_names_the_first_bad_node():
 
 
 def assert_frame_products(fr):
-    """The frame's products equal the formulas that define them, bit for bit."""
-    assert np.array_equal(fr.tangents, np.stack([fr.t1, fr.t2], axis=-1))
+    """The frame's products equal the formulas that define them, bit for bit, and
+    T is the Gram-Schmidt of J: orthonormal columns with J = T R, R = T^T J upper
+    triangular with a positive diagonal."""
+    T, Tt = fr.tangents, np.swapaxes(fr.tangents, -1, -2)
+    R = Tt @ fr.jac
+    scale = 1.0 + np.max(np.abs(fr.jac))
+    assert np.max(np.abs(Tt @ T - np.eye(2))) <= 1e-12
+    assert np.max(np.abs(T @ R - fr.jac)) <= 1e-12 * scale
+    assert np.max(np.abs(R[..., 1, 0])) <= 1e-12 * scale
+    assert np.all(R[..., 0, 0] > 0.0) and np.all(R[..., 1, 1] > 0.0)
     assert np.array_equal(fr.dual, fr.metric_inv @ np.swapaxes(fr.jac, -1, -2))
     assert np.array_equal(fr.dn, fr.shape_op @ fr.jac)
     assert np.max(np.abs(fr.dual @ fr.jac - np.eye(2))) <= 1e-12
@@ -353,7 +361,7 @@ def assert_frame_products(fr):
 
 @pytest.mark.parametrize("kind", sorted(sg.geometry.PATCH_KINDS))
 def test_frame_carries_its_products(kind):
-    # T = [t1 t2], the dual basis g^-1 J^T and Pi J are fields of the frame, on
+    # T, the dual basis g^-1 J^T and Pi J are fields of the frame, on
     # a frame call and on an array-indexed subset of it; grad3 and tan2 read
     # them and give P g^-1 J^T and T^T M T, written out, bit for bit
     patch = sg.make_builtin_patch(kind)
@@ -365,7 +373,7 @@ def test_frame_carries_its_products(kind):
     rng = np.random.default_rng(3)
     P = rng.normal(size=fr.jac.shape)
     M = rng.normal(size=fr.shape_op.shape)
-    T = np.stack([fr.t1, fr.t2], axis=-1)
+    T = fr.tangents
     assert np.array_equal(fr.grad3(P), P @ (fr.metric_inv @ transpose(fr.jac)))
     assert np.array_equal(fr.tan2(M), transpose(T) @ M @ T)
 

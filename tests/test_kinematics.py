@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import shellgamma as sg
-from shellgamma import fields, kinematics
+from shellgamma import fields, geometry, kinematics
 from shellgamma.errors import NotAnIsometryError
 from shellgamma.fields import VectorField, transpose
 from shellgamma.geometry import gauss_legendre
@@ -18,21 +18,21 @@ GENERIC_W = [(0.4, 1.3, 0.2, 0.9, 0.5),
              (0.5, 1.1, 0.4, 0.8, 1.2)]
 
 
-def bending_tensor(iso, fr):
-    """Symmetrized tangential minor of grad(A n) - A Pi at a frame."""
-    Mt = fr.tan2(sg.bending_matrix(fr, iso.A_at(fr, *iso.An(fr)), An_partials(iso, fr.u)))
+def bending_tensor(patch, iso, fr):
+    """Symmetrized tangential minor of grad(A n) - A Pi at a frame of the patch."""
+    Mt = fr.tan2(sg.bending_matrix(fr, iso.A_at(fr, *iso.An(fr)), An_partials(patch, iso, fr.u)))
     return 0.5 * (Mt + transpose(Mt))
 
 
 def strain_of(w, fr):
-    """B_tan = sym grad w at a frame, in its (t1, t2) frame."""
-    return tangential_strain(fr, w.d1(fr.u))
+    """B_tan = sym grad w at a frame, in its tangent frame T."""
+    return tangential_strain(fr, w.d1(fr))
 
 
 def stretching_tensor(iso, fr, w, thick, kappa):
     """The stretching tensor at a frame, with B_tan, A and A grad((g2-g1) n) formed there."""
     A = iso.A_at(fr, *iso.An(fr))
-    return sg.stretching_tensor(fr, A, A @ fr.grad3(gamma_n_partials(fr, thick)),
+    return sg.stretching_tensor(fr, A, A @ fr.grad3(gamma_n_partials(fr, fr.dn, thick)),
                                 strain_of(w, fr), kappa)
 
 
@@ -49,7 +49,7 @@ def test_rigid_field_has_constant_skew_gradient():
     W = sg.skew_matrix(omega)
     for patch in [sg.make_builtin_patch("plate")] + curved_patches():
         quad = sg.surface_quadrature(patch, 4)
-        iso = sg.build_isometry(patch, sg.rigid_field(patch, omega, (0.1, 0.2, -0.3)),
+        iso = sg.build_isometry(sg.rigid_field(patch, omega, (0.1, 0.2, -0.3)),
                                 quad=quad)
         fr = quad.frame[::5]
         assert np.allclose(iso.A_at(fr, *iso.An(fr)), W, atol=1e-12)
@@ -59,20 +59,20 @@ def test_isometry_invariants_at_nodes():
     plate = sg.make_builtin_patch("plate")
     V = sg.plate_sine_field(1.0, 1, 1, plate.domain)
     quad = sg.surface_quadrature(plate, 6)
-    iso = sg.build_isometry(plate, V, quad=quad)
+    iso = sg.build_isometry(V, quad=quad)
     fr = quad.frame[::7]
     A = iso.A_at(fr, *iso.An(fr))
     assert np.max(np.linalg.norm(A + transpose(A), axis=(-2, -1))) <= 1e-12
-    assert np.max(np.linalg.norm(A @ fr.jac - V.d1(fr.u), axis=-2)) <= DEFAULT_ISOMETRY_TOL
+    assert np.max(np.linalg.norm(A @ fr.jac - V.d1(fr), axis=-2)) <= DEFAULT_ISOMETRY_TOL
 
 
 def test_plate_normal_column_of_A():
     plate = sg.make_builtin_patch("plate")
     V = sg.plate_sine_field(0.8, 1, 2, plate.domain)
     quad = sg.surface_quadrature(plate, 4)
-    iso = sg.build_isometry(plate, V, quad=quad)
+    iso = sg.build_isometry(V, quad=quad)
     fr = plate.frame(np.array([0.37, 0.61]))
-    dv = V.d1(fr.u)[2]  # gradient of the out-of-plane component
+    dv = V.d1(fr)[2]  # gradient of the out-of-plane component
     assert np.allclose(iso.A_at(fr, *iso.An(fr)) @ fr.n, [-dv[0], -dv[1], 0.0], atol=1e-12)
 
 
@@ -85,12 +85,12 @@ def test_An_matches_the_normal_rotation_formula():
               for patch in curved_patches()]
     for patch, V in cases:
         quad = sg.surface_quadrature(patch, 4)
-        iso = sg.build_isometry(patch, V, quad=quad)
+        iso = sg.build_isometry(V, quad=quad)
         singles = []
         for i in range(len(quad.weights)):
             fr = quad.frame[i]
             v = V.value(fr.u)
-            d_vn = V.d1(fr.u).T @ fr.n + (fr.shape_op @ fr.jac).T @ v
+            d_vn = V.d1(fr).T @ fr.n + (fr.shape_op @ fr.jac).T @ v
             expected = fr.shape_op @ (v - float(v @ fr.n) * fr.n) - fr.grad3(d_vn)
             An, DV = iso.An(fr)
             assert np.linalg.norm(iso.A_at(fr, An, DV) @ fr.n - expected) <= 1e-13
@@ -107,16 +107,16 @@ def test_in_plane_stretch_is_rejected_with_worst_node():
     # where every node ties; the first of them in C order is named
     plate = sg.make_builtin_patch("plate")
 
-    def d1(u):
-        out = np.zeros(u.shape[:-1] + (3, 2))
-        out[..., 0, 0] = 2.0 * u[..., 0]
+    def d1(m):
+        out = np.zeros(m.u.shape[:-1] + (3, 2))
+        out[..., 0, 0] = 2.0 * m.u[..., 0]
         return out
 
     stretch = VectorField(
         value=lambda u: np.stack([u[..., 0] ** 2, 0.0 * u[..., 0], 0.0 * u[..., 0]], axis=-1),
         d1=d1, domain=plate.domain)
     with pytest.raises(NotAnIsometryError) as err:
-        sg.build_isometry(plate, stretch, quad=sg.surface_quadrature(plate, 4))
+        sg.build_isometry(stretch, quad=sg.surface_quadrature(plate, 4))
     x, _ = gauss_legendre(4, 0.0, 1.0)
     worst = (float(x[-1]), float(x[0]))
     assert tuple(err.value.u.tolist()) == worst
@@ -128,18 +128,18 @@ def test_non_finite_displacement_is_rejected():
     from shellgamma.errors import EvaluationError
     plate = sg.make_builtin_patch("plate")
     broken = VectorField(value=lambda u: np.array([0.0, 0.0, np.nan]),
-                         d1=lambda u: np.full(np.shape(u)[:-1] + (3, 2), np.nan),
+                         d1=lambda m: np.full(np.shape(m.u)[:-1] + (3, 2), np.nan),
                          domain=plate.domain)
     with pytest.raises(EvaluationError):
-        sg.build_isometry(plate, broken, quad=sg.surface_quadrature(plate, 3))
+        sg.build_isometry(broken, quad=sg.surface_quadrature(plate, 3))
 
 
 def test_bending_tensor_vanishes_for_rigid_motions():
     for patch in curved_patches():
         quad = sg.surface_quadrature(patch, 4)
-        iso = sg.build_isometry(patch, sg.rigid_field(patch, (0.3, -0.2, 0.4)),
+        iso = sg.build_isometry(sg.rigid_field(patch, (0.3, -0.2, 0.4)),
                                 quad=quad)
-        worst = np.max(np.linalg.norm(bending_tensor(iso, quad.frame), axis=(-2, -1)))
+        worst = np.max(np.linalg.norm(bending_tensor(patch, iso, quad.frame), axis=(-2, -1)))
         assert worst <= 1e-8, patch.name
 
 
@@ -147,21 +147,21 @@ def test_bending_tensor_on_plate_is_minus_hessian():
     plate = sg.make_builtin_patch("plate")
     V = sg.plate_sine_field(0.9, 1, 1, plate.domain)
     quad = sg.surface_quadrature(plate, 4)
-    iso = sg.build_isometry(plate, V, quad=quad)
+    iso = sg.build_isometry(V, quad=quad)
     fr = quad.frame[::6]
     # 2x2 hessian of the vertical component 0.9 sin(pi u1) sin(pi u2)
     s1, s2 = np.sin(np.pi * fr.u[:, 0]), np.sin(np.pi * fr.u[:, 1])
     c1, c2 = np.cos(np.pi * fr.u[:, 0]), np.cos(np.pi * fr.u[:, 1])
     hess = 0.9 * np.pi ** 2 * np.stack([np.stack([-s1 * s2, c1 * c2], axis=-1),
                                         np.stack([c1 * c2, -s1 * s2], axis=-1)], axis=-2)
-    assert np.allclose(bending_tensor(iso, fr), -hess, atol=1e-9)
+    assert np.allclose(bending_tensor(plate, iso, fr), -hess, atol=1e-9)
 
 
 def test_stretching_tensor_reduces_to_strain_bitwise():
     plate = sg.make_builtin_patch("plate")
     thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
     quad = sg.surface_quadrature(plate, 4)
-    iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
+    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
     w = sg.trig_vector_field(GENERIC_W, plate.domain)
     fr = quad.frame[::6]
@@ -174,11 +174,11 @@ def test_stretching_tensor_plate_vortex_term():
     thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
     quad = sg.surface_quadrature(plate, 4)
     V = sg.plate_sine_field(1.0, 1, 1, plate.domain)
-    iso = sg.build_isometry(plate, V, quad=quad)
+    iso = sg.build_isometry(V, quad=quad)
     w = sg.trig_vector_field(GENERIC_W, plate.domain)
     fr = quad.frame[::6]
     tensor = stretching_tensor(iso, fr, w, thick, kappa=1.0)
-    grad_v = V.d1(fr.u)[..., 2, :]
+    grad_v = V.d1(fr)[..., 2, :]
     expected = strain_of(w, fr) + 0.5 * grad_v[..., :, None] * grad_v[..., None, :]
     assert np.allclose(tensor, expected, atol=1e-12)
 
@@ -190,7 +190,7 @@ def test_stretching_tensor_zero_for_zero_fields():
                              g2=sine_scalar(0.6, 0.1, (1.0, 1.0), (0.2, 0.4), plate.domain),
                              lipschitz_bound=1.0)
     quad = sg.surface_quadrature(plate, 4)
-    iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
+    iso = sg.build_isometry(sg.zero_vector_field(plate.domain), quad=quad)
     w = sg.zero_vector_field(plate.domain)
     fr = quad.frame[::6]
     tensor = stretching_tensor(iso, fr, w, thick, kappa=1.0)
@@ -202,12 +202,12 @@ def test_stretching_expansion_trivial_and_bounded():
     thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
     quad = sg.surface_quadrature(plate, 4)
     zero = sg.zero_vector_field(plate.domain)
-    iso0 = sg.build_isometry(plate, zero, quad=quad)
+    iso0 = sg.build_isometry(zero, quad=quad)
     data0 = sg.expansion_data(plate, iso0, zero, thick, quad)
     assert sg.stretching_expansion_residual(data0, 0.1) <= 1e-15
 
     # w = 0: the identity is exactly quadratic in h, residual at rounding level
-    iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
+    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
     data = sg.expansion_data(plate, iso, zero, thick, quad)
     for h in (1e-1, 1e-2, 1e-3):
@@ -219,7 +219,7 @@ def test_stretching_expansion_third_order_with_w():
     plate = sg.make_builtin_patch("plate")
     thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
     quad = sg.surface_quadrature(plate, 4)
-    iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
+    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
     w = sg.trig_vector_field(GENERIC_W, plate.domain)
     hs = [2.0 ** -k for k in range(3, 8)]
@@ -236,7 +236,7 @@ def test_rigid_isometries_give_exact_stretching_identity():
     sphere = curved_patches()[0]
     thick = sg.ThicknessPair.constant(0.5, 0.5, sphere.domain)
     quad = sg.surface_quadrature(sphere, 4)
-    iso = sg.build_isometry(sphere, sg.rigid_field(sphere, (0.2, 0.1, -0.3)),
+    iso = sg.build_isometry(sg.rigid_field(sphere, (0.2, 0.1, -0.3)),
                             quad=quad)
     data = sg.expansion_data(sphere, iso, sg.zero_vector_field(sphere.domain), thick,
                              quad)
@@ -251,7 +251,7 @@ def test_bending_expansion_trivial_case():
     thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
     quad = sg.surface_quadrature(plate, 3)
     zero = sg.zero_vector_field(plate.domain)
-    iso = sg.build_isometry(plate, zero, quad=quad)
+    iso = sg.build_isometry(zero, quad=quad)
     data = sg.expansion_data(plate, iso, zero, thick, quad)
     assert sg.bending_expansion_residual(data, 0.1) <= 1e-9
 
@@ -260,7 +260,7 @@ def test_bending_expansion_second_order_on_plate():
     plate = sg.make_builtin_patch("plate")
     thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
     quad = sg.surface_quadrature(plate, 4)
-    iso = sg.build_isometry(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain),
+    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1, plate.domain),
                             quad=quad)
     hs = [2.0 ** -k for k in range(3, 8)]
     data = sg.expansion_data(plate, iso, sg.zero_vector_field(plate.domain), thick, quad)
@@ -275,7 +275,7 @@ def test_bending_expansion_rigid_cylinder_left_side_small():
     cyl = sg.make_builtin_patch("cylinder", radius=1.0, height=1.0)
     thick = sg.ThicknessPair.constant(0.5, 0.5, cyl.domain)
     quad = sg.surface_quadrature(cyl, 4)
-    iso = sg.build_isometry(cyl, sg.rigid_field(cyl, (0.3, -0.2, 0.4)), quad=quad)
+    iso = sg.build_isometry(sg.rigid_field(cyl, (0.3, -0.2, 0.4)), quad=quad)
     data = sg.expansion_data(cyl, iso, sg.zero_vector_field(cyl.domain), thick, quad)
     for h in (2.0 ** -3, 2.0 ** -5):
         assert sg.bending_expansion_residual(data, h) <= 0.5 * h ** 2
@@ -288,7 +288,7 @@ def test_strain_field_matches_generator_gradient():
     fr = quad.frame[::5]
     B = strain_of(w, fr)
     assert np.allclose(B, transpose(B), atol=1e-14)
-    Dw = w.d1(fr.u)[..., :2, :]  # plate frame: tangential gradient is the 2x2 block
+    Dw = w.d1(fr)[..., :2, :]  # plate frame: tangential gradient is the 2x2 block
     assert np.allclose(B, 0.5 * (Dw + transpose(Dw)), atol=1e-12)
 
 
@@ -305,7 +305,7 @@ def isometry_cases():
 def test_batched_isometry_fields_equal_stacked_points(case):
     patch, V = isometry_cases()[case]
     quad = sg.surface_quadrature(patch, 4)
-    iso = sg.build_isometry(patch, V, quad=quad)
+    iso = sg.build_isometry(V, quad=quad)
     thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4, patch.domain),
                              g2=sg.affine_scalar(0.55, [0.04, 0.01], patch.domain),
                              lipschitz_bound=1.0)
@@ -314,8 +314,9 @@ def test_batched_isometry_fields_equal_stacked_points(case):
     frames = [quad.frame[i] for i in range(len(u))]
     checks = [
         (iso.A_at(quad.frame, *iso.An(quad.frame)), [iso.A_at(fr, *iso.An(fr)) for fr in frames]),
-        (An_partials(iso, u), [An_partials(iso, p) for p in u]),
-        (bending_tensor(iso, quad.frame), [bending_tensor(iso, fr) for fr in frames]),
+        (An_partials(patch, iso, u), [An_partials(patch, iso, p) for p in u]),
+        (bending_tensor(patch, iso, quad.frame),
+         [bending_tensor(patch, iso, fr) for fr in frames]),
         (stretching_tensor(iso, quad.frame, w, thick, 1.0),
          [stretching_tensor(iso, fr, w, thick, 1.0) for fr in frames]),
     ]
@@ -327,9 +328,9 @@ def test_batched_isometry_fields_equal_stacked_points(case):
 
 def counting_d1(field, calls):
     """The vector field with each read of its chart partials recorded in calls."""
-    def d1(u):
-        calls.append(np.shape(u))
-        return field.d1(u)
+    def d1(m):
+        calls.append(np.shape(m.u))
+        return field.d1(m)
     return dataclasses.replace(field, d1=d1)
 
 
@@ -362,15 +363,15 @@ def test_isometry_check_and_residuals_make_few_frame_calls(monkeypatch):
         metric_calls.append(np.shape(u))
         return metric(self, u)
 
-    def counting_gamma_n_partials(fr, thick, *dn):
-        gamma_calls.append(fr.u.shape)
-        return gamma_n_partials(fr, thick, *dn)
+    def counting_gamma_n_partials(m, dn, thick):
+        gamma_calls.append(m.u.shape)
+        return gamma_n_partials(m, dn, thick)
 
     monkeypatch.setattr(sg.SurfacePatch, "frame", counting_frame)
     monkeypatch.setattr(sg.SurfacePatch, "metric", counting_metric)
     monkeypatch.setattr(kinematics, "gamma_n_partials", counting_gamma_n_partials)
     V = counting_d1(sg.rigid_field(cap, (0.3, -0.2, 0.4)), V_reads)
-    iso = sg.build_isometry(cap, V, quad=quads[10])
+    iso = sg.build_isometry(V, quad=quads[10])
     assert calls == []
     residuals = [sg.stretching_expansion_residual, sg.bending_expansion_residual]
     counts = []
@@ -402,13 +403,43 @@ def test_isometry_check_and_residuals_make_few_frame_calls(monkeypatch):
     assert len(V_reads) <= 3
     assert sum(int(np.prod(shape[:-1])) for shape in V_reads) <= 360
 
+    # the chart jacobian, once per point array a study builds a record at: the
+    # nodes, then the stencil grid (gamma) or the stencil points (expansion);
+    # the rigid V reads it off those records, never from the patch
+    jac_calls = []
+    sphere_chart = geometry._sphere_chart
+
+    def counting_sphere_chart(*args):
+        patch = sphere_chart(*args)
+        jac = patch.chart_jacobian
+
+        def counted(u):
+            jac_calls.append(np.shape(u))
+            return jac(u)
+        return dataclasses.replace(patch, chart_jacobian=counted)
+
+    monkeypatch.setattr(geometry, "_sphere_chart", counting_sphere_chart)
+    for name in ("sphere-gamma", "sphere-expansion"):
+        jac_calls.clear()
+        assert run_study(load_config(name)).passed
+        assert len(jac_calls) == 2, (name, jac_calls)
+
+    # rigid d1 reads the record's jacobian: the bits of W J, formed there or afresh
+    omega = (0.3, -0.2, 0.4)
+    V = rigid_field(cap, omega)
+    u = quads[10].frame.u
+    for m in (cap.metric(u), cap.frame(u), cap.metric(fields.stencil_grid(u, cap.domain)[0])):
+        W_jac = sg.skew_matrix(omega) @ m.jac
+        assert np.array_equal(V.d1(m), W_jac)
+        assert np.array_equal(W_jac, sg.skew_matrix(omega) @ cap.chart_jacobian(m.u))
+
 
 def test_expansion_data_reads_the_limit_record_of_recovery_data():
     # one route: at kappa = 1 the expansion identities read the very arrays
     # that the limit functional and the recovery deformation read
     cap, thick, w = variable_thickness_cap_scene()
     quad = sg.surface_quadrature(cap, 4)
-    iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quad)
+    iso = sg.build_isometry(sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quad)
     nodes = sg.expansion_data(cap, iso, w, thick, quad).nodes
     limit = sg.recovery_data(cap, sg.make_isotropic(1.0, 1.0), iso, w, thick, 1.0,
                              quad.frame).limit
@@ -437,7 +468,7 @@ def test_An_sums_n_dot_DV_in_the_order_of_the_axis_sum(kind):
                                           [0.5, 1.1, 0.4, 0.8, 1.2]], patch.domain),
                 fields.zero_vector_field(patch.domain)]
     for V in families:
-        iso = sg.IsometryField(patch=patch, displacement=V)
+        iso = sg.IsometryField(displacement=V)
         for m in points:
             An, DV = iso.An(m)
             axis_sum = (m.n[..., :, None] * DV).sum(axis=-2)

@@ -17,17 +17,18 @@ GENERIC_W = [(0.2, 1.1, 0.3, 0.7, 0.4),
 SPHERE_CAP_STRETCHING = np.pi * 403.0 / 720.0
 
 
-def eval_I(thick, material, iso, w, kappa, quad):
+def eval_I(patch, thick, material, iso, w, kappa, quad):
     """The limit functional of (V, B_tan = sym grad w) from its fields at the nodes of quad."""
     fr = quad.frame
-    fields = sg.limit_fields(iso, w, thick, kappa, fr, *iso.An(fr), An_partials(iso, fr.u))
-    return sg.eval_I(fields, sg.reduce_q2(material.q3, fr.n, fr.t1, fr.t2), thick, quad)
+    fields = sg.limit_fields(iso, w, thick, kappa, fr, *iso.An(fr),
+                             An_partials(patch, iso, fr.u))
+    return sg.eval_I(fields, sg.reduce_q2(material.q3, fr.n, fr.tangents), thick, quad)
 
 
-def bending_only(thick, material, iso, quad):
+def bending_only(patch, thick, material, iso, quad):
     """The bending part of the limit functional, with B_tan = 0 and kappa = 0."""
-    zero = sg.zero_vector_field(iso.patch.domain)
-    return eval_I(thick, material, iso, zero, 0.0, quad).bending
+    zero = sg.zero_vector_field(patch.domain)
+    return eval_I(patch, thick, material, iso, zero, 0.0, quad).bending
 
 
 def plate_scene(mu=1.0, lam=1.0, amp=1.0):
@@ -36,7 +37,7 @@ def plate_scene(mu=1.0, lam=1.0, amp=1.0):
     W = sg.make_isotropic(mu, lam)
     quad = sg.surface_quadrature(plate, 8)
     V = sg.plate_sine_field(amp, 1, 1, plate.domain)
-    iso = sg.build_isometry(plate, V, quad=quad)
+    iso = sg.build_isometry(V, quad=quad)
     return plate, thick, W, quad, V, iso
 
 
@@ -45,8 +46,8 @@ def test_zero_fields_zero_energy():
     thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(plate, 4)
-    iso = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
-    out = eval_I(thick, W, iso, sg.zero_vector_field(plate.domain), 1.0, quad=quad)
+    iso = sg.build_isometry(sg.zero_vector_field(plate.domain), quad=quad)
+    out = eval_I(plate, thick, W, iso, sg.zero_vector_field(plate.domain), 1.0, quad=quad)
     assert out.total == pytest.approx(0.0, abs=1e-14)
     assert out.stretching >= 0.0 and out.bending >= 0.0
 
@@ -56,8 +57,8 @@ def test_sphere_cap_rigid_rotation_closed_form():
     thick = sg.ThicknessPair.constant(0.5, 0.5, cap.domain)
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(cap, 8)
-    iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.0, 0.0, 1.0)), quad=quad)
-    out = eval_I(thick, W, iso, sg.zero_vector_field(cap.domain), 1.0, quad=quad)
+    iso = sg.build_isometry(sg.rigid_field(cap, (0.0, 0.0, 1.0)), quad=quad)
+    out = eval_I(cap, thick, W, iso, sg.zero_vector_field(cap.domain), 1.0, quad=quad)
     assert out.bending == pytest.approx(0.0, abs=1e-10)
     assert out.stretching == pytest.approx(SPHERE_CAP_STRETCHING, rel=1e-9)
     assert out.total == out.stretching + out.bending
@@ -104,10 +105,10 @@ def test_plate_matches_independent_von_karman_oracle():
     thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
     W = sg.make_isotropic(mu, lam)
     quad = sg.surface_quadrature(plate, 16)
-    iso = sg.build_isometry(plate, sg.plate_sine_field(amp, 1, 1, plate.domain),
+    iso = sg.build_isometry(sg.plate_sine_field(amp, 1, 1, plate.domain),
                             quad=quad)
     w = sg.trig_vector_field(GENERIC_W, plate.domain)
-    out = eval_I(thick, W, iso, w, 1.0, quad=quad)
+    out = eval_I(plate, thick, W, iso, w, 1.0, quad=quad)
     stretch_ref, bend_ref = _plate_oracle(mu, lam, amp, GENERIC_W, order=16)
     assert out.stretching == pytest.approx(stretch_ref, rel=1e-10)
     assert out.bending == pytest.approx(bend_ref, rel=1e-10)
@@ -116,8 +117,8 @@ def test_plate_matches_independent_von_karman_oracle():
 def test_i_tilde_equals_bending_part():
     plate, thick, W, quad, V, iso = plate_scene()
     w = sg.trig_vector_field(GENERIC_W, plate.domain)
-    out = eval_I(thick, W, iso, w, 1.0, quad=quad)
-    bend_only = bending_only(thick, W, iso, quad)
+    out = eval_I(plate, thick, W, iso, w, 1.0, quad=quad)
+    bend_only = bending_only(plate, thick, W, iso, quad)
     assert bend_only == pytest.approx(out.bending, rel=1e-13)
     _, bend_ref = _plate_oracle(1.0, 1.0, 1.0, GENERIC_W)
     assert bend_only == pytest.approx(bend_ref, rel=1e-8)
@@ -128,15 +129,15 @@ def test_i_tilde_zero_for_rigid_motion_on_sphere():
     thick = sg.ThicknessPair.constant(0.5, 0.5, cap.domain)
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(cap, 6)
-    iso = sg.build_isometry(cap, sg.rigid_field(cap, (0.4, 0.1, -0.2)), quad=quad)
-    assert bending_only(thick, W, iso, quad) <= 1e-14
+    iso = sg.build_isometry(sg.rigid_field(cap, (0.4, 0.1, -0.2)), quad=quad)
+    assert bending_only(cap, thick, W, iso, quad) <= 1e-14
 
 
 def test_i_tilde_cubic_thickness_scaling():
     plate, thick_half, W, quad, V, iso = plate_scene()
     thick_one = sg.ThicknessPair.constant(1.0, 1.0, plate.domain)
-    a = bending_only(thick_half, W, iso, quad)
-    b = bending_only(thick_one, W, iso, quad)
+    a = bending_only(plate, thick_half, W, iso, quad)
+    b = bending_only(plate, thick_one, W, iso, quad)
     assert b == pytest.approx(8.0 * a, rel=1e-12)
 
 
@@ -147,7 +148,7 @@ def test_sum_invariance_for_equal_total_thickness_on_plate():
     outs = []
     for g1, g2 in [(0.5, 0.5), (0.3, 0.7), (0.4, 0.6)]:
         thick = sg.ThicknessPair.constant(g1, g2, plate.domain)
-        outs.append(eval_I(thick, W, iso, w, 1.0, quad=quad))
+        outs.append(eval_I(plate, thick, W, iso, w, 1.0, quad=quad))
     for other in outs[1:]:
         assert other.stretching == pytest.approx(outs[0].stretching, rel=1e-12)
         assert other.bending == pytest.approx(outs[0].bending, rel=1e-12)
@@ -155,7 +156,7 @@ def test_sum_invariance_for_equal_total_thickness_on_plate():
 
 def test_kappa_zero_with_zero_strain_has_zero_stretching():
     plate, thick, W, quad, V, iso = plate_scene()
-    out = eval_I(thick, W, iso, sg.zero_vector_field(plate.domain), 0.0, quad=quad)
+    out = eval_I(plate, thick, W, iso, sg.zero_vector_field(plate.domain), 0.0, quad=quad)
     assert out.stretching == pytest.approx(0.0, abs=1e-14)
     assert out.bending > 0.0
 
@@ -166,15 +167,15 @@ def test_quadrature_order_stability():
     vals = []
     for order in (10, 14):  # default and default + 4
         quad = sg.surface_quadrature(plate, order)
-        iso = sg.build_isometry(plate, V, quad=quad)
-        vals.append(eval_I(thick, W, iso, w, 1.0, quad=quad).total)
+        iso = sg.build_isometry(V, quad=quad)
+        vals.append(eval_I(plate, thick, W, iso, w, 1.0, quad=quad).total)
     assert abs(vals[1] - vals[0]) <= 1e-8 * abs(vals[0])
 
 
 def test_eval_J_reductions_and_load_term():
     plate, thick, W, quad, V, iso = plate_scene()
     w = sg.trig_vector_field(GENERIC_W, plate.domain)
-    base = eval_I(thick, W, iso, w, 1.0, quad=quad)
+    base = eval_I(plate, thick, W, iso, w, 1.0, quad=quad)
     vertical = np.broadcast_to([0.0, 0.0, 1.0], quad.frame.x.shape)
 
     # f = 0: J = I
@@ -183,8 +184,8 @@ def test_eval_J_reductions_and_load_term():
     assert J0.load_term == 0.0
 
     # V = 0: load term vanishes
-    iso0 = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
-    base0 = eval_I(thick, W, iso0, w, 1.0, quad=quad)
+    iso0 = sg.build_isometry(sg.zero_vector_field(plate.domain), quad=quad)
+    base0 = eval_I(plate, thick, W, iso0, w, 1.0, quad=quad)
     Jz = sg.eval_J(base0, thick, iso0, vertical, np.eye(3), quad=quad)
     assert Jz.load_term == pytest.approx(0.0, abs=1e-14)
     assert Jz.total == pytest.approx(Jz.stretching + Jz.bending, rel=1e-13)
@@ -200,7 +201,7 @@ def test_eval_J_reductions_and_load_term():
 def test_eval_J_rejects_non_rotations():
     plate, thick, W, quad, V, iso = plate_scene()
     w = sg.zero_vector_field(plate.domain)
-    base = eval_I(thick, W, iso, w, 1.0, quad=quad)
+    base = eval_I(plate, thick, W, iso, w, 1.0, quad=quad)
     with pytest.raises(ParameterError):
         sg.eval_J(base, thick, iso, np.zeros(quad.frame.x.shape),
                   2.0 * np.eye(3), quad=quad)
@@ -215,6 +216,6 @@ def test_anisotropic_q3_material_is_accepted():
     M = sg.make_isotropic(1.0, 1.0).q3.matrix6
     entries = [M[i, j] for i in range(6) for j in range(i, 6)]
     q3 = sg.QuadForm3.from_upper_triangle(entries)
-    out_q3 = eval_I(thick, sg.quadratic_energy(q3), iso, w, 1.0, quad=quad)
-    out_W = eval_I(thick, sg.make_isotropic(1.0, 1.0), iso, w, 1.0, quad=quad)
+    out_q3 = eval_I(plate, thick, sg.quadratic_energy(q3), iso, w, 1.0, quad=quad)
+    out_W = eval_I(plate, thick, sg.make_isotropic(1.0, 1.0), iso, w, 1.0, quad=quad)
     assert out_q3.total == pytest.approx(out_W.total, rel=1e-13)

@@ -261,7 +261,7 @@ def plate_load_scene(order=6):
     quad = sg.surface_quadrature(plate, order)
     trule = sg.TransversalRule.make(4)
     V = sg.plate_sine_field(1.0, 1, 1, plate.domain)
-    iso = sg.build_isometry(plate, V, quad=quad)
+    iso = sg.build_isometry(V, quad=quad)
     w = sg.zero_vector_field(plate.domain)
     load = balanced_sine(quad.frame)
     return plate, thick, W, quad, trule, V, iso, w, load
@@ -280,7 +280,7 @@ def test_J_h_reduces_to_energy_without_load():
 
 def test_J_h_nonnegative_for_identity_deformation():
     plate, thick, W, quad, trule, V, iso, w, load = plate_load_scene()
-    iso0 = sg.build_isometry(plate, sg.zero_vector_field(plate.domain), quad=quad)
+    iso0 = sg.build_isometry(sg.zero_vector_field(plate.domain), quad=quad)
     data0 = sg.recovery_data(plate, W, iso0, sg.zero_vector_field(plate.domain),
                              thick, kappa=1.0, frame=quad.frame)
     rec0 = sg.build_recovery(data0, h=0.125, e_h=0.125 ** 4)

@@ -17,9 +17,8 @@ from test_studies import _Q3_MATRICES
 
 
 def adapted_frame():
-    return (np.array([0.0, 0.0, 1.0]),
-            np.array([1.0, 0.0, 0.0]),
-            np.array([0.0, 1.0, 0.0]))
+    """The normal e3 and the tangent frame T = [e1 e2]."""
+    return np.array([0.0, 0.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
 
 def test_energy_vanishes_on_rotations():
@@ -110,24 +109,23 @@ def test_q3_from_upper_triangle_round_trip():
 
 
 def test_reduce_q2_reference_values():
-    n, t1, t2 = adapted_frame()
-    q2 = sg.reduce_q2(sg.make_isotropic(1.0, 1.0).q3, n, t1, t2)
+    n, T = adapted_frame()
+    q2 = sg.reduce_q2(sg.make_isotropic(1.0, 1.0).q3, n, T)
     assert q2.apply_tangential(np.eye(2)) == pytest.approx(20.0 / 3.0, rel=1e-12)
     assert np.allclose(q2.minimizer(np.eye(2)), [0.0, 0.0, -1.0 / 3.0], atol=1e-12)
 
     assert q2.apply_tangential(np.zeros((2, 2))) == pytest.approx(0.0, abs=1e-14)
     assert np.allclose(q2.minimizer(np.zeros((2, 2))), 0.0, atol=1e-14)
 
-    q2_nolam = sg.reduce_q2(sg.make_isotropic(1.0, 0.0).q3, n, t1, t2)
+    q2_nolam = sg.reduce_q2(sg.make_isotropic(1.0, 0.0).q3, n, T)
     assert q2_nolam.apply_tangential(np.diag([1.0, 0.0])) == pytest.approx(2.0, rel=1e-12)
     assert np.allclose(q2_nolam.minimizer(np.diag([1.0, 0.0])), 0.0, atol=1e-14)
 
 
 def test_relaxation_bound_and_equality_at_minimizer():
-    n, t1, t2 = adapted_frame()
+    n, T = adapted_frame()
     q3 = sg.make_isotropic(1.0, 1.0).q3
-    q2 = sg.reduce_q2(q3, n, t1, t2)
-    T = np.column_stack([t1, t2])
+    q2 = sg.reduce_q2(q3, n, T)
     rng = np.random.default_rng(11)
     for _ in range(1000):
         F = rng.normal(size=(2, 2))
@@ -142,8 +140,8 @@ def test_relaxation_bound_and_equality_at_minimizer():
 
 
 def test_minimizer_is_linear():
-    n, t1, t2 = adapted_frame()
-    q2 = sg.reduce_q2(sg.make_isotropic(2.0, 0.5).q3, n, t1, t2)
+    n, T = adapted_frame()
+    q2 = sg.reduce_q2(sg.make_isotropic(2.0, 0.5).q3, n, T)
     rng = np.random.default_rng(12)
     for _ in range(50):
         F, G = rng.normal(size=(2, 2, 2))
@@ -154,8 +152,8 @@ def test_minimizer_is_linear():
 
 
 def test_q2_depends_only_on_symmetric_part():
-    n, t1, t2 = adapted_frame()
-    q2 = sg.reduce_q2(sg.make_isotropic(1.0, 1.0).q3, n, t1, t2)
+    n, T = adapted_frame()
+    q2 = sg.reduce_q2(sg.make_isotropic(1.0, 1.0).q3, n, T)
     rng = np.random.default_rng(13)
     for _ in range(50):
         F = rng.normal(size=(2, 2))
@@ -165,9 +163,9 @@ def test_q2_depends_only_on_symmetric_part():
 
 def test_frame_consistency_under_normal_flip():
     q3 = sg.make_isotropic(1.0, 1.0).q3
-    n, t1, t2 = adapted_frame()
-    q2_plus = sg.reduce_q2(q3, n, t1, t2)
-    q2_minus = sg.reduce_q2(q3, -n, t1, t2)
+    n, T = adapted_frame()
+    q2_plus = sg.reduce_q2(q3, n, T)
+    q2_minus = sg.reduce_q2(q3, -n, T)
     rng = np.random.default_rng(14)
     for _ in range(30):
         F = rng.normal(size=(2, 2))
@@ -185,8 +183,8 @@ def test_frame_consistency_under_normal_flip():
 def test_isotropic_closed_form_agreement():
     rng = np.random.default_rng(15)
     for mu, lam in [(1.0, 0.0), (1.0, 1.0), (2.0, 0.5)]:
-        n, t1, t2 = adapted_frame()
-        q2 = sg.reduce_q2(sg.make_isotropic(mu, lam).q3, n, t1, t2)
+        n, T = adapted_frame()
+        q2 = sg.reduce_q2(sg.make_isotropic(mu, lam).q3, n, T)
         for _ in range(100):
             F = rng.normal(size=(2, 2))
             expected = sg.isotropic_q2_closed_form(mu, lam, F)
@@ -199,11 +197,10 @@ def test_reduction_uses_node_frame_for_anisotropic_q3():
     A = rng.normal(size=(6, 6))
     q3 = sg.QuadForm3.from_matrix(A @ A.T + 6.0 * np.eye(6))
     n = np.array([0.0, 0.0, 1.0])
-    q2_a = sg.reduce_q2(q3, n, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+    q2_a = sg.reduce_q2(q3, n, np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
     th = 0.7
-    t1 = np.array([np.cos(th), np.sin(th), 0.0])
-    t2 = np.array([-np.sin(th), np.cos(th), 0.0])
-    q2_b = sg.reduce_q2(q3, n, t1, t2)
+    q2_b = sg.reduce_q2(q3, n, np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)],
+                                         [0.0, 0.0]]))
     F = np.array([[1.0, 0.3], [0.1, -0.4]])
     assert q2_a.apply_tangential(F) != pytest.approx(q2_b.apply_tangential(F), rel=1e-6)
 
@@ -220,8 +217,9 @@ def test_batch_with_one_degenerate_node_raises():
     # Q3 blind to S02 and S12: regular for an oblique normal, singular for e3;
     # the error names the first singular frame by its batch index and normal
     q3 = sg.QuadForm3(matrix6=np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0]))
-    oblique = (np.full(3, 1.0 / np.sqrt(3.0)), np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0),
-               np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0))
+    oblique = (np.full(3, 1.0 / np.sqrt(3.0)),
+               np.column_stack([np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0),
+                                np.array([1.0, 1.0, -2.0]) / np.sqrt(6.0)]))
     sg.reduce_q2(q3, *(np.stack([v, v]) for v in oblique))
     with pytest.raises(DegenerateMaterialError,
                        match=re.escape("at frame (1,) with n = (0.0, 0.0, 1.0)")):
@@ -235,13 +233,13 @@ def test_batch_with_one_degenerate_node_raises():
 def test_non_unit_normal_is_a_parameter_error_naming_its_frame():
     # a NaN normal is not a unit vector either: the normal, not Q3, is at fault
     q3 = sg.make_isotropic(1.0, 1.0).q3
-    n, t1, t2 = (np.stack([e, e]) for e in adapted_frame())
+    n, T = (np.stack([e, e]) for e in adapted_frame())
     for scale, shown in [(np.nan, "nan"), (2.0, "2.0")]:
         n_bad = n.copy()
         n_bad[1] *= scale
         with pytest.raises(ParameterError,
                            match=re.escape(f"unit vector at frame (1,), |n| = {shown}")):
-            sg.reduce_q2(q3, n_bad, t1, t2)
+            sg.reduce_q2(q3, n_bad, T)
 
 
 def spd_up_to_cond(rng, count, max_cond):
@@ -296,7 +294,7 @@ def random_frames(rng, count):
     n /= np.linalg.norm(n, axis=1, keepdims=True)
     t1 = np.cross(n, rng.normal(size=(count, 3)))
     t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    return n, t1, np.cross(n, t1)
+    return n, np.stack([t1, np.cross(n, t1)], axis=-1)
 
 
 def test_batched_reduction_equals_stacked_frames():
@@ -304,10 +302,10 @@ def test_batched_reduction_equals_stacked_frames():
     A = rng.normal(size=(6, 6))
     for q3 in (sg.make_isotropic(1.0, 1.0).q3,
                sg.QuadForm3.from_matrix(A @ A.T + 6.0 * np.eye(6))):
-        n, t1, t2 = random_frames(rng, 8)
+        n, T = random_frames(rng, 8)
         F = rng.normal(size=(8, 2, 2))
-        q2 = sg.reduce_q2(q3, n, t1, t2)
-        singles = [sg.reduce_q2(q3, n[i], t1[i], t2[i]) for i in range(8)]
+        q2 = sg.reduce_q2(q3, n, T)
+        singles = [sg.reduce_q2(q3, n[i], T[i]) for i in range(8)]
         for batched, stacked in (
                 (q2.minimizer(F), [s.minimizer(F[i]) for i, s in enumerate(singles)]),
                 (q2.apply_tangential(F),
@@ -332,8 +330,8 @@ def test_relaxation_property_on_random_normals_and_materials(normals, factor, F,
     e = np.eye(3)[np.argmin(np.abs(n), axis=1)]  # a coordinate axis far from n
     t1 = np.cross(n, e)
     t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
-    q2 = sg.reduce_q2(q3, n, t1, np.cross(n, t1))
-    T = np.stack([q2.t1, q2.t2], axis=-1)
+    q2 = sg.reduce_q2(q3, n, np.stack([t1, np.cross(n, t1)], axis=-1))
+    T = q2.tangents
     F_hat = T @ F @ np.swapaxes(T, -1, -2)
     val = q2.apply_tangential(F)
     scale = 1.0 + q3.apply(F_hat)
@@ -348,13 +346,13 @@ def test_relaxation_property_on_random_normals_and_materials(normals, factor, F,
 
 def test_brute_force_relaxation_matches_solver():
     rng = np.random.default_rng(17)
-    n, t1, t2 = adapted_frame()
+    n, T = adapted_frame()
     for mu, lam in [(1.0, 1.0), (2.0, 0.5)]:
         q3 = sg.make_isotropic(mu, lam).q3
-        q2 = sg.reduce_q2(q3, n, t1, t2)
+        q2 = sg.reduce_q2(q3, n, T)
         for _ in range(20):
             F = rng.normal(size=(2, 2))
-            val, c = sg.relax_q2_brute_force(q3, n, F, t1=t1, t2=t2)
+            val, c = sg.relax_q2_brute_force(q3, n, F, T)
             assert abs(val - q2.apply_tangential(F)) <= 1e-8
             assert np.linalg.norm(c - q2.minimizer(F)) <= 1e-6
 
@@ -366,10 +364,10 @@ def anisotropic_q3(seed):
 
 
 def assert_brute_force_matches_solver(q3, seed):
-    n, t1, t2 = adapted_frame()
-    q2 = sg.reduce_q2(q3, n, t1, t2)
+    n, T = adapted_frame()
+    q2 = sg.reduce_q2(q3, n, T)
     F = np.random.default_rng(seed).normal(size=(200, 2, 2))
-    val, c = sg.relax_q2_brute_force(q3, n, F, t1=t1, t2=t2)
+    val, c = sg.relax_q2_brute_force(q3, n, F, T)
     assert np.max(np.abs(val - q2.apply_tangential(F))) <= 1e-8
     assert np.max(np.linalg.norm(c - q2.minimizer(F), axis=-1)) <= 1e-6
 
@@ -403,14 +401,14 @@ class ApplyOnly:
 def test_brute_force_reads_only_apply_and_makes_few_calls(seed):
     # the oracle's independence from reduce_q2: no matrix6, hence no linear solve
     q3 = sg.make_isotropic(1.0, 1.0).q3 if seed is None else anisotropic_q3(seed)
-    n, t1, t2 = adapted_frame()
+    n, T = adapted_frame()
     F = np.random.default_rng(24).normal(size=(200, 2, 2))
     counted = ApplyOnly(q3)
-    val, c = sg.relax_q2_brute_force(counted, n, F, t1=t1, t2=t2)
+    val, c = sg.relax_q2_brute_force(counted, n, F, T)
     assert counted.calls <= 25
     with pytest.raises(AttributeError):
         counted.matrix6
-    ref_val, ref_c = sg.relax_q2_brute_force(q3, n, F, t1=t1, t2=t2)
+    ref_val, ref_c = sg.relax_q2_brute_force(q3, n, F, T)
     assert np.array_equal(val, ref_val) and np.array_equal(c, ref_c)
 
 
@@ -418,14 +416,14 @@ def test_batched_brute_force_equals_stacked_single_calls():
     # zero inputs stop at once on |g| < 1e-14 with c = 0; the random ones run
     # the full descent, each with its own probe step and stopping rule
     rng = np.random.default_rng(23)
-    n, t1, t2 = adapted_frame()
+    n, T = adapted_frame()
     A = rng.normal(size=(6, 6))
     for q3 in (sg.make_isotropic(1.0, 1.0).q3,
                sg.QuadForm3.from_matrix(A @ A.T + np.eye(6))):
         F = rng.normal(size=(12, 2, 2))
         F[[0, 5]] = 0.0
-        val, c = sg.relax_q2_brute_force(q3, n, F, t1=t1, t2=t2)
-        singles = [sg.relax_q2_brute_force(q3, n, f, t1=t1, t2=t2) for f in F]
+        val, c = sg.relax_q2_brute_force(q3, n, F, T)
+        singles = [sg.relax_q2_brute_force(q3, n, f, T) for f in F]
         assert val.shape == (12,) and c.shape == (12, 3)
         assert np.all(np.isfinite(val)) and np.all(np.isfinite(c))
         assert np.all(c[[0, 5]] == 0.0) and np.all(val[[0, 5]] == 0.0)

@@ -20,11 +20,15 @@ which the change reads lower and equal, with the failed and attempted study
 runs and whether every run was correct.  Progress goes to standard error,
 and so does the verdict: one line per workload and end-to-end metric, with
 both medians, the parent's interquartile range, and the pairs the change
-reads lower and equal in.  Every end-to-end metric reads better lower.  The
-line ends "gain shown" when the change reads lower in at least 9 of every
-10 pairs (ties count for neither side) and its median lies below the
-parent's by more than the parent's IQR, "worse" when the same holds with
-the sides swapped, and "unresolved" otherwise.
+reads lower and equal in.  Each metric's `better` direction and `bound`
+come from this checkout's BENCHMARK.json.  The line says "gain shown" when
+the change reads better in at least 9 of every 10 pairs (ties count for
+neither side) and its median lies beyond the parent's, on the better side,
+by more than the parent's IQR, "worse" when the same holds with the sides
+swapped, and "unresolved" otherwise.  Then it says whether the median step
+to the worse side, relative to the parent's median, is "within bound" or
+"beyond bound", and adds "spread wider than bound" when the parent's IQR,
+relative to its median, exceeds the bound.
 """
 
 import argparse
@@ -37,6 +41,7 @@ import sys
 import numpy as np
 
 CODES = ("parent", "change")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def parse_seeds(text):
@@ -117,8 +122,19 @@ def summarize(pairs):
     return summary
 
 
-def verdicts(summary):
-    """The verdict line of each workload and end-to-end metric of a summary."""
+def load_bounds(path=os.path.join(ROOT, "BENCHMARK.json")):
+    """{metric: (better, bound)} of the end-to-end metrics of a BENCHMARK.json."""
+    with open(path, encoding="utf-8") as fh:
+        return {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
+
+
+def verdicts(summary, bounds=None):
+    """The verdict line of each workload and end-to-end metric of a summary.
+
+    bounds maps a metric to its (better, bound), as `load_bounds` reads
+    them; a metric it leaves out reads better lower and gets no bound check.
+    """
+    bounds = bounds or {}
     lines = []
     for workload, entry in summary.items():
         n = entry["pairs"]
@@ -130,12 +146,19 @@ def verdicts(summary):
             higher = n - lower - equal
             iqr = parent["p75"] - parent["p25"]
             step = change["p50"] - parent["p50"]
-            if 10 * lower >= 9 * n and -step > iqr:
+            better, bound = bounds.get(metric, ("lower", None))
+            wins, losses, worse_step = ((lower, higher, step) if better == "lower"
+                                        else (higher, lower, -step))
+            if 10 * wins >= 9 * n and -worse_step > iqr:
                 word = "gain shown"
-            elif 10 * higher >= 9 * n and step > iqr:
+            elif 10 * losses >= 9 * n and worse_step > iqr:
                 word = "worse"
             else:
                 word = "unresolved"
+            if bound is not None:
+                scale = abs(parent["p50"]) or 1.0  # a parent median of 0: absolute steps
+                word += "; within bound" if worse_step / scale <= bound else "; beyond bound"
+                word += "; spread wider than bound" if iqr / scale > bound else ""
             relative = f" ({step / parent['p50']:+.1%})" if parent["p50"] else ""
             lines.append(f"{workload} {metric}: median {parent['p50']:.6g} -> "
                          f"{change['p50']:.6g}{relative}, parent IQR {iqr:.3g}, change lower "
@@ -160,7 +183,7 @@ def main(argv=None):
     summary = summarize(pairs)
     json.dump({"pairs": pairs, "summary": summary}, sys.stdout, indent=1)
     print()
-    for line in verdicts(summary):
+    for line in verdicts(summary, load_bounds()):
         print(line, file=sys.stderr)
     return 0
 

@@ -9,10 +9,11 @@ scenario of the tree and seeds 0-3 of every workload of this checkout's
 splits each pair of files into fields (CSV cells, summary keys and values)
 and prints every numeric field that changed, with its absolute and relative
 change, and every other difference: a changed word such as a status or a
-`passed` flag, an added or dropped key, row, file or study, or a changed
-exit code.  Then, for each field name (a CSV column or a summary key) with
-a numeric change, it prints how many fields of that name changed and the
-largest absolute and relative change, each with its file.
+`passed` flag, a number turning into or out of nan or inf, an added or
+dropped key, row, file or study, or a changed exit code.  Then, for each
+field name (a CSV column or a summary key) with a numeric change, it prints
+how many fields of that name changed and the largest absolute and relative
+change, each with its file.
 
 Exits with 0 when the reports differ at most in numeric fields, 1 otherwise.
 """
@@ -20,6 +21,7 @@ Exits with 0 when the reports differ at most in numeric fields, 1 otherwise.
 import argparse
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -107,17 +109,20 @@ def field_name(label):
 
 
 def _number(token):
+    """The value of a finite number, else None: a field turning into or out of
+    nan or inf is a change of kind, not of value."""
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         return None
+    return value if math.isfinite(value) else None
 
 
 def diff_fields(old, new):
     """Compare two lists of (label, value) fields.
 
     Returns (numeric, other).  numeric lists (label, old, new, abs change,
-    relative change) for fields that read as numbers on both sides; other
+    relative change) for fields that read as finite numbers on both sides; other
     lists (label, old, new) for every other change, including a field
     present on one side only.
     """
