@@ -83,10 +83,11 @@ def synthetic_pairs(walls):
 
 
 def verdict(walls):
-    lines = bench_pairs.verdicts(bench_pairs.summarize(synthetic_pairs(walls)))
+    lines = bench_pairs.verdicts(bench_pairs.summarize(synthetic_pairs(walls)),
+                                 bench_pairs.load_bounds())
     [wall_line] = [line for line in lines if line.startswith("w wall_s:")]
     [gap_line] = [line for line in lines if line.startswith("w rel_gap:")]
-    assert gap_line.endswith("change lower in 0/10, equal in 10: unresolved")
+    assert gap_line.endswith("change lower in 0/10, equal in 10: unresolved; within bound")
     return wall_line
 
 
@@ -94,18 +95,18 @@ def test_verdict_needs_nine_wins_in_ten_and_a_step_beyond_the_parent_iqr():
     parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # IQR 0.045
     assert verdict([(p, p - 0.1) for p in parent]) == (
         "w wall_s: median 1.045 -> 0.945 (-9.6%), parent IQR 0.045, "
-        "change lower in 10/10, equal in 0: gain shown")
+        "change lower in 10/10, equal in 0: gain shown; within bound")
     # nine wins and one tie still show the gain; eight wins do not
     nine = [(p, p - 0.1) for p in parent[:9]] + [(parent[9], parent[9])]
-    assert verdict(nine).endswith("change lower in 9/10, equal in 1: gain shown")
+    assert verdict(nine).endswith("change lower in 9/10, equal in 1: gain shown; within bound")
     eight = [(p, p - 0.1) for p in parent[:8]] + [(p, p) for p in parent[8:]]
-    assert verdict(eight).endswith("change lower in 8/10, equal in 2: unresolved")
+    assert verdict(eight).endswith("change lower in 8/10, equal in 2: unresolved; within bound")
     # ten wins by less than the parent's IQR
-    assert verdict([(p, p - 0.01) for p in parent]).endswith(": unresolved")
+    assert verdict([(p, p - 0.01) for p in parent]).endswith(": unresolved; within bound")
     # the same rule with the sides swapped
     assert verdict([(p, p + 0.1) for p in parent]).endswith(
-        "change lower in 0/10, equal in 0: worse")
-    assert verdict([(p, p + 0.01) for p in parent]).endswith(": unresolved")
+        "change lower in 0/10, equal in 0: worse; within bound")
+    assert verdict([(p, p + 0.01) for p in parent]).endswith(": unresolved; within bound")
 
 
 def bounded_verdicts(walls, bounds):
@@ -131,11 +132,11 @@ def test_verdict_reads_better_and_bound_from_the_benchmark_declaration():
     assert bounded_verdicts([(p, p + 0.3) for p in parent], bounds)["w wall_s"] == (
         "worse; beyond bound")
     # a 4.3% IQR is wider than a 2% bound, whatever the verdict
-    tight = {"wall_s": ("lower", 0.02)}
+    tight = {"wall_s": ("lower", 0.02), "rel_gap": ("lower", 0.1)}
     assert bounded_verdicts([(p, p) for p in parent], tight)["w wall_s"] == (
         "unresolved; within bound; spread wider than bound")
     # for a metric that reads better higher, the sides swap
-    higher = {"wall_s": ("higher", 0.05)}
+    higher = {"wall_s": ("higher", 0.05), "rel_gap": ("lower", 0.1)}
     assert bounded_verdicts([(p, p + 0.1) for p in parent], higher)["w wall_s"] == (
         "gain shown; within bound")
     assert bounded_verdicts([(p, p - 0.1) for p in parent], higher)["w wall_s"] == (

@@ -122,19 +122,17 @@ def summarize(pairs):
     return summary
 
 
-def load_bounds(path=os.path.join(ROOT, "BENCHMARK.json")):
-    """{metric: (better, bound)} of the end-to-end metrics of a BENCHMARK.json."""
-    with open(path, encoding="utf-8") as fh:
+def load_bounds():
+    """{metric: (better, bound)} of the end-to-end metrics of this checkout's BENCHMARK.json."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         return {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
 
 
-def verdicts(summary, bounds=None):
+def verdicts(summary, bounds):
     """The verdict line of each workload and end-to-end metric of a summary.
 
-    bounds maps a metric to its (better, bound), as `load_bounds` reads
-    them; a metric it leaves out reads better lower and gets no bound check.
+    bounds maps each metric to its (better, bound), as `load_bounds` reads them.
     """
-    bounds = bounds or {}
     lines = []
     for workload, entry in summary.items():
         n = entry["pairs"]
@@ -146,7 +144,7 @@ def verdicts(summary, bounds=None):
             higher = n - lower - equal
             iqr = parent["p75"] - parent["p25"]
             step = change["p50"] - parent["p50"]
-            better, bound = bounds.get(metric, ("lower", None))
+            better, bound = bounds[metric]
             wins, losses, worse_step = ((lower, higher, step) if better == "lower"
                                         else (higher, lower, -step))
             if 10 * wins >= 9 * n and -worse_step > iqr:
@@ -155,10 +153,9 @@ def verdicts(summary, bounds=None):
                 word = "worse"
             else:
                 word = "unresolved"
-            if bound is not None:
-                scale = abs(parent["p50"]) or 1.0  # a parent median of 0: absolute steps
-                word += "; within bound" if worse_step / scale <= bound else "; beyond bound"
-                word += "; spread wider than bound" if iqr / scale > bound else ""
+            scale = abs(parent["p50"]) or 1.0  # a parent median of 0: absolute steps
+            word += "; within bound" if worse_step / scale <= bound else "; beyond bound"
+            word += "; spread wider than bound" if iqr / scale > bound else ""
             relative = f" ({step / parent['p50']:+.1%})" if parent["p50"] else ""
             lines.append(f"{workload} {metric}: median {parent['p50']:.6g} -> "
                          f"{change['p50']:.6g}{relative}, parent IQR {iqr:.3g}, change lower "
