@@ -5,8 +5,9 @@ Usage:
                  [--h-list a,b,c] [--quad-order N]
   shellgamma list-scenarios
 
-The config is read by `studies.load_config`; --out, --h-list and
---quad-order replace its keys, and the result is validated again.
+The config is read and validated by `studies.load_config`; --out, --h-list
+and --quad-order then replace its keys, each parsed alone
+(`studies.override_config`), so an override does not mend an invalid config.
 
 Exit codes: 0 all tolerances met, 1 a tolerance failed, 2 configuration or
 runtime error.
@@ -15,10 +16,11 @@ runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import ConfigError, ShellGammaError
-from .studies import (BUILTIN_SCENARIOS, load_config, run_study, validate_config,
+from .studies import (BUILTIN_SCENARIOS, load_config, override_config, run_study,
                       write_report)
 
 
@@ -34,11 +36,12 @@ def _load_config(spec, h_list=None, quad_order=None, out=None):
         overrides["quadrature"] = {**cfg.quadrature, "surface_order": quad_order}
     if out is not None:
         overrides["output"] = out
-    # the overrides replace keys of the valid config, and the result is validated again
-    return validate_config({**vars(cfg), **overrides}) if overrides else cfg
+    return override_config(cfg, **overrides) if overrides else cfg
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(prog="shellgamma", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -52,8 +55,11 @@ def main(argv=None):
                        help="override the surface quadrature order")
 
     sub.add_parser("list-scenarios", help="list builtin scenario names")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     if args.command == "list-scenarios":
         for name in sorted(BUILTIN_SCENARIOS):
@@ -69,15 +75,15 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    print(f"study: {report.kind}")
-    for key in sorted(report.summary):
-        print(f"  {key}: {report.summary[key]}")
-    print(f"report: {csv_path}")
-    print(f"summary: {summary_path}")
+    lines = [f"study: {report.kind}"]
+    lines += [f"  {key}: {report.summary[key]}" for key in sorted(report.summary)]
+    lines += [f"report: {csv_path}", f"summary: {summary_path}"]
+    if report.error is None:
+        lines.append("result: PASS" if report.passed else "result: FAIL")
+    sys.stdout.write("\n".join(lines) + "\n")  # the block in one write
     if report.error is not None:
         print(f"error: {report.error}", file=sys.stderr)
         return 2
-    print("result: PASS" if report.passed else "result: FAIL")
     return 0 if report.passed else 1
 
 

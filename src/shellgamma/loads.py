@@ -157,12 +157,13 @@ def eval_J_h(rec, E_h, f, squad, trule):
     return (E_h + action - work)[()]
 
 
-def random_rotations(rng, count):
+def random_rotations(rng, count, out=None):
     """Uniform random rotations as (count, 4) Gaussian quaternions (w, x, y, z).
 
-    They are not normalized: R(q) depends only on the direction of q.
+    They are not normalized: R(q) depends only on the direction of q.  Given
+    `out`, a (count, 4) array, the draw fills it and returns it.
     """
-    return rng.standard_normal((count, 4))
+    return rng.standard_normal((count, 4), out=out)
 
 
 def rotation_matrices(q):

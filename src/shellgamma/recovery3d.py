@@ -24,6 +24,13 @@ d0 and d1, whose partials at the points are 4th-order central differences
 of the stencil values.  g2-g1, V and w are read at the points alone.  The
 limit functional reads `RecoveryData.limit` and `.q2`.
 
+Each array lives only as long as a reader needs it, which keeps the
+transient peak of a recovery low: the grid's ChartMetric is freed once the
+stencil frames are completed from it, the 33-point A n and DV once the
+partials of A n are taken and their GRID_ROWS copied out, and the stencil
+frames once the bundle frame has copied them in, before the bundle is
+evaluated.
+
 Everything broadcasts over leading batch axes: the energies read y^h once
 per schedule over (H, T, N), the h, then the transversal and the surface
 nodes, so that arrays over the surface nodes broadcast.  That one pass also
@@ -127,10 +134,12 @@ def recovery_data(patch, material, iso, w, thick, kappa, frame):
     st = patch.complete(metric[GRID_ROWS[1:]])
     del metric  # the grid's record, 33 points per point: freed before the partials
     An_partials = grid_partials(An, d)
-    # one bundle over the points (entry 0) and their stencil points; copies free it
+    An, DV = An[GRID_ROWS], DV[GRID_ROWS]  # the 33-point values, freed before the bundle
+    # one bundle over the points (entry 0) and their stencil points
     fr = NodeFrame(**{k: np.concatenate([v[None], getattr(st, k)])
                       for k, v in vars(frame).items()})
-    lf = limit_fields(iso, w, thick, kappa, fr, An[GRID_ROWS], DV[GRID_ROWS], An_partials)
+    del st  # the stencil frames, copied into the bundle
+    lf = limit_fields(iso, w, thick, kappa, fr, An, DV, An_partials)
     q2 = reduce_q2(material.q3, fr.n, fr.tangents)
     d0, d1 = build_d_fields(lf, q2, kappa)
     # lf.An is the first-order rotation of the normal; xi . tau = n . d_tau w

@@ -665,3 +665,29 @@ def test_bundle_frame_carries_the_products_of_its_points(monkeypatch, kind):
     # the recovery reads the normal's partials off its frame, stored nowhere else
     assert "dn" not in data.fields
     assert np.array_equal(data.limit.frame.dn, fr.dn[0])
+
+
+# Transient heap peak of recovery_data on sphere-gamma, by tracemalloc: 2.10 MB
+# when Q2's coupling formed the full (..., 3, 3, 3) array and the 33-point A n
+# and DV and the stencil frames lived to the end, 1.34 MB since.  A peak near
+# glibc's trim threshold makes the heap shrink and fault back every study.
+RECOVERY_PEAK_BUDGET = 1_600_000  # bytes
+
+
+def test_recovery_data_keeps_its_transient_peak_within_budget():
+    import tracemalloc
+
+    from shellgamma import studies
+    cfg = studies.load_config("sphere-gamma")
+    patch, thick, squad, iso, w = studies._gamma_scene(cfg)
+    args = (patch, studies._build(studies._MATERIALS, "type", cfg.material), iso, w, thick,
+            cfg.kappa, squad.frame)
+    sg.recovery_data(*args)  # warm: caches of the patch and the quadrature
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sg.recovery_data(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= RECOVERY_PEAK_BUDGET, f"transient peak {peak} bytes"

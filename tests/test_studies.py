@@ -384,18 +384,24 @@ def test_load_align_forms_one_action_form_and_draws_once(monkeypatch):
     # the sampled route's form from loads, once; K(N) of this module once,
     # for the eigenvalue route; the rotations streamed in draws of at most
     # one chunk, each scored as it comes, whose maxima are those of one draw
-    # of every rotation from the same seed, bit for bit
+    # of every rotation from the same seed, bit for bit; every draw fills one buffer
     counted = {"action_form": [], "davenport_matrix": [], "rotation_actions": [],
                "random_rotations": []}
+    buffers = []
     maxima = []
     best_actions = studies._best_actions
 
     def counting(name):
         f = getattr(studies, name)
 
-        def counted_call(*args):
-            counted[name].append(args)
-            return f(*args)
+        def counted_call(*args, **kwargs):
+            result = f(*args, **kwargs)
+            # copies: the draws overwrite their buffer
+            counted[name].append(tuple(np.copy(a) if isinstance(a, np.ndarray) else a
+                                       for a in args))
+            if "out" in kwargs:
+                buffers.append(kwargs["out"])
+            return result
         return counted_call
 
     def recording_best_actions(N, q):
@@ -415,6 +421,8 @@ def test_load_align_forms_one_action_form_and_draws_once(monkeypatch):
         "rotation_actions": chunks, "random_rotations": chunks}
     assert all(count <= studies._ACTION_CHUNK for _, count in counted["random_rotations"])
     assert sum(count for _, count in counted["random_rotations"]) == samples
+    assert len(buffers) == chunks
+    assert all(np.shares_memory(out, buffers[0]) for out in buffers)
     [(Ns,)] = counted["action_form"]
     assert Ns.shape == (matrices, 3, 3)
     assert all(form.shape == (matrices, 10) and len(q) <= studies._ACTION_CHUNK
