@@ -5,9 +5,8 @@ Usage:
                  [--h-list a,b,c] [--quad-order N]
   shellgamma list-scenarios
 
-The config is read and validated by `studies.load_config`; --out, --h-list
-and --quad-order then replace its keys, each parsed alone
-(`studies.override_config`), so an override does not mend an invalid config.
+The config is read by `studies.load_config`; --out, --h-list and
+--quad-order replace its keys, and the result is validated again.
 
 Exit codes: 0 all tolerances met, 1 a tolerance failed, 2 configuration or
 runtime error.
@@ -20,7 +19,7 @@ import functools
 import sys
 
 from .errors import ConfigError, ShellGammaError
-from .studies import (BUILTIN_SCENARIOS, load_config, override_config, run_study,
+from .studies import (BUILTIN_SCENARIOS, load_config, run_study, validate_config,
                       write_report)
 
 
@@ -36,7 +35,8 @@ def _load_config(spec, h_list=None, quad_order=None, out=None):
         overrides["quadrature"] = {**cfg.quadrature, "surface_order": quad_order}
     if out is not None:
         overrides["output"] = out
-    return override_config(cfg, **overrides) if overrides else cfg
+    # the overrides replace keys of the valid config, and the result is validated again
+    return validate_config({**vars(cfg), **overrides}) if overrides else cfg
 
 
 @functools.cache

@@ -267,28 +267,6 @@ def _first_frame(bad):
     return tuple(int(k) for k in np.unravel_index(np.argmax(bad), bad.shape))
 
 
-def _coupling(n):
-    """vec6 of e_i (x) n + n (x) e_i, as (..., 3, 6), from the six entry pairs of n.
-
-    Entry (i, k) is (d_ir n_c + n_r d_ic) s_k for the pair (r, c) and scale s_k
-    of vec6 coordinate k: the values of vec6 of the full (..., 3, 3, 3) array,
-    -0.0 included, and its memory layout, so that products with the coupling
-    take the same loops.  That layout has the six coordinates slowest, then
-    the axes of n in their order in memory, with i in place of n's component.
-    """
-    axes = sorted(range(n.ndim), key=lambda a: -abs(n.strides[a]))  # stable, as numpy's
-    out = np.empty((6,) + tuple(n.shape[a] for a in axes))
-    out = out.transpose([0] + [1 + axes.index(a) for a in range(n.ndim)])  # (6, ..., 3)
-    nt = np.moveaxis(n, -1, 0)
-    cols, rows = nt[_VEC6_COLS], nt[_VEC6_ROWS]  # (6, ...): n_c and n_r
-    lead = (6,) + (1,) * (n.ndim - 1)
-    for i in range(3):  # one (6, ...) slab per i: long loops in either layout
-        np.multiply(cols, _I3[i, _VEC6_ROWS].reshape(lead), out=out[..., i])
-        out[..., i] += rows * _I3[i, _VEC6_COLS].reshape(lead)
-    out *= _VEC6_SCALE.reshape(lead + (1,))
-    return np.moveaxis(out, 0, -1)
-
-
 def reduce_q2(q3, n, T):
     """Relax q3 over normal corrections at the frames (T, n).
 
@@ -305,7 +283,9 @@ def reduce_q2(q3, n, T):
     if bad.any():
         i = _first_frame(bad)
         raise ParameterError(f"normal must be a unit vector at frame {i}, |n| = {nn[i]}")
-    coupling = _coupling(n)
+    # L[..., i, :, :] = e_i (x) n + n (x) e_i
+    L = _I3[:, :, None] * n[..., None, None, :] + n[..., None, :, None] * _I3[:, None, :]
+    coupling = vec6(L)
     K = coupling @ q3.matrix6 @ transpose(coupling)
     chol, bad = cholesky3(K)
     if bad.any():

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -326,28 +326,12 @@ def validate_config(doc):
     cfg = _parse_params(doc, _SECTIONS, "")
     cfg["tolerances"] = _parse_params(cfg["tolerances"], _STUDIES[cfg["study"]].params,
                                       "tolerances")
-    return _check_e_h(StudyConfig(**cfg))
-
-
-def override_config(cfg, **values):
-    """The valid StudyConfig cfg with top-level keys replaced by `values`.
-
-    Each value is parsed as validate_config parses its key, with the same key
-    paths in its errors; the other keys, valid already, are not parsed again.
-    The study kind and its tolerances are not replaced this way.
-    """
-    return _check_e_h(replace(cfg, **{key: _SECTIONS[key][1](value, key)
-                                       for key, value in values.items()}))
-
-
-def _check_e_h(cfg):
-    """cfg, unless its e_h mode and kappa do not go together."""
-    mode = cfg.e_h["mode"]
-    _require(mode != "kappa_h4" or cfg.kappa > 0.0,
+    mode = cfg["e_h"]["mode"]
+    _require(mode != "kappa_h4" or cfg["kappa"] > 0.0,
              "e_h mode kappa_h4 requires kappa > 0", "e_h.mode")
-    _require(mode != "h_alpha" or cfg.kappa == 0.0,
-             "e_h mode h_alpha (e_h/h^4 -> 0) requires kappa = 0, got {}", "kappa", cfg.kappa)
-    return cfg
+    _require(mode != "h_alpha" or cfg["kappa"] == 0.0,
+             "e_h mode h_alpha (e_h/h^4 -> 0) requires kappa = 0, got {}", "kappa", cfg["kappa"])
+    return StudyConfig(**cfg)
 
 
 def load_config(spec):

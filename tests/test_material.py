@@ -315,36 +315,6 @@ def test_batched_reduction_equals_stacked_frames():
             assert np.max(np.abs(batched - stacked)) <= 1e-14 * np.max(np.abs(stacked))
 
 
-def full_coupling(n):
-    """vec6 of the (..., 3, 3, 3) array of e_i (x) n + n (x) e_i, formed in full."""
-    I3 = np.eye(3)
-    return vec6(I3[:, :, None] * n[..., None, None, :] + n[..., None, :, None] * I3[:, None, :])
-
-
-@pytest.mark.parametrize("batch", [(), (7,), (9, 7)])
-def test_coupling_equals_the_full_formula_bit_for_bit(batch):
-    # values, signs of zeros and memory layout, for a C-contiguous normal, a
-    # strided column of rotation matrices and the component-slowest layout
-    # of a bundle frame: a matvec with another layout takes another loop
-    rng = np.random.default_rng(31)
-    size = int(np.prod(batch, dtype=int))
-    R = rotation_matrices(random_rotations(rng, size))
-    # signed zeros: -Id and a signed permutation have -0.0 entries
-    signed = [-np.eye(3), -np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])]
-    R[:min(size, 2)] = signed[:size]
-    R = R.reshape(batch + (3, 3))
-    q3 = sg.make_isotropic(1.0, 1.0).q3
-    T = np.broadcast_to(np.eye(3)[:, :2], batch + (3, 2))
-    for n in (np.ascontiguousarray(R[..., 2]), R[..., 2],
-              np.moveaxis(np.ascontiguousarray(np.moveaxis(R[..., 2], -1, 0)), 0, -1)):
-        expected = full_coupling(n)
-        coupling = sg.reduce_q2(q3, n, T)._coupling
-        assert coupling.shape == batch + (3, 6)
-        assert coupling.strides == expected.strides
-        assert coupling.tobytes() == expected.tobytes()
-    assert (np.signbit(expected) & (expected == 0.0)).any()
-
-
 @settings(max_examples=60, deadline=None)
 @given(normals=arrays(np.float64, (4, 3), elements=st.floats(-1.0, 1.0)),
        factor=arrays(np.float64, (6, 6), elements=st.floats(-1.0, 1.0)),

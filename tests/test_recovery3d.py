@@ -668,9 +668,10 @@ def test_bundle_frame_carries_the_products_of_its_points(monkeypatch, kind):
 
 
 # Transient heap peak of recovery_data on sphere-gamma, by tracemalloc: 2.10 MB
-# when Q2's coupling formed the full (..., 3, 3, 3) array and the 33-point A n
-# and DV and the stencil frames lived to the end, 1.34 MB since.  A peak near
-# glibc's trim threshold makes the heap shrink and fault back every study.
+# when the 33-point A n and DV and the stencil frames lived to the end, 1.53 MB
+# since they are freed once the bundle has what it reads of them.  The budget
+# pins that transient allocation, so a temporary that outlives its reader
+# fails here.
 RECOVERY_PEAK_BUDGET = 1_600_000  # bytes
 
 
