@@ -9,7 +9,9 @@ are therefore assembled from the closed-form transversal reduction.  Every
 load integral is an array sum over the nodes, and every maximized action,
 with its tie rule, comes from `wahba_maximize`.  Its sampled check scores
 random quaternions against `action_form(N)`, formed once for all the
-batches `rotation_actions` reads.
+batches `rotation_actions` reads.  The `load-align` study forms it for the
+(24, m) stack G N of the cube's 24 rotations G times its moment matrices, so
+one quaternion q scores the 24 uniform rotations R(q) G at once.
 """
 
 from __future__ import annotations
