@@ -4,6 +4,7 @@ import argparse
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -49,6 +50,55 @@ def test_trees_compile_first_and_alternate_which_runs_first():
         ("parent", 1), ("change", 1), ("change", 2), ("parent", 2)]
     assert pairs[0] == {"code": "parent", "workload": "w1", "trace": 0, "seed": 1,
                         "seconds": 8.0, "result": result(1.0)}
+
+
+def make_tree(root):
+    for path in ("perfbench/run.py", "src/shellgamma/material.py"):
+        (root / path).parent.mkdir(parents=True, exist_ok=True)
+        (root / path).write_text("x = 1\n")
+    return str(root)
+
+
+def test_a_source_edited_during_the_runs_names_its_tree_and_file(tmp_path):
+    trees = {code: make_tree(tmp_path / code) for code in bench_pairs.CODES}
+
+    def run(tree, workload, seed, seconds):
+        if seed == 2:
+            # bytecode is not a source; an edited module is
+            os.makedirs(os.path.join(tree, "src", "__pycache__"), exist_ok=True)
+            with open(os.path.join(tree, "src", "__pycache__", "material.pyc"), "w") as fh:
+                fh.write("compiled")
+            if tree == trees["change"]:
+                with open(os.path.join(tree, "src", "shellgamma", "material.py"), "a") as fh:
+                    fh.write("y = 2\n")
+        return result(1.0)
+
+    with pytest.raises(bench_pairs.SourcesChanged) as err:
+        bench_pairs.collect(trees, ["w"], range(1, 4), 1.0, run=run,
+                            byte_compile=lambda tree: None)
+    assert str(err.value).splitlines()[1:] == [
+        f"  change tree {trees['change']}: {os.path.join('src', 'shellgamma', 'material.py')}"]
+    # unchanged sources pass
+    pairs = bench_pairs.collect(trees, ["w"], range(1, 4), 1.0, run=lambda *args: result(1.0),
+                                byte_compile=lambda tree: None)
+    assert len(pairs) == 6
+
+
+def test_a_changed_tree_exits_non_zero_without_json(tmp_path, monkeypatch, capsys):
+    trees = [make_tree(tmp_path / code) for code in bench_pairs.CODES]
+
+    def added_file(argv, cwd, **kwargs):
+        # the compile step and then one benchmark run, which adds a source
+        if "compileall" not in argv and cwd == trees[0]:
+            (tmp_path / "parent" / "perfbench" / "extra.py").write_text("")
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(result(1.0)) + "\n",
+                                           stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", added_file)
+    assert bench_pairs.main([*trees, "--workload", "w", "--seeds", "1", "--seconds", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"parent tree {trees[0]}: {os.path.join('perfbench', 'extra.py')}" in err
 
 
 def test_summary_counts_wins_ties_and_failures():

@@ -383,6 +383,23 @@ def test_brute_force_matches_solver_on_random_q3(entries):
     assert_brute_force_matches_solver(sg.QuadForm3.from_upper_triangle(entries), 0)
 
 
+def test_brute_force_converges_on_an_ill_conditioned_q3():
+    # M = A A^T + 1e-2 Id at 200 uniformly random frames, drawn as q2-check
+    # draws them, with F scaled by 3: over these 40 seeds the worst c is
+    # 5.2e-10 off after two conjugate-gradient cycles and 1.5e-7 after one
+    for seed in range(1000, 1040):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(6, 6))
+        q3 = sg.QuadForm3.from_matrix(A @ A.T + 1e-2 * np.eye(6))
+        F = 3.0 * rng.normal(size=(200, 2, 2))
+        R = rotation_matrices(random_rotations(rng, 200))
+        T, n = R[..., :2], R[..., 2]
+        q2 = sg.reduce_q2(q3, n, T)
+        val, c = sg.relax_q2_brute_force(q3, n, F, T)
+        assert np.max(np.linalg.norm(c - q2.minimizer(F), axis=-1)) <= 1e-8, seed
+        assert np.max(np.abs(val - q2.apply_tangential(F))) <= 1e-10, seed
+
+
 class ApplyOnly:
     """A Q3 that has only apply, and counts its calls."""
 
@@ -405,7 +422,7 @@ def test_brute_force_reads_only_apply_and_makes_few_calls(seed):
     F = np.random.default_rng(24).normal(size=(200, 2, 2))
     counted = ApplyOnly(q3)
     val, c = sg.relax_q2_brute_force(counted, n, F, T)
-    assert counted.calls <= 25
+    assert counted.calls <= 13
     with pytest.raises(AttributeError):
         counted.matrix6
     ref_val, ref_c = sg.relax_q2_brute_force(q3, n, F, T)

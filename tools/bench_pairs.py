@@ -10,7 +10,11 @@ tree's `setup_s` pays for missing or stale bytecode.  Then, for each
 workload and each seed, each tree runs its own
 `perfbench/run.py --workload W --seed s --seconds S --trace 0` from its
 root, one run at a time: odd seeds run the parent first, even seeds the
-change first.
+change first.  The `.py` sources under each tree's `src/` and `perfbench/`
+are hashed before they are compiled and again after the last run; if any
+file changed, was added or was removed in between, later interpreters
+compiled it again and the runs do not compare the trees as compiled, so
+the tool names each such tree and file and exits with 1, printing no JSON.
 
 Standard output gets one JSON object: "pairs", every run in the order made
 ({"code", "workload", "trace", "seed", "seconds", "result"}, where "result"
@@ -32,6 +36,7 @@ relative to its median, exceeds the bound.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -58,6 +63,24 @@ def run_order(seed):
     return CODES if seed % 2 else CODES[::-1]
 
 
+def source_digests(tree):
+    """{path relative to the tree: SHA-256} of every .py file under its src/ and perfbench/."""
+    digests = {}
+    for top in ("src", "perfbench"):
+        for folder, _, files in os.walk(os.path.join(tree, top)):
+            for name in files:
+                if name.endswith(".py"):
+                    path = os.path.join(folder, name)
+                    with open(path, "rb") as fh:
+                        digest = hashlib.sha256(fh.read()).hexdigest()
+                    digests[os.path.relpath(path, tree)] = digest
+    return digests
+
+
+class SourcesChanged(RuntimeError):
+    """A tree's sources after the last run differ from those it compiled before the first."""
+
+
 def compile_tree(tree):
     env = dict(os.environ)
     env.pop("PYTHONDONTWRITEBYTECODE", None)
@@ -78,8 +101,14 @@ def run_benchmark(tree, workload, seed, seconds):
 
 
 def collect(trees, workloads, seeds, seconds, run=run_benchmark, byte_compile=compile_tree):
-    """Every run, in the order made; trees maps each code to its checkout."""
+    """Every run, in the order made; trees maps each code to its checkout.
+
+    Raises SourcesChanged, naming each tree and file, when a tree's sources
+    changed between its compilation and the last run.
+    """
+    compiled = {}
     for code in CODES:
+        compiled[code] = source_digests(trees[code])
         byte_compile(trees[code])
     pairs = []
     for workload in workloads:
@@ -89,6 +118,15 @@ def collect(trees, workloads, seeds, seconds, run=run_benchmark, byte_compile=co
                 pairs.append({"code": code, "workload": workload, "trace": 0, "seed": seed,
                               "seconds": seconds,
                               "result": run(trees[code], workload, seed, seconds)})
+    changed = []
+    for code in CODES:
+        now = source_digests(trees[code])
+        changed += [f"{code} tree {trees[code]}: {path}"
+                    for path in sorted(compiled[code].keys() | now.keys())
+                    if compiled[code].get(path) != now.get(path)]
+    if changed:
+        raise SourcesChanged("sources changed after they were compiled, so later runs "
+                             "compiled them again:\n  " + "\n  ".join(changed))
     return pairs
 
 
@@ -176,7 +214,11 @@ def main(argv=None):
     for tree in trees.values():
         if not os.path.isfile(os.path.join(tree, "perfbench", "run.py")):
             parser.error(f"no perfbench/run.py under {tree}")
-    pairs = collect(trees, args.workload, args.seeds, args.seconds)
+    try:
+        pairs = collect(trees, args.workload, args.seeds, args.seconds)
+    except SourcesChanged as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     summary = summarize(pairs)
     json.dump({"pairs": pairs, "summary": summary}, sys.stdout, indent=1)
     print()
