@@ -101,9 +101,8 @@ def stretching_tensor(frame, A, AG, b_tan, kappa):
     """
     if kappa < 0.0 or not np.isfinite(kappa):
         raise EvaluationError("kappa must be finite and nonnegative")
-    T = frame.tan2(AG)
-    out = (np.asarray(b_tan, dtype=float) - 0.5 * kappa * frame.tan2(A @ A)
-           - 0.25 * (T + transpose(T)))
+    # one tangential minor: tan2 and sym commute, and A^2 is symmetric
+    out = np.asarray(b_tan, dtype=float) - frame.tan2((0.5 * kappa) * (A @ A) + 0.5 * AG)
     return 0.5 * (out + transpose(out))
 
 

@@ -7,8 +7,10 @@ q3_from_energy assembles it from W alone, for checking.  Q2 relaxes Q3
 over normal corrections c (x) n + n (x) c; the minimizing c is a linear map
 of the tangential input and feeds the recovery deformation.  Densities,
 forms and the reduction broadcast over leading batch axes (a stack of
-frames gives a stack of Q2 forms); the 3x3 coupling blocks are factored and
-solved by closed-form Cholesky and substitution, elementwise over the batch.
+frames gives a stack of Q2 forms); the 3x3 coupling blocks, a quadratic form
+in the normal alone, are formed from n (x) n by one product, then factored
+and solved by closed-form Cholesky and substitution, elementwise over the
+batch.
 The brute-force minimizer and the closed form stay independent oracles,
 batched over samples: the minimizer reads nothing of Q3 but apply, and
 runs two cycles of three conjugate-gradient steps from c = 0 on its values
@@ -46,6 +48,12 @@ def sym(F):
 def vec6(S):
     """Coordinates of symmetric 3x3 matrices in the orthonormal Sym(3) basis."""
     return S[..., _VEC6_ROWS, _VEC6_COLS] * _VEC6_SCALE
+
+
+# the rows vec6(e_i (x) n + n (x) e_i) are linear in n: they are n @ _COUPLING_OF_N
+# reshaped to (3, 6), whose row j holds the rows at n = e_j
+_COUPLING_OF_N = vec6(_I3[:, None, :, None] * _I3[None, :, None, :]
+                      + _I3[:, None, None, :] * _I3[None, :, :, None]).reshape(3, 18)
 
 
 def vec6_sym(F):
@@ -275,7 +283,10 @@ def reduce_q2(q3, n, T):
 
     n has shape (..., 3) and T (..., 3, 2); the tangent frame T fixes the
     coordinates of the tangential input, which matter for an anisotropic q3.
-    The coupling block of every frame is factored by the closed-form cholesky3.
+    The coupling rows vec6(e_i (x) n + n (x) e_i) are linear in n, one product
+    with a constant (3, 18) matrix, and the coupling block K of every frame is
+    a quadratic form in n: one product of n (x) n with a (9, 9) matrix formed
+    from q3 per call.  K is factored by the closed-form cholesky3.
     A normal that is not a unit vector (NaN included) raises ParameterError,
     and a block that is not positive definite DegenerateMaterialError, each
     naming the first such frame by its batch index.
@@ -286,10 +297,13 @@ def reduce_q2(q3, n, T):
     if bad.any():
         i = _first_frame(bad)
         raise ParameterError(f"normal must be a unit vector at frame {i}, |n| = {nn[i]}")
-    # L[..., i, :, :] = e_i (x) n + n (x) e_i
-    L = _I3[:, :, None] * n[..., None, None, :] + n[..., None, :, None] * _I3[:, None, :]
-    coupling = vec6(L)
-    K = coupling @ q3.matrix6 @ transpose(coupling)
+    # row i of the coupling is vec6(e_i (x) n + n (x) e_i), and K = coupling M6 coupling^T
+    # is a quadratic form in n alone: K_ab = sum_jm n_j n_m Z[3 j + m, 3 a + b]
+    coupling = (n @ _COUPLING_OF_N).reshape(n.shape[:-1] + (3, 6))
+    C = _COUPLING_OF_N.reshape(3, 3, 6)
+    Z = np.einsum("jak,kl,mbl->jmab", C, q3.matrix6, C).reshape(9, 9)
+    K = ((n[..., :, None] * n[..., None, :]).reshape(n.shape[:-1] + (9,)) @ Z).reshape(
+        n.shape[:-1] + (3, 3))
     chol, bad = cholesky3(K)
     if bad.any():
         i = _first_frame(bad)

@@ -35,8 +35,11 @@ Everything broadcasts over leading batch axes: the energies read y^h once
 per schedule over (H, T, N), the h, then the transversal and the surface
 nodes, so that arrays over the surface nodes broadcast.  That one pass also
 gives the energy everything else it needs: `gradient` returns det(Id + h t Pi)
-from the offset jacobian it forms anyway and inverts the frame through its
-2x2 tangential metric, and the Green strain, formed once per schedule,
+from the offset jacobian, whose thin-shell check it passes anyway, and
+inverts the offset frame (Id + h t Pi) J = J + h t Pi J through its 2x2
+tangential metric g + h t (b + b^T) + (h t)^2 c, from b = J^T Pi J and
+c = (Pi J)^T Pi J formed once per `build_recovery`, with no 3x3 product over
+(H, T, N); and the Green strain, formed once per schedule,
 feeds both the density and the distance from SO(3) of the blow-up gate,
 read off its eigenvalues in closed form with no SVD.
 """
@@ -166,6 +169,26 @@ def check_points(rec, u, what):
         raise ParameterError(f"the recovery was built at other chart points than the {what}")
 
 
+def _offset_frame(frame):
+    """ht -> ((MJ)^T, g_t) of the offset frame MJ = (Id + ht Pi) J at a frame's points.
+
+    MJ = J + ht Pi J is linear in the offset ht, and its metric
+    g_t = (MJ)^T MJ = g + ht (b + b^T) + ht^2 c is quadratic, with the 2x2
+    fields b = J^T Pi J and c = (Pi J)^T Pi J formed here once; ht broadcasts
+    against the frame's batch axes.
+    """
+    Jt, dnt = transpose(frame.jac), transpose(frame.dn)
+    b = Jt @ frame.dn
+    b = b + transpose(b)
+    c = dnt @ frame.dn
+
+    def at(ht):
+        ht = np.asarray(ht, dtype=float)[..., None, None]
+        return Jt + ht * dnt, frame.metric + ht * b + (ht * ht) * c
+
+    return at
+
+
 def build_recovery(data, h, e_h):
     """Assemble the recovery deformation y^h from the RecoveryData of a point array.
 
@@ -189,6 +212,7 @@ def build_recovery(data, h, e_h):
     ends = np.stack([-data.thick.g1.value(fr.u), data.thick.g2.value(fr.u)])
     offset_jacobian(fr, h.reshape(h.shape + (1,) * ends.ndim) * ends)
     sq = np.sqrt(e_h)
+    offset_frame = _offset_frame(fr)
 
     def scaled(t):
         # h and sqrt(e_h) with one trailing axis per batch axis of t against the points
@@ -222,12 +246,12 @@ def build_recovery(data, h, e_h):
         sm = s[..., None, None]  # s against (3, 2) chart partials
         # column i: chart partial d/du_i of y^h; d s/du_i = -(1/2) d(g2-g1)/du_i
         Y2 = Da0 + sm * Da1 + (0.5 * sm * sm) * Da2 - 0.5 * outer(dy_ds, pd["dgamma"])
-        M, det = offset_jacobian(fr, hb * np.asarray(t, dtype=float))
-        MJ = M @ fr.jac
-        MJt = transpose(MJ)
+        ht = hb * np.asarray(t, dtype=float)
+        _, det = offset_jacobian(fr, ht)
+        MJt, g_t = offset_frame(ht)
         # [MJ, n]^-1 has rows g_t^-1 (MJ)^T and n^T, as n is normal to MJ;
         # g_t = (MJ)^T MJ has det(Id + h t Pi)^2 det g, as Id + h t Pi fixes n
-        dual = inv2(MJt @ MJ, (det * fr.sqrt_det_metric) ** 2) @ MJt
+        dual = inv2(g_t, (det * fr.sqrt_det_metric) ** 2) @ MJt
         return Y2 @ dual + outer(dy_ds / hb[..., None], fr.n), det
 
     return RecoveryDeformation(h=h[()], e_h=e_h[()], frame=fr, thick=data.thick,

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 
+import numpy as np
 import pytest
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -191,3 +192,108 @@ def test_verdict_reads_better_and_bound_from_the_benchmark_declaration():
         "gain shown; within bound")
     assert bounded_verdicts([(p, p - 0.1) for p in parent], higher)["w wall_s"] == (
         "worse; beyond bound")
+
+
+def test_a_control_runs_as_a_third_tree_in_an_order_that_rotates_with_the_seed():
+    events = []
+    trees = {"parent": "/p", "change": "/c", "control": "/x"}
+
+    def run(tree, workload, seed, seconds):
+        events.append((tree, seed))
+        return result(1.0)
+
+    pairs = bench_pairs.collect(trees, ["w"], range(1, 5), 1.0, run=run,
+                                byte_compile=lambda tree: events.append(("compile", tree)))
+    assert events[:3] == [("compile", "/p"), ("compile", "/c"), ("compile", "/x")]
+    assert [tree for tree, _ in events[3:]] == ["/x", "/p", "/c", "/p", "/c", "/x",
+                                                 "/c", "/x", "/p", "/x", "/p", "/c"]
+    assert [p["code"] for p in pairs[:3]] == ["control", "parent", "change"]
+    # without a control the order is unchanged: odd seeds run the parent first
+    assert [bench_pairs.run_order(seed) for seed in (1, 2)] == [
+        ("parent", "change"), ("change", "parent")]
+
+
+def test_control_path_is_a_free_path_beside_the_parent_of_the_same_length(tmp_path):
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    path = bench_pairs.control_path(str(parent))
+    assert path == str(tmp_path / "pare~0")
+    (tmp_path / "pare~0").mkdir()
+    assert bench_pairs.control_path(str(parent)) == str(tmp_path / "pare~1")
+    (tmp_path / "p").mkdir()
+    assert bench_pairs.control_path(str(tmp_path / "p")) == str(tmp_path / "~")
+
+
+def controlled_verdicts(walls):
+    """{label: verdict} from (parent, change, control) wall_s values per seed."""
+    pairs = [{"code": code, "workload": "w", "trace": 0, "seed": seed, "seconds": 1,
+              "result": result(wall)}
+             for seed, walls_of in enumerate(walls, 1)
+             for code, wall in zip(("parent", "change", "control"), walls_of)]
+    summary = bench_pairs.summarize(pairs)
+    assert summary["w"]["wall_s"]["control"]["p50"] == float(
+        np.median([w[2] for w in walls]))
+    lines = bench_pairs.verdicts(summary, bench_pairs.load_bounds())
+    return {line.split(":")[0]: line.rsplit(": ", 1)[1] for line in lines}, lines
+
+
+def test_a_null_control_leaves_the_change_verdict():
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # IQR 0.045
+    words, lines = controlled_verdicts([(p, p - 0.1, p) for p in parent])
+    assert words == {"w wall_s": "gain shown; within bound",
+                     "w wall_s control": "unresolved; within bound",
+                     "w rel_gap": "unresolved; within bound",
+                     "w rel_gap control": "unresolved; within bound"}
+    assert lines[1] == ("w wall_s control: median 1.045 -> 1.045 (+0.0%), parent IQR 0.045, "
+                        "control lower in 0/10, equal in 10: unresolved; within bound")
+
+
+def test_a_control_step_that_swallows_the_change_step_leaves_it_unresolved():
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # IQR 0.045
+    # the change reads 0.07 lower, beyond the IQR; the control 0.03 lower, inside it,
+    # and 0.07 <= 0.03 + 0.045
+    words, _ = controlled_verdicts([(p, p - 0.07, p - 0.03) for p in parent])
+    assert words["w wall_s"] == "unresolved; within bound"
+    assert words["w wall_s control"] == "unresolved; within bound"
+    # without the control the same change shows its gain
+    assert verdict([(p, p - 0.07) for p in parent]).endswith(": gain shown; within bound")
+    # a control step the wrong way counts by its size too
+    words, _ = controlled_verdicts([(p, p - 0.07, p + 0.03) for p in parent])
+    assert words["w wall_s"] == "unresolved; within bound"
+    # a change step beyond both shows the gain
+    words, _ = controlled_verdicts([(p, p - 0.1, p - 0.03) for p in parent])
+    assert words["w wall_s"] == "gain shown; within bound"
+
+
+def test_a_control_that_moves_leaves_every_change_verdict_of_its_workload_unresolved():
+    parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # IQR 0.045
+    for shift, word in ((-0.1, "gain shown"), (0.1, "worse")):
+        words, _ = controlled_verdicts([(p, p - 0.2, p + shift) for p in parent])
+        assert words == {"w wall_s": "unresolved (control not null); within bound",
+                         "w wall_s control": f"{word}; control not null; within bound",
+                         "w rel_gap": "unresolved (control not null); within bound",
+                         "w rel_gap control": "unresolved; within bound"}
+
+
+def test_main_with_a_control_copies_the_parent_and_removes_the_copy(tmp_path, monkeypatch,
+                                                                      capsys):
+    trees = [make_tree(tmp_path / code) for code in bench_pairs.CODES]
+    copy = str(tmp_path / "pare~0")
+    seen = []
+
+    def run(argv, cwd, **kwargs):
+        seen.append(("compileall" in argv, cwd, os.path.isdir(copy)))
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(result(1.0)) + "\n",
+                                           stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.main([*trees, "--workload", "w", "--seeds", "1-2", "--seconds", "1",
+                             "--control"]) == 0
+    assert not os.path.exists(copy)
+    assert seen[:3] == [(True, trees[0], True), (True, trees[1], True), (True, copy, True)]
+    assert [cwd for _, cwd, _ in seen[3:]] == [copy, trees[0], trees[1],
+                                               trees[0], trees[1], copy]
+    out, err = capsys.readouterr()
+    assert json.loads(out)["summary"]["w"]["correct"] == {
+        "parent": True, "change": True, "control": True}
+    assert "w wall_s control: median 1 -> 1 (+0.0%)" in err

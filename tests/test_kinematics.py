@@ -169,6 +169,25 @@ def test_stretching_tensor_reduces_to_strain_bitwise():
     assert np.array_equal(tensor, strain_of(w, fr))
 
 
+def test_stretching_tensor_takes_one_tangential_minor():
+    # tan2 and sym commute and A^2 is symmetric: the one minor of
+    # (kappa/2) A^2 + (1/2) A G equals the formula with a minor per term
+    rng = np.random.default_rng(23)
+    for patch in [sg.make_builtin_patch("plate")] + curved_patches():
+        fr = sg.surface_quadrature(patch, 4).frame
+        P = rng.normal(size=fr.u.shape[:-1] + (3, 3))
+        A = 0.5 * (P - transpose(P))
+        AG = rng.normal(size=A.shape)
+        b = rng.normal(size=fr.u.shape[:-1] + (2, 2))
+        b = 0.5 * (b + transpose(b))
+        for kappa in (0.0, 0.7, 3.0):
+            T = fr.tan2(AG)
+            three = b - 0.5 * kappa * fr.tan2(A @ A) - 0.25 * (T + transpose(T))
+            three = 0.5 * (three + transpose(three))
+            one = sg.stretching_tensor(fr, A, AG, b, kappa)
+            assert np.max(np.abs(one - three)) <= 1e-14 * np.max(np.abs(three))
+
+
 def test_stretching_tensor_plate_vortex_term():
     plate = sg.make_builtin_patch("plate")
     thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 import shellgamma as sg
 from shellgamma.errors import DegenerateMaterialError, ParameterError
+from shellgamma.fields import transpose
 from shellgamma.loads import random_rotations, rotation_matrices
 from shellgamma.material import (basis_sym3, cho_solve3, cholesky3, green_strain, sym, vec6,
                                  vec6_sym)
@@ -313,6 +314,42 @@ def test_batched_reduction_equals_stacked_frames():
             stacked = np.stack(stacked)
             assert batched.shape == stacked.shape
             assert np.max(np.abs(batched - stacked)) <= 1e-14 * np.max(np.abs(stacked))
+
+
+def full_coupling_rows(n):
+    """vec6 of the full 3x3 matrices e_i (x) n + n (x) e_i, row i, at unit normals n."""
+    I = np.eye(3)
+    return vec6(I[:, :, None] * n[..., None, None, :] + n[..., None, :, None] * I[:, None, :])
+
+
+def assert_coupling_closed_form(q3, n, T):
+    # reduce_q2 forms the coupling rows as a linear map of n and the block K as a
+    # quadratic form in n alone; both against the route through the full matrices
+    q2 = sg.reduce_q2(q3, n, T)
+    rows = full_coupling_rows(n)
+    assert np.array_equal(q2._coupling, rows)
+    K = rows @ q3.matrix6 @ transpose(rows)
+    L = q2._chol
+    scale = np.max(np.abs(K), axis=(-2, -1))[..., None, None]
+    assert np.all(np.abs(L @ transpose(L) - K) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("seed", [50, 51, 52])
+def test_coupling_block_is_a_quadratic_form_in_the_normal(seed):
+    rng = np.random.default_rng(seed)
+    n, T = random_frames(rng, 500)
+    for q3 in (sg.make_isotropic(1.0, 1.0).q3, sg.make_isotropic(0.3, 7.0).q3,
+               anisotropic_q3(seed)):
+        assert_coupling_closed_form(q3, n, T)
+        assert_coupling_closed_form(q3, n.reshape(5, 100, 3), T.reshape(5, 100, 3, 2))
+        assert_coupling_closed_form(q3, *adapted_frame())
+
+
+@settings(max_examples=40, deadline=None)
+@given(entries=_Q3_MATRICES, seed=st.integers(0, 2 ** 32 - 1))
+def test_coupling_block_closed_form_on_random_q3(entries, seed):
+    n, T = random_frames(np.random.default_rng(seed), 20)
+    assert_coupling_closed_form(sg.QuadForm3.from_upper_triangle(entries), n, T)
 
 
 @settings(max_examples=60, deadline=None)
