@@ -14,8 +14,9 @@ from .fields import (ScalarField, VectorField, affine_scalar, constant_scalar,
                      plate_sine_field, rigid_field, sine_scalar, skew_matrix,
                      trig_vector_field, zero_vector_field)
 from .geometry import (NodeFrame, SurfacePatch, SurfaceQuadrature, ThicknessPair,
-                       TransversalRule, make_builtin_patch, offset_jacobian,
-                       surface_quadrature, validate_patch, validate_thickness)
+                       TransversalRule, make_builtin_patch, offset_determinant,
+                       offset_jacobian, surface_quadrature, validate_patch,
+                       validate_thickness)
 from .kinematics import (ExpansionData, IsometryField, LimitFields, bending_expansion_residual,
                          bending_matrix, build_isometry, expansion_data, limit_fields,
                          stretching_expansion_residual, stretching_tensor)

@@ -48,8 +48,12 @@ def batch_matrix(rows):
 
 
 def matvec(M, v):
-    """M v over leading batch axes: (..., r, c) times (..., c)."""
-    return (M @ v[..., None])[..., 0]
+    """M v over leading batch axes: (..., r, c) times (..., c).
+
+    One einsum over the whole stack: a stacked `@` would dispatch one BLAS
+    call per 2x2 or 3x3 matrix, which costs more than its arithmetic.
+    """
+    return np.einsum("...ij,...j->...i", M, v)
 
 
 def transpose(M):

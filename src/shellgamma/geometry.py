@@ -41,13 +41,6 @@ def inv2(g, det):
     return transpose(g[..., ::-1, ::-1]) * _ADJ2_SIGN / det[..., None, None]
 
 
-def det3(M):
-    """Determinant of each 3x3 matrix M, by cofactor expansion along the first row."""
-    return (M[..., 0, 0] * (M[..., 1, 1] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 1])
-            - M[..., 0, 1] * (M[..., 1, 0] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 0])
-            + M[..., 0, 2] * (M[..., 1, 0] * M[..., 2, 1] - M[..., 1, 1] * M[..., 2, 0]))
-
-
 @dataclass(frozen=True)
 class ChartMetric:
     """The chart jacobian, metric and normal at a batch of chart points, all that
@@ -146,18 +139,21 @@ class SurfacePatch:
 
     def complete(self, m):
         """The NodeFrame at the points of the ChartMetric m, reusing its fields."""
-        J, g, u = m.jac, m.metric, m.u
+        return NodeFrame(**vars(m), x=np.asarray(self.chart(m.u), dtype=float),
+                         sqrt_det_metric=np.sqrt(m.det_metric), **self.frame_products(m))
+
+    def frame_products(self, m):
+        """The fields Pi, T, g^-1 J^T and Pi J that `complete` adds to the ChartMetric
+        m, as a dict: all but the surface points x and sqrt(det g)."""
+        J, g = m.jac, m.metric
         # Gram-Schmidt of the jacobian columns, with the norms read off the metric
         len1 = np.sqrt(g[..., 0, 0])
-        sqrt_det = np.sqrt(m.det_metric)
         t1 = J[..., 0] / len1[..., None]
         t2 = J[..., 1] - (g[..., 0, 1] / len1)[..., None] * t1
-        t2 = t2 * (len1 / sqrt_det)[..., None]
+        t2 = t2 * (len1 / np.sqrt(m.det_metric))[..., None]
         shape_op, dn = self.normal_partials(m)
-        return NodeFrame(**vars(m), x=np.asarray(self.chart(u), dtype=float),
-                         sqrt_det_metric=sqrt_det, shape_op=shape_op,
-                         tangents=np.stack([t1, t2], axis=-1),
-                         dual=m.metric_inv @ transpose(J), dn=dn)
+        return dict(shape_op=shape_op, tangents=np.stack([t1, t2], axis=-1),
+                    dual=m.metric_inv @ transpose(J), dn=dn)
 
     def normal_partials(self, m):
         """The shape operator Pi and the chart partials Pi J of the normal at the
@@ -469,22 +465,26 @@ class TransversalRule:
 # offsets and curvature checks
 # ---------------------------------------------------------------------------
 
-def offset_jacobian(frame, t):
-    """Id + t*Pi (identity on the normal) and its determinant at a frame's points.
+def offset_determinant(frame, t):
+    """det(Id + t*Pi) at a frame's points, from the per-node invariants of Pi.
 
     Pi is the frame's shape operator and t the physical normal offset; the
-    frame's batch axes and t broadcast against each other.  Raises
+    frame's batch axes and t broadcast against each other.  Pi n = 0, so
+    det Pi = 0 and det(Id + t*Pi) = 1 + t (tr Pi + t sigma2(Pi)), with
+    sigma2 = ((tr Pi)^2 - tr Pi^2) / 2: no 3x3 matrix is formed.  Raises
     ThicknessError, naming the point of smallest principal factor 1 + t k,
     when the offset leaves the thin-shell regime: a factor that is not
-    positive, or not finite.  Pi is self-adjoint with Pi n = 0, so the two
-    factors have the product det(Id + t*Pi) and the sum tr(Id + t*Pi) - 1,
-    and both are positive exactly when these two are.  A NaN factor counts
-    as the smallest.
+    positive, or not finite.  Pi is self-adjoint, so the two factors have
+    the product det(Id + t*Pi) and the sum 2 + t tr Pi, and both are
+    positive exactly when these two are.  A NaN factor counts as the
+    smallest.
     """
     t = np.asarray(t, dtype=float)
-    M = _I3 + t[..., None, None] * frame.shape_op
-    det = det3(M)
-    s = M[..., 0, 0] + M[..., 1, 1] + M[..., 2, 2] - 1.0
+    P = frame.shape_op
+    tr = P[..., 0, 0] + P[..., 1, 1] + P[..., 2, 2]
+    sigma2 = 0.5 * (tr * tr - np.einsum("...ij,...ji->...", P, P))
+    det = 1.0 + t * (tr + t * sigma2)
+    s = 2.0 + t * tr
     if not np.all((det > 0.0) & (s > 0.0)):
         factor = 0.5 * s - np.sqrt(np.maximum(0.25 * s * s - det, 0.0))
         k = np.argmin(factor)
@@ -493,7 +493,17 @@ def offset_jacobian(frame, t):
         raise ThicknessError(
             f"principal factor of Id + t*Pi = {factor.ravel()[k]:.3e} is not positive "
             f"at u={tuple(uk.tolist())}, t={tk}")
-    return M, det
+    return det
+
+
+def offset_jacobian(frame, t):
+    """Id + t*Pi (identity on the normal) and its determinant at a frame's points.
+
+    The determinant, and the ThicknessError naming the worst point, come
+    from `offset_determinant`; t broadcasts against the frame's batch axes.
+    """
+    det = offset_determinant(frame, t)
+    return _I3 + np.asarray(t, dtype=float)[..., None, None] * frame.shape_op, det
 
 
 def _raise_first_failure(error, u, checks):

@@ -5,7 +5,10 @@ built once per scene; `eval_J_h` alone scales it to f^h = h sqrt(e_h) f.
 Loads are extended through the thickness with the det(Id + t Pi)^{-1}
 weight, f^h(x + t n) = det(Id + t Pi)^{-1} f^h(x), which makes transversal
 integrals of the extension collapse exactly; moment matrices and the work
-are therefore assembled from the closed-form transversal reduction.  Every
+are therefore assembled from the closed-form transversal reduction.  The
+moment matrix is A + h B in f^h, from two h-independent products, and the
+work reads y^h once over (T, N), through its transversal moments
+(`RecoveryDeformation.transversal_sum`).  Every
 load integral is an array sum over the nodes, and every maximized action,
 with its tie rule, comes from `wahba_maximize`.  Its sampled check scores
 random quaternions against `action_form(N)`, formed once for all the
@@ -90,18 +93,25 @@ def wahba_maximize(N, tie_tol=PROCRUSTES_TIE_TOL):
     return V @ Z @ U.T, value, "one_parameter_family", sv
 
 
+def _moment_products(f, thick, squad):
+    """The h-independent products A = int_S (g1+g2) x f^T and
+    B = (1/2) int_S (g2^2 - g1^2) n f^T of a load f at the nodes of squad."""
+    fr = squad.frame
+    g1v, g2v = thick.g1.value(fr.u), thick.g2.value(fr.u)
+    A = (squad.weights[:, None] * (g1v + g2v)[:, None] * fr.x).T @ f
+    B = (squad.weights[:, None] * (0.5 * (g2v ** 2 - g1v ** 2))[:, None] * fr.n).T @ f
+    return A, B
+
+
 def moment_matrix(fh, thick, h, squad):
     """N = (1/h) int_{S^h} z (f^h)^T dz via the exact transversal reduction.
 
     fh holds the scaled load f^h at the nodes of squad.  The extension
-    weight cancels the volume element, leaving
-    int_S (g1+g2) x (f^h)^T + (h/2) int_S (g2^2 - g1^2) n (f^h)^T.
+    weight cancels the volume element, leaving N = A + h B, with
+    A = int_S (g1+g2) x (f^h)^T and B = (1/2) int_S (g2^2 - g1^2) n (f^h)^T.
     """
-    fr = squad.frame
-    g1v, g2v = thick.g1.value(fr.u), thick.g2.value(fr.u)
-    z = ((g1v + g2v)[:, None] * fr.x
-         + (0.5 * h * (g2v ** 2 - g1v ** 2))[:, None] * fr.n)  # transversal moment
-    return (squad.weights[:, None] * z).T @ fh
+    A, B = _moment_products(fh, thick, squad)
+    return A + h * B
 
 
 def maximize_action(fh, thick, h, squad):
@@ -141,21 +151,25 @@ def eval_J_h(rec, E_h, f, squad, trule):
 
     E_h is the shell energy of rec (`eval_shell_energy(...).E_h`) and f the
     limit load at the nodes of squad, scaled here to f^h = h sqrt(e_h) f.
-    The load integral uses the exact transversal cancellation of the
-    extension weight: (1/h) int f^h u^h = int_S f^h(x) . int_t y^h dt dS,
-    with y^h read once over the (T, N) grid of transversal and surface nodes;
-    a schedule of h reads it over (H, T, N) and gives one J^h per h.
+    The moment matrix of f^h is h sqrt(e_h) (A + h B), from the two
+    h-independent products of `moment_matrix` formed once, and each h's
+    3x3 matrix is maximized alone.  The load integral uses the exact
+    transversal cancellation of the extension weight:
+    (1/h) int f^h u^h = int_S f^h(x) . int_t y^h dt dS, with y^h read once
+    over (T, N), through the transversal moments of `rec.transversal_sum`
+    and no (T, N, 3) array; a schedule of h gives one J^h per h.
     """
     thick = rec.thick
     h = np.asarray(rec.h)
-    fh = (h * np.sqrt(rec.e_h))[..., None, None] * f
-    action = np.reshape([maximize_action(fk, thick, hk, squad).value
-                         for fk, hk in zip(fh.reshape((-1,) + f.shape), h.ravel())], h.shape)
+    scale = h * np.sqrt(rec.e_h)
+    A, B = _moment_products(f, thick, squad)
+    action = np.reshape([wahba_maximize(sk * (A + hk * B))[1]
+                         for sk, hk in zip(scale.ravel(), h.ravel())], h.shape)
     u = squad.frame.u
     check_points(rec, u, "quadrature nodes")
     t, wt = trule.across(thick, u)
-    y_int = np.sum(wt[..., None] * rec.evaluate(t), axis=-3)
-    work = np.sum(squad.weights * (fh * y_int).sum(axis=-1), axis=-1)
+    fh = scale[..., None, None] * f
+    work = np.sum(squad.weights * (fh * rec.transversal_sum(t, wt)).sum(axis=-1), axis=-1)
     return (E_h + action - work)[()]
 
 

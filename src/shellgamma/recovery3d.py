@@ -15,33 +15,41 @@ per point (`fields.stencil_grid`) from its ChartMetric alone, which gives
 the chart partials of A n at the points and their stencil points.  The
 grid's rows `fields.GRID_ROWS` hand A n and DV at the (9, ...) union of the
 points and their stencil points, and the ChartMetric at the stencil points,
-completed to their frames, to one bundle frame, which concatenates every
-field of the frames at the points and at their stencil points, their
-products T, g^-1 J^T and Pi J included.  The bundle is evaluated once: the
-limit's record (`kinematics.limit_fields`: the frame, the chart partials of
-w and of (g2-g1) n, A and both tensors), the Q2 reduction beside it, xi,
-d0 and d1, whose partials at the points are 4th-order central differences
-of the stencil values.  g2-g1, V and w are read at the points alone.  The
-limit functional reads `RecoveryData.limit` and `.q2`.
+with its frame products, to one bundle frame, which concatenates every field
+of the frames at the points and at their stencil points, their products T,
+g^-1 J^T and Pi J included, but the surface points x and sqrt(det g): no
+reader of the bundle takes them, so the chart is not evaluated at the
+stencil points and both are NaN in the bundle.  The bundle is evaluated
+once: the limit's record (`kinematics.limit_fields`: the frame, the chart
+partials of w and of (g2-g1) n, A and both tensors), the Q2 reduction
+beside it, xi, d0 and d1, whose partials at the points are 4th-order
+central differences of the stencil values.  g2-g1, V and w are read at
+the points alone.  The limit functional reads `RecoveryData.limit` and
+`.q2`.
 
 Each array lives only as long as a reader needs it, which keeps the
 transient peak of a recovery low: the grid's ChartMetric is freed once the
-stencil frames are completed from it, the 33-point A n and DV once the
+stencil frame products are formed from it, the 33-point A n and DV once the
 partials of A n are taken and their GRID_ROWS copied out, and the stencil
-frames once the bundle frame has copied them in, before the bundle is
+fields once the bundle frame has copied them in, before the bundle is
 evaluated.
 
 Everything broadcasts over leading batch axes: the energies read y^h once
 per schedule over (H, T, N), the h, then the transversal and the surface
 nodes, so that arrays over the surface nodes broadcast.  That one pass also
 gives the energy everything else it needs: `gradient` returns det(Id + h t Pi)
-from the offset jacobian, whose thin-shell check it passes anyway, and
-inverts the offset frame (Id + h t Pi) J = J + h t Pi J through its 2x2
+from `geometry.offset_determinant`, 1 + h t (tr Pi + h t sigma2(Pi)) from the
+per-node invariants of Pi, with its own thin-shell check at every t it is
+asked for and no 3x3 matrix Id + h t Pi over (H, T, N), and inverts the
+offset frame (Id + h t Pi) J = J + h t Pi J through its 2x2
 tangential metric g + h t (b + b^T) + (h t)^2 c, from b = J^T Pi J and
 c = (Pi J)^T Pi J formed once per `build_recovery`, with no 3x3 product over
 (H, T, N); and the Green strain, formed once per schedule,
 feeds both the density and the distance from SO(3) of the blow-up gate,
-read off its eigenvalues in closed form with no SVD.
+read off its eigenvalues in closed form with no SVD.  A transversal sum
+sum_t wt y^h(t), which the load work and the averaged displacement read, is
+a0 m0 + a1 m1 + a2 m2 / 2 from the moments m_k = sum_t wt s^k, the same
+discrete sum in another order, with no (T, N, 3) array.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from .errors import EnergyBlowupError, ParameterError
 from .fields import (GRID_ROWS, grid_partials, matvec, outer, stencil_grid, stencil_partials,
                      stencil_points, stencil_steps, transpose)
 from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this import site)
-from .geometry import NodeFrame, inv2, offset_jacobian
+from .geometry import NodeFrame, inv2, offset_determinant, offset_jacobian
 from .kinematics import LimitFields, limit_fields, tangential_strain
 from .material import QuadForm2, green_strain, reduce_q2
 
@@ -108,7 +116,10 @@ class RecoveryDeformation:
     frame: NodeFrame  # the points of y^h
     thick: object
     evaluate: Callable  # t -> R^3 at the frame's points, t in (-g1, g2); t broadcasts against them
-    # t -> (3x3 deformation gradient on the physical shell, det(Id + h t Pi)) there
+    # (t, wt) -> sum over the leading transversal axis of wt y^h(t), at the frame's points
+    transversal_sum: Callable
+    # t -> (3x3 deformation gradient on the physical shell, det(Id + h t Pi)) there;
+    # raises ThicknessError, naming the worst point, where a t leaves the thin shell
     gradient: Callable
 
 
@@ -134,14 +145,17 @@ def recovery_data(patch, material, iso, w, thick, kappa, frame):
     grid, d = stencil_grid(frame.u, patch.domain)
     metric = patch.metric(grid)
     An, DV = iso.An(metric)
-    st = patch.complete(metric[GRID_ROWS[1:]])
+    st = metric[GRID_ROWS[1:]]
+    st = {**vars(st), **patch.frame_products(st)}  # the stencil points' frame fields
     del metric  # the grid's record, 33 points per point: freed before the partials
     An_partials = grid_partials(An, d)
     An, DV = An[GRID_ROWS], DV[GRID_ROWS]  # the 33-point values, freed before the bundle
-    # one bundle over the points (entry 0) and their stencil points
-    fr = NodeFrame(**{k: np.concatenate([v[None], getattr(st, k)])
+    # one bundle over the points (entry 0) and their stencil points; no reader of the
+    # bundle takes its x or sqrt(det g), so they are not evaluated: NaN, never copied
+    fr = NodeFrame(**{k: np.concatenate([v[None], st[k]]) if k in st
+                      else np.broadcast_to(np.nan, (len(GRID_ROWS),) + v.shape)
                       for k, v in vars(frame).items()})
-    del st  # the stencil frames, copied into the bundle
+    del st  # the stencil fields, copied into the bundle
     lf = limit_fields(iso, w, thick, kappa, fr, An, DV, An_partials)
     q2 = reduce_q2(material.q3, fr.n, fr.tangents)
     d0, d1 = build_d_fields(lf, q2, kappa)
@@ -197,8 +211,9 @@ def build_recovery(data, h, e_h):
     enough that Id + h t Pi stays orientation-preserving through the
     thickness.  `evaluate(t)` and `gradient(t)` read y^h at the points of
     the data, t broadcasting against them; `gradient` also returns
-    det(Id + h t Pi), the volume factor of the energy, from the same offset
-    jacobian.
+    det(Id + h t Pi), the volume factor of the energy, from
+    `offset_determinant`.  `transversal_sum(t, wt)` sums wt y^h(t) over the
+    leading axis of a (T, ...) grid t from the transversal moments of wt.
     """
     h, e_h = np.asarray(h, dtype=float), np.asarray(e_h, dtype=float)
     if not np.all((0.0 < h) & (h < 1.0)):
@@ -214,9 +229,11 @@ def build_recovery(data, h, e_h):
     sq = np.sqrt(e_h)
     offset_frame = _offset_frame(fr)
 
-    def scaled(t):
-        # h and sqrt(e_h) with one trailing axis per batch axis of t against the points
-        shape = h.shape + (1,) * max(np.ndim(t), fr.u.ndim - 1)
+    gamma = pd["gamma"]
+
+    def scaled(ndim):
+        # h and sqrt(e_h) with one trailing axis per batch axis of an ndim-dim t
+        shape = h.shape + (1,) * max(ndim, fr.u.ndim - 1)
         return h.reshape(shape), sq.reshape(shape)
 
     def coefficients(h, sq, x, gamma_n, V, w, n, p, xi, d0, d1):
@@ -226,18 +243,24 @@ def build_recovery(data, h, e_h):
 
     def t_coefficients(t, h, sq):
         # s and (a0, a1, a2) at the points
-        gamma = pd["gamma"]
         return (np.asarray(t, dtype=float) - 0.5 * gamma,
                 *coefficients(h[..., None], sq[..., None], fr.x, gamma[..., None] * fr.n,
                               pd["V"], pd["w"], fr.n, lf.An, pd["xi"], pd["d0"], pd["d1"]))
 
     def evaluate(t):
-        s, a0, a1, a2 = t_coefficients(t, *scaled(t))
+        s, a0, a1, a2 = t_coefficients(t, *scaled(np.ndim(t)))
         s = s[..., None]
         return a0 + s * a1 + (0.5 * s * s) * a2
 
+    def transversal_sum(t, wt):
+        # sum_t wt y^h(t) = a0 m0 + a1 m1 + a2 m2 / 2, with the moments m_k = sum_t wt s^k
+        s, a0, a1, a2 = t_coefficients(t, *scaled(np.ndim(t) - 1))
+        ws = wt * s
+        m0, m1, m2 = (np.sum(m, axis=0)[..., None] for m in (wt, ws, ws * s))
+        return a0 * m0 + a1 * m1 + (0.5 * m2) * a2
+
     def gradient(t):
-        hb, sb = scaled(t)
+        hb, sb = scaled(np.ndim(t))
         s, _, a1, a2 = t_coefficients(t, hb, sb)
         Da0, Da1, Da2 = coefficients(
             hb[..., None, None], sb[..., None, None], fr.jac, lf.Dgamma_n, lf.DV, lf.Dw,
@@ -247,7 +270,7 @@ def build_recovery(data, h, e_h):
         # column i: chart partial d/du_i of y^h; d s/du_i = -(1/2) d(g2-g1)/du_i
         Y2 = Da0 + sm * Da1 + (0.5 * sm * sm) * Da2 - 0.5 * outer(dy_ds, pd["dgamma"])
         ht = hb * np.asarray(t, dtype=float)
-        _, det = offset_jacobian(fr, ht)
+        det = offset_determinant(fr, ht)  # its own thin-shell check, at every t asked for
         MJt, g_t = offset_frame(ht)
         # [MJ, n]^-1 has rows g_t^-1 (MJ)^T and n^T, as n is normal to MJ;
         # g_t = (MJ)^T MJ has det(Id + h t Pi)^2 det g, as Id + h t Pi fixes n
@@ -255,7 +278,8 @@ def build_recovery(data, h, e_h):
         return Y2 @ dual + outer(dy_ds / hb[..., None], fr.n), det
 
     return RecoveryDeformation(h=h[()], e_h=e_h[()], frame=fr, thick=data.thick,
-                               evaluate=evaluate, gradient=gradient)
+                               evaluate=evaluate, transversal_sum=transversal_sum,
+                               gradient=gradient)
 
 
 def so3_distance(E):
@@ -336,14 +360,16 @@ def averaged_displacement(rec, trule):
     """The scaled transversal average (h/sqrt(e_h)) avg_t [y^h(x+tn) - (x+htn)].
 
     Returns the (..., 3) values at the points of `rec`, of a scalar h,
-    averaged through the thickness.  A schedule of h is a ParameterError.
+    averaged through the thickness, with y^h summed by `rec.transversal_sum`.
+    A schedule of h is a ParameterError.
     """
     if np.ndim(rec.h):
         raise ParameterError(f"h must be a scalar for the averaged displacement, got {rec.h}")
     fr, thick = rec.frame, rec.thick
     t, wt = trule.across(thick, fr.u)
-    offset = rec.evaluate(t) - (fr.x + (rec.h * t)[..., None] * fr.n)
-    acc = np.sum(wt[..., None] * offset, axis=0)
+    # sum_t wt [y^h(t) - (x + h t n)]
+    acc = (rec.transversal_sum(t, wt) - np.sum(wt, axis=0)[..., None] * fr.x
+           - (rec.h * np.sum(wt * t, axis=0))[..., None] * fr.n)
     return (rec.h / np.sqrt(rec.e_h)) * acc / thick.total(fr.u)[..., None]
 
 

@@ -20,6 +20,14 @@ def fd_columns(f, u, domain):
     return stencil_partials(np.asarray(f(stencil_points(u, d))), d)
 
 
+def det3(M):
+    """Determinant of each 3x3 matrix M, by cofactor expansion along the first row; the
+    oracle of `geometry.offset_determinant`."""
+    return (M[..., 0, 0] * (M[..., 1, 1] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 1])
+            - M[..., 0, 1] * (M[..., 1, 0] * M[..., 2, 2] - M[..., 1, 2] * M[..., 2, 0])
+            + M[..., 0, 2] * (M[..., 1, 0] * M[..., 2, 1] - M[..., 1, 1] * M[..., 2, 0]))
+
+
 def An_partials(patch, iso, u):
     """Chart partials of A n of the isometry `iso` on `patch` at chart points u, shape
     (..., 3, 2).

@@ -11,6 +11,8 @@ from shellgamma.fields import GRID_ROWS, stencil_grid, transpose
 from shellgamma.geometry import gauss_legendre
 from shellgamma.studies import fit_order
 
+from oracles import det3
+
 
 def all_builtin_patches():
     return [
@@ -155,6 +157,35 @@ def test_offset_jacobian_det_is_product_of_principal_curvature_factors():
         assert det == pytest.approx(expected, rel=1e-10), patch.name
 
 
+def test_offset_determinant_matches_the_cofactor_determinant_on_every_patch_kind():
+    # 1 + t (tr Pi + t sigma2(Pi)) against det3(Id + t Pi) built here, for the
+    # five patch kinds; offset_jacobian returns the same determinant
+    rng = np.random.default_rng(32)
+    for patch in all_builtin_patches():
+        fr = sg.surface_quadrature(patch, 6).frame
+        k = np.max(np.abs(np.linalg.eigvalsh(fr.shape_op)))
+        t = rng.uniform(-0.9, 0.9, size=(4,) + fr.u.shape[:-1]) / max(k, 1.0)
+        det = sg.offset_determinant(fr, t)
+        ref = det3(np.eye(3) + t[..., None, None] * fr.shape_op)
+        assert det.shape == t.shape
+        assert np.max(np.abs(det - ref)) <= 1e-14, patch.name
+        M, det_j = sg.offset_jacobian(fr, t)
+        assert np.array_equal(det_j, det) and np.array_equal(det3(M), ref), patch.name
+    assert {patch.name for patch in all_builtin_patches()} == set(sg.geometry.PATCH_KINDS)
+
+
+def test_offset_determinant_names_the_worst_point():
+    # the same ThicknessError as offset_jacobian: the smallest factor 1 + t k
+    # on the unit cylinder is at t = -1.8, and a NaN factor counts as smallest
+    cyl = sg.make_builtin_patch("cylinder", radius=1.0, height=1.0)
+    u = np.array([[0.5, 0.5], [0.7, 0.2], [1.1, 0.4], [2.0, 0.9]])
+    with pytest.raises(ThicknessError, match=r"= -8\.000e-01 is not positive at "
+                                             r"u=\(1\.1, 0\.4\), t=-1\.8$"):
+        sg.offset_determinant(cyl.frame(u), np.array([-1.2, 0.3, -1.8, -1.5]))
+    with pytest.raises(ThicknessError, match=r"= nan is not positive at u=\(0\.7, 0\.2\)"):
+        sg.offset_determinant(cyl.frame(u), np.array([0.1, np.nan, 0.2, 0.3]))
+
+
 def test_offset_jacobian_thickness_too_large():
     # on a cylinder the inward offset past the axis flips the orientation
     cyl = sg.make_builtin_patch("cylinder", radius=1.0, height=1.0)
@@ -199,7 +230,7 @@ def test_det3_matches_lu_determinant():
     U, s, V = random_svd_up_to_cond(rng, 2000, 1e6)
     M = (U * s[:, None, :]) @ np.swapaxes(V, -1, -2)
     ref = np.linalg.det(M)
-    got = sg.geometry.det3(M)
+    got = det3(M)
     cond = s[:, 0] / s[:, 2]
     # the cofactor expansion errs by about eps |M|^3 = eps cond (s1/s2) |det|:
     # 1e-13 cond relative when one singular value is small, more when two are
@@ -207,24 +238,28 @@ def test_det3_matches_lu_determinant():
     assert np.all(np.abs(got - ref) <= bound)
     well = s[:, 1] > 0.1 * s[:, 0]
     assert np.all(np.abs(got - ref)[well] <= 1e-13 * cond[well] * np.abs(ref)[well])
-    assert sg.geometry.det3(np.eye(3)) == 1.0
-    assert sg.geometry.det3(np.zeros((3, 3))) == 0.0
+    assert det3(np.eye(3)) == 1.0
+    assert det3(np.zeros((3, 3))) == 0.0
 
 
 @pytest.mark.parametrize("kind", ["plate", "sphere_cap", "cylinder", "torus_patch"])
 def test_completed_metric_rows_are_the_frame_there(kind):
-    # the recovery bundle completes rows of its grid's ChartMetric: the same
-    # fields as a frame call at those points, bit for bit and in the same
-    # memory order
+    # the recovery bundle takes the frame products of rows of its grid's
+    # ChartMetric: the same fields as a frame call at those points, bit for
+    # bit and in the same memory order, and so does `complete`
     patch = sg.make_builtin_patch(kind)
     quad = sg.surface_quadrature(patch, 5)
     grid, _ = stencil_grid(quad.frame.u, patch.domain)
-    completed = patch.complete(patch.metric(grid)[GRID_ROWS[1:]])
+    rows = patch.metric(grid)[GRID_ROWS[1:]]
+    completed = patch.complete(rows)
+    products = patch.frame_products(rows)
     framed = patch.frame(grid[GRID_ROWS[1:]])
     assert type(completed) is sg.NodeFrame
+    assert set(products) == set(vars(framed)) - set(vars(rows)) - {"x", "sqrt_det_metric"}
     for name, value in vars(framed).items():
-        assert np.array_equal(getattr(completed, name), value), name
-        assert getattr(completed, name).strides == value.strides, name
+        for got in (getattr(completed, name), products.get(name, value)):
+            assert np.array_equal(got, value), name
+            assert got.strides == value.strides, name
 
 def test_integrate_constant_one_on_plate():
     plate = sg.make_builtin_patch("plate")

@@ -5,6 +5,8 @@ import shellgamma as sg
 from shellgamma.errors import ParameterError, UnsupportedCaseError
 from shellgamma.geometry import gauss_legendre
 
+from test_recovery3d import moment_scene
+
 
 def at_nodes(squad, vector):
     """A constant load's values at the nodes of squad."""
@@ -299,6 +301,33 @@ def test_J_h_refuses_a_recovery_built_at_other_points():
     reversed_data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, frame=quad.frame[::-1])
     with pytest.raises(ParameterError, match="other chart points than the quadrature nodes"):
         sg.eval_J_h(sg.build_recovery(reversed_data, h=h, e_h=h ** 4), Eh, load, quad, trule)
+
+
+@pytest.mark.parametrize("kind", ["plate", "sphere_cap", "cylinder"])
+def test_J_h_matches_the_work_summed_from_evaluations(kind):
+    # J^h from the moment products A + h B and the transversal moments of y^h
+    # against the moment matrix (1/h) int z (f^h)^T dz summed over the (T, N)
+    # nodes z = x + h t n, where the extension weight cancels the volume
+    # factor, and the weighted sum of y^h there, for a scalar h and a schedule
+    data, thick, quad = moment_scene(kind)
+    trule = sg.TransversalRule.make(4)
+    t, wt = trule.across(thick, quad.frame.u)
+    load = np.random.default_rng(32).normal(size=quad.frame.x.shape)
+    hs = np.array([2.0 ** -3, 2.0 ** -5, 2.0 ** -7])
+    for h in (2.0 ** -4, hs):
+        rec = sg.build_recovery(data, h=h, e_h=np.asarray(h) ** 4)
+        Eh = np.zeros(np.shape(h))
+        fh = (np.asarray(h) ** 3)[..., None, None] * load
+        fr = quad.frame
+        action = np.reshape([
+            sg.wahba_maximize(np.einsum("n,tn,tni,nj->ij", quad.weights, wt,
+                                        fr.x + hk * t[..., None] * fr.n, fk))[1]
+            for fk, hk in zip(fh.reshape((-1,) + load.shape), np.ravel(h))], np.shape(h))
+        y_int = np.sum(wt[..., None] * rec.evaluate(t), axis=-3)
+        work = np.sum(quad.weights * (fh * y_int).sum(axis=-1), axis=-1)
+        got = sg.eval_J_h(rec, Eh, load, quad, trule)
+        assert np.shape(got) == np.shape(h)
+        assert np.max(np.abs(got - (action - work))) <= 1e-14 * np.max(np.abs(work)), (kind, h)
 
 
 def test_J_h_converges_to_limit_total_energy():

@@ -13,6 +13,7 @@ ORACLES_AND_DIAGNOSTICS = {
     "averaged_displacement_sym_grad",       # compactness side, in displacement form
     "discrete_l2_distance",
     "shell_energy_tangential_lower_bound",  # (1/2) Q2 of the tangential strain <= W
+    "maximize_action",                      # the whole ActionMaximum of one f^h
 }
 
 

@@ -165,6 +165,35 @@ def test_thin_shell_guard_checks_the_quadrature_nodes():
         sg.build_recovery(data_c, h=0.9, e_h=0.9 ** 4)
 
 
+def test_guard_and_gradient_name_the_worst_point():
+    # on the unit cylinder the guard refuses h = 0.9 at the node of largest g1,
+    # and grad y^h, at an admissible h, checks each t it is asked for: outside
+    # (-g1, g2) it names the point of smallest factor 1 + h t k and that
+    # point's physical offset h t
+    cyl = sg.make_builtin_patch("cylinder", radius=1.0, height=1.0)
+    thick = sg.ThicknessPair(g1=sg.affine_scalar(1.5, [-0.02, -0.5], cyl.domain),
+                             g2=sg.constant_scalar(0.5, cyl.domain), lipschitz_bound=1.0)
+    W = sg.make_isotropic(1.0, 1.0)
+    quad = sg.surface_quadrature(cyl, 3)
+    iso = sg.build_isometry(sg.zero_vector_field(cyl.domain), quad=quad)
+    data = sg.recovery_data(cyl, W, iso, sg.zero_vector_field(cyl.domain), thick,
+                            kappa=1.0, frame=quad.frame)
+    # g1 is largest at the smallest u1 and u2: node 0
+    first = tuple(quad.frame.u[0].tolist())
+    with pytest.raises(ThicknessError, match=re.escape(f"u={first}")):
+        sg.build_recovery(data, h=np.array([0.5, 0.9]), e_h=np.array([0.5, 0.9]) ** 4)
+    rec = sg.build_recovery(data, h=0.25, e_h=0.25 ** 4)
+    t, _ = sg.TransversalRule.make(2).across(thick, quad.frame.u)
+    t[1, 4], t[0, 7] = -5.0, -6.0  # factors 1 - 1.25 and 1 - 1.5
+    worst = tuple(quad.frame.u[7].tolist())
+    with pytest.raises(ThicknessError, match=re.escape(f"= -5.000e-01 is not positive at "
+                                                       f"u={worst}, t=-1.5")):
+        rec.gradient(t)
+    with pytest.raises(ThicknessError, match=re.escape(f"u={worst}")):
+        sg.build_recovery(data, h=np.array([0.25, 0.125]),
+                          e_h=np.array([0.25, 0.125]) ** 4).gradient(t)
+
+
 def test_gradient_matches_finite_differences():
     # chain-rule gradient vs central differences of evaluate, through the
     # frame {(Id + h t Pi) tau_1, (Id + h t Pi) tau_2, h n}
@@ -428,17 +457,23 @@ def test_non_finite_gradient_trips_the_blowup_gate():
 
 
 def test_tangential_lower_bound_reads_the_volume_factor_from_the_gradient(monkeypatch):
+    # the volume factor comes with grad y^h, from the invariants of Pi: no 3x3
+    # offset matrix Id + h t Pi over (T, N)
     rec, W, quad, trule, ev = rotation_scene("sphere_cap", 2.0 ** -3)
-    calls = []
-    offset_jacobian = sg.recovery3d.offset_jacobian
+    calls = {"offset_jacobian": [], "offset_determinant": []}
 
-    def counting_offset_jacobian(frame, t):
-        calls.append(np.shape(t))
-        return offset_jacobian(frame, t)
+    def counting(name):
+        call = getattr(sg.recovery3d, name)
 
-    monkeypatch.setattr(sg.recovery3d, "offset_jacobian", counting_offset_jacobian)
+        def counted(frame, t):
+            calls[name].append(np.shape(t))
+            return call(frame, t)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(sg.recovery3d, name, counting(name))
     bound = sg.shell_energy_tangential_lower_bound(rec, W, quad, trule)
-    assert len(calls) == 1
+    assert calls == {"offset_jacobian": [], "offset_determinant": [(3, 16)]}
     assert 0.0 < bound <= ev.normalized
 
 
@@ -501,6 +536,46 @@ def test_tangential_lower_bound_below_energy_and_tightening():
         assert lb <= ev.normalized + 1e-12
         deltas.append(1.0 - lb / ev.normalized)
     assert deltas[-1] <= deltas[0]
+
+
+@functools.lru_cache(maxsize=None)
+def moment_scene(kind):
+    """RecoveryData with nonzero V, w and an uneven thickness, at a 4x4 rule."""
+    patch = sg.make_builtin_patch(kind)
+    thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4, patch.domain),
+                             g2=sg.affine_scalar(0.55, [0.04, 0.01], patch.domain),
+                             lipschitz_bound=1.0)
+    V = (sg.plate_sine_field(1.0, 1, 1, patch.domain) if kind == "plate"
+         else sg.rigid_field(patch, (0.3, -0.2, 0.4)))
+    quad = sg.surface_quadrature(patch, 4)
+    iso = sg.build_isometry(V, quad=quad)
+    w = sg.trig_vector_field(GENERIC_W, patch.domain)
+    data = sg.recovery_data(patch, sg.make_isotropic(1.0, 1.0), iso, w, thick, kappa=1.0,
+                            frame=quad.frame)
+    return data, thick, quad
+
+
+@pytest.mark.parametrize("kind", ["plate", "sphere_cap", "cylinder"])
+def test_transversal_sum_equals_the_sum_of_evaluations(kind):
+    # sum_t wt y^h(t) through the moments sum_t wt s^k against the weighted sum
+    # of y^h at the transversal nodes, for a scalar h and a schedule; the
+    # averaged displacement against the same sum of y^h - (x + h t n)
+    data, thick, quad = moment_scene(kind)
+    fr = quad.frame
+    t, wt = sg.TransversalRule.make(4).across(thick, fr.u)
+    hs = np.array([2.0 ** -3, 2.0 ** -5, 2.0 ** -7])
+    for h in (2.0 ** -4, hs):
+        rec = sg.build_recovery(data, h=h, e_h=np.asarray(h) ** 4)
+        ref = np.sum(wt[..., None] * rec.evaluate(t), axis=-3)
+        got = rec.transversal_sum(t, wt)
+        assert got.shape == ref.shape == np.shape(h) + fr.x.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (kind, h)
+    h = 2.0 ** -4
+    rec = sg.build_recovery(data, h=h, e_h=h ** 4)
+    offset = rec.evaluate(t) - (fr.x + (h * t)[..., None] * fr.n)
+    ref = (h / h ** 2) * np.sum(wt[..., None] * offset, axis=0) / thick.total(fr.u)[..., None]
+    got = sg.averaged_displacement(rec, sg.TransversalRule.make(4))
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), kind
 
 
 def test_averaged_displacement_trivial_and_convergent():
@@ -676,6 +751,9 @@ def test_bundle_frame_carries_the_products_of_its_points(monkeypatch, kind):
     [fr] = bundles
     assert fr.u.shape == (9, 25, 2)
     assert_frame_products(fr)
+    # no reader takes the bundle's surface points or area factor: they are not
+    # evaluated, and NaN would reach any summary that read them
+    assert np.isnan(fr.x).all() and np.isnan(fr.sqrt_det_metric).all()
     # the recovery reads the normal's partials off its frame, stored nowhere else
     assert "dn" not in data.fields
     assert np.array_equal(data.limit.frame.dn, fr.dn[0])

@@ -837,8 +837,10 @@ def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
         # 1 + 33 chart points per node, in 2 reads
         assert len(V_reads) == 2
         assert sum(u.size // 2 for u in V_reads) == 34 * nodes
+        # the shape operator at the nodes and their stencil points; the chart at
+        # the nodes alone, as no reader of the recovery bundle takes x there
         assert {name: set(shapes) for name, shapes in patch_calls.items()} == {
-            name: {(nodes, 2), (8, nodes, 2)} for name in patch_calls}
+            "chart": {(nodes, 2)}, "shape_operator": {(nodes, 2), (8, nodes, 2)}}
         counts.append({name: len(calls) for name, calls in seen.items()})
     assert counts[0] == counts[1] == {"frame": 1, "A_at": 1, "reduce_q2": 1, "w.d1": 1,
                                       "gamma_n_partials": 1}
@@ -861,21 +863,29 @@ GAMMA_PLATE_LOAD = {
 
 
 def test_gamma_study_forms_one_offset_jacobian_per_h_and_no_batched_svd(monkeypatch):
-    # per study, the thin-shell guard and grad y^h each form Id + h t Pi once
-    # over the whole schedule (the energy's volume factor comes with grad
-    # y^h), grad y^h inverts no 3x3 frame, the energy forms one Green strain
-    # over (H, T, N), and the SO(3) distance of that gradient array is taken
-    # without an SVD.  No study calls LAPACK
-    # over batch axes: the per-node 3x3 kernels are closed forms, and only
-    # single matrices reach it (wahba_maximize, the rotation check in limit2d)
-    offsets, strain_shapes = [], []
+    # per study, the thin-shell guard forms Id + h t Pi once over the whole
+    # schedule, and grad y^h forms no 3x3 offset matrix: its volume factor
+    # and its own thin-shell check come from the invariants of Pi over
+    # (H, T, N).  grad y^h inverts no 3x3 frame, the energy forms one Green
+    # strain over (H, T, N), and the SO(3) distance of that gradient array is
+    # taken without an SVD.  The loaded study reads y^h through its
+    # transversal moments alone: eval_J_h never evaluates y^h.  No study
+    # calls LAPACK over batch axes: the per-node 3x3 kernels are closed
+    # forms, and only single matrices reach it (wahba_maximize, the rotation
+    # check in limit2d)
+    offsets = {"offset_jacobian": [], "offset_determinant": []}
+    strain_shapes, evaluated = [], []
     linalg_shapes = {name: [] for name in ("svd", "inv", "solve", "det", "cholesky")}
-    offset_jacobian = recovery3d.offset_jacobian
     green_strain = recovery3d.green_strain
+    build_recovery = studies.build_recovery
 
-    def counting_offset_jacobian(frame, t):
-        offsets.append(np.shape(t))
-        return offset_jacobian(frame, t)
+    def counting(name):
+        call = getattr(recovery3d, name)
+
+        def counted(frame, t):
+            offsets[name].append(np.shape(t))
+            return call(frame, t)
+        return counted
 
     def recording(name):
         call = getattr(np.linalg, name)
@@ -889,19 +899,31 @@ def test_gamma_study_forms_one_offset_jacobian_per_h_and_no_batched_svd(monkeypa
         strain_shapes.append(np.shape(F))
         return green_strain(F)
 
-    monkeypatch.setattr(recovery3d, "offset_jacobian", counting_offset_jacobian)
+    def recording_build_recovery(data, h, e_h):
+        rec = build_recovery(data, h=h, e_h=e_h)
+
+        def evaluate(t):
+            evaluated.append(np.shape(t))
+            return rec.evaluate(t)
+        return dataclasses.replace(rec, evaluate=evaluate)
+
+    for name in offsets:
+        monkeypatch.setattr(recovery3d, name, counting(name))
     monkeypatch.setattr(recovery3d, "green_strain", recording_green_strain)
+    monkeypatch.setattr(studies, "build_recovery", recording_build_recovery)
     for name in linalg_shapes:
         monkeypatch.setattr(np.linalg, name, recording(name))
     cfg = load_config("sphere-gamma")
     report = run_study(cfg)
     assert report.error is None and report.passed
     assert len(cfg.h_schedule) == 5
-    assert offsets == [(5, 2, 100), (5, 4, 100)]
+    assert offsets == {"offset_jacobian": [(5, 2, 100)], "offset_determinant": [(5, 4, 100)]}
     assert strain_shapes == [(5, 4, 100, 3, 3)]
-    for cfg in (validate_config(GAMMA_PLATE_LOAD), load_config("plate-expansion")):
-        report = run_study(cfg)
-        assert report.error is None and report.passed
+    loaded, expansion = (run_study(validate_config(GAMMA_PLATE_LOAD)),
+                         run_study(load_config("plate-expansion")))
+    assert all(r.error is None and r.passed for r in (loaded, expansion))
+    assert "J_rel_gap_at_smallest_h" in loaded.summary
+    assert evaluated == []
     assert linalg_shapes["inv"] == []
     batched = {name: [shape for shape in shapes if len(shape) > 2]
                for name, shapes in linalg_shapes.items()}
@@ -945,7 +967,8 @@ def test_schedule_pass_equals_the_scalar_evaluation_bit_for_bit(name):
 
 
 def test_averaged_displacement_of_a_schedule_is_a_parameter_error():
-    # both diagnostics take a scalar h: a schedule fails naming h, before y^h is evaluated
+    # both diagnostics take a scalar h: a schedule fails naming h, before y^h is
+    # evaluated or summed through the thickness
     cfg = load_config("sphere-gamma")
     data, material, squad, trule, f = gamma_pieces(cfg)
     hs = np.array([2.0 ** -4, 2.0 ** -5])
@@ -953,7 +976,8 @@ def test_averaged_displacement_of_a_schedule_is_a_parameter_error():
 
     def schedule(data):
         return dataclasses.replace(recovery3d.build_recovery(data, hs, cfg.e_of_h(hs)),
-                                   evaluate=lambda t: evaluated.append(t))
+                                   evaluate=lambda t: evaluated.append(t),
+                                   transversal_sum=lambda t, wt: evaluated.append(t))
 
     # the sym-grad diagnostic reads data built at the stencil points of its probe
     patch, thick, _, iso, w = studies._gamma_scene(cfg)
