@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ParameterError
 
 # relative step of every chart finite difference, times the chart widths;
 # read at call time
@@ -192,7 +192,6 @@ class ScalarField:
 
     value: Callable[[np.ndarray], np.ndarray]  # (...,) at u of shape (..., 2)
     d: Callable[[np.ndarray], np.ndarray]      # (..., 2) partials wrt u1, u2
-    domain: tuple
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,6 @@ class VectorField:
 
     value: Callable[[np.ndarray], np.ndarray]      # (..., 3) at u of shape (..., 2)
     d1: Callable[[object], np.ndarray]             # (..., 3, 2) at the points of a ChartMetric
-    domain: tuple
 
 
 def _batch_shape(u):
@@ -212,22 +210,20 @@ def _batch_shape(u):
 # builtin scalar families (thickness profiles)
 # ---------------------------------------------------------------------------
 
-def constant_scalar(c, domain):
+def constant_scalar(c):
     c = float(c)
     return ScalarField(value=lambda u: np.full(_batch_shape(u), c),
-                       d=lambda u: np.zeros(np.shape(u)),
-                       domain=domain)
+                       d=lambda u: np.zeros(np.shape(u)))
 
 
-def affine_scalar(base, slope, domain):
+def affine_scalar(base, slope):
     base = float(base)
     slope = np.asarray(slope, dtype=float)
     return ScalarField(value=lambda u: base + np.asarray(u, float) @ slope,
-                       d=lambda u: np.broadcast_to(slope, np.shape(u)).copy(),
-                       domain=domain)
+                       d=lambda u: np.broadcast_to(slope, np.shape(u)).copy())
 
 
-def sine_scalar(base, amplitude, freq, phase, domain):
+def sine_scalar(base, amplitude, freq, phase):
     base, amp = float(base), float(amplitude)
     f1, f2 = (float(f) for f in freq)
     p1, p2 = (float(p) for p in phase)
@@ -241,17 +237,16 @@ def sine_scalar(base, amplitude, freq, phase, domain):
             amp * f2 * np.sin(f1 * u[..., 0] + p1) * np.cos(f2 * u[..., 1] + p2),
         ])
 
-    return ScalarField(value=value, d=d, domain=domain)
+    return ScalarField(value=value, d=d)
 
 
 # ---------------------------------------------------------------------------
 # builtin vector families (displacements V and second-order fields w)
 # ---------------------------------------------------------------------------
 
-def zero_vector_field(domain):
+def zero_vector_field():
     return VectorField(value=lambda u: np.zeros(_batch_shape(u) + (3,)),
-                       d1=lambda m: np.zeros(_batch_shape(m.u) + (3, 2)),
-                       domain=domain)
+                       d1=lambda m: np.zeros(_batch_shape(m.u) + (3, 2)))
 
 
 def skew_matrix(omega):
@@ -273,10 +268,10 @@ def rigid_field(patch, omega, b=(0.0, 0.0, 0.0)):
     def d1(m):
         return W @ m.jac
 
-    return VectorField(value=value, d1=d1, domain=patch.domain)
+    return VectorField(value=value, d1=d1)
 
 
-def plate_sine_field(amplitude, m, n, domain):
+def plate_sine_field(amplitude, m, n):
     """Out-of-plane plate displacement (0, 0, a sin(m pi u1) sin(n pi u2))."""
     a = float(amplitude)
     km, kn = m * np.pi, n * np.pi
@@ -295,18 +290,18 @@ def plate_sine_field(amplitude, m, n, domain):
         out[..., 2, 1] = a * kn * s1 * c2
         return out
 
-    return VectorField(value=value, d1=d1, domain=domain)
+    return VectorField(value=value, d1=d1)
 
 
-def trig_vector_field(components, domain):
+def trig_vector_field(components):
     """Generic smooth field: component k is amp*sin(f1*u1 + p1)*sin(f2*u2 + p2).
 
-    components: three 5-tuples (amp, f1, p1, f2, p2).
+    components: three 5-tuples (amp, f1, p1, f2, p2), a (3, 5) table.
     """
-    comps = [tuple(float(x) for x in c) for c in components]
-    if len(comps) != 3:
-        raise ValueError("trig_vector_field needs exactly three components")
-    a, f1, p1, f2, p2 = np.array(comps).T  # each (3,), one entry per component
+    if len(components) != 3 or any(len(c) != 5 for c in components):
+        raise ParameterError("trig_vector_field needs components of shape (3, 5): "
+                             f"three (amp, f1, p1, f2, p2), got {components!r}")
+    a, f1, p1, f2, p2 = np.array(components, dtype=float).T  # each (3,), one per component
 
     def phases(u):
         x1 = f1 * u[..., 0, None] + p1
@@ -321,4 +316,4 @@ def trig_vector_field(components, domain):
         s1, c1, s2, c2 = phases(m.u)
         return np.stack([a * f1 * c1 * s2, a * f2 * s1 * c2], axis=-1)
 
-    return VectorField(value=value, d1=d1, domain=domain)
+    return VectorField(value=value, d1=d1)

@@ -194,9 +194,9 @@ class ThicknessPair:
         return self.g1.value(u) + self.g2.value(u)
 
     @staticmethod
-    def constant(g1_value, g2_value, domain):
-        return ThicknessPair(g1=constant_scalar(g1_value, domain),
-                             g2=constant_scalar(g2_value, domain),
+    def constant(g1_value, g2_value):
+        return ThicknessPair(g1=constant_scalar(g1_value),
+                             g2=constant_scalar(g2_value),
                              lipschitz_bound=0.0)
 
 
@@ -520,8 +520,9 @@ def _raise_first_failure(error, u, checks):
         raise error(f"{message.format(values[i])} at u={tuple(u[i].tolist())}")
 
 
-def validate_patch(patch, quad):
-    """Check the SurfacePatch invariants at every quadrature node, to _PATCH_TOLS.
+def validate_patch(quad):
+    """Check the SurfacePatch invariants at every node of quad, a surface
+    quadrature of the patch, to _PATCH_TOLS: its frame carries all they read.
 
     Raises EvaluationError naming the first violating node; returns the
     worst residuals.

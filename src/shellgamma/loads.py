@@ -52,15 +52,14 @@ class ActionMaximum:
     optimal_rotation: np.ndarray  # the maximizer closest to Id
     value: float
     classification: str           # unique | one_parameter_family | all_SO3
-    singular_values: np.ndarray
 
 
 def wahba_maximize(N, tie_tol=PROCRUSTES_TIE_TOL):
     """Maximize tr(Q N) over SO(3) in closed form (orthogonal-factor decomposition).
 
-    Returns (Q, value, classification, singular_values).  Singular values
-    within tie_tol of zero or of each other are ties; a tie is broken toward
-    the maximizer closest to the identity in geodesic distance.
+    Returns (Q, value, classification).  Singular values within tie_tol of
+    zero or of each other are ties; a tie is broken toward the maximizer
+    closest to the identity in geodesic distance.
     """
     N = np.asarray(N, dtype=float)
     U, sv, Vt = np.linalg.svd(N)
@@ -68,9 +67,9 @@ def wahba_maximize(N, tie_tol=PROCRUSTES_TIE_TOL):
     s0 = float(np.sign(np.linalg.det(V @ U.T))) or 1.0
     value = float(sv[0] + sv[1] + s0 * sv[2])
     if sv[0] <= tie_tol:
-        return np.eye(3), value, "all_SO3", sv
+        return np.eye(3), value, "all_SO3"
     if not (sv[1] <= tie_tol or (s0 < 0.0 and sv[1] - sv[2] <= tie_tol)):
-        return V @ np.diag([1.0, 1.0, s0]) @ U.T, value, "unique", sv
+        return V @ np.diag([1.0, 1.0, s0]) @ U.T, value, "unique"
 
     # one-parameter optimal family in the (2, 3) singular block; pick the
     # member maximizing tr(Q), i.e. closest to Id
@@ -90,7 +89,7 @@ def wahba_maximize(N, tie_tol=PROCRUSTES_TIE_TOL):
         B = np.array([[c, s], [s, -c]])
     Z = np.eye(3)
     Z[1:, 1:] = B
-    return V @ Z @ U.T, value, "one_parameter_family", sv
+    return V @ Z @ U.T, value, "one_parameter_family"
 
 
 def _moment_products(f, thick, squad):
@@ -125,10 +124,12 @@ def example_maximizer_set(f, thick, squad):
 
     f holds the limit load at the nodes of squad.  Refuses g1 != g2: outside
     this case only one inclusion of the maximizer-set identity survives, so
-    no classification is computed.  Singular values within 1e-8 times the L1
-    mass of the moment integrand are ties (quadrature resolution), so the
-    classification does not change with the scale of f; when every rotation
-    maximizes (a zero load among them), the value is 0.
+    no classification is computed.  The limit action is tr(Q A), with the
+    moment product A = int_S (g1+g2) x f^T that `moment_matrix` and
+    `eval_J_h` read.  Singular values within 1e-8 times the L1 mass of its
+    integrand are ties (quadrature resolution), so the classification does
+    not change with the scale of f; when every rotation maximizes (a zero
+    load among them), the value is 0.
     """
     fr = squad.frame
     gamma = thick.gamma(fr.u)
@@ -137,13 +138,13 @@ def example_maximizer_set(f, thick, squad):
         raise UnsupportedCaseError(
             f"maximizer-set classification requires g1 = g2; "
             f"g2 - g1 = {gamma[np.argmax(uneven)]:.3e} at u={first_point(fr.u, uneven)}")
-    N0 = (squad.weights[:, None] * fr.x).T @ f
-    mass = float(np.sum(squad.weights * np.linalg.norm(fr.x, axis=-1)
+    A, _ = _moment_products(f, thick, squad)
+    mass = float(np.sum(squad.weights * thick.total(fr.u) * np.linalg.norm(fr.x, axis=-1)
                         * np.linalg.norm(f, axis=-1)))
-    Q, value, classification, sv = wahba_maximize(N0, tie_tol=1e-8 * mass)
+    Q, value, classification = wahba_maximize(A, tie_tol=1e-8 * mass)
     if classification == "all_SO3":
         value = 0.0
-    return ActionMaximum(N0, Q, value, classification, sv)
+    return ActionMaximum(A, Q, value, classification)
 
 
 def eval_J_h(rec, E_h, f, squad, trule):

@@ -203,24 +203,23 @@ _PATCH_PARAMS = {
 
 _SCALAR_FIELDS = {
     "constant": _Kind({"value": (_REQUIRED, _positive)},
-                      lambda s, domain: fieldlib.constant_scalar(s["value"], domain)),
+                      lambda s: fieldlib.constant_scalar(s["value"])),
     "affine": _Kind({"base": (_REQUIRED, _number), "slope": ([0.0, 0.0], _list_of(2))},
-                    lambda s, domain: fieldlib.affine_scalar(s["base"], s["slope"], domain)),
+                    lambda s: fieldlib.affine_scalar(s["base"], s["slope"])),
     "sine": _Kind({"base": (_REQUIRED, _number), "amplitude": (0.0, _number),
                    "freq": ([1.0, 1.0], _list_of(2)), "phase": ([0.0, 0.0], _list_of(2))},
-                  lambda s, domain: fieldlib.sine_scalar(s["base"], s["amplitude"],
-                                                         s["freq"], s["phase"], domain)),
+                  lambda s: fieldlib.sine_scalar(s["base"], s["amplitude"],
+                                                 s["freq"], s["phase"])),
 }
 
 _VECTOR_FAMILIES = {
-    "zero": _Kind({}, lambda s, patch: fieldlib.zero_vector_field(patch.domain)),
+    "zero": _Kind({}, lambda s, patch: fieldlib.zero_vector_field()),
     "rigid": _Kind({"omega": (_REQUIRED, _list_of(3)), "offset": ([0.0, 0.0, 0.0], _list_of(3))},
                    lambda s, patch: fieldlib.rigid_field(patch, s["omega"], s["offset"])),
     "plate_sine": _Kind({"amplitude": (1.0, _number), "m": (1, _count(1)), "n": (1, _count(1))},
-                        lambda s, patch: fieldlib.plate_sine_field(s["amplitude"], s["m"], s["n"],
-                                                                   patch.domain)),
+                        lambda s, patch: fieldlib.plate_sine_field(s["amplitude"], s["m"], s["n"])),
     "trig": _Kind({"components": (_REQUIRED, _list_of(3, _list_of(5)))},
-                  lambda s, patch: fieldlib.trig_vector_field(s["components"], patch.domain)),
+                  lambda s, patch: fieldlib.trig_vector_field(s["components"])),
 }
 
 
@@ -483,8 +482,8 @@ def run_study(cfg):
 
 def _gamma_scene(cfg):
     patch = make_builtin_patch(**cfg.patch)
-    thick = ThicknessPair(g1=_build(_SCALAR_FIELDS, "kind", cfg.thickness["g1"], patch.domain),
-                          g2=_build(_SCALAR_FIELDS, "kind", cfg.thickness["g2"], patch.domain),
+    thick = ThicknessPair(g1=_build(_SCALAR_FIELDS, "kind", cfg.thickness["g1"]),
+                          g2=_build(_SCALAR_FIELDS, "kind", cfg.thickness["g2"]),
                           lipschitz_bound=cfg.thickness["lipschitz_bound"])
     squad = surface_quadrature(patch, cfg.quadrature["surface_order"])
     try:  # positivity and the Lipschitz bound, checked at the nodes
@@ -675,12 +674,9 @@ def _best_actions(N, q, count):
     draw against all 24 into a running maximum.  The last draw scores only
     the first count mod 24 of them, if that is not 0.
 
-    q holds the ceil(count / 24) quaternions: a (k, 4) batch, scored
-    _ACTION_CHUNK rows at a time, or an iterable of such chunks, which are
-    scored as they come (`_rotation_draws`).
+    q yields the ceil(count / 24) quaternions in (k, 4) chunks, scored as
+    they come (`_rotation_draws`).
     """
-    if isinstance(q, np.ndarray):
-        q = [q[start:start + _ACTION_CHUNK] for start in range(0, len(q), _ACTION_CHUNK)]
     form = action_form(_CUBE[:, None] @ N).reshape(-1, 10)
     full, rest = divmod(count, len(_CUBE))
     best = np.full(len(N), -np.inf)
@@ -719,7 +715,7 @@ def _run_load_align(cfg):
 
     sphere = make_builtin_patch("sphere", radius=1.0)
     squad = surface_quadrature(sphere, cfg.quadrature["surface_order"])
-    thick = ThicknessPair.constant(0.5, 0.5, sphere.domain)
+    thick = ThicknessPair.constant(0.5, 0.5)
     const_load = np.broadcast_to(np.array([0.3, -0.1, 0.2]), squad.frame.x.shape)
     cls_const = example_maximizer_set(const_load, thick, squad)
     cls_radial = example_maximizer_set(squad.frame.x, thick, squad)

@@ -38,11 +38,11 @@ def An_partials(patch, iso, u):
 
 
 def sum_fields(*fields):
-    """Pointwise sum of vector fields on a common domain."""
+    """Pointwise sum of vector fields."""
     def value(u):
         return np.sum([f.value(u) for f in fields], axis=0)
 
     def d1(m):
         return np.sum([f.d1(m) for f in fields], axis=0)
 
-    return VectorField(value=value, d1=d1, domain=fields[0].domain)
+    return VectorField(value=value, d1=d1)

@@ -96,13 +96,13 @@ def test_criterion_3_gamma_limit_consistency():
 
 def test_criterion_4_averaged_displacement_diagnostics():
     plate = sg.make_builtin_patch("plate")
-    thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(plate, 8)
     trule = sg.TransversalRule.make(4)
-    V = sg.plate_sine_field(1.0, 1, 1, plate.domain)
+    V = sg.plate_sine_field(1.0, 1, 1)
     iso = sg.build_isometry(V, quad=quad)
-    w = sg.zero_vector_field(plate.domain)
+    w = sg.zero_vector_field()
 
     hs = [2.0 ** -k for k in range(3, 8)]
     dists = []
@@ -139,15 +139,15 @@ def test_criterion_5_variable_thickness_term():
     quad = sg.surface_quadrature(plate, 8)
     W = sg.make_isotropic(1.0, 1.0)
     V = sum_fields(sg.rigid_field(plate, (0.2, -0.3, 0.4), (0.1, 0.0, -0.2)),
-                      sg.plate_sine_field(0.8, 1, 1, plate.domain))
+                      sg.plate_sine_field(0.8, 1, 1))
     iso = sg.build_isometry(V, quad=quad)
     b_tan = np.zeros((len(quad.weights), 2, 2))
     kappa = 1.0
 
-    thick_a = sg.ThicknessPair.constant(0.4, 0.6, plate.domain)
-    thick_b = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
+    thick_a = sg.ThicknessPair.constant(0.4, 0.6)
+    thick_b = sg.ThicknessPair.constant(0.5, 0.5)
     fr = quad.frame
-    zero = sg.zero_vector_field(plate.domain)  # B_tan = sym grad w = b_tan
+    zero = sg.zero_vector_field()  # B_tan = sym grad w = b_tan
     DAn = An_partials(plate, iso, fr.u)
     fields_a = sg.limit_fields(iso, zero, thick_a, kappa, fr, *iso.An(fr), DAn)
     fields_b = sg.limit_fields(iso, zero, thick_b, kappa, fr, *iso.An(fr), DAn)
@@ -193,13 +193,13 @@ def test_criterion_6_load_alignment():
 
 def test_criterion_7_degenerate_and_trivial_suite():
     plate = sg.make_builtin_patch("plate")
-    thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(plate, 6)
     trule = sg.TransversalRule.make(4)
 
-    iso0 = sg.build_isometry(sg.zero_vector_field(plate.domain), quad=quad)
-    data0 = sg.recovery_data(plate, W, iso0, sg.zero_vector_field(plate.domain), thick,
+    iso0 = sg.build_isometry(sg.zero_vector_field(), quad=quad)
+    data0 = sg.recovery_data(plate, W, iso0, sg.zero_vector_field(), thick,
                              kappa=1.0, frame=quad.frame)
     rec0 = sg.build_recovery(data0, h=0.125, e_h=0.125 ** 4)
     identity_energy = sg.eval_shell_energy(rec0, W, quad, trule).E_h
@@ -211,12 +211,12 @@ def test_criterion_7_degenerate_and_trivial_suite():
 
     cap = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 3)
     cap_quad = sg.surface_quadrature(cap, 6)
-    cap_thick = sg.ThicknessPair.constant(0.5, 0.5, cap.domain)
+    cap_thick = sg.ThicknessPair.constant(0.5, 0.5)
     iso_r = sg.build_isometry(sg.rigid_field(cap, (0.3, -0.2, 0.4)),
                               quad=cap_quad)
     # the bending part of I, with B_tan = 0
     cap_fr = cap_quad.frame
-    fields_r = sg.limit_fields(iso_r, sg.zero_vector_field(cap.domain), cap_thick, 0.0,
+    fields_r = sg.limit_fields(iso_r, sg.zero_vector_field(), cap_thick, 0.0,
                                cap_fr, *iso_r.An(cap_fr), An_partials(cap, iso_r, cap_fr.u))
     q2_r = sg.reduce_q2(W.q3, cap_fr.n, cap_fr.tangents)
     bending = sg.eval_I(fields_r, q2_r, cap_thick, cap_quad).bending
@@ -225,8 +225,7 @@ def test_criterion_7_degenerate_and_trivial_suite():
     stretchy = VectorField(
         value=lambda u: u[..., 0, None] * np.array([1.0, 0.0, 0.0]),
         d1=lambda m: np.zeros(m.u.shape[:-1] + (3, 2)) + np.array(
-            [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
-        domain=plate.domain)
+            [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
     rejected = False
     worst_reported = None
     try:

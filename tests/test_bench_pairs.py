@@ -160,6 +160,18 @@ def test_verdict_needs_nine_wins_in_ten_and_a_step_beyond_the_parent_iqr():
     assert verdict([(p, p + 0.01) for p in parent]).endswith(": unresolved; within bound")
 
 
+def test_a_rounding_step_is_not_a_gain():
+    # parent runs with no spread and a change 1.8e-14 lower in every pair:
+    # 10 wins beyond an IQR of 0, but a step that small is rounding
+    assert verdict([(0.5, 0.5 * (1.0 - 1.8e-14))] * 10).endswith(
+        "change lower in 10/10, equal in 0: unresolved; within bound")
+    assert verdict([(0.5, 0.5 * (1.0 + 1.8e-14))] * 10).endswith(
+        "change lower in 0/10, equal in 0: unresolved; within bound")
+    # a step past the rounding floor still reads by the 9-in-10 rule
+    assert verdict([(0.5, 0.5 * (1.0 - 1e-8))] * 10).endswith(
+        "change lower in 10/10, equal in 0: gain shown; within bound")
+
+
 def bounded_verdicts(walls, bounds):
     lines = bench_pairs.verdicts(bench_pairs.summarize(synthetic_pairs(walls)), bounds)
     return {line.split(":")[0]: line.rsplit(": ", 1)[1] for line in lines}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import shellgamma as sg
-from shellgamma.errors import DomainError
+from shellgamma.errors import DomainError, ParameterError
 from shellgamma.fields import (fd_partial, grid_partials, stencil_grid, stencil_points,
                                stencil_steps)
 
@@ -48,21 +48,19 @@ def unit_square_metric(u):
 
 def vector_families(patch):
     return {
-        "zero": sg.zero_vector_field(patch.domain),
+        "zero": sg.zero_vector_field(),
         "rigid": sg.rigid_field(patch, (0.3, -0.2, 0.4), (0.1, 0.2, -0.3)),
-        "plate_sine": sg.plate_sine_field(0.8, 1, 2, patch.domain),
-        "trig": sg.trig_vector_field(GENERIC_W, patch.domain),
-        "sum": sum_fields(sg.plate_sine_field(0.8, 1, 2, patch.domain),
-                             sg.trig_vector_field(GENERIC_W, patch.domain)),
+        "plate_sine": sg.plate_sine_field(0.8, 1, 2),
+        "trig": sg.trig_vector_field(GENERIC_W),
+        "sum": sum_fields(sg.plate_sine_field(0.8, 1, 2), sg.trig_vector_field(GENERIC_W)),
     }
 
 
-def scalar_families(domain):
-    return {
-        "constant": sg.constant_scalar(0.4, domain),
-        "affine": sg.affine_scalar(0.5, [0.04, -0.02], domain),
-        "sine": sg.sine_scalar(0.5, 0.1, (1.3, 0.7), (0.2, 0.9), domain),
-    }
+SCALAR_FAMILIES = {
+    "constant": sg.constant_scalar(0.4),
+    "affine": sg.affine_scalar(0.5, [0.04, -0.02]),
+    "sine": sg.sine_scalar(0.5, 0.1, (1.3, 0.7), (0.2, 0.9)),
+}
 
 
 @pytest.mark.parametrize("name", sorted(PATCHES))
@@ -105,10 +103,20 @@ def test_batched_vector_family_equals_stacked_points(name, family):
                                 [field.d1(patch.metric(p)) for p in u])
 
 
+@pytest.mark.parametrize("components", [
+    GENERIC_W[:2],                                  # two components
+    [c[:4] for c in GENERIC_W],                     # components of 4 entries
+    [GENERIC_W[0], GENERIC_W[1][:4], GENERIC_W[2]],  # ragged components
+])
+def test_trig_vector_field_refuses_a_table_not_of_shape_3_by_5(components):
+    with pytest.raises(ParameterError, match=r"shape \(3, 5\)"):
+        sg.trig_vector_field(components)
+
+
 @pytest.mark.parametrize("family", ["constant", "affine", "sine"])
 def test_batched_scalar_family_equals_stacked_points(family):
     domain = ((0.0, 1.0), (0.0, 2.0))
-    field = scalar_families(domain)[family]
+    field = SCALAR_FAMILIES[family]
     u = interior_points(domain, 10, seed=3)
     assert_batch_matches_points(field.value(u), [field.value(p) for p in u])
     assert_batch_matches_points(field.d(u), [field.d(p) for p in u])
@@ -117,7 +125,7 @@ def test_batched_scalar_family_equals_stacked_points(family):
 def test_batched_fd_partial_near_the_boundary_uses_each_points_step():
     # points closer to the boundary than the stencil get their own shrunken step
     domain = ((0.0, 1.0), (0.0, 1.0))
-    field = sg.trig_vector_field(GENERIC_W, domain)
+    field = sg.trig_vector_field(GENERIC_W)
     u = np.array([[1e-4, 0.5], [0.5, 0.5], [0.9995, 0.3], [0.2, 2e-5], [0.7, 0.99999]])
     for axis in (0, 1):
         batched = fd_partial(field.value, u, axis, 1e-3, domain)
@@ -129,7 +137,7 @@ def test_batched_fd_partial_near_the_boundary_uses_each_points_step():
 
 def test_batched_fd_partial_rejects_points_on_the_boundary():
     domain = ((0.0, 1.0), (0.0, 1.0))
-    field = sg.trig_vector_field(GENERIC_W, domain)
+    field = sg.trig_vector_field(GENERIC_W)
     u = np.array([[0.5, 0.5], [0.0, 0.5], [1.0, 0.2]])
     with pytest.raises(DomainError, match=r"\(0\.0, 0\.5\)"):
         fd_partial(field.value, u, 0, 1e-3, domain)
@@ -180,7 +188,7 @@ def test_stencil_grid_matches_fd_columns_at_the_stencil_points(name):
     # the shared grid against differentiating A n afresh at each stencil point
     patch = PATCHES[name]()
     if name == "plate":
-        V = sg.plate_sine_field(0.8, 1, 2, patch.domain)
+        V = sg.plate_sine_field(0.8, 1, 2)
     else:
         V = sg.rigid_field(patch, (0.3, -0.2, 0.4), (0.1, 0.2, -0.3))
     quad = sg.surface_quadrature(patch, 4)
@@ -201,7 +209,7 @@ def test_stencil_grid_matches_fd_columns_at_the_stencil_points(name):
 def test_stencil_grid_near_the_boundary_uses_each_points_step():
     # points within 5 steps of an edge get their own step, a fifth of the margin
     domain = ((0.0, 1.0), (0.0, 1.0))
-    field = sg.trig_vector_field(GENERIC_W, domain)
+    field = sg.trig_vector_field(GENERIC_W)
     u = np.array([[1e-4, 0.5], [0.5, 0.5], [0.9995, 0.3], [0.2, 2e-5], [0.7, 0.99999]])
     d = stencil_steps(u, domain)
     assert np.allclose(d, [[2e-5, 1e-3, 1e-4, 1e-3, 1e-3],
@@ -216,7 +224,7 @@ def test_stencil_grid_near_the_boundary_uses_each_points_step():
 def test_fd_columns_calls_f_once_on_the_shared_stencil():
     # one call on the stencil points, each point with its own clamped step
     domain = ((0.0, 1.0), (0.0, 1.0))
-    field = sg.trig_vector_field(GENERIC_W, domain)
+    field = sg.trig_vector_field(GENERIC_W)
     u = np.array([[1e-4, 0.5], [0.5, 0.5], [0.9995, 0.3], [0.2, 2e-5], [0.7, 0.99999]])
     calls = []
 
@@ -234,7 +242,7 @@ def test_fd_columns_calls_f_once_on_the_shared_stencil():
 
 def test_stencil_grid_rejects_points_on_the_boundary():
     domain = ((0.0, 1.0), (0.0, 1.0))
-    field = sg.trig_vector_field(GENERIC_W, domain)
+    field = sg.trig_vector_field(GENERIC_W)
     u = np.array([[0.5, 0.5], [0.0, 0.5], [1.0, 0.2]])
     with pytest.raises(DomainError, match=r"\(0\.0, 0\.5\)"):
         fd_stencil_columns(field.value, u, domain)

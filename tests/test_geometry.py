@@ -55,7 +55,7 @@ def shape_operator_fd(patch, u, step):
 def test_patch_invariants_hold_on_all_builtins():
     for patch in all_builtin_patches():
         quad = sg.surface_quadrature(patch, 6)
-        worst = sg.validate_patch(patch, quad)
+        worst = sg.validate_patch(quad)
         assert worst["normal_norm"] <= 1e-12
         assert worst["normal_orth"] <= 1e-10
         assert worst["metric"] <= 1e-10
@@ -77,7 +77,7 @@ def test_validate_patch_names_the_first_bad_node():
     first = (float(x[x > 0.3][0]), float(x[0]))
     with pytest.raises(EvaluationError, match=re.escape(
             f"normal not orthogonal to tangents: 1.00e-03 at u={first}")):
-        sg.validate_patch(bent, sg.surface_quadrature(bent, 4))
+        sg.validate_patch(sg.surface_quadrature(bent, 4))
 
 
 def test_plate_shape_operator_is_zero():
@@ -341,18 +341,18 @@ def test_builtin_patch_parameter_errors():
 def test_thickness_validation():
     plate = sg.make_builtin_patch("plate")
     quad = sg.surface_quadrature(plate, 4)
-    good = sg.ThicknessPair.constant(0.4, 0.6, plate.domain)
+    good = sg.ThicknessPair.constant(0.4, 0.6)
     sg.validate_thickness(good, quad)
 
     from shellgamma.fields import affine_scalar, constant_scalar
-    sloped = sg.ThicknessPair(g1=affine_scalar(0.5, [0.2, 0.0], plate.domain),
-                              g2=constant_scalar(0.5, plate.domain),
+    sloped = sg.ThicknessPair(g1=affine_scalar(0.5, [0.2, 0.0]),
+                              g2=constant_scalar(0.5),
                               lipschitz_bound=0.05)
     with pytest.raises(ParameterError):
         sg.validate_thickness(sloped, quad)
 
-    negative = sg.ThicknessPair(g1=affine_scalar(0.05, [-0.5, 0.0], plate.domain),
-                                g2=constant_scalar(0.5, plate.domain),
+    negative = sg.ThicknessPair(g1=affine_scalar(0.05, [-0.5, 0.0]),
+                                g2=constant_scalar(0.5),
                                 lipschitz_bound=1.0)
     with pytest.raises(ParameterError):
         sg.validate_thickness(negative, quad)
@@ -365,8 +365,8 @@ def test_thickness_validation_names_the_first_bad_node():
     quad = sg.surface_quadrature(plate, 4)
     x, _ = gauss_legendre(4, 0.0, 1.0)  # node coordinates on either axis
     from shellgamma.fields import affine_scalar, constant_scalar
-    g1 = affine_scalar(0.05, [-0.5, 0.0], plate.domain)
-    g2 = constant_scalar(0.5, plate.domain)
+    g1 = affine_scalar(0.05, [-0.5, 0.0])
+    g2 = constant_scalar(0.5)
     negative = sg.ThicknessPair(g1=g1, g2=g2, lipschitz_bound=1.0)
     with pytest.raises(ParameterError, match=re.escape(
             f"g1 = {0.05 - 0.5 * x[1]} <= 0 at u={(float(x[1]), float(x[0]))}")):

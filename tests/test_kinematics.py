@@ -57,7 +57,7 @@ def test_rigid_field_has_constant_skew_gradient():
 
 def test_isometry_invariants_at_nodes():
     plate = sg.make_builtin_patch("plate")
-    V = sg.plate_sine_field(1.0, 1, 1, plate.domain)
+    V = sg.plate_sine_field(1.0, 1, 1)
     quad = sg.surface_quadrature(plate, 6)
     iso = sg.build_isometry(V, quad=quad)
     fr = quad.frame[::7]
@@ -68,7 +68,7 @@ def test_isometry_invariants_at_nodes():
 
 def test_plate_normal_column_of_A():
     plate = sg.make_builtin_patch("plate")
-    V = sg.plate_sine_field(0.8, 1, 2, plate.domain)
+    V = sg.plate_sine_field(0.8, 1, 2)
     quad = sg.surface_quadrature(plate, 4)
     iso = sg.build_isometry(V, quad=quad)
     fr = plate.frame(np.array([0.37, 0.61]))
@@ -80,7 +80,7 @@ def test_An_matches_the_normal_rotation_formula():
     # independent route to A n from V and the frame alone: Pi V_tan - grad(V . n);
     # IsometryField.An agrees with it and with A n of the assembled A
     plate = sg.make_builtin_patch("plate")
-    cases = [(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain))]
+    cases = [(plate, sg.plate_sine_field(1.0, 1, 1))]
     cases += [(patch, sg.rigid_field(patch, (0.3, -0.2, 0.4), (0.1, 0.2, -0.3)))
               for patch in curved_patches()]
     for patch, V in cases:
@@ -114,7 +114,7 @@ def test_in_plane_stretch_is_rejected_with_worst_node():
 
     stretch = VectorField(
         value=lambda u: np.stack([u[..., 0] ** 2, 0.0 * u[..., 0], 0.0 * u[..., 0]], axis=-1),
-        d1=d1, domain=plate.domain)
+        d1=d1)
     with pytest.raises(NotAnIsometryError) as err:
         sg.build_isometry(stretch, quad=sg.surface_quadrature(plate, 4))
     x, _ = gauss_legendre(4, 0.0, 1.0)
@@ -128,8 +128,7 @@ def test_non_finite_displacement_is_rejected():
     from shellgamma.errors import EvaluationError
     plate = sg.make_builtin_patch("plate")
     broken = VectorField(value=lambda u: np.array([0.0, 0.0, np.nan]),
-                         d1=lambda m: np.full(np.shape(m.u)[:-1] + (3, 2), np.nan),
-                         domain=plate.domain)
+                         d1=lambda m: np.full(np.shape(m.u)[:-1] + (3, 2), np.nan))
     with pytest.raises(EvaluationError):
         sg.build_isometry(broken, quad=sg.surface_quadrature(plate, 3))
 
@@ -145,7 +144,7 @@ def test_bending_tensor_vanishes_for_rigid_motions():
 
 def test_bending_tensor_on_plate_is_minus_hessian():
     plate = sg.make_builtin_patch("plate")
-    V = sg.plate_sine_field(0.9, 1, 1, plate.domain)
+    V = sg.plate_sine_field(0.9, 1, 1)
     quad = sg.surface_quadrature(plate, 4)
     iso = sg.build_isometry(V, quad=quad)
     fr = quad.frame[::6]
@@ -159,11 +158,11 @@ def test_bending_tensor_on_plate_is_minus_hessian():
 
 def test_stretching_tensor_reduces_to_strain_bitwise():
     plate = sg.make_builtin_patch("plate")
-    thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     quad = sg.surface_quadrature(plate, 4)
-    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1, plate.domain),
+    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1),
                             quad=quad)
-    w = sg.trig_vector_field(GENERIC_W, plate.domain)
+    w = sg.trig_vector_field(GENERIC_W)
     fr = quad.frame[::6]
     tensor = stretching_tensor(iso, fr, w, thick, kappa=0.0)
     assert np.array_equal(tensor, strain_of(w, fr))
@@ -190,11 +189,11 @@ def test_stretching_tensor_takes_one_tangential_minor():
 
 def test_stretching_tensor_plate_vortex_term():
     plate = sg.make_builtin_patch("plate")
-    thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     quad = sg.surface_quadrature(plate, 4)
-    V = sg.plate_sine_field(1.0, 1, 1, plate.domain)
+    V = sg.plate_sine_field(1.0, 1, 1)
     iso = sg.build_isometry(V, quad=quad)
-    w = sg.trig_vector_field(GENERIC_W, plate.domain)
+    w = sg.trig_vector_field(GENERIC_W)
     fr = quad.frame[::6]
     tensor = stretching_tensor(iso, fr, w, thick, kappa=1.0)
     grad_v = V.d1(fr)[..., 2, :]
@@ -205,12 +204,12 @@ def test_stretching_tensor_plate_vortex_term():
 def test_stretching_tensor_zero_for_zero_fields():
     plate = sg.make_builtin_patch("plate")
     from shellgamma.fields import constant_scalar, sine_scalar
-    thick = sg.ThicknessPair(g1=constant_scalar(0.4, plate.domain),
-                             g2=sine_scalar(0.6, 0.1, (1.0, 1.0), (0.2, 0.4), plate.domain),
+    thick = sg.ThicknessPair(g1=constant_scalar(0.4),
+                             g2=sine_scalar(0.6, 0.1, (1.0, 1.0), (0.2, 0.4)),
                              lipschitz_bound=1.0)
     quad = sg.surface_quadrature(plate, 4)
-    iso = sg.build_isometry(sg.zero_vector_field(plate.domain), quad=quad)
-    w = sg.zero_vector_field(plate.domain)
+    iso = sg.build_isometry(sg.zero_vector_field(), quad=quad)
+    w = sg.zero_vector_field()
     fr = quad.frame[::6]
     tensor = stretching_tensor(iso, fr, w, thick, kappa=1.0)
     assert np.allclose(tensor, 0.0, atol=1e-14)
@@ -218,15 +217,15 @@ def test_stretching_tensor_zero_for_zero_fields():
 
 def test_stretching_expansion_trivial_and_bounded():
     plate = sg.make_builtin_patch("plate")
-    thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     quad = sg.surface_quadrature(plate, 4)
-    zero = sg.zero_vector_field(plate.domain)
+    zero = sg.zero_vector_field()
     iso0 = sg.build_isometry(zero, quad=quad)
     data0 = sg.expansion_data(plate, iso0, zero, thick, quad)
     assert sg.stretching_expansion_residual(data0, 0.1) <= 1e-15
 
     # w = 0: the identity is exactly quadratic in h, residual at rounding level
-    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1, plate.domain),
+    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1),
                             quad=quad)
     data = sg.expansion_data(plate, iso, zero, thick, quad)
     for h in (1e-1, 1e-2, 1e-3):
@@ -236,11 +235,11 @@ def test_stretching_expansion_trivial_and_bounded():
 
 def test_stretching_expansion_third_order_with_w():
     plate = sg.make_builtin_patch("plate")
-    thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     quad = sg.surface_quadrature(plate, 4)
-    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1, plate.domain),
+    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1),
                             quad=quad)
-    w = sg.trig_vector_field(GENERIC_W, plate.domain)
+    w = sg.trig_vector_field(GENERIC_W)
     hs = [2.0 ** -k for k in range(3, 8)]
     data = sg.expansion_data(plate, iso, w, thick, quad)
     pairs = [(h, sg.stretching_expansion_residual(data, h)) for h in hs]
@@ -253,11 +252,11 @@ def test_stretching_expansion_third_order_with_w():
 
 def test_rigid_isometries_give_exact_stretching_identity():
     sphere = curved_patches()[0]
-    thick = sg.ThicknessPair.constant(0.5, 0.5, sphere.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     quad = sg.surface_quadrature(sphere, 4)
     iso = sg.build_isometry(sg.rigid_field(sphere, (0.2, 0.1, -0.3)),
                             quad=quad)
-    data = sg.expansion_data(sphere, iso, sg.zero_vector_field(sphere.domain), thick,
+    data = sg.expansion_data(sphere, iso, sg.zero_vector_field(), thick,
                              quad)
     pairs = [(h, sg.stretching_expansion_residual(data, h))
              for h in [2.0 ** -k for k in range(3, 8)]]
@@ -267,9 +266,9 @@ def test_rigid_isometries_give_exact_stretching_identity():
 
 def test_bending_expansion_trivial_case():
     plate = sg.make_builtin_patch("plate")
-    thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     quad = sg.surface_quadrature(plate, 3)
-    zero = sg.zero_vector_field(plate.domain)
+    zero = sg.zero_vector_field()
     iso = sg.build_isometry(zero, quad=quad)
     data = sg.expansion_data(plate, iso, zero, thick, quad)
     assert sg.bending_expansion_residual(data, 0.1) <= 1e-9
@@ -277,12 +276,12 @@ def test_bending_expansion_trivial_case():
 
 def test_bending_expansion_second_order_on_plate():
     plate = sg.make_builtin_patch("plate")
-    thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     quad = sg.surface_quadrature(plate, 4)
-    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1, plate.domain),
+    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1),
                             quad=quad)
     hs = [2.0 ** -k for k in range(3, 8)]
-    data = sg.expansion_data(plate, iso, sg.zero_vector_field(plate.domain), thick, quad)
+    data = sg.expansion_data(plate, iso, sg.zero_vector_field(), thick, quad)
     pairs = [(h, sg.bending_expansion_residual(data, h)) for h in hs]
     slope, r2 = fit_order(pairs)
     assert slope >= 1.9 and r2 >= 0.99
@@ -292,17 +291,17 @@ def test_bending_expansion_rigid_cylinder_left_side_small():
     # rigid motions preserve the shape operator up to conjugation: the pulled
     # back difference is O(h^2) discretization of the linearized rotation
     cyl = sg.make_builtin_patch("cylinder", radius=1.0, height=1.0)
-    thick = sg.ThicknessPair.constant(0.5, 0.5, cyl.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     quad = sg.surface_quadrature(cyl, 4)
     iso = sg.build_isometry(sg.rigid_field(cyl, (0.3, -0.2, 0.4)), quad=quad)
-    data = sg.expansion_data(cyl, iso, sg.zero_vector_field(cyl.domain), thick, quad)
+    data = sg.expansion_data(cyl, iso, sg.zero_vector_field(), thick, quad)
     for h in (2.0 ** -3, 2.0 ** -5):
         assert sg.bending_expansion_residual(data, h) <= 0.5 * h ** 2
 
 
 def test_strain_field_matches_generator_gradient():
     plate = sg.make_builtin_patch("plate")
-    w = sg.trig_vector_field(GENERIC_W, plate.domain)
+    w = sg.trig_vector_field(GENERIC_W)
     quad = sg.surface_quadrature(plate, 4)
     fr = quad.frame[::5]
     B = strain_of(w, fr)
@@ -313,7 +312,7 @@ def test_strain_field_matches_generator_gradient():
 
 def isometry_cases():
     plate = sg.make_builtin_patch("plate")
-    cases = [(plate, sg.plate_sine_field(1.0, 1, 1, plate.domain))]
+    cases = [(plate, sg.plate_sine_field(1.0, 1, 1))]
     cases += [(patch, sg.rigid_field(patch, (0.3, -0.2, 0.4), (0.1, 0.2, -0.3)))
               for patch in curved_patches()]
     return cases
@@ -325,10 +324,10 @@ def test_batched_isometry_fields_equal_stacked_points(case):
     patch, V = isometry_cases()[case]
     quad = sg.surface_quadrature(patch, 4)
     iso = sg.build_isometry(V, quad=quad)
-    thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4, patch.domain),
-                             g2=sg.affine_scalar(0.55, [0.04, 0.01], patch.domain),
+    thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4),
+                             g2=sg.affine_scalar(0.55, [0.04, 0.01]),
                              lipschitz_bound=1.0)
-    w = sg.trig_vector_field(GENERIC_W, patch.domain)
+    w = sg.trig_vector_field(GENERIC_W)
     u = quad.frame.u
     frames = [quad.frame[i] for i in range(len(u))]
     checks = [
@@ -356,10 +355,10 @@ def counting_d1(field, calls):
 def variable_thickness_cap_scene():
     """A sphere cap with an affine g2, a rigid V and a generic w."""
     cap = curved_patches()[0]
-    thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4, cap.domain),
-                             g2=sg.affine_scalar(0.55, [0.04, 0.01], cap.domain),
+    thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4),
+                             g2=sg.affine_scalar(0.55, [0.04, 0.01]),
                              lipschitz_bound=1.0)
-    return cap, thick, sg.trig_vector_field(GENERIC_W, cap.domain)
+    return cap, thick, sg.trig_vector_field(GENERIC_W)
 
 
 def test_isometry_check_and_residuals_make_few_frame_calls(monkeypatch):
@@ -482,10 +481,10 @@ def test_An_sums_n_dot_DV_in_the_order_of_the_axis_sum(kind):
     points = [patch.frame(u), patch.metric(grid), patch.metric(grid)[fields.GRID_ROWS],
               patch.metric(fields.stencil_points(u, fields.stencil_steps(u, patch.domain)))]
     families = [fields.rigid_field(patch, (0.3, -0.2, 0.4), (0.1, 0.0, 0.2)),
-                fields.plate_sine_field(0.7, 1, 2, patch.domain),
+                fields.plate_sine_field(0.7, 1, 2),
                 fields.trig_vector_field([[0.4, 1.3, 0.2, 0.9, 0.5], [0.3, 0.7, 1.1, 1.4, 0.3],
-                                          [0.5, 1.1, 0.4, 0.8, 1.2]], patch.domain),
-                fields.zero_vector_field(patch.domain)]
+                                          [0.5, 1.1, 0.4, 0.8, 1.2]]),
+                fields.zero_vector_field()]
     for V in families:
         iso = sg.IsometryField(displacement=V)
         for m in points:

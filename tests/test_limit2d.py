@@ -27,38 +27,38 @@ def eval_I(patch, thick, material, iso, w, kappa, quad):
 
 def bending_only(patch, thick, material, iso, quad):
     """The bending part of the limit functional, with B_tan = 0 and kappa = 0."""
-    zero = sg.zero_vector_field(patch.domain)
+    zero = sg.zero_vector_field()
     return eval_I(patch, thick, material, iso, zero, 0.0, quad).bending
 
 
 def plate_scene(mu=1.0, lam=1.0, amp=1.0):
     plate = sg.make_builtin_patch("plate")
-    thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     W = sg.make_isotropic(mu, lam)
     quad = sg.surface_quadrature(plate, 8)
-    V = sg.plate_sine_field(amp, 1, 1, plate.domain)
+    V = sg.plate_sine_field(amp, 1, 1)
     iso = sg.build_isometry(V, quad=quad)
     return plate, thick, W, quad, V, iso
 
 
 def test_zero_fields_zero_energy():
     plate = sg.make_builtin_patch("plate")
-    thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(plate, 4)
-    iso = sg.build_isometry(sg.zero_vector_field(plate.domain), quad=quad)
-    out = eval_I(plate, thick, W, iso, sg.zero_vector_field(plate.domain), 1.0, quad=quad)
+    iso = sg.build_isometry(sg.zero_vector_field(), quad=quad)
+    out = eval_I(plate, thick, W, iso, sg.zero_vector_field(), 1.0, quad=quad)
     assert out.total == pytest.approx(0.0, abs=1e-14)
     assert out.stretching >= 0.0 and out.bending >= 0.0
 
 
 def test_sphere_cap_rigid_rotation_closed_form():
     cap = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 3)
-    thick = sg.ThicknessPair.constant(0.5, 0.5, cap.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(cap, 8)
     iso = sg.build_isometry(sg.rigid_field(cap, (0.0, 0.0, 1.0)), quad=quad)
-    out = eval_I(cap, thick, W, iso, sg.zero_vector_field(cap.domain), 1.0, quad=quad)
+    out = eval_I(cap, thick, W, iso, sg.zero_vector_field(), 1.0, quad=quad)
     assert out.bending == pytest.approx(0.0, abs=1e-10)
     assert out.stretching == pytest.approx(SPHERE_CAP_STRETCHING, rel=1e-9)
     assert out.total == out.stretching + out.bending
@@ -102,12 +102,12 @@ def test_plate_matches_independent_von_karman_oracle():
     # matched quadrature order on both paths isolates the tensor assembly
     mu, lam, amp = 1.0, 1.0, 0.8
     plate = sg.make_builtin_patch("plate")
-    thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     W = sg.make_isotropic(mu, lam)
     quad = sg.surface_quadrature(plate, 16)
-    iso = sg.build_isometry(sg.plate_sine_field(amp, 1, 1, plate.domain),
+    iso = sg.build_isometry(sg.plate_sine_field(amp, 1, 1),
                             quad=quad)
-    w = sg.trig_vector_field(GENERIC_W, plate.domain)
+    w = sg.trig_vector_field(GENERIC_W)
     out = eval_I(plate, thick, W, iso, w, 1.0, quad=quad)
     stretch_ref, bend_ref = _plate_oracle(mu, lam, amp, GENERIC_W, order=16)
     assert out.stretching == pytest.approx(stretch_ref, rel=1e-10)
@@ -116,7 +116,7 @@ def test_plate_matches_independent_von_karman_oracle():
 
 def test_i_tilde_equals_bending_part():
     plate, thick, W, quad, V, iso = plate_scene()
-    w = sg.trig_vector_field(GENERIC_W, plate.domain)
+    w = sg.trig_vector_field(GENERIC_W)
     out = eval_I(plate, thick, W, iso, w, 1.0, quad=quad)
     bend_only = bending_only(plate, thick, W, iso, quad)
     assert bend_only == pytest.approx(out.bending, rel=1e-13)
@@ -126,7 +126,7 @@ def test_i_tilde_equals_bending_part():
 
 def test_i_tilde_zero_for_rigid_motion_on_sphere():
     cap = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 3)
-    thick = sg.ThicknessPair.constant(0.5, 0.5, cap.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(cap, 6)
     iso = sg.build_isometry(sg.rigid_field(cap, (0.4, 0.1, -0.2)), quad=quad)
@@ -135,7 +135,7 @@ def test_i_tilde_zero_for_rigid_motion_on_sphere():
 
 def test_i_tilde_cubic_thickness_scaling():
     plate, thick_half, W, quad, V, iso = plate_scene()
-    thick_one = sg.ThicknessPair.constant(1.0, 1.0, plate.domain)
+    thick_one = sg.ThicknessPair.constant(1.0, 1.0)
     a = bending_only(plate, thick_half, W, iso, quad)
     b = bending_only(plate, thick_one, W, iso, quad)
     assert b == pytest.approx(8.0 * a, rel=1e-12)
@@ -144,10 +144,10 @@ def test_i_tilde_cubic_thickness_scaling():
 def test_sum_invariance_for_equal_total_thickness_on_plate():
     # on the plate with constant profiles only g1 + g2 enters
     plate, _, W, quad, V, iso = plate_scene()
-    w = sg.trig_vector_field(GENERIC_W, plate.domain)
+    w = sg.trig_vector_field(GENERIC_W)
     outs = []
     for g1, g2 in [(0.5, 0.5), (0.3, 0.7), (0.4, 0.6)]:
-        thick = sg.ThicknessPair.constant(g1, g2, plate.domain)
+        thick = sg.ThicknessPair.constant(g1, g2)
         outs.append(eval_I(plate, thick, W, iso, w, 1.0, quad=quad))
     for other in outs[1:]:
         assert other.stretching == pytest.approx(outs[0].stretching, rel=1e-12)
@@ -156,14 +156,14 @@ def test_sum_invariance_for_equal_total_thickness_on_plate():
 
 def test_kappa_zero_with_zero_strain_has_zero_stretching():
     plate, thick, W, quad, V, iso = plate_scene()
-    out = eval_I(plate, thick, W, iso, sg.zero_vector_field(plate.domain), 0.0, quad=quad)
+    out = eval_I(plate, thick, W, iso, sg.zero_vector_field(), 0.0, quad=quad)
     assert out.stretching == pytest.approx(0.0, abs=1e-14)
     assert out.bending > 0.0
 
 
 def test_quadrature_order_stability():
     plate, thick, W, _, V, _ = plate_scene()
-    w = sg.trig_vector_field(GENERIC_W, plate.domain)
+    w = sg.trig_vector_field(GENERIC_W)
     vals = []
     for order in (10, 14):  # default and default + 4
         quad = sg.surface_quadrature(plate, order)
@@ -174,7 +174,7 @@ def test_quadrature_order_stability():
 
 def test_eval_J_reductions_and_load_term():
     plate, thick, W, quad, V, iso = plate_scene()
-    w = sg.trig_vector_field(GENERIC_W, plate.domain)
+    w = sg.trig_vector_field(GENERIC_W)
     base = eval_I(plate, thick, W, iso, w, 1.0, quad=quad)
     vertical = np.broadcast_to([0.0, 0.0, 1.0], quad.frame.x.shape)
 
@@ -184,7 +184,7 @@ def test_eval_J_reductions_and_load_term():
     assert J0.load_term == 0.0
 
     # V = 0: load term vanishes
-    iso0 = sg.build_isometry(sg.zero_vector_field(plate.domain), quad=quad)
+    iso0 = sg.build_isometry(sg.zero_vector_field(), quad=quad)
     base0 = eval_I(plate, thick, W, iso0, w, 1.0, quad=quad)
     Jz = sg.eval_J(base0, thick, iso0, vertical, np.eye(3), quad=quad)
     assert Jz.load_term == pytest.approx(0.0, abs=1e-14)
@@ -200,7 +200,7 @@ def test_eval_J_reductions_and_load_term():
 
 def test_eval_J_rejects_non_rotations():
     plate, thick, W, quad, V, iso = plate_scene()
-    w = sg.zero_vector_field(plate.domain)
+    w = sg.zero_vector_field()
     base = eval_I(plate, thick, W, iso, w, 1.0, quad=quad)
     with pytest.raises(ParameterError):
         sg.eval_J(base, thick, iso, np.zeros(quad.frame.x.shape),
@@ -212,7 +212,7 @@ def test_eval_J_rejects_non_rotations():
 
 def test_anisotropic_q3_material_is_accepted():
     plate, thick, _, quad, V, iso = plate_scene()
-    w = sg.zero_vector_field(plate.domain)
+    w = sg.zero_vector_field()
     M = sg.make_isotropic(1.0, 1.0).q3.matrix6
     entries = [M[i, j] for i in range(6) for j in range(i, 6)]
     q3 = sg.QuadForm3.from_upper_triangle(entries)

@@ -50,13 +50,13 @@ def test_extension_weight_cancels_in_transversal_integral():
 
 
 def test_wahba_identity_and_orthogonal_invariance():
-    Q, m, classification, _ = sg.wahba_maximize(np.eye(3))
+    Q, m, classification = sg.wahba_maximize(np.eye(3))
     assert np.allclose(Q, np.eye(3)) and m == pytest.approx(3.0)
     assert classification == "unique"
 
     rng = np.random.default_rng(21)
     R0 = sg.rotation_matrices(sg.random_rotations(rng, 1))[0]
-    Q, m, _, _ = sg.wahba_maximize(R0.T)
+    Q, m, _ = sg.wahba_maximize(R0.T)
     assert np.allclose(Q, R0, atol=1e-12)
     assert m == pytest.approx(3.0, rel=1e-12)
 
@@ -65,7 +65,7 @@ def test_wahba_beats_random_sampling():
     rng = np.random.default_rng(22)
     for _ in range(5):
         N = rng.normal(size=(3, 3))
-        Q, m, _, _ = sg.wahba_maximize(N)
+        Q, m, _ = sg.wahba_maximize(N)
         assert np.linalg.norm(Q.T @ Q - np.eye(3)) <= 1e-12
         assert np.linalg.det(Q) == pytest.approx(1.0, abs=1e-12)
         samples = sg.rotation_actions(sg.action_form(N), sg.random_rotations(rng, 20000))
@@ -105,14 +105,14 @@ def test_davenport_largest_eigenvalue_is_the_maximized_action():
     rng = np.random.default_rng(26)
     for N in [rng.normal(size=(3, 3)) for _ in range(20)] + [np.diag([1.0, 1.0, -1.0])]:
         K = sg.davenport_matrix(N)
-        _, m, _, _ = sg.wahba_maximize(N)
+        _, m, _ = sg.wahba_maximize(N)
         assert np.array_equal(K, K.T)
         assert np.linalg.eigvalsh(K)[-1] == pytest.approx(m, abs=1e-12)
 
 
 def test_wahba_rank_one_tie_breaks_toward_identity():
     N = np.diag([2.0, 0.0, 0.0])
-    Q, m, classification, _ = sg.wahba_maximize(N)
+    Q, m, classification = sg.wahba_maximize(N)
     assert classification == "one_parameter_family"
     assert m == pytest.approx(2.0)
     assert np.allclose(Q, np.eye(3), atol=1e-12)
@@ -121,7 +121,7 @@ def test_wahba_rank_one_tie_breaks_toward_identity():
 def test_wahba_reflection_tie_flags_and_optimizes():
     # equal smallest singular values with a det flip: a circle of optimizers
     N = np.diag([1.0, 1.0, -1.0])
-    Q, m, classification, sv = sg.wahba_maximize(N)
+    Q, m, classification = sg.wahba_maximize(N)
     assert classification == "one_parameter_family"
     assert m == pytest.approx(1.0, rel=1e-12)
     assert np.trace(Q @ N) == pytest.approx(m, rel=1e-12)
@@ -137,7 +137,7 @@ def test_wahba_reflection_tie_flags_and_optimizes():
 def test_moment_matrix_against_hand_integral():
     # plate, f = e3 constant, g1 = g2 = 1/2: N = h sqrt(e_h) int x e3^T du
     plate = sg.make_builtin_patch("plate")
-    thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     squad = sg.surface_quadrature(plate, 8)
     h, e_h = 0.125, 0.125 ** 4
     fac = h * np.sqrt(e_h)
@@ -150,7 +150,7 @@ def test_moment_matrix_against_hand_integral():
 
 def test_maximize_action_result_invariants():
     plate = sg.make_builtin_patch("plate")
-    thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     squad = sg.surface_quadrature(plate, 6)
     fh = 0.125 ** 3 * at_nodes(squad, [0.3, 0.1, 1.0])  # h sqrt(e_h) f at e_h = h^4
     res = sg.maximize_action(fh, thick, 0.125, squad)
@@ -166,7 +166,7 @@ def test_maximize_action_result_invariants():
 def test_example_maximizer_set_classifications():
     sph = sg.make_builtin_patch("sphere", radius=1.0)
     squad = sg.surface_quadrature(sph, 10)
-    thick = sg.ThicknessPair.constant(0.5, 0.5, sph.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
 
     const = sg.example_maximizer_set(at_nodes(squad, [0.3, -0.1, 0.2]), thick, squad)
     assert const.classification == "all_SO3"
@@ -180,7 +180,7 @@ def test_example_maximizer_set_classifications():
 
     cap = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 2)
     cap_quad = sg.surface_quadrature(cap, 10)
-    cap_thick = sg.ThicknessPair.constant(0.5, 0.5, cap.domain)
+    cap_thick = sg.ThicknessPair.constant(0.5, 0.5)
     vertical = sg.example_maximizer_set(at_nodes(cap_quad, [0.0, 0.0, 1.0]),
                                         cap_thick, cap_quad)
     assert vertical.classification == "one_parameter_family"
@@ -192,7 +192,7 @@ def test_example_maximizer_set_does_not_depend_on_the_load_scale(scale):
     # tie floor scales with the load's mass
     sph = sg.make_builtin_patch("sphere", radius=1.0)
     squad = sg.surface_quadrature(sph, 10)
-    thick = sg.ThicknessPair.constant(0.5, 0.5, sph.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     radial = sg.example_maximizer_set(scale * squad.frame.x, thick, squad)
     assert radial.classification == "unique"
     assert radial.value == pytest.approx(scale * 4.0 * np.pi, rel=1e-10)
@@ -205,7 +205,7 @@ def test_example_maximizer_set_does_not_depend_on_the_load_scale(scale):
 def test_example_maximizer_set_of_a_zero_load_is_all_rotations():
     sph = sg.make_builtin_patch("sphere", radius=1.0)
     squad = sg.surface_quadrature(sph, 6)
-    thick = sg.ThicknessPair.constant(0.5, 0.5, sph.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     zero = sg.example_maximizer_set(at_nodes(squad, [0.0, 0.0, 0.0]), thick, squad)
     assert zero.classification == "all_SO3"
     assert zero.value == 0.0
@@ -218,7 +218,7 @@ def test_example_maximizer_set_breaks_a_tie_toward_the_identity():
     # member of that family
     cap = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 2)
     squad = sg.surface_quadrature(cap, 10)
-    thick = sg.ThicknessPair.constant(0.5, 0.5, cap.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     x = squad.frame.x
     f = at_nodes(squad, [1.0, 0.0, 0.0]) + 1e-9 * np.stack(
         (x[:, 1], x[:, 0], np.zeros(len(x))), axis=-1)
@@ -228,10 +228,47 @@ def test_example_maximizer_set_breaks_a_tie_toward_the_identity():
     assert np.trace(res.optimal_rotation) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("g", [0.3, 1e-9])
+def test_example_maximizer_set_weights_the_moment_by_the_thickness(g):
+    # the limit action is tr(Q A), A = int_S (g1+g2) x f^T: a radial load on
+    # the unit sphere with g1 = g2 = g is maximized at Id with the value
+    # 2 g * area, not the area of the unweighted moment int_S x f^T; the tie
+    # floor's mass carries the same weight, so a thin shell is no tie
+    sph = sg.make_builtin_patch("sphere", radius=1.0)
+    squad = sg.surface_quadrature(sph, 10)
+    radial = sg.example_maximizer_set(squad.frame.x, sg.ThicknessPair.constant(g, g), squad)
+    assert radial.classification == "unique"
+    assert np.allclose(radial.optimal_rotation, np.eye(3), atol=1e-10)
+    assert radial.value == pytest.approx(2.0 * g * 4.0 * np.pi, rel=1e-10)
+
+
+def test_example_maximizer_set_maximizes_the_weighted_moment():
+    # g1 = g2 = 0.2 + 0.5 u1 and a load f = M x - c balanced for that weight:
+    # the maximizer is wahba_maximize's of A = int_S (g1+g2) x f^T, which sits
+    # 0.9 degrees from the maximizer of the unweighted int_S x f^T
+    sph = sg.make_builtin_patch("sphere", radius=1.0)
+    squad = sg.surface_quadrature(sph, 10)
+    g = sg.affine_scalar(0.2, [0.5, 0.0])
+    thick = sg.ThicknessPair(g1=g, g2=g)
+    fr = squad.frame
+    weight = squad.weights * thick.total(fr.u)
+    f = fr.x @ np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.5], [0.5, 0.0, 1.0]]).T
+    f = f - (weight[:, None] * f).sum(axis=0) / weight.sum()
+    residual, mass = sg.load_compatibility_residual(thick, f, squad)
+    assert residual <= 1e-12 * mass
+    Q, value, classification = sg.wahba_maximize((weight[:, None] * fr.x).T @ f)
+    Q_unweighted, _, _ = sg.wahba_maximize((squad.weights[:, None] * fr.x).T @ f)
+    assert np.degrees(np.arccos((np.trace(Q.T @ Q_unweighted) - 1.0) / 2.0)) > 0.5
+    res = sg.example_maximizer_set(f, thick, squad)
+    assert res.classification == classification == "unique"
+    assert np.allclose(res.optimal_rotation, Q, atol=1e-12)
+    assert res.value == pytest.approx(value, rel=1e-12)
+
+
 def test_example_maximizer_set_preconditions():
     sph = sg.make_builtin_patch("sphere", radius=1.0)
     squad = sg.surface_quadrature(sph, 6)
-    asym = sg.ThicknessPair.constant(0.4, 0.6, sph.domain)
+    asym = sg.ThicknessPair.constant(0.4, 0.6)
     with pytest.raises(UnsupportedCaseError):
         sg.example_maximizer_set(squad.frame.x, asym, squad)
 
@@ -246,7 +283,7 @@ def balanced_sine(fr):
 
 def test_load_compatibility_residual():
     plate = sg.make_builtin_patch("plate")
-    thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     squad = sg.surface_quadrature(plate, 8)
     resid, mass = sg.load_compatibility_residual(thick, balanced_sine(squad.frame), squad)
     assert resid <= 1e-8 * mass
@@ -258,13 +295,13 @@ def test_load_compatibility_residual():
 
 def plate_load_scene(order=6):
     plate = sg.make_builtin_patch("plate")
-    thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(plate, order)
     trule = sg.TransversalRule.make(4)
-    V = sg.plate_sine_field(1.0, 1, 1, plate.domain)
+    V = sg.plate_sine_field(1.0, 1, 1)
     iso = sg.build_isometry(V, quad=quad)
-    w = sg.zero_vector_field(plate.domain)
+    w = sg.zero_vector_field()
     load = balanced_sine(quad.frame)
     return plate, thick, W, quad, trule, V, iso, w, load
 
@@ -282,8 +319,8 @@ def test_J_h_reduces_to_energy_without_load():
 
 def test_J_h_nonnegative_for_identity_deformation():
     plate, thick, W, quad, trule, V, iso, w, load = plate_load_scene()
-    iso0 = sg.build_isometry(sg.zero_vector_field(plate.domain), quad=quad)
-    data0 = sg.recovery_data(plate, W, iso0, sg.zero_vector_field(plate.domain),
+    iso0 = sg.build_isometry(sg.zero_vector_field(), quad=quad)
+    data0 = sg.recovery_data(plate, W, iso0, sg.zero_vector_field(),
                              thick, kappa=1.0, frame=quad.frame)
     rec0 = sg.build_recovery(data0, h=0.125, e_h=0.125 ** 4)
     Eh = sg.eval_shell_energy(rec0, W, quad, trule).E_h

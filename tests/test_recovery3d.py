@@ -24,7 +24,7 @@ GENERIC_W = [(0.4, 1.3, 0.2, 0.9, 0.5),
 
 def plate_scene(order=6):
     plate = sg.make_builtin_patch("plate")
-    thick = sg.ThicknessPair.constant(0.5, 0.5, plate.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(plate, order)
     trule = sg.TransversalRule.make(4)
@@ -60,8 +60,8 @@ def d_fields(patch, material, iso, w, thick, kappa, fr):
 
 def test_trivial_recovery_is_the_identity():
     plate, thick, W, quad, trule = plate_scene()
-    iso = sg.build_isometry(sg.zero_vector_field(plate.domain), quad=quad)
-    zero = sg.zero_vector_field(plate.domain)
+    iso = sg.build_isometry(sg.zero_vector_field(), quad=quad)
+    zero = sg.zero_vector_field()
     rng = np.random.default_rng(0)
     points = [(rng.uniform(0.1, 0.9, size=2), rng.uniform(-0.4, 0.4)) for _ in range(10)]
     fr = plate.frame(np.array([u for u, _ in points]))
@@ -78,9 +78,9 @@ def test_trivial_recovery_is_the_identity():
 
 def test_d_fields_vanish_for_zero_data():
     plate, thick, W, quad, trule = plate_scene()
-    iso = sg.build_isometry(sg.zero_vector_field(plate.domain), quad=quad)
+    iso = sg.build_isometry(sg.zero_vector_field(), quad=quad)
     fr = quad.frame[::5]
-    d0, d1 = d_fields(plate, W, iso, sg.zero_vector_field(plate.domain), thick, 1.0, fr)
+    d0, d1 = d_fields(plate, W, iso, sg.zero_vector_field(), thick, 1.0, fr)
     assert np.allclose(d0, 0.0, atol=1e-13)
     assert np.allclose(d1, 0.0, atol=1e-13)
 
@@ -90,7 +90,7 @@ def test_d_fields_sphere_rigid_with_compensating_strain():
     # the bending tensor of a rigid motion vanishes, so d1 = 0 and d0 keeps
     # only its frame terms kappa W^2 n - (kappa/2)(n^T W^2 n) n
     cap = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 3)
-    thick = sg.ThicknessPair.constant(0.5, 0.5, cap.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
     Wmat = sg.skew_matrix((0.0, 0.0, 1.0))
     quad = sg.surface_quadrature(cap, 5)
     iso = sg.build_isometry(sg.rigid_field(cap, (0.0, 0.0, 1.0)), quad=quad)
@@ -99,7 +99,7 @@ def test_d_fields_sphere_rigid_with_compensating_strain():
     fr = quad.frame[::6]
     W2 = 0.5 * kappa * Wmat @ Wmat
     w = VectorField(value=lambda u: cap.chart(u) @ W2.T,
-                    d1=lambda m: W2 @ m.jac, domain=cap.domain)
+                    d1=lambda m: W2 @ m.jac)
     d0, d1 = d_fields(cap, W, iso, w, thick, kappa, fr)
     assert np.allclose(d1, 0.0, atol=1e-8)
     W2n = fr.n @ (Wmat @ Wmat).T
@@ -111,20 +111,20 @@ def test_d1_vanishes_for_zero_lambda_on_plate():
     # lambda = 0 kills the minimizer map; the plate frame terms vanish too
     plate, thick, _, quad, trule = plate_scene()
     W = sg.make_isotropic(1.0, 0.0)
-    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1, plate.domain),
+    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1),
                             quad=quad)
     fr = quad.frame[::7]
-    _, d1 = d_fields(plate, W, iso, sg.zero_vector_field(plate.domain), thick, 1.0, fr)
+    _, d1 = d_fields(plate, W, iso, sg.zero_vector_field(), thick, 1.0, fr)
     assert np.allclose(d1, 0.0, atol=1e-10)
 
 
 def test_recovery_rejects_too_thick_shells():
     cyl = sg.make_builtin_patch("cylinder", radius=1.0, height=1.0)
-    thick = sg.ThicknessPair.constant(3.0, 3.0, cyl.domain)
+    thick = sg.ThicknessPair.constant(3.0, 3.0)
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(cyl, 4)
-    iso = sg.build_isometry(sg.zero_vector_field(cyl.domain), quad=quad)
-    data = sg.recovery_data(cyl, W, iso, sg.zero_vector_field(cyl.domain), thick,
+    iso = sg.build_isometry(sg.zero_vector_field(), quad=quad)
+    data = sg.recovery_data(cyl, W, iso, sg.zero_vector_field(), thick,
                             kappa=1.0, frame=quad.frame)
     with pytest.raises(ThicknessError):
         sg.build_recovery(data, h=0.5, e_h=0.5 ** 4)
@@ -136,12 +136,12 @@ def test_thin_shell_guard_checks_the_quadrature_nodes():
     # lies beyond every point of an evenly spaced 5x5 interior grid
     cyl = sg.make_builtin_patch("cylinder", radius=1.0, height=1.0)
     thick = sg.ThicknessPair(
-        g1=sg.affine_scalar(0.0, [1.15 / (2 * np.pi), 1.15], cyl.domain),
-        g2=sg.constant_scalar(0.5, cyl.domain), lipschitz_bound=2.0)
+        g1=sg.affine_scalar(0.0, [1.15 / (2 * np.pi), 1.15]),
+        g2=sg.constant_scalar(0.5), lipschitz_bound=2.0)
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(cyl, 4)
-    iso = sg.build_isometry(sg.zero_vector_field(cyl.domain), quad=quad)
-    data = sg.recovery_data(cyl, W, iso, sg.zero_vector_field(cyl.domain), thick,
+    iso = sg.build_isometry(sg.zero_vector_field(), quad=quad)
+    data = sg.recovery_data(cyl, W, iso, sg.zero_vector_field(), thick,
                             kappa=1.0, frame=quad.frame)
     s = np.linspace(0.0, 1.0, 7)[1:-1]
     grid = np.stack(np.meshgrid(2 * np.pi * s, s, indexing="ij"), axis=-1)
@@ -154,12 +154,12 @@ def test_thin_shell_guard_checks_the_quadrature_nodes():
     # past the center of a sphere both principal factors are negative and
     # det(Id + h t Pi) is positive again; offset_jacobian and the guard refuse
     cap = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 3)
-    deep = sg.ThicknessPair.constant(2.5, 0.5, cap.domain)
+    deep = sg.ThicknessPair.constant(2.5, 0.5)
     cap_quad = sg.surface_quadrature(cap, 3)
     with pytest.raises(ThicknessError):
         sg.offset_jacobian(cap_quad.frame, -0.9 * 2.5)
-    iso_c = sg.build_isometry(sg.zero_vector_field(cap.domain), quad=cap_quad)
-    data_c = sg.recovery_data(cap, W, iso_c, sg.zero_vector_field(cap.domain), deep,
+    iso_c = sg.build_isometry(sg.zero_vector_field(), quad=cap_quad)
+    data_c = sg.recovery_data(cap, W, iso_c, sg.zero_vector_field(), deep,
                               kappa=1.0, frame=cap_quad.frame)
     with pytest.raises(ThicknessError):
         sg.build_recovery(data_c, h=0.9, e_h=0.9 ** 4)
@@ -171,12 +171,12 @@ def test_guard_and_gradient_name_the_worst_point():
     # (-g1, g2) it names the point of smallest factor 1 + h t k and that
     # point's physical offset h t
     cyl = sg.make_builtin_patch("cylinder", radius=1.0, height=1.0)
-    thick = sg.ThicknessPair(g1=sg.affine_scalar(1.5, [-0.02, -0.5], cyl.domain),
-                             g2=sg.constant_scalar(0.5, cyl.domain), lipschitz_bound=1.0)
+    thick = sg.ThicknessPair(g1=sg.affine_scalar(1.5, [-0.02, -0.5]),
+                             g2=sg.constant_scalar(0.5), lipschitz_bound=1.0)
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(cyl, 3)
-    iso = sg.build_isometry(sg.zero_vector_field(cyl.domain), quad=quad)
-    data = sg.recovery_data(cyl, W, iso, sg.zero_vector_field(cyl.domain), thick,
+    iso = sg.build_isometry(sg.zero_vector_field(), quad=quad)
+    data = sg.recovery_data(cyl, W, iso, sg.zero_vector_field(), thick,
                             kappa=1.0, frame=quad.frame)
     # g1 is largest at the smallest u1 and u2: node 0
     first = tuple(quad.frame.u[0].tolist())
@@ -199,13 +199,13 @@ def test_gradient_matches_finite_differences():
     # frame {(Id + h t Pi) tau_1, (Id + h t Pi) tau_2, h n}
     cap = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 3)
     from shellgamma.fields import affine_scalar, constant_scalar
-    thick = sg.ThicknessPair(g1=constant_scalar(0.4, cap.domain),
-                             g2=affine_scalar(0.55, [0.04, 0.01], cap.domain),
+    thick = sg.ThicknessPair(g1=constant_scalar(0.4),
+                             g2=affine_scalar(0.55, [0.04, 0.01]),
                              lipschitz_bound=1.0)
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(cap, 4)
     iso = sg.build_isometry(sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quad)
-    w = sg.trig_vector_field(GENERIC_W, cap.domain)
+    w = sg.trig_vector_field(GENERIC_W)
     h = 2.0 ** -4
 
     rng = np.random.default_rng(3)
@@ -237,15 +237,15 @@ def test_recovery_carries_the_t_coefficients(kind):
     # y^h = a0 + s a1 + (s^2/2) a2 in s = t - (g2-g1)/2: with w = 0 (so xi = 0)
     # the central differences over s = -delta, 0, delta give a1 and a2 exactly
     patch = sg.make_builtin_patch(kind)
-    V = (sg.plate_sine_field(1.0, 1, 1, patch.domain) if kind == "plate"
+    V = (sg.plate_sine_field(1.0, 1, 1) if kind == "plate"
          else sg.rigid_field(patch, (0.3, -0.2, 0.4)))
-    thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4, patch.domain),
-                             g2=sg.affine_scalar(0.55, [0.04, 0.01], patch.domain),
+    thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4),
+                             g2=sg.affine_scalar(0.55, [0.04, 0.01]),
                              lipschitz_bound=1.0)
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(patch, 4)
     iso = sg.build_isometry(V, quad=quad)
-    data = sg.recovery_data(patch, W, iso, sg.zero_vector_field(patch.domain), thick,
+    data = sg.recovery_data(patch, W, iso, sg.zero_vector_field(), thick,
                             kappa=1.0, frame=quad.frame)
     h = 2.0 ** -3
     e_h = h ** 4
@@ -267,14 +267,14 @@ def test_recovery_carries_the_t_coefficients(kind):
 def test_one_recovery_data_serves_every_h(monkeypatch):
     cap = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 3)
     from shellgamma.fields import affine_scalar, constant_scalar
-    thick = sg.ThicknessPair(g1=constant_scalar(0.4, cap.domain),
-                             g2=affine_scalar(0.55, [0.04, 0.01], cap.domain),
+    thick = sg.ThicknessPair(g1=constant_scalar(0.4),
+                             g2=affine_scalar(0.55, [0.04, 0.01]),
                              lipschitz_bound=1.0)
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(cap, 3)
     trule = sg.TransversalRule.make(2)
     iso = sg.build_isometry(sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quad)
-    w = sg.trig_vector_field(GENERIC_W, cap.domain)
+    w = sg.trig_vector_field(GENERIC_W)
     scene = (cap, W, iso, w, thick, 1.0, quad.frame)
     data = sg.recovery_data(*scene)
     h0, h1 = 2.0 ** -3, 2.0 ** -5
@@ -303,9 +303,9 @@ def test_one_recovery_data_serves_every_h(monkeypatch):
 
 def test_gradient_stays_near_identity():
     plate, thick, W, quad, trule = plate_scene(order=4)
-    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1, plate.domain),
+    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1),
                             quad=quad)
-    w = sg.zero_vector_field(plate.domain)
+    w = sg.zero_vector_field()
     data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, frame=quad.frame[::3])
     ratios = []
     sups = []
@@ -322,9 +322,9 @@ def test_gradient_stays_near_identity():
 
 def test_energy_frame_indifference():
     plate, thick, W, quad, trule = plate_scene(order=4)
-    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1, plate.domain),
+    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1),
                             quad=quad)
-    w = sg.zero_vector_field(plate.domain)
+    w = sg.zero_vector_field()
     h = 2.0 ** -4
     rec = sg.build_recovery(sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, frame=quad.frame),
                             h=h, e_h=h ** 4)
@@ -344,16 +344,16 @@ def test_energy_frame_indifference():
 def rotation_scene(kind, h):
     """A recovery y^h with nonzero V, w and thickness gradient, and its energy."""
     patch = sg.make_builtin_patch(kind)
-    thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4, patch.domain),
-                             g2=sg.affine_scalar(0.55, [0.04, 0.01], patch.domain),
+    thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4),
+                             g2=sg.affine_scalar(0.55, [0.04, 0.01]),
                              lipschitz_bound=1.0)
-    V = (sg.plate_sine_field(1.0, 1, 1, patch.domain) if kind == "plate"
+    V = (sg.plate_sine_field(1.0, 1, 1) if kind == "plate"
          else sg.rigid_field(patch, (0.3, -0.2, 0.4)))
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(patch, 4)
     trule = sg.TransversalRule.make(3)
     iso = sg.build_isometry(V, quad=quad)
-    w = sg.trig_vector_field(GENERIC_W, patch.domain)
+    w = sg.trig_vector_field(GENERIC_W)
     data = sg.recovery_data(patch, W, iso, w, thick, kappa=1.0, frame=quad.frame)
     rec = sg.build_recovery(data, h=h, e_h=h ** 4)
     return rec, W, quad, trule, sg.eval_shell_energy(rec, W, quad, trule)
@@ -479,9 +479,9 @@ def test_tangential_lower_bound_reads_the_volume_factor_from_the_gradient(monkey
 
 def test_energy_blowup_reports_worst_node():
     plate, thick, W, quad, trule = plate_scene(order=4)
-    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1, plate.domain),
+    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1),
                             quad=quad)
-    w = sg.zero_vector_field(plate.domain)
+    w = sg.zero_vector_field()
     # e_h chosen so sqrt(e_h)/h is order one: far outside the small-strain regime
     rec = sg.build_recovery(sg.recovery_data(plate, W, iso, w, thick, kappa=1.0,
                                              frame=quad.frame),
@@ -506,9 +506,9 @@ def test_energy_blowup_reports_worst_node():
 
 def test_energy_converges_to_limit_quickly():
     plate, thick, W, quad, trule = plate_scene(order=6)
-    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1, plate.domain),
+    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1),
                             quad=quad)
-    w = sg.zero_vector_field(plate.domain)
+    w = sg.zero_vector_field()
     data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, frame=quad.frame)
     I_val = sg.eval_I(data.limit, data.q2, thick, quad).total
     gaps = []
@@ -523,9 +523,9 @@ def test_energy_converges_to_limit_quickly():
 
 def test_tangential_lower_bound_below_energy_and_tightening():
     plate, thick, W, quad, trule = plate_scene(order=4)
-    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1, plate.domain),
+    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1),
                             quad=quad)
-    w = sg.zero_vector_field(plate.domain)
+    w = sg.zero_vector_field()
     data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, frame=quad.frame)
     deltas = []
     for k in (3, 4, 5):
@@ -542,14 +542,14 @@ def test_tangential_lower_bound_below_energy_and_tightening():
 def moment_scene(kind):
     """RecoveryData with nonzero V, w and an uneven thickness, at a 4x4 rule."""
     patch = sg.make_builtin_patch(kind)
-    thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4, patch.domain),
-                             g2=sg.affine_scalar(0.55, [0.04, 0.01], patch.domain),
+    thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4),
+                             g2=sg.affine_scalar(0.55, [0.04, 0.01]),
                              lipschitz_bound=1.0)
-    V = (sg.plate_sine_field(1.0, 1, 1, patch.domain) if kind == "plate"
+    V = (sg.plate_sine_field(1.0, 1, 1) if kind == "plate"
          else sg.rigid_field(patch, (0.3, -0.2, 0.4)))
     quad = sg.surface_quadrature(patch, 4)
     iso = sg.build_isometry(V, quad=quad)
-    w = sg.trig_vector_field(GENERIC_W, patch.domain)
+    w = sg.trig_vector_field(GENERIC_W)
     data = sg.recovery_data(patch, sg.make_isotropic(1.0, 1.0), iso, w, thick, kappa=1.0,
                             frame=quad.frame)
     return data, thick, quad
@@ -580,16 +580,16 @@ def test_transversal_sum_equals_the_sum_of_evaluations(kind):
 
 def test_averaged_displacement_trivial_and_convergent():
     plate, thick, W, quad, trule = plate_scene(order=4)
-    iso0 = sg.build_isometry(sg.zero_vector_field(plate.domain), quad=quad)
-    data0 = sg.recovery_data(plate, W, iso0, sg.zero_vector_field(plate.domain),
+    iso0 = sg.build_isometry(sg.zero_vector_field(), quad=quad)
+    data0 = sg.recovery_data(plate, W, iso0, sg.zero_vector_field(),
                              thick, kappa=1.0, frame=plate.frame(np.array([0.3, 0.6])))
     rec0 = sg.build_recovery(data0, h=0.125, e_h=0.125 ** 4)
     vh0 = sg.averaged_displacement(rec0, trule)
     assert np.allclose(vh0, 0.0, atol=1e-14)
 
-    V = sg.plate_sine_field(1.0, 1, 1, plate.domain)
+    V = sg.plate_sine_field(1.0, 1, 1)
     iso = sg.build_isometry(V, quad=quad)
-    w = sg.trig_vector_field(GENERIC_W, plate.domain)
+    w = sg.trig_vector_field(GENERIC_W)
     data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, frame=quad.frame)
     dists = []
     for k in (3, 4, 5, 6):
@@ -610,13 +610,13 @@ def test_batched_recovery_equals_stacked_points():
     # built at each single point
     cap = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 3)
     from shellgamma.fields import affine_scalar, constant_scalar
-    thick = sg.ThicknessPair(g1=constant_scalar(0.4, cap.domain),
-                             g2=affine_scalar(0.55, [0.04, 0.01], cap.domain),
+    thick = sg.ThicknessPair(g1=constant_scalar(0.4),
+                             g2=affine_scalar(0.55, [0.04, 0.01]),
                              lipschitz_bound=1.0)
     W = sg.make_isotropic(1.0, 1.0)
     quad = sg.surface_quadrature(cap, 2)
     iso = sg.build_isometry(sg.rigid_field(cap, (0.3, -0.2, 0.4)), quad=quad)
-    w = sg.trig_vector_field(GENERIC_W, cap.domain)
+    w = sg.trig_vector_field(GENERIC_W)
     h = 2.0 ** -4
 
     def recovery(u):
@@ -642,8 +642,8 @@ def test_energies_refuse_a_recovery_built_at_other_points(energy):
     # the nodes in reverse order have the size of the nodes: read at the
     # quadrature weights, they would give a wrong integral without an error
     plate, thick, W, quad, trule = plate_scene(order=4)
-    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1, plate.domain), quad=quad)
-    w = sg.trig_vector_field(GENERIC_W, plate.domain)
+    iso = sg.build_isometry(sg.plate_sine_field(1.0, 1, 1), quad=quad)
+    w = sg.trig_vector_field(GENERIC_W)
 
     def recovery(frame):
         data = sg.recovery_data(plate, W, iso, w, thick, kappa=1.0, frame=frame)
@@ -662,9 +662,9 @@ def test_averaged_displacement_sym_grad_tracks_strain():
     # V + h w + h^2 (moment) d1; on the plate d1 is vertical, so the scaled
     # symmetric tangential gradient reproduces B_tan to diagnostic resolution
     plate, thick, W, quad, trule = plate_scene(order=4)
-    V = sg.plate_sine_field(1.0, 1, 1, plate.domain)
+    V = sg.plate_sine_field(1.0, 1, 1)
     iso = sg.build_isometry(V, quad=quad)
-    w = sg.trig_vector_field(GENERIC_W, plate.domain)
+    w = sg.trig_vector_field(GENERIC_W)
     probes = quad.frame[np.array([3, 7])]
     # the data at the stencil points of the probes, from whose values the diagnostic differentiates
     stencil = stencil_points(probes.u, stencil_steps(probes.u, plate.domain))
@@ -684,21 +684,21 @@ def grid_scene(kind, order):
     """Patch, isometry, w, thickness and a node rule with one node whose step is clamped."""
     if kind == "plate":
         patch = sg.make_builtin_patch("plate")
-        V = sg.plate_sine_field(1.0, 1, 1, patch.domain)
-        thick = sg.ThicknessPair.constant(0.4, 0.6, patch.domain)
+        V = sg.plate_sine_field(1.0, 1, 1)
+        thick = sg.ThicknessPair.constant(0.4, 0.6)
         edge = [0.5, 1.0 - 5e-5]
     else:
         patch = sg.make_builtin_patch("sphere_cap", radius=1.0, cap_angle=np.pi / 3)
         V = sg.rigid_field(patch, (0.3, -0.2, 0.4))
-        thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4, patch.domain),
-                                 g2=sg.affine_scalar(0.55, [0.04, 0.01], patch.domain),
+        thick = sg.ThicknessPair(g1=sg.constant_scalar(0.4),
+                                 g2=sg.affine_scalar(0.55, [0.04, 0.01]),
                                  lipschitz_bound=1.0)
         edge = [np.pi / 3 - 1e-4, 2.0]
     quad = sg.surface_quadrature(patch, order)
     quad = sg.SurfaceQuadrature(frame=patch.frame(np.vstack([quad.frame.u, edge])),
                                 weights=np.append(quad.weights, 0.0))
     iso = sg.build_isometry(V, quad=quad)
-    return patch, iso, sg.trig_vector_field(GENERIC_W, patch.domain), thick, quad
+    return patch, iso, sg.trig_vector_field(GENERIC_W), thick, quad
 
 
 @pytest.mark.parametrize("order", [4, 10])
@@ -735,8 +735,8 @@ def test_bundle_frame_carries_the_products_of_its_points(monkeypatch, kind):
     # concatenated fields, bit for bit
     patch = sg.make_builtin_patch(kind)
     quad = sg.surface_quadrature(patch, 5)
-    thick = sg.ThicknessPair.constant(0.5, 0.5, patch.domain)
-    zero = sg.zero_vector_field(patch.domain)
+    thick = sg.ThicknessPair.constant(0.5, 0.5)
+    zero = sg.zero_vector_field()
     iso = sg.build_isometry(zero, quad=quad)
     bundles = []
     limit_fields = recovery3d.limit_fields

@@ -338,6 +338,12 @@ def test_cube_rotations_are_a_group_of_24_with_the_identity_first():
 _CHUNK_ROTATIONS = 24 * studies._ACTION_CHUNK
 
 
+def action_chunks(q):
+    """The (k, 4) batch q in the chunks of _ACTION_CHUNK rows that `_best_actions` scores."""
+    return [q[start:start + studies._ACTION_CHUNK]
+            for start in range(0, len(q), studies._ACTION_CHUNK)]
+
+
 @pytest.mark.parametrize("count", [1, 7, 24, 25, 1365, _CHUNK_ROTATIONS, _CHUNK_ROTATIONS + 1,
                                    4096, 4097, 8229])
 def test_chunked_best_action_is_the_batch_maximum(count):
@@ -350,7 +356,7 @@ def test_chunked_best_action_is_the_batch_maximum(count):
     streamed = studies._best_actions(Ns, studies._rotation_draws(rng, count), count)
     rng.bit_generator.state = state
     q = studies.random_rotations(rng, -(-count // 24))
-    best = studies._best_actions(Ns, q, count)
+    best = studies._best_actions(Ns, action_chunks(q), count)
     assert best.shape == (5,)
     assert np.array_equal(streamed, best)
     R = (studies.rotation_matrices(q)[:, None] @ studies._CUBE).reshape(-1, 3, 3)[:count]
@@ -368,8 +374,8 @@ def test_load_align_gate_fails_a_low_maximum(monkeypatch):
         return 0.01 * max(1.0, abs(wahba(N)[1]))
 
     def low_wahba(N):
-        Q, m_h, classification, sv = wahba(N)
-        return Q, m_h - drop(N), classification, sv
+        Q, m_h, classification = wahba(N)
+        return Q, m_h - drop(N), classification
 
     def low_davenport(N):
         drops = np.reshape([drop(M) for M in np.reshape(N, (-1, 3, 3))], np.shape(N)[:-2])
@@ -392,8 +398,8 @@ def test_load_align_summary_carries_a_nan_maximum(monkeypatch):
 
     def nan_second(N):
         calls.append(N)
-        Q, m_h, classification, sv = wahba(N)
-        return Q, (np.nan if len(calls) == 2 else m_h), classification, sv
+        Q, m_h, classification = wahba(N)
+        return Q, (np.nan if len(calls) == 2 else m_h), classification
 
     monkeypatch.setattr(studies, "wahba_maximize", nan_second)
     report = run_study(load_config("load-align"))
@@ -461,7 +467,7 @@ def test_load_align_forms_one_action_form_and_draws_once(monkeypatch):
     one_draw = studies.random_rotations(rng, draws)
     assert np.array_equal(np.concatenate([q for _, q in counted["rotation_actions"]]), one_draw)
     [streamed] = maxima
-    assert np.array_equal(streamed, studies._best_actions(Ns, one_draw, samples))
+    assert np.array_equal(streamed, studies._best_actions(Ns, action_chunks(one_draw), samples))
 
 
 # Transient heap peak of one load-align study, by tracemalloc: 1.25 MB when
@@ -808,7 +814,7 @@ def test_gamma_study_evaluates_each_point_array_once(monkeypatch):
     monkeypatch.setattr(kinematics.IsometryField, "A_at", counting_A_at)
     # the builtin's w and V
     monkeypatch.setattr(fields, "zero_vector_field",
-                        lambda domain: counting_d1(zero_vector_field(domain), seen["w.d1"]))
+                        lambda: counting_d1(zero_vector_field(), seen["w.d1"]))
     monkeypatch.setattr(fields, "rigid_field",
                         lambda *args: counting_d1(rigid_field(*args), V_reads))
     monkeypatch.setattr(kinematics, "gamma_n_partials", counting_gamma_n_partials)
@@ -1204,8 +1210,7 @@ def test_non_isometric_V_is_a_config_error(study, tmp_path, capsys):
     plate = make_builtin_patch(**cfg.patch)
     quad = surface_quadrature(plate, cfg.quadrature["surface_order"])
     with pytest.raises(NotAnIsometryError) as exc:
-        kinematics.build_isometry(fields.trig_vector_field(components, plate.domain),
-                                  quad=quad)
+        kinematics.build_isometry(fields.trig_vector_field(components), quad=quad)
     assert exc.value.residual > 1e-2
     assert err == f"error: fields.V: {exc.value}\n"
     assert err.rstrip().endswith(f"at u={tuple(exc.value.u.tolist())}"), err

@@ -33,7 +33,10 @@ come from this checkout's BENCHMARK.json.  The line says "gain shown" when
 the change reads better in at least 9 of every 10 pairs (ties count for
 neither side) and its median lies beyond the parent's, on the better side,
 by more than the parent's IQR, "worse" when the same holds with the sides
-swapped, and "unresolved" otherwise.  Then it says whether the median step
+swapped, and "unresolved" otherwise.  A median step within ROUNDING_STEP of
+the parent's median, relative, is "unresolved" whatever the pairs read: a
+deterministic metric whose parent runs have no spread moves that little by
+rounding alone.  Then it says whether the median step
 to the worse side, relative to the parent's median, is "within bound" or
 "beyond bound", and adds "spread wider than bound" when the parent's IQR,
 relative to its median, exceeds the bound.
@@ -61,6 +64,8 @@ import numpy as np
 
 CODES = ("parent", "change")
 CONTROL = "control"
+# a median step at most this far from the parent's median, relative, is rounding
+ROUNDING_STEP = 1e-9
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -223,7 +228,9 @@ def _judge(stats, code, n, better):
     step = stats[code]["p50"] - stats["parent"]["p50"]
     wins, losses, worse_step = ((lower, higher, step) if better == "lower"
                                 else (higher, lower, -step))
-    if 10 * wins >= 9 * n and -worse_step > iqr:
+    if abs(step) <= ROUNDING_STEP * abs(stats["parent"]["p50"]):
+        word = "unresolved"
+    elif 10 * wins >= 9 * n and -worse_step > iqr:
         word = "gain shown"
     elif 10 * losses >= 9 * n and worse_step > iqr:
         word = "worse"
