@@ -9,7 +9,8 @@ The config is read by `studies.load_config`; --out, --h-list and
 --quad-order replace its keys, and the result is validated again.
 
 Exit codes: 0 all tolerances met, 1 a tolerance failed, 2 configuration or
-runtime error.
+runtime error: any exception raised while the config is loaded, the study
+runs or its report is written prints `error: ...` on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import argparse
 import functools
 import sys
 
-from .errors import ConfigError, ShellGammaError
+from .errors import ConfigError
 from .studies import (BUILTIN_SCENARIOS, load_config, run_study, validate_config,
                       write_report)
 
@@ -71,7 +72,7 @@ def main(argv=None):
                            quad_order=args.quad_order, out=args.out)
         report = run_study(cfg)
         csv_path, summary_path = write_report(report, cfg.output)
-    except (ShellGammaError, OSError) as exc:
+    except Exception as exc:  # any runtime error, not only a ShellGammaError, exits 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

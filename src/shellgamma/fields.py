@@ -11,8 +11,10 @@ gives its steps, shrunk point by point near the chart boundary so stencils
 never leave the rectangle, `stencil_points` its points and
 `stencil_partials` the partials.  The partials of a field at u
 and at its stencil points come from one shared grid around u
-(`stencil_grid`, `grid_partials`), which holds u and its stencil points
-among its rows (`GRID_ROWS`).
+(`stencil_grid`, `grid_partials`), built from one table of integer
+offsets: u and its 8 stencil points, the centers, are its first 9 rows,
+the 24 other points their stencils reach follow, and the rows of each
+center's stencil are looked up in the table.
 """
 
 from __future__ import annotations
@@ -93,6 +95,33 @@ def _fd_combine(values, d):
     return (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * d)
 
 
+def _grid_table():
+    """The integer offsets (i, j) of the points u + i d_1 e_1 + j d_2 e_2 of
+    `stencil_grid`, (33, 2), and the rows [a, k, c] of the stencil of center c
+    along axis a, (2, 4, 9).  The 9 centers come first: u, then its stencil
+    points in the order of `stencil_points`; the other points the centers'
+    stencils reach follow, in the order first reached."""
+    ks = _STENCIL.astype(int).tolist()
+    centers = [(0, 0)] + [(k, 0) for k in ks] + [(0, k) for k in ks]
+    row = {c: r for r, c in enumerate(centers)}
+    stencils = [[[row.setdefault((i + k * (a == 0), j + k * (a == 1)), len(row)) for k in ks]
+                 for a in (0, 1)] for i, j in centers]
+    return np.array(list(row), dtype=float), np.array(stencils).transpose(1, 2, 0)
+
+
+_OFFSETS, _STENCIL_ROWS = _grid_table()
+
+
+def _offset_points(u, offsets, d):
+    # u + o d for the integer offset rows o of offsets, (len(offsets), ..., 2);
+    # d, one step per chart axis, broadcasts against u.  u is added in place:
+    # one array of the grid's size, not two, keeps a gamma pass from
+    # trimming and refaulting its heap (the same sums, bit for bit)
+    points = offsets.reshape((len(offsets),) + (1,) * (u.ndim - 1) + (2,)) * d
+    points += u
+    return points
+
+
 # no caller in the package: kept, with its import sites in kinematics and
 # recovery3d, only because perfbench/tracing.py wraps all three
 def fd_partial(f, u, axis, step, domain):
@@ -103,10 +132,8 @@ def fd_partial(f, u, axis, step, domain):
     """
     u = np.asarray(u, dtype=float)
     d = _clamped_step(domain, u, axis, step, reach=2)
-    e = np.zeros(2)
-    e[axis] = 1.0
-    offsets = _STENCIL.reshape((4,) + (1,) * d.ndim) * d
-    return _fd_combine(np.asarray(f(u + offsets[..., None] * e)), d)
+    points = _offset_points(u, _OFFSETS[_STENCIL_ROWS[axis, :, 0]], d[..., None])
+    return _fd_combine(np.asarray(f(points)), d)
 
 
 def stencil_steps(u, domain):
@@ -120,21 +147,14 @@ def stencil_steps(u, domain):
     return np.stack([_clamped_step(domain, u, ax, steps[ax], reach=4) for ax in (0, 1)])
 
 
-def _axis_points(u, d, offsets):
-    # u + k d_a e_a for the offsets k along each chart axis a, (2, len(offsets), ..., 2)
-    pts = np.broadcast_to(u, (2, len(offsets)) + u.shape).copy()
-    for ax in (0, 1):
-        pts[ax, ..., ax] += offsets.reshape((-1,) + (1,) * d[ax].ndim) * d[ax]
-    return pts
-
-
 def stencil_points(u, d):
     """The stencil points u + k d_a e_a, k in (-2, -1, 1, 2), shape (2, 4, ..., 2).
 
     d holds the steps of `stencil_steps(u, domain)`; the leading axes are
-    the chart axis a and the offset k.
+    the chart axis a and the offset k.  They are rows 1..8 of `stencil_grid`.
     """
-    return _axis_points(np.asarray(u, dtype=float), d, _STENCIL)
+    u = np.asarray(u, dtype=float)
+    return _offset_points(u, _OFFSETS[1:9], np.moveaxis(d, 0, -1)).reshape((2, 4) + u.shape)
 
 
 def stencil_partials(values, d):
@@ -145,45 +165,22 @@ def stencil_partials(values, d):
     return np.stack([_fd_combine(values[ax], d[ax]) for ax in (0, 1)], axis=-1)
 
 
-# grid offsets of `stencil_grid`: the 9-point line k = -4..4 of each axis
-_LINE = np.arange(-4.0, 5.0)
-# [j, c]: line index of the offset c + j, for stencil offsets j and centers c = 0, -2, -1, 1, 2
-_LINE_INDEX = (_STENCIL[:, None] + np.concatenate([[0.0], _STENCIL])).astype(int) + 4
-# rows of `stencil_grid` that hold u (line 0 at k = 0), then stencil_points(u, d)[a, i]:
-# k = -2, -1, 1, 2 on line 0 (rows 0..8) and on line 1 without u (rows 9..12, 13..16)
-GRID_ROWS = np.array([4, 2, 3, 5, 6, 11, 12, 13, 14])
-
-
 def stencil_grid(u, domain):
     """33 points per point of u, shape (33, ..., 2), and their `stencil_steps` d.
 
-    The 9-point line u + k d_a e_a, k = -4..4, of each axis (u shared), then
-    the 4x4 block u + i d_1 e_1 + j d_2 e_2, i, j in (-2, -1, 1, 2).
+    Rows 0..8 are u and its stencil points, in the order of `stencil_points`;
+    the other 24 complete the stencils of those 9 centers.
     """
     u = np.asarray(u, dtype=float)
     d = stencil_steps(u, domain)
-    nb = (1,) * d[0].ndim
-    lines = _axis_points(u, d, _LINE)
-    block = np.broadcast_to(u, (4, 4) + u.shape).copy()
-    block[..., 0] += _STENCIL.reshape((4, 1) + nb) * d[0]
-    block[..., 1] += _STENCIL.reshape((1, 4) + nb) * d[1]
-    return np.concatenate([lines[0], lines[1, :4], lines[1, 5:],
-                           block.reshape((16,) + u.shape)]), d
+    return _offset_points(u, _OFFSETS, np.moveaxis(d, 0, -1)), d
 
 
 def grid_partials(F, d):
-    """Both chart partials, (9, ..., *f, 2) in the order of GRID_ROWS, from the
-    (33, ..., *f) values F on `stencil_grid` of steps d: each line gives the
-    partial along its axis, the block the one across, all with one stencil."""
-    shape = F.shape[1:]
-    line = [F[:9], np.concatenate([F[9:13], F[4:5], F[13:17]])]
-    grid = F[17:].reshape((4, 4) + shape)   # [i, j] at u + i d_1 e_1 + j d_2 e_2
-    d = d[:, None]  # the steps broadcast against the center axis
-    along = [_fd_combine(line[ax][_LINE_INDEX], d[ax]) for ax in (0, 1)]  # u, then axis ax
-    across = [_fd_combine(np.swapaxes(grid, 0, 1), d[1]), _fd_combine(grid, d[0])]
-    return np.concatenate([np.stack([along[0][:1], along[1][:1]], axis=-1),
-                           np.stack([along[0][1:], across[0]], axis=-1),
-                           np.stack([across[1], along[1][1:]], axis=-1)])
+    """Both chart partials at u and at its 8 stencil points, (9, ..., *f, 2), from
+    the (33, ..., *f) values F on `stencil_grid` of steps d: `stencil_partials`
+    of each center's stencil rows, gathered one axis at a time."""
+    return stencil_partials([F[rows] for rows in _STENCIL_ROWS], d[:, None])
 
 
 @dataclass(frozen=True)

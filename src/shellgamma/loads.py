@@ -32,11 +32,13 @@ PROCRUSTES_TIE_TOL = 1e-10
 
 
 def load_compatibility_residual(thick, f, squad):
-    """Norm of int (g1+g2) f dS relative to the field's L1 mass.
+    """The pair (norm, mass): the norm of int (g1+g2) f dS and the field's
+    L1 mass int (g1+g2) |f| dS.
 
     f holds the load's values at the nodes of squad.  The compatibility
-    condition requires this to vanish at quadrature accuracy (<= 1e-8 of
-    the mass); the scaling factor cancels.
+    condition requires the norm to vanish at quadrature accuracy relative
+    to the mass; `studies._run_gamma` forms that ratio and refuses a load
+    whose norm exceeds 1e-8 of the mass, in which the scaling factor cancels.
     """
     wmu = squad.weights * thick.total(squad.frame.u)
     total = (wmu[:, None] * f).sum(axis=0)

@@ -154,11 +154,8 @@ class QuadForm3:
         if entries.shape != (21,):
             raise ParameterError("expected 21 upper-triangular entries")
         M = np.zeros((6, 6))
-        k = 0
-        for i in range(6):
-            for j in range(i, 6):
-                M[i, j] = M[j, i] = entries[k]
-                k += 1
+        i, j = np.triu_indices(6)  # row-major, the order of the entries
+        M[i, j] = M[j, i] = entries
         return QuadForm3.from_matrix(M)
 
 

@@ -13,8 +13,8 @@ gives grad y^h, at those points only.
 A n and the chart partials DV of V are read once, on a grid of 33 points
 per point (`fields.stencil_grid`) from its ChartMetric alone, which gives
 the chart partials of A n at the points and their stencil points.  The
-grid's rows `fields.GRID_ROWS` hand A n and DV at the (9, ...) union of the
-points and their stencil points, and the ChartMetric at the stencil points,
+grid's first nine rows, the points and then their stencil points, hand A n
+and DV at that (9, ...) union, and the ChartMetric at the stencil points,
 with its frame products, to one bundle frame, which concatenates every field
 of the frames at the points and at their stencil points, their products T,
 g^-1 J^T and Pi J included, but the surface points x and sqrt(det g): no
@@ -30,7 +30,7 @@ the points alone.  The limit functional reads `RecoveryData.limit` and
 Each array lives only as long as a reader needs it, which keeps the
 transient peak of a recovery low: the grid's ChartMetric is freed once the
 stencil frame products are formed from it, the 33-point A n and DV once the
-partials of A n are taken and their GRID_ROWS copied out, and the stencil
+partials of A n are taken and their first nine rows copied out, and the stencil
 fields once the bundle frame has copied them in, before the bundle is
 evaluated.
 
@@ -61,8 +61,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import EnergyBlowupError, ParameterError
-from .fields import (GRID_ROWS, grid_partials, matvec, outer, stencil_grid, stencil_partials,
-                     stencil_points, stencil_steps, transpose)
+from .fields import (grid_partials, matvec, outer, stencil_grid, stencil_partials, stencil_points,
+                     stencil_steps, transpose)
 from .fields import fd_partial  # noqa: F401  (perfbench/tracing.py wraps this import site)
 from .geometry import NodeFrame, inv2, offset_determinant, offset_jacobian
 from .kinematics import LimitFields, limit_fields, tangential_strain
@@ -141,19 +141,19 @@ def recovery_data(patch, material, iso, w, thick, kappa, frame):
     quadrature's frame); the result serves `build_recovery` for every h of
     a schedule and `eval_I` through its `limit` and `q2`.
     """
-    # A n and DV on the grid; its rows GRID_ROWS are the points and their stencil points
+    # A n and DV on the grid; its rows 0..8 are the points and their stencil points
     grid, d = stencil_grid(frame.u, patch.domain)
     metric = patch.metric(grid)
     An, DV = iso.An(metric)
-    st = metric[GRID_ROWS[1:]]
+    st = metric[np.arange(1, 9)]  # an array index: copies, so the grid's record is freed
     st = {**vars(st), **patch.frame_products(st)}  # the stencil points' frame fields
     del metric  # the grid's record, 33 points per point: freed before the partials
     An_partials = grid_partials(An, d)
-    An, DV = An[GRID_ROWS], DV[GRID_ROWS]  # the 33-point values, freed before the bundle
+    An, DV = An[:9].copy(), DV[:9].copy()  # the 33-point values, freed before the bundle
     # one bundle over the points (entry 0) and their stencil points; no reader of the
     # bundle takes its x or sqrt(det g), so they are not evaluated: NaN, never copied
     fr = NodeFrame(**{k: np.concatenate([v[None], st[k]]) if k in st
-                      else np.broadcast_to(np.nan, (len(GRID_ROWS),) + v.shape)
+                      else np.broadcast_to(np.nan, (9,) + v.shape)
                       for k, v in vars(frame).items()})
     del st  # the stencil fields, copied into the bundle
     lf = limit_fields(iso, w, thick, kappa, fr, An, DV, An_partials)

@@ -6,8 +6,8 @@ import pytest
 
 import shellgamma as sg
 from shellgamma.errors import DomainError, ParameterError
-from shellgamma.fields import (fd_partial, grid_partials, stencil_grid, stencil_points,
-                               stencil_steps)
+from shellgamma.fields import (fd_partial, grid_partials, stencil_grid, stencil_partials,
+                               stencil_points, stencil_steps)
 
 from oracles import fd_columns, sum_fields
 
@@ -169,6 +169,38 @@ def fd_stencil_columns(f, u, domain):
 def with_stencil_points(u, points):
     """The points of `fd_stencil_columns`: u, then its (2, 4) stencil points, shape (9, ..., 2)."""
     return np.concatenate([u[None], points.reshape((8,) + u.shape)])
+
+
+def test_stencil_grid_is_the_centers_then_their_stencils():
+    # the grid's layout, built here from the stencil alone: the centers u and
+    # its 8 stencil points, then what the stencils of those 9 reach, as
+    # integer offsets (i, j) of the points u + i d_1 e_1 + j d_2 e_2
+    ks = (-2, -1, 1, 2)
+    centers = [(0, 0)] + [(k, 0) for k in ks] + [(0, k) for k in ks]
+
+    def stencil(center, axis):
+        return [(center[0] + k * (axis == 0), center[1] + k * (axis == 1)) for k in ks]
+
+    offsets = set(centers) | {p for c in centers for ax in (0, 1) for p in stencil(c, ax)}
+    assert len(offsets) == 33
+    domain = ((0.0, 1.0), (-1.0, 1.0))
+    u = np.concatenate([interior_points(domain, 6, seed=4), [[1e-4, 0.5], [0.7, 0.99999]]])
+    grid, d = stencil_grid(u, domain)
+    steps = np.moveaxis(d, 0, -1)
+    k = np.rint((grid - u) / steps)
+    assert np.max(np.abs((grid - u) / steps - k)) <= 1e-9
+    assert np.all(k == k[:, :1])  # one offset per row, at every point
+    rows = [tuple(r) for r in k[:, 0].astype(int).tolist()]
+    assert len(rows) == 33 and set(rows) == offsets  # each point once
+    # rows 0..8: u and its stencil points, in order, bit for bit
+    assert np.array_equal(grid[0], u)
+    assert np.array_equal(grid[1:9], stencil_points(u, d).reshape((8,) + u.shape))
+    # each center's partials are the stencil's of its own stencil values, bit for bit
+    F = sg.trig_vector_field(GENERIC_W).value(grid)
+    D = grid_partials(F, d)
+    for c, center in enumerate(centers):
+        values = np.stack([F[[rows.index(p) for p in stencil(center, ax)]] for ax in (0, 1)])
+        assert np.array_equal(D[c], stencil_partials(values, d)), center
 
 
 @pytest.mark.parametrize("seed", range(3))

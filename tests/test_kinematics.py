@@ -478,7 +478,7 @@ def test_An_sums_n_dot_DV_in_the_order_of_the_axis_sum(kind):
     patch = sg.make_builtin_patch(kind)
     u = sg.surface_quadrature(patch, 5).frame.u
     grid, _ = fields.stencil_grid(u, patch.domain)
-    points = [patch.frame(u), patch.metric(grid), patch.metric(grid)[fields.GRID_ROWS],
+    points = [patch.frame(u), patch.metric(grid), patch.metric(grid)[np.arange(9)],
               patch.metric(fields.stencil_points(u, fields.stencil_steps(u, patch.domain)))]
     families = [fields.rigid_field(patch, (0.3, -0.2, 0.4), (0.1, 0.0, 0.2)),
                 fields.plate_sine_field(0.7, 1, 2),

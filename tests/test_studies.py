@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import importlib.util
@@ -514,6 +515,24 @@ def test_every_tracer_import_site_resolves():
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), site
+
+
+def test_every_tracer_only_import_is_a_tracer_site():
+    # the converse: an import that only the tracer reads (`# noqa: F401`)
+    # must be a LAYERS site, or it outlives the span that wrapped it
+    sites = {site for sites, _ in _perfbench_module("tracing").LAYERS.values()
+             for site in sites}
+    imports = []
+    for path in sorted(pathlib.Path(studies.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and any("# noqa: F401" in line
+                            for line in lines[node.lineno - 1:node.end_lineno])):
+                imports += [f"{path.stem}:{alias.asname or alias.name}" for alias in node.names]
+    assert imports
+    assert set(imports) <= sites, sorted(set(imports) - sites)
 
 
 def test_benchmark_workload_configs_validate():
@@ -1379,6 +1398,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     cfg_path.write_text(json.dumps(doc))
     assert cli.main(["run", "--config", str(cfg_path)]) == 1
     capsys.readouterr()
+    # error: a runtime error that is no ShellGammaError; numpy refuses this
+    # sample count before it allocates anything
+    doc = {"study": "q2-check", "tolerances": {"samples": 1e18},
+           "output": str(tmp_path / "huge.csv")}
+    cfg_path = tmp_path / "huge.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: array is too big"), err
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"study": "q2-check",'],
