@@ -10,7 +10,8 @@ The config is read by `studies.load_config`; --out, --h-list and
 
 Exit codes: 0 all tolerances met, 1 a tolerance failed, 2 configuration or
 runtime error: any exception raised while the config is loaded, the study
-runs or its report is written prints `error: ...` on stderr.
+runs or its report is written prints `error: ...` on stderr, named by its
+type unless it is the package's own error or an OSError.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import argparse
 import functools
 import sys
 
-from .errors import ConfigError
+from .errors import ConfigError, ShellGammaError
 from .studies import (BUILTIN_SCENARIOS, load_config, run_study, validate_config,
                       write_report)
 
@@ -72,8 +73,9 @@ def main(argv=None):
                            quad_order=args.quad_order, out=args.out)
         report = run_study(cfg)
         csv_path, summary_path = write_report(report, cfg.output)
-    except Exception as exc:  # any runtime error, not only a ShellGammaError, exits 2
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # any runtime error exits 2; a defect is named by its type
+        kind = "" if isinstance(exc, (ShellGammaError, OSError)) else f"{type(exc).__name__}: "
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 2
 
     lines = [f"study: {report.kind}"]

@@ -114,9 +114,9 @@ _OFFSETS, _STENCIL_ROWS = _grid_table()
 
 def _offset_points(u, offsets, d):
     # u + o d for the integer offset rows o of offsets, (len(offsets), ..., 2);
-    # d, one step per chart axis, broadcasts against u.  u is added in place:
-    # one array of the grid's size, not two, keeps a gamma pass from
-    # trimming and refaulting its heap (the same sums, bit for bit)
+    # d, one step per chart axis, broadcasts against u.  u is added in place,
+    # so one array of the grid's size is formed, not two (the same sums, bit
+    # for bit)
     points = offsets.reshape((len(offsets),) + (1,) * (u.ndim - 1) + (2,)) * d
     points += u
     return points
@@ -179,7 +179,7 @@ def stencil_grid(u, domain):
 def grid_partials(F, d):
     """Both chart partials at u and at its 8 stencil points, (9, ..., *f, 2), from
     the (33, ..., *f) values F on `stencil_grid` of steps d: `stencil_partials`
-    of each center's stencil rows, gathered one axis at a time."""
+    of each center's stencil rows, both axes' (4, 9, ...) gathers held at once."""
     return stencil_partials([F[rows] for rows in _STENCIL_ROWS], d[:, None])
 
 

@@ -1406,7 +1406,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     cfg_path.write_text(json.dumps(doc))
     assert cli.main(["run", "--config", str(cfg_path)]) == 2
     out, err = capsys.readouterr()
-    assert err.startswith("error: array is too big"), err
+    assert err.startswith("error: ValueError: array is too big"), err
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"study": "q2-check",'],
